@@ -63,10 +63,10 @@ class SweepTable:
 
 
 def _solve_sweep_row(args) -> SweepRow:
-    r, m, spec, tol, seed, sampling = args
+    r, m, spec, tol, seed = args
     grid = GridCyl.for_distance(r, spec)
     try:
-        ops = [assemble_hydrogen_plate(grid, mm, sampling) for mm in (m, 0.0)]
+        ops = [assemble_hydrogen_plate(grid, mm) for mm in (m, 0.0)]
         res = [lowest_eigenpair(op, tol=tol, seed=seed, sigma=HYDROGEN_SHIFT)
                for op in ops]
         return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
@@ -80,7 +80,6 @@ def _solve_sweep_row(args) -> SweepRow:
 def sweep_interaction_energy(r_values, plate_m: float = 1.0,
                              spec: GridCylSpec = GridCylSpec(),
                              tol: float = 0.0, seed: int = 0,
-                             sampling: str = "cell-average",
                              jobs: int = 1) -> SweepTable:
     """Solve E(r) and the matching free-hydrogen energy for each r.
 
@@ -91,14 +90,14 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     rs = sorted(float(r) for r in r_values)
     if any(r <= 0 for r in rs):
         raise ValueError("all radii must be positive")
-    work = [(r, plate_m, spec, tol, seed, sampling) for r in rs]
+    work = [(r, plate_m, spec, tol, seed) for r in rs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_solve_sweep_row, work))
     else:
         rows = [_solve_sweep_row(w) for w in work]
     grid_meta = {"h_target": spec.h_target, "l_xi_plus": spec.l_xi_plus,
-                 "l_rho": spec.l_rho, "sampling": sampling}
+                 "l_rho": spec.l_rho}
     config = {"tol": tol, "seed": seed, "jobs": jobs}
     return SweepTable(rows=rows, m=plate_m, grid=grid_meta, config=config)
 
@@ -274,7 +273,7 @@ def sweep_from_csv(text: str) -> SweepTable:
             continue
         if line.startswith("r,"):
             continue
-        parts = line.split(",")
+        parts = line.split(",", 6)   # the error text may itself hold commas
         if parts[3] == "":
             rows.append(SweepRow(r=float(parts[0]), n_xi=int(parts[1]),
                                  n_rho=int(parts[2]), e_plate=None, e_free=None,

@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .model import E_ELECTRON_PLATE
 from .multipole import HydrogenOrbital, smooth_step
+from .potential import hydrogen_image_bracket
 
 SYMMETRY_TOL = 1e-12
 
@@ -75,9 +77,6 @@ class GridCylSpec:
     h_target: float = 0.1
     l_xi_plus: float = 28.0   # axial extent beyond the nucleus
     l_rho: float = 28.0       # radial extent
-
-    def refined(self, factor: float) -> "GridCylSpec":
-        return GridCylSpec(self.h_target / factor, self.l_xi_plus, self.l_rho)
 
 
 @dataclass(frozen=True)
@@ -161,11 +160,14 @@ class GridCyl:
         out[1:-1, :-1] = u.reshape(self.n_xi, self.n_rho)
         return out
 
+    def points(self) -> np.ndarray:
+        """Nodes as 3D points (xi, rho, 0), flattened in (xi, rho) C order."""
+        xi, rho = self.meshes()
+        return np.stack([xi, rho, np.zeros_like(xi)], axis=-1).reshape(-1, 3)
+
     def sample_symmetrized(self, fn) -> np.ndarray:
         """Sample an axisymmetric function f(points3d) into symmetrized coordinates."""
-        xi, rho = self.meshes()
-        pts = np.stack([xi, rho, np.zeros_like(xi)], axis=-1).reshape(-1, 3)
-        vals = np.asarray(fn(pts), dtype=float)
+        vals = np.asarray(fn(self.points()), dtype=float)
         return vals * np.sqrt(self.volume_weights())
 
     def metadata(self) -> dict:
@@ -248,19 +250,17 @@ def coulomb_cell_average(xi, rho, h_xi: float, h_rho: float):
     return -num / vol
 
 
-def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0,
-                            sampling: str = "cell-average") -> SparseSymOp:
+def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     """Hydrogen/plate Hamiltonian on the axisymmetric grid (m = 0 drops the plate).
 
-    The Coulomb term is cell-averaged by default (midpoint sampling converges
-    below second order through the nuclear cusp); the smooth image terms are
-    sampled at nodes.  Dirichlet faces are imposed by ghost reflection.
+    The Coulomb term is cell-averaged (point values converge below second
+    order through the nuclear cusp); the smooth image bracket is evaluated at
+    the nodes.  Dirichlet faces are imposed by ghost reflection.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("mirror strength m must lie in [0, 1]")
-    r = grid.r
     hx, hr = grid.h_xi, grid.h_rho
-    xi, rho = grid.xi, grid.rho
+    rho = grid.rho
 
     d_main = np.full(grid.n_xi, 2.0) / hx ** 2
     d_main[0] += 1.0 / hx ** 2      # plate face at xi = -r
@@ -275,22 +275,14 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0,
     rad = sp.diags([s_off, s_main, s_off], [-1, 0, 1])
 
     xx, rr = grid.meshes()
-    if sampling == "cell-average":
-        v = coulomb_cell_average(xx, rr, hx, hr)
-    elif sampling == "midpoint":
-        v = -1.0 / np.hypot(xx, rr)
-    else:
-        raise ValueError(f"unknown potential sampling {sampling!r}")
+    v = coulomb_cell_average(xx, rr, hx, hr).ravel()
     if m != 0.0:
-        bracket = (-1.0 / (2.0 * r) - 1.0 / (2.0 * (r + xx))
-                   + 2.0 / np.hypot(2.0 * r + xx, rr))
-        v = v + 0.5 * m * bracket
+        v = v + 0.5 * m * hydrogen_image_bracket(grid.points(), grid.r)
 
     mat = (sp.kron(ax, sp.identity(grid.n_rho))
            + sp.kron(sp.identity(grid.n_xi), rad)
-           + sp.diags(v.ravel())).tocsr()
-    return SparseSymOp(matrix=mat, potential=v.ravel(),
-                       weights=np.ones(grid.size), grid=grid)
+           + sp.diags(v)).tocsr()
+    return SparseSymOp(matrix=mat, potential=v, weights=np.ones(grid.size), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +375,10 @@ HYDROGEN_SHIFT = -3.0
 
 def hydrogen_plate_ground(r: float, m: float = 1.0,
                           spec: GridCylSpec = GridCylSpec(),
-                          tol: float = 0.0, seed: int = 0,
-                          sampling: str = "cell-average"):
+                          tol: float = 0.0, seed: int = 0):
     """Assemble and solve E(r) on a fresh grid; returns (EigResult, GridCyl)."""
     grid = GridCyl.for_distance(r, spec)
-    op = assemble_hydrogen_plate(grid, m, sampling)
+    op = assemble_hydrogen_plate(grid, m)
     res = lowest_eigenpair(op, tol=tol, seed=seed, sigma=HYDROGEN_SHIFT)
     return res, grid
 
@@ -401,32 +392,46 @@ class ElectronPlateResult:
     coarse_value: float | None
     extrapolated: float | None
     deviation: float        # |value - (-1/64)|
-    eig: EigResult
+    residual: float         # ||A x - value x|| of the unit fine-grid vector
 
 
-def electron_plate_ground(n: int, L: float, tol: float = 1e-10, seed: int = 0,
-                          max_iter: int | None = None,
-                          extrapolate: bool = True) -> ElectronPlateResult:
+def _tridiagonal_ground(grid: Grid1D) -> tuple:
+    """Lowest eigenvalue of the 1D electron/plate operator and its residual.
+
+    Bisection (LAPACK stebz) isolates the eigenvalue and inverse iteration
+    gives its vector; the value returned is the Rayleigh quotient of that
+    vector, accurate to rounding where the bisection value is not.  The
+    stemr driver is avoided because it allocates a dense n x n array.
+    """
+    a = assemble_1d_electron_plate(grid).matrix
+    _, vecs = eigh_tridiagonal(a.diagonal(), a.diagonal(1),
+                               select="i", select_range=(0, 0))
+    x = vecs[:, 0]                  # unit 2-norm, as LAPACK stein returns it
+    ax = a @ x
+    lam = float(x @ ax)
+    return lam, float(np.linalg.norm(ax - lam * x))
+
+
+def electron_plate_ground(n: int, L: float, extrapolate: bool = True) -> ElectronPlateResult:
     """Ground energy of -d^2/dx^2 - 1/(4x), second order in h, Richardson-accelerated.
 
-    The scheme converges cleanly at O(h^2); extrapolating over the n and n//2
+    Each grid is solved directly as a symmetric tridiagonal eigenproblem.  The
+    scheme converges cleanly at O(h^2); extrapolating over the n and n//2
     grids removes the leading term and is reported alongside both raw values.
     """
     fine_grid = Grid1D(n, L)
-    fine = lowest_eigenpair(assemble_1d_electron_plate(fine_grid), tol=tol,
-                            max_iter=max_iter, seed=seed, sigma=-1.0)
-    coarse_value = extrap = None
-    value = fine.value
+    fine, residual = _tridiagonal_ground(fine_grid)
+    coarse = extrap = None
+    value = fine
     if extrapolate and n // 2 >= 16:
         coarse_grid = Grid1D(n // 2, L)
-        coarse = lowest_eigenpair(assemble_1d_electron_plate(coarse_grid), tol=tol,
-                                  max_iter=max_iter, seed=seed, sigma=-1.0)
+        coarse, _ = _tridiagonal_ground(coarse_grid)
         hf, hc = fine_grid.h, coarse_grid.h
-        extrap = fine.value + (fine.value - coarse.value) * hf ** 2 / (hc ** 2 - hf ** 2)
-        coarse_value, value = coarse.value, extrap
+        extrap = fine + (fine - coarse) * hf ** 2 / (hc ** 2 - hf ** 2)
+        value = extrap
     return ElectronPlateResult(
-        value=value, fine_value=fine.value, coarse_value=coarse_value,
-        extrapolated=extrap, deviation=abs(value - E_ELECTRON_PLATE), eig=fine,
+        value=value, fine_value=fine, coarse_value=coarse, extrapolated=extrap,
+        deviation=abs(value - E_ELECTRON_PLATE), residual=residual,
     )
 
 

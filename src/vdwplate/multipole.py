@@ -221,15 +221,17 @@ class HydrogenOrbital:
     def norm(self) -> float:
         return float(np.sqrt(self.pair_integral(self, lambda R: np.ones_like(R))))
 
+    def kinetic_energy(self, n_radial: int | None = None) -> float:
+        """<psi | -Laplacian | psi> by radial quadrature (s-wave form)."""
+        n = n_radial or self.n_radial
+        return self._pair_quadrature(self, self._envelope_derivative,
+                                     self._envelope_derivative,
+                                     lambda radius: np.ones_like(radius), n)
+
     def hydrogen_energy(self, n_radial: int | None = None) -> float:
         """<psi | -Laplacian - 1/|x| | psi> by radial quadrature (s-wave form)."""
-        n = n_radial or self.n_radial
-        ones = lambda radius: np.ones_like(radius)
-        kinetic = self._pair_quadrature(self, self._envelope_derivative,
-                                        self._envelope_derivative, ones, n)
-        attraction = -self._pair_quadrature(self, self._envelope, self._envelope,
-                                            lambda radius: 1.0 / radius, n)
-        return float(kinetic + attraction)
+        attraction = -self.density_expectation(lambda radius: 1.0 / radius, n_radial)
+        return float(self.kinetic_energy(n_radial) + attraction)
 
     def distance_l2(self, other: "HydrogenOrbital") -> float:
         """L2 distance ||psi_a - psi_b||."""

@@ -124,12 +124,6 @@ def _pair_mirror_sum(q_a: np.ndarray, p_a: np.ndarray, q_b: np.ndarray, pb_star:
     return float(np.sum(q_a[:, None] * q_b[None, :] / d))
 
 
-def _same_species_mirror_sum(q: np.ndarray, p: np.ndarray, p_star: np.ndarray,
-                             shift: np.ndarray) -> float:
-    """Ordered-pair sum within one species: cross pairs twice, self terms once."""
-    return _pair_mirror_sum(q, p, q, p_star, shift)
-
-
 def molecule_mirror_interaction(mol: Molecule, plate: PlateConfig, electrons) -> MirrorInteraction:
     """Mirror-interaction sums for electrons at the given positions.
 
@@ -154,8 +148,9 @@ def molecule_mirror_interaction(mol: Molecule, plate: PlateConfig, electrons) ->
     ones = np.ones(x.shape[0])
 
     i1 = 2.0 * _pair_mirror_sum(ones, x, z, y_star, shift)
-    i2 = _same_species_mirror_sum(ones, x, x_star, shift)
-    i3 = _same_species_mirror_sum(z, y, y_star, shift)
+    # within one species: cross pairs twice, self terms once
+    i2 = _pair_mirror_sum(ones, x, ones, x_star, shift)
+    i3 = _pair_mirror_sum(z, y, z, y_star, shift)
     m = plate.m
     return MirrorInteraction(m * i1, m * i2, m * i3)
 
@@ -221,7 +216,5 @@ def interaction_energy(charges: ChargeSet, coeffs: GreensCoeffs) -> float:
     d_mirror = np.linalg.norm(p[:, None, :] - mirror[None, :, :], axis=-1)
     if np.any(d_mirror < COINCIDENCE_TOL):
         raise ValueError("charge coincides with a mirror position")
-    g_d = coeffs.a / d_mirror
-    cross = float(np.sum(q[:, None] * q[None, :] * g_d) - np.sum(q * q * np.diag(g_d)))
-    self_terms = float(np.sum(q * q * np.diag(g_d)))
-    return direct + 0.5 * (cross + self_terms)
+    # ordered pairs: each cross pair twice, each self-image once, all halved
+    return direct + 0.5 * float(np.sum(q[:, None] * q[None, :] * coeffs.a / d_mirror))

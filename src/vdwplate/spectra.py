@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .model import E_ELECTRON_PLATE, E_HYDROGEN
+from .multipole import HydrogenOrbital
 
 
 def essential_spectrum_bottom(r: float) -> float:
@@ -105,34 +105,20 @@ class HeliumEnergy:
         return self.kinetic + self.attraction + self.repulsion
 
 
-def helium_variational_energy(n_points: int = 20001, r_max: float = 40.0) -> HeliumEnergy:
+def helium_variational_energy() -> HeliumEnergy:
     """Energy of helium in the doubly occupied scaled hydrogen orbital.
 
     The trial orbital is the ground state of -Laplacian - 2/|x| (radial density
-    4 R^2 e^{-2R}); kinetic and nuclear-attraction integrals are radial
-    quadratures, the electron repulsion uses Newton's theorem for the inner
-    electron's potential.  Exact values: kinetic 2, attraction -4,
-    repulsion 5/8, total 5.5 * E_HYDROGEN.
+    4 R^2 e^{-2R}).  Kinetic and nuclear-attraction terms are the orbital's
+    Gauss-Laguerre integrals; the electron repulsion is the density against
+    its closed-form Newton potential U(R) = 1/R - e^{-2R} (1/R + 1).  Each is
+    exact to rounding: kinetic 2, attraction -4, repulsion 5/8, total
+    5.5 * E_HYDROGEN.
     """
-    radius = np.linspace(0.0, r_max, n_points)
-    density = 4.0 * radius ** 2 * np.exp(-2.0 * radius)    # radial |phi|^2, unit mass
-    mass = float(np.trapezoid(density, radius))
-    if abs(mass - 1.0) > 1e-8:
-        raise RuntimeError(f"radial quadrature not converged: mass = {mass!r}")
-
-    # per electron: |phi'|^2 = |phi|^2 for the exponential orbital
-    kinetic_each = float(np.trapezoid(density, radius))
-    with np.errstate(divide="ignore"):
-        over_r = np.where(radius > 0, density / np.where(radius > 0, radius, 1.0), 0.0)
-    attraction_each = -2.0 * float(np.trapezoid(over_r, radius))
-
-    inner = cumulative_trapezoid(density, radius, initial=0.0)
-    outer = cumulative_trapezoid(over_r, radius, initial=0.0)
-    outer_tail = outer[-1] - outer
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shell_potential = np.where(radius > 0, inner / np.where(radius > 0, radius, 1.0), 0.0)
-    repulsion = float(np.trapezoid(density * (shell_potential + outer_tail), radius))
-
-    return HeliumEnergy(kinetic=2.0 * kinetic_each,
+    orbital = HydrogenOrbital(z=2.0)
+    attraction_each = -2.0 * orbital.density_expectation(lambda radius: 1.0 / radius)
+    repulsion = orbital.density_expectation(
+        lambda radius: 1.0 / radius - np.exp(-2.0 * radius) * (1.0 / radius + 1.0))
+    return HeliumEnergy(kinetic=2.0 * orbital.kinetic_energy(),
                         attraction=2.0 * attraction_each,
                         repulsion=repulsion)

@@ -177,13 +177,32 @@ class TestSerialization:
 
     def test_csv_round_trip(self):
         table = self.make_table()
+        table.rows.append(SweepRow(r=18.0, n_xi=10, n_rho=10, e_plate=None,
+                                   e_free=None, error="residual 1e-3, above tol"))
         text = sweep_to_csv(table)
         back = sweep_from_csv(text)
         assert back.m == table.m
-        assert len(back.rows) == 4
+        assert len(back.rows) == 5
         for a, b in zip(table.rows[:3], back.rows[:3]):
             assert b.e_plate == pytest.approx(a.e_plate, rel=1e-16)
         assert back.rows[3].w is None
+        assert [row.error for row in back.rows[3:]] == ["did not converge",
+                                                        "residual 1e-3, above tol"]
+
+    def test_csv_with_sampling_key_loads(self):
+        # sweeps written while the grid carried a sampling option still load and fit
+        lines = ["# vdwplate sweep 0.1.0", "# m = 1", "# grid.h_target = 0.1",
+                 "# grid.l_rho = 28.0", "# grid.l_xi_plus = 28.0",
+                 "# grid.sampling = cell-average", "# jobs = 1", "# seed = 0",
+                 "# tol = 0.0", "r,n_xi,n_rho,E_plate,E_free,W,error"]
+        for r in np.arange(10.0, 21.0, 2.0):
+            w = -1.0 / r ** 3 - 18.0 / r ** 5
+            lines.append(f"{r:.17g},380,280,{w - 0.25:.17g},-0.25,{w:.17g},")
+        table = sweep_from_csv("\n".join(lines) + "\n")
+        assert table.grid["sampling"] == "cell-average"
+        fit = fit_power_law(table, (3, 5))
+        assert fit.coefficient(3) == pytest.approx(-1.0, abs=1e-6)
+        assert fit.coefficient(5) == pytest.approx(-18.0, abs=1e-4)
 
     def test_csv_17_digits(self):
         table = synthetic_table([10.0], [-1.0 / 3.0])

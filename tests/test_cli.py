@@ -32,11 +32,6 @@ class TestEplate:
         assert code == 0
         assert "warning" in out
 
-    def test_unreachable_tolerance_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "eplate", "--n", "256", "--L", "100",
-                             "--tol", "1e-30", "--max-iter", "40")
-        assert code == 2
-
     def test_bad_input_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "eplate", "--n", "4", "--L", "10")
         assert code == 3
@@ -57,6 +52,15 @@ class TestHydrogen:
         assert code == 0
         assert float(grab(out, "E")) == pytest.approx(-0.25, abs=0.01)
         assert float(grab(out, "W")) == 0.0
+
+    def test_unreachable_tolerance_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 40\n")
+        code, out, _ = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
+                               "--l-xi", "10", "--l-rho", "10", "--tol", "1e-30",
+                               "--config", str(cfg))
+        assert code == 2
+        assert "non-convergence" in out
 
     def test_negative_r_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "-1")
@@ -97,6 +101,19 @@ class TestSweepAndFit:
         c5 = float(grab(out.replace("# ", ""), "c5"))
         assert c3 == pytest.approx(-1.0, abs=1e-12)
         assert c5 == pytest.approx(-18.0, abs=1e-12)
+
+    def test_sweep_config_extents(self, capsys, tmp_path):
+        # h, L_xi and L_rho from a config file build the same grid as the flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h = 0.4\nL_xi = 6\nL_rho = 6\n")
+        code, from_cfg, _ = run_cli(capsys, "sweep", "--r-values", "8",
+                                    "--config", str(cfg))
+        assert code == 0
+        code, from_flags, _ = run_cli(capsys, "sweep", "--r-values", "8", "--h", "0.4",
+                                      "--l-xi", "6", "--l-rho", "6")
+        assert code == 0
+        assert from_cfg == from_flags
+        assert "\n8,35,15," in from_cfg
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--r-values", "6",

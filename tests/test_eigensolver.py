@@ -62,6 +62,13 @@ class TestAssemble1D:
         assert abs(res.value - E_EP) < abs(res.fine_value - E_EP)
         assert res.deviation <= 1e-7
 
+    def test_tridiagonal_matches_shift_invert(self):
+        # the direct tridiagonal solve against ARPACK shift-invert on one grid
+        ref = lowest_eigenpair(assemble_1d_electron_plate(Grid1D(2048, 300.0)), sigma=-1.0)
+        res = electron_plate_ground(2048, 300.0)
+        assert abs(res.fine_value - ref.value) <= 1e-13
+        assert res.residual <= 1e-12
+
     def test_reference_grid_raw_value(self):
         # raw n=4096, L=400 operator: second-order scheme lands at 3.7e-5
         # relative; the 1e-5 figure is reached by the Richardson driver

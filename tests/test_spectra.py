@@ -99,7 +99,9 @@ class TestHeliumVariational:
         assert he.kinetic + he.attraction == pytest.approx(8.0 * E_HYDROGEN, abs=1e-4)
         assert he.repulsion == pytest.approx(0.625, abs=1e-4)
 
-    def test_quadrature_refinement(self):
-        coarse = helium_variational_energy(n_points=5001)
-        fine = helium_variational_energy(n_points=40001)
-        assert fine.total == pytest.approx(-1.375, abs=abs(coarse.total + 1.375) + 1e-6)
+    def test_quadrature_exact(self):
+        # Gauss-Laguerre integrates every piece to rounding
+        he = helium_variational_energy()
+        assert abs(he.kinetic - 2.0) <= 1e-12
+        assert abs(he.attraction + 4.0) <= 1e-12
+        assert abs(he.repulsion - 0.625) <= 1e-12
