@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT, NonConvergenceError,
+from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT,
                           assemble_hydrogen_plate, lowest_eigenpair)
 from .multipole import GroundBasis, orientation_coefficient, unit_vector
 
@@ -72,7 +72,7 @@ def _solve_sweep_row(args) -> SweepRow:
         return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                         e_plate=res[0].value, e_free=res[1].value,
                         iterations=res[0].iterations + res[1].iterations)
-    except NonConvergenceError as exc:
+    except RuntimeError as exc:     # NonConvergenceError or a failed factorization
         return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                         e_plate=None, e_free=None, error=str(exc))
 
@@ -84,8 +84,8 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     """Solve E(r) and the matching free-hydrogen energy for each r.
 
     Rows are independent solves; jobs > 1 runs them in worker processes and
-    merges in r order.  A non-converged solve marks its row as a gap instead
-    of aborting the sweep.
+    merges in r order.  A solve that fails to converge or to factor marks its
+    row as a gap instead of aborting the sweep.
     """
     rs = sorted(float(r) for r in r_values)
     if any(r <= 0 for r in rs):

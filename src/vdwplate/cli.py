@@ -1,8 +1,9 @@
 """Command-line driver.
 
-Exit codes: 0 success, 2 numerical failure (non-convergence), 3 invalid
-input, 4 I/O failure.  Outputs embed the resolved configuration and the
-package version; repeated runs with the same flags are byte-identical.
+Exit codes: 0 success, 2 numerical failure (non-convergence, a failed
+factorization or quadrature, memory exhaustion), 3 invalid input, 4 I/O
+failure.  Outputs embed the resolved configuration and the package version;
+repeated runs with the same flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -194,12 +195,8 @@ def cmd_sweep(args) -> int:
         raise InputError(f"mirror strength must lie in [0, 1], got {m}")
     tol = float(_pick(args, "tol", cfg, 0.0))
     seed = int(_pick(args, "seed", cfg, 0))
-    try:
-        table = sweep_interaction_energy(rs, plate_m=m, spec=_grid_spec(args, cfg),
-                                         tol=tol, seed=seed, jobs=args.jobs)
-    except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}")
-        return EXIT_NUMERICAL
+    table = sweep_interaction_energy(rs, plate_m=m, spec=_grid_spec(args, cfg),
+                                     tol=tol, seed=seed, jobs=args.jobs)
     text = table_to_json(table) if args.format == "json" else sweep_to_csv(table)
     _emit(text, _resolve_output(args.output))
     if any(row.w is None for row in table.rows):
@@ -372,8 +369,8 @@ def main(argv=None) -> int:
     except ValueError as exc:   # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:   # NonConvergenceError included
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -184,16 +184,14 @@ class GridCyl:
 
 @dataclass
 class SparseSymOp:
-    """Symmetric sparse operator plus its diagonal potential.
+    """Symmetric sparse operator and the weights of its inner product.
 
     weights are the quadrature weights of the inner product in operator
     coordinates (all ones for symmetrized cylindrical operators, h for 1D).
     """
 
     matrix: sp.csr_matrix
-    potential: np.ndarray
     weights: np.ndarray
-    grid: object = None
 
     def __post_init__(self):
         m = self.matrix
@@ -221,7 +219,7 @@ def assemble_1d_operator(grid: Grid1D, potential: np.ndarray | None = None) -> S
     main = np.full(n, 2.0) / h ** 2 + v
     off = np.full(n - 1, -1.0) / h ** 2
     mat = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    return SparseSymOp(matrix=mat, potential=v, weights=np.full(n, h), grid=grid)
+    return SparseSymOp(matrix=mat, weights=np.full(n, h))
 
 
 def assemble_1d_electron_plate(grid: Grid1D) -> SparseSymOp:
@@ -282,7 +280,7 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     mat = (sp.kron(ax, sp.identity(grid.n_rho))
            + sp.kron(sp.identity(grid.n_xi), rad)
            + sp.diags(v)).tocsr()
-    return SparseSymOp(matrix=mat, potential=v, weights=np.ones(grid.size), grid=grid)
+    return SparseSymOp(matrix=mat, weights=np.ones(grid.size))
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +297,14 @@ class EigResult:
     converged: bool = True
 
 
-def _counting_wrapper(matvec, counter):
-    def apply(x):
-        counter[0] += 1
-        return matvec(x)
-    return apply
+def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
+                     max_iter: int | None = None, seed: int = 0) -> EigResult:
+    """Lowest eigenpair of a symmetric sparse operator by shift-invert Lanczos.
 
-
-def lowest_eigenpair(op: SparseSymOp, tol: float = 1e-9,
-                     max_iter: int | None = None, seed: int = 0,
-                     sigma: float | None = None) -> EigResult:
-    """Lowest eigenpair of a symmetric sparse operator.
-
-    Restarted Lanczos (ARPACK) with a seeded start vector; sigma switches to
-    shift-invert with a sparse factorization (sigma must lie below the
-    spectrum).  iterations counts operator (or factored-solve) applications;
-    the eigenvector is normalized against op.weights.
+    ARPACK iterates on (H - sigma)^{-1}, applied through a sparse LU
+    factorization, from a seeded start vector.  sigma must lie below the
+    spectrum, so the eigenvalue nearest sigma is the lowest.  iterations
+    counts the back-solves; the eigenvector is normalized against op.weights.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -322,37 +312,30 @@ def lowest_eigenpair(op: SparseSymOp, tol: float = 1e-9,
     n = op.dim
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    counter = [0]
+    solves = 0
     maxiter = max_iter if max_iter is not None else max(2000, 10 * n)
+    lu = spla.splu((h - sigma * sp.identity(n, format="csc")).tocsc())
 
-    if n <= 8:
-        dense = h.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        lam, x = float(vals[0]), vecs[:, 0]
-    else:
-        try:
-            if sigma is None:
-                counted = spla.LinearOperator(
-                    h.shape, matvec=_counting_wrapper(h.dot, counter), dtype=float)
-                vals, vecs = spla.eigsh(counted, k=1, which="SA", v0=v0,
-                                        tol=tol, maxiter=maxiter)
-            else:
-                lu = spla.splu((h - sigma * sp.identity(n, format="csc")).tocsc())
-                op_inv = spla.LinearOperator(
-                    h.shape, matvec=_counting_wrapper(lu.solve, counter), dtype=float)
-                vals, vecs = spla.eigsh(h, k=1, sigma=sigma, which="LM", v0=v0,
-                                        tol=tol, maxiter=maxiter, OPinv=op_inv)
-        except spla.ArpackNoConvergence as exc:
-            best_val = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else math.nan
-            best_res = math.nan
-            if len(exc.eigenvalues):
-                x = exc.eigenvectors[:, 0]
-                best_res = float(np.linalg.norm(h @ x - best_val * x))
-            raise NonConvergenceError(
-                f"eigensolver did not converge within {maxiter} iterations",
-                value=best_val, residual=best_res, iterations=counter[0],
-            ) from exc
-        lam, x = float(vals[0]), vecs[:, 0]
+    def back_solve(b):
+        nonlocal solves
+        solves += 1
+        return lu.solve(b)
+
+    op_inv = spla.LinearOperator(h.shape, matvec=back_solve, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(h, k=1, sigma=sigma, which="LM", v0=v0,
+                                tol=tol, maxiter=maxiter, OPinv=op_inv)
+    except spla.ArpackNoConvergence as exc:
+        best_val = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else math.nan
+        best_res = math.nan
+        if len(exc.eigenvalues):
+            x = exc.eigenvectors[:, 0]
+            best_res = float(np.linalg.norm(h @ x - best_val * x))
+        raise NonConvergenceError(
+            f"eigensolver did not converge within {maxiter} iterations",
+            value=best_val, residual=best_res, iterations=solves,
+        ) from exc
+    lam, x = float(vals[0]), vecs[:, 0]
 
     residual = float(np.linalg.norm(h @ x - lam * x))
     norm_est = op.norm_estimate()
@@ -361,10 +344,10 @@ def lowest_eigenpair(op: SparseSymOp, tol: float = 1e-9,
     if residual > tol_eff * norm_est:
         raise NonConvergenceError(
             f"residual {residual:.3e} exceeds tol * ||H|| = {tol_eff * norm_est:.3e}",
-            value=lam, residual=residual, iterations=counter[0],
+            value=lam, residual=residual, iterations=solves,
         )
     x = x / np.sqrt(np.sum(op.weights * x ** 2))
-    return EigResult(value=lam, vector=x, iterations=counter[0],
+    return EigResult(value=lam, vector=x, iterations=solves,
                      residual=residual, norm_estimate=norm_est)
 
 
@@ -546,7 +529,9 @@ def feshbach_fixed_point(h, p, bracket, tol: float = 1e-12,
 
     g(lambda) = min eig F_P(lambda) decreases in lambda below the complement
     spectrum, so g(lambda) - lambda crosses zero once.  A fixed-point probe
-    short-circuits the exact-projector case (g constant).
+    short-circuits the exact-projector case (g constant).  Raises
+    NonConvergenceError, carrying the midpoint of the last bracket, when
+    max_iter bisection steps do not reach tol.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -587,7 +572,11 @@ def feshbach_fixed_point(h, p, bracket, tol: float = 1e-12,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise NonConvergenceError(
+        f"bisection did not reach tol = {tol:.3e} within {max_iter} steps "
+        f"(bracket width {hi - lo:.3e})",
+        value=0.5 * (lo + hi), iterations=max_iter,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -170,25 +170,12 @@ class HydrogenOrbital:
             total += 0.5 * (b - a) * float(np.sum(c_weights * 4.0 * np.pi * vals))
         return total
 
-    def pair_integral(self, other: "HydrogenOrbital", fn,
-                      n_radial: int | None = None) -> float:
-        """4 pi int psi_a psi_b f(R) R^2 dR."""
+    def pair_integral(self, other: "HydrogenOrbital", fn, n_radial: int | None = None,
+                      lo: float = 0.0, hi: float | None = None) -> float:
+        """4 pi int_lo^hi psi_a psi_b f(R) R^2 dR (hi = None: no upper limit)."""
         n = n_radial or max(self.n_radial, other.n_radial)
-        return self._pair_quadrature(other, self._envelope, other._envelope, fn, n)
-
-    def pair_integral_window(self, other: "HydrogenOrbital", fn, lo: float, hi: float,
-                             n: int | None = None) -> float:
-        """Same integral restricted to lo <= R <= hi."""
-        n = n or max(self.n_radial, other.n_radial)
         return self._pair_quadrature(other, self._envelope, other._envelope, fn,
                                      n, lo=lo, hi=hi)
-
-    def pair_integral_tail(self, other: "HydrogenOrbital", fn, lo: float,
-                           n_radial: int | None = None) -> float:
-        """Same integral restricted to R >= lo."""
-        n = n_radial or max(self.n_radial, other.n_radial)
-        return self._pair_quadrature(other, self._envelope, other._envelope, fn,
-                                     n, lo=lo)
 
     def density_expectation(self, fn, n_radial: int | None = None) -> float:
         """Expectation of f(R) against |psi|^2."""
@@ -417,81 +404,6 @@ def r3_coefficient(z, v) -> float:
     return (3.0 * float(z @ v) ** 2 - float(z @ z)) / 16.0
 
 
-# Monomial-list representation of the expansion coefficients ----------------
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _poly_scale(p: dict, s: float) -> dict:
-    return {e: c * s for e, c in p.items()}
-
-
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0.0) + c
-    return out
-
-
-def _poly_pow(p: dict, n: int) -> dict:
-    out = {(0, 0, 0): 1.0}
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_eval(p: dict, z: np.ndarray) -> float:
-    return float(sum(c * z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2]
-                     for e, c in p.items()))
-
-
-@dataclass(frozen=True)
-class MultipoleSeries:
-    """Expansion coefficients stored as explicit monomial lists in z.
-
-    coefficients[k] is a dict {exponent triple: weight} of total degree k
-    (k <= 4) multiplying r^{-(k+1)}.
-    """
-
-    order: int
-    v: np.ndarray
-    coefficients: tuple
-
-    @classmethod
-    def for_direction(cls, v, order: int) -> "MultipoleSeries":
-        if not 0 <= order <= 4:
-            raise ValueError("monomial representation implemented through degree 4")
-        v = unit_vector(v)
-        zv = {(1, 0, 0): float(v[0]), (0, 1, 0): float(v[1]), (0, 0, 1): float(v[2])}
-        z2 = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
-        polys = [
-            {(0, 0, 0): 0.5},
-            _poly_scale(zv, -0.25),
-            _poly_scale(_poly_add(_poly_scale(_poly_pow(zv, 2), 3.0),
-                                  _poly_scale(z2, -1.0)), 1.0 / 16.0),
-            _poly_scale(_poly_add(_poly_scale(_poly_pow(zv, 3), 5.0),
-                                  _poly_scale(_poly_mul(zv, z2), -3.0)), -1.0 / 32.0),
-            _poly_scale(
-                _poly_add(_poly_add(_poly_scale(_poly_pow(zv, 4), 35.0),
-                                    _poly_scale(_poly_mul(_poly_pow(zv, 2), z2), -30.0)),
-                          _poly_scale(_poly_pow(z2, 2), 3.0)),
-                1.0 / 256.0,
-            ),
-        ]
-        return cls(order=order, v=v, coefficients=tuple(polys[: order + 1]))
-
-    def evaluate(self, z, r: float) -> float:
-        z = as_vec3(z)
-        return float(sum(_poly_eval(p, z) / r ** (k + 1)
-                         for k, p in enumerate(self.coefficients)))
-
-
 # ---------------------------------------------------------------------------
 # Geometric split of the axial interaction kernel
 # ---------------------------------------------------------------------------
@@ -599,11 +511,11 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float, m: float = 1.0,
         ones = lambda R: np.ones_like(R)
         m2 = psi.density_expectation(lambda R: R ** 2, n) / 3.0
         m4 = psi.density_expectation(lambda R: R ** 4, n) / 5.0
-        m6_in = psi.pair_integral_window(psi, lambda R: R ** 6, 0.0, r / 4.0, n) / 7.0
-        tail = psi.pair_integral_tail(psi, ones, r / 4.0, n)
+        m6_in = psi.pair_integral(psi, lambda R: R ** 6, n, hi=r / 4.0) / 7.0
+        tail = psi.pair_integral(psi, ones, n, lo=r / 4.0)
         total_mass = psi.pair_integral(psi, ones, n)
-        mass_in_2r = total_mass - psi.pair_integral_tail(psi, ones, 2.0 * r, n)
-        newton = mass_in_2r / r + 2.0 * psi.pair_integral_tail(psi, lambda R: 1.0 / R, 2.0 * r, n)
+        mass_in_2r = total_mass - psi.pair_integral(psi, ones, n, lo=2.0 * r)
+        newton = mass_in_2r / r + 2.0 * psi.pair_integral(psi, lambda R: 1.0 / R, n, lo=2.0 * r)
         return np.array([m2, m4, m6_in, tail, newton])
 
     base = pieces(psi.n_radial)

@@ -115,13 +115,22 @@ class MirrorInteraction:
         return self.electron_nucleus - self.electron_electron - self.nucleus_nucleus
 
 
-def _pair_mirror_sum(q_a: np.ndarray, p_a: np.ndarray, q_b: np.ndarray, pb_star: np.ndarray,
-                     shift: np.ndarray) -> float:
-    """sum over ordered pairs (i, j) of q_a[i] q_b[j] / |p_a[i] + shift - pb_star[j]|."""
-    d = np.linalg.norm(p_a[:, None, :] + shift - pb_star[None, :, :], axis=-1)
+def _mirror_sum(q_a: np.ndarray, p_a: np.ndarray, q_b: np.ndarray, p_b: np.ndarray,
+                plate: PlateConfig) -> float:
+    """sum over ordered pairs (i, j) of q_a[i] q_b[j] / |p_a[i] - mirror(p_b[j])|."""
+    d = np.linalg.norm(p_a[:, None, :] - plate.mirror(p_b)[None, :, :], axis=-1)
     if np.any(d < COINCIDENCE_TOL):
         raise ValueError("charge coincides with a mirror position")
     return float(np.sum(q_a[:, None] * q_b[None, :] / d))
+
+
+def _coulomb_sum(q: np.ndarray, p: np.ndarray) -> float:
+    """sum over unordered pairs i < j of q[i] q[j] / |p[i] - p[j]|."""
+    i, j = np.triu_indices(q.size, k=1)
+    d = np.linalg.norm(p[i] - p[j], axis=-1)
+    if np.any(d < COINCIDENCE_TOL):
+        raise ValueError("coincident charge positions")
+    return float(np.sum(q[i] * q[j] / d))
 
 
 def molecule_mirror_interaction(mol: Molecule, plate: PlateConfig, electrons) -> MirrorInteraction:
@@ -140,17 +149,13 @@ def molecule_mirror_interaction(mol: Molecule, plate: PlateConfig, electrons) ->
     if np.any(plate.signed_distance(mol.positions) <= 0):
         raise ValueError("nucleus outside the half-space y.v > -r")
 
-    shift = 2.0 * plate.r * plate.v
-    x_star = reflect(x, plate.v)
-    y = mol.positions
-    y_star = reflect(y, plate.v)
-    z = mol.charges
+    y, z = mol.positions, mol.charges
     ones = np.ones(x.shape[0])
 
-    i1 = 2.0 * _pair_mirror_sum(ones, x, z, y_star, shift)
+    i1 = 2.0 * _mirror_sum(ones, x, z, y, plate)
     # within one species: cross pairs twice, self terms once
-    i2 = _pair_mirror_sum(ones, x, ones, x_star, shift)
-    i3 = _pair_mirror_sum(z, y, z, y_star, shift)
+    i2 = _mirror_sum(ones, x, ones, x, plate)
+    i3 = _mirror_sum(z, y, z, y, plate)
     m = plate.m
     return MirrorInteraction(m * i1, m * i2, m * i3)
 
@@ -160,17 +165,9 @@ def classical_potential(mol: Molecule, plate: PlateConfig, electrons) -> float:
     x = as_vec3(electrons)
     if x.ndim == 1:
         x = x[None, :]
-    y, z = mol.positions, mol.charges
-    d_en = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
-    if np.any(d_en < COINCIDENCE_TOL):
-        raise ValueError("electron coincides with a nucleus")
-    direct = -float(np.sum(z[None, :] / d_en))
-    for i in range(x.shape[0]):
-        for j in range(i + 1, x.shape[0]):
-            direct += 1.0 / np.linalg.norm(x[i] - x[j])
-    for k in range(y.shape[0]):
-        for l in range(k + 1, y.shape[0]):
-            direct += z[k] * z[l] / np.linalg.norm(y[k] - y[l])
+    # electrons carry charge -1, nuclei their atomic numbers
+    q = np.concatenate([-np.ones(x.shape[0]), mol.charges])
+    direct = _coulomb_sum(q, np.vstack([x, mol.positions]))
     return direct + 0.5 * molecule_mirror_interaction(mol, plate, electrons).total
 
 
@@ -203,18 +200,5 @@ def interaction_energy(charges: ChargeSet, coeffs: GreensCoeffs) -> float:
     term carrying the coefficient A of the interface Green's function.
     """
     q, p = charges.charges, charges.positions
-    n = q.size
-    mirror = charges.plate.mirror(p)
-
-    diff = p[:, None, :] - p[None, :, :]
-    d_direct = np.linalg.norm(diff, axis=-1)
-    iu = np.triu_indices(n, k=1)
-    if n > 1 and np.any(d_direct[iu] < COINCIDENCE_TOL):
-        raise ValueError("coincident charge positions")
-    direct = float(np.sum((q[:, None] * q[None, :] / np.where(d_direct == 0, np.inf, d_direct))[iu]))
-
-    d_mirror = np.linalg.norm(p[:, None, :] - mirror[None, :, :], axis=-1)
-    if np.any(d_mirror < COINCIDENCE_TOL):
-        raise ValueError("charge coincides with a mirror position")
     # ordered pairs: each cross pair twice, each self-image once, all halved
-    return direct + 0.5 * float(np.sum(q[:, None] * q[None, :] * coeffs.a / d_mirror))
+    return _coulomb_sum(q, p) + 0.5 * coeffs.a * _mirror_sum(q, p, q, p, charges.plate)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from vdwplate import asymptotics, cli
 from vdwplate.asymptotics import SweepRow, SweepTable, sweep_to_csv
 from vdwplate.cli import main
+from vdwplate.multipole import QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +129,17 @@ class TestSweepAndFit:
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent/sweep.csv")
         assert code == 4
 
+    def test_row_factor_failure_gives_gap_row(self, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(asymptotics, "lowest_eigenpair", singular)
+        code, out, err = run_cli(capsys, "sweep", "--r-values", "6",
+                                 "--h", "0.4", "--l-xi", "8", "--l-rho", "8")
+        assert code == 2
+        assert "Factor is exactly singular" in out.splitlines()[-1]
+        assert "Traceback" not in err
+
 
 class TestCvAndHelium:
     def test_cv_hydrogen(self, capsys):
@@ -143,6 +156,16 @@ class TestCvAndHelium:
         assert code == 0
         assert float(grab(out, "total")) == pytest.approx(-1.375, rel=5e-3)
         assert float(grab(out, "repulsion")) == pytest.approx(0.625, rel=5e-3)
+
+    def test_quadrature_failure_exits_2(self, capsys, monkeypatch):
+        def unconverged():
+            raise QuadratureError("radial quadrature not converged")
+
+        monkeypatch.setattr(cli, "helium_variational_energy", unconverged)
+        code, out, err = run_cli(capsys, "helium")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestFeshbachDemo:

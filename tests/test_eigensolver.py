@@ -79,10 +79,8 @@ class TestAssemble1D:
 
 class TestLowestEigenpair:
     def test_diagonal_matrix(self):
-        op = SparseSymOp(sp.diags([3.0, 1.0, 2.0]).tocsr(),
-                         potential=np.array([3.0, 1.0, 2.0]),
-                         weights=np.ones(3))
-        res = lowest_eigenpair(op)
+        op = SparseSymOp(sp.diags([3.0, 1.0, 2.0]).tocsr(), weights=np.ones(3))
+        res = lowest_eigenpair(op, sigma=0.0)
         assert res.value == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(np.abs(res.vector), [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -92,16 +90,17 @@ class TestLowestEigenpair:
         dense = 0.5 * (dense + dense.T)
         dense[np.abs(dense) < 1.5] = 0.0
         mat = sp.csr_matrix(dense)
-        op = SparseSymOp(mat, potential=mat.diagonal(), weights=np.ones(n))
-        res = lowest_eigenpair(op, tol=1e-12)
+        op = SparseSymOp(mat, weights=np.ones(n))
+        # Gershgorin: the row-sum norm bounds the spectrum from below
+        res = lowest_eigenpair(op, sigma=-op.norm_estimate() - 1.0, tol=1e-12)
         oracle = np.linalg.eigvalsh(dense)[0]
         assert res.value == pytest.approx(oracle, abs=1e-10)
 
     def test_determinism(self):
         g = Grid1D(512, 100.0)
         op = assemble_1d_electron_plate(g)
-        a = lowest_eigenpair(op, seed=3)
-        b = lowest_eigenpair(op, seed=3)
+        a = lowest_eigenpair(op, sigma=-1.0, seed=3)
+        b = lowest_eigenpair(op, sigma=-1.0, seed=3)
         assert a.value == b.value
         assert np.array_equal(a.vector, b.vector)
 
@@ -216,8 +215,15 @@ class TestFeshbach:
         noise -= vecs[:, 0] * (vecs[:, 0] @ noise)
         psi = vecs[:, 0] + 0.1 * min(1.0, gap) * noise / np.linalg.norm(noise)
         psi /= np.linalg.norm(psi)
-        fp = feshbach_fixed_point(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])))
+        bracket = (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]))
+        fp = feshbach_fixed_point(h, psi, bracket)
         assert fp == pytest.approx(vals[0], abs=1e-10)
+        # three bisection steps cannot reach tol: the last midpoint comes back
+        # inside the error, never as a result
+        with pytest.raises(NonConvergenceError) as err:
+            feshbach_fixed_point(h, psi, bracket, max_iter=3)
+        assert bracket[0] < err.value.value < bracket[1]
+        assert abs(err.value.value - vals[0]) > 1e-10
 
     def test_exact_projector_shortcut(self, rng):
         n = 25

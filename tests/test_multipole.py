@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from conftest import random_unit_vectors
 from vdwplate.model import Molecule
 from vdwplate.multipole import (GridWaveFn, GroundBasis, HydrogenOrbital,
-                                MultipoleSeries, ProductState, QuadratureError,
+                                ProductState, QuadratureError,
                                 geometric_tail_split, inverse_distance_series,
                                 leading_interaction_coefficient,
                                 mirror_energy_expectation, orientation_coefficient,
@@ -127,15 +127,6 @@ class TestInverseDistanceSeries:
     def test_validity_window(self):
         with pytest.raises(ValueError):
             inverse_distance_series([10.0, 0.0, 0.0], [1.0, 0.0, 0.0], 3.0, 2)
-
-    def test_monomial_series_matches_legendre(self, rng):
-        for order in range(5):
-            for v in random_unit_vectors(rng, 5):
-                series = MultipoleSeries.for_direction(v, order)
-                z = rng.standard_normal(3)
-                r = 6.0
-                se = inverse_distance_series(z, v, r, order)
-                assert series.evaluate(z, r) == pytest.approx(se.partial_sum, rel=1e-12)
 
 
 class TestGeometricSplit:

@@ -238,3 +238,10 @@ def test_classical_potential_matches_interaction_energy(rng):
                         np.vstack([electrons, np.zeros(3)]), plate)
     assert total == pytest.approx(interaction_energy(charges, greens_coefficients(1.0)),
                                   rel=1e-13)
+
+
+def test_classical_potential_rejects_coincident_electrons():
+    plate = PlateConfig(E1, r=5.0)
+    electrons = np.array([[0.3, 0.2, -0.1], [0.3, 0.2, -0.1]])
+    with pytest.raises(ValueError):
+        classical_potential(Molecule.helium(), plate, electrons)
