@@ -18,8 +18,8 @@ from . import __version__
 from .asymptotics import (FMT, asymptotic_residual_report, fit_power_law,
                           fit_to_csv, sweep_from_csv, sweep_interaction_energy,
                           sweep_to_csv, table_to_json)
-from .eigensolver import (GridCyl, GridCylSpec, NonConvergenceError,
-                          HYDROGEN_SHIFT, assemble_hydrogen_plate, electron_plate_ground,
+from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT,
+                          assemble_hydrogen_plate, electron_plate_ground,
                           feshbach_fixed_point, lowest_eigenpair)
 from .model import load_config
 from .multipole import GroundBasis, HydrogenOrbital, ProductState, orientation_coefficient
@@ -162,15 +162,10 @@ def cmd_hydrogen(args) -> int:
     grid = _grid_for(args, cfg, r)
     resolved = {"command": "hydrogen", "r": r, "m": m, "tol": tol, "seed": seed,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
-    try:
-        e_plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), tol=tol,
-                                   max_iter=max_iter, seed=seed, sigma=HYDROGEN_SHIFT)
-        e_free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), tol=tol,
-                                  max_iter=max_iter, seed=seed, sigma=HYDROGEN_SHIFT)
-    except NonConvergenceError as exc:
-        print(_echo(resolved), end="")
-        print(f"non-convergence: {exc}")
-        return EXIT_NUMERICAL
+    e_plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), tol=tol,
+                               max_iter=max_iter, seed=seed, sigma=HYDROGEN_SHIFT)
+    e_free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), tol=tol,
+                              max_iter=max_iter, seed=seed, sigma=HYDROGEN_SHIFT)
     report = hvz_gap(e_plate.value, r)
     lines = [_echo(resolved).rstrip("\n"),
              f"E = {FMT % e_plate.value}",
@@ -369,7 +364,7 @@ def main(argv=None) -> int:
     except ValueError as exc:   # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (RuntimeError, MemoryError) as exc:   # NonConvergenceError included
+    except (RuntimeError, MemoryError) as exc:   # NonConvergenceError, InertiaError included
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -41,6 +41,10 @@ class SingularBlockError(RuntimeError):
     """The projected block H_perp - lambda looks singular or indefinite."""
 
 
+class InertiaError(RuntimeError):
+    """The factorization of H - sigma certifies no shift below the spectrum."""
+
+
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
@@ -294,27 +298,60 @@ class EigResult:
     iterations: int
     residual: float
     norm_estimate: float
-    converged: bool = True
+    shift: float        # sigma at which H - sigma has no negative pivot
+    factor_nnz: int     # fill of the L and U factors of H - shift
+
+
+def shifted_factor(matrix, sigma: float):
+    """SuperLU factor of H - sigma and the number of eigenvalues of H below sigma.
+
+    Symmetric mode (diagonal pivots in a minimum-degree order of A^T + A)
+    factors P (H - sigma) P^T = L D L^T with diag(U) = D, so by Sylvester's
+    law of inertia the negative entries of diag(U) count the eigenvalues below
+    sigma.  That holds only when the row and column orders agree; SuperLU
+    leaves the diagonal only where a diagonal pivot is zero, and then
+    InertiaError is raised.
+    """
+    n = matrix.shape[0]
+    lu = spla.splu((matrix - sigma * sp.identity(n, format="csc")).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: "
+                           "no inertia")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
                      max_iter: int | None = None, seed: int = 0) -> EigResult:
-    """Lowest eigenpair of a symmetric sparse operator by shift-invert Lanczos.
+    """Lowest eigenpair of a symmetric sparse operator by certified shift-invert Lanczos.
 
-    ARPACK iterates on (H - sigma)^{-1}, applied through a sparse LU
-    factorization, from a seeded start vector.  sigma must lie below the
-    spectrum, so the eigenvalue nearest sigma is the lowest.  iterations
+    sigma is a first guess at a shift just below the lowest eigenvalue; the
+    closer it lies, the fewer back-solves ARPACK needs.  The inertia of the
+    factor of H - sigma (see shifted_factor) certifies it: while some
+    eigenvalue lies below sigma, sigma is lowered by max(1, |sigma|), at most
+    to the Gershgorin bound -||H||_inf - 1, and H - sigma is factored again.
+    ARPACK then iterates on (H - sigma)^{-1} from a seeded start vector, and
+    the eigenvalue nearest the certified sigma is the lowest.  iterations
     counts the back-solves; the eigenvector is normalized against op.weights.
+    Raises InertiaError when no shift can be certified.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
     h = op.matrix
     n = op.dim
+    norm_est = op.norm_estimate()
+    floor = -norm_est - 1.0         # H - floor is diagonally dominant: no eigenvalue below
+    lu, below = shifted_factor(h, sigma)
+    while below:
+        if sigma <= floor:
+            raise InertiaError(f"{below} negative pivots at the Gershgorin shift {sigma}")
+        sigma = max(sigma - max(1.0, abs(sigma)), floor)
+        lu, below = shifted_factor(h, sigma)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     solves = 0
     maxiter = max_iter if max_iter is not None else max(2000, 10 * n)
-    lu = spla.splu((h - sigma * sp.identity(n, format="csc")).tocsc())
 
     def back_solve(b):
         nonlocal solves
@@ -338,7 +375,6 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
     lam, x = float(vals[0]), vecs[:, 0]
 
     residual = float(np.linalg.norm(h @ x - lam * x))
-    norm_est = op.norm_estimate()
     # tol = 0 follows the ARPACK convention: converge to machine precision
     tol_eff = tol if tol > 0 else 64.0 * np.finfo(float).eps
     if residual > tol_eff * norm_est:
@@ -348,12 +384,14 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
         )
     x = x / np.sqrt(np.sum(op.weights * x ** 2))
     return EigResult(value=lam, vector=x, iterations=solves,
-                     residual=residual, norm_estimate=norm_est)
+                     residual=residual, norm_estimate=norm_est,
+                     shift=sigma, factor_nnz=int(lu.nnz))
 
 
-# Shift for hydrogen/plate shift-invert solves; the Hamiltonian is bounded
-# below by -17/8 - 1/(4r), so -3 sits safely under the spectrum for r >= 1/2.
-HYDROGEN_SHIFT = -3.0
+# First shift for hydrogen/plate solves: just below the free ground energy
+# -1/4, which E(r) approaches from below as r grows.  Near the plate E(r) can
+# lie lower; the inertia check in lowest_eigenpair then lowers the shift.
+HYDROGEN_SHIFT = -0.3
 
 
 def hydrogen_plate_ground(r: float, m: float = 1.0,

@@ -58,11 +58,13 @@ class TestHydrogen:
     def test_unreachable_tolerance_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_iter = 40\n")
-        code, out, _ = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
-                               "--l-xi", "10", "--l-rho", "10", "--tol", "1e-30",
-                               "--config", str(cfg))
+        code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
+                                 "--l-xi", "10", "--l-rho", "10", "--tol", "1e-30",
+                                 "--config", str(cfg))
         assert code == 2
-        assert "non-convergence" in out
+        assert out == ""
+        assert err.startswith("numerical failure: NonConvergenceError:")
+        assert len(err.splitlines()) == 1
 
     def test_negative_r_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "-1")

@@ -3,14 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
-                                  HYDROGEN_SHIFT, NonConvergenceError,
+                                  HYDROGEN_SHIFT, InertiaError, NonConvergenceError,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
                                   assemble_hydrogen_plate, build_ims_partition,
                                   coulomb_cell_average, cutoff_ground_state,
                                   electron_plate_ground, feshbach_fixed_point,
                                   feshbach_matrix, hardy_check, hydrogen_plate_ground,
-                                  lowest_eigenpair)
+                                  lowest_eigenpair, shifted_factor)
 from vdwplate.model import E_ELECTRON_PLATE, E_HYDROGEN
 from vdwplate.multipole import HydrogenOrbital
 from vdwplate.spectra import essential_spectrum_bottom
@@ -84,17 +84,44 @@ class TestLowestEigenpair:
         assert res.value == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(np.abs(res.vector), [0.0, 1.0, 0.0], atol=1e-12)
 
-    def test_random_sparse_vs_dense_oracle(self, rng):
-        n = 500
+    @staticmethod
+    def _random_sparse_symmetric(rng, n):
         dense = rng.standard_normal((n, n))
         dense = 0.5 * (dense + dense.T)
         dense[np.abs(dense) < 1.5] = 0.0
-        mat = sp.csr_matrix(dense)
-        op = SparseSymOp(mat, weights=np.ones(n))
+        return dense
+
+    def test_random_sparse_vs_dense_oracle(self, rng):
+        n = 500
+        dense = self._random_sparse_symmetric(rng, n)
+        op = SparseSymOp(sp.csr_matrix(dense), weights=np.ones(n))
         # Gershgorin: the row-sum norm bounds the spectrum from below
         res = lowest_eigenpair(op, sigma=-op.norm_estimate() - 1.0, tol=1e-12)
         oracle = np.linalg.eigvalsh(dense)[0]
         assert res.value == pytest.approx(oracle, abs=1e-10)
+
+    def test_inertia_matches_dense_count(self, rng):
+        dense = self._random_sparse_symmetric(rng, 200)
+        vals = np.linalg.eigvalsh(dense)
+        for k in (0, 1, 4, 100, 199):
+            sigma = vals[0] - 1.0 if k == 0 else 0.5 * (vals[k - 1] + vals[k])
+            _, below = shifted_factor(sp.csr_matrix(dense), sigma)
+            assert below == np.count_nonzero(vals < sigma) == k
+
+    def test_shift_above_lowest_returns_lowest(self, rng):
+        dense = self._random_sparse_symmetric(rng, 300)
+        vals = np.linalg.eigvalsh(dense)
+        op = SparseSymOp(sp.csr_matrix(dense), weights=np.ones(300))
+        res = lowest_eigenpair(op, sigma=0.5 * (vals[0] + vals[1]), tol=1e-12)
+        assert res.value == pytest.approx(vals[0], abs=1e-10)
+        assert res.shift < vals[0]
+        assert shifted_factor(op.matrix, res.shift)[1] == 0
+
+    def test_uncertified_factor_raises(self):
+        # a zero diagonal at sigma = 0 forces an off-diagonal pivot
+        mat = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
+        with pytest.raises(InertiaError):
+            lowest_eigenpair(SparseSymOp(mat, weights=np.ones(3)), sigma=0.0)
 
     def test_determinism(self):
         g = Grid1D(512, 100.0)
@@ -140,6 +167,26 @@ class TestHydrogenPlateOperator:
         res, _ = hydrogen_plate_ground(10.0, m=1.0, spec=coarse_spec)
         assert res.value < E_HYDROGEN
         assert res.value < essential_spectrum_bottom(10.0)
+
+    def test_shift_lowered_near_plate(self):
+        # at r = 0.5 E(r) = -0.4405 lies below HYDROGEN_SHIFT; an unchecked
+        # shift-invert solve there converges to -0.205
+        spec = GridCylSpec(0.1, 10.0, 10.0)
+        res, grid = hydrogen_plate_ground(0.5, 1.0, spec)
+        ref = lowest_eigenpair(assemble_hydrogen_plate(grid, 1.0), sigma=-3.0, tol=0.0)
+        assert res.value == pytest.approx(ref.value, abs=1e-12)
+        assert res.shift < res.value < HYDROGEN_SHIFT
+        assert shifted_factor(assemble_hydrogen_plate(grid, 1.0).matrix, res.shift)[1] == 0
+
+    def test_shift_near_ground_saves_back_solves(self, coarse_spec):
+        for m in (1.0, 0.0):
+            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), m)
+            near = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT, tol=0.0)
+            far = lowest_eigenpair(op, sigma=-3.0, tol=0.0)
+            assert near.value == pytest.approx(far.value, abs=1e-12)
+            assert near.shift == HYDROGEN_SHIFT and far.shift == -3.0
+            assert near.iterations < far.iterations
+            assert 0 < near.factor_nnz
 
     def test_energy_increases_with_distance(self, coarse_spec):
         values = [hydrogen_plate_ground(r, 1.0, coarse_spec)[0].value
