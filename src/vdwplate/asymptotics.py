@@ -22,6 +22,7 @@ from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT,
 from .multipole import GroundBasis, orientation_coefficient, unit_vector
 
 FMT = "%.17g"
+CSV_COLUMNS = ("r", "n_xi", "n_rho", "E_plate", "E_free", "W", "iterations", "error")
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,6 @@ class FitResult:
 
     def coefficient(self, exponent: int) -> float:
         return float(self.coefficients[self.exponents.index(exponent)])
-
-    def predict(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return sum(c * r ** (-k) for c, k in zip(self.coefficients, self.exponents))
 
 
 def fit_power_law(table, exponents, weight_power: float = 6.0) -> FitResult:
@@ -239,14 +236,14 @@ def sweep_to_csv(table: SweepTable) -> str:
     out = io.StringIO()
     for line in _config_lines(table):
         out.write(line + "\n")
-    out.write("r,n_xi,n_rho,E_plate,E_free,W,error\n")
+    out.write(",".join(CSV_COLUMNS) + "\n")
     for row in table.rows:
+        head = f"{FMT % row.r},{row.n_xi},{row.n_rho}"
         if row.w is None:
-            out.write(f"{FMT % row.r},{row.n_xi},{row.n_rho},,,,{row.error}\n")
+            out.write(f"{head},,,,{row.iterations},{row.error}\n")
         else:
-            out.write(",".join([FMT % row.r, str(row.n_xi), str(row.n_rho),
-                                FMT % row.e_plate, FMT % row.e_free,
-                                FMT % row.w, ""]) + "\n")
+            out.write(f"{head},{FMT % row.e_plate},{FMT % row.e_free},"
+                      f"{FMT % row.w},{row.iterations},\n")
     return out.getvalue()
 
 
@@ -255,6 +252,7 @@ def sweep_from_csv(text: str) -> SweepTable:
     config: dict = {}
     rows = []
     m = 1.0
+    columns = CSV_COLUMNS
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -272,16 +270,17 @@ def sweep_from_csv(text: str) -> SweepTable:
                     config[key] = val
             continue
         if line.startswith("r,"):
+            columns = line.split(",")   # files without an iterations column still load
             continue
-        parts = line.split(",", 6)   # the error text may itself hold commas
-        if parts[3] == "":
-            rows.append(SweepRow(r=float(parts[0]), n_xi=int(parts[1]),
-                                 n_rho=int(parts[2]), e_plate=None, e_free=None,
-                                 error=parts[6] or "gap"))
-        else:
-            rows.append(SweepRow(r=float(parts[0]), n_xi=int(parts[1]),
-                                 n_rho=int(parts[2]), e_plate=float(parts[3]),
-                                 e_free=float(parts[4])))
+        # error is the last column, and its text may itself hold commas
+        col = dict(zip(columns, raw.split(",", len(columns) - 1)))
+        solved = col["E_plate"] != ""
+        rows.append(SweepRow(r=float(col["r"]), n_xi=int(col["n_xi"]),
+                             n_rho=int(col["n_rho"]),
+                             e_plate=float(col["E_plate"]) if solved else None,
+                             e_free=float(col["E_free"]) if solved else None,
+                             iterations=int(col.get("iterations", 0)),
+                             error=None if solved else col["error"] or "gap"))
     return SweepTable(rows=rows, m=m, grid=grid, config=config)
 
 

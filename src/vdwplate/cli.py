@@ -78,7 +78,7 @@ def _parse_floats(text: str, expected: int | None = None) -> list:
 def _config_values(args) -> dict:
     if getattr(args, "config", None):
         try:
-            return load_config(args.config).values
+            return load_config(args.config)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             sys.exit(EXIT_IO)
@@ -107,9 +107,9 @@ def _echo(resolved: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_eplate(args) -> int:
-    cfg = _config_values(args)
-    n = int(_pick(args, "n", cfg, 4096))
-    length = float(_pick(args, "L", cfg, 400.0))
+    _config_values(args)            # a malformed config file exits 3, an unreadable one 4
+    n = 4096 if args.n is None else args.n
+    length = 400.0 if args.L is None else args.L
     if n < 16 or length <= 0:
         raise InputError("need n >= 16 and L > 0")
     resolved = {"command": "eplate", "n": n, "L": length,
@@ -138,16 +138,6 @@ def _grid_spec(args, cfg: dict) -> GridCylSpec:
                        l_rho=float(_pick(args, "l_rho", cfg, 28.0, "L_rho")))
 
 
-def _grid_for(args, cfg: dict, r: float) -> GridCyl:
-    """Explicit node counts when counts and extents are all given, else the spec grid."""
-    counts = [_pick(args, "n_xi", cfg, None), _pick(args, "n_rho", cfg, None),
-              _pick(args, "l_xi", cfg, None, "L_xi"), _pick(args, "l_rho", cfg, None, "L_rho")]
-    if None in counts:
-        return GridCyl.for_distance(r, _grid_spec(args, cfg))
-    n_xi, n_rho, l_xi, l_rho = counts
-    return GridCyl.from_counts(r, int(n_xi), int(n_rho), float(l_xi), float(l_rho))
-
-
 def cmd_hydrogen(args) -> int:
     cfg = _config_values(args)
     r = float(_pick(args, "r", cfg, None) or 0.0)
@@ -159,7 +149,7 @@ def cmd_hydrogen(args) -> int:
         raise InputError(f"plate distance must be positive, got {r}")
     if not 0.0 <= m <= 1.0:
         raise InputError(f"mirror strength must lie in [0, 1], got {m}")
-    grid = _grid_for(args, cfg, r)
+    grid = GridCyl.for_distance(r, _grid_spec(args, cfg))
     resolved = {"command": "hydrogen", "r": r, "m": m, "tol": tol, "seed": seed,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
     e_plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), tol=tol,
@@ -310,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--l-xi", dest="l_xi", type=float, default=None)
     p.add_argument("--l-rho", dest="l_rho", type=float, default=None)
-    p.add_argument("--n-xi", dest="n_xi", type=int, default=None)
-    p.add_argument("--n-rho", dest="n_rho", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_hydrogen)
 

@@ -110,15 +110,6 @@ class GridCyl:
         n_rho = max(1, round(spec.l_rho / h_rho))
         return cls(r=r, n_xi=n_xi, n_rho=n_rho, h_xi=h_xi, h_rho=h_rho)
 
-    @classmethod
-    def from_counts(cls, r: float, n_xi: int, n_rho: int,
-                    l_xi: float, l_rho: float) -> "GridCyl":
-        """Explicit node counts; l_xi is the outer axial coordinate (> 0)."""
-        if r + l_xi <= 0 or l_rho <= 0:
-            raise ValueError("axial and radial extents must be positive")
-        return cls(r=r, n_xi=n_xi, n_rho=n_rho,
-                   h_xi=(r + l_xi) / n_xi, h_rho=l_rho / n_rho)
-
     def __post_init__(self):
         if min(self.n_xi, self.n_rho) < 4:
             raise ValueError("grid too small")
@@ -154,16 +145,6 @@ class GridCyl:
     def meshes(self):
         return np.meshgrid(self.xi, self.rho, indexing="ij")
 
-    def to_physical(self, s: np.ndarray) -> np.ndarray:
-        """Map a symmetrized-coordinate vector to nodal u values (n_xi, n_rho)."""
-        return (s / np.sqrt(self.volume_weights())).reshape(self.n_xi, self.n_rho)
-
-    def embed_with_boundary(self, u: np.ndarray) -> np.ndarray:
-        """Nodal values framed by the zero Dirichlet boundary layers."""
-        out = np.zeros((self.n_xi + 2, self.n_rho + 1))
-        out[1:-1, :-1] = u.reshape(self.n_xi, self.n_rho)
-        return out
-
     def points(self) -> np.ndarray:
         """Nodes as 3D points (xi, rho, 0), flattened in (xi, rho) C order."""
         xi, rho = self.meshes()
@@ -188,14 +169,9 @@ class GridCyl:
 
 @dataclass
 class SparseSymOp:
-    """Symmetric sparse operator and the weights of its inner product.
-
-    weights are the quadrature weights of the inner product in operator
-    coordinates (all ones for symmetrized cylindrical operators, h for 1D).
-    """
+    """Symmetric sparse operator under the plain dot product."""
 
     matrix: sp.csr_matrix
-    weights: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
@@ -223,7 +199,7 @@ def assemble_1d_operator(grid: Grid1D, potential: np.ndarray | None = None) -> S
     main = np.full(n, 2.0) / h ** 2 + v
     off = np.full(n - 1, -1.0) / h ** 2
     mat = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    return SparseSymOp(matrix=mat, weights=np.full(n, h))
+    return SparseSymOp(matrix=mat)
 
 
 def assemble_1d_electron_plate(grid: Grid1D) -> SparseSymOp:
@@ -284,7 +260,7 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     mat = (sp.kron(ax, sp.identity(grid.n_rho))
            + sp.kron(sp.identity(grid.n_xi), rad)
            + sp.diags(v)).tocsr()
-    return SparseSymOp(matrix=mat, weights=np.ones(grid.size))
+    return SparseSymOp(matrix=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +273,6 @@ class EigResult:
     vector: np.ndarray
     iterations: int
     residual: float
-    norm_estimate: float
     shift: float        # sigma at which H - sigma has no negative pivot
     factor_nnz: int     # fill of the L and U factors of H - shift
 
@@ -333,7 +308,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
     to the Gershgorin bound -||H||_inf - 1, and H - sigma is factored again.
     ARPACK then iterates on (H - sigma)^{-1} from a seeded start vector, and
     the eigenvalue nearest the certified sigma is the lowest.  iterations
-    counts the back-solves; the eigenvector is normalized against op.weights.
+    counts the back-solves; the eigenvector has unit 2-norm.
     Raises InertiaError when no shift can be certified.
     """
     if tol < 0:
@@ -372,7 +347,9 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
             f"eigensolver did not converge within {maxiter} iterations",
             value=best_val, residual=best_res, iterations=solves,
         ) from exc
-    lam, x = float(vals[0]), vecs[:, 0]
+    # a copy: a view would keep ARPACK's output array alive, which in a sweep
+    # worker fragments the heap the next factorization reuses (+10 MB peak RSS)
+    lam, x = float(vals[0]), vecs[:, 0].copy()
 
     residual = float(np.linalg.norm(h @ x - lam * x))
     # tol = 0 follows the ARPACK convention: converge to machine precision
@@ -382,10 +359,8 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
             f"residual {residual:.3e} exceeds tol * ||H|| = {tol_eff * norm_est:.3e}",
             value=lam, residual=residual, iterations=solves,
         )
-    x = x / np.sqrt(np.sum(op.weights * x ** 2))
     return EigResult(value=lam, vector=x, iterations=solves,
-                     residual=residual, norm_estimate=norm_est,
-                     shift=sigma, factor_nnz=int(lu.nnz))
+                     residual=residual, shift=sigma, factor_nnz=int(lu.nnz))
 
 
 # First shift for hydrogen/plate solves: just below the free ground energy
@@ -520,7 +495,7 @@ def _complement_min_eig_probe(h, b: np.ndarray, lam: float, steps: int = 30,
     return float(np.linalg.eigvalsh(t)[0])
 
 
-def feshbach_matrix(h, p, lam: float, probe: bool = True) -> np.ndarray:
+def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     """Feshbach matrix on Ran P: B^T H B - B^T H Q (H_perp - lam)^{-1} Q H B.
 
     h is a symmetric operator (dense, sparse, or SparseSymOp); p an
@@ -533,12 +508,11 @@ def feshbach_matrix(h, p, lam: float, probe: bool = True) -> np.ndarray:
     b = _as_basis(p, n)
     k = b.shape[1]
 
-    if probe:
-        est = _complement_min_eig_probe(mat, b, lam)
-        if est <= 0.0:
-            raise SingularBlockError(
-                f"H_perp - lambda is not positive (probe estimate {est:.3e})"
-            )
+    est = _complement_min_eig_probe(mat, b, lam)
+    if est <= 0.0:
+        raise SingularBlockError(
+            f"H_perp - lambda is not positive (probe estimate {est:.3e})"
+        )
 
     hb = mat @ b
     php = b.T @ hb

@@ -204,49 +204,24 @@ def trapezoid_inequality(a: float, c: float, b: float) -> TrapezoidCheck:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text configuration files: `key = value` lines, `#` comments, nuclei
-# as repeated `nucleus = Z x y z` lines.
+# Plain-text configuration files: `key = value` lines and `#` comments.
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
+CONFIG_KEYS = {
     "r": float,
     "m": float,
-    "n_electrons": int,
-    "n_xi": int,
-    "n_rho": int,
+    "h": float,
     "L_xi": float,
     "L_rho": float,
-    "h": float,
     "tol": float,
     "max_iter": int,
     "seed": int,
 }
 
 
-@dataclass
-class RunFileConfig:
-    """Key/value content of a configuration file, pre-split into typed fields."""
-
-    values: dict
-    nuclei: list
-
-    def molecule(self) -> Molecule | None:
-        if not self.nuclei:
-            return None
-        charges = np.array([z for z, _ in self.nuclei], dtype=float)
-        positions = np.array([p for _, p in self.nuclei], dtype=float)
-        n = self.values.get("n_electrons", int(round(charges.sum())))
-        return Molecule(charges, positions, n)
-
-    def plate(self) -> PlateConfig | None:
-        if "v" not in self.values or "r" not in self.values:
-            return None
-        return PlateConfig(self.values["v"], self.values["r"], self.values.get("m", 1.0))
-
-
-def parse_config(text: str) -> RunFileConfig:
+def parse_config(text: str) -> dict:
+    """Typed values of the accepted keys; any other key raises ValueError."""
     values: dict = {}
-    nuclei: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -255,23 +230,12 @@ def parse_config(text: str) -> RunFileConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
         key, rhs = key.strip(), rhs.strip()
-        if key == "nucleus":
-            parts = rhs.split()
-            if len(parts) != 4:
-                raise ValueError(f"config line {lineno}: nucleus needs 'Z x y z'")
-            nuclei.append((float(parts[0]), [float(p) for p in parts[1:]]))
-        elif key == "v":
-            comps = [float(p) for p in rhs.replace(",", " ").split()]
-            if len(comps) != 3:
-                raise ValueError(f"config line {lineno}: v needs three components")
-            values["v"] = np.array(comps)
-        elif key in _SCALAR_KEYS:
-            values[key] = _SCALAR_KEYS[key](rhs)
-        else:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return RunFileConfig(values, nuclei)
+        values[key] = CONFIG_KEYS[key](rhs)
+    return values
 
 
-def load_config(path) -> RunFileConfig:
+def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())

@@ -11,9 +11,9 @@ reproducible; convergence is assessed by doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_legendre
 
@@ -23,29 +23,28 @@ RADIAL_NODES = 200
 ANGULAR_NODES = 64
 NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
+QUAD_TOL = 1e-9     # largest relative move of a quadrature under node doubling
 
-_laggauss_cache: dict = {}
-_leggauss_cache: dict = {}
+# Both Gauss rules come from Golub-Welsch: the nodes are the eigenvalues of
+# the Jacobi matrix of the weight, the weights mu_0 times the squared first
+# components of its eigenvectors.  The tridiagonal eigensolve stays stable at
+# node counts where the classical weight formulas overflow.
 
 
+@lru_cache(maxsize=None)
 def radial_laguerre_rule(n: int = RADIAL_NODES):
-    """Nodes/weights for f -> int_0^inf f(t) e^{-t} dt.
-
-    Golub-Welsch on the Laguerre Jacobi matrix; stable at node counts where
-    the classical weight formulas overflow.
-    """
-    if n not in _laggauss_cache:
-        nodes, vecs = eigh_tridiagonal(2.0 * np.arange(n) + 1.0,
-                                       np.arange(1, n, dtype=float))
-        _laggauss_cache[n] = (nodes, vecs[0, :] ** 2)
-    return _laggauss_cache[n]
+    """Nodes/weights for f -> int_0^inf f(t) e^{-t} dt."""
+    nodes, vecs = eigh_tridiagonal(2.0 * np.arange(n) + 1.0,
+                                   np.arange(1, n, dtype=float))
+    return nodes, vecs[0, :] ** 2
 
 
+@lru_cache(maxsize=None)
 def angular_legendre_rule(n: int = ANGULAR_NODES):
     """Nodes/weights for f -> int_{-1}^{1} f(c) dc."""
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = leggauss(n)
-    return _leggauss_cache[n]
+    k = np.arange(1, n, dtype=float)
+    nodes, vecs = eigh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k ** 2 - 1.0))
+    return nodes, 2.0 * vecs[0, :] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +494,8 @@ class MirrorEnergyExpectation:
         return (self.value + self.remainder_lo, self.value + self.remainder_hi)
 
 
-def mirror_energy_expectation(psi: HydrogenOrbital, r: float, m: float = 1.0,
-                              quad_tol: float = 1e-9) -> MirrorEnergyExpectation:
+def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
+                              m: float = 1.0) -> MirrorEnergyExpectation:
     """Evaluate <psi | (m/2) * mirror interaction | psi> by radial quadrature.
 
     Uses Newton's theorem for the spherically symmetric electron/mirror-nucleus
@@ -521,7 +520,7 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float, m: float = 1.0,
     base = pieces(psi.n_radial)
     refined = pieces(2 * psi.n_radial)
     quad_error = float(np.max(np.abs(refined - base) / np.maximum(np.abs(refined), 1.0)))
-    if quad_error > max(quad_tol, 1e-15):
+    if quad_error > QUAD_TOL:
         raise QuadratureError(
             f"radial quadrature not converged: doubling nodes moved results by {quad_error:.3e}"
         )

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   asymptotic_residual_report, dielectric_scaling,
@@ -166,6 +169,27 @@ class TestSweep:
         assert abs(ws_coarse[0] - ws[0]) <= 0.1 * abs(ws[0])
 
 
+@st.composite
+def sweep_tables(draw):
+    """SweepTables with solved and gap rows; gap error text may hold commas."""
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    rs = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6, unique=True))
+    error_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                         min_size=1, max_size=30)
+    rows = []
+    for r in sorted(rs):
+        counts = dict(r=r, n_xi=draw(st.integers(4, 10 ** 6)),
+                      n_rho=draw(st.integers(4, 10 ** 6)),
+                      iterations=draw(st.integers(0, 10 ** 6)))
+        if draw(st.booleans()):
+            rows.append(SweepRow(e_plate=draw(finite), e_free=draw(finite), **counts))
+        else:
+            rows.append(SweepRow(e_plate=None, e_free=None, error=draw(error_text),
+                                 **counts))
+    return SweepTable(rows=rows, m=draw(st.floats(0.0, 1.0)),
+                      grid={"h_target": 0.1}, config={"seed": draw(st.integers(0, 99))})
+
+
 class TestSerialization:
     def make_table(self):
         rs = np.array([10.0, 12.0, 14.0])
@@ -178,16 +202,36 @@ class TestSerialization:
     def test_csv_round_trip(self):
         table = self.make_table()
         table.rows.append(SweepRow(r=18.0, n_xi=10, n_rho=10, e_plate=None,
-                                   e_free=None, error="residual 1e-3, above tol"))
+                                   e_free=None, iterations=7,
+                                   error="residual 1e-3, above tol"))
         text = sweep_to_csv(table)
+        assert "\nr,n_xi,n_rho,E_plate,E_free,W,iterations,error\n" in text
         back = sweep_from_csv(text)
         assert back.m == table.m
+        assert [row.iterations for row in back.rows] == [0, 0, 0, 0, 7]
         assert len(back.rows) == 5
         for a, b in zip(table.rows[:3], back.rows[:3]):
             assert b.e_plate == pytest.approx(a.e_plate, rel=1e-16)
         assert back.rows[3].w is None
         assert [row.error for row in back.rows[3:]] == ["did not converge",
                                                         "residual 1e-3, above tol"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=sweep_tables())
+    def test_csv_round_trip_is_lossless(self, table):
+        text = sweep_to_csv(table)
+        back = sweep_from_csv(text)
+        assert back.rows == table.rows and back.m == table.m
+        assert sweep_to_csv(back) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=sweep_tables())
+    def test_json_round_trip_is_lossless(self, table):
+        doc = json.loads(table_to_json(table))
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        assert [SweepRow(**{k: row[k] for k in names}) for row in doc["rows"]] == table.rows
+        assert [row["W"] for row in doc["rows"]] == [row.w for row in table.rows]
+        assert doc["config"] == {**table.config, "m": table.m}
 
     def test_csv_with_sampling_key_loads(self):
         # sweeps written while the grid carried a sampling option still load and fit

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vdwplate import asymptotics, cli
 from vdwplate.asymptotics import SweepRow, SweepTable, sweep_to_csv
 from vdwplate.cli import main
+from vdwplate.model import CONFIG_KEYS
 from vdwplate.multipole import QuadratureError
 
 
@@ -74,6 +77,44 @@ class TestHydrogen:
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")
         assert code == 3
 
+    def test_node_count_flags_rejected(self, capsys):
+        # the grid follows from h and the extents alone, as in sweep
+        for flag in ("--n-xi", "--n-rho"):
+            with pytest.raises(SystemExit) as exc:
+                main(["hydrogen", "--r", "6", flag, "35"])
+            assert exc.value.code == 3
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_same_grid_as_sweep(self, capsys):
+        flags = ("--h", "0.4", "--l-xi", "8", "--l-rho", "6")
+        code, out, _ = run_cli(capsys, "hydrogen", "--r", "6", *flags)
+        assert code == 0
+        code, csv, _ = run_cli(capsys, "sweep", "--r-values", "6", *flags)
+        assert code == 0
+        row = csv.splitlines()[-1].split(",")
+        assert (grab(out, "# grid.n_xi"), grab(out, "# grid.n_rho")) == (row[1], row[2])
+        assert float(grab(out, "W")) == float(row[5])
+
+    @pytest.mark.parametrize("line", ["n_xi = 35", "n_rho = 20", "nucleus = 1 0 0 0",
+                                      "v = 0 0 1", "n_electrons = 1"])
+    def test_unread_config_keys_exit_3(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"r = 6\nh = 0.4\nL_xi = 8\nL_rho = 8\n{line}\n")
+        code, out, err = run_cli(capsys, "hydrogen", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "unknown key" in err
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,12}", fullmatch=True)
+           .filter(lambda k: k not in CONFIG_KEYS))
+    def test_random_config_keys_exit_3(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"r = 6\n{key} = 1\n")
+        code, out, err = run_cli(capsys, "hydrogen", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "unknown key" in err
+
 
 class TestSweepAndFit:
     def test_sweep_csv_then_fit(self, capsys, tmp_path):
@@ -84,7 +125,7 @@ class TestSweepAndFit:
         assert code == 0
         text = out_path.read_text()
         assert text.startswith("# vdwplate sweep")
-        assert "r,n_xi,n_rho,E_plate,E_free,W,error" in text
+        assert "r,n_xi,n_rho,E_plate,E_free,W,iterations,error" in text
 
         code, out, _ = run_cli(capsys, "fit", "--input", str(out_path),
                                "--exponents", "3,5")
@@ -206,8 +247,7 @@ class TestPlumbing:
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("r = 6\nm = 1\nh = 0.4\nL_xi = 8\nL_rho = 8\n"
-                       "n_xi = 35\nn_rho = 20\n")
+        cfg.write_text("r = 6\nm = 1\nh = 0.4\nL_xi = 8\nL_rho = 8\n")
         code, out, _ = run_cli(capsys, "hydrogen", "--config", str(cfg))
         assert code == 0
         assert float(grab(out, "E")) < -0.2

@@ -79,7 +79,7 @@ class TestAssemble1D:
 
 class TestLowestEigenpair:
     def test_diagonal_matrix(self):
-        op = SparseSymOp(sp.diags([3.0, 1.0, 2.0]).tocsr(), weights=np.ones(3))
+        op = SparseSymOp(sp.diags([3.0, 1.0, 2.0]).tocsr())
         res = lowest_eigenpair(op, sigma=0.0)
         assert res.value == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(np.abs(res.vector), [0.0, 1.0, 0.0], atol=1e-12)
@@ -94,7 +94,7 @@ class TestLowestEigenpair:
     def test_random_sparse_vs_dense_oracle(self, rng):
         n = 500
         dense = self._random_sparse_symmetric(rng, n)
-        op = SparseSymOp(sp.csr_matrix(dense), weights=np.ones(n))
+        op = SparseSymOp(sp.csr_matrix(dense))
         # Gershgorin: the row-sum norm bounds the spectrum from below
         res = lowest_eigenpair(op, sigma=-op.norm_estimate() - 1.0, tol=1e-12)
         oracle = np.linalg.eigvalsh(dense)[0]
@@ -111,7 +111,7 @@ class TestLowestEigenpair:
     def test_shift_above_lowest_returns_lowest(self, rng):
         dense = self._random_sparse_symmetric(rng, 300)
         vals = np.linalg.eigvalsh(dense)
-        op = SparseSymOp(sp.csr_matrix(dense), weights=np.ones(300))
+        op = SparseSymOp(sp.csr_matrix(dense))
         res = lowest_eigenpair(op, sigma=0.5 * (vals[0] + vals[1]), tol=1e-12)
         assert res.value == pytest.approx(vals[0], abs=1e-10)
         assert res.shift < vals[0]
@@ -121,7 +121,7 @@ class TestLowestEigenpair:
         # a zero diagonal at sigma = 0 forces an off-diagonal pivot
         mat = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
         with pytest.raises(InertiaError):
-            lowest_eigenpair(SparseSymOp(mat, weights=np.ones(3)), sigma=0.0)
+            lowest_eigenpair(SparseSymOp(mat), sigma=0.0)
 
     def test_determinism(self):
         g = Grid1D(512, 100.0)
@@ -193,13 +193,6 @@ class TestHydrogenPlateOperator:
                   for r in (10.0, 15.0, 20.0, 30.0)]
         assert np.all(np.diff(values) > 0)
         assert values[-1] < E_HYDROGEN + 5e-3
-
-    def test_dirichlet_boundary_embedding(self, coarse_spec):
-        res, grid = hydrogen_plate_ground(8.0, 1.0, coarse_spec)
-        framed = grid.embed_with_boundary(grid.to_physical(res.vector))
-        assert np.all(framed[0] == 0.0)       # plate face xi = -r
-        assert np.all(framed[-1] == 0.0)      # outer axial face
-        assert np.all(framed[:, -1] == 0.0)   # outer radial face
 
     def test_cell_average_against_midpoint_far_field(self):
         # away from the nucleus the cell average reduces to the midpoint value

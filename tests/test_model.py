@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unit_vectors
-from vdwplate.model import (E_ELECTRON_PLATE, E_HYDROGEN, Molecule, PlateConfig,
+from vdwplate.model import (CONFIG_KEYS, E_ELECTRON_PLATE, E_HYDROGEN, Molecule, PlateConfig,
                             parse_config, reflect, trapezoid_inequality,
                             validate_molecule)
 
@@ -130,13 +132,9 @@ class TestTrapezoid:
 
 class TestConfigFile:
     TEXT = """
-    # molecule/plate run
-    v = 0, 0, 1
+    # hydrogen/plate run
     r = 12.5
     m = 0.5
-    nucleus = 1 0 0 0.5
-    nucleus = 1 0 0 -0.5
-    n_electrons = 2
     h = 0.2
     tol = 1e-9
     seed = 7
@@ -144,13 +142,11 @@ class TestConfigFile:
 
     def test_parse(self):
         cfg = parse_config(self.TEXT)
-        plate = cfg.plate()
-        assert plate.r == 12.5 and plate.m == 0.5
-        assert np.allclose(plate.v, [0.0, 0.0, 1.0])
-        mol = cfg.molecule()
-        assert mol.n_electrons == 2
-        assert np.allclose(mol.charges, [1.0, 1.0])
-        assert cfg.values["seed"] == 7 and cfg.values["tol"] == 1e-9
+        assert cfg == {"r": 12.5, "m": 0.5, "h": 0.2, "tol": 1e-9, "seed": 7}
+        # no command reads a molecule or a plate normal from the file
+        for line in ("v = 0, 0, 1", "nucleus = 1 0 0 0.5", "n_electrons = 2"):
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_config(self.TEXT + line)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
@@ -161,5 +157,16 @@ class TestConfigFile:
             parse_config("nucleus = 1 0 0")
 
     def test_grid_keys(self):
-        cfg = parse_config("n_xi = 100\nn_rho = 50\nL_xi = 20\nL_rho = 15")
-        assert cfg.values == {"n_xi": 100, "n_rho": 50, "L_xi": 20.0, "L_rho": 15.0}
+        cfg = parse_config("h = 0.2\nL_xi = 20\nL_rho = 15")
+        assert cfg == {"h": 0.2, "L_xi": 20.0, "L_rho": 15.0}
+        # the grid is set by h and the extents alone; node counts follow from them
+        for line in ("n_xi = 100", "n_rho = 50"):
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_config(line)
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,12}", fullmatch=True)
+           .filter(lambda k: k not in CONFIG_KEYS))
+    def test_keys_outside_the_accepted_set_raise(self, key):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config(f"r = 10\n{key} = 1\n")
