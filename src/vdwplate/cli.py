@@ -76,7 +76,7 @@ def _parse_floats(text: str, expected: int | None = None) -> list:
 
 
 def _config_values(args) -> dict:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             return load_config(args.config)
         except OSError as exc:
@@ -107,7 +107,6 @@ def _echo(resolved: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_eplate(args) -> int:
-    _config_values(args)            # a malformed config file exits 3, an unreadable one 4
     n = 4096 if args.n is None else args.n
     length = 400.0 if args.L is None else args.L
     if n < 16 or length <= 0:
@@ -172,6 +171,8 @@ def cmd_hydrogen(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_values(args)
+    if "r" in cfg:
+        raise InputError("sweep radii come only from --r-values; remove r from the config")
     rs = _parse_floats(args.r_values)
     if not rs or any(r <= 0 for r in rs):
         raise InputError("sweep radii must be positive")
@@ -282,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--output", help="write the report here (VDWPLATE_OUTDIR joins relative paths)")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("eplate", help="1D electron/plate ground energy")
     common(p)
@@ -295,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hydrogen", help="single E(r) solve plus the HVZ gap")
     common(p)
+    p.add_argument("--config", help="key = value configuration file")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
@@ -305,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="W(r) over a list of distances")
     common(p)
+    p.add_argument("--config", help="key = value configuration file")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--r-values", required=True, help="comma-separated radii")
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
@@ -337,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_feshbach_demo)
 
     return parser
@@ -345,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
     try:
         return args.fn(args)
     except ValueError as exc:   # InputError included

@@ -38,7 +38,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class SingularBlockError(RuntimeError):
-    """The projected block H_perp - lambda looks singular or indefinite."""
+    """The projected block H_perp - lambda is singular or indefinite."""
 
 
 class InertiaError(RuntimeError):
@@ -435,14 +435,6 @@ def electron_plate_ground(n: int, L: float, extrapolate: bool = True) -> Electro
 # Feshbach map
 # ---------------------------------------------------------------------------
 
-def _as_matrix(h):
-    if isinstance(h, SparseSymOp):
-        return h.matrix
-    if sp.issparse(h):
-        return h.tocsr()
-    return np.asarray(h, dtype=float)
-
-
 def _as_basis(p, n: int) -> np.ndarray:
     b = np.asarray(p, dtype=float)
     if b.ndim == 1:
@@ -455,83 +447,44 @@ def _as_basis(p, n: int) -> np.ndarray:
     return b
 
 
-def _complement_min_eig_probe(h, b: np.ndarray, lam: float, steps: int = 30,
-                              seed: int = 12345) -> float:
-    """Lanczos estimate of the smallest eigenvalue of P_perp (H - lam) P_perp.
-
-    Converges to the extreme Ritz value from above; serves as the positivity
-    probe before forming the resolvent.
-    """
-    n = b.shape[0]
-    rng = np.random.default_rng(seed)
-
-    def deflate(x):
-        return x - b @ (b.T @ x)
-
-    def apply(x):
-        x = deflate(x)
-        return deflate(h @ x - lam * x)
-
-    q = deflate(rng.standard_normal(n))
-    q /= np.linalg.norm(q)
-    alphas, betas = [], []
-    q_prev = np.zeros(n)
-    beta = 0.0
-    for _ in range(min(steps, max(2, n - b.shape[1]))):
-        w = apply(q)
-        alpha = float(q @ w)
-        w = w - alpha * q - beta * q_prev
-        w = deflate(w)
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        betas.append(beta)
-        if beta < 1e-13:
-            break
-        q_prev, q = q, w / beta
-    t = np.diag(alphas)
-    if len(alphas) > 1:
-        off = np.array(betas[: len(alphas) - 1])
-        t = t + np.diag(off, 1) + np.diag(off, -1)
-    return float(np.linalg.eigvalsh(t)[0])
-
-
 def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     """Feshbach matrix on Ran P: B^T H B - B^T H Q (H_perp - lam)^{-1} Q H B.
 
     h is a symmetric operator (dense, sparse, or SparseSymOp); p an
-    orthonormal basis of the projection range (n,) or (n, k).  Raises
-    SingularBlockError when the positivity probe finds H_perp - lam
-    non-positive.
+    orthonormal basis of the projection range (n,) or (n, k).  By the
+    block-inverse identity, (F - lam)^{-1} = S = B^T (H - lam)^{-1} B, so F
+    comes from k back-solves with the one factor of H - lam (shifted_factor):
+    S = V diag(w) V^T gives F = lam + V diag(1/w) V^T.  Haynsworth's inertia
+    additivity In(H - lam) = In(H_perp - lam) + In(S) certifies the block:
+    H_perp - lam is positive exactly when S has as many negative eigenvalues
+    as H - lam (a zero eigenvalue of S, a singular block, leaves S with
+    fewer, so the count also keeps 1/w finite).  A zero pivot in the factor
+    (lam an eigenvalue of H to rounding) moves lam up by a rounding-level
+    step.  Raises SingularBlockError when the count differs or no factor has
+    an inertia.
     """
-    mat = _as_matrix(h)
-    n = mat.shape[0]
-    b = _as_basis(p, n)
-    k = b.shape[1]
-
-    est = _complement_min_eig_probe(mat, b, lam)
-    if est <= 0.0:
+    mat = sp.csc_matrix(h.matrix if isinstance(h, SparseSymOp) else h, dtype=float)
+    b = _as_basis(p, mat.shape[0])
+    try:
+        lu, below = shifted_factor(mat, lam)
+    except RuntimeError:            # InertiaError, or SuperLU's exactly singular factor
+        # a zero pivot.  F is smooth in lam below the complement spectrum, so
+        # F(lam + step) is F(lam) to rounding, and a block certified positive
+        # at lam + step is positive at lam.
+        lam += 64.0 * np.finfo(float).eps * max(1.0, abs(lam), abs(mat).max())
+        try:
+            lu, below = shifted_factor(mat, lam)
+        except RuntimeError as exc:
+            raise SingularBlockError(f"no certified factor of H - {lam}: {exc}") from exc
+    s = b.T @ lu.solve(b)
+    w, v = np.linalg.eigh(s)
+    negative = int(np.count_nonzero(w < 0.0))
+    if negative != below:
         raise SingularBlockError(
-            f"H_perp - lambda is not positive (probe estimate {est:.3e})"
+            f"H_perp - lambda is not positive: B^T (H - lambda)^-1 B has "
+            f"{negative} negative eigenvalues, H - lambda has {below}"
         )
-
-    hb = mat @ b
-    php = b.T @ hb
-    c = hb - b @ (b.T @ hb)          # Q H B, orthogonal to Ran B
-
-    if isinstance(mat, np.ndarray):
-        bordered = np.zeros((n + k, n + k))
-        bordered[:n, :n] = mat - lam * np.eye(n)
-        bordered[:n, n:] = b
-        bordered[n:, :n] = b.T
-        rhs = np.vstack([c, np.zeros((k, k))])
-        y = np.linalg.solve(bordered, rhs)[:n]
-    else:
-        bordered = sp.bmat([[mat - lam * sp.identity(n), sp.csc_matrix(b)],
-                            [sp.csc_matrix(b.T), None]], format="csc")
-        lu = spla.splu(bordered)
-        y = np.column_stack([lu.solve(np.concatenate([c[:, j], np.zeros(k)]))[:n]
-                             for j in range(k)])
-    f = php - c.T @ y
+    f = lam * np.eye(b.shape[1]) + (v / w) @ v.T
     return 0.5 * (f + f.T)
 
 

@@ -182,11 +182,11 @@ class HydrogenOrbital:
 
     # moments and overlaps ----------------------------------------------------
 
-    def axis_moment(self, k: int, n_radial: int | None = None) -> float:
+    def axis_moment(self, k: int) -> float:
         """<x1^k>: radial moment times the angular factor 1/(k+1); 0 for odd k."""
         if k % 2 == 1:
             return 0.0
-        return self.density_expectation(lambda R: R ** k, n_radial) / (k + 1.0)
+        return self.density_expectation(lambda R: R ** k) / (k + 1.0)
 
     def overlap(self, other) -> float:
         if isinstance(other, HydrogenOrbital):
@@ -207,17 +207,16 @@ class HydrogenOrbital:
     def norm(self) -> float:
         return float(np.sqrt(self.pair_integral(self, lambda R: np.ones_like(R))))
 
-    def kinetic_energy(self, n_radial: int | None = None) -> float:
+    def kinetic_energy(self) -> float:
         """<psi | -Laplacian | psi> by radial quadrature (s-wave form)."""
-        n = n_radial or self.n_radial
         return self._pair_quadrature(self, self._envelope_derivative,
                                      self._envelope_derivative,
-                                     lambda radius: np.ones_like(radius), n)
+                                     lambda radius: np.ones_like(radius), self.n_radial)
 
-    def hydrogen_energy(self, n_radial: int | None = None) -> float:
+    def hydrogen_energy(self) -> float:
         """<psi | -Laplacian - 1/|x| | psi> by radial quadrature (s-wave form)."""
-        attraction = -self.density_expectation(lambda radius: 1.0 / radius, n_radial)
-        return float(self.kinetic_energy(n_radial) + attraction)
+        attraction = -self.density_expectation(lambda radius: 1.0 / radius)
+        return float(self.kinetic_energy() + attraction)
 
     def distance_l2(self, other: "HydrogenOrbital") -> float:
         """L2 distance ||psi_a - psi_b||."""

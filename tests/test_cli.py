@@ -77,6 +77,14 @@ class TestHydrogen:
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")
         assert code == 3
 
+    def test_config_seed_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 6\nh = 0.4\nL_xi = 8\nL_rho = 8\nseed = 3\n")
+        code, out, _ = run_cli(capsys, "hydrogen", "--config", str(cfg))
+        assert code == 0 and grab(out, "# seed") == "3"
+        code, out, _ = run_cli(capsys, "hydrogen", "--config", str(cfg), "--seed", "5")
+        assert code == 0 and grab(out, "# seed") == "5"
+
     def test_node_count_flags_rejected(self, capsys):
         # the grid follows from h and the extents alone, as in sweep
         for flag in ("--n-xi", "--n-rho"):
@@ -160,6 +168,14 @@ class TestSweepAndFit:
         assert from_cfg == from_flags
         assert "\n8,35,15," in from_cfg
 
+    def test_sweep_config_r_exits_3(self, capsys, tmp_path):
+        # sweep radii come from --r-values alone
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 6\nh = 0.4\nL_xi = 6\nL_rho = 6\n")
+        code, out, err = run_cli(capsys, "sweep", "--r-values", "8", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "--r-values" in err
+
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--r-values", "6",
                                "--h", "0.4", "--l-xi", "8", "--l-rho", "8",
@@ -225,6 +241,20 @@ class TestPlumbing:
             main(["eplate", "--bogus"])
         assert exc.value.code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["eplate", "--config", "x"], ["eplate", "--seed", "1"],
+        ["fit", "--input", "x", "--config", "x"], ["fit", "--input", "x", "--seed", "1"],
+        ["cv", "--config", "x"], ["cv", "--seed", "1"],
+        ["helium", "--config", "x"], ["helium", "--seed", "1"],
+        ["feshbach-demo", "--config", "x"],
+    ])
+    def test_unread_flags_exit_3(self, capsys, argv):
+        # --config and --seed exist only where a command reads them
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "eplate", "--n", "512", "--L", "120")

@@ -294,6 +294,60 @@ class TestFeshbach:
             # lambda inside the complement spectrum
             feshbach_matrix(h, vecs[:, 0], 0.5 * (vals[5] + vals[6]))
 
+    def test_indefinite_block_found_by_lanczos_probe_raises(self):
+        # lambda 1e-3 above the bottom of the complement spectrum: H_perp - lambda
+        # has one negative eigenvalue, which a 30-step Lanczos probe of
+        # P_perp (H - lambda) P_perp misses for this seed
+        rng = np.random.default_rng(4)
+        n = 100
+        a = rng.standard_normal((n, n))
+        h = 0.5 * (a + a.T)
+        b = np.linalg.eigh(h)[1][:, 0] + 0.1 * rng.standard_normal(n)
+        b /= np.linalg.norm(b)
+        z = np.linalg.qr(np.column_stack([b, rng.standard_normal((n, n - 1))]))[0][:, 1:]
+        lam = np.linalg.eigvalsh(z.T @ h @ z)[0] + 1e-3
+        assert np.linalg.eigvalsh(z.T @ h @ z - lam * np.eye(n - 1))[0] < 0.0
+        with pytest.raises(SingularBlockError):
+            feshbach_matrix(h, b, lam)
+
+    @pytest.mark.parametrize("form", ["dense", "csr", "SparseSymOp"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_explicit_complement_oracle(self, rng, k, form):
+        # F = B^T H B - B^T H Z (Z^T (H - lambda) Z)^{-1} Z^T H B, Z spanning Ran B^perp
+        n = 40
+        a = rng.standard_normal((n, n))
+        h = 0.5 * (a + a.T)
+        h[np.abs(h) < 0.8] = 0.0
+        vecs = np.linalg.eigh(h)[1]
+        b = np.linalg.qr(vecs[:, :k] + 0.2 * rng.standard_normal((n, k)))[0]
+        z = np.linalg.qr(np.column_stack([b, rng.standard_normal((n, n - k))]))[0][:, k:]
+        h_perp = z.T @ h @ z
+        bottom = np.linalg.eigvalsh(h_perp)[0]
+        op = {"dense": h, "csr": sp.csr_matrix(h),
+              "SparseSymOp": SparseSymOp(sp.csr_matrix(h))}[form]
+        for lam in (bottom - 2.0, bottom - 0.3):
+            zhb = z.T @ h @ b
+            oracle = b.T @ h @ b - zhb.T @ np.linalg.solve(h_perp - lam * np.eye(n - k), zhb)
+            f = feshbach_matrix(op, b, lam)
+            assert np.max(np.abs(f - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        with pytest.raises(SingularBlockError):
+            feshbach_matrix(op, b, bottom + 0.05)
+
+    @pytest.mark.parametrize("h, b", [([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0]),
+                                      ([[0.0, 1.0], [1.0, 1.0]], [0.0, 1.0])])
+    def test_zero_schur_complement_raises(self, h, b):
+        # H_perp - 0 = 0 and B^T H^{-1} B = 0: a singular block, and no 1/0
+        # (the suite turns RuntimeWarning into an error)
+        with pytest.raises(SingularBlockError):
+            feshbach_matrix(np.array(h), np.array(b), 0.0)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_lambda_on_an_eigenvalue_of_h(self, sparse):
+        # H - 1 has an exactly zero pivot, yet H_perp - 1 = diag(2, 4) > 0 and F(1) = 1
+        h = np.diag([1.0, 3.0, 5.0])
+        f = feshbach_matrix(sp.csr_matrix(h) if sparse else h, np.eye(3)[:, 0], 1.0)
+        assert f[0, 0] == pytest.approx(1.0, abs=1e-13)
+
     def test_grid_cross_oracle(self):
         # fixed point with the cutoff state as projection equals the direct
         # lowest eigenpair of the same discretized operator
