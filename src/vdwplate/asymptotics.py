@@ -84,16 +84,19 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
                              jobs: int = 1) -> SweepTable:
     """Solve E(r) and the matching free-hydrogen energy for each r.
 
-    Rows are independent solves; jobs > 1 runs them in worker processes and
-    merges in r order.  A solve that fails to converge or to factor marks its
-    row as a gap instead of aborting the sweep.
+    Rows are independent solves; jobs > 1 runs them in min(jobs, rows) worker
+    processes and merges in r order.  A solve that fails to converge or to
+    factor marks its row as a gap instead of aborting the sweep.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     rs = sorted(float(r) for r in r_values)
     if any(r <= 0 for r in rs):
         raise ValueError("all radii must be positive")
     work = [(r, plate_m, spec, tol, seed) for r in rs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_sweep_row, work))
     else:
         rows = [_solve_sweep_row(w) for w in work]

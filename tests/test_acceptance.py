@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from vdwplate.asymptotics import (dielectric_scaling, fit_power_law,
                                   sweep_interaction_energy)
-from vdwplate.eigensolver import (Grid1D, GridCyl, GridCylSpec,
+from vdwplate.eigensolver import (HYDROGEN_SHIFT, Grid1D, GridCyl, GridCylSpec,
                                   assemble_hydrogen_plate, build_ims_partition,
                                   electron_plate_ground, feshbach_fixed_point,
                                   feshbach_matrix, hardy_check)
@@ -23,6 +23,14 @@ from vdwplate.spectra import (binding_condition, electron_plate_energy_deviation
                               essential_spectrum_bottom, helium_variational_energy)
 
 PRODUCTION_SPEC = GridCylSpec()  # h = 0.1, extents 28
+
+
+def assert_first_shift_certified(table):
+    # both energies of every row lie above the first shift, so no solve of a
+    # production-type sweep refactors H - sigma at a lowered shift
+    for row in table.rows:
+        assert min(row.e_plate, row.e_free) > HYDROGEN_SHIFT, row
+
 
 # lines echoed by the terminal-summary hook in conftest so the criterion
 # verdicts survive pytest's output capture
@@ -48,7 +56,9 @@ def production_sweep():
     t0 = time.perf_counter()
     table = sweep_interaction_energy([10.0, 12.0, 14.0, 16.0], plate_m=1.0,
                                      spec=PRODUCTION_SPEC)
-    return table, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    assert_first_shift_certified(table)
+    return table, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +66,8 @@ def dielectric_tables():
     rs = [12.0, 16.0, 20.0, 24.0]
     half = sweep_interaction_energy(rs, plate_m=0.5, spec=PRODUCTION_SPEC)
     full = sweep_interaction_energy(rs, plate_m=1.0, spec=PRODUCTION_SPEC)
+    assert_first_shift_certified(half)
+    assert_first_shift_certified(full)
     return half, full
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdwplate import asymptotics
 from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   asymptotic_residual_report, dielectric_scaling,
                                   fit_power_law, fit_to_csv, predicted_interaction_table,
@@ -146,6 +147,45 @@ class TestSweep:
         parallel = sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
         for a, b in zip(serial.rows, parallel.rows):
             assert a == b
+
+    @staticmethod
+    def _record_pool_sizes(monkeypatch):
+        # a stand-in for ProcessPoolExecutor that runs in this process and
+        # records the worker count it was asked for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_no_larger_than_rows(self, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch)
+        spec = GridCylSpec(h_target=0.4, l_xi_plus=8.0, l_rho=8.0)
+        table = sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=500)
+        assert sizes == [2]
+        assert table.config["jobs"] == 500
+        assert "# jobs = 500\n" in sweep_to_csv(table)
+        sweep_interaction_energy([5.0], spec=spec, jobs=2)
+        assert sizes == [2]             # one row runs in this process
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        sizes = self._record_pool_sizes(monkeypatch)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_interaction_energy([5.0, 7.0], jobs=jobs)
+        assert sizes == []
 
     def test_strictly_increasing_required(self):
         rows = [SweepRow(10.0, 5, 5, -1.0, 0.0), SweepRow(10.0, 5, 5, -1.0, 0.0)]

@@ -184,6 +184,14 @@ class TestSweepAndFit:
         doc = json.loads(out)
         assert doc["rows"][0]["r"] == 6.0
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exits_3(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "sweep", "--r-values", "6",
+                                 "--h", "0.4", "--l-xi", "8", "--l-rho", "8",
+                                 "--jobs", jobs)
+        assert code == 3 and out == ""
+        assert "jobs must be >= 1" in err
+
     def test_missing_input_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent/sweep.csv")
         assert code == 4

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
-                                  HYDROGEN_SHIFT, InertiaError, NonConvergenceError,
+                                  HYDROGEN_SHIFT, LANCZOS_BASIS, InertiaError,
+                                  NonConvergenceError,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
                                   assemble_hydrogen_plate, build_ims_partition,
@@ -16,6 +19,18 @@ from vdwplate.multipole import HydrogenOrbital
 from vdwplate.spectra import essential_spectrum_bottom
 
 E_EP = E_ELECTRON_PLATE
+
+
+def _numpy_reports_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _blas_threads():
+    return [get() for get, _ in eigensolver._blas_thread_controls()]
 
 
 class TestGrid1D:
@@ -63,7 +78,7 @@ class TestAssemble1D:
         assert res.deviation <= 1e-7
 
     def test_tridiagonal_matches_shift_invert(self):
-        # the direct tridiagonal solve against ARPACK shift-invert on one grid
+        # the direct tridiagonal solve against shift-invert Lanczos on one grid
         ref = lowest_eigenpair(assemble_1d_electron_plate(Grid1D(2048, 300.0)), sigma=-1.0)
         res = electron_plate_ground(2048, 300.0)
         assert abs(res.fine_value - ref.value) <= 1e-13
@@ -138,6 +153,52 @@ class TestLowestEigenpair:
             lowest_eigenpair(op, tol=1e-30, sigma=-1.0, max_iter=50)
         assert err.value.residual is None or err.value.residual > 0
 
+    def test_max_iter_counts_back_solves(self):
+        op = assemble_1d_electron_plate(Grid1D(256, 100.0))
+        with pytest.raises(NonConvergenceError) as err:
+            lowest_eigenpair(op, tol=1e-30, sigma=-1.0, max_iter=7)
+        # the error carries the last Rayleigh quotient, an upper bound
+        assert err.value.iterations == 7 and err.value.residual > 0
+        assert err.value.value > lowest_eigenpair(op, sigma=-1.0, tol=0.0).value
+        with pytest.raises(ValueError):
+            lowest_eigenpair(op, sigma=-1.0, max_iter=0)
+
+    @pytest.mark.skipif(not _numpy_reports_openblas(),
+                        reason="numpy is not built against OpenBLAS")
+    def test_openblas_thread_controls_found(self):
+        assert eigensolver._blas_thread_controls()
+
+    @pytest.mark.parametrize("tol, max_iter, raises", [
+        (0.0, 2000, None), (1e-30, 50, NonConvergenceError)])
+    def test_one_blas_thread_per_solve(self, monkeypatch, tol, max_iter, raises):
+        # every OpenBLAS copy runs one thread inside the solve, and the
+        # counts before it come back afterwards, also when it raises
+        controls = eigensolver._blas_thread_controls()
+        original = _blas_threads()
+        inside = []
+        factor = eigensolver.shifted_factor
+
+        def recording_factor(matrix, sigma):
+            inside.append(_blas_threads())
+            return factor(matrix, sigma)
+
+        monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
+        op = assemble_1d_electron_plate(Grid1D(256, 100.0))
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            before = _blas_threads()
+            if raises is None:
+                lowest_eigenpair(op, sigma=-1.0, tol=tol, max_iter=max_iter)
+            else:
+                with pytest.raises(raises):
+                    lowest_eigenpair(op, sigma=-1.0, tol=tol, max_iter=max_iter)
+            assert _blas_threads() == before
+        finally:
+            for (_, set_threads), count in zip(controls, original):
+                set_threads(count)
+        assert inside == [[1] * len(controls)]
+
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
         op = assemble_1d_electron_plate(g)
@@ -187,6 +248,26 @@ class TestHydrogenPlateOperator:
             assert near.shift == HYDROGEN_SHIFT and far.shift == -3.0
             assert near.iterations < far.iterations
             assert 0 < near.factor_nnz
+
+    def test_lanczos_stops_at_residual_contract(self, coarse_spec):
+        for m in (1.0, 0.0):
+            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), m)
+            res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT, tol=0.0)
+            assert res.iterations <= 12
+            assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
+            assert res.residual == pytest.approx(
+                np.linalg.norm(op.matrix @ res.vector - res.value * res.vector))
+
+    def test_restarted_solve_matches_arpack(self):
+        # a shift far below E(r) at r = 0.5 needs more back-solves than the
+        # basis holds, so the iteration restarts; ARPACK is the oracle
+        op = assemble_hydrogen_plate(
+            GridCyl.for_distance(0.5, GridCylSpec(0.1, 10.0, 10.0)), 1.0)
+        res = lowest_eigenpair(op, sigma=-3.0, tol=0.0)
+        assert res.iterations > LANCZOS_BASIS
+        ref = spla.eigsh(op.matrix.tocsc(), k=1, sigma=-3.0, which="LM", tol=0.0,
+                         v0=np.ones(op.dim))[0][0]
+        assert res.value == pytest.approx(ref, abs=1e-12)
 
     def test_energy_increases_with_distance(self, coarse_spec):
         values = [hydrogen_plate_ground(r, 1.0, coarse_spec)[0].value
