@@ -4,7 +4,7 @@ their CSV/JSON serializations.
 W(r) is always computed as a same-grid difference: the plate run (mirror
 strength m) minus the free run (m = 0) on the identical grid and stencil, so
 the leading discretization error cancels.  Outputs embed the resolved
-configuration and are byte-identical across reruns with the same seed.
+configuration and are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ class SweepTable:
 
 
 def _solve_sweep_row(args) -> SweepRow:
-    r, m, spec, tol, seed = args
+    r, m, spec = args
     grid = GridCyl.for_distance(r, spec)
     try:
-        ops = [assemble_hydrogen_plate(grid, mm) for mm in (m, 0.0)]
-        res = [lowest_eigenpair(op, tol=tol, seed=seed, sigma=HYDROGEN_SHIFT)
-               for op in ops]
+        res = [lowest_eigenpair(assemble_hydrogen_plate(grid, mm), sigma=HYDROGEN_SHIFT)
+               for mm in (m, 0.0)]
         return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                         e_plate=res[0].value, e_free=res[1].value,
                         iterations=res[0].iterations + res[1].iterations)
@@ -80,7 +79,6 @@ def _solve_sweep_row(args) -> SweepRow:
 
 def sweep_interaction_energy(r_values, plate_m: float = 1.0,
                              spec: GridCylSpec = GridCylSpec(),
-                             tol: float = 0.0, seed: int = 0,
                              jobs: int = 1) -> SweepTable:
     """Solve E(r) and the matching free-hydrogen energy for each r.
 
@@ -93,7 +91,7 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     rs = sorted(float(r) for r in r_values)
     if any(r <= 0 for r in rs):
         raise ValueError("all radii must be positive")
-    work = [(r, plate_m, spec, tol, seed) for r in rs]
+    work = [(r, plate_m, spec) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -102,8 +100,7 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
         rows = [_solve_sweep_row(w) for w in work]
     grid_meta = {"h_target": spec.h_target, "l_xi_plus": spec.l_xi_plus,
                  "l_rho": spec.l_rho}
-    config = {"tol": tol, "seed": seed, "jobs": jobs}
-    return SweepTable(rows=rows, m=plate_m, grid=grid_meta, config=config)
+    return SweepTable(rows=rows, m=plate_m, grid=grid_meta, config={"jobs": jobs})
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +115,16 @@ class FitResult:
     r_values: np.ndarray
     window: tuple
     condition: float
-    weight_power: float
 
     def coefficient(self, exponent: int) -> float:
         return float(self.coefficients[self.exponents.index(exponent)])
 
 
-def fit_power_law(table, exponents, weight_power: float = 6.0) -> FitResult:
+def fit_power_law(table, exponents) -> FitResult:
     """Weighted least squares of W(r) in the basis {r^-k}.
 
-    Weights r^{weight_power} (default r^6) equalize the leading-term influence
-    across the window.  Accepts a SweepTable or an (r, W) array pair.
+    Weights r^6 equalize the leading-term influence across the window.
+    Accepts a SweepTable or an (r, W) array pair.
     """
     if isinstance(table, SweepTable):
         r, w = table.solved_arrays()
@@ -140,7 +136,7 @@ def fit_power_law(table, exponents, weight_power: float = 6.0) -> FitResult:
     if r.size < len(exponents):
         raise ValueError("need at least as many rows as exponents")
     design = np.column_stack([r ** (-float(k)) for k in exponents])
-    sqrt_w = r ** (weight_power / 2.0)
+    sqrt_w = r ** 3.0
     a = design * sqrt_w[:, None]
     rank = np.linalg.matrix_rank(a)
     if rank < len(exponents):
@@ -154,7 +150,6 @@ def fit_power_law(table, exponents, weight_power: float = 6.0) -> FitResult:
         r_values=r,
         window=(float(r.min()), float(r.max())),
         condition=float(np.linalg.cond(a)),
-        weight_power=weight_power,
     )
 
 
@@ -291,7 +286,6 @@ def fit_to_csv(fit: FitResult) -> str:
     out = io.StringIO()
     out.write(f"# vdwplate fit {__version__}\n")
     out.write(f"# exponents = {','.join(str(k) for k in fit.exponents)}\n")
-    out.write(f"# weight_power = {FMT % fit.weight_power}\n")
     out.write(f"# window = {FMT % fit.window[0]},{FMT % fit.window[1]}\n")
     out.write(f"# condition = {FMT % fit.condition}\n")
     for k, c in zip(fit.exponents, fit.coefficients):
@@ -310,7 +304,6 @@ def fit_to_dict(fit: FitResult) -> dict:
         "r_values": [float(x) for x in fit.r_values],
         "window": list(fit.window),
         "condition": fit.condition,
-        "weight_power": fit.weight_power,
     }
 
 

@@ -107,24 +107,17 @@ def _echo(resolved: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_eplate(args) -> int:
-    n = 4096 if args.n is None else args.n
-    length = 400.0 if args.L is None else args.L
-    if n < 16 or length <= 0:
-        raise InputError("need n >= 16 and L > 0")
-    resolved = {"command": "eplate", "n": n, "L": length,
-                "extrapolate": not args.no_extrapolate}
-    res = electron_plate_ground(n, length, extrapolate=not args.no_extrapolate)
+    res = electron_plate_ground(args.n, args.L)     # ValueError for n < 32 or L <= 0
     dev = electron_plate_energy_deviation(res.value)
-    lines = [_echo(resolved).rstrip("\n"),
+    lines = [_echo({"command": "eplate", "n": args.n, "L": args.L}).rstrip("\n"),
              f"eigenvalue = {FMT % res.value}",
-             f"fine_value = {FMT % res.fine_value}"]
-    if res.coarse_value is not None:
-        lines.append(f"coarse_value = {FMT % res.coarse_value}")
-        lines.append(f"extrapolated = {FMT % res.extrapolated}")
-    lines += [f"reference = {FMT % (-1.0 / 64.0)}",
-              f"deviation = {FMT % dev}",
-              f"relative_error = {FMT % (dev / (1.0 / 64.0))}",
-              f"residual = {FMT % res.residual}"]
+             f"fine_value = {FMT % res.fine_value}",
+             f"coarse_value = {FMT % res.coarse_value}",
+             f"extrapolated = {FMT % res.value}",
+             f"reference = {FMT % (-1.0 / 64.0)}",
+             f"deviation = {FMT % dev}",
+             f"relative_error = {FMT % (dev / (1.0 / 64.0))}",
+             f"residual = {FMT % res.residual}"]
     if dev / (1.0 / 64.0) > 1e-3:
         lines.append("warning: deviation large for this grid; refine n or L")
     _emit("\n".join(lines) + "\n", _resolve_output(args.output))
@@ -141,20 +134,15 @@ def cmd_hydrogen(args) -> int:
     cfg = _config_values(args)
     r = float(_pick(args, "r", cfg, None) or 0.0)
     m = float(_pick(args, "m", cfg, 1.0))
-    tol = float(_pick(args, "tol", cfg, 0.0))
-    seed = int(_pick(args, "seed", cfg, 0))
-    max_iter = int(_pick(args, "max_iter", cfg, 2000))
     if r <= 0:
         raise InputError(f"plate distance must be positive, got {r}")
     if not 0.0 <= m <= 1.0:
         raise InputError(f"mirror strength must lie in [0, 1], got {m}")
     grid = GridCyl.for_distance(r, _grid_spec(args, cfg))
-    resolved = {"command": "hydrogen", "r": r, "m": m, "tol": tol, "seed": seed,
+    resolved = {"command": "hydrogen", "r": r, "m": m,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
-    e_plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), tol=tol,
-                               max_iter=max_iter, seed=seed, sigma=HYDROGEN_SHIFT)
-    e_free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), tol=tol,
-                              max_iter=max_iter, seed=seed, sigma=HYDROGEN_SHIFT)
+    e_plate, e_free = [lowest_eigenpair(assemble_hydrogen_plate(grid, mm), sigma=HYDROGEN_SHIFT)
+                       for mm in (m, 0.0)]
     report = hvz_gap(e_plate.value, r)
     lines = [_echo(resolved).rstrip("\n"),
              f"E = {FMT % e_plate.value}",
@@ -179,10 +167,8 @@ def cmd_sweep(args) -> int:
     m = float(_pick(args, "m", cfg, 1.0))
     if not 0.0 <= m <= 1.0:
         raise InputError(f"mirror strength must lie in [0, 1], got {m}")
-    tol = float(_pick(args, "tol", cfg, 0.0))
-    seed = int(_pick(args, "seed", cfg, 0))
     table = sweep_interaction_energy(rs, plate_m=m, spec=_grid_spec(args, cfg),
-                                     tol=tol, seed=seed, jobs=args.jobs)
+                                     jobs=args.jobs)
     text = table_to_json(table) if args.format == "json" else sweep_to_csv(table)
     _emit(text, _resolve_output(args.output))
     if any(row.w is None for row in table.rows):
@@ -200,7 +186,7 @@ def cmd_fit(args) -> int:
         return EXIT_IO
     exponents = [int(x) for x in _parse_floats(args.exponents)]
     try:
-        fit = fit_power_law(table, exponents, weight_power=args.weight_power)
+        fit = fit_power_law(table, exponents)
     except ValueError as exc:
         raise InputError(str(exc))
     if args.format == "json":
@@ -287,33 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eplate", help="1D electron/plate ground energy")
     common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--no-extrapolate", action="store_true")
+    p.add_argument("--n", type=int, default=4096)
+    p.add_argument("--L", type=float, default=400.0)
     p.set_defaults(fn=cmd_eplate)
 
     p = sub.add_parser("hydrogen", help="single E(r) solve plus the HVZ gap")
     common(p)
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--l-xi", dest="l_xi", type=float, default=None)
     p.add_argument("--l-rho", dest="l_rho", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_hydrogen)
 
     p = sub.add_parser("sweep", help="W(r) over a list of distances")
     common(p)
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--r-values", required=True, help="comma-separated radii")
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--l-xi", dest="l_xi", type=float, default=None)
     p.add_argument("--l-rho", dest="l_rho", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_sweep)
@@ -322,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--exponents", default="3,5")
-    p.add_argument("--weight-power", dest="weight_power", type=float, default=6.0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_fit)
 

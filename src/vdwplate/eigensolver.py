@@ -350,8 +350,7 @@ def shifted_factor(matrix, sigma: float):
 LANCZOS_BASIS = 20      # Lanczos vectors kept per solve, as many as ARPACK's ncv
 
 
-def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
-                     max_iter: int = 2000, seed: int = 0) -> EigResult:
+def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> EigResult:
     """Lowest eigenpair of a symmetric sparse operator by certified shift-invert Lanczos.
 
     sigma is a first guess at a shift just below the lowest eigenvalue; the
@@ -360,25 +359,23 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
     while some eigenvalue lies below sigma, sigma is lowered by
     max(1, |sigma|), at most to the Gershgorin bound -||H||_inf - 1, and
     H - sigma is factored again.  Lanczos with full reorthogonalization then
-    runs on (H - sigma)^{-1} from a seeded start vector (Ericsson & Ruhe's
-    spectral transformation); its largest Ritz value belongs to the lowest
-    eigenvalue.  After each back-solve the Ritz vector x is tested, and the
-    solve stops as soon as ||H x - lam x|| <= tol * ||H||_inf, lam the
-    Rayleigh quotient (tol = 0 means 64 machine epsilons).  At most
-    LANCZOS_BASIS vectors are kept; a full basis restarts from x.  BLAS runs
-    on one thread during the solve.  iterations counts the back-solves, and
-    max_iter bounds them; the eigenvector has unit 2-norm.
-    Raises InertiaError when no shift can be certified and
+    runs on (H - sigma)^{-1} (Ericsson & Ruhe's spectral transformation); its
+    largest Ritz value belongs to the lowest eigenvalue.  The start vector is
+    always drawn from default_rng(0), so every result repeats to the bit.
+    After each back-solve the Ritz vector x is tested, and the solve stops as
+    soon as ||H x - lam x|| <= 64 eps ||H||_inf, lam the Rayleigh quotient.
+    At most LANCZOS_BASIS vectors are kept; a full basis restarts from x.
+    BLAS runs on one thread during the solve.  iterations counts the
+    back-solves, and max_iter bounds them as a safety stop; the eigenvector
+    has unit 2-norm.  Raises InertiaError when no shift can be certified and
     NonConvergenceError when max_iter back-solves miss the residual bound.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     h = op.matrix
     n = op.dim
     norm_est = op.norm_estimate()
-    bound = (tol if tol > 0 else 64.0 * np.finfo(float).eps) * norm_est
+    bound = 64.0 * np.finfo(float).eps * norm_est
     floor = -norm_est - 1.0         # H - floor is diagonally dominant: no eigenvalue below
     with _one_blas_thread():
         lu, below = shifted_factor(h, sigma)
@@ -388,7 +385,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
             sigma = max(sigma - max(1.0, abs(sigma)), floor)
             lu, below = shifted_factor(h, sigma)
         basis = np.empty((min(LANCZOS_BASIS, n), n))
-        basis[0] = np.random.default_rng(seed).standard_normal(n)
+        basis[0] = np.random.default_rng(0).standard_normal(n)
         basis[0] /= np.linalg.norm(basis[0])
         alpha, beta = [], []        # the tridiagonal projection of (H - sigma)^{-1}
         k = 0                       # index of the newest basis vector
@@ -425,7 +422,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, tol: float = 1e-9,
                 k += 1
                 basis[k] = w / b
     raise NonConvergenceError(
-        f"residual {residual:.3e} exceeds tol * ||H|| = {bound:.3e} "
+        f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
         f"after {max_iter} back-solves",
         value=lam, residual=residual, iterations=max_iter,
     )
@@ -441,12 +438,10 @@ HYDROGEN_SHIFT = -0.26
 
 
 def hydrogen_plate_ground(r: float, m: float = 1.0,
-                          spec: GridCylSpec = GridCylSpec(),
-                          tol: float = 0.0, seed: int = 0):
+                          spec: GridCylSpec = GridCylSpec()):
     """Assemble and solve E(r) on a fresh grid; returns (EigResult, GridCyl)."""
     grid = GridCyl.for_distance(r, spec)
-    op = assemble_hydrogen_plate(grid, m)
-    res = lowest_eigenpair(op, tol=tol, seed=seed, sigma=HYDROGEN_SHIFT)
+    res = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
     return res, grid
 
 
@@ -454,10 +449,9 @@ def hydrogen_plate_ground(r: float, m: float = 1.0,
 class ElectronPlateResult:
     """1D electron/plate ground-energy solve with Richardson acceleration."""
 
-    value: float            # extrapolated when requested, else the fine value
+    value: float            # Richardson-extrapolated over the n and n//2 grids
     fine_value: float
-    coarse_value: float | None
-    extrapolated: float | None
+    coarse_value: float
     deviation: float        # |value - (-1/64)|
     residual: float         # ||A x - value x|| of the unit fine-grid vector
 
@@ -479,25 +473,23 @@ def _tridiagonal_ground(grid: Grid1D) -> tuple:
     return lam, float(np.linalg.norm(ax - lam * x))
 
 
-def electron_plate_ground(n: int, L: float, extrapolate: bool = True) -> ElectronPlateResult:
+def electron_plate_ground(n: int, L: float) -> ElectronPlateResult:
     """Ground energy of -d^2/dx^2 - 1/(4x), second order in h, Richardson-accelerated.
 
     Each grid is solved directly as a symmetric tridiagonal eigenproblem.  The
     scheme converges cleanly at O(h^2); extrapolating over the n and n//2
     grids removes the leading term and is reported alongside both raw values.
+    n >= 32 keeps the coarse grid at Grid1D's 16 nodes or more.
     """
-    fine_grid = Grid1D(n, L)
+    if n < 32:
+        raise ValueError(f"need n >= 32 for the n//2 grid, got {n}")
+    fine_grid, coarse_grid = Grid1D(n, L), Grid1D(n // 2, L)
     fine, residual = _tridiagonal_ground(fine_grid)
-    coarse = extrap = None
-    value = fine
-    if extrapolate and n // 2 >= 16:
-        coarse_grid = Grid1D(n // 2, L)
-        coarse, _ = _tridiagonal_ground(coarse_grid)
-        hf, hc = fine_grid.h, coarse_grid.h
-        extrap = fine + (fine - coarse) * hf ** 2 / (hc ** 2 - hf ** 2)
-        value = extrap
+    coarse, _ = _tridiagonal_ground(coarse_grid)
+    hf, hc = fine_grid.h, coarse_grid.h
+    value = fine + (fine - coarse) * hf ** 2 / (hc ** 2 - hf ** 2)
     return ElectronPlateResult(
-        value=value, fine_value=fine, coarse_value=coarse, extrapolated=extrap,
+        value=value, fine_value=fine, coarse_value=coarse,
         deviation=abs(value - E_ELECTRON_PLATE), residual=residual,
     )
 
@@ -559,16 +551,19 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     return 0.5 * (f + f.T)
 
 
-def feshbach_fixed_point(h, p, bracket, tol: float = 1e-12,
-                         max_iter: int = 200) -> float:
+FIXED_POINT_TOL = 1e-12     # |g(lambda) - lambda| or bracket width that ends the bisection
+
+
+def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
     """Solve lambda = min eig F_P(lambda) by bisection on the given bracket.
 
     g(lambda) = min eig F_P(lambda) decreases in lambda below the complement
     spectrum, so g(lambda) - lambda crosses zero once.  A fixed-point probe
     short-circuits the exact-projector case (g constant).  Raises
     NonConvergenceError, carrying the midpoint of the last bracket, when
-    max_iter bisection steps do not reach tol.
+    max_iter bisection steps do not reach FIXED_POINT_TOL.
     """
+    tol = FIXED_POINT_TOL
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")

@@ -213,9 +213,6 @@ CONFIG_KEYS = {
     "h": float,
     "L_xi": float,
     "L_rho": float,
-    "tol": float,
-    "max_iter": int,
-    "seed": int,
 }
 
 

@@ -1,11 +1,13 @@
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vdwplate import asymptotics, cli
+from vdwplate import asymptotics, cli, eigensolver
 from vdwplate.asymptotics import SweepRow, SweepTable, sweep_to_csv
 from vdwplate.cli import main
 from vdwplate.model import CONFIG_KEYS
@@ -33,13 +35,17 @@ class TestEplate:
         assert float(grab(out, "relative_error")) <= 1e-5
 
     def test_coarse_grid_flagged(self, capsys):
-        code, out, _ = run_cli(capsys, "eplate", "--n", "16", "--L", "40")
+        # the smallest grid the Richardson step accepts
+        code, out, _ = run_cli(capsys, "eplate", "--n", "32", "--L", "40")
         assert code == 0
         assert "warning" in out
 
     def test_bad_input_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "eplate", "--n", "4", "--L", "10")
         assert code == 3
+        # the Richardson step needs n//2 >= 16
+        code, out, err = run_cli(capsys, "eplate", "--n", "20")
+        assert code == 3 and out == "" and "n >= 32" in err
 
 
 class TestHydrogen:
@@ -58,12 +64,12 @@ class TestHydrogen:
         assert float(grab(out, "E")) == pytest.approx(-0.25, abs=0.01)
         assert float(grab(out, "W")) == 0.0
 
-    def test_unreachable_tolerance_exits_2(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_iter = 40\n")
+    def test_unreachable_tolerance_exits_2(self, capsys, monkeypatch):
+        # one back-solve cannot meet the residual contract
+        monkeypatch.setattr(cli, "lowest_eigenpair",
+                            functools.partial(eigensolver.lowest_eigenpair, max_iter=1))
         code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
-                                 "--l-xi", "10", "--l-rho", "10", "--tol", "1e-30",
-                                 "--config", str(cfg))
+                                 "--l-xi", "10", "--l-rho", "10")
         assert code == 2
         assert out == ""
         assert err.startswith("numerical failure: NonConvergenceError:")
@@ -76,14 +82,6 @@ class TestHydrogen:
     def test_bad_m_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")
         assert code == 3
-
-    def test_config_seed_is_read(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("r = 6\nh = 0.4\nL_xi = 8\nL_rho = 8\nseed = 3\n")
-        code, out, _ = run_cli(capsys, "hydrogen", "--config", str(cfg))
-        assert code == 0 and grab(out, "# seed") == "3"
-        code, out, _ = run_cli(capsys, "hydrogen", "--config", str(cfg), "--seed", "5")
-        assert code == 0 and grab(out, "# seed") == "5"
 
     def test_node_count_flags_rejected(self, capsys):
         # the grid follows from h and the extents alone, as in sweep
@@ -104,7 +102,8 @@ class TestHydrogen:
         assert float(grab(out, "W")) == float(row[5])
 
     @pytest.mark.parametrize("line", ["n_xi = 35", "n_rho = 20", "nucleus = 1 0 0 0",
-                                      "v = 0 0 1", "n_electrons = 1"])
+                                      "v = 0 0 1", "n_electrons = 1",
+                                      "tol = 1e-30", "max_iter = 1", "seed = 7"])
     def test_unread_config_keys_exit_3(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"r = 6\nh = 0.4\nL_xi = 8\nL_rho = 8\n{line}\n")
@@ -167,6 +166,16 @@ class TestSweepAndFit:
         assert code == 0
         assert from_cfg == from_flags
         assert "\n8,35,15," in from_cfg
+
+    @pytest.mark.parametrize("line", ["tol = 1e-30", "max_iter = 1", "seed = 7"])
+    def test_sweep_solver_config_keys_exit_3(self, capsys, tmp_path, line):
+        # the solve has one residual contract and one start vector; a sweep
+        # config with max_iter = 1 used to run and ignore the key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"h = 0.4\nL_xi = 8\nL_rho = 8\n{line}\n")
+        code, out, err = run_cli(capsys, "sweep", "--r-values", "6", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "unknown key" in err
 
     def test_sweep_config_r_exits_3(self, capsys, tmp_path):
         # sweep radii come from --r-values alone
@@ -256,9 +265,13 @@ class TestPlumbing:
         ["cv", "--config", "x"], ["cv", "--seed", "1"],
         ["helium", "--config", "x"], ["helium", "--seed", "1"],
         ["feshbach-demo", "--config", "x"],
+        ["hydrogen", "--r", "6", "--tol", "0"], ["hydrogen", "--r", "6", "--seed", "1"],
+        ["sweep", "--r-values", "6", "--tol", "0"], ["sweep", "--r-values", "6", "--seed", "1"],
+        ["fit", "--input", "x", "--weight-power", "6"], ["eplate", "--no-extrapolate"],
     ])
     def test_unread_flags_exit_3(self, capsys, argv):
-        # --config and --seed exist only where a command reads them
+        # --config exists only where a command reads it, --seed only for
+        # feshbach-demo, and the solve takes no tolerance
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
@@ -293,3 +306,34 @@ class TestPlumbing:
         code, out2, _ = run_cli(capsys, "hydrogen", "--config", str(cfg), "--m", "0")
         assert code == 0
         assert float(grab(out2, "W")) == 0.0
+
+    # every flag of every subcommand; a new input needs an edit here
+    SURFACE = {
+        "eplate": {"--output", "--n", "--L"},
+        "hydrogen": {"--output", "--config", "--r", "--m", "--h", "--l-xi", "--l-rho"},
+        "sweep": {"--output", "--config", "--r-values", "--m", "--h", "--l-xi",
+                  "--l-rho", "--jobs", "--format"},
+        "fit": {"--output", "--input", "--exponents", "--format"},
+        "cv": {"--output", "--molecule", "--v"},
+        "helium": {"--output"},
+        "feshbach-demo": {"--output", "--n", "--trials", "--seed"},
+    }
+
+    @staticmethod
+    def _help(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_cli_surface(self, capsys):
+        top = self._help(capsys)
+        commands = re.search(r"\{([\w,-]+)\}", top).group(1).split(",")
+        assert set(commands) == set(self.SURFACE)
+        flag = r"(?<![\w-])--[A-Za-z][\w-]*"
+        assert set(re.findall(flag, top)) == {"--help", "--version"}
+        found = {c: set(re.findall(flag, self._help(capsys, c))) - {"--help"}
+                 for c in commands}
+        assert found == self.SURFACE
+        assert sum(len(flags) for flags in found.values()) == 31
+        assert set(CONFIG_KEYS) == {"r", "m", "h", "L_xi", "L_rho"}

@@ -136,15 +136,15 @@ class TestConfigFile:
     r = 12.5
     m = 0.5
     h = 0.2
-    tol = 1e-9
-    seed = 7
     """
 
     def test_parse(self):
         cfg = parse_config(self.TEXT)
-        assert cfg == {"r": 12.5, "m": 0.5, "h": 0.2, "tol": 1e-9, "seed": 7}
-        # no command reads a molecule or a plate normal from the file
-        for line in ("v = 0, 0, 1", "nucleus = 1 0 0 0.5", "n_electrons = 2"):
+        assert cfg == {"r": 12.5, "m": 0.5, "h": 0.2}
+        # no command reads a molecule or a plate normal from the file, and
+        # the solve takes no tolerance, iteration count or seed
+        for line in ("v = 0, 0, 1", "nucleus = 1 0 0 0.5", "n_electrons = 2",
+                     "tol = 1e-9", "max_iter = 40", "seed = 7"):
             with pytest.raises(ValueError, match="unknown key"):
                 parse_config(self.TEXT + line)
 
