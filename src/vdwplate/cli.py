@@ -143,7 +143,7 @@ def cmd_hydrogen(args) -> int:
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
     e_plate, e_free = [lowest_eigenpair(assemble_hydrogen_plate(grid, mm), sigma=HYDROGEN_SHIFT)
                        for mm in (m, 0.0)]
-    report = hvz_gap(e_plate.value, r)
+    report = hvz_gap(e_plate.value, r, e_plate.residual)
     lines = [_echo(resolved).rstrip("\n"),
              f"E = {FMT % e_plate.value}",
              f"E_free_same_grid = {FMT % e_free.value}",

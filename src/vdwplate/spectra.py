@@ -27,6 +27,7 @@ class ThresholdReport:
     r: float
     energy: float
     essential_bottom: float
+    residual: float = 0.0   # the solve's bound on |energy - true eigenvalue|
 
     @property
     def gap(self) -> float:
@@ -34,18 +35,22 @@ class ThresholdReport:
 
     @property
     def status(self) -> str:
-        if self.gap < 0:
+        if self.gap < -self.residual:
             return "bound"
-        return "marginal" if self.gap == 0 else "no certified ground state"
+        return "marginal" if abs(self.gap) <= self.residual else "no certified ground state"
 
 
-def hvz_gap(energy: float, r: float) -> ThresholdReport:
+def hvz_gap(energy: float, r: float, residual: float = 0.0) -> ThresholdReport:
     """Compare a computed ground energy against the essential-spectrum bottom.
 
-    gap < 0 certifies a discrete ground state below the continuum.
+    residual is the solve's residual norm ||H x - energy x||, which bounds the
+    distance from energy to an eigenvalue.  gap < -residual certifies a
+    discrete ground state below the continuum; |gap| <= residual is
+    "marginal", a gap the solve cannot resolve.
     """
     return ThresholdReport(r=r, energy=energy,
-                          essential_bottom=essential_spectrum_bottom(r))
+                          essential_bottom=essential_spectrum_bottom(r),
+                          residual=residual)
 
 
 def electron_plate_energy_deviation(e_electron: float) -> float:

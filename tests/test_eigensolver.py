@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -199,6 +202,86 @@ class TestLowestEigenpair:
                 set_threads(count)
         assert inside == [[1] * len(controls)]
 
+    @pytest.mark.skipif(not eigensolver._blas_thread_controls(),
+                        reason="no OpenBLAS thread controls")
+    def test_one_blas_thread_across_threads(self):
+        # A enters, B enters, A leaves while B still solves: B must keep one
+        # thread, and the counts from before A come back when B leaves
+        controls = eigensolver._blas_thread_controls()
+        original = _blas_threads()
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with eigensolver._one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(10)
+            with eigensolver._one_blas_thread():
+                b_in.set()
+                a_out.wait(10)
+                seen["b after a left"] = _blas_threads()
+
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            workers = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(20)
+            assert not any(t.is_alive() for t in workers)
+            assert a_out.is_set()
+            assert seen["b after a left"] == [1] * len(controls)
+            assert _blas_threads() == [2] * len(controls)
+        finally:
+            for (_, set_threads), count in zip(controls, original):
+                set_threads(count)
+
+    @pytest.mark.skipif(not eigensolver._blas_thread_controls(),
+                        reason="no OpenBLAS thread controls")
+    def test_concurrent_solves_keep_one_blas_thread(self, monkeypatch):
+        # more solving threads than cores, switched often: every factor runs
+        # on one BLAS thread, and the counts from before come back at the end
+        controls = eigensolver._blas_thread_controls()
+        original = _blas_threads()
+        inside = []
+        factor = eigensolver.shifted_factor
+
+        def recording_factor(matrix, sigma):
+            inside.append(_blas_threads())
+            return factor(matrix, sigma)
+
+        monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
+        op = assemble_1d_electron_plate(Grid1D(256, 100.0))
+        values = []
+
+        def solve():
+            for _ in range(3):
+                values.append(lowest_eigenpair(op, sigma=-0.1).value)
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _, set_threads in controls:
+                set_threads(2)
+            workers = [threading.Thread(target=solve) for _ in range(6)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+            assert not any(t.is_alive() for t in workers)
+            assert _blas_threads() == [2] * len(controls)
+        finally:
+            sys.setswitchinterval(interval)
+            for (_, set_threads), count in zip(controls, original):
+                set_threads(count)
+        assert len(values) == 18 and len(set(values)) == 1
+        assert inside == [[1] * len(controls)] * 18
+
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
         op = assemble_1d_electron_plate(g)
@@ -228,6 +311,7 @@ class TestHydrogenPlateOperator:
         res, _ = hydrogen_plate_ground(10.0, m=1.0, spec=coarse_spec)
         assert res.value < E_HYDROGEN
         assert res.value < essential_spectrum_bottom(10.0)
+        assert res.factorizations == 1
 
     def test_shift_lowered_near_plate(self):
         # at r = 0.5 E(r) = -0.4405 lies below HYDROGEN_SHIFT; an unchecked
@@ -237,6 +321,7 @@ class TestHydrogenPlateOperator:
         ref = lowest_eigenpair(assemble_hydrogen_plate(grid, 1.0), sigma=-3.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
         assert res.shift < res.value < HYDROGEN_SHIFT
+        assert res.factorizations == 2     # HYDROGEN_SHIFT, then one lowered shift
         assert shifted_factor(assemble_hydrogen_plate(grid, 1.0).matrix, res.shift)[1] == 0
 
     def test_shift_near_ground_saves_back_solves(self, coarse_spec):
@@ -248,6 +333,25 @@ class TestHydrogenPlateOperator:
             assert near.shift == HYDROGEN_SHIFT and far.shift == -3.0
             assert near.iterations < far.iterations
             assert 0 < near.factor_nnz
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("m", [1.0, 0.0])
+    def test_ground_vector_positive_and_1s_start(self, coarse_spec, r, m):
+        # off-diagonals <= 0 on a connected grid: by Perron-Frobenius the
+        # ground vector is positive, so the positive 1s start has a component
+        # along it, and starting there costs no more back-solves than a
+        # random start
+        op = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), m)
+        off = sp.triu(op.matrix, k=1)
+        assert off.max() <= 0.0
+        assert sp.csgraph.connected_components(off, directed=False)[0] == 1
+        assert np.all(op.guess > 0.0)
+        res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+        vec = res.vector * np.sign(res.vector.sum())
+        assert np.all(vec > 0.0)
+        random_start = lowest_eigenpair(SparseSymOp(op.matrix), sigma=HYDROGEN_SHIFT)
+        assert res.value == pytest.approx(random_start.value, abs=1e-12)
+        assert res.iterations <= random_start.iterations
 
     def test_lanczos_stops_at_residual_contract(self, coarse_spec):
         for m in (1.0, 0.0):

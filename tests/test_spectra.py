@@ -38,6 +38,16 @@ class TestHvzGap:
     def test_not_certified(self):
         assert hvz_gap(-0.01, 10.0).status == "no certified ground state"
 
+    @pytest.mark.parametrize("offset, status", [
+        (-2e-12, "bound"), (-0.9e-12, "marginal"), (0.0, "marginal"),
+        (0.9e-12, "marginal"), (2e-12, "no certified ground state")])
+    def test_gap_inside_residual_is_marginal(self, offset, status):
+        # a gap the solve's residual bound cannot resolve is neither verdict
+        r, residual = 5.0, 1e-12
+        energy = essential_spectrum_bottom(r) + offset
+        rep = hvz_gap(energy, r, residual)
+        assert rep.residual == residual and rep.status == status
+
 
 class TestElectronPlateDeviation:
     def test_exact(self):
