@@ -246,30 +246,31 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("mirror strength m must lie in [0, 1]")
-    hx, hr = grid.h_xi, grid.h_rho
-    rho = grid.rho
+    with _solve_settings():     # no huge-page advice for the large arrays
+        hx, hr = grid.h_xi, grid.h_rho
+        rho = grid.rho
 
-    d_main = np.full(grid.n_xi, 2.0) / hx ** 2
-    d_main[0] += 1.0 / hx ** 2      # plate face at xi = -r
-    d_main[-1] += 1.0 / hx ** 2     # outer axial face
-    d_off = np.full(grid.n_xi - 1, -1.0) / hx ** 2
-    ax = sp.diags([d_off, d_main, d_off], [-1, 0, 1])
+        d_main = np.full(grid.n_xi, 2.0) / hx ** 2
+        d_main[0] += 1.0 / hx ** 2      # plate face at xi = -r
+        d_main[-1] += 1.0 / hx ** 2     # outer axial face
+        d_off = np.full(grid.n_xi - 1, -1.0) / hx ** 2
+        ax = sp.diags([d_off, d_main, d_off], [-1, 0, 1])
 
-    faces = np.arange(grid.n_rho + 1) * hr
-    s_main = (faces[:-1] + faces[1:]) / (rho * hr ** 2)
-    s_main[-1] += faces[-1] / (rho[-1] * hr ** 2)   # outer radial face
-    s_off = -faces[1:-1] / (hr ** 2 * np.sqrt(rho[:-1] * rho[1:]))
-    rad = sp.diags([s_off, s_main, s_off], [-1, 0, 1])
+        faces = np.arange(grid.n_rho + 1) * hr
+        s_main = (faces[:-1] + faces[1:]) / (rho * hr ** 2)
+        s_main[-1] += faces[-1] / (rho[-1] * hr ** 2)   # outer radial face
+        s_off = -faces[1:-1] / (hr ** 2 * np.sqrt(rho[:-1] * rho[1:]))
+        rad = sp.diags([s_off, s_main, s_off], [-1, 0, 1])
 
-    xx, rr = grid.meshes()
-    v = coulomb_cell_average(xx, rr, hx, hr).ravel()
-    if m != 0.0:
-        v = v + 0.5 * m * hydrogen_image_bracket(grid.points(), grid.r)
+        xx, rr = grid.meshes()
+        v = coulomb_cell_average(xx, rr, hx, hr).ravel()
+        if m != 0.0:
+            v = v + 0.5 * m * hydrogen_image_bracket(grid.points(), grid.r)
 
-    mat = (sp.kron(ax, sp.identity(grid.n_rho))
-           + sp.kron(sp.identity(grid.n_xi), rad)
-           + sp.diags(v)).tocsr()
-    return SparseSymOp(matrix=mat, guess=grid.sample_symmetrized(HydrogenOrbital()))
+        mat = (sp.kron(ax, sp.identity(grid.n_rho))
+               + sp.kron(sp.identity(grid.n_xi), rad)
+               + sp.diags(v)).tocsr()
+        return SparseSymOp(matrix=mat, guess=grid.sample_symmetrized(HydrogenOrbital()))
 
 
 # ---------------------------------------------------------------------------
@@ -316,36 +317,80 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-_blas_lock = threading.Lock()
-_blas_users = 0             # solves inside _one_blas_thread, in any thread
-_blas_saved: list = []      # the counts before the first of them entered
+@functools.cache
+def _numpy_hugepage_switch():
+    """numpy's switch of the huge-page advice for large arrays, which returns
+    the setting it replaces; None on numpy builds without it."""
+    for module in ("numpy._core.multiarray", "numpy.core.multiarray"):
+        try:
+            return getattr(importlib.import_module(module), "_set_madvise_hugepage")
+        except (ImportError, AttributeError):
+            continue
+    return None
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or a no-op on other C libraries.
+
+    malloc_trim(0) hands the free pages of the malloc heap back to the
+    system.  A solve frees tens of MB (the factor, the CSC copies of L and U)
+    into the heap, where they stay resident, and whether the next, larger
+    grid's arrays fit into those holes or grow the heap turns on the order
+    of earlier small allocations: the peak resident set of one production
+    sweep read 240 MB or 304 MB with PYTHONHASHSEED alone changed.
+    lowest_eigenpair trims before it factors, and that peak then read
+    239.8-240.3 MB over six hash seeds.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_settings_lock = threading.Lock()
+_settings_users = 0         # blocks inside _solve_settings, in any thread
+_settings_saved = ([], None)    # BLAS counts and huge-page advice before the first entered
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every OpenBLAS copy on one thread; restore the counts.
+def _solve_settings():
+    """Run the block with every OpenBLAS copy on one thread and without
+    numpy's huge-page advice; restore both.
 
     Sweeps get their parallelism from worker processes, so BLAS threads on
-    top of them only compete for the same cores.  The counts are process
-    wide, and SuperLU releases the GIL, so solves may overlap in threads: the
-    first to enter saves the counts, the last to leave restores them.
+    top of them only compete for the same cores.  numpy advises transparent
+    huge pages (MADV_HUGEPAGE) for arrays of 4 MiB or more, and in the
+    malloc heap that advice outlives the array: later allocations in the
+    range fault in 2 MiB at a time, which moved the peak of a production
+    sweep between 240 and 249 MB even with the heap trimmed (see
+    _malloc_trim).  Both settings are process wide, and SuperLU releases the
+    GIL, so solves may overlap in threads: the first to enter saves the
+    settings, the last to leave restores them.
     """
-    global _blas_users, _blas_saved
+    global _settings_users, _settings_saved
     controls = _blas_thread_controls()
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = [get() for get, _ in controls]
+    advise = _numpy_hugepage_switch()
+    with _settings_lock:
+        if _settings_users == 0:
+            counts = [get() for get, _ in controls]
             for _, set_threads in controls:
                 set_threads(1)
-        _blas_users += 1
+            _settings_saved = (counts, advise(False) if advise else None)
+        _settings_users += 1
     try:
         yield
     finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                for (_, set_threads), count in zip(controls, _blas_saved):
+        with _settings_lock:
+            _settings_users -= 1
+            if _settings_users == 0:
+                counts, advised = _settings_saved
+                for (_, set_threads), count in zip(controls, counts):
                     set_threads(count)
+                if advise:
+                    advise(advised)
 
 
 # Columns per SuperLU panel.  Factoring H - sigma at r = 10 on the production
@@ -395,21 +440,23 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> Eig
     every result repeats to the bit.  After each back-solve the Ritz vector x
     is tested, and the solve stops as soon as ||H x - lam x|| <= 64 eps
     ||H||_inf, lam the Rayleigh quotient.  At most LANCZOS_BASIS vectors are
-    kept; a full basis restarts from x.  BLAS runs on one thread during the
-    solve.  iterations counts the back-solves, and max_iter bounds them as a
-    safety stop; factorizations counts the factors of H - sigma the inertia
-    check needed; the eigenvector has unit 2-norm.  Raises InertiaError when
-    no shift can be certified and NonConvergenceError when max_iter
-    back-solves miss the residual bound.
+    kept; a full basis restarts from x.  The solve trims the malloc heap
+    first and runs under _solve_settings (one BLAS thread, no huge-page
+    advice).  iterations counts the back-solves, and max_iter bounds them
+    as a safety stop; factorizations counts the factors of H - sigma the
+    inertia check needed; the eigenvector has unit 2-norm.  Raises
+    InertiaError when no shift can be certified and NonConvergenceError
+    when max_iter back-solves miss the residual bound.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     h = op.matrix
     n = op.dim
-    norm_est = op.norm_estimate()
-    bound = 64.0 * np.finfo(float).eps * norm_est
-    floor = -norm_est - 1.0         # H - floor is diagonally dominant: no eigenvalue below
-    with _one_blas_thread():
+    with _solve_settings():
+        _malloc_trim()(0)
+        norm_est = op.norm_estimate()
+        bound = 64.0 * np.finfo(float).eps * norm_est
+        floor = -norm_est - 1.0     # H - floor is diagonally dominant: no eigenvalue below
         lu, below = shifted_factor(h, sigma)
         factorizations = 1
         while below:

@@ -213,14 +213,14 @@ class TestLowestEigenpair:
         seen = {}
 
         def thread_a():
-            with eigensolver._one_blas_thread():
+            with eigensolver._solve_settings():
                 a_in.set()
                 b_in.wait(10)
             a_out.set()
 
         def thread_b():
             a_in.wait(10)
-            with eigensolver._one_blas_thread():
+            with eigensolver._solve_settings():
                 b_in.set()
                 a_out.wait(10)
                 seen["b after a left"] = _blas_threads()
@@ -281,6 +281,43 @@ class TestLowestEigenpair:
                 set_threads(count)
         assert len(values) == 18 and len(set(values)) == 1
         assert inside == [[1] * len(controls)] * 18
+
+    @pytest.mark.skipif(eigensolver._numpy_hugepage_switch() is None,
+                        reason="numpy has no huge-page switch")
+    def test_trimmed_heap_without_hugepage_advice(self, monkeypatch, coarse_spec):
+        # numpy's huge-page advice is off while the hydrogen/plate operator
+        # is assembled and factored, the heap is trimmed before the factor,
+        # and the setting from before comes back
+        advise = eigensolver._numpy_hugepage_switch()
+
+        def advised():
+            current = advise(True)
+            advise(current)
+            return bool(current)
+
+        inside = []
+        factor, sample = eigensolver.shifted_factor, GridCyl.sample_symmetrized
+
+        def recording_factor(matrix, sigma):
+            inside.append(("factor", advised()))
+            return factor(matrix, sigma)
+
+        def recording_sample(grid, fn):
+            inside.append(("assemble", advised()))
+            return sample(grid, fn)
+
+        monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
+        monkeypatch.setattr(GridCyl, "sample_symmetrized", recording_sample)
+        monkeypatch.setattr(eigensolver, "_malloc_trim",
+                            lambda: lambda pad: inside.append(("trim", pad)))
+        original = advise(True)
+        try:
+            grid = GridCyl.for_distance(8.0, coarse_spec)
+            lowest_eigenpair(assemble_hydrogen_plate(grid, 1.0), sigma=HYDROGEN_SHIFT)
+            assert advised() is True
+        finally:
+            advise(original)
+        assert inside == [("assemble", False), ("trim", 0), ("factor", False)]
 
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
