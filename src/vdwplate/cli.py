@@ -113,7 +113,6 @@ def cmd_eplate(args) -> int:
              f"eigenvalue = {FMT % res.value}",
              f"fine_value = {FMT % res.fine_value}",
              f"coarse_value = {FMT % res.coarse_value}",
-             f"extrapolated = {FMT % res.value}",
              f"reference = {FMT % (-1.0 / 64.0)}",
              f"deviation = {FMT % dev}",
              f"relative_error = {FMT % (dev / (1.0 / 64.0))}",

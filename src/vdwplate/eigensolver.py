@@ -24,9 +24,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
-from .model import E_ELECTRON_PLATE
+from .model import E_ELECTRON_PLATE, Molecule, PlateConfig
 from .multipole import HydrogenOrbital, smooth_step
-from .potential import hydrogen_image_bracket
+from .potential import molecule_mirror_interaction
 
 SYMMETRY_TOL = 1e-12
 
@@ -154,11 +154,6 @@ class GridCyl:
         xi, rho = self.meshes()
         return np.stack([xi, rho, np.zeros_like(xi)], axis=-1).reshape(-1, 3)
 
-    def sample_symmetrized(self, fn) -> np.ndarray:
-        """Sample an axisymmetric function f(points3d) into symmetrized coordinates."""
-        vals = np.asarray(fn(self.points()), dtype=float)
-        return vals * np.sqrt(self.volume_weights())
-
     def metadata(self) -> dict:
         return {
             "n_xi": self.n_xi, "n_rho": self.n_rho,
@@ -241,8 +236,11 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     """Hydrogen/plate Hamiltonian on the axisymmetric grid (m = 0 drops the plate).
 
     The Coulomb term is cell-averaged (point values converge below second
-    order through the nuclear cusp); the smooth image bracket is evaluated at
-    the nodes.  Dirichlet faces are imposed by ghost reflection.
+    order through the nuclear cusp); the smooth image term, half of
+    molecule_mirror_interaction for hydrogen against the plate through -r e1,
+    is evaluated at the nodes, one electron configuration per node.
+    Dirichlet faces are imposed by ghost reflection.  The operator carries
+    the 1s state, sampled at the same nodes, as its Lanczos start vector.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("mirror strength m must lie in [0, 1]")
@@ -262,15 +260,19 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
         s_off = -faces[1:-1] / (hr ** 2 * np.sqrt(rho[:-1] * rho[1:]))
         rad = sp.diags([s_off, s_main, s_off], [-1, 0, 1])
 
+        pts = grid.points()
         xx, rr = grid.meshes()
         v = coulomb_cell_average(xx, rr, hx, hr).ravel()
         if m != 0.0:
-            v = v + 0.5 * m * hydrogen_image_bracket(grid.points(), grid.r)
+            plate = PlateConfig(np.array([1.0, 0.0, 0.0]), grid.r, m)
+            v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
+                                                      pts[:, None, :]).total
 
         mat = (sp.kron(ax, sp.identity(grid.n_rho))
                + sp.kron(sp.identity(grid.n_xi), rad)
                + sp.diags(v)).tocsr()
-        return SparseSymOp(matrix=mat, guess=grid.sample_symmetrized(HydrogenOrbital()))
+        guess = HydrogenOrbital()(pts) * np.sqrt(grid.volume_weights())
+        return SparseSymOp(matrix=mat, guess=guess)
 
 
 # ---------------------------------------------------------------------------

@@ -43,17 +43,6 @@ def unit_vector(v) -> np.ndarray:
     return v
 
 
-def reflect(x, v) -> np.ndarray:
-    """Reflect x through the plane orthogonal to the unit vector v through the origin.
-
-    For v = e1 this sends (x1, x2, x3) to (-x1, x2, x3).  Broadcasts over
-    leading axes of x.
-    """
-    v = unit_vector(v)
-    x = as_vec3(x)
-    return x - 2.0 * (x @ v)[..., None] * v
-
-
 @dataclass(frozen=True)
 class PlateConfig:
     """Half-space interface: unit normal v, distance r from the origin, mirror strength m.

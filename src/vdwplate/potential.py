@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import COINCIDENCE_TOL, Molecule, PlateConfig, as_vec3, reflect
-
-E1 = np.array([1.0, 0.0, 0.0])
+from .model import COINCIDENCE_TOL, Molecule, PlateConfig, as_vec3
 
 
 @dataclass(frozen=True)
@@ -60,41 +58,6 @@ def greens_coefficients(eps1: float, eps2: float = math.inf) -> GreensCoeffs:
     )
 
 
-def hydrogen_image_bracket(x, r: float) -> np.ndarray:
-    """Image part of the hydrogen/plate potential before the global 1/2.
-
-    Nucleus at the origin, plate through -r*e1:
-
-        -1/(2r) - 1/|2r e1 + (x - x*)| + 2/|2r e1 + x|,   x* = (-x1, x2, x3).
-
-    Finite and <= 0 for x1 > -r, with equality only at x = 0 (the three terms
-    cancel there).  Broadcasts over leading axes of x.
-    """
-    if not r > 0:
-        raise ValueError("r must be positive")
-    x = as_vec3(x)
-    x1 = x[..., 0]
-    if np.any(x1 <= -r):
-        raise ValueError("x must lie in the half-space x1 > -r")
-    xs = reflect(x, E1)
-    ee = np.linalg.norm(2.0 * r * E1 + (x - xs), axis=-1)  # = 2(r + x1)
-    en = np.linalg.norm(2.0 * r * E1 + x, axis=-1)
-    return -1.0 / (2.0 * r) - 1.0 / ee + 2.0 / en
-
-
-def hydrogen_plate_potential(x, r: float, m: float = 1.0) -> np.ndarray:
-    """Full potential of the hydrogen/plate Hamiltonian at electron position x.
-
-    -1/|x| plus m/2 times the image bracket.  Rejects the nuclear singularity
-    and points outside the half-space.
-    """
-    x = as_vec3(x)
-    dist = np.linalg.norm(x, axis=-1)
-    if np.any(dist < COINCIDENCE_TOL):
-        raise ValueError("electron coincides with the nucleus")
-    return -1.0 / dist + 0.5 * m * hydrogen_image_bracket(x, r)
-
-
 @dataclass(frozen=True)
 class MirrorInteraction:
     """The three mirror sums and their combination, scaled by the mirror strength m.
@@ -103,25 +66,37 @@ class MirrorInteraction:
     electron_electron: unordered pairs i < j at weight 2 plus self terms once
     nucleus_nucleus:   same convention over nuclei
     total = electron_nucleus - electron_electron - nucleus_nucleus; the full
-    Hamiltonian adds total/2 to the free-molecule Hamiltonian.
+    Hamiltonian adds total/2 to the free-molecule Hamiltonian.  The electron
+    sums are arrays over the leading axes of a stack of configurations;
+    nucleus_nucleus is one number.
     """
 
-    electron_nucleus: float
-    electron_electron: float
+    electron_nucleus: float | np.ndarray
+    electron_electron: float | np.ndarray
     nucleus_nucleus: float
 
     @property
-    def total(self) -> float:
-        return self.electron_nucleus - self.electron_electron - self.nucleus_nucleus
+    def total(self) -> float | np.ndarray:
+        # -I3 - I2 + I1: the term order of hydrogen's closed form
+        # -1/(2r) - 1/(2(x.v + r)) + 2/|x + 2r v|, on which the last digits of E(r) depend
+        return -self.nucleus_nucleus - self.electron_electron + self.electron_nucleus
 
 
 def _mirror_sum(q_a: np.ndarray, p_a: np.ndarray, q_b: np.ndarray, p_b: np.ndarray,
-                plate: PlateConfig) -> float:
-    """sum over ordered pairs (i, j) of q_a[i] q_b[j] / |p_a[i] - mirror(p_b[j])|."""
-    d = np.linalg.norm(p_a[:, None, :] - plate.mirror(p_b)[None, :, :], axis=-1)
+                plate: PlateConfig) -> float | np.ndarray:
+    """sum over ordered pairs (i, j) of q_a[i] q_b[j] / |p_a[i] - mirror(p_b[j])|.
+
+    Positions have shape (..., n, 3); the sum runs over the pair axes and
+    broadcasts over the leading ones.  The separation is formed as
+    (p_a - p_b) + 2 (p_b.v + r) v, so a self-image separation is 2 (x.v + r) v
+    with no cancellation between coordinates near the plate.
+    """
+    sep = (p_a[..., :, None, :] - p_b[..., None, :, :]
+           + 2.0 * plate.signed_distance(p_b)[..., None, :, None] * plate.v)
+    d = np.linalg.norm(sep, axis=-1)
     if np.any(d < COINCIDENCE_TOL):
         raise ValueError("charge coincides with a mirror position")
-    return float(np.sum(q_a[:, None] * q_b[None, :] / d))
+    return np.sum(q_a[:, None] * q_b[None, :] / d, axis=(-2, -1))
 
 
 def _coulomb_sum(q: np.ndarray, p: np.ndarray) -> float:
@@ -136,21 +111,22 @@ def _coulomb_sum(q: np.ndarray, p: np.ndarray) -> float:
 def molecule_mirror_interaction(mol: Molecule, plate: PlateConfig, electrons) -> MirrorInteraction:
     """Mirror-interaction sums for electrons at the given positions.
 
-    Every term is scaled by plate.m (the mirror strength).  All electrons must
-    satisfy the side condition x.v > -r.
+    electrons has shape (..., n_electrons, 3): one configuration, or a stack
+    of them along the leading axes.  Every term is scaled by plate.m (the
+    mirror strength).  All electrons must satisfy the side condition x.v > -r.
     """
     x = as_vec3(electrons)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[0] != mol.n_electrons:
-        raise ValueError(f"expected {mol.n_electrons} electron positions, got {x.shape[0]}")
+    if x.shape[-2] != mol.n_electrons:
+        raise ValueError(f"expected {mol.n_electrons} electron positions, got {x.shape[-2]}")
     if np.any(plate.signed_distance(x) <= 0):
         raise ValueError("electron outside the half-space x.v > -r")
     if np.any(plate.signed_distance(mol.positions) <= 0):
         raise ValueError("nucleus outside the half-space y.v > -r")
 
     y, z = mol.positions, mol.charges
-    ones = np.ones(x.shape[0])
+    ones = np.ones(mol.n_electrons)
 
     i1 = 2.0 * _mirror_sum(ones, x, z, y, plate)
     # within one species: cross pairs twice, self terms once
@@ -201,4 +177,4 @@ def interaction_energy(charges: ChargeSet, coeffs: GreensCoeffs) -> float:
     """
     q, p = charges.charges, charges.positions
     # ordered pairs: each cross pair twice, each self-image once, all halved
-    return _coulomb_sum(q, p) + 0.5 * coeffs.a * _mirror_sum(q, p, q, p, charges.plate)
+    return _coulomb_sum(q, p) + 0.5 * coeffs.a * float(_mirror_sum(q, p, q, p, charges.plate))

@@ -33,6 +33,8 @@ class TestEplate:
         assert code == 0
         assert float(grab(out, "eigenvalue")) == pytest.approx(-1.0 / 64.0, rel=1e-6)
         assert float(grab(out, "relative_error")) <= 1e-5
+        # eigenvalue is the extrapolated value; it is printed once
+        assert "extrapolated" not in out
 
     def test_coarse_grid_flagged(self, capsys):
         # the smallest grid the Richardson step accepts

@@ -296,18 +296,18 @@ class TestLowestEigenpair:
             return bool(current)
 
         inside = []
-        factor, sample = eigensolver.shifted_factor, GridCyl.sample_symmetrized
+        factor, image = eigensolver.shifted_factor, eigensolver.molecule_mirror_interaction
 
         def recording_factor(matrix, sigma):
             inside.append(("factor", advised()))
             return factor(matrix, sigma)
 
-        def recording_sample(grid, fn):
+        def recording_image(mol, plate, electrons):
             inside.append(("assemble", advised()))
-            return sample(grid, fn)
+            return image(mol, plate, electrons)
 
         monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
-        monkeypatch.setattr(GridCyl, "sample_symmetrized", recording_sample)
+        monkeypatch.setattr(eigensolver, "molecule_mirror_interaction", recording_image)
         monkeypatch.setattr(eigensolver, "_malloc_trim",
                             lambda: lambda pad: inside.append(("trim", pad)))
         original = advise(True)
@@ -577,7 +577,7 @@ class TestFeshbach:
         grid = GridCyl.for_distance(10.0, spec)
         op = assemble_hydrogen_plate(grid, 1.0)
         direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-        pvec = grid.sample_symmetrized(cutoff_ground_state(10.0))
+        pvec = cutoff_ground_state(10.0)(grid.points()) * np.sqrt(grid.volume_weights())
         pvec /= np.linalg.norm(pvec)
         fp = feshbach_fixed_point(op, pvec, (-0.5, -0.1))
         assert fp == pytest.approx(direct.value, abs=1e-8)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_unit_vectors
 from vdwplate.model import (CONFIG_KEYS, E_ELECTRON_PLATE, E_HYDROGEN, Molecule, PlateConfig,
-                            parse_config, reflect, trapezoid_inequality,
+                            parse_config, trapezoid_inequality,
                             validate_molecule)
 
 
@@ -15,30 +15,38 @@ def test_units():
 
 
 class TestReflect:
-    def test_axis_example(self):
-        assert np.allclose(reflect([1.0, 2.0, 3.0], [1.0, 0.0, 0.0]), [-1.0, 2.0, 3.0])
+    """PlateConfig.mirror, the reflection through the plate plane {x.v = -r}."""
 
-    def test_fixed_plane(self):
-        x = np.array([0.0, 1.5, -2.0])  # orthogonal to e1
-        assert np.allclose(reflect(x, [1.0, 0.0, 0.0]), x)
+    def test_axis_example(self, rng):
+        # for v = e1: (x1, x2, x3) -> (-x1 - 2r, x2, x3)
+        for r in (0.5, 2.0, 17.0):
+            x = rng.standard_normal((10, 3))
+            expected = np.column_stack([-x[:, 0] - 2.0 * r, x[:, 1], x[:, 2]])
+            assert np.allclose(PlateConfig([1.0, 0.0, 0.0], r).mirror(x), expected,
+                               rtol=0.0, atol=1e-14)
+
+    def test_fixed_plane(self, rng):
+        for v in random_unit_vectors(rng, 20):
+            plate = PlateConfig(v, rng.uniform(0.1, 10.0))
+            t = rng.standard_normal(3)
+            x = -plate.r * v + (t - (t @ v) * v)    # on the plate plane
+            assert np.allclose(plate.mirror(x), x, rtol=0.0, atol=1e-13)
 
     def test_involution(self, rng):
         for v in random_unit_vectors(rng, 20):
+            plate = PlateConfig(v, rng.uniform(0.1, 10.0))
             x = rng.standard_normal(3)
-            assert np.allclose(reflect(reflect(x, v), v), x, atol=1e-14)
+            assert np.allclose(plate.mirror(plate.mirror(x)), x, rtol=0.0, atol=1e-13)
 
     def test_isometry(self, rng):
         vs = random_unit_vectors(rng, 50)
         x = rng.standard_normal((50, 3))
         y = rng.standard_normal((50, 3))
         for v, a, b in zip(vs, x, y):
+            plate = PlateConfig(v, rng.uniform(0.1, 10.0))
             d0 = np.linalg.norm(a - b)
-            d1 = np.linalg.norm(reflect(a, v) - reflect(b, v))
+            d1 = np.linalg.norm(plate.mirror(a) - plate.mirror(b))
             assert abs(d0 - d1) <= 1e-12 * max(1.0, d0)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            reflect([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
 
 
 class TestPlateConfig:

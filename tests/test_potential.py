@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_unit_vectors
-from vdwplate.model import Molecule, PlateConfig, reflect
-from vdwplate.potential import (ChargeSet, classical_potential,
-                                greens_coefficients, hydrogen_image_bracket,
-                                hydrogen_plate_potential, interaction_energy,
+from vdwplate.model import Molecule, PlateConfig
+from vdwplate.potential import (ChargeSet, MirrorInteraction, classical_potential,
+                                greens_coefficients, interaction_energy,
                                 molecule_mirror_interaction)
 
 E1 = np.array([1.0, 0.0, 0.0])
+H = Molecule.hydrogen()
 
 
 class TestGreensCoefficients:
@@ -51,60 +51,67 @@ def four_term_potential(x, r):
                      + 1.0 / np.linalg.norm(2.0 * r * E1 - xs)))
 
 
+def closed_form_bracket(x, r):
+    """Oracle for hydrogen's image term before the global 1/2, nucleus at the
+    origin and plate through -r e1: -1/(2r) - 1/(2(r + x1)) + 2/|x + 2r e1|.
+    Broadcasts over leading axes of x."""
+    x = np.asarray(x, dtype=float)
+    return (-1.0 / (2.0 * r) - 1.0 / (2.0 * (r + x[..., 0]))
+            + 2.0 / np.linalg.norm(x + 2.0 * r * E1, axis=-1))
+
+
+def image_term(x, r):
+    """Half the mirror sum of hydrogen at electron position(s) x, conducting plate."""
+    return 0.5 * molecule_mirror_interaction(H, PlateConfig(E1, r), x).total
+
+
 class TestHydrogenPlatePotential:
     def test_against_four_term_oracle(self, rng):
-        assert hydrogen_plate_potential([1.0, 0.0, 0.0], 10.0) == pytest.approx(
-            four_term_potential([1.0, 0.0, 0.0], 10.0), abs=1e-15)
+        x = np.array([1.0, 0.0, 0.0])
+        assert -1.0 + image_term(x, 10.0) == pytest.approx(four_term_potential(x, 10.0), abs=1e-15)
         for _ in range(200):
             r = rng.uniform(0.5, 50.0)
             x = rng.standard_normal(3) * 2.0
             if np.linalg.norm(x) < 1e-3 or x[0] <= -r * 0.9:
                 continue
-            assert hydrogen_plate_potential(x, r) == pytest.approx(
+            assert -1.0 / np.linalg.norm(x) + image_term(x, r) == pytest.approx(
                 four_term_potential(x, r), rel=1e-14)
 
     def test_bracket_vanishes_at_origin(self):
         # -1/(2r) - 1/(2r) + 2/(2r) = 0 exactly
         r = 7.0
-        assert hydrogen_image_bracket(np.zeros(3), r) == 0.0
-        assert hydrogen_image_bracket(np.array([1e-12, 0.0, 0.0]), r) == pytest.approx(0.0, abs=1e-13)
+        assert image_term(np.zeros(3), r) == 0.0
+        assert image_term(np.array([1e-12, 0.0, 0.0]), r) == pytest.approx(0.0, abs=1e-13)
 
     def test_mirror_symmetry_identity(self, rng):
-        # |2r e1 - x*| = |2r e1 + x|
+        # electron to mirror nucleus equals nucleus to mirror electron:
+        # |x - y*| = |y - x*| for the nucleus y = 0, hence the factor 2 in I1
         for _ in range(100):
             x = rng.standard_normal(3) * 3.0
-            r = rng.uniform(1.0, 20.0)
-            xs = reflect(x, E1)
-            assert np.linalg.norm(2 * r * E1 - xs) == pytest.approx(
-                np.linalg.norm(2 * r * E1 + x), rel=1e-15)
+            plate = PlateConfig(E1, rng.uniform(1.0, 20.0))
+            assert np.linalg.norm(x - plate.mirror(np.zeros(3))) == pytest.approx(
+                np.linalg.norm(plate.mirror(x)), rel=1e-15)
 
     def test_image_part_nonpositive(self, rng):
         # strict negativity except at the nucleus (trapezoid inequality)
         r = 5.0
         for _ in range(500):
             x = rng.uniform(-0.9 * r, 3 * r), rng.standard_normal() * 5, rng.standard_normal() * 5
-            val = hydrogen_image_bracket(np.array(x), r)
+            val = image_term(np.array(x), r)
             assert val <= 0.0
             if np.linalg.norm(x) > 1e-6:
                 assert val < 0.0
-
-    def test_rejects_singularity_and_outside(self):
-        with pytest.raises(ValueError):
-            hydrogen_plate_potential([0.0, 0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            hydrogen_image_bracket([-2.0, 0.0, 0.0], 1.0)
 
 
 class TestMoleculeMirrorInteraction:
     def test_hydrogen_reduces_to_bracket(self, rng):
         plate = PlateConfig(E1, r=10.0)
-        mol = Molecule.hydrogen()
         for _ in range(50):
             x = rng.standard_normal(3)
             if x[0] <= -9.0:
                 continue
-            terms = molecule_mirror_interaction(mol, plate, [x])
-            assert terms.total == pytest.approx(hydrogen_image_bracket(x, 10.0), rel=1e-13, abs=1e-15)
+            terms = molecule_mirror_interaction(H, plate, [x])
+            assert terms.total == pytest.approx(closed_form_bracket(x, 10.0), rel=1e-13, abs=1e-15)
 
     def test_far_plate_vanishes(self):
         plate = PlateConfig(E1, r=1e6)
@@ -147,6 +154,48 @@ class TestMoleculeMirrorInteraction:
         plate = PlateConfig(E1, r=2.0)
         with pytest.raises(ValueError):
             molecule_mirror_interaction(Molecule.hydrogen(), plate, [np.array([-2.5, 0.0, 0.0])])
+
+
+class TestMirrorInteractionStack:
+    """Configurations stacked along the leading axes of the electron positions."""
+
+    def test_helium_stack_matches_loop(self, rng):
+        v = random_unit_vectors(rng, 1)[0]
+        plate = PlateConfig(v, r=4.0, m=0.75)
+        mol = Molecule.helium()
+        stack = rng.standard_normal((3, 5, 2, 3))
+        terms = molecule_mirror_interaction(mol, plate, stack)
+        for field in ("electron_nucleus", "electron_electron", "nucleus_nucleus", "total"):
+            got = np.broadcast_to(getattr(terms, field), stack.shape[:2])
+            for idx in np.ndindex(*stack.shape[:2]):
+                one = getattr(molecule_mirror_interaction(mol, plate, stack[idx]), field)
+                assert got[idx] == pytest.approx(one, rel=1e-14)
+        assert np.shape(terms.total) == (3, 5) and np.ndim(terms.nucleus_nucleus) == 0
+
+    def test_hydrogen_grid_stack_matches_closed_form(self):
+        from vdwplate.eigensolver import GridCyl, GridCylSpec
+        for r in (1.0, 6.0):
+            grid = GridCyl.for_distance(r, GridCylSpec(h_target=0.1, l_xi_plus=6.0, l_rho=6.0))
+            pts = grid.points()
+            terms = molecule_mirror_interaction(H, PlateConfig(E1, r), pts[:, None, :])
+            assert isinstance(terms, MirrorInteraction) and terms.total.shape == (grid.size,)
+            np.testing.assert_allclose(terms.total, closed_form_bracket(pts, r),
+                                       rtol=1e-13, atol=1e-14)
+
+    def test_one_configuration_outside_rejected(self, rng):
+        plate = PlateConfig(E1, r=2.0)
+        stack = rng.uniform(-1.0, 1.0, (6, 2, 3))
+        molecule_mirror_interaction(Molecule.helium(), plate, stack)
+        stack[4, 1, 0] = -2.5
+        with pytest.raises(ValueError, match="half-space"):
+            molecule_mirror_interaction(Molecule.helium(), plate, stack)
+
+    def test_wrong_electron_count_rejected(self, rng):
+        plate = PlateConfig(E1, r=2.0)
+        with pytest.raises(ValueError, match="expected 2 electron positions, got 3"):
+            molecule_mirror_interaction(Molecule.helium(), plate, rng.uniform(-1.0, 1.0, (6, 3, 3)))
+        with pytest.raises(ValueError, match="expected 1 electron positions, got 2"):
+            molecule_mirror_interaction(H, plate, rng.uniform(-1.0, 1.0, (4, 2, 3)))
 
 
 class TestInteractionEnergy:
