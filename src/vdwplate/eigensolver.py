@@ -595,6 +595,10 @@ def _as_basis(p, n: int) -> np.ndarray:
     return b
 
 
+def _as_csc(h) -> sp.csc_matrix:
+    return sp.csc_matrix(h.matrix if isinstance(h, SparseSymOp) else h, dtype=float)
+
+
 def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     """Feshbach matrix on Ran P: B^T H B - B^T H Q (H_perp - lam)^{-1} Q H B.
 
@@ -611,8 +615,12 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     step.  Raises SingularBlockError when the count differs or no factor has
     an inertia.
     """
-    mat = sp.csc_matrix(h.matrix if isinstance(h, SparseSymOp) else h, dtype=float)
-    b = _as_basis(p, mat.shape[0])
+    mat = _as_csc(h)
+    return _feshbach(mat, _as_basis(p, mat.shape[0]), lam)[0]
+
+
+def _feshbach(mat: sp.csc_matrix, b: np.ndarray, lam: float):
+    """F(lam) as in feshbach_matrix, and the back-solves Y = (H - lam)^{-1} B."""
     try:
         lu, below = shifted_factor(mat, lam)
     except RuntimeError:            # InertiaError, or SuperLU's exactly singular factor
@@ -624,8 +632,8 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
             lu, below = shifted_factor(mat, lam)
         except RuntimeError as exc:
             raise SingularBlockError(f"no certified factor of H - {lam}: {exc}") from exc
-    s = b.T @ lu.solve(b)
-    w, v = np.linalg.eigh(s)
+    y = lu.solve(b)
+    w, v = np.linalg.eigh(b.T @ y)
     negative = int(np.count_nonzero(w < 0.0))
     if negative != below:
         raise SingularBlockError(
@@ -633,33 +641,52 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
             f"{negative} negative eigenvalues, H - lambda has {below}"
         )
     f = lam * np.eye(b.shape[1]) + (v / w) @ v.T
-    return 0.5 * (f + f.T)
+    return 0.5 * (f + f.T), y
 
 
-FIXED_POINT_TOL = 1e-12     # |g(lambda) - lambda| or bracket width that ends the bisection
+FIXED_POINT_TOL = 1e-12     # |g(lambda) - lambda| or Newton step that ends the search
 
 
 def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
-    """Solve lambda = min eig F_P(lambda) by bisection on the given bracket.
+    """Solve lambda = min eig F_P(lambda) by safeguarded Newton on the given bracket.
 
     g(lambda) = min eig F_P(lambda) decreases in lambda below the complement
-    spectrum, so g(lambda) - lambda crosses zero once.  A fixed-point probe
-    short-circuits the exact-projector case (g constant).  Raises
-    NonConvergenceError, carrying the midpoint of the last bracket, when
-    max_iter bisection steps do not reach FIXED_POINT_TOL.
+    spectrum, so f(lambda) = g(lambda) - lambda crosses zero once.  Each
+    evaluation is one certified factor of H - lambda (feshbach_matrix), whose
+    back-solves Y = (H - lambda)^{-1} B also give the slope
+    f' = -(g - lambda)^2 ||Y u||^2, u the lowest eigenvector of F_P: from
+    (F - lambda)^{-1} = S = B^T Y and S' = Y^T Y.  H is converted to CSC once
+    per call.  After the two end evaluations and the sign check, the first
+    iterate is the fixed-point probe lo + f(lo), which lands exactly when P
+    spans an eigenspace (g constant); each later iterate is the Newton step
+    from the last one, or the midpoint of the bracket when that step leaves
+    it.  The search returns the last evaluated lambda once |f| <=
+    FIXED_POINT_TOL or the next Newton step is no longer than
+    FIXED_POINT_TOL; the step stop keeps iterates off the eigenvalue of H
+    itself, where H - lambda is singular to rounding.  max_iter (at least 1)
+    bounds the evaluations inside the bracket, the probe included.  Raises
+    NonConvergenceError, carrying the last iterate (inside the bracket), when
+    max_iter evaluations do not stop.
     """
     tol = FIXED_POINT_TOL
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    mat = _as_csc(h)
+    b = _as_basis(p, mat.shape[0])
 
-    def g(lam):
-        return float(np.linalg.eigvalsh(feshbach_matrix(h, p, lam))[0])
+    def f_and_slope(lam):
+        fmat, y = _feshbach(mat, b, lam)
+        w, u = np.linalg.eigh(fmat)
+        gap = float(w[0] - lam)
+        return gap, -gap ** 2 * float(np.sum((y @ u[:, 0]) ** 2))
 
-    f_lo = g(lo) - lo
+    f_lo = f_and_slope(lo)[0]
     if abs(f_lo) <= tol:
         return lo
-    f_hi = g(hi) - hi
+    f_hi = f_and_slope(hi)[0]
     if abs(f_hi) <= tol:
         return hi
     if not (f_lo > 0.0 > f_hi):
@@ -668,30 +695,24 @@ def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
             f"({f_lo:.3e} at {lo}, {f_hi:.3e} at {hi})"
         )
 
-    # one fixed-point step lands exactly when P spans an eigenspace
-    cand = lo + f_lo
-    if lo < cand < hi:
-        f_cand = g(cand) - cand
-        if abs(f_cand) <= tol:
-            return cand
-        if f_cand > 0.0:
-            lo = cand
-        else:
-            hi = cand
-
+    nxt = lo + f_lo
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = g(mid) - mid
-        if abs(f_mid) <= tol or (hi - lo) <= tol:
-            return mid
-        if f_mid > 0.0:
-            lo = mid
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        f, slope = f_and_slope(lam)
+        if abs(f) <= tol:
+            return lam
+        if f > 0.0:
+            lo = lam
         else:
-            hi = mid
+            hi = lam
+        step = -f / slope
+        if abs(step) <= tol:
+            return lam
+        nxt = lam + step
     raise NonConvergenceError(
-        f"bisection did not reach tol = {tol:.3e} within {max_iter} steps "
+        f"Newton did not reach tol = {tol:.3e} within {max_iter} evaluations "
         f"(bracket width {hi - lo:.3e})",
-        value=0.5 * (lo + hi), iterations=max_iter,
+        value=lam, iterations=max_iter,
     )
 
 

@@ -139,13 +139,17 @@ class HydrogenOrbital:
         end = min(c / 4.0 for c in cuts)
         return sorted({c / 5.0 for c in cuts if c / 5.0 < end}), end
 
-    def _pair_quadrature(self, other: "HydrogenOrbital", factor_a, factor_b, fn,
-                         n: int, lo: float = 0.0, hi: float | None = None) -> float:
-        """4 pi int_lo^hi a(R) b(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2.
+    def _pair_rule(self, other: "HydrogenOrbital", density, n: int,
+                   lo: float = 0.0, hi: float | None = None):
+        """Radii and weights for 4 pi int_lo^hi d(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2.
 
-        Uncut pairs on the unbounded range use the global Gauss-Laguerre rule
-        (exact for polynomial f); finite ranges and cutoff pairs are split at
-        the bump edges and handled by Gauss-Legendre per smooth segment.
+        d(R) is the pair's density with the exponential stripped; the weights
+        carry d, e^{-sR}, 4 pi R^2 and the rule's weights, so the integral is
+        sum(weights * f(radii)).  Uncut pairs on the unbounded range use the
+        global Gauss-Laguerre rule (exact for polynomial f); finite ranges and
+        cutoff pairs are clipped to the joint support, split at the bump edges
+        and handled by Gauss-Legendre per smooth segment.  An empty window has
+        no nodes.
         """
         s = 0.5 * (self.z + other.z)
         breaks, end = self._breakpoints(other)
@@ -155,26 +159,28 @@ class HydrogenOrbital:
             # tail (or full range) of an uncut pair: shifted Gauss-Laguerre
             t, w = radial_laguerre_rule(n)
             radius = lo + t / s
-            vals = factor_a(radius) * factor_b(radius) * np.asarray(fn(radius))
-            return float(np.exp(-s * lo) * np.sum(w * 4.0 * np.pi * vals * radius ** 2) / s)
-        if hi <= lo:
-            return 0.0
-        edges = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-        c_nodes, c_weights = angular_legendre_rule(n)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            radius = 0.5 * (b - a) * c_nodes + 0.5 * (b + a)
-            vals = (factor_a(radius) * factor_b(radius) * np.exp(-s * radius)
-                    * np.asarray(fn(radius)) * radius ** 2)
-            total += 0.5 * (b - a) * float(np.sum(c_weights * 4.0 * np.pi * vals))
-        return total
+            weights = w * (4.0 * np.pi * np.exp(-s * lo) / s)
+        elif hi <= lo:
+            return np.empty(0), np.empty(0)
+        else:
+            edges = np.array([lo] + [b for b in breaks if lo < b < hi] + [hi])
+            half = 0.5 * np.diff(edges)[:, None]
+            c_nodes, c_weights = angular_legendre_rule(n)
+            radius = (half * c_nodes + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+            weights = (half * c_weights).ravel() * 4.0 * np.pi * np.exp(-s * radius)
+        return radius, weights * density(radius) * radius ** 2
 
     def pair_integral(self, other: "HydrogenOrbital", fn, n_radial: int | None = None,
                       lo: float = 0.0, hi: float | None = None) -> float:
         """4 pi int_lo^hi psi_a psi_b f(R) R^2 dR (hi = None: no upper limit)."""
         n = n_radial or max(self.n_radial, other.n_radial)
-        return self._pair_quadrature(other, self._envelope, other._envelope, fn,
-                                     n, lo=lo, hi=hi)
+        radius, weights = self._pair_rule(
+            other, lambda R: self._envelope(R) * other._envelope(R), n, lo=lo, hi=hi)
+        return float(np.sum(weights * np.asarray(fn(radius))))
+
+    def _density_rule(self, n: int, lo: float = 0.0, hi: float | None = None):
+        """Radii and weights of int_{lo <= |x| <= hi} |psi|^2 f(|x|) dx (hi = None: no limit)."""
+        return self._pair_rule(self, lambda R: self._envelope(R) ** 2, n, lo=lo, hi=hi)
 
     def density_expectation(self, fn, n_radial: int | None = None) -> float:
         """Expectation of f(R) against |psi|^2."""
@@ -209,9 +215,9 @@ class HydrogenOrbital:
 
     def kinetic_energy(self) -> float:
         """<psi | -Laplacian | psi> by radial quadrature (s-wave form)."""
-        return self._pair_quadrature(self, self._envelope_derivative,
-                                     self._envelope_derivative,
-                                     lambda radius: np.ones_like(radius), self.n_radial)
+        _, weights = self._pair_rule(self, lambda R: self._envelope_derivative(R) ** 2,
+                                     self.n_radial)
+        return float(np.sum(weights))
 
     def hydrogen_energy(self) -> float:
         """<psi | -Laplacian - 1/|x| | psi> by radial quadrature (s-wave form)."""
@@ -501,20 +507,27 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     term and the geometric split for the axial term; odd powers integrate to
     zero against the spherical density.  The r^-7 remainder is bracketed from
     the in-support sixth moment (1/(1 + x1/r) between 4/5 and 4/3 there).
+    The density is evaluated once per quadrature window, [0, inf), [0, r/4],
+    [r/4, inf) and [2r, inf), each clipped to the support of a cut-off orbital;
+    the moments are dot products against the window's weights.  A cut-off
+    orbital has an empty [r/4, inf) window, so its tail_mass is exactly 0.
+    Every piece is computed at n_radial and 2 n_radial nodes; quad_error is
+    their largest relative move, and QuadratureError is raised beyond QUAD_TOL.
     """
     if not r > 0:
         raise ValueError("r must be positive")
 
     def pieces(n):
-        ones = lambda R: np.ones_like(R)
-        m2 = psi.density_expectation(lambda R: R ** 2, n) / 3.0
-        m4 = psi.density_expectation(lambda R: R ** 4, n) / 5.0
-        m6_in = psi.pair_integral(psi, lambda R: R ** 6, n, hi=r / 4.0) / 7.0
-        tail = psi.pair_integral(psi, ones, n, lo=r / 4.0)
-        total_mass = psi.pair_integral(psi, ones, n)
-        mass_in_2r = total_mass - psi.pair_integral(psi, ones, n, lo=2.0 * r)
-        newton = mass_in_2r / r + 2.0 * psi.pair_integral(psi, lambda R: 1.0 / R, n, lo=2.0 * r)
-        return np.array([m2, m4, m6_in, tail, newton])
+        radius, weights = psi._density_rule(n)
+        inner, w_inner = psi._density_rule(n, hi=r / 4.0)
+        w_tail = psi._density_rule(n, lo=r / 4.0)[1]
+        outer, w_outer = psi._density_rule(n, lo=2.0 * r)
+        m2 = weights @ radius ** 2 / 3.0
+        m4 = weights @ radius ** 4 / 5.0
+        m6_in = w_inner @ inner ** 6 / 7.0
+        mass_in_2r = weights.sum() - w_outer.sum()
+        newton = mass_in_2r / r + 2.0 * (w_outer @ (1.0 / outer))
+        return np.array([m2, m4, m6_in, w_tail.sum(), newton])
 
     base = pieces(psi.n_radial)
     refined = pieces(2 * psi.n_radial)

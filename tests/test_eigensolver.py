@@ -480,12 +480,74 @@ class TestFeshbach:
         bracket = (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]))
         fp = feshbach_fixed_point(h, psi, bracket)
         assert fp == pytest.approx(vals[0], abs=1e-10)
-        # three bisection steps cannot reach tol: the last midpoint comes back
-        # inside the error, never as a result
+        # one evaluation inside the bracket (the fixed-point probe) cannot reach
+        # tol: the last iterate comes back inside the error, never as a result
         with pytest.raises(NonConvergenceError) as err:
-            feshbach_fixed_point(h, psi, bracket, max_iter=3)
+            feshbach_fixed_point(h, psi, bracket, max_iter=1)
+        assert err.value.iterations == 1
         assert bracket[0] < err.value.value < bracket[1]
         assert abs(err.value.value - vals[0]) > 1e-10
+
+    @staticmethod
+    def _near_ground_case(rng, n, noise_scale):
+        """The recipe of acceptance criterion 8: psi near the ground vector."""
+        a = rng.standard_normal((n, n))
+        h = 0.5 * (a + a.T)
+        vals, vecs = np.linalg.eigh(h)
+        noise = rng.standard_normal(n)
+        noise -= vecs[:, 0] * (vecs[:, 0] @ noise)
+        noise *= noise_scale * min(1.0, vals[1] - vals[0]) / np.linalg.norm(noise)
+        psi = vecs[:, 0] + noise
+        return h, psi / np.linalg.norm(psi), vals
+
+    def test_fixed_point_factorization_budget(self, monkeypatch):
+        # each evaluation is one certified factor of H - lambda; Newton needs
+        # a handful per fixed point
+        sigmas = []
+        real = eigensolver.shifted_factor
+
+        def spy(matrix, sigma):
+            sigmas.append(sigma)
+            return real(matrix, sigma)
+
+        monkeypatch.setattr(eigensolver, "shifted_factor", spy)
+        rng = np.random.default_rng(20260810)
+        for _ in range(100):
+            h, psi, vals = self._near_ground_case(rng, 50, 0.1)
+            sigmas.clear()
+            fp = feshbach_fixed_point(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])))
+            assert abs(fp - vals[0]) <= 1e-10
+            assert len(sigmas) <= 8
+
+    def test_fixed_point_stress(self):
+        # larger noise moves the probe far from the answer: Newton, bisecting
+        # where it leaves the bracket, still never evaluates on the eigenvalue
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(20, 81))
+            h, psi, vals = self._near_ground_case(rng, n, rng.uniform(0.0, 1.0))
+            fp = feshbach_fixed_point(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])))
+            assert abs(fp - vals[0]) <= 1e-10
+
+    def test_fixed_point_steep_slope(self):
+        # psi barely overlaps the ground vector, so f' = -1/|<psi, v0>|^2 is
+        # about -1e4 at the root and |f| <= 1e-12 would need lambda within
+        # 1e-16 of the eigenvalue: the search must stop on the Newton step
+        rng = np.random.default_rng(3)
+        n = 30
+        for _ in range(40):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            h = (q * rng.uniform(-3.0, 3.0, n)) @ q.T
+            h = 0.5 * (h + h.T)
+            vals, vecs = np.linalg.eigh(h)
+            c0 = np.sqrt(10.0 ** rng.uniform(-4.0, -3.0))
+            rest = rng.standard_normal(n - 1)
+            rest *= np.sqrt(1.0 - c0 ** 2) / np.linalg.norm(rest)
+            psi = c0 * vecs[:, 0] + vecs[:, 1:] @ rest
+            z = np.linalg.qr(np.column_stack([psi, rng.standard_normal((n, n - 1))]))[0][:, 1:]
+            bottom = np.linalg.eigvalsh(z.T @ h @ z)[0]
+            fp = feshbach_fixed_point(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + bottom)))
+            assert abs(fp - vals[0]) <= 1e-10
 
     def test_exact_projector_shortcut(self, rng):
         n = 25
@@ -574,13 +636,14 @@ class TestFeshbach:
         # fixed point with the cutoff state as projection equals the direct
         # lowest eigenpair of the same discretized operator
         spec = GridCylSpec(h_target=0.2, l_xi_plus=14.0, l_rho=14.0)
-        grid = GridCyl.for_distance(10.0, spec)
-        op = assemble_hydrogen_plate(grid, 1.0)
-        direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-        pvec = cutoff_ground_state(10.0)(grid.points()) * np.sqrt(grid.volume_weights())
-        pvec /= np.linalg.norm(pvec)
-        fp = feshbach_fixed_point(op, pvec, (-0.5, -0.1))
-        assert fp == pytest.approx(direct.value, abs=1e-8)
+        for r in (10.0, 14.0):
+            grid = GridCyl.for_distance(r, spec)
+            op = assemble_hydrogen_plate(grid, 1.0)
+            direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+            pvec = cutoff_ground_state(r)(grid.points()) * np.sqrt(grid.volume_weights())
+            pvec /= np.linalg.norm(pvec)
+            fp = feshbach_fixed_point(op, pvec, (-0.5, -0.1))
+            assert fp == pytest.approx(direct.value, abs=1e-8)
 
 
 class TestIMSPartition:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from conftest import random_unit_vectors
 from vdwplate.model import Molecule
@@ -248,6 +249,18 @@ class TestMirrorEnergyExpectation:
         full = mirror_energy_expectation(HydrogenOrbital(), 15.0, m=1.0)
         half = mirror_energy_expectation(HydrogenOrbital(), 15.0, m=0.5)
         assert half.value == pytest.approx(0.5 * full.value, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [8.0, 20.0, 40.0])
+    def test_window_closed_forms(self, r):
+        # |psi|^2 4 pi R^2 = R^2 e^{-R}/2 for the plain orbital; a = r/4
+        a = r / 4.0
+        plain = mirror_energy_expectation(HydrogenOrbital(), r)
+        assert plain.tail_mass == pytest.approx(np.exp(-a) * (a * a + 2.0 * a + 2.0) / 2.0,
+                                                rel=1e-13)
+        assert plain.moment_x1_6 == pytest.approx(2880.0 * gammainc(9, a), rel=1e-13)
+        cut = mirror_energy_expectation(HydrogenOrbital(cutoff_r=r), r)
+        assert cut.tail_mass == 0.0
+        assert abs(cut.newton_term - 1.0 / r) <= 1e-14
 
     def test_quadrature_error_flagged(self):
         rough = HydrogenOrbital(cutoff_r=20.0, n_radial=8)
