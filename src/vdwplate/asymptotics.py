@@ -98,9 +98,7 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
             rows = list(pool.map(_solve_sweep_row, work))
     else:
         rows = [_solve_sweep_row(w) for w in work]
-    grid_meta = {"h_target": spec.h_target, "l_xi_plus": spec.l_xi_plus,
-                 "l_rho": spec.l_rho}
-    return SweepTable(rows=rows, m=plate_m, grid=grid_meta, config={"jobs": jobs})
+    return SweepTable(rows=rows, m=plate_m, grid=asdict(spec), config={"jobs": jobs})
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +118,21 @@ class FitResult:
         return float(self.coefficients[self.exponents.index(exponent)])
 
 
+def _r_w(table) -> tuple:
+    """(r, W) arrays of a SweepTable's solved rows, or of an (r, W) pair."""
+    if isinstance(table, SweepTable):
+        return table.solved_arrays()
+    r, w = (np.asarray(a, dtype=float) for a in table)
+    return r, w
+
+
 def fit_power_law(table, exponents) -> FitResult:
     """Weighted least squares of W(r) in the basis {r^-k}.
 
     Weights r^6 equalize the leading-term influence across the window.
     Accepts a SweepTable or an (r, W) array pair.
     """
-    if isinstance(table, SweepTable):
-        r, w = table.solved_arrays()
-    else:
-        r, w = (np.asarray(a, dtype=float) for a in table)
+    r, w = _r_w(table)
     exponents = tuple(int(k) for k in exponents)
     if len(set(exponents)) != len(exponents) or any(k <= 0 for k in exponents):
         raise ValueError("exponents must be distinct positive integers")
@@ -171,10 +174,7 @@ class BracketReport:
 
 
 def asymptotic_residual_report(table, error_budget=None) -> BracketReport:
-    if isinstance(table, SweepTable):
-        r, w = table.solved_arrays()
-    else:
-        r, w = (np.asarray(a, dtype=float) for a in table)
+    r, w = _r_w(table)
     resid = w + r ** -3.0 + 18.0 * r ** -5.0
     scaled = resid * r ** 6.0
     flagged = []

@@ -21,10 +21,9 @@ from .asymptotics import (FMT, asymptotic_residual_report, fit_power_law,
 from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT,
                           assemble_hydrogen_plate, electron_plate_ground,
                           feshbach_fixed_point, lowest_eigenpair)
-from .model import load_config
+from .model import E_ELECTRON_PLATE, E_HYDROGEN, load_config
 from .multipole import GroundBasis, HydrogenOrbital, ProductState, orientation_coefficient
-from .spectra import (electron_plate_energy_deviation, helium_variational_energy,
-                      hvz_gap)
+from .spectra import helium_variational_energy, hvz_gap
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -44,19 +43,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_INPUT)
 
 
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    outdir = os.environ.get("VDWPLATE_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
-
 def _emit(text: str, path: str | None):
+    """Write text to path, joined to VDWPLATE_OUTDIR when relative, or to stdout."""
     if path is None:
         sys.stdout.write(text)
         return
+    outdir = os.environ.get("VDWPLATE_OUTDIR")
+    if outdir and not os.path.isabs(path):
+        path = os.path.join(outdir, path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -96,10 +90,11 @@ def _pick(args, name: str, cfg: dict, default, key: str | None = None):
     return cfg.get(key or name, default)
 
 
-def _echo(resolved: dict) -> str:
-    lines = [f"# vdwplate {__version__}"]
-    lines += [f"# {k} = {v}" for k, v in sorted(resolved.items())]
-    return "\n".join(lines) + "\n"
+def _report(resolved: dict, lines: list) -> str:
+    """The resolved configuration as '# key = value' lines, then the report lines."""
+    head = [f"# vdwplate {__version__}"]
+    head += [f"# {k} = {v}" for k, v in sorted(resolved.items())]
+    return "\n".join(head + lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +103,17 @@ def _echo(resolved: dict) -> str:
 
 def cmd_eplate(args) -> int:
     res = electron_plate_ground(args.n, args.L)     # ValueError for n < 32 or L <= 0
-    dev = electron_plate_energy_deviation(res.value)
-    lines = [_echo({"command": "eplate", "n": args.n, "L": args.L}).rstrip("\n"),
-             f"eigenvalue = {FMT % res.value}",
+    rel = res.deviation / -E_ELECTRON_PLATE
+    lines = [f"eigenvalue = {FMT % res.value}",
              f"fine_value = {FMT % res.fine_value}",
              f"coarse_value = {FMT % res.coarse_value}",
-             f"reference = {FMT % (-1.0 / 64.0)}",
-             f"deviation = {FMT % dev}",
-             f"relative_error = {FMT % (dev / (1.0 / 64.0))}",
+             f"reference = {FMT % E_ELECTRON_PLATE}",
+             f"deviation = {FMT % res.deviation}",
+             f"relative_error = {FMT % rel}",
              f"residual = {FMT % res.residual}"]
-    if dev / (1.0 / 64.0) > 1e-3:
+    if rel > 1e-3:
         lines.append("warning: deviation large for this grid; refine n or L")
-    _emit("\n".join(lines) + "\n", _resolve_output(args.output))
+    _emit(_report({"command": "eplate", "n": args.n, "L": args.L}, lines), args.output)
     return EXIT_OK
 
 
@@ -143,8 +137,7 @@ def cmd_hydrogen(args) -> int:
     e_plate, e_free = [lowest_eigenpair(assemble_hydrogen_plate(grid, mm), sigma=HYDROGEN_SHIFT)
                        for mm in (m, 0.0)]
     report = hvz_gap(e_plate.value, r, e_plate.residual)
-    lines = [_echo(resolved).rstrip("\n"),
-             f"E = {FMT % e_plate.value}",
+    lines = [f"E = {FMT % e_plate.value}",
              f"E_free_same_grid = {FMT % e_free.value}",
              f"W = {FMT % (e_plate.value - e_free.value)}",
              f"essential_bottom = {FMT % report.essential_bottom}",
@@ -152,7 +145,7 @@ def cmd_hydrogen(args) -> int:
              f"status = {report.status}",
              f"iterations = {e_plate.iterations}",
              f"residual = {FMT % e_plate.residual}"]
-    _emit("\n".join(lines) + "\n", _resolve_output(args.output))
+    _emit(_report(resolved, lines), args.output)
     return EXIT_OK
 
 
@@ -169,7 +162,7 @@ def cmd_sweep(args) -> int:
     table = sweep_interaction_energy(rs, plate_m=m, spec=_grid_spec(args, cfg),
                                      jobs=args.jobs)
     text = table_to_json(table) if args.format == "json" else sweep_to_csv(table)
-    _emit(text, _resolve_output(args.output))
+    _emit(text, args.output)
     if any(row.w is None for row in table.rows):
         print("warning: sweep has gap rows", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -192,7 +185,7 @@ def cmd_fit(args) -> int:
         text = table_to_json(table, fit)
     else:
         text = fit_to_csv(fit)
-    _emit(text, _resolve_output(args.output))
+    _emit(text, args.output)
     report = asymptotic_residual_report(table)
     print(f"# empirical_D3 = {FMT % report.empirical_d3}", file=sys.stderr)
     return EXIT_OK
@@ -215,20 +208,18 @@ def cmd_cv(args) -> int:
     c = orientation_coefficient(basis, v)
     resolved = {"command": "cv", "molecule": args.molecule,
                 "v": ",".join(FMT % x for x in v), "state": note}
-    _emit(_echo(resolved) + f"C = {FMT % c}\n", _resolve_output(args.output))
+    _emit(_report(resolved, [f"C = {FMT % c}"]), args.output)
     return EXIT_OK
 
 
 def cmd_helium(args) -> int:
     he = helium_variational_energy()
-    resolved = {"command": "helium"}
-    lines = [_echo(resolved).rstrip("\n"),
-             f"kinetic = {FMT % he.kinetic}",
+    lines = [f"kinetic = {FMT % he.kinetic}",
              f"attraction = {FMT % he.attraction}",
              f"repulsion = {FMT % he.repulsion}",
              f"total = {FMT % he.total}",
-             f"reference = {FMT % (5.5 * -0.25)}"]
-    _emit("\n".join(lines) + "\n", _resolve_output(args.output))
+             f"reference = {FMT % (5.5 * E_HYDROGEN)}"]
+    _emit(_report({"command": "helium"}, lines), args.output)
     return EXIT_OK
 
 
@@ -236,8 +227,7 @@ def cmd_feshbach_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.n
     worst = 0.0
-    lines = [_echo({"command": "feshbach-demo", "n": n, "trials": args.trials,
-                    "seed": args.seed}).rstrip("\n")]
+    lines = []
     for trial in range(args.trials):
         a = rng.standard_normal((n, n))
         h = 0.5 * (a + a.T)
@@ -253,7 +243,8 @@ def cmd_feshbach_demo(args) -> int:
         lines.append(f"trial {trial}: fixed_point = {FMT % fixed}  "
                      f"direct = {FMT % vals[0]}  error = {err:.3e}")
     lines.append(f"worst_error = {worst:.3e}")
-    _emit("\n".join(lines) + "\n", _resolve_output(args.output))
+    resolved = {"command": "feshbach-demo", "n": n, "trials": args.trials, "seed": args.seed}
+    _emit(_report(resolved, lines), args.output)
     return EXIT_OK
 
 

@@ -24,9 +24,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
-from .model import E_ELECTRON_PLATE, Molecule, PlateConfig
-from .multipole import HydrogenOrbital, smooth_step
+from .model import Molecule, PlateConfig
+from .multipole import HydrogenOrbital, smooth_step, smooth_step_derivative
 from .potential import molecule_mirror_interaction
+from .spectra import electron_plate_energy_deviation
 
 SYMMETRY_TOL = 1e-12
 
@@ -232,37 +233,38 @@ def coulomb_cell_average(xi, rho, h_xi: float, h_rho: float):
     return -num / vol
 
 
+def _cell_stencil(h: float, w_faces: np.ndarray, w_nodes: np.ndarray):
+    """-(1/w) d/dx (w d/dx) on cells of width h, in coordinates sqrt(w) u.
+
+    w_faces holds the weight at the n + 1 cell faces, w_nodes at the n nodes.
+    Both end faces are Dirichlet by ghost reflection; a face of weight 0 (the
+    axis) adds nothing.
+    """
+    main = (w_faces[:-1] + w_faces[1:]) / (w_nodes * h ** 2)
+    main[[0, -1]] += w_faces[[0, -1]] / (w_nodes[[0, -1]] * h ** 2)
+    off = -w_faces[1:-1] / (h ** 2 * np.sqrt(w_nodes[:-1] * w_nodes[1:]))
+    return sp.diags([off, main, off], [-1, 0, 1])
+
+
 def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     """Hydrogen/plate Hamiltonian on the axisymmetric grid (m = 0 drops the plate).
 
     The Coulomb term is cell-averaged (point values converge below second
     order through the nuclear cusp); the smooth image term, half of
     molecule_mirror_interaction for hydrogen against the plate through -r e1,
-    is evaluated at the nodes, one electron configuration per node.
-    Dirichlet faces are imposed by ghost reflection.  The operator carries
-    the 1s state, sampled at the same nodes, as its Lanczos start vector.
+    is evaluated at the nodes, one electron configuration per node.  The
+    axial and radial kinetic parts are one cell stencil, _cell_stencil, with
+    weight 1 and rho.  The operator carries the 1s state, sampled at the same
+    nodes, as its Lanczos start vector.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("mirror strength m must lie in [0, 1]")
     with _solve_settings():     # no huge-page advice for the large arrays
-        hx, hr = grid.h_xi, grid.h_rho
-        rho = grid.rho
-
-        d_main = np.full(grid.n_xi, 2.0) / hx ** 2
-        d_main[0] += 1.0 / hx ** 2      # plate face at xi = -r
-        d_main[-1] += 1.0 / hx ** 2     # outer axial face
-        d_off = np.full(grid.n_xi - 1, -1.0) / hx ** 2
-        ax = sp.diags([d_off, d_main, d_off], [-1, 0, 1])
-
-        faces = np.arange(grid.n_rho + 1) * hr
-        s_main = (faces[:-1] + faces[1:]) / (rho * hr ** 2)
-        s_main[-1] += faces[-1] / (rho[-1] * hr ** 2)   # outer radial face
-        s_off = -faces[1:-1] / (hr ** 2 * np.sqrt(rho[:-1] * rho[1:]))
-        rad = sp.diags([s_off, s_main, s_off], [-1, 0, 1])
+        ax = _cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
+        rad = _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
 
         pts = grid.points()
-        xx, rr = grid.meshes()
-        v = coulomb_cell_average(xx, rr, hx, hr).ravel()
+        v = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
         if m != 0.0:
             plate = PlateConfig(np.array([1.0, 0.0, 0.0]), grid.r, m)
             v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
@@ -537,7 +539,7 @@ class ElectronPlateResult:
     value: float            # Richardson-extrapolated over the n and n//2 grids
     fine_value: float
     coarse_value: float
-    deviation: float        # |value - (-1/64)|
+    deviation: float        # electron_plate_energy_deviation(value)
     residual: float         # ||A x - value x|| of the unit fine-grid vector
 
 
@@ -575,7 +577,7 @@ def electron_plate_ground(n: int, L: float) -> ElectronPlateResult:
     value = fine + (fine - coarse) * hf ** 2 / (hc ** 2 - hf ** 2)
     return ElectronPlateResult(
         value=value, fine_value=fine, coarse_value=coarse,
-        deviation=abs(value - E_ELECTRON_PLATE), residual=residual,
+        deviation=electron_plate_energy_deviation(value), residual=residual,
     )
 
 
@@ -616,11 +618,15 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     an inertia.
     """
     mat = _as_csc(h)
-    return _feshbach(mat, _as_basis(p, mat.shape[0]), lam)[0]
+    w, v, _, lam = _feshbach(mat, _as_basis(p, mat.shape[0]), lam)
+    f = lam * np.eye(len(w)) + (v / w) @ v.T
+    return 0.5 * (f + f.T)
 
 
 def _feshbach(mat: sp.csc_matrix, b: np.ndarray, lam: float):
-    """F(lam) as in feshbach_matrix, and the back-solves Y = (H - lam)^{-1} B."""
+    """The certified eigenpairs (w, V) of S = B^T (H - lam)^{-1} B as in
+    feshbach_matrix, the back-solves Y = (H - lam)^{-1} B, and the lam used,
+    which a zero pivot moves."""
     try:
         lu, below = shifted_factor(mat, lam)
     except RuntimeError:            # InertiaError, or SuperLU's exactly singular factor
@@ -640,8 +646,7 @@ def _feshbach(mat: sp.csc_matrix, b: np.ndarray, lam: float):
             f"H_perp - lambda is not positive: B^T (H - lambda)^-1 B has "
             f"{negative} negative eigenvalues, H - lambda has {below}"
         )
-    f = lam * np.eye(b.shape[1]) + (v / w) @ v.T
-    return 0.5 * (f + f.T), y
+    return w, v, y, lam
 
 
 FIXED_POINT_TOL = 1e-12     # |g(lambda) - lambda| or Newton step that ends the search
@@ -655,12 +660,13 @@ def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
     evaluation is one certified factor of H - lambda (feshbach_matrix), whose
     back-solves Y = (H - lambda)^{-1} B also give the slope
     f' = -(g - lambda)^2 ||Y u||^2, u the lowest eigenvector of F_P: from
-    (F - lambda)^{-1} = S = B^T Y and S' = Y^T Y.  H is converted to CSC once
-    per call.  After the two end evaluations and the sign check, the first
-    iterate is the fixed-point probe lo + f(lo), which lands exactly when P
-    spans an eigenspace (g constant); each later iterate is the Newton step
-    from the last one, or the midpoint of the bracket when that step leaves
-    it.  The search returns the last evaluated lambda once |f| <=
+    (F - lambda)^{-1} = S = B^T Y and S' = Y^T Y.  F_P is not formed: with
+    S = V diag(w) V^T, g = lambda + min 1/w_i and u is the matching column
+    of V.  H is converted to CSC once per call.  After the two end
+    evaluations and the sign check, the first iterate is the fixed-point
+    probe lo + f(lo), which lands exactly when P spans an eigenspace (g
+    constant); each later iterate is the Newton step from the last one, or
+    the midpoint of the bracket when that step leaves it.  The search returns the last evaluated lambda once |f| <=
     FIXED_POINT_TOL or the next Newton step is no longer than
     FIXED_POINT_TOL; the step stop keeps iterates off the eigenvalue of H
     itself, where H - lambda is singular to rounding.  max_iter (at least 1)
@@ -678,10 +684,10 @@ def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
     b = _as_basis(p, mat.shape[0])
 
     def f_and_slope(lam):
-        fmat, y = _feshbach(mat, b, lam)
-        w, u = np.linalg.eigh(fmat)
-        gap = float(w[0] - lam)
-        return gap, -gap ** 2 * float(np.sum((y @ u[:, 0]) ** 2))
+        w, v, y, used = _feshbach(mat, b, lam)
+        i = np.argmin(1.0 / w)
+        gap = float(used + 1.0 / w[i] - lam)
+        return gap, -gap ** 2 * float(np.sum((y @ v[:, i]) ** 2))
 
     f_lo = f_and_slope(lo)[0]
     if abs(f_lo) <= tol:
@@ -717,77 +723,55 @@ def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
 
 
 # ---------------------------------------------------------------------------
-# IMS partition of unity and cutoff states
+# IMS partition of unity
 # ---------------------------------------------------------------------------
-
-def _chi1(s):
-    return smooth_step((np.asarray(s, dtype=float) - 0.25) / (2.0 / 7.0 - 0.25))
-
-
-def _chi2(s):
-    return 1.0 - smooth_step((np.asarray(s, dtype=float) - 2.0 / 7.0) / (1.0 / 3.0 - 2.0 / 7.0))
-
 
 @dataclass
 class PartitionOfUnity:
-    """J1 (far region) and J2 (near region) built from the two radial bumps.
+    """J1 (far region) and J2 (near region) built from two smooth ramps.
 
-    Profiles are functions of s = |x|/r; J1 vanishes for s <= 1/4 and is 1
-    for s >= 1/3, J2 is the complement, and J1^2 + J2^2 = 1 identically.
-    gradient_bound holds sup_x (|grad J1|^2 + |grad J2|^2) * r^2.
+    Profiles are functions of s = |x|/r: c1 rises from 0 to 1 over
+    [1/4, 2/7] and c2 falls from 1 to 0 over [2/7, 1/3], and J_i =
+    c_i / sqrt(c1^2 + c2^2).  J1 vanishes for s <= 1/4 and is 1 for s >= 1/3,
+    J2 is the complement, and J1^2 + J2^2 = 1 identically.  gradient_bound
+    holds sup_x (|grad J1|^2 + |grad J2|^2) * r^2.
     """
 
     r: float
     gradient_bound: float = field(init=False)
 
     def __post_init__(self):
-        s = np.linspace(0.0, 0.6, 24001)
-        g = self.gradient_sq_profile(s)
-        self.gradient_bound = float(np.max(g))
+        if not self.r > 0:
+            raise ValueError("r must be positive")
+        self.gradient_bound = float(np.max(self.profiles(np.linspace(0.0, 0.6, 24001))[2]))
 
-    def j1_profile(self, s):
-        c1, c2 = _chi1(s), _chi2(s)
-        return c1 / np.sqrt(c1 ** 2 + c2 ** 2)
+    @staticmethod
+    def profiles(s) -> tuple:
+        """(J1, J2, (dJ1/ds)^2 + (dJ2/ds)^2) at s from one evaluation of the ramps.
 
-    def j2_profile(self, s):
-        c1, c2 = _chi1(s), _chi2(s)
-        return c2 / np.sqrt(c1 ** 2 + c2 ** 2)
-
-    def gradient_sq_profile(self, s, step: float = 1e-6):
-        """(dJ1/ds)^2 + (dJ2/ds)^2 by central differences on the profiles."""
+        The squared gradient is ((c1' c2 - c1 c2') / (c1^2 + c2^2))^2.
+        """
         s = np.asarray(s, dtype=float)
-        lo = np.clip(s - step, 0.0, None)
-        hi = s + step
-        d1 = (self.j1_profile(hi) - self.j1_profile(lo)) / (hi - lo)
-        d2 = (self.j2_profile(hi) - self.j2_profile(lo)) / (hi - lo)
-        return d1 ** 2 + d2 ** 2
+        w1, w2 = 2.0 / 7.0 - 0.25, 1.0 / 3.0 - 2.0 / 7.0     # ramp widths
+        t1, t2 = (s - 0.25) / w1, (s - 2.0 / 7.0) / w2
+        c1, c2 = smooth_step(t1), 1.0 - smooth_step(t2)
+        d1, d2 = smooth_step_derivative(t1) / w1, -smooth_step_derivative(t2) / w2
+        sq = c1 ** 2 + c2 ** 2
+        norm = np.sqrt(sq)
+        return c1 / norm, c2 / norm, ((d1 * c2 - c1 * d2) / sq) ** 2
 
-    def _s(self, points):
-        pts = np.asarray(points, dtype=float)
-        return np.linalg.norm(pts, axis=-1) / self.r
+    def _at(self, points) -> tuple:
+        return self.profiles(np.linalg.norm(np.asarray(points, dtype=float), axis=-1) / self.r)
 
     def j1(self, points):
-        return self.j1_profile(self._s(points))
+        return self._at(points)[0]
 
     def j2(self, points):
-        return self.j2_profile(self._s(points))
+        return self._at(points)[1]
 
     def gradient_sq(self, points):
         """|grad J1|^2 + |grad J2|^2 at 3D points (radial profiles, chain rule)."""
-        return self.gradient_sq_profile(self._s(points)) / self.r ** 2
-
-
-def build_ims_partition(r: float) -> PartitionOfUnity:
-    if not r > 0:
-        raise ValueError("r must be positive")
-    return PartitionOfUnity(r=r)
-
-
-def cutoff_ground_state(r: float) -> HydrogenOrbital:
-    """Hydrogen ground state cut off smoothly inside |x| <= r/4 and renormalized."""
-    if not r > 0:
-        raise ValueError("r must be positive")
-    return HydrogenOrbital(z=1.0, cutoff_r=r)
+        return self._at(points)[2] / self.r ** 2
 
 
 def hardy_check(u: np.ndarray, grid: Grid1D) -> tuple:

@@ -60,17 +60,29 @@ def smooth_step(t):
     return f / (f + g)
 
 
+# e^{-1/t} underflows to 0 for t < 1/746, and so does the derivative of the
+# step; clipping t to [STEP_EDGE, 1 - STEP_EDGE] keeps 1/t^2 finite there.
+STEP_EDGE = 1e-3
+
+
+def smooth_step_derivative(t):
+    """d/dt smooth_step: f g (1/t^2 + 1/(1-t)^2)/(f + g)^2 on (0, 1), 0 elsewhere,
+    with f = e^{-1/t} and g = e^{-1/(1-t)}."""
+    t = np.clip(np.asarray(t, dtype=float), STEP_EDGE, 1.0 - STEP_EDGE)
+    f, g = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+    return f * g * (1.0 / t ** 2 + 1.0 / (1.0 - t) ** 2) / (f + g) ** 2
+
+
 def cutoff_profile(radius, r: float):
     """Spherical bump h_r: 1 on |x| <= r/5, 0 on |x| >= r/4, smooth between."""
     s = np.asarray(radius, dtype=float) / r
     return 1.0 - smooth_step((s - 0.2) / 0.05)
 
 
-def cutoff_profile_derivative(radius, r: float, step: float = 1e-6):
-    """d/dR of the bump, by central differences on the smooth profile."""
-    radius = np.asarray(radius, dtype=float)
-    lo = np.clip(radius - step, 0.0, None)
-    return (cutoff_profile(radius + step, r) - cutoff_profile(lo, r)) / (radius + step - lo)
+def cutoff_profile_derivative(radius, r: float):
+    """d/dR of the bump h_r: nonzero only on r/5 < |x| < r/4."""
+    s = np.asarray(radius, dtype=float) / r
+    return -smooth_step_derivative((s - 0.2) / 0.05) / (0.05 * r)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +107,9 @@ class HydrogenOrbital:
         self.cutoff_r = cutoff_r
         self.n_radial = int(n_radial)
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
-        if cutoff_r is None:
-            self._norm = 1.0
-        else:
-            self._norm = 1.0
-            self._norm = 1.0 / np.sqrt(self.pair_integral(self, lambda R: 1.0))
+        self._norm = 1.0
+        if cutoff_r is not None:
+            self._norm /= self.norm()
 
     # radial profile ---------------------------------------------------------
 
@@ -170,21 +180,20 @@ class HydrogenOrbital:
             weights = (half * c_weights).ravel() * 4.0 * np.pi * np.exp(-s * radius)
         return radius, weights * density(radius) * radius ** 2
 
-    def pair_integral(self, other: "HydrogenOrbital", fn, n_radial: int | None = None,
-                      lo: float = 0.0, hi: float | None = None) -> float:
-        """4 pi int_lo^hi psi_a psi_b f(R) R^2 dR (hi = None: no upper limit)."""
-        n = n_radial or max(self.n_radial, other.n_radial)
+    def pair_integral(self, other: "HydrogenOrbital", fn) -> float:
+        """4 pi int_0^inf psi_a psi_b f(R) R^2 dR."""
         radius, weights = self._pair_rule(
-            other, lambda R: self._envelope(R) * other._envelope(R), n, lo=lo, hi=hi)
+            other, lambda R: self._envelope(R) * other._envelope(R),
+            max(self.n_radial, other.n_radial))
         return float(np.sum(weights * np.asarray(fn(radius))))
 
     def _density_rule(self, n: int, lo: float = 0.0, hi: float | None = None):
         """Radii and weights of int_{lo <= |x| <= hi} |psi|^2 f(|x|) dx (hi = None: no limit)."""
         return self._pair_rule(self, lambda R: self._envelope(R) ** 2, n, lo=lo, hi=hi)
 
-    def density_expectation(self, fn, n_radial: int | None = None) -> float:
+    def density_expectation(self, fn) -> float:
         """Expectation of f(R) against |psi|^2."""
-        return self.pair_integral(self, fn, n_radial)
+        return self.pair_integral(self, fn)
 
     # moments and overlaps ----------------------------------------------------
 

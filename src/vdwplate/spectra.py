@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import E_ELECTRON_PLATE, E_HYDROGEN
+from .model import E_ELECTRON_PLATE
 from .multipole import HydrogenOrbital
 
 
@@ -54,8 +54,8 @@ def hvz_gap(energy: float, r: float, residual: float = 0.0) -> ThresholdReport:
 
 
 def electron_plate_energy_deviation(e_electron: float) -> float:
-    """|E_electron - E_HYDROGEN/16|, the identity satisfied by the 1D ground energy."""
-    return abs(e_electron - E_HYDROGEN / 16.0)
+    """|E_electron - E_ELECTRON_PLATE|, the identity satisfied by the 1D ground energy."""
+    return abs(e_electron - E_ELECTRON_PLATE)
 
 
 def k_electron_plate_bottom(k: int) -> float:
@@ -94,7 +94,7 @@ def binding_condition(molecule_energies: dict, n_electrons: int) -> dict:
         if sub not in energies:
             raise ValueError(f"missing subsystem energy for {sub} electrons")
         lhs = energies[n_electrons]
-        rhs = energies[sub] + k * E_HYDROGEN / 16.0
+        rhs = energies[sub] + k_electron_plate_bottom(k)
         verdicts[k] = BindingVerdict(k=k, lhs=lhs, rhs=rhs, certified=lhs < rhs)
     return verdicts
 

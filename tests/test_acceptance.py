@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from vdwplate.asymptotics import (dielectric_scaling, fit_power_law,
                                   sweep_interaction_energy)
 from vdwplate.eigensolver import (HYDROGEN_SHIFT, Grid1D, GridCyl, GridCylSpec,
-                                  assemble_hydrogen_plate, build_ims_partition,
+                                  PartitionOfUnity, assemble_hydrogen_plate,
                                   electron_plate_ground, feshbach_fixed_point,
                                   feshbach_matrix, hardy_check)
 from vdwplate.model import E_HYDROGEN, trapezoid_inequality
@@ -206,7 +206,7 @@ def test_criterion_9_property_suites():
 
     # partition identity and IMS localization identity on grid functions
     r = 40.0
-    part = build_ims_partition(r)
+    part = PartitionOfUnity(r)
     pts_sample = rng.standard_normal((4000, 3)) * 15.0
     j_sq_dev = float(np.max(np.abs(part.j1(pts_sample) ** 2
                                    + part.j2(pts_sample) ** 2 - 1.0)))

@@ -12,8 +12,7 @@ from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylS
                                   NonConvergenceError,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
-                                  assemble_hydrogen_plate, build_ims_partition,
-                                  coulomb_cell_average, cutoff_ground_state,
+                                  assemble_hydrogen_plate, coulomb_cell_average,
                                   electron_plate_ground, feshbach_fixed_point,
                                   feshbach_matrix, hardy_check, hydrogen_plate_ground,
                                   lowest_eigenpair, shifted_factor)
@@ -549,6 +548,26 @@ class TestFeshbach:
             fp = feshbach_fixed_point(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + bottom)))
             assert abs(fp - vals[0]) <= 1e-10
 
+    def test_fixed_point_two_column_projection(self, monkeypatch):
+        # with k = 2 the fixed point takes the lowest of the eigenvalues
+        # lambda + 1/w_i of F: below the root S > 0 and the largest w_i gives
+        # it, above the root the one negative w_i does.  Any other choice
+        # still finds the root from above, but in up to 18 factors, not 5
+        sigmas = []
+        real = eigensolver.shifted_factor
+        monkeypatch.setattr(eigensolver, "shifted_factor",
+                            lambda matrix, sigma: (sigmas.append(sigma), real(matrix, sigma))[1])
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(20, 81))
+            h, psi, vals = self._near_ground_case(rng, n, 0.1)
+            q = np.linalg.qr(np.column_stack([psi, rng.standard_normal((n, n - 1))]))[0]
+            bottom = np.linalg.eigvalsh(q[:, 2:].T @ h @ q[:, 2:])[0]
+            sigmas.clear()
+            fp = feshbach_fixed_point(h, q[:, :2], (vals[0] - 1.0, 0.5 * (vals[0] + bottom)))
+            assert abs(fp - vals[0]) <= 1e-10
+            assert len(sigmas) <= 8
+
     def test_exact_projector_shortcut(self, rng):
         n = 25
         a = rng.standard_normal((n, n))
@@ -640,26 +659,40 @@ class TestFeshbach:
             grid = GridCyl.for_distance(r, spec)
             op = assemble_hydrogen_plate(grid, 1.0)
             direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-            pvec = cutoff_ground_state(r)(grid.points()) * np.sqrt(grid.volume_weights())
+            pvec = HydrogenOrbital(cutoff_r=r)(grid.points()) * np.sqrt(grid.volume_weights())
             pvec /= np.linalg.norm(pvec)
             fp = feshbach_fixed_point(op, pvec, (-0.5, -0.1))
             assert fp == pytest.approx(direct.value, abs=1e-8)
 
 
 class TestIMSPartition:
+    def test_rejects_nonpositive_r(self):
+        for r in (0, -1):
+            with pytest.raises(ValueError):
+                PartitionOfUnity(r)
+
+    def test_gradient_matches_central_differences(self):
+        # inside both ramps, away from s = 2/7 where the gradient vanishes
+        s = np.concatenate([np.linspace(0.255, 0.28, 200), np.linspace(0.29, 0.328, 200)])
+        step = 1e-7
+        j1_hi, j2_hi, _ = PartitionOfUnity.profiles(s + step)
+        j1_lo, j2_lo, _ = PartitionOfUnity.profiles(s - step)
+        fd = ((j1_hi - j1_lo) ** 2 + (j2_hi - j2_lo) ** 2) / (2.0 * step) ** 2
+        assert np.allclose(PartitionOfUnity.profiles(s)[2], fd, rtol=1e-5, atol=0.0)
+
     def test_region_values(self):
-        part = build_ims_partition(10.0)
+        part = PartitionOfUnity(10.0)
         assert part.j2([2.0, 0.0, 0.0]) == 1.0 and part.j1([2.0, 0.0, 0.0]) == 0.0
         assert part.j1([5.0, 0.0, 0.0]) == 1.0 and part.j2([5.0, 0.0, 0.0]) == 0.0
 
     def test_partition_identity(self, rng):
-        part = build_ims_partition(3.0)
+        part = PartitionOfUnity(3.0)
         pts = rng.standard_normal((500, 3)) * 2.0
         total = part.j1(pts) ** 2 + part.j2(pts) ** 2
         assert np.max(np.abs(total - 1.0)) <= 1e-10
 
     def test_gradient_bound(self, rng):
-        part = build_ims_partition(7.0)
+        part = PartitionOfUnity(7.0)
         pts = rng.standard_normal((2000, 3)) * 4.0
         grad = part.gradient_sq(pts)
         assert np.all(grad * part.r ** 2 <= part.gradient_bound * (1.0 + 1e-6))
@@ -676,7 +709,7 @@ class TestIMSPartition:
             spec = GridCylSpec(h_target=h, l_xi_plus=18.0, l_rho=18.0)
             grid = GridCyl.for_distance(r, spec)
             op = assemble_hydrogen_plate(grid, 1.0)
-            part = build_ims_partition(r)
+            part = PartitionOfUnity(r)
             xi, rho = grid.meshes()
             pts = np.stack([xi, rho, np.zeros_like(xi)], axis=-1).reshape(-1, 3)
             j1 = part.j1(pts)
@@ -700,7 +733,7 @@ class TestIMSPartition:
 
 class TestCutoffGroundState:
     def test_support(self):
-        psi = cutoff_ground_state(40.0)
+        psi = HydrogenOrbital(cutoff_r=40.0)
         assert psi.radial_value(10.001) == 0.0
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -708,20 +741,20 @@ class TestCutoffGroundState:
         # independent dense-trapezoid oracle for ||psi - zeta||
         zeta = HydrogenOrbital()
         for r, expected in ((40.0, None), (100.0, None)):
-            psi = cutoff_ground_state(r)
+            psi = HydrogenOrbital(cutoff_r=r)
             radius = np.linspace(0.0, 80.0, 400_001)
             diff = psi.radial_value(radius) - zeta.radial_value(radius)
             oracle = np.sqrt(np.trapezoid(4.0 * np.pi * diff ** 2 * radius ** 2, radius))
             assert psi.distance_l2(zeta) == pytest.approx(oracle, abs=1e-6)
         # frozen oracle values: the tail mass beyond r/5 puts the distance
         # near 7.4e-2 at r=40; it drops below 1e-3 only around r=90
-        assert cutoff_ground_state(40.0).distance_l2(zeta) == pytest.approx(0.0741, abs=0.002)
-        assert cutoff_ground_state(100.0).distance_l2(zeta) <= 1e-3
+        assert HydrogenOrbital(cutoff_r=40.0).distance_l2(zeta) == pytest.approx(0.0741, abs=0.002)
+        assert HydrogenOrbital(cutoff_r=100.0).distance_l2(zeta) <= 1e-3
 
     def test_distance_decay_rate(self):
         zeta = HydrogenOrbital()
         rs = np.array([40.0, 60.0, 80.0, 100.0])
-        dists = np.array([cutoff_ground_state(r).distance_l2(zeta) for r in rs])
+        dists = np.array([HydrogenOrbital(cutoff_r=r).distance_l2(zeta) for r in rs])
         assert np.all(np.diff(dists) < 0)
         # ||psi - zeta||^2 ~ tail mass ~ e^{-r/5}: the norm decays like e^{-r/10}
         ratios = dists[1:] / dists[:-1]
@@ -729,8 +762,8 @@ class TestCutoffGroundState:
         assert np.allclose(ratios, predicted, rtol=0.35)
 
     def test_energy_approaches_hydrogen(self):
-        e40 = cutoff_ground_state(40.0).hydrogen_energy()
-        e80 = cutoff_ground_state(80.0).hydrogen_energy()
+        e40 = HydrogenOrbital(cutoff_r=40.0).hydrogen_energy()
+        e80 = HydrogenOrbital(cutoff_r=80.0).hydrogen_energy()
         assert abs(e40 - E_HYDROGEN) <= 1e-2
         assert abs(e80 - E_HYDROGEN) < abs(e40 - E_HYDROGEN)
         assert abs(e80 - E_HYDROGEN) <= 1e-5

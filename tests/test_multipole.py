@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from vdwplate.multipole import (GridWaveFn, GroundBasis, HydrogenOrbital,
                                 geometric_tail_split, inverse_distance_series,
                                 leading_interaction_coefficient,
                                 mirror_energy_expectation, orientation_coefficient,
-                                r3_coefficient)
+                                cutoff_profile_derivative, r3_coefficient, smooth_step,
+                                smooth_step_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +50,33 @@ def spherical_product_grid(r_max=30.0, n_r=120, n_theta=40, n_phi=16):
     wts = np.broadcast_to((w_rad[:, None, None] * wc[None, :, None]) * w_phi,
                           (n_r, n_theta, n_phi)).ravel()
     return pts, wts
+
+
+class TestSmoothStep:
+    def test_derivative_matches_central_differences(self):
+        t = np.linspace(0.2, 0.8, 61)
+        step = 1e-6
+        fd = (smooth_step(t + step) - smooth_step(t - step)) / (2.0 * step)
+        assert np.allclose(smooth_step_derivative(t), fd, rtol=1e-8, atol=0.0)
+
+    def test_derivative_edges(self):
+        # exactly 0 at and outside [0, 1], and at the ends of (0, 1), where
+        # e^{-1/t} underflows, with no warning
+        t = np.array([-1.0, 0.0, 1e-300, 1.0 - 1e-16, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = smooth_step_derivative(t)
+            scalars = [smooth_step_derivative(x) for x in t]
+        assert np.all(d == 0.0) and all(x == 0.0 for x in scalars)
+
+    def test_cutoff_derivative(self):
+        # the bump drops from 1 to 0 across [r/5, r/4] and is flat elsewhere
+        r = 40.0
+        drop, _ = quad(lambda radius: cutoff_profile_derivative(radius, r), r / 5.0, r / 4.0,
+                       epsabs=1e-13, epsrel=1e-13)
+        assert drop == pytest.approx(-1.0, abs=1e-10)
+        outside = np.array([0.0, 1.0, r / 5.0, r / 4.0, 10.5, 3.0 * r])
+        assert np.all(cutoff_profile_derivative(outside, r) == 0.0)
 
 
 class TestHydrogenOrbital:
