@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT,
                           assemble_hydrogen_plate, lowest_eigenpair)
-from .multipole import GroundBasis, orientation_coefficient, unit_vector
 
 FMT = "%.17g"
 CSV_COLUMNS = ("r", "n_xi", "n_rho", "E_plate", "E_free", "W", "iterations", "error")
@@ -89,8 +88,8 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     rs = sorted(float(r) for r in r_values)
-    if any(r <= 0 for r in rs):
-        raise ValueError("all radii must be positive")
+    if any(r <= 0 for r in rs) or len(set(rs)) != len(rs):
+        raise ValueError("sweep radii must be positive and distinct")
     work = [(r, plate_m, spec) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:
@@ -205,16 +204,6 @@ def dielectric_scaling(table_m: SweepTable, table_1: SweepTable) -> RatioReport:
     if r_m.shape != r_1.shape or not np.allclose(r_m, r_1):
         raise ValueError("tables must share the same r grid")
     return RatioReport(r_values=r_m, ratios=w_m / w_1, m=table_m.m)
-
-
-def predicted_interaction_table(basis: GroundBasis, v, r_values):
-    """Leading-order predictions -C(v)/r^3 for each r.
-
-    Returns (C, rows) with rows of (r, predicted W)."""
-    v = unit_vector(v)
-    c = orientation_coefficient(basis, v)
-    rows = [(float(r), -c / float(r) ** 3) for r in r_values]
-    return c, rows
 
 
 # ---------------------------------------------------------------------------

@@ -117,26 +117,30 @@ def cmd_eplate(args) -> int:
     return EXIT_OK
 
 
-def _grid_spec(args, cfg: dict) -> GridCylSpec:
-    return GridCylSpec(h_target=float(_pick(args, "h", cfg, 0.1)),
-                       l_xi_plus=float(_pick(args, "l_xi", cfg, 28.0, "L_xi")),
-                       l_rho=float(_pick(args, "l_rho", cfg, 28.0, "L_rho")))
+def _plate_inputs(args) -> tuple:
+    """(config, m, grid spec) of hydrogen and sweep: flags, else config, else defaults."""
+    cfg = _config_values(args)
+    m = float(_pick(args, "m", cfg, 1.0))
+    if not 0.0 <= m <= 1.0:
+        raise InputError(f"mirror strength must lie in [0, 1], got {m}")
+    default = GridCylSpec()
+    spec = GridCylSpec(h_target=float(_pick(args, "h", cfg, default.h_target)),
+                       l_xi_plus=float(_pick(args, "l_xi", cfg, default.l_xi_plus, "L_xi")),
+                       l_rho=float(_pick(args, "l_rho", cfg, default.l_rho, "L_rho")))
+    return cfg, m, spec
 
 
 def cmd_hydrogen(args) -> int:
-    cfg = _config_values(args)
+    cfg, m, spec = _plate_inputs(args)
     r = float(_pick(args, "r", cfg, None) or 0.0)
-    m = float(_pick(args, "m", cfg, 1.0))
     if r <= 0:
         raise InputError(f"plate distance must be positive, got {r}")
-    if not 0.0 <= m <= 1.0:
-        raise InputError(f"mirror strength must lie in [0, 1], got {m}")
-    grid = GridCyl.for_distance(r, _grid_spec(args, cfg))
+    grid = GridCyl.for_distance(r, spec)
     resolved = {"command": "hydrogen", "r": r, "m": m,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
     e_plate, e_free = [lowest_eigenpair(assemble_hydrogen_plate(grid, mm), sigma=HYDROGEN_SHIFT)
                        for mm in (m, 0.0)]
-    report = hvz_gap(e_plate.value, r, e_plate.residual)
+    report = hvz_gap(e_plate.value, r, e_plate.residual, m)
     lines = [f"E = {FMT % e_plate.value}",
              f"E_free_same_grid = {FMT % e_free.value}",
              f"W = {FMT % (e_plate.value - e_free.value)}",
@@ -150,17 +154,13 @@ def cmd_hydrogen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_values(args)
+    cfg, m, spec = _plate_inputs(args)
     if "r" in cfg:
         raise InputError("sweep radii come only from --r-values; remove r from the config")
     rs = _parse_floats(args.r_values)
     if not rs or any(r <= 0 for r in rs):
         raise InputError("sweep radii must be positive")
-    m = float(_pick(args, "m", cfg, 1.0))
-    if not 0.0 <= m <= 1.0:
-        raise InputError(f"mirror strength must lie in [0, 1], got {m}")
-    table = sweep_interaction_energy(rs, plate_m=m, spec=_grid_spec(args, cfg),
-                                     jobs=args.jobs)
+    table = sweep_interaction_energy(rs, plate_m=m, spec=spec, jobs=args.jobs)
     text = table_to_json(table) if args.format == "json" else sweep_to_csv(table)
     _emit(text, args.output)
     if any(row.w is None for row in table.rows):
@@ -261,6 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", help="write the report here (VDWPLATE_OUTDIR joins relative paths)")
 
+    def plate_inputs(p):
+        p.add_argument("--config", help="key = value configuration file")
+        p.add_argument("--m", type=float, default=None)
+        p.add_argument("--h", type=float, default=None)
+        p.add_argument("--l-xi", dest="l_xi", type=float, default=None)
+        p.add_argument("--l-rho", dest="l_rho", type=float, default=None)
+
     p = sub.add_parser("eplate", help="1D electron/plate ground energy")
     common(p)
     p.add_argument("--n", type=int, default=4096)
@@ -269,22 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hydrogen", help="single E(r) solve plus the HVZ gap")
     common(p)
-    p.add_argument("--config", help="key = value configuration file")
+    plate_inputs(p)
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--l-xi", dest="l_xi", type=float, default=None)
-    p.add_argument("--l-rho", dest="l_rho", type=float, default=None)
     p.set_defaults(fn=cmd_hydrogen)
 
     p = sub.add_parser("sweep", help="W(r) over a list of distances")
     common(p)
-    p.add_argument("--config", help="key = value configuration file")
+    plate_inputs(p)
     p.add_argument("--r-values", required=True, help="comma-separated radii")
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--l-xi", dest="l_xi", type=float, default=None)
-    p.add_argument("--l-rho", dest="l_rho", type=float, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_sweep)

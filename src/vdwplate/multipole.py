@@ -97,15 +97,13 @@ class HydrogenOrbital:
 
     n_electrons = 1
 
-    def __init__(self, z: float = 1.0, cutoff_r: float | None = None,
-                 n_radial: int = RADIAL_NODES):
+    def __init__(self, z: float = 1.0, cutoff_r: float | None = None):
         if not z > 0:
             raise ValueError("orbital scale must be positive")
         if cutoff_r is not None and not cutoff_r > 0:
             raise ValueError("cutoff radius parameter must be positive")
         self.z = float(z)
         self.cutoff_r = cutoff_r
-        self.n_radial = int(n_radial)
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
         self._norm = 1.0
         if cutoff_r is not None:
@@ -183,8 +181,7 @@ class HydrogenOrbital:
     def pair_integral(self, other: "HydrogenOrbital", fn) -> float:
         """4 pi int_0^inf psi_a psi_b f(R) R^2 dR."""
         radius, weights = self._pair_rule(
-            other, lambda R: self._envelope(R) * other._envelope(R),
-            max(self.n_radial, other.n_radial))
+            other, lambda R: self._envelope(R) * other._envelope(R), RADIAL_NODES)
         return float(np.sum(weights * np.asarray(fn(radius))))
 
     def _density_rule(self, n: int, lo: float = 0.0, hi: float | None = None):
@@ -203,29 +200,23 @@ class HydrogenOrbital:
             return 0.0
         return self.density_expectation(lambda R: R ** k) / (k + 1.0)
 
-    def overlap(self, other) -> float:
-        if isinstance(other, HydrogenOrbital):
-            return self.pair_integral(other, lambda R: np.ones_like(R))
-        return other.overlap(self)
+    def overlap(self, other: "HydrogenOrbital") -> float:
+        return self.pair_integral(other, lambda R: np.ones_like(R))
 
-    def moment1(self, other) -> np.ndarray:
-        if isinstance(other, HydrogenOrbital):
-            return np.zeros(3)
-        return other.moment1(self)
+    def moment1(self, other: "HydrogenOrbital") -> np.ndarray:
+        return np.zeros(3)
 
-    def moment2(self, other) -> np.ndarray:
-        if isinstance(other, HydrogenOrbital):
-            r2 = self.pair_integral(other, lambda R: R ** 2)
-            return np.eye(3) * (r2 / 3.0)
-        return other.moment2(self)
+    def moment2(self, other: "HydrogenOrbital") -> np.ndarray:
+        r2 = self.pair_integral(other, lambda R: R ** 2)
+        return np.eye(3) * (r2 / 3.0)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.pair_integral(self, lambda R: np.ones_like(R))))
+        return float(np.sqrt(self.overlap(self)))
 
     def kinetic_energy(self) -> float:
         """<psi | -Laplacian | psi> by radial quadrature (s-wave form)."""
         _, weights = self._pair_rule(self, lambda R: self._envelope_derivative(R) ** 2,
-                                     self.n_radial)
+                                     RADIAL_NODES)
         return float(np.sum(weights))
 
     def hydrogen_energy(self) -> float:
@@ -235,9 +226,7 @@ class HydrogenOrbital:
 
     def distance_l2(self, other: "HydrogenOrbital") -> float:
         """L2 distance ||psi_a - psi_b||."""
-        sq = (self.pair_integral(self, lambda R: np.ones_like(R))
-              + other.pair_integral(other, lambda R: np.ones_like(R))
-              - 2.0 * self.overlap(other))
+        sq = self.overlap(self) + other.overlap(other) - 2.0 * self.overlap(other)
         return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -318,14 +307,6 @@ class ProductState:
             out *= a.overlap(b)
         return out
 
-    def moment1(self, other: "ProductState") -> np.ndarray:
-        pairs = self._pairs(other)
-        ovs = np.array([a.overlap(b) for a, b in pairs])
-        out = np.zeros(3)
-        for i, (a, b) in enumerate(pairs):
-            out += a.moment1(b) * float(np.prod(np.delete(ovs, i)))
-        return out
-
     def moment2(self, other: "ProductState") -> np.ndarray:
         """<psi_a | (sum_i x_i)(sum_i x_i)^T | psi_b>."""
         pairs = self._pairs(other)
@@ -359,9 +340,6 @@ class GroundBasis:
         dev = float(np.max(np.abs(gram - np.eye(n))))
         if dev > ORTHONORMAL_TOL:
             raise ValueError(f"basis not orthonormal: max |G - I| = {dev:.3e}")
-
-    def __len__(self) -> int:
-        return len(self.functions)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +437,17 @@ def geometric_tail_split(x1: float, r: float, order: int = 5) -> GeometricSplit:
 # Leading interaction coefficient and expectations
 # ---------------------------------------------------------------------------
 
+def _orientation_form(t: np.ndarray, v: np.ndarray) -> float:
+    """(v.T.v + tr T)/16 for a second-moment matrix T = <(sum x_i)(sum x_i)^T>."""
+    return (float(v @ t @ v) + float(np.trace(t))) / 16.0
+
+
 def leading_interaction_coefficient(mol: Molecule, v, electrons) -> float:
     """r^3-scaled leading coefficient of half the mirror interaction.
 
-    Equals -[(sum x_i . v)^2 + |sum x_i|^2]/16; requires a neutral, centered
-    molecule (otherwise the 1/r and 1/r^2 terms do not cancel and r^-3 is not
-    the leading order).
+    Equals -O_v at the configuration, O_v = ((sum x_i . v)^2 + |sum x_i|^2)/16;
+    requires a neutral, centered molecule (otherwise the 1/r and 1/r^2 terms
+    do not cancel and r^-3 is not the leading order).
     """
     v = unit_vector(v)
     report = validate_molecule(mol)
@@ -474,7 +457,7 @@ def leading_interaction_coefficient(mol: Molecule, v, electrons) -> float:
     if x.ndim == 1:
         x = x[None, :]
     w = x.sum(axis=0)
-    return -(float(w @ v) ** 2 + float(w @ w)) / 16.0
+    return -_orientation_form(np.outer(w, w), v)
 
 
 class QuadratureError(RuntimeError):
@@ -520,8 +503,9 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     [r/4, inf) and [2r, inf), each clipped to the support of a cut-off orbital;
     the moments are dot products against the window's weights.  A cut-off
     orbital has an empty [r/4, inf) window, so its tail_mass is exactly 0.
-    Every piece is computed at n_radial and 2 n_radial nodes; quad_error is
-    their largest relative move, and QuadratureError is raised beyond QUAD_TOL.
+    Every piece is computed at RADIAL_NODES and twice that many nodes;
+    quad_error is their largest relative move, and QuadratureError is raised
+    beyond QUAD_TOL.
     """
     if not r > 0:
         raise ValueError("r must be positive")
@@ -538,8 +522,8 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
         newton = mass_in_2r / r + 2.0 * (w_outer @ (1.0 / outer))
         return np.array([m2, m4, m6_in, w_tail.sum(), newton])
 
-    base = pieces(psi.n_radial)
-    refined = pieces(2 * psi.n_radial)
+    base = pieces(RADIAL_NODES)
+    refined = pieces(2 * RADIAL_NODES)
     quad_error = float(np.max(np.abs(refined - base) / np.maximum(np.abs(refined), 1.0)))
     if quad_error > QUAD_TOL:
         raise QuadratureError(
@@ -571,8 +555,7 @@ def orientation_coefficient(basis: GroundBasis, v) -> float:
     mat = np.empty((n, n))
     for a in range(n):
         for b in range(a, n):
-            t = fns[a].moment2(fns[b])
-            mat[a, b] = mat[b, a] = (float(v @ t @ v) + float(np.trace(t))) / 16.0
+            mat[a, b] = mat[b, a] = _orientation_form(fns[a].moment2(fns[b]), v)
     top = float(np.linalg.eigvalsh(mat)[-1])
     if top <= 0:
         raise ValueError("orientation coefficient must be positive")

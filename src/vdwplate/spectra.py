@@ -11,15 +11,16 @@ from .model import E_ELECTRON_PLATE
 from .multipole import HydrogenOrbital
 
 
-def essential_spectrum_bottom(r: float) -> float:
+def essential_spectrum_bottom(r: float, m: float = 1.0) -> float:
     """Bottom of the essential spectrum of the hydrogen/plate Hamiltonian.
 
-    The electron can escape along the plate with energy -1/64 while the
-    nucleus keeps its image attraction -1/(4r).
+    At mirror strength m the electron can escape along the plate with energy
+    m^2 (-1/64), the level of -d^2/dx^2 - m/(4x), while the nucleus keeps its
+    image attraction -m/(4r).  Adding 0.0 makes the m = 0 bottom 0, not -0.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    return E_ELECTRON_PLATE - 1.0 / (4.0 * r)
+    return m * m * E_ELECTRON_PLATE - m / (4.0 * r) + 0.0
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,10 @@ class ThresholdReport:
         return "marginal" if abs(self.gap) <= self.residual else "no certified ground state"
 
 
-def hvz_gap(energy: float, r: float, residual: float = 0.0) -> ThresholdReport:
-    """Compare a computed ground energy against the essential-spectrum bottom.
+def hvz_gap(energy: float, r: float, residual: float = 0.0,
+            m: float = 1.0) -> ThresholdReport:
+    """Compare a computed ground energy against the essential-spectrum bottom
+    at mirror strength m.
 
     residual is the solve's residual norm ||H x - energy x||, which bounds the
     distance from energy to an eigenvalue.  gap < -residual certifies a
@@ -49,7 +52,7 @@ def hvz_gap(energy: float, r: float, residual: float = 0.0) -> ThresholdReport:
     "marginal", a gap the solve cannot resolve.
     """
     return ThresholdReport(r=r, energy=energy,
-                          essential_bottom=essential_spectrum_bottom(r),
+                          essential_bottom=essential_spectrum_bottom(r, m),
                           residual=residual)
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,11 +9,10 @@ from hypothesis import strategies as st
 from vdwplate import asymptotics
 from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   asymptotic_residual_report, dielectric_scaling,
-                                  fit_power_law, fit_to_csv, predicted_interaction_table,
+                                  fit_power_law, fit_to_csv,
                                   sweep_from_csv, sweep_interaction_energy,
                                   sweep_to_csv, table_to_json)
 from vdwplate.eigensolver import GridCylSpec
-from vdwplate.multipole import GroundBasis, HydrogenOrbital
 
 
 def synthetic_table(rs, ws, m=1.0):
@@ -106,26 +104,6 @@ class TestDielectricScaling:
             dielectric_scaling(t1, t2)
 
 
-class TestPredictedInteraction:
-    def test_hydrogen_exact_cubic(self):
-        basis = GroundBasis((HydrogenOrbital(),))
-        c, rows = predicted_interaction_table(basis, [0.0, 0.0, 1.0], [10.0, 20.0])
-        assert c == pytest.approx(1.0, abs=1e-10)
-        assert rows[0][1] == pytest.approx(-1e-3, rel=1e-9)
-        assert rows[1][1] == pytest.approx(rows[0][1] / 8.0, rel=1e-9)
-
-    def test_rotation_covariance(self):
-        basis = GroundBasis((HydrogenOrbital(),))
-        theta = 1.1
-        rot = np.array([[math.cos(theta), 0.0, -math.sin(theta)],
-                        [0.0, 1.0, 0.0],
-                        [math.sin(theta), 0.0, math.cos(theta)]])
-        v = np.array([0.0, 0.0, 1.0])
-        _, rows_a = predicted_interaction_table(basis, v, [12.0])
-        _, rows_b = predicted_interaction_table(basis, rot @ v, [12.0])
-        assert rows_a[0][1] == pytest.approx(rows_b[0][1], rel=1e-12)
-
-
 class TestSweep:
     def test_m_zero_gives_zero_interaction(self):
         spec = GridCylSpec(h_target=0.4, l_xi_plus=8.0, l_rho=8.0)
@@ -186,6 +164,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="jobs"):
             sweep_interaction_energy([5.0, 7.0], jobs=jobs)
         assert sizes == []
+
+    @pytest.mark.parametrize("radii", [[6.0, 6.0], [6.0, -1.0], [0.0]])
+    def test_bad_radii_rejected_before_any_solve(self, monkeypatch, radii):
+        calls = []
+        monkeypatch.setattr(asymptotics, "lowest_eigenpair",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="positive and distinct"):
+            sweep_interaction_energy(radii, spec=GridCylSpec(0.4, 8.0, 6.0))
+        assert calls == []
 
     def test_strictly_increasing_required(self):
         rows = [SweepRow(10.0, 5, 5, -1.0, 0.0), SweepRow(10.0, 5, 5, -1.0, 0.0)]

@@ -77,6 +77,17 @@ class TestHydrogen:
         assert err.startswith("numerical failure: NonConvergenceError:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("m, bottom, gap", [
+        ("0.5", "-0.01953125", "-0.22974843702962064"),
+        ("0", "0", "-0.24809459588647617")])
+    def test_threshold_follows_m(self, capsys, m, bottom, gap):
+        # the electron escapes along the plate at m^2 (-1/64); E and W do not move
+        flags = ("--r", "8", "--h", "0.4", "--l-xi", "10", "--l-rho", "10")
+        code, out, _ = run_cli(capsys, "hydrogen", *flags, "--m", m)
+        assert code == 0
+        assert (grab(out, "essential_bottom"), grab(out, "hvz_gap")) == (bottom, gap)
+        assert grab(out, "E_free_same_grid") == "-0.24809459588647617"
+
     def test_negative_r_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "-1")
         assert code == 3
@@ -224,6 +235,15 @@ class TestCvAndHelium:
         code, out, _ = run_cli(capsys, "cv", "--molecule", "hydrogen", "--v", "0,0,1")
         assert code == 0
         assert float(grab(out, "C")) == pytest.approx(1.0, abs=1e-6)
+
+    def test_cv_helium(self, capsys):
+        # T = <(x1 + x2)(x1 + x2)^T> = 2 (<R^2>/3) I = 2 I at z = 2, so
+        # C = (v.T.v + tr T)/16 = (2 + 6)/16 for every v
+        code, out, _ = run_cli(capsys, "cv", "--molecule", "helium",
+                               "--v", "0.3,0.4,0.8660254037844386")
+        assert code == 0
+        assert grab(out, "# state") == "doubly occupied scaled orbital (variational state)"
+        assert abs(float(grab(out, "C")) - 0.5) <= 1e-12
 
     def test_cv_unknown_molecule(self, capsys):
         code, _, _ = run_cli(capsys, "cv", "--molecule", "argon")

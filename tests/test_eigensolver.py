@@ -695,7 +695,7 @@ class TestIMSPartition:
         part = PartitionOfUnity(7.0)
         pts = rng.standard_normal((2000, 3)) * 4.0
         grad = part.gradient_sq(pts)
-        assert np.all(grad * part.r ** 2 <= part.gradient_bound * (1.0 + 1e-6))
+        assert np.all(grad * part.r ** 2 <= part.gradient_bound * (1.0 + 1e-12))
         assert part.gradient_bound > 0
 
     def test_ims_identity_on_grid_functions(self, rng):

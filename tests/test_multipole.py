@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 from conftest import random_unit_vectors
+from vdwplate import multipole
 from vdwplate.model import Molecule
 from vdwplate.multipole import (GridWaveFn, GroundBasis, HydrogenOrbital,
                                 ProductState, QuadratureError,
@@ -291,8 +292,9 @@ class TestMirrorEnergyExpectation:
         assert cut.tail_mass == 0.0
         assert abs(cut.newton_term - 1.0 / r) <= 1e-14
 
-    def test_quadrature_error_flagged(self):
-        rough = HydrogenOrbital(cutoff_r=20.0, n_radial=8)
+    def test_quadrature_error_flagged(self, monkeypatch):
+        monkeypatch.setattr(multipole, "RADIAL_NODES", 8)
+        rough = HydrogenOrbital(cutoff_r=20.0)
         with pytest.raises(QuadratureError):
             mirror_energy_expectation(rough, 20.0)
 

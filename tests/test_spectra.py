@@ -24,6 +24,13 @@ class TestEssentialSpectrumBottom:
         with pytest.raises(ValueError):
             essential_spectrum_bottom(0.0)
 
+    def test_mirror_strength(self):
+        # m^2 (-1/64) - m/(4r): the electron level scales as m^2, the nucleus as m
+        assert essential_spectrum_bottom(8.0, 0.5) == -0.01953125
+        assert essential_spectrum_bottom(10.0, 1.0) == essential_spectrum_bottom(10.0)
+        zero = essential_spectrum_bottom(8.0, 0.0)
+        assert zero == 0.0 and np.copysign(1.0, zero) == 1.0
+
 
 class TestHvzGap:
     def test_bound_state(self):
@@ -37,6 +44,12 @@ class TestHvzGap:
 
     def test_not_certified(self):
         assert hvz_gap(-0.01, 10.0).status == "no certified ground state"
+
+    def test_mirror_strength(self):
+        rep = hvz_gap(-0.25, 8.0, 0.0, 0.5)
+        assert rep.essential_bottom == essential_spectrum_bottom(8.0, 0.5)
+        assert rep.gap == -0.25 + 0.01953125
+        assert hvz_gap(-0.25, 8.0, m=0.0).gap == -0.25
 
     @pytest.mark.parametrize("offset, status", [
         (-2e-12, "bound"), (-0.9e-12, "marginal"), (0.0, "marginal"),
