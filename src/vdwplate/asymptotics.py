@@ -88,8 +88,8 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     rs = sorted(float(r) for r in r_values)
-    if any(r <= 0 for r in rs) or len(set(rs)) != len(rs):
-        raise ValueError("sweep radii must be positive and distinct")
+    if not rs or any(r <= 0 for r in rs) or len(set(rs)) != len(rs):
+        raise ValueError("sweep radii must be given, positive and distinct")
     work = [(r, plate_m, spec) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:

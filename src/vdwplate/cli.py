@@ -157,10 +157,8 @@ def cmd_sweep(args) -> int:
     cfg, m, spec = _plate_inputs(args)
     if "r" in cfg:
         raise InputError("sweep radii come only from --r-values; remove r from the config")
-    rs = _parse_floats(args.r_values)
-    if not rs or any(r <= 0 for r in rs):
-        raise InputError("sweep radii must be positive")
-    table = sweep_interaction_energy(rs, plate_m=m, spec=spec, jobs=args.jobs)
+    table = sweep_interaction_energy(_parse_floats(args.r_values), plate_m=m, spec=spec,
+                                     jobs=args.jobs)
     text = table_to_json(table) if args.format == "json" else sweep_to_csv(table)
     _emit(text, args.output)
     if any(row.w is None for row in table.rows):

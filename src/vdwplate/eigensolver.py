@@ -287,7 +287,7 @@ class EigResult:
     vector: np.ndarray
     iterations: int
     residual: float
-    shift: float        # sigma at which H - sigma has no negative pivot
+    shift: float        # sigma certified below the spectrum (shifted_factor)
     factor_nnz: int     # fill of the L and U factors of H - shift
     factorizations: int  # factors of H - sigma the inertia check needed
 
@@ -338,13 +338,14 @@ def _malloc_trim():
     """glibc's malloc_trim, or a no-op on other C libraries.
 
     malloc_trim(0) hands the free pages of the malloc heap back to the
-    system.  A solve frees tens of MB (the factor, the CSC copies of L and U)
-    into the heap, where they stay resident, and whether the next, larger
-    grid's arrays fit into those holes or grow the heap turns on the order
-    of earlier small allocations: the peak resident set of one production
-    sweep read 240 MB or 304 MB with PYTHONHASHSEED alone changed.
-    lowest_eigenpair trims before it factors, and that peak then read
-    239.8-240.3 MB over six hash seeds.
+    system.  A solve frees tens of MB (the factor, and the CSC copies of L
+    and U when shifted_factor reads the pivots) into the heap, where they
+    stay resident, and whether the next, larger grid's arrays fit into those
+    holes or grow the heap turns on the order of earlier small allocations.
+    When every solve still read the pivots (68 MB of copies at r = 10), the
+    peak resident set of one production sweep read 240 MB or 304 MB with
+    PYTHONHASHSEED alone changed; lowest_eigenpair trims before it factors,
+    and that peak then read 239.8-240.3 MB over six hash seeds.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -370,9 +371,10 @@ def _solve_settings():
     malloc heap that advice outlives the array: later allocations in the
     range fault in 2 MiB at a time, which moved the peak of a production
     sweep between 240 and 249 MB even with the heap trimmed (see
-    _malloc_trim).  Both settings are process wide, and SuperLU releases the
-    GIL, so solves may overlap in threads: the first to enter saves the
-    settings, the last to leave restores them.
+    _malloc_trim), measured while every solve kept the CSC copies of L and
+    U (see shifted_factor).  Both settings are process wide, and SuperLU
+    releases the GIL, so solves may overlap in threads: the first to enter
+    saves the settings, the last to leave restores them.
     """
     global _settings_users, _settings_saved
     controls = _blas_thread_controls()
@@ -403,17 +405,49 @@ def _solve_settings():
 SUPERLU_PANEL = 1
 
 
+def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
+    """Whether H - sigma is proven positive definite without reading a pivot.
+
+    A symmetric Z-matrix A (every off-diagonal <= 0) with A v > 0 for some
+    v > 0 is a nonsingular M-matrix, hence positive definite (Berman &
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3,
+    condition I27).  The test takes v = lu.solve(1) and asks that the
+    computed H v - sigma v exceed gamma_{k+2} (|H| v + |sigma| v) in every
+    entry, k the most stored entries in a row and gamma_j = j eps / (1 -
+    j eps) Higham's rounding bound of the matvec, so it holds for H itself,
+    not only for the rounded H - sigma.  False on a non-Z matrix, a NaN, or
+    a shift with eigenvalues below it.
+    """
+    # more positive entries than rows: one lies off the diagonal.  Tested
+    # first because tocoo costs a 50 x 50 Feshbach matrix about 100 us.
+    if np.count_nonzero(matrix.data > 0.0) > matrix.shape[0]:
+        return False
+    a = matrix.tocoo()
+    if not np.all(a.data[a.row != a.col] <= 0.0):
+        return False
+    v = lu.solve(np.ones(a.shape[0]))
+    if not np.all(v > 0.0):
+        return False
+    k = np.bincount(a.row, minlength=a.shape[0]).max() + 2
+    gamma = k * np.finfo(float).eps / (1.0 - k * np.finfo(float).eps)
+    return bool(np.all(a @ v - sigma * v > gamma * (abs(a) @ v + abs(sigma) * v)))
+
+
 def shifted_factor(matrix, sigma: float):
     """SuperLU factor of H - sigma and the number of eigenvalues of H below sigma.
 
     Symmetric mode (diagonal pivots in a minimum-degree order of A^T + A)
-    factors P (H - sigma) P^T = L D L^T with diag(U) = D, so by Sylvester's
-    law of inertia the negative entries of diag(U) count the eigenvalues below
-    sigma.  That holds only when the row and column orders agree; SuperLU
-    leaves the diagonal only where a diagonal pivot is zero, and then
-    InertiaError is raised.  The supernodes of a 5-point stencil are narrow,
-    so panels of SUPERLU_PANEL columns factor faster than SuperLU's default
-    (same order, same fill).
+    factors P (H - sigma) P^T = L D L^T with diag(U) = D.  That holds only
+    when the row and column orders agree; SuperLU leaves the diagonal only
+    where a diagonal pivot is zero, and then InertiaError is raised.  The
+    count is 0 when H - sigma passes the M-matrix test (_m_matrix_certified),
+    which every hydrogen/plate and 1D operator below its spectrum does.
+    Otherwise, by Sylvester's law of inertia, the negative entries of diag(U)
+    count the eigenvalues below sigma; reading lu.U makes SciPy build and
+    keep CSC copies of L and U for the life of the factor (about 12 bytes per
+    fill entry), which the M-matrix test avoids.  The supernodes of a
+    5-point stencil are narrow, so panels of SUPERLU_PANEL columns factor
+    faster than SuperLU's default (same order, same fill).
     """
     n = matrix.shape[0]
     lu = spla.splu((matrix - sigma * sp.identity(n, format="csc")).tocsc(),
@@ -422,6 +456,8 @@ def shifted_factor(matrix, sigma: float):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: "
                            "no inertia")
+    if _m_matrix_certified(matrix, sigma, lu):
+        return lu, 0
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
@@ -432,13 +468,14 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> Eig
     """Lowest eigenpair of a symmetric sparse operator by certified shift-invert Lanczos.
 
     sigma is a first guess at a shift just below the lowest eigenvalue; the
-    closer it lies, the fewer back-solves the Lanczos iteration needs.  The
-    inertia of the factor of H - sigma (see shifted_factor) certifies it:
-    while some eigenvalue lies below sigma, sigma is lowered by
-    max(1, |sigma|), at most to the Gershgorin bound -||H||_inf - 1, and
-    H - sigma is factored again.  Lanczos with full reorthogonalization then
-    runs on (H - sigma)^{-1} (Ericsson & Ruhe's spectral transformation); its
-    largest Ritz value belongs to the lowest eigenvalue.  The start vector is
+    closer it lies, the fewer back-solves the Lanczos iteration needs.
+    shifted_factor certifies it, by an M-matrix test on H - sigma or by the
+    inertia of its factor: while some eigenvalue lies below sigma, sigma is
+    lowered by max(1, |sigma|), at most to the Gershgorin bound
+    -||H||_inf - 1, and H - sigma is factored again.  Lanczos with full
+    reorthogonalization then runs on (H - sigma)^{-1} (Ericsson & Ruhe's
+    spectral transformation); its largest Ritz value belongs to the lowest
+    eigenvalue.  The start vector is
     op.guess when the operator carries one (the 1s state of the
     hydrogen/plate operator) and is drawn from default_rng(0) otherwise, so
     every result repeats to the bit.  After each back-solve the Ritz vector x

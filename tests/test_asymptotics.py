@@ -165,7 +165,7 @@ class TestSweep:
             sweep_interaction_energy([5.0, 7.0], jobs=jobs)
         assert sizes == []
 
-    @pytest.mark.parametrize("radii", [[6.0, 6.0], [6.0, -1.0], [0.0]])
+    @pytest.mark.parametrize("radii", [[6.0, 6.0], [6.0, -1.0], [0.0], []])
     def test_bad_radii_rejected_before_any_solve(self, monkeypatch, radii):
         calls = []
         monkeypatch.setattr(asymptotics, "lowest_eigenpair",

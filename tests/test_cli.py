@@ -198,6 +198,15 @@ class TestSweepAndFit:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "--r-values" in err
 
+    @pytest.mark.parametrize("radii", ["-1", "6,6", ","])
+    def test_sweep_bad_radii_exit_3(self, capsys, radii):
+        # sweep_interaction_energy holds the one radius check, none included;
+        # main maps its ValueError to exit 3
+        code, out, err = run_cli(capsys, "sweep", "--r-values", radii,
+                                 "--h", "0.4", "--l-xi", "8", "--l-rho", "8")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "positive and distinct" in err
+
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--r-values", "6",
                                "--h", "0.4", "--l-xi", "8", "--l-rho", "8",

@@ -1,8 +1,10 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,6 +35,15 @@ def _numpy_reports_openblas() -> bool:
 
 def _blas_threads():
     return [get() for get, _ in eigensolver._blas_thread_controls()]
+
+
+def _band_spectrum(mat):
+    """Every eigenvalue of a symmetric sparse matrix by LAPACK's band solver:
+    the dense oracle at a third of eigvalsh's cost on a 2D grid operator."""
+    low = sp.tril(mat).tocoo()
+    band = np.zeros((np.max(low.row - low.col) + 1, mat.shape[0]))
+    band[low.row - low.col, low.col] = low.data
+    return scipy.linalg.eigvals_banded(band, lower=True)
 
 
 class TestGrid1D:
@@ -124,6 +135,64 @@ class TestLowestEigenpair:
             sigma = vals[0] - 1.0 if k == 0 else 0.5 * (vals[k - 1] + vals[k])
             _, below = shifted_factor(sp.csr_matrix(dense), sigma)
             assert below == np.count_nonzero(vals < sigma) == k
+
+    @pytest.fixture(scope="class", params=[
+        "electron_plate_1d", "hydrogen_r0.5_m1", "hydrogen_r0.5_m0",
+        "hydrogen_r8_m1", "hydrogen_r8_m0", "random_z"])
+    def z_matrix(self, request, coarse_spec):
+        """(name, Z-matrix, its full spectrum), one band eigensolve per operator."""
+        name = request.param
+        if name == "electron_plate_1d":
+            mat = assemble_1d_electron_plate(Grid1D(400, 100.0)).matrix
+        elif name == "random_z":
+            rng = np.random.default_rng(20261018)
+            dense = -np.abs(self._random_sparse_symmetric(rng, 200))
+            np.fill_diagonal(dense, rng.uniform(0.0, 8.0, 200))
+            mat = sp.csr_matrix(dense)
+        else:
+            r, m = (float(x[1:]) for x in name.split("_")[1:])
+            mat = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), m).matrix
+        return name, mat, _band_spectrum(mat)
+
+    def test_inertia_exact_on_z_matrices(self, z_matrix):
+        # every off-diagonal <= 0, so below the spectrum the M-matrix test
+        # certifies H - sigma without a pivot; above it the count must still
+        # match the full spectrum, so a wrong certificate shows here
+        name, mat, vals = z_matrix
+        assert sp.triu(mat, k=1).max() <= 0.0
+        shifts = [vals[0] - 1.0, vals[0] - 1e-3, HYDROGEN_SHIFT]
+        shifts += [0.5 * (vals[k - 1] + vals[k]) for k in (1, 2, 5)]
+        for sigma in shifts:
+            assert shifted_factor(mat, sigma)[1] == np.count_nonzero(vals < sigma)
+        if name == "hydrogen_r0.5_m1":     # HYDROGEN_SHIFT is not certified here
+            assert vals[0] < HYDROGEN_SHIFT
+
+    def test_positive_vector_needs_a_z_matrix(self):
+        # (H + 1) v = 1 with v = (1/3, 1/3) > 0, yet H + 1 is indefinite:
+        # without off-diagonals <= 0 a positive vector proves nothing
+        mat = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        assert np.all(spla.spsolve((mat + sp.identity(2)).tocsc(), np.ones(2)) > 0.0)
+        assert shifted_factor(mat, -1.0)[1] == 1
+
+    def test_certified_factor_builds_no_lu_copies(self):
+        # reading the pivots through lu.U makes SciPy build and keep CSC
+        # copies of L and U, 12 bytes per fill entry; the M-matrix test
+        # certifies this shift without them
+        grid = GridCyl.for_distance(16.0, GridCylSpec(0.2, 20.0, 20.0))
+        mat = assemble_hydrogen_plate(grid, 1.0).matrix
+        tracemalloc.start()
+        try:
+            lu, below = shifted_factor(mat, HYDROGEN_SHIFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert below == 0
+        assert peak < 6 * lu.nnz
+        # between the two lowest eigenvalues the count comes from the pivots
+        assert shifted_factor(mat, -1.0)[1] == 0
+        low = np.sort(spla.eigsh(mat.tocsc(), k=2, sigma=-1.0, which="LM")[0])
+        assert low[0] < -0.1 < low[1]
+        assert shifted_factor(mat, -0.1)[1] == 1
 
     def test_shift_above_lowest_returns_lowest(self, rng):
         dense = self._random_sparse_symmetric(rng, 300)
