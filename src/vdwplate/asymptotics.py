@@ -234,6 +234,19 @@ def sweep_to_csv(table: SweepTable) -> str:
     return out.getvalue()
 
 
+def _header_value(text: str):
+    """A '# key = value' header value as the int or float whose str() it
+    is; any other text, '1e5' or 'cell-average', stays a string."""
+    for kind in (int, float):
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        if str(value) == text:
+            return value
+    return text
+
+
 def sweep_from_csv(text: str) -> SweepTable:
     grid: dict = {}
     config: dict = {}
@@ -252,9 +265,9 @@ def sweep_from_csv(text: str) -> SweepTable:
                 if key == "m":
                     m = float(val)
                 elif key.startswith("grid."):
-                    grid[key[5:]] = val
+                    grid[key[5:]] = _header_value(val)
                 else:
-                    config[key] = val
+                    config[key] = _header_value(val)
             continue
         if line.startswith("r,"):
             columns = line.split(",")   # files without an iterations column still load

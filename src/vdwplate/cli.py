@@ -174,7 +174,10 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
-    exponents = [int(x) for x in _parse_floats(args.exponents)]
+    exponents = _parse_floats(args.exponents)
+    if not all(k.is_integer() for k in exponents):
+        raise InputError(f"exponents must be integers, got {args.exponents!r}")
+    exponents = [int(k) for k in exponents]
     try:
         fit = fit_power_law(table, exponents)
     except ValueError as exc:
@@ -222,6 +225,9 @@ def cmd_helium(args) -> int:
 
 
 def cmd_feshbach_demo(args) -> int:
+    if args.n < 2 or args.trials < 1:
+        raise InputError(f"need n >= 2 and trials >= 1, got n = {args.n}, "
+                         f"trials = {args.trials}")
     rng = np.random.default_rng(args.seed)
     n = args.n
     worst = 0.0

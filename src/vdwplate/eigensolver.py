@@ -259,22 +259,21 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("mirror strength m must lie in [0, 1]")
-    with _solve_settings():     # no huge-page advice for the large arrays
-        ax = _cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
-        rad = _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
+    ax = _cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
+    rad = _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
 
-        pts = grid.points()
-        v = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
-        if m != 0.0:
-            plate = PlateConfig(np.array([1.0, 0.0, 0.0]), grid.r, m)
-            v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
-                                                      pts[:, None, :]).total
+    pts = grid.points()
+    v = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
+    if m != 0.0:
+        plate = PlateConfig(np.array([1.0, 0.0, 0.0]), grid.r, m)
+        v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
+                                                  pts[:, None, :]).total
 
-        mat = (sp.kron(ax, sp.identity(grid.n_rho))
-               + sp.kron(sp.identity(grid.n_xi), rad)
-               + sp.diags(v)).tocsr()
-        guess = HydrogenOrbital()(pts) * np.sqrt(grid.volume_weights())
-        return SparseSymOp(matrix=mat, guess=guess)
+    mat = (sp.kron(ax, sp.identity(grid.n_rho))
+           + sp.kron(sp.identity(grid.n_xi), rad)
+           + sp.diags(v)).tocsr()
+    guess = HydrogenOrbital()(pts) * np.sqrt(grid.volume_weights())
+    return SparseSymOp(matrix=mat, guess=guess)
 
 
 # ---------------------------------------------------------------------------
@@ -322,30 +321,15 @@ def _blas_thread_controls() -> tuple:
 
 
 @functools.cache
-def _numpy_hugepage_switch():
-    """numpy's switch of the huge-page advice for large arrays, which returns
-    the setting it replaces; None on numpy builds without it."""
-    for module in ("numpy._core.multiarray", "numpy.core.multiarray"):
-        try:
-            return getattr(importlib.import_module(module), "_set_madvise_hugepage")
-        except (ImportError, AttributeError):
-            continue
-    return None
-
-
-@functools.cache
 def _malloc_trim():
     """glibc's malloc_trim, or a no-op on other C libraries.
 
     malloc_trim(0) hands the free pages of the malloc heap back to the
-    system.  A solve frees tens of MB (the factor, and the CSC copies of L
-    and U when shifted_factor reads the pivots) into the heap, where they
-    stay resident, and whether the next, larger grid's arrays fit into those
-    holes or grow the heap turns on the order of earlier small allocations.
-    When every solve still read the pivots (68 MB of copies at r = 10), the
-    peak resident set of one production sweep read 240 MB or 304 MB with
-    PYTHONHASHSEED alone changed; lowest_eigenpair trims before it factors,
-    and that peak then read 239.8-240.3 MB over six hash seeds.
+    system.  A solve frees its factor, tens of MB on the production grid,
+    into the heap, where the pages stay resident unless the next, larger
+    grid's arrays happen to fit into the holes.  lowest_eigenpair trims
+    before it factors: a production sweep (r = 10, 12, 14, 16) then peaks at
+    172.5 MB resident, and at 179 MB without the trim.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -357,34 +341,25 @@ def _malloc_trim():
 
 _settings_lock = threading.Lock()
 _settings_users = 0         # blocks inside _solve_settings, in any thread
-_settings_saved = ([], None)    # BLAS counts and huge-page advice before the first entered
+_settings_saved = []        # BLAS thread counts before the first entered
 
 
 @contextlib.contextmanager
 def _solve_settings():
-    """Run the block with every OpenBLAS copy on one thread and without
-    numpy's huge-page advice; restore both.
+    """Run the block with every OpenBLAS copy on one thread; restore the counts.
 
     Sweeps get their parallelism from worker processes, so BLAS threads on
-    top of them only compete for the same cores.  numpy advises transparent
-    huge pages (MADV_HUGEPAGE) for arrays of 4 MiB or more, and in the
-    malloc heap that advice outlives the array: later allocations in the
-    range fault in 2 MiB at a time, which moved the peak of a production
-    sweep between 240 and 249 MB even with the heap trimmed (see
-    _malloc_trim), measured while every solve kept the CSC copies of L and
-    U (see shifted_factor).  Both settings are process wide, and SuperLU
-    releases the GIL, so solves may overlap in threads: the first to enter
-    saves the settings, the last to leave restores them.
+    top of them only compete for the same cores.  The counts are process
+    wide, and SuperLU releases the GIL, so solves may overlap in threads:
+    the first to enter saves the counts, the last to leave restores them.
     """
     global _settings_users, _settings_saved
     controls = _blas_thread_controls()
-    advise = _numpy_hugepage_switch()
     with _settings_lock:
         if _settings_users == 0:
-            counts = [get() for get, _ in controls]
+            _settings_saved = [get() for get, _ in controls]
             for _, set_threads in controls:
                 set_threads(1)
-            _settings_saved = (counts, advise(False) if advise else None)
         _settings_users += 1
     try:
         yield
@@ -392,11 +367,8 @@ def _solve_settings():
         with _settings_lock:
             _settings_users -= 1
             if _settings_users == 0:
-                counts, advised = _settings_saved
-                for (_, set_threads), count in zip(controls, counts):
+                for (_, set_threads), count in zip(controls, _settings_saved):
                     set_threads(count)
-                if advise:
-                    advise(advised)
 
 
 # Columns per SuperLU panel.  Factoring H - sigma at r = 10 on the production
@@ -482,12 +454,14 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> Eig
     is tested, and the solve stops as soon as ||H x - lam x|| <= 64 eps
     ||H||_inf, lam the Rayleigh quotient.  At most LANCZOS_BASIS vectors are
     kept; a full basis restarts from x.  The solve trims the malloc heap
-    first and runs under _solve_settings (one BLAS thread, no huge-page
-    advice).  iterations counts the back-solves, and max_iter bounds them
-    as a safety stop; factorizations counts the factors of H - sigma the
-    inertia check needed; the eigenvector has unit 2-norm.  Raises
-    InertiaError when no shift can be certified and NonConvergenceError
-    when max_iter back-solves miss the residual bound.
+    before it factors (_malloc_trim) and runs on one BLAS thread
+    (_solve_settings).  iterations counts the back-solves, and max_iter
+    bounds them as a safety stop; factorizations counts the factors of H -
+    sigma the inertia check needed; the eigenvector has unit 2-norm.  Raises
+    InertiaError when no shift can be certified, and NonConvergenceError,
+    carrying the back-solves made, when max_iter back-solves miss the
+    residual bound or when the Krylov space turns invariant first: its Ritz
+    pair is then as good as this shift allows.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -532,9 +506,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> Eig
                                  factorizations=factorizations)
             b = float(np.linalg.norm(w))
             if b <= np.finfo(float).eps * theta[0]:
-                # an invariant subspace to rounding: start again from x
-                basis[0] = x
-                alpha, beta, k = [], [], 0
+                break               # an invariant subspace to rounding
             elif k + 1 == len(basis):
                 # a full basis: restart from x.  (H - sigma)^{-1} x =
                 # theta x + s_k w, so x and w / b start the new tridiagonal
@@ -547,8 +519,8 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> Eig
                 basis[k] = w / b
     raise NonConvergenceError(
         f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
-        f"after {max_iter} back-solves",
-        value=lam, residual=residual, iterations=max_iter,
+        f"after {solves} back-solves",
+        value=lam, residual=residual, iterations=solves,
     )
 
 

@@ -213,8 +213,9 @@ def sweep_tables(draw):
         else:
             rows.append(SweepRow(e_plate=None, e_free=None, error=draw(error_text),
                                  **counts))
-    return SweepTable(rows=rows, m=draw(st.floats(0.0, 1.0)),
-                      grid={"h_target": 0.1}, config={"seed": draw(st.integers(0, 99))})
+    spec = GridCylSpec(*(draw(st.floats(1e-3, 1e3)) for _ in range(3)))
+    return SweepTable(rows=rows, m=draw(st.floats(0.0, 1.0)), grid=dataclasses.asdict(spec),
+                      config={"jobs": draw(st.integers(1, 64))})
 
 
 class TestSerialization:
@@ -250,6 +251,10 @@ class TestSerialization:
         back = sweep_from_csv(text)
         assert back.rows == table.rows and back.m == table.m
         assert sweep_to_csv(back) == text
+        # grid and config values come back as numbers: fit --format json and
+        # sweep --format json write the same types
+        assert back.grid == table.grid and back.config == table.config
+        assert table_to_json(back) == table_to_json(table)
 
     @settings(max_examples=60, deadline=None)
     @given(table=sweep_tables())
@@ -271,6 +276,8 @@ class TestSerialization:
             lines.append(f"{r:.17g},380,280,{w - 0.25:.17g},-0.25,{w:.17g},")
         table = sweep_from_csv("\n".join(lines) + "\n")
         assert table.grid["sampling"] == "cell-average"
+        assert table.grid["h_target"] == 0.1 and table.config == {"jobs": 1, "seed": 0,
+                                                                 "tol": 0.0}
         fit = fit_power_law(table, (3, 5))
         assert fit.coefficient(3) == pytest.approx(-1.0, abs=1e-6)
         assert fit.coefficient(5) == pytest.approx(-18.0, abs=1e-4)

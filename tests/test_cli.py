@@ -223,6 +223,20 @@ class TestSweepAndFit:
         assert code == 3 and out == ""
         assert "jobs must be >= 1" in err
 
+    @pytest.mark.parametrize("exponents", ["3.5,5.9", "inf,5"])
+    def test_fit_non_integer_exponents_exit_3(self, capsys, tmp_path, exponents):
+        # int() truncated 3.5,5.9 to 3,5 and fitted without a word, and
+        # raised OverflowError on inf
+        rs = np.arange(8.0, 41.0, 2.0)
+        rows = [SweepRow(r=float(r), n_xi=1, n_rho=1, e_plate=float(-1.0 / r ** 3),
+                         e_free=0.0) for r in rs]
+        path = tmp_path / "synthetic.csv"
+        path.write_text(sweep_to_csv(SweepTable(rows=rows, m=1.0, grid={}, config={})))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path),
+                                 "--exponents", exponents)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "integers" in err
+
     def test_missing_input_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent/sweep.csv")
         assert code == 4
@@ -281,6 +295,14 @@ class TestFeshbachDemo:
         assert code == 0
         worst = float(out.splitlines()[-1].split("=")[1])
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "0"), ("--trials", "0")])
+    def test_too_small_inputs_exit_3(self, capsys, argv):
+        # n = 1 has no second eigenvalue to bracket with; trials = 0 reported
+        # a worst error of 0 without a single trial
+        code, out, err = run_cli(capsys, "feshbach-demo", *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestPlumbing:

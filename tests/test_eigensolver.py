@@ -350,42 +350,56 @@ class TestLowestEigenpair:
         assert len(values) == 18 and len(set(values)) == 1
         assert inside == [[1] * len(controls)] * 18
 
-    @pytest.mark.skipif(eigensolver._numpy_hugepage_switch() is None,
-                        reason="numpy has no huge-page switch")
-    def test_trimmed_heap_without_hugepage_advice(self, monkeypatch, coarse_spec):
-        # numpy's huge-page advice is off while the hydrogen/plate operator
-        # is assembled and factored, the heap is trimmed before the factor,
-        # and the setting from before comes back
-        advise = eigensolver._numpy_hugepage_switch()
-
-        def advised():
-            current = advise(True)
-            advise(current)
-            return bool(current)
-
-        inside = []
+    def test_heap_trimmed_before_first_factor(self, monkeypatch, coarse_spec):
+        # the malloc heap is trimmed once per solve, after assembly and
+        # before the factor of H - sigma
+        events = []
         factor, image = eigensolver.shifted_factor, eigensolver.molecule_mirror_interaction
 
         def recording_factor(matrix, sigma):
-            inside.append(("factor", advised()))
+            events.append("factor")
             return factor(matrix, sigma)
 
         def recording_image(mol, plate, electrons):
-            inside.append(("assemble", advised()))
+            events.append("assemble")
             return image(mol, plate, electrons)
 
         monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
         monkeypatch.setattr(eigensolver, "molecule_mirror_interaction", recording_image)
         monkeypatch.setattr(eigensolver, "_malloc_trim",
-                            lambda: lambda pad: inside.append(("trim", pad)))
-        original = advise(True)
-        try:
-            grid = GridCyl.for_distance(8.0, coarse_spec)
-            lowest_eigenpair(assemble_hydrogen_plate(grid, 1.0), sigma=HYDROGEN_SHIFT)
-            assert advised() is True
-        finally:
-            advise(original)
-        assert inside == [("assemble", False), ("trim", 0), ("factor", False)]
+                            lambda: lambda pad: events.append(("trim", pad)))
+        grid = GridCyl.for_distance(8.0, coarse_spec)
+        op = assemble_hydrogen_plate(grid, 1.0)
+        assert events == ["assemble"]
+        lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+        assert events == ["assemble", ("trim", 0), "factor"]
+
+    def test_invariant_krylov_space_stops(self, monkeypatch):
+        # far below a clustered spectrum the Ritz pair of the full Krylov
+        # space still misses the residual bound; the solve stops there and
+        # reports the back-solves it made, instead of restarting until max_iter
+        solves = []
+        factor = eigensolver.shifted_factor
+
+        class CountingFactor:
+            def __init__(self, lu):
+                self.lu, self.nnz = lu, lu.nnz
+
+            def solve(self, rhs):
+                solves.append(1)
+                return self.lu.solve(rhs)
+
+        def counting_factor(matrix, sigma):
+            lu, below = factor(matrix, sigma)
+            return CountingFactor(lu), below
+
+        monkeypatch.setattr(eigensolver, "shifted_factor", counting_factor)
+        op = SparseSymOp(sp.diags(np.arange(1.0, 9.0)).tocsr())
+        with pytest.raises(NonConvergenceError) as err:
+            lowest_eigenpair(op, sigma=-1000.0, max_iter=300)
+        assert err.value.iterations == len(solves) <= 9
+        assert err.value.value == pytest.approx(1.0, abs=1e-12)
+        assert err.value.residual > 64.0 * np.finfo(float).eps * op.norm_estimate()
 
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
