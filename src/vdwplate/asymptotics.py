@@ -66,11 +66,15 @@ def _solve_sweep_row(args) -> SweepRow:
     r, m, spec = args
     grid = GridCyl.for_distance(r, spec)
     try:
-        res = [lowest_eigenpair(assemble_hydrogen_plate(grid, mm), sigma=HYDROGEN_SHIFT)
-               for mm in (m, 0.0)]
+        # the free operator differs from the plate's by the diagonal image
+        # term alone, so it borrows the plate's certified factor
+        plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
+        free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
+                                factor=plate.factor)
+        plate.factor = free.factor = None
         return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
-                        e_plate=res[0].value, e_free=res[1].value,
-                        iterations=res[0].iterations + res[1].iterations)
+                        e_plate=plate.value, e_free=free.value,
+                        iterations=plate.iterations + free.iterations)
     except RuntimeError as exc:     # NonConvergenceError or a failed factorization
         return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                         e_plate=None, e_free=None, error=str(exc))
@@ -133,8 +137,10 @@ def fit_power_law(table, exponents) -> FitResult:
     """
     r, w = _r_w(table)
     exponents = tuple(int(k) for k in exponents)
-    if len(set(exponents)) != len(exponents) or any(k <= 0 for k in exponents):
-        raise ValueError("exponents must be distinct positive integers")
+    if (not exponents or len(set(exponents)) != len(exponents)
+            or any(k <= 0 for k in exponents)):
+        raise ValueError(f"exponents must be one or more distinct positive integers, "
+                         f"got {list(exponents)}")
     if r.size < len(exponents):
         raise ValueError("need at least as many rows as exponents")
     design = np.column_stack([r ** (-float(k)) for k in exponents])

@@ -138,8 +138,11 @@ def cmd_hydrogen(args) -> int:
     grid = GridCyl.for_distance(r, spec)
     resolved = {"command": "hydrogen", "r": r, "m": m,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
-    e_plate, e_free = [lowest_eigenpair(assemble_hydrogen_plate(grid, mm), sigma=HYDROGEN_SHIFT)
-                       for mm in (m, 0.0)]
+    # the row solve of the sweep: the free atom borrows the plate's factor
+    e_plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
+    e_free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=e_plate.shift,
+                              factor=e_plate.factor)
+    e_plate.factor = e_free.factor = None
     report = hvz_gap(e_plate.value, r, e_plate.residual, m)
     lines = [f"E = {FMT % e_plate.value}",
              f"E_free_same_grid = {FMT % e_free.value}",

@@ -255,7 +255,7 @@ def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
     is evaluated at the nodes, one electron configuration per node.  The
     axial and radial kinetic parts are one cell stencil, _cell_stencil, with
     weight 1 and rho.  The operator carries the 1s state, sampled at the same
-    nodes, as its Lanczos start vector.
+    nodes, as the start vector of lowest_eigenpair.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("mirror strength m must lie in [0, 1]")
@@ -289,6 +289,10 @@ class EigResult:
     shift: float        # sigma certified below the spectrum (shifted_factor)
     factor_nnz: int     # fill of the L and U factors of H - shift
     factorizations: int  # factors of H - sigma the inertia check needed
+    # the SuperLU factor the solve preconditioned with, its own or a
+    # borrowed one, certified for H - shift; lent to the next solve of a
+    # nearby operator (lowest_eigenpair's factor), never serialized
+    factor: object = field(default=None, repr=False)
 
 
 # The OpenBLAS copies of the numpy and scipy wheels, each reached through an
@@ -328,8 +332,9 @@ def _malloc_trim():
     system.  A solve frees its factor, tens of MB on the production grid,
     into the heap, where the pages stay resident unless the next, larger
     grid's arrays happen to fit into the holes.  lowest_eigenpair trims
-    before it factors: a production sweep (r = 10, 12, 14, 16) then peaks at
-    172.5 MB resident, and at 179 MB without the trim.
+    at the start of every solve, also one that borrows a factor: a
+    production sweep (r = 10, 12, 14, 16) then peaks at 172.5 MB resident,
+    and at 179 MB without the trim.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -383,7 +388,9 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     A symmetric Z-matrix A (every off-diagonal <= 0) with A v > 0 for some
     v > 0 is a nonsingular M-matrix, hence positive definite (Berman &
     Plemmons, Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3,
-    condition I27).  The test takes v = lu.solve(1) and asks that the
+    condition I27).  The test takes v = lu.solve(1), v from this or another
+    certified factor: any v > 0 proves the M-matrix, so the factor of a
+    nearby operator serves as well as that of H - sigma.  It asks that the
     computed H v - sigma v exceed gamma_{k+2} (|H| v + |sigma| v) in every
     entry, k the most stored entries in a row and gamma_j = j eps / (1 -
     j eps) Higham's rounding bound of the matvec, so it holds for H itself,
@@ -433,35 +440,43 @@ def shifted_factor(matrix, sigma: float):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-LANCZOS_BASIS = 20      # Lanczos vectors kept per solve, as many as ARPACK's ncv
+DAVIDSON_BASIS = 20     # basis vectors kept per solve, as many as ARPACK's ncv
 
 
-def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> EigResult:
-    """Lowest eigenpair of a symmetric sparse operator by certified shift-invert Lanczos.
+def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000,
+                     factor=None) -> EigResult:
+    """Lowest eigenpair of a symmetric sparse operator by Davidson's method,
+    preconditioned with a certified factor of H - sigma.
 
-    sigma is a first guess at a shift just below the lowest eigenvalue; the
-    closer it lies, the fewer back-solves the Lanczos iteration needs.
-    shifted_factor certifies it, by an M-matrix test on H - sigma or by the
-    inertia of its factor: while some eigenvalue lies below sigma, sigma is
-    lowered by max(1, |sigma|), at most to the Gershgorin bound
-    -||H||_inf - 1, and H - sigma is factored again.  Lanczos with full
-    reorthogonalization then runs on (H - sigma)^{-1} (Ericsson & Ruhe's
-    spectral transformation); its largest Ritz value belongs to the lowest
-    eigenvalue.  The start vector is
-    op.guess when the operator carries one (the 1s state of the
-    hydrogen/plate operator) and is drawn from default_rng(0) otherwise, so
-    every result repeats to the bit.  After each back-solve the Ritz vector x
-    is tested, and the solve stops as soon as ||H x - lam x|| <= 64 eps
-    ||H||_inf, lam the Rayleigh quotient.  At most LANCZOS_BASIS vectors are
-    kept; a full basis restarts from x.  The solve trims the malloc heap
-    before it factors (_malloc_trim) and runs on one BLAS thread
-    (_solve_settings).  iterations counts the back-solves, and max_iter
-    bounds them as a safety stop; factorizations counts the factors of H -
-    sigma the inertia check needed; the eigenvector has unit 2-norm.  Raises
-    InertiaError when no shift can be certified, and NonConvergenceError,
-    carrying the back-solves made, when max_iter back-solves miss the
-    residual bound or when the Krylov space turns invariant first: its Ritz
-    pair is then as good as this shift allows.
+    sigma is a first guess at a shift just below the lowest eigenvalue.
+    factor, when given, is the SuperLU factor of a nearby operator (the
+    plate operator's, lent to the free atom on the same grid, whose H
+    differs only by the diagonal image term); when the M-matrix test
+    (_m_matrix_certified) proves H - sigma positive definite with it, the
+    solve makes no factor of its own (factorizations == 0).  Otherwise
+    shifted_factor certifies sigma, by the M-matrix test or by the inertia
+    of the factor of H - sigma: while some eigenvalue lies below sigma,
+    sigma is lowered by max(1, |sigma|), at most to the Gershgorin bound
+    -||H||_inf - 1, and H - sigma is factored again.  The iteration
+    (generalized Davidson: Davidson, J. Comput. Phys. 17 (1975) 87; Morgan
+    & Scott, SIAM J. Sci. Stat. Comput. 7 (1986) 817) projects H on an
+    orthonormal basis V, takes the lowest Ritz pair (x, lam) of the dense
+    V^T H V, lam the Rayleigh quotient of the unit x, and expands V by the
+    back-solve t = (H - sigma)^{-1} (H x - lam x), orthogonalized twice
+    against V.  With the factor of H - sigma itself, V spans the Krylov
+    space of shift-invert Lanczos; a borrowed factor is a near-exact
+    preconditioner.  The start vector is op.guess when the operator carries
+    one (the 1s state of the hydrogen/plate operator) and is drawn from
+    default_rng(0) otherwise, so every result repeats to the bit.  The
+    solve stops as soon as ||H x - lam x|| <= 64 eps ||H||_inf.  At most
+    DAVIDSON_BASIS vectors are kept; a full basis restarts from x.  The
+    solve trims the malloc heap first (_malloc_trim) and runs on one BLAS
+    thread (_solve_settings).  iterations counts the back-solves, and
+    max_iter bounds them as a safety stop; factorizations counts the
+    factors of H - sigma the solve made; the eigenvector has unit 2-norm
+    and factor is the certified factor used.  Raises InertiaError when no
+    shift can be certified, and NonConvergenceError, carrying the
+    back-solves made, when max_iter back-solves miss the residual bound.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -472,56 +487,52 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000) -> Eig
         norm_est = op.norm_estimate()
         bound = 64.0 * np.finfo(float).eps * norm_est
         floor = -norm_est - 1.0     # H - floor is diagonally dominant: no eigenvalue below
-        lu, below = shifted_factor(h, sigma)
-        factorizations = 1
-        while below:
-            if sigma <= floor:
-                raise InertiaError(f"{below} negative pivots at the Gershgorin shift {sigma}")
-            sigma = max(sigma - max(1.0, abs(sigma)), floor)
+        if factor is not None and _m_matrix_certified(h, sigma, factor):
+            lu, factorizations = factor, 0
+        else:
             lu, below = shifted_factor(h, sigma)
-            factorizations += 1
-        basis = np.empty((min(LANCZOS_BASIS, n), n))
-        basis[0] = (np.random.default_rng(0).standard_normal(n) if op.guess is None
-                    else op.guess)
-        basis[0] /= np.linalg.norm(basis[0])
-        alpha, beta = [], []        # the tridiagonal projection of (H - sigma)^{-1}
-        k = 0                       # index of the newest basis vector
-        for solves in range(1, max_iter + 1):
-            w = lu.solve(basis[k])
-            alpha.append(float(basis[k] @ w))
+            factorizations = 1
+            while below:
+                if sigma <= floor:
+                    raise InertiaError(f"{below} negative pivots at the Gershgorin shift {sigma}")
+                sigma = max(sigma - max(1.0, abs(sigma)), floor)
+                lu, below = shifted_factor(h, sigma)
+                factorizations += 1
+        basis = np.empty((min(DAVIDSON_BASIS, n), n))
+        proj = np.empty((len(basis), len(basis)))     # V^T H V
+        t = (np.random.default_rng(0).standard_normal(n) if op.guess is None
+             else op.guess)
+        k = -1                      # index of the newest basis vector
+        solves = 0
+        while True:
             q = basis[:k + 1]
             for _ in range(2):      # full reorthogonalization; twice is enough
-                w -= q.T @ (q @ w)
-            theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta),
-                                        select="i", select_range=(k, k))
-            x = s[:, 0] @ q
+                t = t - q.T @ (q @ t)
+            k += 1
+            basis[k] = t / np.linalg.norm(t)
+            proj[:k + 1, k] = proj[k, :k + 1] = basis[:k + 1] @ (h @ basis[k])
+            _, s = np.linalg.eigh(proj[:k + 1, :k + 1])
+            x = s[:, 0] @ basis[:k + 1]
             x /= np.linalg.norm(x)
             hx = h @ x
             lam = float(x @ hx)
-            residual = float(np.linalg.norm(hx - lam * x))
+            r = hx - lam * x
+            residual = float(np.linalg.norm(r))
             if residual <= bound:
                 return EigResult(value=lam, vector=x, iterations=solves,
                                  residual=residual, shift=sigma,
                                  factor_nnz=int(lu.nnz),
-                                 factorizations=factorizations)
-            b = float(np.linalg.norm(w))
-            if b <= np.finfo(float).eps * theta[0]:
-                break               # an invariant subspace to rounding
-            elif k + 1 == len(basis):
-                # a full basis: restart from x.  (H - sigma)^{-1} x =
-                # theta x + s_k w, so x and w / b start the new tridiagonal
-                # projection and no back-solve is repeated
-                basis[0], basis[1] = x, w / b
-                alpha, beta, k = [float(theta[0])], [b * float(s[k, 0])], 1
-            else:
-                beta.append(b)
-                k += 1
-                basis[k] = w / b
-    raise NonConvergenceError(
-        f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
-        f"after {solves} back-solves",
-        value=lam, residual=residual, iterations=solves,
-    )
+                                 factorizations=factorizations, factor=lu)
+            if solves == max_iter:
+                raise NonConvergenceError(
+                    f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
+                    f"after {solves} back-solves",
+                    value=lam, residual=residual, iterations=solves,
+                )
+            t = lu.solve(r)
+            solves += 1
+            if k + 1 == len(basis):
+                basis[0], proj[0, 0], k = x, lam, 0
 
 
 # First shift for hydrogen/plate solves: -1/4 - 1/100, just below the free

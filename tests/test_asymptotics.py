@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdwplate import asymptotics
+from vdwplate import asymptotics, eigensolver
 from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   asymptotic_residual_report, dielectric_scaling,
                                   fit_power_law, fit_to_csv,
                                   sweep_from_csv, sweep_interaction_energy,
                                   sweep_to_csv, table_to_json)
-from vdwplate.eigensolver import GridCylSpec
+from vdwplate.eigensolver import HYDROGEN_SHIFT, GridCylSpec
 
 
 def synthetic_table(rs, ws, m=1.0):
@@ -59,6 +59,8 @@ class TestFitPowerLaw:
             fit_power_law((rs[:1], ws[:1]), (3, 5))
         with pytest.raises(ValueError):
             fit_power_law((rs, ws), (3, -1))
+        with pytest.raises(ValueError, match="exponents"):
+            fit_power_law((rs, ws), ())
 
 
 class TestBracketReport:
@@ -173,6 +175,20 @@ class TestSweep:
         with pytest.raises(ValueError, match="positive and distinct"):
             sweep_interaction_energy(radii, spec=GridCylSpec(0.4, 8.0, 6.0))
         assert calls == []
+
+    def test_one_factor_per_row(self, monkeypatch, coarse_spec):
+        # the free solve of each row borrows the plate's certified factor
+        factors = []
+        real = eigensolver.shifted_factor
+
+        def spy(matrix, sigma):
+            factors.append(sigma)
+            return real(matrix, sigma)
+
+        monkeypatch.setattr(eigensolver, "shifted_factor", spy)
+        table = sweep_interaction_energy([8.0, 10.0], spec=coarse_spec)
+        assert all(row.w < 0 for row in table.rows)
+        assert factors == [HYDROGEN_SHIFT] * 2
 
     def test_strictly_increasing_required(self):
         rows = [SweepRow(10.0, 5, 5, -1.0, 0.0), SweepRow(10.0, 5, 5, -1.0, 0.0)]

@@ -77,16 +77,33 @@ class TestHydrogen:
         assert err.startswith("numerical failure: NonConvergenceError:")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("m, bottom, gap", [
-        ("0.5", "-0.01953125", "-0.22974843702962064"),
-        ("0", "0", "-0.24809459588647617")])
-    def test_threshold_follows_m(self, capsys, m, bottom, gap):
-        # the electron escapes along the plate at m^2 (-1/64); E and W do not move
+    @pytest.mark.parametrize("m, bottom, gap, free", [
+        ("0.5", "-0.01953125", "-0.22974843702962069", "-0.2480945958864762"),
+        ("0", "0", "-0.24809459588647589", "-0.24809459588647589")], ids=["m0.5", "m0"])
+    def test_threshold_follows_m(self, capsys, m, bottom, gap, free):
+        # the electron escapes along the plate at m^2 (-1/64); E and W do not
+        # move.  E_free is solved with the plate's factor of this m, so its
+        # last bits follow m
         flags = ("--r", "8", "--h", "0.4", "--l-xi", "10", "--l-rho", "10")
         code, out, _ = run_cli(capsys, "hydrogen", *flags, "--m", m)
         assert code == 0
         assert (grab(out, "essential_bottom"), grab(out, "hvz_gap")) == (bottom, gap)
-        assert grab(out, "E_free_same_grid") == "-0.24809459588647617"
+        assert grab(out, "E_free_same_grid") == free
+
+    def test_one_factor(self, capsys, monkeypatch):
+        # the free solve borrows the plate's certified factor
+        factors = []
+        real = eigensolver.shifted_factor
+
+        def spy(matrix, sigma):
+            factors.append(sigma)
+            return real(matrix, sigma)
+
+        monkeypatch.setattr(eigensolver, "shifted_factor", spy)
+        code, _, _ = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
+                             "--l-xi", "10", "--l-rho", "10")
+        assert code == 0
+        assert factors == [eigensolver.HYDROGEN_SHIFT]
 
     def test_negative_r_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "-1")
@@ -223,10 +240,10 @@ class TestSweepAndFit:
         assert code == 3 and out == ""
         assert "jobs must be >= 1" in err
 
-    @pytest.mark.parametrize("exponents", ["3.5,5.9", "inf,5"])
+    @pytest.mark.parametrize("exponents", ["3.5,5.9", "inf,5", ""])
     def test_fit_non_integer_exponents_exit_3(self, capsys, tmp_path, exponents):
-        # int() truncated 3.5,5.9 to 3,5 and fitted without a word, and
-        # raised OverflowError on inf
+        # int() truncated 3.5,5.9 to 3,5 and fitted without a word, raised
+        # OverflowError on inf, and an empty list reached numpy
         rs = np.arange(8.0, 41.0, 2.0)
         rows = [SweepRow(r=float(r), n_xi=1, n_rho=1, e_plate=float(-1.0 / r ** 3),
                          e_free=0.0) for r in rs]
@@ -235,7 +252,7 @@ class TestSweepAndFit:
         code, out, err = run_cli(capsys, "fit", "--input", str(path),
                                  "--exponents", exponents)
         assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "integers" in err
+        assert len(err.splitlines()) == 1 and "integers" in err and "exponents" in err
 
     def test_missing_input_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent/sweep.csv")

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
-                                  HYDROGEN_SHIFT, LANCZOS_BASIS, InertiaError,
+                                  DAVIDSON_BASIS, HYDROGEN_SHIFT, InertiaError,
                                   NonConvergenceError,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
@@ -91,7 +91,7 @@ class TestAssemble1D:
         assert res.deviation <= 1e-7
 
     def test_tridiagonal_matches_shift_invert(self):
-        # the direct tridiagonal solve against shift-invert Lanczos on one grid
+        # the direct tridiagonal solve against the certified sparse solve on one grid
         ref = lowest_eigenpair(assemble_1d_electron_plate(Grid1D(2048, 300.0)), sigma=-1.0)
         res = electron_plate_ground(2048, 300.0)
         assert abs(res.fine_value - ref.value) <= 1e-13
@@ -371,13 +371,16 @@ class TestLowestEigenpair:
         grid = GridCyl.for_distance(8.0, coarse_spec)
         op = assemble_hydrogen_plate(grid, 1.0)
         assert events == ["assemble"]
-        lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+        res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
         assert events == ["assemble", ("trim", 0), "factor"]
+        # a solve with a borrowed factor trims as well, and factors nothing
+        free = assemble_hydrogen_plate(grid, 0.0)
+        lowest_eigenpair(free, sigma=res.shift, factor=res.factor)
+        assert events == ["assemble", ("trim", 0), "factor", ("trim", 0)]
 
-    def test_invariant_krylov_space_stops(self, monkeypatch):
-        # far below a clustered spectrum the Ritz pair of the full Krylov
-        # space still misses the residual bound; the solve stops there and
-        # reports the back-solves it made, instead of restarting until max_iter
+    def test_full_basis_is_exact(self, monkeypatch):
+        # far below a clustered spectrum each back-solve adds little, yet a
+        # basis that spans the whole space makes the Rayleigh-Ritz pair exact
         solves = []
         factor = eigensolver.shifted_factor
 
@@ -395,11 +398,23 @@ class TestLowestEigenpair:
 
         monkeypatch.setattr(eigensolver, "shifted_factor", counting_factor)
         op = SparseSymOp(sp.diags(np.arange(1.0, 9.0)).tocsr())
-        with pytest.raises(NonConvergenceError) as err:
-            lowest_eigenpair(op, sigma=-1000.0, max_iter=300)
-        assert err.value.iterations == len(solves) <= 9
-        assert err.value.value == pytest.approx(1.0, abs=1e-12)
-        assert err.value.residual > 64.0 * np.finfo(float).eps * op.norm_estimate()
+        res = lowest_eigenpair(op, sigma=-1000.0, max_iter=300)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
+        assert res.iterations == len(solves) <= 8
+
+    def test_borrowed_factor_that_cannot_certify_falls_back(self):
+        # the factor of diag(1..12) proves nothing for diag(1..12) - 3, which
+        # has two eigenvalues below -0.5: the solve factors its own operator,
+        # lowering the shift until the inertia certifies it
+        diag = sp.diags(np.arange(1.0, 13.0)).tocsr()
+        lu, _ = shifted_factor(diag, -0.5)
+        op = SparseSymOp((diag - 3.0 * sp.identity(12)).tocsr())
+        res = lowest_eigenpair(op, sigma=-0.5, factor=lu)
+        assert res.factorizations >= 1 and res.factor is not lu
+        assert res.shift < res.value
+        assert res.value == pytest.approx(np.linalg.eigvalsh(op.matrix.toarray())[0],
+                                          abs=1e-12)
 
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
@@ -481,13 +496,29 @@ class TestHydrogenPlateOperator:
             assert res.residual == pytest.approx(
                 np.linalg.norm(op.matrix @ res.vector - res.value * res.vector))
 
+    @pytest.mark.parametrize("r", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("m", [1.0, 0.5])
+    def test_free_solve_borrows_the_plate_factor(self, coarse_spec, r, m):
+        # the free operator differs from the plate's by the diagonal image
+        # term, so the plate's factor certifies its shift (no factor of its
+        # own) and preconditions it to the own-factor value
+        grid = GridCyl.for_distance(r, coarse_spec)
+        plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
+        free_op = assemble_hydrogen_plate(grid, 0.0)
+        free = lowest_eigenpair(free_op, sigma=plate.shift, factor=plate.factor)
+        own = lowest_eigenpair(free_op, sigma=plate.shift)
+        assert free.factorizations == 0 and free.factor is plate.factor
+        assert own.factorizations == 1
+        assert free.value == pytest.approx(own.value, abs=1e-13)
+        assert free.residual <= 64.0 * np.finfo(float).eps * free_op.norm_estimate()
+
     def test_restarted_solve_matches_arpack(self):
         # a shift far below E(r) at r = 0.5 needs more back-solves than the
         # basis holds, so the iteration restarts; ARPACK is the oracle
         op = assemble_hydrogen_plate(
             GridCyl.for_distance(0.5, GridCylSpec(0.1, 10.0, 10.0)), 1.0)
         res = lowest_eigenpair(op, sigma=-3.0)
-        assert res.iterations > LANCZOS_BASIS
+        assert res.iterations > DAVIDSON_BASIS
         ref = spla.eigsh(op.matrix.tocsc(), k=1, sigma=-3.0, which="LM", tol=0.0,
                          v0=np.ones(op.dim))[0][0]
         assert res.value == pytest.approx(ref, abs=1e-12)
