@@ -62,19 +62,28 @@ class SweepTable:
         return np.array(r), np.array(w)
 
 
+def solve_row(grid: GridCyl, m: float) -> tuple:
+    """(SweepRow, plate residual) of W on one grid.
+
+    The plate operator is solved from HYDROGEN_SHIFT; the free operator
+    differs from it by the diagonal image term alone, so it borrows the
+    plate's certified factor.  Raises what lowest_eigenpair raises.
+    """
+    plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
+    free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
+                            factor=plate.factor)
+    plate.factor = free.factor = None
+    row = SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,
+                   e_plate=plate.value, e_free=free.value,
+                   iterations=plate.iterations + free.iterations)
+    return row, plate.residual
+
+
 def _solve_sweep_row(args) -> SweepRow:
     r, m, spec = args
     grid = GridCyl.for_distance(r, spec)
     try:
-        # the free operator differs from the plate's by the diagonal image
-        # term alone, so it borrows the plate's certified factor
-        plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
-        free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
-                                factor=plate.factor)
-        plate.factor = free.factor = None
-        return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
-                        e_plate=plate.value, e_free=free.value,
-                        iterations=plate.iterations + free.iterations)
+        return solve_row(grid, m)[0]
     except RuntimeError as exc:     # NonConvergenceError or a failed factorization
         return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                         e_plate=None, e_free=None, error=str(exc))
@@ -92,8 +101,8 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     rs = sorted(float(r) for r in r_values)
-    if not rs or any(r <= 0 for r in rs) or len(set(rs)) != len(rs):
-        raise ValueError("sweep radii must be given, positive and distinct")
+    if not rs or any(not 0 < r < np.inf for r in rs) or len(set(rs)) != len(rs):
+        raise ValueError("sweep radii must be given, finite, positive and distinct")
     work = [(r, plate_m, spec) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:
@@ -161,33 +170,11 @@ def fit_power_law(table, exponents) -> FitResult:
     )
 
 
-@dataclass(frozen=True)
-class BracketReport:
-    """Residual of W against the explicit two-term hydrogen law.
-
-    residuals hold R(r) = W(r) + 1/r^3 + 18/r^5; empirical_d3 is the largest
-    r^6 |R(r)| over the window, the constant a sixth-order correction would
-    need.  When a per-row error budget is given, rows whose residual exceeds
-    it are flagged.
-    """
-
-    r_values: np.ndarray
-    residuals: np.ndarray
-    scaled: np.ndarray        # r^6 * R(r)
-    empirical_d3: float
-    flagged: list
-
-
-def asymptotic_residual_report(table, error_budget=None) -> BracketReport:
+def empirical_d3(table) -> float:
+    """Largest r^6 |W(r) + 1/r^3 + 18/r^5| over the window: the constant a
+    sixth-order term beyond the two-term hydrogen law would need."""
     r, w = _r_w(table)
-    resid = w + r ** -3.0 + 18.0 * r ** -5.0
-    scaled = resid * r ** 6.0
-    flagged = []
-    if error_budget is not None:
-        budget = np.broadcast_to(np.asarray(error_budget, dtype=float), r.shape)
-        flagged = [float(rr) for rr, res, b in zip(r, resid, budget) if abs(res) > b]
-    return BracketReport(r_values=r, residuals=resid, scaled=scaled,
-                         empirical_d3=float(np.max(np.abs(scaled))), flagged=flagged)
+    return float(np.max(np.abs((w + r ** -3.0 + 18.0 * r ** -5.0) * r ** 6.0)))
 
 
 @dataclass(frozen=True)
@@ -280,13 +267,16 @@ def sweep_from_csv(text: str) -> SweepTable:
             continue
         # error is the last column, and its text may itself hold commas
         col = dict(zip(columns, raw.split(",", len(columns) - 1)))
+        missing = [c for c in CSV_COLUMNS[:5] if c not in col]     # r .. E_free
+        if missing:
+            raise ValueError(f"sweep CSV line {line!r} lacks columns {', '.join(missing)}")
         solved = col["E_plate"] != ""
         rows.append(SweepRow(r=float(col["r"]), n_xi=int(col["n_xi"]),
                              n_rho=int(col["n_rho"]),
                              e_plate=float(col["E_plate"]) if solved else None,
                              e_free=float(col["E_free"]) if solved else None,
                              iterations=int(col.get("iterations", 0)),
-                             error=None if solved else col["error"] or "gap"))
+                             error=None if solved else col.get("error") or "gap"))
     return SweepTable(rows=rows, m=m, grid=grid, config=config)
 
 

@@ -67,8 +67,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("at least 16 interior nodes required")
-        if not self.L > 0:
-            raise ValueError("domain length must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"domain length must be finite and positive, got {self.L}")
 
     @property
     def h(self) -> float:
@@ -86,6 +86,11 @@ class GridCylSpec:
     h_target: float = 0.1
     l_xi_plus: float = 28.0   # axial extent beyond the nucleus
     l_rho: float = 28.0       # radial extent
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 < value < np.inf:
+                raise ValueError(f"grid {name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,8 @@ class GridCyl:
 
     @classmethod
     def for_distance(cls, r: float, spec: GridCylSpec = GridCylSpec()) -> "GridCyl":
-        if not r > 0:
-            raise ValueError("plate distance must be positive")
+        if not 0 < r < np.inf:
+            raise ValueError(f"plate distance must be finite and positive, got {r}")
         n_left = max(1, round(r / spec.h_target))
         h_xi = r / n_left
         n_xi = n_left + max(1, round(spec.l_xi_plus / h_xi))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vdwplate import asymptotics, eigensolver
 from vdwplate.asymptotics import (SweepRow, SweepTable,
-                                  asymptotic_residual_report, dielectric_scaling,
+                                  dielectric_scaling, empirical_d3,
                                   fit_power_law, fit_to_csv,
                                   sweep_from_csv, sweep_interaction_energy,
                                   sweep_to_csv, table_to_json)
@@ -67,20 +67,12 @@ class TestBracketReport:
     def test_constructed_sixth_order(self):
         rs = np.linspace(10.0, 30.0, 9)
         ws = -1.0 / rs ** 3 - 18.0 / rs ** 5 - 5.0 / rs ** 6
-        rep = asymptotic_residual_report(synthetic_table(rs, ws))
-        assert rep.empirical_d3 == pytest.approx(5.0, rel=1e-10)
+        assert empirical_d3(synthetic_table(rs, ws)) == pytest.approx(5.0, rel=1e-10)
 
     def test_exact_series_zero(self):
         rs = np.linspace(10.0, 30.0, 9)
         ws = -1.0 / rs ** 3 - 18.0 / rs ** 5
-        rep = asymptotic_residual_report(synthetic_table(rs, ws))
-        assert rep.empirical_d3 == pytest.approx(0.0, abs=1e-12)
-
-    def test_budget_flagging(self):
-        rs = np.array([10.0, 20.0])
-        ws = -1.0 / rs ** 3 - 18.0 / rs ** 5 - np.array([0.0, 1e-5])
-        rep = asymptotic_residual_report(synthetic_table(rs, ws), error_budget=1e-6)
-        assert rep.flagged == [20.0]
+        assert empirical_d3(synthetic_table(rs, ws)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDielectricScaling:
@@ -167,7 +159,8 @@ class TestSweep:
             sweep_interaction_energy([5.0, 7.0], jobs=jobs)
         assert sizes == []
 
-    @pytest.mark.parametrize("radii", [[6.0, 6.0], [6.0, -1.0], [0.0], []])
+    @pytest.mark.parametrize("radii", [[6.0, 6.0], [6.0, -1.0], [0.0], [],
+                                       [10.0, np.inf], [np.nan]])
     def test_bad_radii_rejected_before_any_solve(self, monkeypatch, radii):
         calls = []
         monkeypatch.setattr(asymptotics, "lowest_eigenpair",
@@ -297,6 +290,11 @@ class TestSerialization:
         fit = fit_power_law(table, (3, 5))
         assert fit.coefficient(3) == pytest.approx(-1.0, abs=1e-6)
         assert fit.coefficient(5) == pytest.approx(-18.0, abs=1e-4)
+
+    def test_gap_row_without_error_column_loads(self):
+        # raised KeyError: 'error'
+        text = "r,n_xi,n_rho,E_plate,E_free,W,iterations\n10,5,5,,,,3\n"
+        assert sweep_from_csv(text).rows == [SweepRow(10.0, 5, 5, None, None, 3, "gap")]
 
     def test_csv_17_digits(self):
         table = synthetic_table([10.0], [-1.0 / 3.0])

@@ -48,6 +48,10 @@ class TestEplate:
         # the Richardson step needs n//2 >= 16
         code, out, err = run_cli(capsys, "eplate", "--n", "20")
         assert code == 3 and out == "" and "n >= 32" in err
+        # L = inf printed eigenvalue = nan and exited 0
+        code, out, err = run_cli(capsys, "eplate", "--n", "64", "--L", "inf")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "domain length" in err
 
 
 class TestHydrogen:
@@ -68,7 +72,7 @@ class TestHydrogen:
 
     def test_unreachable_tolerance_exits_2(self, capsys, monkeypatch):
         # one back-solve cannot meet the residual contract
-        monkeypatch.setattr(cli, "lowest_eigenpair",
+        monkeypatch.setattr(asymptotics, "lowest_eigenpair",
                             functools.partial(eigensolver.lowest_eigenpair, max_iter=1))
         code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                                  "--l-xi", "10", "--l-rho", "10")
@@ -109,6 +113,18 @@ class TestHydrogen:
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "-1")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, word", [
+        (("hydrogen", "--r", "inf"), "plate distance"),
+        (("hydrogen", "--r", "5", "--l-xi", "inf"), "l_xi_plus"),
+        (("hydrogen", "--r", "5", "--h", "0"), "h_target"),
+        (("sweep", "--r-values", "5", "--h", "0"), "h_target"),
+        (("sweep", "--r-values", "5", "--l-rho", "nan"), "l_rho")])
+    def test_grid_inputs_not_finite_positive_exit_3(self, capsys, argv, word):
+        # inf ended in OverflowError, h = 0 in ZeroDivisionError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and word in err
+
     def test_bad_m_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")
         assert code == 3
@@ -130,6 +146,26 @@ class TestHydrogen:
         row = csv.splitlines()[-1].split(",")
         assert (grab(out, "# grid.n_xi"), grab(out, "# grid.n_rho")) == (row[1], row[2])
         assert float(grab(out, "W")) == float(row[5])
+        # the same row solve prints the same strings, iterations included
+        assert ([grab(out, k) for k in ("E", "E_free_same_grid", "W", "iterations")]
+                == row[3:7])
+
+    def test_one_row_solve_per_row(self, capsys, monkeypatch):
+        # hydrogen and sweep share asymptotics.solve_row
+        radii = []
+        real = asymptotics.solve_row
+
+        def spy(grid, m):
+            radii.append(grid.r)
+            return real(grid, m)
+
+        for module in (asymptotics, cli):
+            monkeypatch.setattr(module, "solve_row", spy)
+        flags = ("--h", "0.4", "--l-xi", "8", "--l-rho", "6")
+        assert run_cli(capsys, "hydrogen", "--r", "6", *flags)[0] == 0
+        assert radii == [6.0]
+        assert run_cli(capsys, "sweep", "--r-values", "8,6", *flags)[0] == 0
+        assert radii == [6.0, 6.0, 8.0]
 
     @pytest.mark.parametrize("line", ["n_xi = 35", "n_rho = 20", "nucleus = 1 0 0 0",
                                       "v = 0 0 1", "n_electrons = 1",
@@ -215,7 +251,7 @@ class TestSweepAndFit:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "--r-values" in err
 
-    @pytest.mark.parametrize("radii", ["-1", "6,6", ","])
+    @pytest.mark.parametrize("radii", ["-1", "6,6", ",", "inf", "10,inf", "nan"])
     def test_sweep_bad_radii_exit_3(self, capsys, radii):
         # sweep_interaction_energy holds the one radius check, none included;
         # main maps its ValueError to exit 3
@@ -257,6 +293,16 @@ class TestSweepAndFit:
     def test_missing_input_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent/sweep.csv")
         assert code == 4
+
+    @pytest.mark.parametrize("text", ["r,W\n10,-0.001\n12,-0.0005\n", "hello\n"],
+                             ids=["r_W", "hello"])
+    def test_input_without_sweep_columns_exits_3(self, capsys, tmp_path, text):
+        # both raised KeyError: 'E_plate'
+        path = tmp_path / "other.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "lacks columns n_xi, n_rho, E_plate" in err
 
     def test_row_factor_failure_gives_gap_row(self, capsys, monkeypatch):
         def singular(*args, **kwargs):
