@@ -50,8 +50,12 @@ class SweepTable:
 
     def __post_init__(self):
         rs = [row.r for row in self.rows]
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("sweep radii must be strictly increasing")
+        if (any(not 0 < r < np.inf for r in rs)
+                or any(b <= a for a, b in zip(rs, rs[1:]))):
+            raise ValueError("sweep radii must be finite, positive and strictly increasing")
+        for row in self.rows:   # a non-finite E_plate or E_free makes W non-finite
+            if row.w is not None and not np.isfinite(row.w):
+                raise ValueError(f"sweep row at r = {FMT % row.r} has a non-finite energy")
 
     def solved_arrays(self):
         """(r, W) over rows that solved; gaps are dropped."""
@@ -80,12 +84,11 @@ def solve_row(grid: GridCyl, m: float) -> tuple:
 
 
 def _solve_sweep_row(args) -> SweepRow:
-    r, m, spec = args
-    grid = GridCyl.for_distance(r, spec)
+    grid, m = args
     try:
         return solve_row(grid, m)[0]
     except RuntimeError as exc:     # NonConvergenceError or a failed factorization
-        return SweepRow(r=r, n_xi=grid.n_xi, n_rho=grid.n_rho,
+        return SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                         e_plate=None, e_free=None, error=str(exc))
 
 
@@ -103,7 +106,8 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     rs = sorted(float(r) for r in r_values)
     if not rs or any(not 0 < r < np.inf for r in rs) or len(set(rs)) != len(rs):
         raise ValueError("sweep radii must be given, finite, positive and distinct")
-    work = [(r, plate_m, spec) for r in rs]
+    # every grid is built, and so checked, before the first solve or worker
+    work = [(GridCyl.for_distance(r, spec), plate_m) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

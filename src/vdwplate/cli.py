@@ -1,9 +1,11 @@
 """Command-line driver.
 
 Exit codes: 0 success, 2 numerical failure (non-convergence, a failed
-factorization or quadrature, memory exhaustion), 3 invalid input, 4 I/O
-failure.  Outputs embed the resolved configuration and the package version;
-repeated runs with the same flags are byte-identical.
+factorization or quadrature, memory exhaustion), 3 invalid input, 4 I/O or
+other operating-system failure (any OSError).  Commands raise; main alone
+maps an exception to its exit code and one stderr line.  Outputs embed the
+resolved configuration and the package version; repeated runs with the same
+flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ EXIT_INPUT = 3
 EXIT_IO = 4
 
 
-class InputError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract reserves 2 for numerics
     def error(self, message):
@@ -52,34 +50,18 @@ def _emit(text: str, path: str | None):
     outdir = os.environ.get("VDWPLATE_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_IO)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _parse_floats(text: str, expected: int | None = None) -> list:
     try:
         vals = [float(p) for p in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise InputError(f"cannot parse numbers from {text!r}") from exc
+        raise ValueError(f"cannot parse numbers from {text!r}") from exc
     if expected is not None and len(vals) != expected:
-        raise InputError(f"expected {expected} numbers in {text!r}")
+        raise ValueError(f"expected {expected} numbers in {text!r}")
     return vals
-
-
-def _config_values(args) -> dict:
-    if args.config:
-        try:
-            return load_config(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            sys.exit(EXIT_IO)
-        except ValueError as exc:
-            raise InputError(str(exc))
-    return {}
 
 
 def _pick(args, name: str, cfg: dict, default, key: str | None = None):
@@ -120,10 +102,10 @@ def cmd_eplate(args) -> int:
 
 def _plate_inputs(args) -> tuple:
     """(config, m, grid spec) of hydrogen and sweep: flags, else config, else defaults."""
-    cfg = _config_values(args)
+    cfg = load_config(args.config) if args.config else {}
     m = float(_pick(args, "m", cfg, 1.0))
     if not 0.0 <= m <= 1.0:
-        raise InputError(f"mirror strength must lie in [0, 1], got {m}")
+        raise ValueError(f"mirror strength must lie in [0, 1], got {m}")
     default = GridCylSpec()
     spec = GridCylSpec(h_target=float(_pick(args, "h", cfg, default.h_target)),
                        l_xi_plus=float(_pick(args, "l_xi", cfg, default.l_xi_plus, "L_xi")),
@@ -133,8 +115,10 @@ def _plate_inputs(args) -> tuple:
 
 def cmd_hydrogen(args) -> int:
     cfg, m, spec = _plate_inputs(args)
-    r = float(_pick(args, "r", cfg, None) or 0.0)
-    grid = GridCyl.for_distance(r, spec)    # ValueError unless 0 < r < inf
+    r = _pick(args, "r", cfg, None)
+    if r is None:
+        raise ValueError("hydrogen needs --r or r in the config")
+    grid = GridCyl.for_distance(r, spec)    # ValueError unless h/2 <= r < inf
     resolved = {"command": "hydrogen", "r": r, "m": m,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
     row, residual = solve_row(grid, m)
@@ -154,7 +138,7 @@ def cmd_hydrogen(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, m, spec = _plate_inputs(args)
     if "r" in cfg:
-        raise InputError("sweep radii come only from --r-values; remove r from the config")
+        raise ValueError("sweep radii come only from --r-values; remove r from the config")
     table = sweep_interaction_energy(_parse_floats(args.r_values), plate_m=m, spec=spec,
                                      jobs=args.jobs)
     text = table_to_json(table) if args.format == "json" else sweep_to_csv(table)
@@ -166,20 +150,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            table = sweep_from_csv(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.input, "r", encoding="utf-8") as fh:
+        table = sweep_from_csv(fh.read())
     exponents = _parse_floats(args.exponents)
     if not all(k.is_integer() for k in exponents):
-        raise InputError(f"exponents must be integers, got {args.exponents!r}")
+        raise ValueError(f"exponents must be integers, got {args.exponents!r}")
     exponents = [int(k) for k in exponents]
-    try:
-        fit = fit_power_law(table, exponents)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    fit = fit_power_law(table, exponents)
     if args.format == "json":
         text = table_to_json(table, fit)
     else:
@@ -192,7 +169,7 @@ def cmd_fit(args) -> int:
 def cmd_cv(args) -> int:
     v = np.array(_parse_floats(args.v, 3))
     if np.linalg.norm(v) == 0:
-        raise InputError("direction must be nonzero")
+        raise ValueError("direction must be nonzero")
     v = v / np.linalg.norm(v)
     if args.molecule == "hydrogen":
         basis = GroundBasis((HydrogenOrbital(),))
@@ -202,7 +179,7 @@ def cmd_cv(args) -> int:
                                            HydrogenOrbital(z=2.0))),))
         note = "doubly occupied scaled orbital (variational state)"
     else:
-        raise InputError(f"unknown molecule {args.molecule!r}")
+        raise ValueError(f"unknown molecule {args.molecule!r}")
     c = orientation_coefficient(basis, v)
     resolved = {"command": "cv", "molecule": args.molecule,
                 "v": ",".join(FMT % x for x in v), "state": note}
@@ -223,7 +200,7 @@ def cmd_helium(args) -> int:
 
 def cmd_feshbach_demo(args) -> int:
     if args.n < 2 or args.trials < 1:
-        raise InputError(f"need n >= 2 and trials >= 1, got n = {args.n}, "
+        raise ValueError(f"need n >= 2 and trials >= 1, got n = {args.n}, "
                          f"trials = {args.trials}")
     rng = np.random.default_rng(args.seed)
     n = args.n
@@ -321,9 +298,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:   # InputError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:      # unreadable input or config, unwritable output, a refused fork
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (RuntimeError, MemoryError) as exc:   # NonConvergenceError, InertiaError included
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -111,8 +111,10 @@ class GridCyl:
 
     @classmethod
     def for_distance(cls, r: float, spec: GridCylSpec = GridCylSpec()) -> "GridCyl":
-        if not 0 < r < np.inf:
-            raise ValueError(f"plate distance must be finite and positive, got {r}")
+        # below h/2 the axial step r / n_left shrinks with r, and the grid grows as 1/r
+        if not spec.h_target / 2 <= r < np.inf:
+            raise ValueError(f"plate distance must be finite and at least h/2 = "
+                             f"{spec.h_target / 2}, got {r}; lower --h for a closer plate")
         n_left = max(1, round(r / spec.h_target))
         h_xi = r / n_left
         n_xi = n_left + max(1, round(spec.l_xi_plus / h_xi))
@@ -446,10 +448,10 @@ def shifted_factor(matrix, sigma: float):
 
 
 DAVIDSON_BASIS = 20     # basis vectors kept per solve, as many as ARPACK's ncv
+DAVIDSON_MAX_SOLVES = 2000  # back-solves per solve before NonConvergenceError; a safety stop
 
 
-def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000,
-                     factor=None) -> EigResult:
+def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     """Lowest eigenpair of a symmetric sparse operator by Davidson's method,
     preconditioned with a certified factor of H - sigma.
 
@@ -477,14 +479,13 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000,
     DAVIDSON_BASIS vectors are kept; a full basis restarts from x.  The
     solve trims the malloc heap first (_malloc_trim) and runs on one BLAS
     thread (_solve_settings).  iterations counts the back-solves, and
-    max_iter bounds them as a safety stop; factorizations counts the
+    DAVIDSON_MAX_SOLVES bounds them as a safety stop; factorizations counts the
     factors of H - sigma the solve made; the eigenvector has unit 2-norm
     and factor is the certified factor used.  Raises InertiaError when no
     shift can be certified, and NonConvergenceError, carrying the
-    back-solves made, when max_iter back-solves miss the residual bound.
+    back-solves made, when DAVIDSON_MAX_SOLVES back-solves miss the residual
+    bound.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     h = op.matrix
     n = op.dim
     with _solve_settings():
@@ -528,7 +529,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, max_iter: int = 2000,
                                  residual=residual, shift=sigma,
                                  factor_nnz=int(lu.nnz),
                                  factorizations=factorizations, factor=lu)
-            if solves == max_iter:
+            if solves == DAVIDSON_MAX_SOLVES:
                 raise NonConvergenceError(
                     f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
                     f"after {solves} back-solves",
@@ -675,9 +676,10 @@ def _feshbach(mat: sp.csc_matrix, b: np.ndarray, lam: float):
 
 
 FIXED_POINT_TOL = 1e-12     # |g(lambda) - lambda| or Newton step that ends the search
+FIXED_POINT_MAX_ITER = 200  # evaluations inside the bracket before NonConvergenceError
 
 
-def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
+def feshbach_fixed_point(h, p, bracket) -> float:
     """Solve lambda = min eig F_P(lambda) by safeguarded Newton on the given bracket.
 
     g(lambda) = min eig F_P(lambda) decreases in lambda below the complement
@@ -694,17 +696,16 @@ def feshbach_fixed_point(h, p, bracket, max_iter: int = 200) -> float:
     the midpoint of the bracket when that step leaves it.  The search returns the last evaluated lambda once |f| <=
     FIXED_POINT_TOL or the next Newton step is no longer than
     FIXED_POINT_TOL; the step stop keeps iterates off the eigenvalue of H
-    itself, where H - lambda is singular to rounding.  max_iter (at least 1)
+    itself, where H - lambda is singular to rounding.  FIXED_POINT_MAX_ITER
     bounds the evaluations inside the bracket, the probe included.  Raises
     NonConvergenceError, carrying the last iterate (inside the bracket), when
-    max_iter evaluations do not stop.
+    FIXED_POINT_MAX_ITER evaluations do not stop.
     """
     tol = FIXED_POINT_TOL
+    max_iter = FIXED_POINT_MAX_ITER
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     mat = _as_csc(h)
     b = _as_basis(p, mat.shape[0])
 

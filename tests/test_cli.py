@@ -1,4 +1,3 @@
-import functools
 import json
 import re
 
@@ -72,8 +71,7 @@ class TestHydrogen:
 
     def test_unreachable_tolerance_exits_2(self, capsys, monkeypatch):
         # one back-solve cannot meet the residual contract
-        monkeypatch.setattr(asymptotics, "lowest_eigenpair",
-                            functools.partial(eigensolver.lowest_eigenpair, max_iter=1))
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 1)
         code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                                  "--l-xi", "10", "--l-rho", "10")
         assert code == 2
@@ -112,6 +110,21 @@ class TestHydrogen:
     def test_negative_r_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "-1")
         assert code == 3
+
+    def test_missing_r_exits_3(self, capsys):
+        # r defaulted to 0.0 and the message blamed a plate distance of 0
+        code, out, err = run_cli(capsys, "hydrogen", "--h", "0.4")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "--r" in err
+
+    def test_r_below_half_h_exits_3_before_assembly(self, capsys, monkeypatch):
+        # at r = 0.01 the axial step would be 0.01: 784,280 nodes, 7.4x the r = 10 grid
+        calls = []
+        monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate",
+                            lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "hydrogen", "--r", "0.01")
+        assert code == 3 and out == "" and calls == []
+        assert len(err.splitlines()) == 1 and "h/2 = 0.05" in err and "--h" in err
 
     @pytest.mark.parametrize("argv, word", [
         (("hydrogen", "--r", "inf"), "plate distance"),
@@ -290,10 +303,6 @@ class TestSweepAndFit:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "integers" in err and "exponents" in err
 
-    def test_missing_input_exits_4(self, capsys):
-        code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent/sweep.csv")
-        assert code == 4
-
     @pytest.mark.parametrize("text", ["r,W\n10,-0.001\n12,-0.0005\n", "hello\n"],
                              ids=["r_W", "hello"])
     def test_input_without_sweep_columns_exits_3(self, capsys, tmp_path, text):
@@ -303,6 +312,29 @@ class TestSweepAndFit:
         code, out, err = run_cli(capsys, "fit", "--input", str(path))
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "lacks columns n_xi, n_rho, E_plate" in err
+
+    @pytest.mark.parametrize("row, word", [("10,10,10,nan,-0.25,nan,1,", "non-finite"),
+                                           ("-5,10,10,-0.26,-0.25,-0.01,1,", "positive")],
+                             ids=["nan_energy", "negative_r"])
+    def test_corrupt_sweep_rows_exit_3(self, capsys, tmp_path, row, word):
+        # both were fitted: c3 = nan, and a fit through r = -5
+        path = tmp_path / "corrupt.csv"
+        path.write_text(f"{','.join(asymptotics.CSV_COLUMNS)}\n{row}\n"
+                        "12,10,10,-0.2506,-0.25,-0.0006,1,\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and word in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_r_below_half_h_exits_3_before_any_solve(self, capsys, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: calls.append("pool"))
+        monkeypatch.setattr(asymptotics, "lowest_eigenpair",
+                            lambda *args, **kwargs: calls.append("solve"))
+        code, out, err = run_cli(capsys, "sweep", "--r-values", "0.01,10", "--jobs", jobs)
+        assert code == 3 and out == "" and calls == []
+        assert len(err.splitlines()) == 1 and "h/2" in err
 
     def test_row_factor_failure_gives_gap_row(self, capsys, monkeypatch):
         def singular(*args, **kwargs):
@@ -374,6 +406,25 @@ class TestPlumbing:
             main(["eplate", "--bogus"])
         assert exc.value.code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("helium", "--output", "{tmp}/missing/he.txt"),
+        ("hydrogen", "--config", "{tmp}/missing.cfg", "--r", "8"),
+        ("fit", "--input", "{tmp}/missing.csv"),
+        ("sweep", "--r-values", "8,10", "--h", "0.4", "--l-xi", "10", "--l-rho", "10",
+         "--jobs", "2"),
+    ], ids=["output", "config", "input", "pool"])
+    def test_os_error_returns_4(self, capsys, tmp_path, monkeypatch, argv):
+        # main returns the code itself: no SystemExit, no traceback; a
+        # refused fork at pool start escaped main as BlockingIOError
+        def refused(*args, **kwargs):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", refused)
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: [Errno ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["eplate", "--config", "x"], ["eplate", "--seed", "1"],

@@ -217,23 +217,24 @@ class TestLowestEigenpair:
         assert a.value == b.value and a.iterations == b.iterations
         assert np.array_equal(a.vector, b.vector)
 
-    def test_unreachable_tolerance(self):
+    def test_unreachable_tolerance(self, monkeypatch):
         # at sigma = -1 this operator needs far more than 50 back-solves
         g = Grid1D(256, 100.0)
         op = assemble_1d_electron_plate(g)
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 50)
         with pytest.raises(NonConvergenceError) as err:
-            lowest_eigenpair(op, sigma=-1.0, max_iter=50)
+            lowest_eigenpair(op, sigma=-1.0)
         assert err.value.residual is None or err.value.residual > 0
 
-    def test_max_iter_counts_back_solves(self):
+    def test_max_iter_counts_back_solves(self, monkeypatch):
         op = assemble_1d_electron_plate(Grid1D(256, 100.0))
+        lowest = lowest_eigenpair(op, sigma=-1.0).value
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 7)
         with pytest.raises(NonConvergenceError) as err:
-            lowest_eigenpair(op, sigma=-1.0, max_iter=7)
+            lowest_eigenpair(op, sigma=-1.0)
         # the error carries the last Rayleigh quotient, an upper bound
         assert err.value.iterations == 7 and err.value.residual > 0
-        assert err.value.value > lowest_eigenpair(op, sigma=-1.0).value
-        with pytest.raises(ValueError):
-            lowest_eigenpair(op, sigma=-1.0, max_iter=0)
+        assert err.value.value > lowest
 
     @pytest.mark.skipif(not _numpy_reports_openblas(),
                         reason="numpy is not built against OpenBLAS")
@@ -254,16 +255,17 @@ class TestLowestEigenpair:
             return factor(matrix, sigma)
 
         monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", max_iter)
         op = assemble_1d_electron_plate(Grid1D(256, 100.0))
         try:
             for _, set_threads in controls:
                 set_threads(2)
             before = _blas_threads()
             if raises is None:
-                lowest_eigenpair(op, sigma=-1.0, max_iter=max_iter)
+                lowest_eigenpair(op, sigma=-1.0)
             else:
                 with pytest.raises(raises):
-                    lowest_eigenpair(op, sigma=-1.0, max_iter=max_iter)
+                    lowest_eigenpair(op, sigma=-1.0)
             assert _blas_threads() == before
         finally:
             for (_, set_threads), count in zip(controls, original):
@@ -397,8 +399,9 @@ class TestLowestEigenpair:
             return CountingFactor(lu), below
 
         monkeypatch.setattr(eigensolver, "shifted_factor", counting_factor)
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 300)
         op = SparseSymOp(sp.diags(np.arange(1.0, 9.0)).tocsr())
-        res = lowest_eigenpair(op, sigma=-1000.0, max_iter=300)
+        res = lowest_eigenpair(op, sigma=-1000.0)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
         assert res.iterations == len(solves) <= 8
@@ -580,7 +583,7 @@ class TestFeshbach:
         f = feshbach_matrix(h, vecs[:, 0], vals[0])
         assert f[0, 0] == pytest.approx(vals[0], abs=1e-12)
 
-    def test_fixed_point_random_matrix(self, rng):
+    def test_fixed_point_random_matrix(self, rng, monkeypatch):
         n = 50
         a = rng.standard_normal((n, n))
         h = 0.5 * (a + a.T)
@@ -595,8 +598,9 @@ class TestFeshbach:
         assert fp == pytest.approx(vals[0], abs=1e-10)
         # one evaluation inside the bracket (the fixed-point probe) cannot reach
         # tol: the last iterate comes back inside the error, never as a result
+        monkeypatch.setattr(eigensolver, "FIXED_POINT_MAX_ITER", 1)
         with pytest.raises(NonConvergenceError) as err:
-            feshbach_fixed_point(h, psi, bracket, max_iter=1)
+            feshbach_fixed_point(h, psi, bracket)
         assert err.value.iterations == 1
         assert bracket[0] < err.value.value < bracket[1]
         assert abs(err.value.value - vals[0]) > 1e-10
