@@ -71,15 +71,18 @@ def solve_row(grid: GridCyl, m: float) -> tuple:
 
     The plate operator is solved from HYDROGEN_SHIFT; the free operator
     differs from it by the diagonal image term alone, so it borrows the
-    plate's certified factor.  Raises what lowest_eigenpair raises.
+    plate's certified factor.  At m = 0 the plate operator is the free one,
+    so its solve serves as both.  Raises what lowest_eigenpair raises.
     """
     plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
-    free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
-                            factor=plate.factor)
+    free, iterations = plate, plate.iterations
+    if m != 0:
+        free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
+                                factor=plate.factor)
+        iterations += free.iterations
     plate.factor = free.factor = None
     row = SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,
-                   e_plate=plate.value, e_free=free.value,
-                   iterations=plate.iterations + free.iterations)
+                   e_plate=plate.value, e_free=free.value, iterations=iterations)
     return row, plate.residual
 
 

@@ -24,7 +24,7 @@ from .eigensolver import (GridCyl, GridCylSpec, electron_plate_ground,
                           feshbach_fixed_point)
 # unused here; perfbench's test_tracer_wraps_every_import_site still asserts it
 from .eigensolver import lowest_eigenpair  # noqa: F401
-from .model import E_ELECTRON_PLATE, E_HYDROGEN, load_config
+from .model import E_ELECTRON_PLATE, E_HYDROGEN, as_vec3, load_config
 from .multipole import GroundBasis, HydrogenOrbital, ProductState, orientation_coefficient
 from .spectra import helium_variational_energy, hvz_gap
 
@@ -167,7 +167,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    v = np.array(_parse_floats(args.v, 3))
+    v = as_vec3(_parse_floats(args.v, 3))     # finite before it is normalized
     if np.linalg.norm(v) == 0:
         raise ValueError("direction must be nonzero")
     v = v / np.linalg.norm(v)

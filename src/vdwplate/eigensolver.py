@@ -340,8 +340,8 @@ def _malloc_trim():
     into the heap, where the pages stay resident unless the next, larger
     grid's arrays happen to fit into the holes.  lowest_eigenpair trims
     at the start of every solve, also one that borrows a factor: a
-    production sweep (r = 10, 12, 14, 16) then peaks at 172.5 MB resident,
-    and at 179 MB without the trim.
+    production sweep (r = 10, 12, 14, 16) then peaks at 147 MiB resident,
+    and at 157 MiB without the trim.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -383,9 +383,10 @@ def _solve_settings():
                     set_threads(count)
 
 
-# Columns per SuperLU panel.  Factoring H - sigma at r = 10 on the production
-# grid takes 0.46 s with 1, 0.47 s with 2 and 0.65 s with SuperLU's default
-# (medians of 5 on a 2-core x86_64 host; the fill is the same).
+# Columns per SuperLU panel.  Factoring H - sigma in single precision at
+# r = 10 on the production grid takes 0.34 s with 1, 0.36 s with 2 and 0.48 s
+# with SuperLU's default, and at r = 16 0.40, 0.42 and 0.55 s (medians of 7
+# on a 2-core x86_64 host, one BLAS thread; the fill is the same).
 SUPERLU_PANEL = 1
 
 
@@ -397,12 +398,13 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     Plemmons, Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3,
     condition I27).  The test takes v = lu.solve(1), v from this or another
     certified factor: any v > 0 proves the M-matrix, so the factor of a
-    nearby operator serves as well as that of H - sigma.  It asks that the
+    nearby operator, or a single-precision one, serves as well as the double
+    factor of H - sigma.  v is taken to double, and the test asks that the
     computed H v - sigma v exceed gamma_{k+2} (|H| v + |sigma| v) in every
     entry, k the most stored entries in a row and gamma_j = j eps / (1 -
-    j eps) Higham's rounding bound of the matvec, so it holds for H itself,
-    not only for the rounded H - sigma.  False on a non-Z matrix, a NaN, or
-    a shift with eigenvalues below it.
+    j eps) Higham's rounding bound of the double matvec, so it holds for H
+    itself, not only for the rounded H - sigma.  False on a non-Z matrix, a
+    NaN, or a shift with eigenvalues below it.
     """
     # more positive entries than rows: one lies off the diagonal.  Tested
     # first because tocoo costs a 50 x 50 Feshbach matrix about 100 us.
@@ -411,7 +413,7 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     a = matrix.tocoo()
     if not np.all(a.data[a.row != a.col] <= 0.0):
         return False
-    v = lu.solve(np.ones(a.shape[0]))
+    v = np.asarray(lu.solve(np.ones(a.shape[0])), dtype=float)
     if not np.all(v > 0.0):
         return False
     k = np.bincount(a.row, minlength=a.shape[0]).max() + 2
@@ -419,7 +421,18 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     return bool(np.all(a @ v - sigma * v > gamma * (abs(a) @ v + abs(sigma) * v)))
 
 
-def shifted_factor(matrix, sigma: float):
+class _SingleFactor:
+    """A float32 SuperLU factor that rounds each right-hand side to float32;
+    its solutions stay float32."""
+
+    def __init__(self, lu):
+        self.lu, self.nnz = lu, lu.nnz
+
+    def solve(self, rhs):
+        return self.lu.solve(np.asarray(rhs, dtype=np.float32))
+
+
+def shifted_factor(matrix, sigma: float, single: bool = False):
     """SuperLU factor of H - sigma and the number of eigenvalues of H below sigma.
 
     Symmetric mode (diagonal pivots in a minimum-degree order of A^T + A)
@@ -434,14 +447,24 @@ def shifted_factor(matrix, sigma: float):
     fill entry), which the M-matrix test avoids.  The supernodes of a
     5-point stencil are narrow, so panels of SUPERLU_PANEL columns factor
     faster than SuperLU's default (same order, same fill).
+
+    single=True factors H - sigma rounded to float32: the same order and
+    fill, 4-byte values, a faster factor and faster back-solves.  Its pivots
+    prove nothing about H, so only the M-matrix test certifies it: the
+    result is (_SingleFactor, 0), or (None, None) when the test fails.
     """
     n = matrix.shape[0]
-    lu = spla.splu((matrix - sigma * sp.identity(n, format="csc")).tocsc(),
+    precision = np.float32 if single else float
+    lu = spla.splu((matrix - sigma * sp.identity(n, format="csc"))
+                   .astype(precision, copy=False).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    panel_size=SUPERLU_PANEL, options=dict(SymmetricMode=True))
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: "
                            "no inertia")
+    if single:
+        lu = _SingleFactor(lu)
+        return (lu, 0) if _m_matrix_certified(matrix, sigma, lu) else (None, None)
     if _m_matrix_certified(matrix, sigma, lu):
         return lu, 0
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
@@ -461,17 +484,22 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     differs only by the diagonal image term); when the M-matrix test
     (_m_matrix_certified) proves H - sigma positive definite with it, the
     solve makes no factor of its own (factorizations == 0).  Otherwise
-    shifted_factor certifies sigma, by the M-matrix test or by the inertia
-    of the factor of H - sigma: while some eigenvalue lies below sigma,
-    sigma is lowered by max(1, |sigma|), at most to the Gershgorin bound
-    -||H||_inf - 1, and H - sigma is factored again.  The iteration
-    (generalized Davidson: Davidson, J. Comput. Phys. 17 (1975) 87; Morgan
+    H - sigma is factored in single precision, kept when the M-matrix test
+    certifies it: it only preconditions, and on the production and ladder
+    grids it takes as many back-solves as a double factor.  Where the test
+    fails (a non-Z operator, or sigma above the lowest eigenvalue) H - sigma
+    is factored again in double and the inertia of that factor certifies
+    sigma: while some eigenvalue lies below sigma, sigma is lowered by
+    max(1, |sigma|), at most to the Gershgorin bound -||H||_inf - 1, and
+    H - sigma is factored again in double.  The iteration (generalized
+    Davidson: Davidson, J. Comput. Phys. 17 (1975) 87; Morgan
     & Scott, SIAM J. Sci. Stat. Comput. 7 (1986) 817) projects H on an
     orthonormal basis V, takes the lowest Ritz pair (x, lam) of the dense
     V^T H V, lam the Rayleigh quotient of the unit x, and expands V by the
     back-solve t = (H - sigma)^{-1} (H x - lam x), orthogonalized twice
-    against V.  With the factor of H - sigma itself, V spans the Krylov
-    space of shift-invert Lanczos; a borrowed factor is a near-exact
+    against V; everything but that back-solve runs in double, and t is
+    taken back to double.  With the factor of H - sigma itself, V spans the
+    Krylov space of shift-invert Lanczos; a borrowed factor is a near-exact
     preconditioner.  The start vector is op.guess when the operator carries
     one (the 1s state of the hydrogen/plate operator) and is drawn from
     default_rng(0) otherwise, so every result repeats to the bit.  The
@@ -480,11 +508,11 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     solve trims the malloc heap first (_malloc_trim) and runs on one BLAS
     thread (_solve_settings).  iterations counts the back-solves, and
     DAVIDSON_MAX_SOLVES bounds them as a safety stop; factorizations counts the
-    factors of H - sigma the solve made; the eigenvector has unit 2-norm
-    and factor is the certified factor used.  Raises InertiaError when no
-    shift can be certified, and NonConvergenceError, carrying the
-    back-solves made, when DAVIDSON_MAX_SOLVES back-solves miss the residual
-    bound.
+    factors of H - sigma the solve made, a single one the test refused
+    included; the eigenvector has unit 2-norm and factor is the certified
+    factor used.  Raises InertiaError when no shift can be certified, and
+    NonConvergenceError, carrying the back-solves made, when
+    DAVIDSON_MAX_SOLVES back-solves miss the residual bound.
     """
     h = op.matrix
     n = op.dim
@@ -496,8 +524,11 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
         if factor is not None and _m_matrix_certified(h, sigma, factor):
             lu, factorizations = factor, 0
         else:
-            lu, below = shifted_factor(h, sigma)
+            lu, below = shifted_factor(h, sigma, single=True)
             factorizations = 1
+            if below is None:       # no M-matrix: the double factor's inertia decides
+                lu, below = shifted_factor(h, sigma)
+                factorizations = 2
             while below:
                 if sigma <= floor:
                     raise InertiaError(f"{below} negative pivots at the Gershgorin shift {sigma}")
@@ -535,7 +566,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
                     f"after {solves} back-solves",
                     value=lam, residual=residual, iterations=solves,
                 )
-            t = lu.solve(r)
+            t = np.asarray(lu.solve(r), dtype=float)
             solves += 1
             if k + 1 == len(basis):
                 basis[0], proj[0, 0], k = x, lam, 0

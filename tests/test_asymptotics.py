@@ -174,14 +174,20 @@ class TestSweep:
         factors = []
         real = eigensolver.shifted_factor
 
-        def spy(matrix, sigma):
+        def spy(matrix, sigma, **kwargs):
             factors.append(sigma)
-            return real(matrix, sigma)
+            return real(matrix, sigma, **kwargs)
 
         monkeypatch.setattr(eigensolver, "shifted_factor", spy)
         table = sweep_interaction_energy([8.0, 10.0], spec=coarse_spec)
         assert all(row.w < 0 for row in table.rows)
         assert factors == [HYDROGEN_SHIFT] * 2
+
+    def test_overflowing_w_rejected(self):
+        # both energies finite, but W = -1e308 - 1e308 is -inf
+        rows = [SweepRow(10.0, 5, 5, -1e308, 1e308)]
+        with pytest.raises(ValueError, match="non-finite"):
+            SweepTable(rows=rows, m=1.0, grid={}, config={})
 
     def test_strictly_increasing_required(self):
         rows = [SweepRow(10.0, 5, 5, -1.0, 0.0), SweepRow(10.0, 5, 5, -1.0, 0.0)]
@@ -207,8 +213,12 @@ class TestSweep:
 
 @st.composite
 def sweep_tables(draw):
-    """SweepTables with solved and gap rows; gap error text may hold commas."""
-    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    """SweepTables with solved and gap rows; gap error text may hold commas.
+
+    Energies stay within 1e300 so that W = E_plate - E_free is finite, as
+    SweepTable requires: two finite floats near 1e308 differ by inf.
+    """
+    finite = st.floats(-1e300, 1e300, width=64)
     rs = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6, unique=True))
     error_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
                          min_size=1, max_size=30)

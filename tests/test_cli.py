@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vdwplate
 from vdwplate import asymptotics, cli, eigensolver
 from vdwplate.asymptotics import SweepRow, SweepTable, sweep_to_csv
 from vdwplate.cli import main
@@ -80,12 +85,12 @@ class TestHydrogen:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("m, bottom, gap, free", [
-        ("0.5", "-0.01953125", "-0.22974843702962069", "-0.2480945958864762"),
-        ("0", "0", "-0.24809459588647589", "-0.24809459588647589")], ids=["m0.5", "m0"])
+        ("0.5", "-0.01953125", "-0.22974843702962047", "-0.24809459588647617"),
+        ("0", "0", "-0.24809459588647609", "-0.24809459588647609")], ids=["m0.5", "m0"])
     def test_threshold_follows_m(self, capsys, m, bottom, gap, free):
         # the electron escapes along the plate at m^2 (-1/64); E and W do not
         # move.  E_free is solved with the plate's factor of this m, so its
-        # last bits follow m
+        # last bits follow m; at m = 0 it is the plate solve itself
         flags = ("--r", "8", "--h", "0.4", "--l-xi", "10", "--l-rho", "10")
         code, out, _ = run_cli(capsys, "hydrogen", *flags, "--m", m)
         assert code == 0
@@ -97,15 +102,35 @@ class TestHydrogen:
         factors = []
         real = eigensolver.shifted_factor
 
-        def spy(matrix, sigma):
+        def spy(matrix, sigma, **kwargs):
             factors.append(sigma)
-            return real(matrix, sigma)
+            return real(matrix, sigma, **kwargs)
 
         monkeypatch.setattr(eigensolver, "shifted_factor", spy)
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                              "--l-xi", "10", "--l-rho", "10")
         assert code == 0
         assert factors == [eigensolver.HYDROGEN_SHIFT]
+
+    def test_m0_solves_once(self, capsys, monkeypatch):
+        # at m = 0 the plate operator is the free one: one assembly, one solve
+        calls = []
+
+        def spy(name):
+            real = getattr(asymptotics, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("assemble_hydrogen_plate", "lowest_eigenpair"):
+            monkeypatch.setattr(asymptotics, name, spy(name))
+        code, out, _ = run_cli(capsys, "hydrogen", "--r", "8", "--m", "0", "--h", "0.4",
+                               "--l-xi", "10", "--l-rho", "10")
+        assert code == 0
+        assert calls == ["assemble_hydrogen_plate", "lowest_eigenpair"]
+        assert grab(out, "E") == grab(out, "E_free_same_grid")
 
     def test_negative_r_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "-1")
@@ -362,6 +387,18 @@ class TestCvAndHelium:
         assert code == 0
         assert grab(out, "# state") == "doubly occupied scaled orbital (variational state)"
         assert abs(float(grab(out, "C")) - 0.5) <= 1e-12
+
+    def test_cv_infinite_component_exits_3_with_one_line(self):
+        # the norm was taken before the finiteness check: NumPy's
+        # RuntimeWarning and its source line came before the error line
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(vdwplate.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "vdwplate.cli",
+                               "cv", "--v", "inf,0,0"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: vector components must be finite"]
 
     def test_cv_unknown_molecule(self, capsys):
         code, _, _ = run_cli(capsys, "cv", "--molecule", "argon")

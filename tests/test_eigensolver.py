@@ -250,9 +250,9 @@ class TestLowestEigenpair:
         inside = []
         factor = eigensolver.shifted_factor
 
-        def recording_factor(matrix, sigma):
+        def recording_factor(matrix, sigma, **kwargs):
             inside.append(_blas_threads())
-            return factor(matrix, sigma)
+            return factor(matrix, sigma, **kwargs)
 
         monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", max_iter)
@@ -321,9 +321,9 @@ class TestLowestEigenpair:
         inside = []
         factor = eigensolver.shifted_factor
 
-        def recording_factor(matrix, sigma):
+        def recording_factor(matrix, sigma, **kwargs):
             inside.append(_blas_threads())
-            return factor(matrix, sigma)
+            return factor(matrix, sigma, **kwargs)
 
         monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
         op = assemble_1d_electron_plate(Grid1D(256, 100.0))
@@ -358,9 +358,9 @@ class TestLowestEigenpair:
         events = []
         factor, image = eigensolver.shifted_factor, eigensolver.molecule_mirror_interaction
 
-        def recording_factor(matrix, sigma):
+        def recording_factor(matrix, sigma, **kwargs):
             events.append("factor")
-            return factor(matrix, sigma)
+            return factor(matrix, sigma, **kwargs)
 
         def recording_image(mol, plate, electrons):
             events.append("assemble")
@@ -394,8 +394,8 @@ class TestLowestEigenpair:
                 solves.append(1)
                 return self.lu.solve(rhs)
 
-        def counting_factor(matrix, sigma):
-            lu, below = factor(matrix, sigma)
+        def counting_factor(matrix, sigma, **kwargs):
+            lu, below = factor(matrix, sigma, **kwargs)
             return CountingFactor(lu), below
 
         monkeypatch.setattr(eigensolver, "shifted_factor", counting_factor)
@@ -458,7 +458,9 @@ class TestHydrogenPlateOperator:
         ref = lowest_eigenpair(assemble_hydrogen_plate(grid, 1.0), sigma=-3.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
         assert res.shift < res.value < HYDROGEN_SHIFT
-        assert res.factorizations == 2     # HYDROGEN_SHIFT, then one lowered shift
+        # at HYDROGEN_SHIFT the single factor, refused by the M-matrix test,
+        # and the double one whose inertia lowers the shift; then one more
+        assert res.factorizations == 3
         assert shifted_factor(assemble_hydrogen_plate(grid, 1.0).matrix, res.shift)[1] == 0
 
     def test_shift_near_ground_saves_back_solves(self, coarse_spec):
@@ -514,6 +516,37 @@ class TestHydrogenPlateOperator:
         assert own.factorizations == 1
         assert free.value == pytest.approx(own.value, abs=1e-13)
         assert free.residual <= 64.0 * np.finfo(float).eps * free_op.norm_estimate()
+
+    def test_own_factor_is_single_precision(self, coarse_spec):
+        # the M-matrix test, run in double, certifies the single factor; it
+        # preconditions as well as the double factor and is lent as before
+        grid = GridCyl.for_distance(8.0, coarse_spec)
+        op = assemble_hydrogen_plate(grid, 1.0)
+        plate = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+        assert plate.factorizations == 1
+        assert plate.factor.solve(np.ones(op.dim, np.float32)).dtype == np.float32
+        assert eigensolver._m_matrix_certified(op.matrix, plate.shift, plate.factor)
+        double, below = shifted_factor(op.matrix, HYDROGEN_SHIFT)
+        assert below == 0 and plate.factor_nnz == double.nnz
+        ref = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT, factor=double)
+        assert plate.value == pytest.approx(ref.value, abs=1e-13)
+        assert plate.iterations == ref.iterations
+        free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
+                                factor=plate.factor)
+        assert free.factorizations == 0 and free.factor is plate.factor
+
+    def test_non_z_operator_gets_a_double_factor(self):
+        # one positive off-diagonal pair: no M-matrix, so the single factor
+        # is refused and the double factor's inertia certifies the shift
+        n = 40
+        mat = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                       [-1, 0, 1]).tolil()
+        mat[10, 11] = mat[11, 10] = 0.5
+        op = SparseSymOp(mat.tocsr())
+        res = lowest_eigenpair(op, sigma=-1.0)
+        assert res.factorizations == 2 and res.shift == -1.0
+        assert res.factor.solve(np.ones(n, np.float32)).dtype == np.float64
+        assert res.value == pytest.approx(np.linalg.eigvalsh(mat.toarray())[0], abs=1e-12)
 
     def test_restarted_solve_matches_arpack(self):
         # a shift far below E(r) at r = 0.5 needs more back-solves than the
