@@ -168,8 +168,10 @@ def cmd_fit(args) -> int:
 
 def cmd_cv(args) -> int:
     v = as_vec3(_parse_floats(args.v, 3))     # finite before it is normalized
-    if np.linalg.norm(v) == 0:
+    if not np.any(v):
         raise ValueError("direction must be nonzero")
+    # an exact power-of-two scale keeps the norm clear of overflow and underflow
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
     v = v / np.linalg.norm(v)
     if args.molecule == "hydrogen":
         basis = GroundBasis((HydrogenOrbital(),))

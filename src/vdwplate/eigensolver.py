@@ -154,12 +154,9 @@ class GridCyl:
         w = 2.0 * np.pi * self.rho * self.h_xi * self.h_rho
         return np.tile(w, (self.n_xi, 1)).ravel()
 
-    def meshes(self):
-        return np.meshgrid(self.xi, self.rho, indexing="ij")
-
     def points(self) -> np.ndarray:
         """Nodes as 3D points (xi, rho, 0), flattened in (xi, rho) C order."""
-        xi, rho = self.meshes()
+        xi, rho = np.meshgrid(self.xi, self.rho, indexing="ij")
         return np.stack([xi, rho, np.zeros_like(xi)], axis=-1).reshape(-1, 3)
 
     def metadata(self) -> dict:
@@ -654,15 +651,11 @@ def _as_basis(p, n: int) -> np.ndarray:
     return b
 
 
-def _as_csc(h) -> sp.csc_matrix:
-    return sp.csc_matrix(h.matrix if isinstance(h, SparseSymOp) else h, dtype=float)
-
-
 def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     """Feshbach matrix on Ran P: B^T H B - B^T H Q (H_perp - lam)^{-1} Q H B.
 
-    h is a symmetric operator (dense, sparse, or SparseSymOp); p an
-    orthonormal basis of the projection range (n,) or (n, k).  By the
+    h is a symmetric matrix (dense or sparse); p an orthonormal basis of the
+    projection range (n,) or (n, k).  By the
     block-inverse identity, (F - lam)^{-1} = S = B^T (H - lam)^{-1} B, so F
     comes from k back-solves with the one factor of H - lam (shifted_factor):
     S = V diag(w) V^T gives F = lam + V diag(1/w) V^T.  Haynsworth's inertia
@@ -674,7 +667,7 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     step.  Raises SingularBlockError when the count differs or no factor has
     an inertia.
     """
-    mat = _as_csc(h)
+    mat = sp.csc_matrix(h, dtype=float)
     w, v, _, lam = _feshbach(mat, _as_basis(p, mat.shape[0]), lam)
     f = lam * np.eye(len(w)) + (v / w) @ v.T
     return 0.5 * (f + f.T)
@@ -737,7 +730,7 @@ def feshbach_fixed_point(h, p, bracket) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    mat = _as_csc(h)
+    mat = sp.csc_matrix(h, dtype=float)
     b = _as_basis(p, mat.shape[0])
 
     def f_and_slope(lam):

@@ -63,15 +63,6 @@ class PlateConfig:
         if not 0.0 < self.m <= 1.0:
             raise ValueError(f"reflection coefficient m must be in (0, 1], got {self.m}")
 
-    @classmethod
-    def normalized(cls, v, r: float, m: float = 1.0) -> "PlateConfig":
-        """Build a PlateConfig normalizing v explicitly (never silently)."""
-        v = as_vec3(v)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("cannot normalize a zero plate normal")
-        return cls(v / n, r, m)
-
     def signed_distance(self, x) -> np.ndarray:
         """Distance of x from the plate plane, positive inside the physical half-space."""
         return as_vec3(x) @ self.v + self.r
@@ -119,13 +110,6 @@ class Molecule:
     def total_charge(self) -> float:
         return float(self.charges.sum())
 
-    def charge_center(self) -> np.ndarray:
-        return self.charges @ self.positions / self.total_charge
-
-    def recentered(self) -> "Molecule":
-        """Return a copy translated so the charge-weighted center sits at the origin."""
-        return Molecule(self.charges, self.positions - self.charge_center(), self.n_electrons)
-
 
 @dataclass
 class ValidationReport:
@@ -136,11 +120,6 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.violations
-
-    def __str__(self) -> str:
-        if self.valid:
-            return "valid"
-        return "; ".join(self.violations)
 
 
 def validate_molecule(mol: Molecule, plate: PlateConfig | None = None) -> ValidationReport:

@@ -1,5 +1,5 @@
-"""Series expansions of the mirror interaction, wavefunction expectations, and
-the orientation coefficient of the leading van der Waals term.
+"""Wavefunctions, expectations of the mirror interaction against them, and the
+orientation coefficient of the leading van der Waals term.
 
 Quadrature conventions: radial integrals against exponentially decaying
 densities use Gauss-Laguerre nodes (the weight matches the density); integrals
@@ -15,9 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_legendre
 
-from .model import Molecule, as_vec3, unit_vector, validate_molecule
+from .model import as_vec3, unit_vector
 
 RADIAL_NODES = 200
 ANGULAR_NODES = 64
@@ -194,12 +193,6 @@ class HydrogenOrbital:
 
     # moments and overlaps ----------------------------------------------------
 
-    def axis_moment(self, k: int) -> float:
-        """<x1^k>: radial moment times the angular factor 1/(k+1); 0 for odd k."""
-        if k % 2 == 1:
-            return 0.0
-        return self.density_expectation(lambda R: R ** k) / (k + 1.0)
-
     def overlap(self, other: "HydrogenOrbital") -> float:
         return self.pair_integral(other, lambda R: np.ones_like(R))
 
@@ -218,16 +211,6 @@ class HydrogenOrbital:
         _, weights = self._pair_rule(self, lambda R: self._envelope_derivative(R) ** 2,
                                      RADIAL_NODES)
         return float(np.sum(weights))
-
-    def hydrogen_energy(self) -> float:
-        """<psi | -Laplacian - 1/|x| | psi> by radial quadrature (s-wave form)."""
-        attraction = -self.density_expectation(lambda radius: 1.0 / radius)
-        return float(self.kinetic_energy() + attraction)
-
-    def distance_l2(self, other: "HydrogenOrbital") -> float:
-        """L2 distance ||psi_a - psi_b||."""
-        sq = self.overlap(self) + other.overlap(other) - 2.0 * self.overlap(other)
-        return float(np.sqrt(max(sq, 0.0)))
 
 
 class GridWaveFn:
@@ -343,122 +326,8 @@ class GroundBasis:
 
 
 # ---------------------------------------------------------------------------
-# Inverse-distance multipole expansion
+# Expectations and the leading interaction coefficient
 # ---------------------------------------------------------------------------
-
-SERIES_VALIDITY_FACTOR = 5.0 / 3.0
-
-
-@dataclass(frozen=True)
-class SeriesEval:
-    """Truncated expansion of 1/|2 r v + z| together with the exact kernel."""
-
-    terms: np.ndarray       # term k carries r^{-(k+1)}, k = 0..order
-    partial_sum: float
-    exact: float
-
-    @property
-    def remainder(self) -> float:
-        return self.exact - self.partial_sum
-
-
-def inverse_distance_series(z, v, r: float, order: int) -> SeriesEval:
-    """Expand 1/|2 r v + z| in powers of 1/r up to z-degree `order`.
-
-    The degree-k term is (-1)^k |z|^k P_k(z.v/|z|) / (2r)^{k+1}; the first
-    omitted term scales like r^{-(order+2)}.  Valid for |z| <= 5r/3.
-    """
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    z = as_vec3(z)
-    v = unit_vector(v)
-    zn = float(np.linalg.norm(z))
-    if zn > SERIES_VALIDITY_FACTOR * r:
-        raise ValueError("|z| outside the validity window |z| <= 5r/3")
-    ks = np.arange(order + 1)
-    if zn == 0.0:
-        terms = np.zeros(order + 1)
-        terms[0] = 1.0 / (2.0 * r)
-    else:
-        u = float(z @ v) / zn
-        legendre = np.array([eval_legendre(int(k), u) for k in ks])
-        terms = (-1.0) ** ks * zn ** ks * legendre / (2.0 * r) ** (ks + 1)
-    exact = 1.0 / float(np.linalg.norm(2.0 * r * v + z))
-    return SeriesEval(terms=terms, partial_sum=float(terms.sum()), exact=exact)
-
-
-def r3_coefficient(z, v) -> float:
-    """Coefficient of r^{-3} in the expansion: (3 (z.v)^2 - |z|^2)/16."""
-    z, v = as_vec3(z), unit_vector(v)
-    return (3.0 * float(z @ v) ** 2 - float(z @ z)) / 16.0
-
-
-# ---------------------------------------------------------------------------
-# Geometric split of the axial interaction kernel
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeometricSplit:
-    """Exact finite-geometric terms of 1/r - 1/(r + x1) plus closed-form remainder."""
-
-    terms: np.ndarray
-    remainder: float
-    exact: float
-
-    @property
-    def total(self) -> float:
-        return float(self.terms.sum() + self.remainder)
-
-
-def geometric_tail_split(x1: float, r: float, order: int = 5) -> GeometricSplit:
-    """Split 1/r - 1/(r+x1) into powers of x1/r with an exact remainder.
-
-    term k is -(1/r)(-x1/r)^k for k = 1..order; the remainder is
-    -(1/r)(-x1/r)^{order+1} / (1 + x1/r).  Valid for all x1 > -r; terms plus
-    remainder reproduce the kernel to machine precision.
-    """
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if x1 <= -r:
-        raise ValueError("x1 must exceed -r")
-    if not 1 <= order <= 5:
-        raise ValueError("order must be between 1 and 5")
-    t = x1 / r
-    ks = np.arange(1, order + 1)
-    terms = -((-t) ** ks) / r
-    remainder = -((-t) ** (order + 1)) / (r * (1.0 + t))
-    exact = 1.0 / r - 1.0 / (r + x1)
-    return GeometricSplit(terms=terms, remainder=float(remainder), exact=exact)
-
-
-# ---------------------------------------------------------------------------
-# Leading interaction coefficient and expectations
-# ---------------------------------------------------------------------------
-
-def _orientation_form(t: np.ndarray, v: np.ndarray) -> float:
-    """(v.T.v + tr T)/16 for a second-moment matrix T = <(sum x_i)(sum x_i)^T>."""
-    return (float(v @ t @ v) + float(np.trace(t))) / 16.0
-
-
-def leading_interaction_coefficient(mol: Molecule, v, electrons) -> float:
-    """r^3-scaled leading coefficient of half the mirror interaction.
-
-    Equals -O_v at the configuration, O_v = ((sum x_i . v)^2 + |sum x_i|^2)/16;
-    requires a neutral, centered molecule (otherwise the 1/r and 1/r^2 terms
-    do not cancel and r^-3 is not the leading order).
-    """
-    v = unit_vector(v)
-    report = validate_molecule(mol)
-    if not report.valid:
-        raise ValueError(f"molecule invalid for the expansion: {report}")
-    x = as_vec3(electrons)
-    if x.ndim == 1:
-        x = x[None, :]
-    w = x.sum(axis=0)
-    return -_orientation_form(np.outer(w, w), v)
-
 
 class QuadratureError(RuntimeError):
     """Raised when doubling the node count moves a result beyond tolerance."""
@@ -496,9 +365,11 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     """Evaluate <psi | (m/2) * mirror interaction | psi> by radial quadrature.
 
     Uses Newton's theorem for the spherically symmetric electron/mirror-nucleus
-    term and the geometric split for the axial term; odd powers integrate to
-    zero against the spherical density.  The r^-7 remainder is bracketed from
-    the in-support sixth moment (1/(1 + x1/r) between 4/5 and 4/3 there).
+    term.  The axial term 1/r - 1/(r + x1) expands in t = x1/r as the sum of
+    -(1/r)(-t)^k over k = 1..5 plus the exact remainder -(1/r) t^6/(1 + t);
+    odd powers integrate to zero against the spherical density.  The r^-7
+    remainder is bracketed from the in-support sixth moment (1/(1 + t)
+    between 4/5 and 4/3 there).
     The density is evaluated once per quadrature window, [0, inf), [0, r/4],
     [r/4, inf) and [2r, inf), each clipped to the support of a cut-off orbital;
     the moments are dot products against the window's weights.  A cut-off
@@ -547,7 +418,9 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
 def orientation_coefficient(basis: GroundBasis, v) -> float:
     """Largest eigenvalue of O_v = ((sum x_i . v)^2 + |sum x_i|^2)/16 on the basis.
 
-    For the hydrogen ground state this equals 1 for every direction.
+    Entry (a, b) is (v.T.v + tr T)/16 for the second-moment matrix
+    T = <psi_a | (sum x_i)(sum x_i)^T | psi_b>.  For the hydrogen ground
+    state the coefficient equals 1 for every direction.
     """
     v = unit_vector(v)
     fns = basis.functions
@@ -555,7 +428,8 @@ def orientation_coefficient(basis: GroundBasis, v) -> float:
     mat = np.empty((n, n))
     for a in range(n):
         for b in range(a, n):
-            mat[a, b] = mat[b, a] = _orientation_form(fns[a].moment2(fns[b]), v)
+            t = fns[a].moment2(fns[b])
+            mat[a, b] = mat[b, a] = (float(v @ t @ v) + float(np.trace(t))) / 16.0
     top = float(np.linalg.eigvalsh(mat)[-1])
     if top <= 0:
         raise ValueError("orientation coefficient must be positive")

@@ -33,11 +33,6 @@ class GreensCoeffs:
     eps1: float
     eps2: float  # math.inf encodes the conductor limit
 
-    @property
-    def mirror_strength(self) -> float:
-        """m = -a, in (0, 1] for eps2 > eps1; m = 1 is the perfect conductor."""
-        return -self.a
-
 
 def greens_coefficients(eps1: float, eps2: float = math.inf) -> GreensCoeffs:
     """Coefficients A, B for a charge in medium 1 facing medium 2.
@@ -134,17 +129,6 @@ def molecule_mirror_interaction(mol: Molecule, plate: PlateConfig, electrons) ->
     i3 = _mirror_sum(z, y, z, y, plate)
     m = plate.m
     return MirrorInteraction(m * i1, m * i2, m * i3)
-
-
-def classical_potential(mol: Molecule, plate: PlateConfig, electrons) -> float:
-    """Classical potential part of the full Hamiltonian: direct Coulomb plus total/2."""
-    x = as_vec3(electrons)
-    if x.ndim == 1:
-        x = x[None, :]
-    # electrons carry charge -1, nuclei their atomic numbers
-    q = np.concatenate([-np.ones(x.shape[0]), mol.charges])
-    direct = _coulomb_sum(q, np.vstack([x, mol.positions]))
-    return direct + 0.5 * molecule_mirror_interaction(mol, plate, electrons).total
 
 
 @dataclass(frozen=True)

@@ -213,8 +213,7 @@ def test_criterion_9_property_suites():
     spec = GridCylSpec(h_target=0.125, l_xi_plus=18.0, l_rho=18.0)
     gridcyl = GridCyl.for_distance(r, spec)
     op = assemble_hydrogen_plate(gridcyl, 1.0)
-    xi, rho = gridcyl.meshes()
-    pts = np.stack([xi, rho, np.zeros_like(xi)], axis=-1).reshape(-1, 3)
+    pts = gridcyl.points()
     j1, j2, grad = part.j1(pts), part.j2(pts), part.gradient_sq(pts)
     ims_ok = True
     worst_ims = 0.0

@@ -24,6 +24,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this vdwplate."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(vdwplate.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+
+
 def grab(text, key):
     for line in text.splitlines():
         if line.startswith(f"{key} = "):
@@ -373,6 +380,17 @@ class TestSweepAndFit:
         assert "Traceback" not in err
 
 
+def test_cli_import_skips_special_and_optimize():
+    # every CLI call pays the import; scipy.special and scipy.optimize are
+    # loaded only by the code that needs them
+    probe = ("import sys, vdwplate.cli; "
+             "print(sorted({'scipy.special', 'scipy.optimize'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestCvAndHelium:
     def test_cv_hydrogen(self, capsys):
         code, out, _ = run_cli(capsys, "cv", "--molecule", "hydrogen", "--v", "0,0,1")
@@ -391,14 +409,22 @@ class TestCvAndHelium:
     def test_cv_infinite_component_exits_3_with_one_line(self):
         # the norm was taken before the finiteness check: NumPy's
         # RuntimeWarning and its source line came before the error line
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(vdwplate.__file__).parents[1]),
-                          os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-W", "default", "-m", "vdwplate.cli",
                                "cv", "--v", "inf,0,0"],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: vector components must be finite"]
+
+    @pytest.mark.parametrize("v, printed", [
+        ("1e200,0,0", "1,0,0"),
+        ("1e-200,0,0", "1,0,0"),
+        ("1e308,1e308,0", "0.70710678118654746,0.70710678118654746,0"),
+    ])
+    def test_cv_extreme_scale_direction(self, capsys, v, printed):
+        # nonzero finite directions whose plain norm overflows or underflows
+        code, out, err = run_cli(capsys, "cv", "--v", v)
+        assert code == 0 and err == ""
+        assert grab(out, "# v") == printed
 
     def test_cv_unknown_molecule(self, capsys):
         code, _, _ = run_cli(capsys, "cv", "--molecule", "argon")

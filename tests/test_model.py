@@ -66,10 +66,6 @@ class TestPlateConfig:
         with pytest.raises(ValueError):
             PlateConfig(np.array([1.0, 0.0, 0.0]), r=1.0, m=1.5)
 
-    def test_normalized_classmethod(self):
-        p = PlateConfig.normalized([0.0, 3.0, 4.0], r=1.0)
-        assert np.allclose(p.v, [0.0, 0.6, 0.8])
-
 
 class TestValidateMolecule:
     def test_hydrogen_valid(self):
@@ -93,10 +89,6 @@ class TestValidateMolecule:
         assert any("neutral" in v for v in validate_molecule(mol).violations)
         mol2 = Molecule(np.array([1.0]), np.array([[0.5, 0.0, 0.0]]), 1)
         assert any("centered" in v for v in validate_molecule(mol2).violations)
-
-    def test_recentered(self):
-        mol = Molecule(np.array([1.0]), np.array([[0.5, 0.0, 0.0]]), 1)
-        assert validate_molecule(mol.recentered()).valid
 
 
 class TestTrapezoid:

@@ -11,10 +11,8 @@ from vdwplate import multipole
 from vdwplate.model import Molecule
 from vdwplate.multipole import (GridWaveFn, GroundBasis, HydrogenOrbital,
                                 ProductState, QuadratureError,
-                                geometric_tail_split, inverse_distance_series,
-                                leading_interaction_coefficient,
                                 mirror_energy_expectation, orientation_coefficient,
-                                cutoff_profile_derivative, r3_coefficient, smooth_step,
+                                cutoff_profile_derivative, smooth_step,
                                 smooth_step_derivative)
 
 
@@ -31,6 +29,12 @@ def radial_moment_oracle(k: int) -> float:
                     epsabs=1e-13, epsrel=1e-13, limit=200)
     assert err < 1e-11 * max(1.0, val)
     return val / (k + 1.0)
+
+
+def leading_term_oracle(v, electrons) -> float:
+    """The paper's -O_v at one configuration: -((w.v)^2 + |w|^2)/16, w = sum x_i."""
+    w = np.asarray(electrons).sum(axis=0)
+    return -((w @ v) ** 2 + w @ w) / 16.0
 
 
 def spherical_product_grid(r_max=30.0, n_r=120, n_theta=40, n_phi=16):
@@ -91,133 +95,27 @@ class TestHydrogenOrbital:
         for k, exact in ((2, 4.0), (4, 72.0), (6, 2880.0)):
             oracle = radial_moment_oracle(k)
             assert oracle == pytest.approx(exact, rel=1e-12)
-            assert orb.axis_moment(k) == pytest.approx(oracle, rel=1e-10)
-        assert orb.axis_moment(3) == 0.0
+            # <x1^k>: the radial moment times the angular factor 1/(k+1)
+            moment = orb.density_expectation(lambda R: R ** k) / (k + 1.0)
+            assert moment == pytest.approx(oracle, rel=1e-10)
 
     def test_scaled_moments(self):
         # <R^2> scales as 1/z^2
         orb = HydrogenOrbital(z=2.0)
-        assert orb.axis_moment(2) == pytest.approx(1.0, rel=1e-12)
+        assert orb.density_expectation(lambda R: R ** 2) / 3.0 == pytest.approx(1.0, rel=1e-12)
 
     def test_cutoff_support(self):
         psi = HydrogenOrbital(cutoff_r=40.0)
         assert psi.radial_value(10.0 * 1.0001) == 0.0
         assert psi.radial_value(40.0 / 5.0 * 0.999) > 0.0
 
-    def test_hydrogen_energy(self):
-        assert HydrogenOrbital().hydrogen_energy() == pytest.approx(-0.25, abs=1e-12)
-        # scaled orbital against unit coupling: z^2/4 - z/2 = 0 at z = 2
-        assert HydrogenOrbital(z=2.0).hydrogen_energy() == pytest.approx(0.0, abs=1e-12)
-
-
-class TestInverseDistanceSeries:
-    def test_z_zero(self):
-        se = inverse_distance_series(np.zeros(3), [0.0, 0.0, 1.0], 3.0, 4)
-        assert se.partial_sum == se.exact == pytest.approx(1.0 / 6.0)
-
-    def test_r3_coefficient(self, rng):
-        for v in random_unit_vectors(rng, 10):
-            z = rng.standard_normal(3)
-            se = inverse_distance_series(z, v, 5.0, 3)
-            assert se.terms[2] == pytest.approx(r3_coefficient(z, v) / 125.0, rel=1e-12)
-
-    def test_halving_r_remainder_decay(self, rng):
-        # order 3: first omitted term carries r^-(3+2); directions near the
-        # degree-4 Legendre roots suppress that term and are skipped
-        from scipy.special import eval_legendre
-        r, checked = 16.0, 0
-        while checked < 40:
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            z = rng.standard_normal(3)
-            z /= np.linalg.norm(z)
-            if abs(eval_legendre(4, z @ v)) < 0.1:
-                continue
-            checked += 1
-            rem1 = inverse_distance_series(z, v, r, 3).remainder
-            rem2 = inverse_distance_series(z, v, 2 * r, 3).remainder
-            assert abs(rem2 / rem1 - 2.0 ** -5) <= 0.2 * 2.0 ** -5
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_truncation_order_scaling(self, order, rng):
-        from scipy.special import eval_legendre
-        r, checked = 8.0, 0
-        while checked < 12:
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            z = rng.standard_normal(3)
-            z *= rng.uniform(0.05, 0.25) * r / np.linalg.norm(z)
-            if abs(eval_legendre(order + 1, (z @ v) / np.linalg.norm(z))) < 0.2:
-                continue
-            checked += 1
-            rem1 = inverse_distance_series(z, v, r, order).remainder
-            rem2 = inverse_distance_series(z, v, 2 * r, order).remainder
-            target = 2.0 ** -(order + 2)
-            assert abs(rem2 / rem1 - target) <= 0.25 * target
-
-    def test_validity_window(self):
-        with pytest.raises(ValueError):
-            inverse_distance_series([10.0, 0.0, 0.0], [1.0, 0.0, 0.0], 3.0, 2)
-
-
-class TestGeometricSplit:
-    def test_x1_zero(self):
-        gs = geometric_tail_split(0.0, 3.0)
-        assert np.all(gs.terms == 0.0) and gs.remainder == 0.0 and gs.exact == 0.0
-
-    def test_exact_identity_at_quarter(self):
-        gs = geometric_tail_split(1.0, 4.0, order=5)
-        assert abs(gs.total - gs.exact) <= 1e-14
-
-    def test_exact_identity_random(self, rng):
-        # identity holds to roundoff relative to the largest intermediate;
-        # approaching the pole at x1 = -r the conditioning factor 1/(1+x1/r)
-        # enters the attainable accuracy
-        for _ in range(10_000):
-            r = rng.uniform(0.1, 50.0)
-            x1 = rng.uniform(-0.95 * r, 5.0 * r)
-            gs = geometric_tail_split(x1, r, order=int(rng.integers(1, 6)))
-            scale = max(1.0, abs(gs.exact), np.abs(gs.terms).max(), abs(gs.remainder))
-            assert abs(gs.total - gs.exact) <= 1e-14 * scale
-        for _ in range(500):
-            r = rng.uniform(0.1, 50.0)
-            x1 = rng.uniform(-0.999 * r, -0.95 * r)
-            gs = geometric_tail_split(x1, r, order=5)
-            scale = max(1.0, abs(gs.exact), abs(gs.remainder))
-            assert abs(gs.total - gs.exact) <= 1e-12 * scale
-
-    def test_even_terms_give_asymptotic_constants(self):
-        # the k=2 and k=4 terms integrate against the ground-state density to
-        # the r^-3 and r^-5 coefficients: <x1^2>/4 = 1, <x1^4>/4 = 18
-        orb = HydrogenOrbital()
-        assert orb.axis_moment(2) / 4.0 == pytest.approx(1.0, rel=1e-12)
-        assert orb.axis_moment(4) / 4.0 == pytest.approx(18.0, rel=1e-12)
-
-    def test_domain_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_tail_split(-5.0, 4.0)
-        with pytest.raises(ValueError):
-            geometric_tail_split(1.0, 4.0, order=6)
+    def test_kinetic_energy(self):
+        # <-Laplacian> of e^{-zR/2} is z^2/4
+        assert HydrogenOrbital().kinetic_energy() == pytest.approx(0.25, abs=1e-12)
+        assert HydrogenOrbital(z=2.0).kinetic_energy() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLeadingCoefficient:
-    def test_hydrogen_formula(self, rng):
-        mol = Molecule.hydrogen()
-        for v in random_unit_vectors(rng, 10):
-            x = rng.standard_normal(3)
-            lead = leading_interaction_coefficient(mol, v, [x])
-            assert lead == pytest.approx(-((x @ v) ** 2 + x @ x) / 16.0, rel=1e-14)
-
-    def test_balanced_electrons_vanish(self):
-        mol = Molecule.helium()
-        x = np.array([[0.7, -0.2, 0.4], [-0.7, 0.2, -0.4]])
-        assert leading_interaction_coefficient(mol, [0.0, 0.0, 1.0], x) == 0.0
-
-    def test_invalid_molecule_rejected(self):
-        mol = Molecule(np.array([1.0]), np.array([[0.3, 0.0, 0.0]]), 1)
-        with pytest.raises(ValueError):
-            leading_interaction_coefficient(mol, [1.0, 0.0, 0.0], [np.zeros(3)])
-
     def test_matches_full_interaction_at_large_r(self, rng):
         # r^3 (I/2) -> leading coefficient along a geometric r ladder
         from vdwplate.model import PlateConfig
@@ -225,7 +123,7 @@ class TestLeadingCoefficient:
         mol = Molecule.helium()
         v = np.array([1.0, 0.0, 0.0])
         electrons = rng.standard_normal((2, 3)) * 0.6
-        lead = leading_interaction_coefficient(mol, v, electrons)
+        lead = leading_term_oracle(v, electrons)
         gaps = []
         for r in (1e2, 1e3, 1e4):
             terms = molecule_mirror_interaction(mol, PlateConfig(v, r), electrons)
@@ -250,7 +148,7 @@ class TestLeadingCoefficient:
         c1, c2, c3, _ = np.linalg.solve(design, vals)
         assert abs(c1) <= 1e-9
         assert abs(c2) <= 1e-9 * max(1.0, abs(c3))
-        lead = leading_interaction_coefficient(mol, v, electrons)
+        lead = leading_term_oracle(v, electrons)
         assert c3 == pytest.approx(2.0 * lead, rel=1e-3)
 
 

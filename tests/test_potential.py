@@ -5,9 +5,8 @@ import pytest
 
 from conftest import random_unit_vectors
 from vdwplate.model import Molecule, PlateConfig
-from vdwplate.potential import (ChargeSet, MirrorInteraction, classical_potential,
-                                greens_coefficients, interaction_energy,
-                                molecule_mirror_interaction)
+from vdwplate.potential import (ChargeSet, MirrorInteraction, greens_coefficients,
+                                interaction_energy, molecule_mirror_interaction)
 
 E1 = np.array([1.0, 0.0, 0.0])
 H = Molecule.hydrogen()
@@ -20,7 +19,7 @@ class TestGreensCoefficients:
 
     def test_conductor_limit(self):
         g = greens_coefficients(1.0)
-        assert g.a == -1.0 and g.mirror_strength == 1.0
+        assert g.a == -1.0
 
     def test_dielectric_example(self):
         g = greens_coefficients(1.0, 3.0)
@@ -273,24 +272,20 @@ class TestInteractionEnergy:
             ChargeSet(np.ones(1), np.array([[-1.5, 0.0, 0.0]]), plate)
 
 
-def test_classical_potential_matches_interaction_energy(rng):
-    # the Hamiltonian's classical part equals the point-charge interaction
-    # energy plus the intra-molecular direct terms
+def test_mirror_interaction_matches_interaction_energy(rng):
+    # the Hamiltonian's classical part, direct Coulomb plus half the mirror
+    # interaction, equals the point-charge interaction energy
     v = random_unit_vectors(rng, 1)[0]
     plate = PlateConfig(v, r=7.0, m=1.0)
     mol = Molecule.helium()
     electrons = rng.standard_normal((2, 3)) * 0.8
     while np.any(electrons @ v <= -6.0):
         electrons = rng.standard_normal((2, 3)) * 0.8
-    total = classical_potential(mol, plate, electrons)
-    charges = ChargeSet(np.array([-1.0, -1.0, 2.0]),
-                        np.vstack([electrons, np.zeros(3)]), plate)
+    q = np.array([-1.0, -1.0, 2.0])
+    p = np.vstack([electrons, np.zeros(3)])
+    direct = sum(q[i] * q[j] / np.linalg.norm(p[i] - p[j])
+                 for i in range(3) for j in range(i + 1, 3))
+    total = direct + 0.5 * molecule_mirror_interaction(mol, plate, electrons).total
+    charges = ChargeSet(q, p, plate)
     assert total == pytest.approx(interaction_energy(charges, greens_coefficients(1.0)),
                                   rel=1e-13)
-
-
-def test_classical_potential_rejects_coincident_electrons():
-    plate = PlateConfig(E1, r=5.0)
-    electrons = np.array([[0.3, 0.2, -0.1], [0.3, 0.2, -0.1]])
-    with pytest.raises(ValueError):
-        classical_potential(Molecule.helium(), plate, electrons)
