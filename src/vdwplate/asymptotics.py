@@ -69,16 +69,16 @@ class SweepTable:
 def solve_row(grid: GridCyl, m: float) -> tuple:
     """(SweepRow, plate residual) of W on one grid.
 
-    The plate operator is solved from HYDROGEN_SHIFT; the free operator
-    differs from it by the diagonal image term alone, so it borrows the
-    plate's certified factor.  At m = 0 the plate operator is the free one,
-    so its solve serves as both.  Raises what lowest_eigenpair raises.
+    One assembly builds the plate operator, solved from HYDROGEN_SHIFT, and
+    the free one, which differs by the diagonal image term alone and borrows
+    the plate's certified factor and its probe.  At m = 0 the plate operator
+    is the free one: one operator, one solve.  Raises what lowest_eigenpair raises.
     """
-    plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
+    ops = assemble_hydrogen_plate(grid, (m, 0.0) if m != 0 else (0.0,))
+    plate = lowest_eigenpair(ops[0], sigma=HYDROGEN_SHIFT)
     free, iterations = plate, plate.iterations
     if m != 0:
-        free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
-                                factor=plate.factor)
+        free = lowest_eigenpair(ops[1], sigma=plate.shift, factor=plate.factor)
         iterations += free.iterations
     plate.factor = free.factor = None
     row = SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,

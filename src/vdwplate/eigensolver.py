@@ -238,7 +238,7 @@ def coulomb_cell_average(xi, rho, h_xi: float, h_rho: float):
 
 
 def _cell_stencil(h: float, w_faces: np.ndarray, w_nodes: np.ndarray):
-    """-(1/w) d/dx (w d/dx) on cells of width h, in coordinates sqrt(w) u.
+    """(main, off) diagonals of -(1/w) d/dx (w d/dx) on cells of width h, in sqrt(w) u.
 
     w_faces holds the weight at the n + 1 cell faces, w_nodes at the n nodes.
     Both end faces are Dirichlet by ghost reflection; a face of weight 0 (the
@@ -247,37 +247,43 @@ def _cell_stencil(h: float, w_faces: np.ndarray, w_nodes: np.ndarray):
     main = (w_faces[:-1] + w_faces[1:]) / (w_nodes * h ** 2)
     main[[0, -1]] += w_faces[[0, -1]] / (w_nodes[[0, -1]] * h ** 2)
     off = -w_faces[1:-1] / (h ** 2 * np.sqrt(w_nodes[:-1] * w_nodes[1:]))
-    return sp.diags([off, main, off], [-1, 0, 1])
+    return main, off
 
 
-def assemble_hydrogen_plate(grid: GridCyl, m: float = 1.0) -> SparseSymOp:
-    """Hydrogen/plate Hamiltonian on the axisymmetric grid (m = 0 drops the plate).
+def assemble_hydrogen_plate(grid: GridCyl, ms) -> list:
+    """Hydrogen/plate Hamiltonians on the axisymmetric grid, one per m in ms.
 
     The Coulomb term is cell-averaged (point values converge below second
     order through the nuclear cusp); the smooth image term, half of
     molecule_mirror_interaction for hydrogen against the plate through -r e1,
-    is evaluated at the nodes, one electron configuration per node.  The
-    axial and radial kinetic parts are one cell stencil, _cell_stencil, with
-    weight 1 and rho.  The operator carries the 1s state, sampled at the same
-    nodes, as the start vector of lowest_eigenpair.
+    is evaluated at the nodes, one electron configuration per node (m = 0
+    drops it).  The kinetic part, one cell stencil (_cell_stencil) per axis
+    with weight 1 and rho, makes each operator five-diagonal.  The stencil,
+    the Coulomb term and the 1s start vector of lowest_eigenpair, shared by
+    the operators, are made once per call; a W row asks for (m, 0.0).
     """
-    if not 0.0 <= m <= 1.0:
+    if not all(0.0 <= m <= 1.0 for m in ms):
         raise ValueError("mirror strength m must lie in [0, 1]")
     ax = _cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
     rad = _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
+    kinetic = np.add.outer(ax[0], rad[0]).ravel()
+    xi_off = np.repeat(ax[1], grid.n_rho)
+    rho_off = np.tile(np.append(rad[1], 0.0), grid.n_xi)[:-1]  # 0 between xi rows
 
     pts = grid.points()
-    v = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
-    if m != 0.0:
-        plate = PlateConfig(np.array([1.0, 0.0, 0.0]), grid.r, m)
-        v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
-                                                  pts[:, None, :]).total
-
-    mat = (sp.kron(ax, sp.identity(grid.n_rho))
-           + sp.kron(sp.identity(grid.n_xi), rad)
-           + sp.diags(v)).tocsr()
+    coulomb = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
     guess = HydrogenOrbital()(pts) * np.sqrt(grid.volume_weights())
-    return SparseSymOp(matrix=mat, guess=guess)
+    ops = []
+    for m in ms:
+        v = coulomb
+        if m != 0.0:
+            plate = PlateConfig(np.array([1.0, 0.0, 0.0]), grid.r, m)
+            v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
+                                                      pts[:, None, :]).total
+        mat = sp.diags([xi_off, rho_off, kinetic + v, rho_off, xi_off],
+                       [-grid.n_rho, -1, 0, 1, grid.n_rho], format="csr")
+        ops.append(SparseSymOp(matrix=mat, guess=guess))
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +299,7 @@ class EigResult:
     shift: float        # sigma certified below the spectrum (shifted_factor)
     factor_nnz: int     # fill of the L and U factors of H - shift
     factorizations: int  # factors of H - sigma the inertia check needed
-    # the SuperLU factor the solve preconditioned with, its own or a
+    # the _Factor the solve preconditioned with, its own or a
     # borrowed one, certified for H - shift; lent to the next solve of a
     # nearby operator (lowest_eigenpair's factor), never serialized
     factor: object = field(default=None, repr=False)
@@ -336,9 +342,11 @@ def _malloc_trim():
     system.  A solve frees its factor, tens of MB on the production grid,
     into the heap, where the pages stay resident unless the next, larger
     grid's arrays happen to fit into the holes.  lowest_eigenpair trims
-    at the start of every solve, also one that borrows a factor: a
-    production sweep (r = 10, 12, 14, 16) then peaks at 147 MiB resident,
-    and at 157 MiB without the trim.
+    at the start of every solve, also one that borrows a factor.  A
+    production sweep (r = 10, 12, 14, 16) peaks at 146-148 MiB resident
+    with the trim and at 144-149 MiB without it (ru_maxrss, eight runs each,
+    2-core x86_64 host): since a row's free operator is assembled before the
+    plate factor, the trim no longer lowers that peak.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -393,10 +401,10 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     A symmetric Z-matrix A (every off-diagonal <= 0) with A v > 0 for some
     v > 0 is a nonsingular M-matrix, hence positive definite (Berman &
     Plemmons, Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3,
-    condition I27).  The test takes v = lu.solve(1), v from this or another
-    certified factor: any v > 0 proves the M-matrix, so the factor of a
-    nearby operator, or a single-precision one, serves as well as the double
-    factor of H - sigma.  v is taken to double, and the test asks that the
+    condition I27).  The test takes v = lu.probe, lu.solve(1) in double, from
+    this or another certified factor: any v > 0 proves the M-matrix, so the
+    factor of a nearby operator, or a single-precision one, serves as well as
+    the double factor of H - sigma.  The test asks that the
     computed H v - sigma v exceed gamma_{k+2} (|H| v + |sigma| v) in every
     entry, k the most stored entries in a row and gamma_j = j eps / (1 -
     j eps) Higham's rounding bound of the double matvec, so it holds for H
@@ -410,7 +418,7 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     a = matrix.tocoo()
     if not np.all(a.data[a.row != a.col] <= 0.0):
         return False
-    v = np.asarray(lu.solve(np.ones(a.shape[0])), dtype=float)
+    v = lu.probe
     if not np.all(v > 0.0):
         return False
     k = np.bincount(a.row, minlength=a.shape[0]).max() + 2
@@ -418,15 +426,21 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     return bool(np.all(a @ v - sigma * v > gamma * (abs(a) @ v + abs(sigma) * v)))
 
 
-class _SingleFactor:
-    """A float32 SuperLU factor that rounds each right-hand side to float32;
-    its solutions stay float32."""
+class _Factor:
+    """A SuperLU factor that rounds each right-hand side to its precision,
+    float32 or float64; its solutions stay in that precision."""
 
-    def __init__(self, lu):
-        self.lu, self.nnz = lu, lu.nnz
+    def __init__(self, lu, precision):
+        self.lu, self.nnz, self.precision = lu, lu.nnz, precision
 
     def solve(self, rhs):
-        return self.lu.solve(np.asarray(rhs, dtype=np.float32))
+        return self.lu.solve(np.asarray(rhs, dtype=self.precision))
+
+    @functools.cached_property
+    def probe(self) -> np.ndarray:
+        """solve(1) in double, the v of _m_matrix_certified: one back-solve
+        per factor, however many operators the factor is tested on."""
+        return np.asarray(self.solve(np.ones(self.lu.shape[0])), dtype=float)
 
 
 def shifted_factor(matrix, sigma: float, single: bool = False):
@@ -448,7 +462,7 @@ def shifted_factor(matrix, sigma: float, single: bool = False):
     single=True factors H - sigma rounded to float32: the same order and
     fill, 4-byte values, a faster factor and faster back-solves.  Its pivots
     prove nothing about H, so only the M-matrix test certifies it: the
-    result is (_SingleFactor, 0), or (None, None) when the test fails.
+    result is (_Factor, 0), or (None, None) when the test fails.
     """
     n = matrix.shape[0]
     precision = np.float32 if single else float
@@ -459,12 +473,12 @@ def shifted_factor(matrix, sigma: float, single: bool = False):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: "
                            "no inertia")
+    factor = _Factor(lu, precision)
+    if _m_matrix_certified(matrix, sigma, factor):
+        return factor, 0
     if single:
-        lu = _SingleFactor(lu)
-        return (lu, 0) if _m_matrix_certified(matrix, sigma, lu) else (None, None)
-    if _m_matrix_certified(matrix, sigma, lu):
-        return lu, 0
-    return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        return None, None
+    return factor, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 DAVIDSON_BASIS = 20     # basis vectors kept per solve, as many as ARPACK's ncv
@@ -476,7 +490,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     preconditioned with a certified factor of H - sigma.
 
     sigma is a first guess at a shift just below the lowest eigenvalue.
-    factor, when given, is the SuperLU factor of a nearby operator (the
+    factor, when given, is the certified factor of a nearby operator (the
     plate operator's, lent to the free atom on the same grid, whose H
     differs only by the diagonal image term); when the M-matrix test
     (_m_matrix_certified) proves H - sigma positive definite with it, the
@@ -582,7 +596,7 @@ def hydrogen_plate_ground(r: float, m: float = 1.0,
                           spec: GridCylSpec = GridCylSpec()):
     """Assemble and solve E(r) on a fresh grid; returns (EigResult, GridCyl)."""
     grid = GridCyl.for_distance(r, spec)
-    res = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
+    res = lowest_eigenpair(assemble_hydrogen_plate(grid, (m,))[0], sigma=HYDROGEN_SHIFT)
     return res, grid
 
 

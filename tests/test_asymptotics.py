@@ -12,7 +12,7 @@ from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   fit_power_law, fit_to_csv,
                                   sweep_from_csv, sweep_interaction_energy,
                                   sweep_to_csv, table_to_json)
-from vdwplate.eigensolver import HYDROGEN_SHIFT, GridCylSpec
+from vdwplate.eigensolver import HYDROGEN_SHIFT, GridCyl, GridCylSpec
 
 
 def synthetic_table(rs, ws, m=1.0):
@@ -182,6 +182,27 @@ class TestSweep:
         table = sweep_interaction_energy([8.0, 10.0], spec=coarse_spec)
         assert all(row.w < 0 for row in table.rows)
         assert factors == [HYDROGEN_SHIFT] * 2
+
+    @pytest.mark.parametrize("r, factors", [(8.0, 1), (0.5, 3)])
+    def test_one_probe_solve_per_factor(self, monkeypatch, coarse_spec, r, factors):
+        # the M-matrix test solves (H - sigma) v = 1 once per factor: the
+        # free solve reuses the probe of the plate factor it borrows
+        made, probes = [], []
+
+        class CountingFactor(eigensolver._Factor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def solve(self, rhs):
+                if np.all(np.asarray(rhs) == 1.0):
+                    probes.append(self)
+                return super().solve(rhs)
+
+        monkeypatch.setattr(eigensolver, "_Factor", CountingFactor)
+        row, _ = asymptotics.solve_row(GridCyl.for_distance(r, coarse_spec), 1.0)
+        assert row.w < 0
+        assert len(made) == factors and probes == made
 
     def test_overflowing_w_rejected(self):
         # both energies finite, but W = -1e308 - 1e308 is -inf

@@ -31,6 +31,25 @@ def _src_env():
                       os.environ.get("PYTHONPATH")])))
 
 
+def spy_row_calls(monkeypatch):
+    """Record each assembly asymptotics makes, with the mirror strengths it
+    asks for, and each solve."""
+    calls = []
+    assemble, solve = asymptotics.assemble_hydrogen_plate, asymptotics.lowest_eigenpair
+
+    def spy_assemble(grid, ms):
+        calls.append(("assemble_hydrogen_plate", tuple(ms)))
+        return assemble(grid, ms)
+
+    def spy_solve(*args, **kwargs):
+        calls.append("lowest_eigenpair")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate", spy_assemble)
+    monkeypatch.setattr(asymptotics, "lowest_eigenpair", spy_solve)
+    return calls
+
+
 def grab(text, key):
     for line in text.splitlines():
         if line.startswith(f"{key} = "):
@@ -120,23 +139,13 @@ class TestHydrogen:
         assert factors == [eigensolver.HYDROGEN_SHIFT]
 
     def test_m0_solves_once(self, capsys, monkeypatch):
-        # at m = 0 the plate operator is the free one: one assembly, one solve
-        calls = []
-
-        def spy(name):
-            real = getattr(asymptotics, name)
-
-            def call(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return call
-
-        for name in ("assemble_hydrogen_plate", "lowest_eigenpair"):
-            monkeypatch.setattr(asymptotics, name, spy(name))
+        # at m = 0 the plate operator is the free one: one assembly of one
+        # operator, one solve
+        calls = spy_row_calls(monkeypatch)
         code, out, _ = run_cli(capsys, "hydrogen", "--r", "8", "--m", "0", "--h", "0.4",
                                "--l-xi", "10", "--l-rho", "10")
         assert code == 0
-        assert calls == ["assemble_hydrogen_plate", "lowest_eigenpair"]
+        assert calls == [("assemble_hydrogen_plate", (0.0,)), "lowest_eigenpair"]
         assert grab(out, "E") == grab(out, "E_free_same_grid")
 
     def test_negative_r_exits_3(self, capsys):
@@ -153,7 +162,7 @@ class TestHydrogen:
         # at r = 0.01 the axial step would be 0.01: 784,280 nodes, 7.4x the r = 10 grid
         calls = []
         monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate",
-                            lambda *args: calls.append(args))
+                            lambda grid, ms: calls.append(ms))
         code, out, err = run_cli(capsys, "hydrogen", "--r", "0.01")
         assert code == 3 and out == "" and calls == []
         assert len(err.splitlines()) == 1 and "h/2 = 0.05" in err and "--h" in err
@@ -194,6 +203,15 @@ class TestHydrogen:
         # the same row solve prints the same strings, iterations included
         assert ([grab(out, k) for k in ("E", "E_free_same_grid", "W", "iterations")]
                 == row[3:7])
+
+    def test_one_assembly_per_row(self, capsys, monkeypatch):
+        # each row builds its plate and free operators in one call
+        calls = spy_row_calls(monkeypatch)
+        code, _, _ = run_cli(capsys, "sweep", "--r-values", "6,8", "--m", "1",
+                             "--h", "0.4", "--l-xi", "8", "--l-rho", "6")
+        assert code == 0
+        row = [("assemble_hydrogen_plate", (1.0, 0.0)), "lowest_eigenpair", "lowest_eigenpair"]
+        assert calls == row * 2
 
     def test_one_row_solve_per_row(self, capsys, monkeypatch):
         # hydrogen and sweep share asymptotics.solve_row

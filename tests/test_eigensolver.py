@@ -18,8 +18,9 @@ from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylS
                                   electron_plate_ground, feshbach_fixed_point,
                                   feshbach_matrix, hardy_check, hydrogen_plate_ground,
                                   lowest_eigenpair, shifted_factor)
-from vdwplate.model import E_ELECTRON_PLATE, E_HYDROGEN
+from vdwplate.model import E_ELECTRON_PLATE, E_HYDROGEN, Molecule, PlateConfig
 from vdwplate.multipole import HydrogenOrbital
+from vdwplate.potential import molecule_mirror_interaction
 from vdwplate.spectra import essential_spectrum_bottom
 
 E_EP = E_ELECTRON_PLATE
@@ -151,7 +152,8 @@ class TestLowestEigenpair:
             mat = sp.csr_matrix(dense)
         else:
             r, m = (float(x[1:]) for x in name.split("_")[1:])
-            mat = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), m).matrix
+            grid = GridCyl.for_distance(r, coarse_spec)
+            mat = assemble_hydrogen_plate(grid, (m,))[0].matrix
         return name, mat, _band_spectrum(mat)
 
     def test_inertia_exact_on_z_matrices(self, z_matrix):
@@ -179,7 +181,7 @@ class TestLowestEigenpair:
         # copies of L and U, 12 bytes per fill entry; the M-matrix test
         # certifies this shift without them
         grid = GridCyl.for_distance(16.0, GridCylSpec(0.2, 20.0, 20.0))
-        mat = assemble_hydrogen_plate(grid, 1.0).matrix
+        mat = assemble_hydrogen_plate(grid, (1.0,))[0].matrix
         tracemalloc.start()
         try:
             lu, below = shifted_factor(mat, HYDROGEN_SHIFT)
@@ -353,8 +355,8 @@ class TestLowestEigenpair:
         assert inside == [[1] * len(controls)] * 18
 
     def test_heap_trimmed_before_first_factor(self, monkeypatch, coarse_spec):
-        # the malloc heap is trimmed once per solve, after assembly and
-        # before the factor of H - sigma
+        # the malloc heap is trimmed once per solve, after the row's one
+        # assembly and before the factor of H - sigma
         events = []
         factor, image = eigensolver.shifted_factor, eigensolver.molecule_mirror_interaction
 
@@ -371,12 +373,11 @@ class TestLowestEigenpair:
         monkeypatch.setattr(eigensolver, "_malloc_trim",
                             lambda: lambda pad: events.append(("trim", pad)))
         grid = GridCyl.for_distance(8.0, coarse_spec)
-        op = assemble_hydrogen_plate(grid, 1.0)
+        op, free = assemble_hydrogen_plate(grid, (1.0, 0.0))
         assert events == ["assemble"]
         res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
         assert events == ["assemble", ("trim", 0), "factor"]
         # a solve with a borrowed factor trims as well, and factors nothing
-        free = assemble_hydrogen_plate(grid, 0.0)
         lowest_eigenpair(free, sigma=res.shift, factor=res.factor)
         assert events == ["assemble", ("trim", 0), "factor", ("trim", 0)]
 
@@ -430,7 +431,7 @@ class TestLowestEigenpair:
 
     def test_discrete_symmetry(self, rng, coarse_spec):
         grid = GridCyl.for_distance(6.0, coarse_spec)
-        op = assemble_hydrogen_plate(grid, 1.0)
+        op = assemble_hydrogen_plate(grid, (1.0,))[0]
         for _ in range(10):
             u = rng.standard_normal(op.dim)
             v = rng.standard_normal(op.dim)
@@ -455,17 +456,18 @@ class TestHydrogenPlateOperator:
         # shift-invert solve there converges to -0.205
         spec = GridCylSpec(0.1, 10.0, 10.0)
         res, grid = hydrogen_plate_ground(0.5, 1.0, spec)
-        ref = lowest_eigenpair(assemble_hydrogen_plate(grid, 1.0), sigma=-3.0)
+        ref = lowest_eigenpair(assemble_hydrogen_plate(grid, (1.0,))[0], sigma=-3.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
         assert res.shift < res.value < HYDROGEN_SHIFT
         # at HYDROGEN_SHIFT the single factor, refused by the M-matrix test,
         # and the double one whose inertia lowers the shift; then one more
         assert res.factorizations == 3
-        assert shifted_factor(assemble_hydrogen_plate(grid, 1.0).matrix, res.shift)[1] == 0
+        (op,) = assemble_hydrogen_plate(grid, (1.0,))
+        assert shifted_factor(op.matrix, res.shift)[1] == 0
 
     def test_shift_near_ground_saves_back_solves(self, coarse_spec):
         for m in (1.0, 0.0):
-            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), m)
+            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
             near = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             far = lowest_eigenpair(op, sigma=-3.0)
             assert near.value == pytest.approx(far.value, abs=1e-12)
@@ -480,7 +482,7 @@ class TestHydrogenPlateOperator:
         # ground vector is positive, so the positive 1s start has a component
         # along it, and starting there costs no more back-solves than a
         # random start
-        op = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), m)
+        op = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), (m,))[0]
         off = sp.triu(op.matrix, k=1)
         assert off.max() <= 0.0
         assert sp.csgraph.connected_components(off, directed=False)[0] == 1
@@ -494,7 +496,7 @@ class TestHydrogenPlateOperator:
 
     def test_lanczos_stops_at_residual_contract(self, coarse_spec):
         for m in (1.0, 0.0):
-            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), m)
+            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
             res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             assert res.iterations <= 12
             assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
@@ -508,8 +510,8 @@ class TestHydrogenPlateOperator:
         # term, so the plate's factor certifies its shift (no factor of its
         # own) and preconditions it to the own-factor value
         grid = GridCyl.for_distance(r, coarse_spec)
-        plate = lowest_eigenpair(assemble_hydrogen_plate(grid, m), sigma=HYDROGEN_SHIFT)
-        free_op = assemble_hydrogen_plate(grid, 0.0)
+        plate_op, free_op = assemble_hydrogen_plate(grid, (m, 0.0))
+        plate = lowest_eigenpair(plate_op, sigma=HYDROGEN_SHIFT)
         free = lowest_eigenpair(free_op, sigma=plate.shift, factor=plate.factor)
         own = lowest_eigenpair(free_op, sigma=plate.shift)
         assert free.factorizations == 0 and free.factor is plate.factor
@@ -521,7 +523,7 @@ class TestHydrogenPlateOperator:
         # the M-matrix test, run in double, certifies the single factor; it
         # preconditions as well as the double factor and is lent as before
         grid = GridCyl.for_distance(8.0, coarse_spec)
-        op = assemble_hydrogen_plate(grid, 1.0)
+        op, free_op = assemble_hydrogen_plate(grid, (1.0, 0.0))
         plate = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
         assert plate.factorizations == 1
         assert plate.factor.solve(np.ones(op.dim, np.float32)).dtype == np.float32
@@ -531,8 +533,7 @@ class TestHydrogenPlateOperator:
         ref = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT, factor=double)
         assert plate.value == pytest.approx(ref.value, abs=1e-13)
         assert plate.iterations == ref.iterations
-        free = lowest_eigenpair(assemble_hydrogen_plate(grid, 0.0), sigma=plate.shift,
-                                factor=plate.factor)
+        free = lowest_eigenpair(free_op, sigma=plate.shift, factor=plate.factor)
         assert free.factorizations == 0 and free.factor is plate.factor
 
     def test_non_z_operator_gets_a_double_factor(self):
@@ -551,8 +552,8 @@ class TestHydrogenPlateOperator:
     def test_restarted_solve_matches_arpack(self):
         # a shift far below E(r) at r = 0.5 needs more back-solves than the
         # basis holds, so the iteration restarts; ARPACK is the oracle
-        op = assemble_hydrogen_plate(
-            GridCyl.for_distance(0.5, GridCylSpec(0.1, 10.0, 10.0)), 1.0)
+        (op,) = assemble_hydrogen_plate(
+            GridCyl.for_distance(0.5, GridCylSpec(0.1, 10.0, 10.0)), (1.0,))
         res = lowest_eigenpair(op, sigma=-3.0)
         assert res.iterations > DAVIDSON_BASIS
         ref = spla.eigsh(op.matrix.tocsc(), k=1, sigma=-3.0, which="LM", tol=0.0,
@@ -564,6 +565,35 @@ class TestHydrogenPlateOperator:
                   for r in (10.0, 15.0, 20.0, 30.0)]
         assert np.all(np.diff(values) > 0)
         assert values[-1] < E_HYDROGEN + 5e-3
+
+    @pytest.mark.parametrize("r", [0.5, 8.0])
+    def test_five_diagonal_assembly_matches_kron_oracle(self, coarse_spec, r):
+        # one call builds every requested operator; each equals, to the bit,
+        # the sum of the axial and radial Kronecker products and the potential
+        grid = GridCyl.for_distance(r, coarse_spec)
+
+        def stencil(*args):
+            main, off = eigensolver._cell_stencil(*args)
+            return sp.diags([off, main, off], [-1, 0, 1])
+
+        ax = stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
+        rad = stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
+        pts = grid.points()
+        coulomb = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
+        guess = HydrogenOrbital()(pts) * np.sqrt(grid.volume_weights())
+        ms = (0.0, 0.5, 1.0)
+        for m, op in zip(ms, assemble_hydrogen_plate(grid, ms), strict=True):
+            v = coulomb
+            if m != 0.0:
+                plate = PlateConfig(np.array([1.0, 0.0, 0.0]), r, m)
+                v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
+                                                          pts[:, None, :]).total
+            ref = (sp.kron(ax, sp.identity(grid.n_rho))
+                   + sp.kron(sp.identity(grid.n_xi), rad) + sp.diags(v)).tocsr()
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(op.matrix, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (m, name)
+            assert np.array_equal(op.guess, guess)
 
     def test_cell_average_against_midpoint_far_field(self):
         # away from the nucleus the cell average reduces to the midpoint value
@@ -587,8 +617,9 @@ class TestHydrogenPlateOperator:
 
     def test_invalid_m(self, coarse_spec):
         grid = GridCyl.for_distance(5.0, coarse_spec)
-        with pytest.raises(ValueError):
-            assemble_hydrogen_plate(grid, m=1.5)
+        for ms in ((1.5,), (0.0, -0.5)):
+            with pytest.raises(ValueError):
+                assemble_hydrogen_plate(grid, ms)
 
 
 class TestFeshbach:
@@ -807,7 +838,7 @@ class TestFeshbach:
         spec = GridCylSpec(h_target=0.2, l_xi_plus=14.0, l_rho=14.0)
         for r in (10.0, 14.0):
             grid = GridCyl.for_distance(r, spec)
-            op = assemble_hydrogen_plate(grid, 1.0)
+            op = assemble_hydrogen_plate(grid, (1.0,))[0]
             direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             pvec = HydrogenOrbital(cutoff_r=r)(grid.points()) * np.sqrt(grid.volume_weights())
             pvec /= np.linalg.norm(pvec)
@@ -858,7 +889,7 @@ class TestIMSPartition:
         for h in (0.25, 0.125):
             spec = GridCylSpec(h_target=h, l_xi_plus=18.0, l_rho=18.0)
             grid = GridCyl.for_distance(r, spec)
-            op = assemble_hydrogen_plate(grid, 1.0)
+            op = assemble_hydrogen_plate(grid, (1.0,))[0]
             part = PartitionOfUnity(r)
             pts = grid.points()
             j1 = part.j1(pts)
