@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT,
+from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT, _solve_settings,
                           assemble_hydrogen_plate, lowest_eigenpair)
 
 FMT = "%.17g"
@@ -101,8 +101,13 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     """Solve E(r) and the matching free-hydrogen energy for each r.
 
     Rows are independent solves; jobs > 1 runs them in min(jobs, rows) worker
-    processes and merges in r order.  A solve that fails to converge or to
-    factor marks its row as a gap instead of aborting the sweep.
+    processes and merges in r order.  The workers are forked inside
+    _solve_settings, so each inherits one OpenBLAS thread and never sets
+    the count: in a forked child that restarts OpenBLAS's server threads,
+    which spin for about 0.1 s each against the worker's factor.  This
+    relies on the fork start method, the Linux default on Python 3.11.  A
+    solve that fails to converge or to factor marks its row as a gap
+    instead of aborting the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -113,7 +118,7 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     work = [(GridCyl.for_distance(r, spec), plate_m) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _solve_settings(), ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_sweep_row, work))
     else:
         rows = [_solve_sweep_row(w) for w in work]

@@ -346,7 +346,11 @@ def _malloc_trim():
     production sweep (r = 10, 12, 14, 16) peaks at 146-148 MiB resident
     with the trim and at 144-149 MiB without it (ru_maxrss, eight runs each,
     2-core x86_64 host): since a row's free operator is assembled before the
-    plate factor, the trim no longer lowers that peak.
+    plate factor, the trim no longer lowers that peak.  It still lowers
+    perfbench's dielectric_ladder peak, which is the benchmark process's
+    own and the pool workers' as well: 69.2-69.5 MB with it and 69.8-70.1 MB
+    without it (peak_rss_mb, five runs each); the workers' peak 68.0 against
+    68.5 MB.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -369,6 +373,11 @@ def _solve_settings():
     top of them only compete for the same cores.  The counts are process
     wide, and SuperLU releases the GIL, so solves may overlap in threads:
     the first to enter saves the counts, the last to leave restores them.
+    A sweep forks its workers inside this block (fork start method, the
+    Linux default on Python 3.11): each inherits the count 1 and a nonzero
+    _settings_users, so its solves never set a count.  Setting one in a
+    forked child restarts OpenBLAS's server threads, which spin for about
+    0.1 s each before they sleep, against the worker's own factor.
     """
     global _settings_users, _settings_saved
     controls = _blas_thread_controls()

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +15,10 @@ from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   sweep_from_csv, sweep_interaction_energy,
                                   sweep_to_csv, table_to_json)
 from vdwplate.eigensolver import HYDROGEN_SHIFT, GridCyl, GridCylSpec
+
+
+def _blas_threads():
+    return [get() for get, _ in eigensolver._blas_thread_controls()]
 
 
 def synthetic_table(rs, ws, m=1.0):
@@ -121,14 +127,17 @@ class TestSweep:
             assert a == b
 
     @staticmethod
-    def _record_pool_sizes(monkeypatch):
+    def _record_pool_sizes(monkeypatch, threads=None):
         # a stand-in for ProcessPoolExecutor that runs in this process and
-        # records the worker count it was asked for
+        # records the worker count it was asked for and, into threads, the
+        # OpenBLAS thread counts it was built under
         sizes = []
 
         class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+                if threads is not None:
+                    threads.append(_blas_threads())
 
             def __enter__(self):
                 return self
@@ -151,6 +160,64 @@ class TestSweep:
         assert "# jobs = 500\n" in sweep_to_csv(table)
         sweep_interaction_energy([5.0], spec=spec, jobs=2)
         assert sizes == [2]             # one row runs in this process
+
+    @pytest.mark.skipif(not eigensolver._blas_thread_controls(),
+                        reason="no OpenBLAS thread controls")
+    def test_pool_built_on_one_blas_thread(self, monkeypatch):
+        # the workers fork while every OpenBLAS count reads 1, and the
+        # parent's counts come back afterwards, also when the pool refuses
+        # to start
+        controls = eigensolver._blas_thread_controls()
+        original = _blas_threads()
+        threads = []
+        self._record_pool_sizes(monkeypatch, threads)
+        spec = GridCylSpec(h_target=0.4, l_xi_plus=8.0, l_rho=8.0)
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
+            assert threads == [[1] * len(controls)]
+            assert _blas_threads() == [2] * len(controls)
+
+            def refused(max_workers):
+                threads.append(_blas_threads())
+                raise OSError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", refused)
+            with pytest.raises(OSError):
+                sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
+            assert threads == [[1] * len(controls)] * 2
+            assert _blas_threads() == [2] * len(controls)
+        finally:
+            for (_, set_threads), count in zip(controls, original):
+                set_threads(count)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or not eigensolver._blas_thread_controls()
+                        or multiprocessing.get_start_method() != "fork",
+                        reason="needs /proc, OpenBLAS thread controls and fork")
+    def test_forked_worker_starts_no_blas_threads(self, monkeypatch):
+        # a worker that set the inherited count itself would restart
+        # OpenBLAS's server threads (3 threads, not 1, with two copies at 2)
+        controls = eigensolver._blas_thread_controls()
+        original = _blas_threads()
+        solve_row = asymptotics.solve_row
+
+        def counting_solve_row(grid, m):     # runs in the forked worker
+            row, residual = solve_row(grid, m)
+            tasks = len(os.listdir("/proc/self/task"))
+            return dataclasses.replace(row, error=f"threads={tasks}"), residual
+
+        monkeypatch.setattr(asymptotics, "solve_row", counting_solve_row)
+        spec = GridCylSpec(h_target=0.4, l_xi_plus=8.0, l_rho=8.0)
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            table = sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
+        finally:
+            for (_, set_threads), count in zip(controls, original):
+                set_threads(count)
+        assert [row.error for row in table.rows] == ["threads=1"] * 2
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, monkeypatch, jobs):
