@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -104,10 +105,10 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     processes and merges in r order.  The workers are forked inside
     _solve_settings, so each inherits one OpenBLAS thread and never sets
     the count: in a forked child that restarts OpenBLAS's server threads,
-    which spin for about 0.1 s each against the worker's factor.  This
-    relies on the fork start method, the Linux default on Python 3.11.  A
-    solve that fails to converge or to factor marks its row as a gap
-    instead of aborting the sweep.
+    which spin for about 0.1 s each against the worker's factor.  So the
+    pool forks wherever fork exists (Python 3.14 defaults to forkserver,
+    whose workers inherit no count).  A solve that fails to converge or to
+    factor marks its row as a gap instead of aborting the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -118,7 +119,9 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     work = [(GridCyl.for_distance(r, spec), plate_m) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:
-        with _solve_settings(), ProcessPoolExecutor(max_workers=workers) as pool:
+        context = (multiprocessing.get_context("fork")
+                   if "fork" in multiprocessing.get_all_start_methods() else None)
+        with _solve_settings(), ProcessPoolExecutor(workers, mp_context=context) as pool:
             rows = list(pool.map(_solve_sweep_row, work))
     else:
         rows = [_solve_sweep_row(w) for w in work]

@@ -296,10 +296,10 @@ class EigResult:
     vector: np.ndarray
     iterations: int
     residual: float
-    shift: float        # sigma certified below the spectrum (shifted_factor)
+    shift: float        # sigma the M-matrix test certified below the spectrum
     factor_nnz: int     # fill of the L and U factors of H - shift
-    factorizations: int  # factors of H - sigma the inertia check needed
-    # the _Factor the solve preconditioned with, its own or a
+    factorizations: int  # float32 factors of H - sigma made, refused ones included
+    # the _Factor the solve preconditioned with, its own float32 one or a
     # borrowed one, certified for H - shift; lent to the next solve of a
     # nearby operator (lowest_eigenpair's factor), never serialized
     factor: object = field(default=None, repr=False)
@@ -370,11 +370,13 @@ def _solve_settings():
     """Run the block with every OpenBLAS copy on one thread; restore the counts.
 
     Sweeps get their parallelism from worker processes, so BLAS threads on
-    top of them only compete for the same cores.  The counts are process
-    wide, and SuperLU releases the GIL, so solves may overlap in threads:
-    the first to enter saves the counts, the last to leave restores them.
-    A sweep forks its workers inside this block (fork start method, the
-    Linux default on Python 3.11): each inherits the count 1 and a nonzero
+    top of them only compete for the same cores.  Serial solves run on one
+    thread too, so that results repeat to the bit: on OpenBLAS's default 2
+    threads the production sweep moved W at r = 12-16 in the 11th to 13th
+    digit and was no faster (2-core x86_64 host).  The counts are process wide, and
+    SuperLU releases the GIL, so solves may overlap in threads: the first to
+    enter saves the counts, the last to leave restores them.  A sweep forks
+    its workers inside this block: each inherits the count 1 and a nonzero
     _settings_users, so its solves never set a count.  Setting one in a
     forked child restarts OpenBLAS's server threads, which spin for about
     0.1 s each before they sleep, against the worker's own factor.
@@ -411,13 +413,12 @@ def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
     v > 0 is a nonsingular M-matrix, hence positive definite (Berman &
     Plemmons, Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3,
     condition I27).  The test takes v = lu.probe, lu.solve(1) in double, from
-    this or another certified factor: any v > 0 proves the M-matrix, so the
-    factor of a nearby operator, or a single-precision one, serves as well as
-    the double factor of H - sigma.  The test asks that the
-    computed H v - sigma v exceed gamma_{k+2} (|H| v + |sigma| v) in every
-    entry, k the most stored entries in a row and gamma_j = j eps / (1 -
-    j eps) Higham's rounding bound of the double matvec, so it holds for H
-    itself, not only for the rounded H - sigma.  False on a non-Z matrix, a
+    this or another certified factor: any v > 0 proves the M-matrix, so a
+    single-precision factor, or that of a nearby operator, serves.  The test
+    asks that the computed H v - sigma v exceed gamma_{k+2} (|H| v +
+    |sigma| v) in every entry, k the most stored entries in a row and
+    gamma_j = j eps / (1 - j eps) Higham's rounding bound of the double
+    matvec, so it holds for H itself, not only for the rounded H - sigma.  False on a non-Z matrix, a
     NaN, or a shift with eigenvalues below it.
     """
     # more positive entries than rows: one lies off the diagonal.  Tested
@@ -452,41 +453,41 @@ class _Factor:
         return np.asarray(self.solve(np.ones(self.lu.shape[0])), dtype=float)
 
 
-def shifted_factor(matrix, sigma: float, single: bool = False):
-    """SuperLU factor of H - sigma and the number of eigenvalues of H below sigma.
+def _factor(matrix, sigma: float, precision) -> _Factor:
+    """SuperLU factor of H - sigma rounded to precision (float32: the same
+    order and fill as float64, faster to factor and to back-solve).
 
-    Symmetric mode (diagonal pivots in a minimum-degree order of A^T + A)
-    factors P (H - sigma) P^T = L D L^T with diag(U) = D.  That holds only
-    when the row and column orders agree; SuperLU leaves the diagonal only
-    where a diagonal pivot is zero, and then InertiaError is raised.  The
-    count is 0 when H - sigma passes the M-matrix test (_m_matrix_certified),
-    which every hydrogen/plate and 1D operator below its spectrum does.
-    Otherwise, by Sylvester's law of inertia, the negative entries of diag(U)
-    count the eigenvalues below sigma; reading lu.U makes SciPy build and
-    keep CSC copies of L and U for the life of the factor (about 12 bytes per
-    fill entry), which the M-matrix test avoids.  The supernodes of a
-    5-point stencil are narrow, so panels of SUPERLU_PANEL columns factor
-    faster than SuperLU's default (same order, same fill).
-
-    single=True factors H - sigma rounded to float32: the same order and
-    fill, 4-byte values, a faster factor and faster back-solves.  Its pivots
-    prove nothing about H, so only the M-matrix test certifies it: the
-    result is (_Factor, 0), or (None, None) when the test fails.
+    Symmetric mode takes diagonal pivots in a minimum-degree order of A^T + A
+    and leaves the diagonal only where a diagonal pivot is zero.  Panels of
+    SUPERLU_PANEL columns suit the narrow supernodes of a 5-point stencil.
     """
     n = matrix.shape[0]
-    precision = np.float32 if single else float
     lu = spla.splu((matrix - sigma * sp.identity(n, format="csc"))
                    .astype(precision, copy=False).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    panel_size=SUPERLU_PANEL, options=dict(SymmetricMode=True))
+    return _Factor(lu, precision)
+
+
+def shifted_factor(matrix, sigma: float):
+    """Double factor of H - sigma and the number of eigenvalues of H below
+    sigma, with which the Feshbach map certifies its block.
+
+    The factor is P (H - sigma) P^T = L D L^T with diag(U) = D only when the
+    row and column orders agree; otherwise InertiaError is raised.  The count
+    is 0 when H - sigma passes the M-matrix test (_m_matrix_certified).
+    Otherwise, by Sylvester's law of inertia, the negative entries of diag(U)
+    count the eigenvalues below sigma; reading lu.U makes SciPy build and
+    keep CSC copies of L and U for the life of the factor (about 12 bytes per
+    fill entry), which the M-matrix test avoids.
+    """
+    factor = _factor(matrix, sigma, float)
+    lu = factor.lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: "
                            "no inertia")
-    factor = _Factor(lu, precision)
     if _m_matrix_certified(matrix, sigma, factor):
         return factor, 0
-    if single:
-        return None, None
     return factor, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
@@ -495,23 +496,22 @@ DAVIDSON_MAX_SOLVES = 2000  # back-solves per solve before NonConvergenceError; 
 
 
 def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
-    """Lowest eigenpair of a symmetric sparse operator by Davidson's method,
-    preconditioned with a certified factor of H - sigma.
+    """Lowest eigenpair of a symmetric sparse Z-matrix by Davidson's method,
+    preconditioned with a factor of H - sigma that the M-matrix test certifies.
 
-    sigma is a first guess at a shift just below the lowest eigenvalue.
-    factor, when given, is the certified factor of a nearby operator (the
-    plate operator's, lent to the free atom on the same grid, whose H
-    differs only by the diagonal image term); when the M-matrix test
-    (_m_matrix_certified) proves H - sigma positive definite with it, the
-    solve makes no factor of its own (factorizations == 0).  Otherwise
-    H - sigma is factored in single precision, kept when the M-matrix test
-    certifies it: it only preconditions, and on the production and ladder
-    grids it takes as many back-solves as a double factor.  Where the test
-    fails (a non-Z operator, or sigma above the lowest eigenvalue) H - sigma
-    is factored again in double and the inertia of that factor certifies
-    sigma: while some eigenvalue lies below sigma, sigma is lowered by
-    max(1, |sigma|), at most to the Gershgorin bound -||H||_inf - 1, and
-    H - sigma is factored again in double.  The iteration (generalized
+    Every off-diagonal of op.matrix must be <= 0, as in every hydrogen/plate
+    and 1D operator.  sigma is a first guess at a shift just below the
+    lowest eigenvalue.  factor, when given, is the certified factor of a
+    nearby operator (the plate operator's, lent to the free atom on the same
+    grid, whose H differs only by the diagonal image term); when the
+    M-matrix test (_m_matrix_certified) proves H - sigma positive definite
+    with it, the solve makes no factor of its own (factorizations == 0).
+    Otherwise H - sigma is factored in single precision: it only
+    preconditions, as well as a double factor would.  While the test
+    refuses the factor, sigma is lowered by max(1, |sigma|), at most to the
+    Gershgorin bound -||H||_inf - 1, and H - sigma is factored again in
+    single precision; no pivot is read.  A non-Z operator raises ValueError
+    at the first refusal.  The iteration (generalized
     Davidson: Davidson, J. Comput. Phys. 17 (1975) 87; Morgan
     & Scott, SIAM J. Sci. Stat. Comput. 7 (1986) 817) projects H on an
     orthonormal basis V, takes the lowest Ritz pair (x, lam) of the dense
@@ -528,9 +528,9 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     solve trims the malloc heap first (_malloc_trim) and runs on one BLAS
     thread (_solve_settings).  iterations counts the back-solves, and
     DAVIDSON_MAX_SOLVES bounds them as a safety stop; factorizations counts the
-    factors of H - sigma the solve made, a single one the test refused
-    included; the eigenvector has unit 2-norm and factor is the certified
-    factor used.  Raises InertiaError when no shift can be certified, and
+    factors of H - sigma the solve made, refused ones included; the
+    eigenvector has unit 2-norm and factor is the certified factor used.
+    Raises InertiaError when the test refuses the Gershgorin shift, and
     NonConvergenceError, carrying the back-solves made, when
     DAVIDSON_MAX_SOLVES back-solves miss the residual bound.
     """
@@ -544,17 +544,15 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
         if factor is not None and _m_matrix_certified(h, sigma, factor):
             lu, factorizations = factor, 0
         else:
-            lu, below = shifted_factor(h, sigma, single=True)
-            factorizations = 1
-            if below is None:       # no M-matrix: the double factor's inertia decides
-                lu, below = shifted_factor(h, sigma)
-                factorizations = 2
-            while below:
+            lu, factorizations = _factor(h, sigma, np.float32), 1
+            while not _m_matrix_certified(h, sigma, lu):
+                if sp.triu(h, k=1).max() > 0.0:
+                    raise ValueError("lowest_eigenpair needs a Z-matrix, yet an "
+                                     "off-diagonal of H is positive")
                 if sigma <= floor:
-                    raise InertiaError(f"{below} negative pivots at the Gershgorin shift {sigma}")
+                    raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
                 sigma = max(sigma - max(1.0, abs(sigma)), floor)
-                lu, below = shifted_factor(h, sigma)
-                factorizations += 1
+                lu, factorizations = _factor(h, sigma, np.float32), factorizations + 1
         basis = np.empty((min(DAVIDSON_BASIS, n), n))
         proj = np.empty((len(basis), len(basis)))     # V^T H V
         t = (np.random.default_rng(0).standard_normal(n) if op.guess is None
@@ -597,7 +595,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
 # r >= 2 on every grid of the tests and the benchmark, E(r) lies above
 # -0.2521 (its lowest, near r = 7), so the shift is certified at once.
 # Closer to the plate E(r) can lie lower (-0.4405 at r = 0.5, h = 0.1); the
-# inertia check in lowest_eigenpair then lowers the shift.
+# M-matrix test then refuses the shift, and lowest_eigenpair lowers it.
 HYDROGEN_SHIFT = -0.26
 
 

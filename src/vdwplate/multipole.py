@@ -196,9 +196,6 @@ class HydrogenOrbital:
     def overlap(self, other: "HydrogenOrbital") -> float:
         return self.pair_integral(other, lambda R: np.ones_like(R))
 
-    def moment1(self, other: "HydrogenOrbital") -> np.ndarray:
-        return np.zeros(3)
-
     def moment2(self, other: "HydrogenOrbital") -> np.ndarray:
         r2 = self.pair_integral(other, lambda R: R ** 2)
         return np.eye(3) * (r2 / 3.0)
@@ -249,10 +246,6 @@ class GridWaveFn:
         self._check_grid(other)
         return float(np.sum(self.weights * self.values * other.values))
 
-    def moment1(self, other: "GridWaveFn") -> np.ndarray:
-        self._check_grid(other)
-        return (self.weights * self.values * other.values) @ self.points
-
     def moment2(self, other: "GridWaveFn") -> np.ndarray:
         self._check_grid(other)
         wvv = self.weights * self.values * other.values
@@ -265,12 +258,14 @@ class GridWaveFn:
 
 
 class ProductState:
-    """Tensor product of single-particle wavefunctions (symmetric spatial part)."""
+    """Tensor product of hydrogen-like orbitals (symmetric spatial part)."""
 
     def __init__(self, orbitals):
         self.orbitals = tuple(orbitals)
         if not self.orbitals:
             raise ValueError("need at least one orbital")
+        if not all(isinstance(orb, HydrogenOrbital) for orb in self.orbitals):
+            raise ValueError("product state factors must be HydrogenOrbital")
 
     @property
     def n_electrons(self) -> int:
@@ -291,19 +286,17 @@ class ProductState:
         return out
 
     def moment2(self, other: "ProductState") -> np.ndarray:
-        """<psi_a | (sum_i x_i)(sum_i x_i)^T | psi_b>."""
+        """<psi_a | (sum_i x_i)(sum_i x_i)^T | psi_b>.
+
+        The cross terms x_i x_j^T (i != j) carry the dipole moments
+        <a_i | x | b_i>, which vanish between s orbitals, so only the
+        one-electron second moments remain.
+        """
         pairs = self._pairs(other)
         ovs = np.array([a.overlap(b) for a, b in pairs])
-        m1 = [a.moment1(b) for a, b in pairs]
         out = np.zeros((3, 3))
-        n = len(pairs)
         for i, (a, b) in enumerate(pairs):
             out += a.moment2(b) * float(np.prod(np.delete(ovs, i)))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rest = float(np.prod(np.delete(ovs, [i, j])))
-                    out += np.outer(m1[i], m1[j]) * rest
         return out
 
 

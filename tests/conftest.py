@@ -1,6 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from vdwplate import eigensolver
 from vdwplate.eigensolver import GridCylSpec
 
 
@@ -30,3 +33,31 @@ def coarse_spec():
 def random_unit_vectors(rng, n):
     v = rng.standard_normal((n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def blas_threads():
+    """The thread count of every OpenBLAS copy that eigensolver controls."""
+    return [get() for get, _ in eigensolver._blas_thread_controls()]
+
+
+class FactorCall(NamedTuple):
+    sigma: float
+    precision: np.dtype
+    threads: list       # blas_threads() when the factor was made
+
+
+def spy_factors(monkeypatch, calls=None):
+    """Record each SuperLU factor of H - sigma that eigensolver makes.
+
+    A FactorCall is appended to calls (a new list when None), which is
+    returned; the factor itself is made as before.
+    """
+    calls = [] if calls is None else calls
+    factor = eigensolver._factor
+
+    def spy(matrix, sigma, precision):
+        calls.append(FactorCall(sigma, np.dtype(precision), blas_threads()))
+        return factor(matrix, sigma, precision)
+
+    monkeypatch.setattr(eigensolver, "_factor", spy)
+    return calls

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import blas_threads, spy_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +16,6 @@ from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   sweep_from_csv, sweep_interaction_energy,
                                   sweep_to_csv, table_to_json)
 from vdwplate.eigensolver import HYDROGEN_SHIFT, GridCyl, GridCylSpec
-
-
-def _blas_threads():
-    return [get() for get, _ in eigensolver._blas_thread_controls()]
 
 
 def synthetic_table(rs, ws, m=1.0):
@@ -127,17 +124,20 @@ class TestSweep:
             assert a == b
 
     @staticmethod
-    def _record_pool_sizes(monkeypatch, threads=None):
+    def _record_pool_sizes(monkeypatch, threads=None, methods=None):
         # a stand-in for ProcessPoolExecutor that runs in this process and
-        # records the worker count it was asked for and, into threads, the
-        # OpenBLAS thread counts it was built under
+        # records the worker count it was asked for, into threads the
+        # OpenBLAS thread counts it was built under, and into methods the
+        # start method it was given (None: the default)
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
                 if threads is not None:
-                    threads.append(_blas_threads())
+                    threads.append(blas_threads())
+                if methods is not None:
+                    methods.append(mp_context and mp_context.get_start_method())
 
             def __enter__(self):
                 return self
@@ -168,7 +168,7 @@ class TestSweep:
         # parent's counts come back afterwards, also when the pool refuses
         # to start
         controls = eigensolver._blas_thread_controls()
-        original = _blas_threads()
+        original = blas_threads()
         threads = []
         self._record_pool_sizes(monkeypatch, threads)
         spec = GridCylSpec(h_target=0.4, l_xi_plus=8.0, l_rho=8.0)
@@ -177,30 +177,44 @@ class TestSweep:
                 set_threads(2)
             sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
             assert threads == [[1] * len(controls)]
-            assert _blas_threads() == [2] * len(controls)
+            assert blas_threads() == [2] * len(controls)
 
-            def refused(max_workers):
-                threads.append(_blas_threads())
+            def refused(max_workers, mp_context=None):
+                threads.append(blas_threads())
                 raise OSError(11, "Resource temporarily unavailable")
 
             monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", refused)
             with pytest.raises(OSError):
                 sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
             assert threads == [[1] * len(controls)] * 2
-            assert _blas_threads() == [2] * len(controls)
+            assert blas_threads() == [2] * len(controls)
         finally:
             for (_, set_threads), count in zip(controls, original):
                 set_threads(count)
 
+    def test_pool_forks_where_it_can(self, monkeypatch):
+        # the workers must inherit the one-thread count, so the pool forks
+        # even where the default start method is another (forkserver from
+        # Python 3.14); without fork (Windows) it keeps the default
+        methods = []
+        self._record_pool_sizes(monkeypatch, methods=methods)
+        spec = GridCylSpec(h_target=0.4, l_xi_plus=8.0, l_rho=8.0)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["forkserver", "spawn", "fork"])
+        sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
+        assert methods == ["fork", None]
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                         or not eigensolver._blas_thread_controls()
-                        or multiprocessing.get_start_method() != "fork",
+                        or "fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs /proc, OpenBLAS thread controls and fork")
     def test_forked_worker_starts_no_blas_threads(self, monkeypatch):
         # a worker that set the inherited count itself would restart
         # OpenBLAS's server threads (3 threads, not 1, with two copies at 2)
         controls = eigensolver._blas_thread_controls()
-        original = _blas_threads()
+        original = blas_threads()
         solve_row = asymptotics.solve_row
 
         def counting_solve_row(grid, m):     # runs in the forked worker
@@ -238,19 +252,12 @@ class TestSweep:
 
     def test_one_factor_per_row(self, monkeypatch, coarse_spec):
         # the free solve of each row borrows the plate's certified factor
-        factors = []
-        real = eigensolver.shifted_factor
-
-        def spy(matrix, sigma, **kwargs):
-            factors.append(sigma)
-            return real(matrix, sigma, **kwargs)
-
-        monkeypatch.setattr(eigensolver, "shifted_factor", spy)
+        factors = spy_factors(monkeypatch)
         table = sweep_interaction_energy([8.0, 10.0], spec=coarse_spec)
         assert all(row.w < 0 for row in table.rows)
-        assert factors == [HYDROGEN_SHIFT] * 2
+        assert [(f.sigma, f.precision) for f in factors] == [(HYDROGEN_SHIFT, np.float32)] * 2
 
-    @pytest.mark.parametrize("r, factors", [(8.0, 1), (0.5, 3)])
+    @pytest.mark.parametrize("r, factors", [(8.0, 1), (0.5, 2)])
     def test_one_probe_solve_per_factor(self, monkeypatch, coarse_spec, r, factors):
         # the M-matrix test solves (H - sigma) v = 1 once per factor: the
         # free solve reuses the probe of the plate factor it borrows

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from conftest import spy_factors
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -125,18 +127,23 @@ class TestHydrogen:
 
     def test_one_factor(self, capsys, monkeypatch):
         # the free solve borrows the plate's certified factor
-        factors = []
-        real = eigensolver.shifted_factor
-
-        def spy(matrix, sigma, **kwargs):
-            factors.append(sigma)
-            return real(matrix, sigma, **kwargs)
-
-        monkeypatch.setattr(eigensolver, "shifted_factor", spy)
+        factors = spy_factors(monkeypatch)
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                              "--l-xi", "10", "--l-rho", "10")
         assert code == 0
-        assert factors == [eigensolver.HYDROGEN_SHIFT]
+        assert [(f.sigma, f.precision) for f in factors] == [
+            (eigensolver.HYDROGEN_SHIFT, np.float32)]
+
+    def test_non_z_operator_exits_3(self, capsys, monkeypatch):
+        # lowest_eigenpair takes Z-matrices only; a positive off-diagonal
+        # is an input error, not a numerical one
+        swap = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate",
+                            lambda grid, ms: [eigensolver.SparseSymOp(swap)] * len(ms))
+        code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
+                                 "--l-xi", "10", "--l-rho", "10")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "Z-matrix" in err
 
     def test_m0_solves_once(self, capsys, monkeypatch):
         # at m = 0 the plate operator is the free one: one assembly of one

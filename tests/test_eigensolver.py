@@ -7,10 +7,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import FactorCall, blas_threads, spy_factors
 
 from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
-                                  DAVIDSON_BASIS, HYDROGEN_SHIFT, InertiaError,
+                                  DAVIDSON_BASIS, HYDROGEN_SHIFT,
                                   NonConvergenceError,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
@@ -32,10 +33,6 @@ def _numpy_reports_openblas() -> bool:
     except (TypeError, KeyError):
         return False
     return "openblas" in str(blas.get("name", "")).lower()
-
-
-def _blas_threads():
-    return [get() for get, _ in eigensolver._blas_thread_controls()]
 
 
 def _band_spectrum(mat):
@@ -120,9 +117,16 @@ class TestLowestEigenpair:
         dense[np.abs(dense) < 1.5] = 0.0
         return dense
 
+    @classmethod
+    def _random_z(cls, rng, n):
+        """A random sparse symmetric Z-matrix: off-diagonals <= 0."""
+        dense = -np.abs(cls._random_sparse_symmetric(rng, n))
+        np.fill_diagonal(dense, rng.uniform(0.0, 8.0, n))
+        return dense
+
     def test_random_sparse_vs_dense_oracle(self, rng):
         n = 500
-        dense = self._random_sparse_symmetric(rng, n)
+        dense = self._random_z(rng, n)
         op = SparseSymOp(sp.csr_matrix(dense))
         # Gershgorin: the row-sum norm bounds the spectrum from below
         res = lowest_eigenpair(op, sigma=-op.norm_estimate() - 1.0)
@@ -146,10 +150,7 @@ class TestLowestEigenpair:
         if name == "electron_plate_1d":
             mat = assemble_1d_electron_plate(Grid1D(400, 100.0)).matrix
         elif name == "random_z":
-            rng = np.random.default_rng(20261018)
-            dense = -np.abs(self._random_sparse_symmetric(rng, 200))
-            np.fill_diagonal(dense, rng.uniform(0.0, 8.0, 200))
-            mat = sp.csr_matrix(dense)
+            mat = sp.csr_matrix(self._random_z(np.random.default_rng(20261018), 200))
         else:
             r, m = (float(x[1:]) for x in name.split("_")[1:])
             grid = GridCyl.for_distance(r, coarse_spec)
@@ -197,19 +198,35 @@ class TestLowestEigenpair:
         assert shifted_factor(mat, -0.1)[1] == 1
 
     def test_shift_above_lowest_returns_lowest(self, rng):
-        dense = self._random_sparse_symmetric(rng, 300)
+        dense = self._random_z(rng, 300)
         vals = np.linalg.eigvalsh(dense)
         op = SparseSymOp(sp.csr_matrix(dense))
         res = lowest_eigenpair(op, sigma=0.5 * (vals[0] + vals[1]))
         assert res.value == pytest.approx(vals[0], abs=1e-10)
-        assert res.shift < vals[0]
+        assert res.shift < vals[0] and res.factorizations > 1
         assert shifted_factor(op.matrix, res.shift)[1] == 0
 
-    def test_uncertified_factor_raises(self):
-        # a zero diagonal at sigma = 0 forces an off-diagonal pivot
-        mat = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
-        with pytest.raises(InertiaError):
-            lowest_eigenpair(SparseSymOp(mat), sigma=0.0)
+    def test_uncertified_factor_raises(self, monkeypatch):
+        # the M-matrix test refuses every shift of a non-Z operator: one
+        # positive off-diagonal pair, or a zero diagonal at sigma = 0 that
+        # forces an off-diagonal pivot.  ValueError comes at the first
+        # refusal, after at most one factor, never a double one, also when
+        # a factor is lent
+        n = 40
+        chain = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                         [-1, 0, 1]).tolil()
+        chain[10, 11] = chain[11, 10] = 0.5
+        swap = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
+        cases = [(chain.tocsr(), -1.0), (swap, 0.0)]
+        lent = [shifted_factor(sp.identity(mat.shape[0], format="csr"), -1.0)[0]
+                for mat, _ in cases]
+        factors = spy_factors(monkeypatch)
+        for (mat, sigma), factor in zip(cases, lent):
+            for borrowed in (None, factor):
+                factors.clear()
+                with pytest.raises(ValueError, match="Z-matrix"):
+                    lowest_eigenpair(SparseSymOp(mat), sigma=sigma, factor=borrowed)
+                assert [(f.sigma, f.precision) for f in factors] == [(sigma, np.float32)]
 
     def test_determinism(self):
         g = Grid1D(512, 100.0)
@@ -248,31 +265,24 @@ class TestLowestEigenpair:
         # every OpenBLAS copy runs one thread inside the solve, and the
         # counts before it come back afterwards, also when it raises
         controls = eigensolver._blas_thread_controls()
-        original = _blas_threads()
-        inside = []
-        factor = eigensolver.shifted_factor
-
-        def recording_factor(matrix, sigma, **kwargs):
-            inside.append(_blas_threads())
-            return factor(matrix, sigma, **kwargs)
-
-        monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
+        original = blas_threads()
+        factors = spy_factors(monkeypatch)
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", max_iter)
         op = assemble_1d_electron_plate(Grid1D(256, 100.0))
         try:
             for _, set_threads in controls:
                 set_threads(2)
-            before = _blas_threads()
+            before = blas_threads()
             if raises is None:
                 lowest_eigenpair(op, sigma=-1.0)
             else:
                 with pytest.raises(raises):
                     lowest_eigenpair(op, sigma=-1.0)
-            assert _blas_threads() == before
+            assert blas_threads() == before
         finally:
             for (_, set_threads), count in zip(controls, original):
                 set_threads(count)
-        assert inside == [[1] * len(controls)]
+        assert [f.threads for f in factors] == [[1] * len(controls)]
 
     @pytest.mark.skipif(not eigensolver._blas_thread_controls(),
                         reason="no OpenBLAS thread controls")
@@ -280,7 +290,7 @@ class TestLowestEigenpair:
         # A enters, B enters, A leaves while B still solves: B must keep one
         # thread, and the counts from before A come back when B leaves
         controls = eigensolver._blas_thread_controls()
-        original = _blas_threads()
+        original = blas_threads()
         a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
         seen = {}
 
@@ -295,7 +305,7 @@ class TestLowestEigenpair:
             with eigensolver._solve_settings():
                 b_in.set()
                 a_out.wait(10)
-                seen["b after a left"] = _blas_threads()
+                seen["b after a left"] = blas_threads()
 
         try:
             for _, set_threads in controls:
@@ -308,7 +318,7 @@ class TestLowestEigenpair:
             assert not any(t.is_alive() for t in workers)
             assert a_out.is_set()
             assert seen["b after a left"] == [1] * len(controls)
-            assert _blas_threads() == [2] * len(controls)
+            assert blas_threads() == [2] * len(controls)
         finally:
             for (_, set_threads), count in zip(controls, original):
                 set_threads(count)
@@ -319,15 +329,8 @@ class TestLowestEigenpair:
         # more solving threads than cores, switched often: every factor runs
         # on one BLAS thread, and the counts from before come back at the end
         controls = eigensolver._blas_thread_controls()
-        original = _blas_threads()
-        inside = []
-        factor = eigensolver.shifted_factor
-
-        def recording_factor(matrix, sigma, **kwargs):
-            inside.append(_blas_threads())
-            return factor(matrix, sigma, **kwargs)
-
-        monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
+        original = blas_threads()
+        factors = spy_factors(monkeypatch)
         op = assemble_1d_electron_plate(Grid1D(256, 100.0))
         values = []
 
@@ -346,71 +349,64 @@ class TestLowestEigenpair:
             for t in workers:
                 t.join(60)
             assert not any(t.is_alive() for t in workers)
-            assert _blas_threads() == [2] * len(controls)
+            assert blas_threads() == [2] * len(controls)
         finally:
             sys.setswitchinterval(interval)
             for (_, set_threads), count in zip(controls, original):
                 set_threads(count)
         assert len(values) == 18 and len(set(values)) == 1
-        assert inside == [[1] * len(controls)] * 18
+        assert [f.threads for f in factors] == [[1] * len(controls)] * 18
 
     def test_heap_trimmed_before_first_factor(self, monkeypatch, coarse_spec):
         # the malloc heap is trimmed once per solve, after the row's one
         # assembly and before the factor of H - sigma
-        events = []
-        factor, image = eigensolver.shifted_factor, eigensolver.molecule_mirror_interaction
-
-        def recording_factor(matrix, sigma, **kwargs):
-            events.append("factor")
-            return factor(matrix, sigma, **kwargs)
+        events = spy_factors(monkeypatch)
+        image = eigensolver.molecule_mirror_interaction
 
         def recording_image(mol, plate, electrons):
             events.append("assemble")
             return image(mol, plate, electrons)
 
-        monkeypatch.setattr(eigensolver, "shifted_factor", recording_factor)
+        def names():
+            return ["factor" if isinstance(e, FactorCall) else e for e in events]
+
         monkeypatch.setattr(eigensolver, "molecule_mirror_interaction", recording_image)
         monkeypatch.setattr(eigensolver, "_malloc_trim",
                             lambda: lambda pad: events.append(("trim", pad)))
         grid = GridCyl.for_distance(8.0, coarse_spec)
         op, free = assemble_hydrogen_plate(grid, (1.0, 0.0))
-        assert events == ["assemble"]
+        assert names() == ["assemble"]
         res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-        assert events == ["assemble", ("trim", 0), "factor"]
+        assert names() == ["assemble", ("trim", 0), "factor"]
         # a solve with a borrowed factor trims as well, and factors nothing
         lowest_eigenpair(free, sigma=res.shift, factor=res.factor)
-        assert events == ["assemble", ("trim", 0), "factor", ("trim", 0)]
+        assert names() == ["assemble", ("trim", 0), "factor", ("trim", 0)]
 
     def test_full_basis_is_exact(self, monkeypatch):
         # far below a clustered spectrum each back-solve adds little, yet a
         # basis that spans the whole space makes the Rayleigh-Ritz pair exact
         solves = []
-        factor = eigensolver.shifted_factor
+        solve = eigensolver._Factor.solve
 
-        class CountingFactor:
-            def __init__(self, lu):
-                self.lu, self.nnz = lu, lu.nnz
+        def counting_solve(self, rhs):
+            solves.append(1)
+            return solve(self, rhs)
 
-            def solve(self, rhs):
-                solves.append(1)
-                return self.lu.solve(rhs)
-
-        def counting_factor(matrix, sigma, **kwargs):
-            lu, below = factor(matrix, sigma, **kwargs)
-            return CountingFactor(lu), below
-
-        monkeypatch.setattr(eigensolver, "shifted_factor", counting_factor)
+        factors = spy_factors(monkeypatch)
+        monkeypatch.setattr(eigensolver._Factor, "solve", counting_solve)
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 300)
         op = SparseSymOp(sp.diags(np.arange(1.0, 9.0)).tocsr())
         res = lowest_eigenpair(op, sigma=-1000.0)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
-        assert res.iterations == len(solves) <= 8
+        # one solve per factor is the M-matrix test's probe, the rest Davidson's
+        assert len(factors) == 1
+        assert res.iterations == len(solves) - len(factors) <= 8
 
     def test_borrowed_factor_that_cannot_certify_falls_back(self):
         # the factor of diag(1..12) proves nothing for diag(1..12) - 3, which
         # has two eigenvalues below -0.5: the solve factors its own operator,
-        # lowering the shift until the inertia certifies it
+        # lowering the shift until the M-matrix test certifies it
         diag = sp.diags(np.arange(1.0, 13.0)).tocsr()
         lu, _ = shifted_factor(diag, -0.5)
         op = SparseSymOp((diag - 3.0 * sp.identity(12)).tocsr())
@@ -451,17 +447,21 @@ class TestHydrogenPlateOperator:
         assert res.value < essential_spectrum_bottom(10.0)
         assert res.factorizations == 1
 
-    def test_shift_lowered_near_plate(self):
+    def test_shift_lowered_near_plate(self, monkeypatch):
         # at r = 0.5 E(r) = -0.4405 lies below HYDROGEN_SHIFT; an unchecked
         # shift-invert solve there converges to -0.205
         spec = GridCylSpec(0.1, 10.0, 10.0)
+        factors = spy_factors(monkeypatch)
         res, grid = hydrogen_plate_ground(0.5, 1.0, spec)
+        # the single factor at HYDROGEN_SHIFT, refused by the M-matrix test,
+        # and one single factor at the lowered shift, which it certifies
+        assert [(f.sigma, f.precision) for f in factors] == [
+            (HYDROGEN_SHIFT, np.float32), (HYDROGEN_SHIFT - 1.0, np.float32)]
+        assert res.factorizations == 2 and res.iterations == 20
+        assert res.shift == HYDROGEN_SHIFT - 1.0
         ref = lowest_eigenpair(assemble_hydrogen_plate(grid, (1.0,))[0], sigma=-3.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
         assert res.shift < res.value < HYDROGEN_SHIFT
-        # at HYDROGEN_SHIFT the single factor, refused by the M-matrix test,
-        # and the double one whose inertia lowers the shift; then one more
-        assert res.factorizations == 3
         (op,) = assemble_hydrogen_plate(grid, (1.0,))
         assert shifted_factor(op.matrix, res.shift)[1] == 0
 
@@ -535,19 +535,6 @@ class TestHydrogenPlateOperator:
         assert plate.iterations == ref.iterations
         free = lowest_eigenpair(free_op, sigma=plate.shift, factor=plate.factor)
         assert free.factorizations == 0 and free.factor is plate.factor
-
-    def test_non_z_operator_gets_a_double_factor(self):
-        # one positive off-diagonal pair: no M-matrix, so the single factor
-        # is refused and the double factor's inertia certifies the shift
-        n = 40
-        mat = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
-                       [-1, 0, 1]).tolil()
-        mat[10, 11] = mat[11, 10] = 0.5
-        op = SparseSymOp(mat.tocsr())
-        res = lowest_eigenpair(op, sigma=-1.0)
-        assert res.factorizations == 2 and res.shift == -1.0
-        assert res.factor.solve(np.ones(n, np.float32)).dtype == np.float64
-        assert res.value == pytest.approx(np.linalg.eigvalsh(mat.toarray())[0], abs=1e-12)
 
     def test_restarted_solve_matches_arpack(self):
         # a shift far below E(r) at r = 0.5 needs more back-solves than the

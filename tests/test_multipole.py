@@ -251,6 +251,15 @@ class TestOrientationCoefficient:
         c = orientation_coefficient(GroundBasis((state,)), [0.0, 1.0, 0.0])
         assert c == pytest.approx(0.5, abs=1e-12)
 
+    def test_product_state_takes_s_orbitals_only(self):
+        # ProductState drops the dipole cross terms, which vanish for s
+        # orbitals alone
+        pts, wts = spherical_product_grid(r_max=10.0, n_r=30, n_theta=10, n_phi=8)
+        radius = np.linalg.norm(pts, axis=1)
+        p_orbital = GridWaveFn.from_samples(pts, wts, pts[:, 2] * np.exp(-radius))
+        with pytest.raises(ValueError, match="HydrogenOrbital"):
+            ProductState((HydrogenOrbital(), p_orbital))
+
 
 class TestGridWaveFn:
     def test_norm_enforced(self):
