@@ -171,12 +171,16 @@ class GridCyl:
 # Operators
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SparseSymOp:
-    """Symmetric sparse operator under the plain dot product.
+    """Symmetric sparse Z-matrix in CSR form, the hypotheses of the M-matrix
+    test (_m_matrix_certified) that lowest_eigenpair certifies with.
 
-    guess, when given, is a start vector for lowest_eigenpair with a nonzero
-    component along the lowest eigenvector.
+    The matrix must be square, finite, symmetric to SYMMETRY_TOL and have no
+    positive off-diagonal, as every hydrogen/plate and 1D operator has by
+    construction; any other matrix raises ValueError here.  guess, when
+    given, is a start vector for lowest_eigenpair with a nonzero component
+    along the lowest eigenvector.
     """
 
     matrix: sp.csr_matrix
@@ -184,6 +188,8 @@ class SparseSymOp:
 
     def __post_init__(self):
         m = self.matrix
+        if not sp.issparse(m) or m.format != "csr":
+            raise ValueError("operator must be a CSR matrix")
         if m.shape[0] != m.shape[1]:
             raise ValueError("operator must be square")
         if not np.all(np.isfinite(m.data)):
@@ -191,6 +197,9 @@ class SparseSymOp:
         asym = abs(m - m.T)
         if asym.nnz and asym.max() > SYMMETRY_TOL * max(1.0, abs(m).max()):
             raise ValueError("operator is not symmetric")
+        a = m.tocoo(copy=False)
+        if np.any(a.data[a.row != a.col] > 0.0):
+            raise ValueError("operator must be a Z-matrix, yet an off-diagonal is positive")
 
     @property
     def dim(self) -> int:
@@ -406,34 +415,27 @@ def _solve_settings():
 SUPERLU_PANEL = 1
 
 
-def _m_matrix_certified(matrix, sigma: float, lu) -> bool:
+def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
     """Whether H - sigma is proven positive definite without reading a pivot.
 
-    A symmetric Z-matrix A (every off-diagonal <= 0) with A v > 0 for some
-    v > 0 is a nonsingular M-matrix, hence positive definite (Berman &
-    Plemmons, Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3,
-    condition I27).  The test takes v = lu.probe, lu.solve(1) in double, from
-    this or another certified factor: any v > 0 proves the M-matrix, so a
-    single-precision factor, or that of a nearby operator, serves.  The test
-    asks that the computed H v - sigma v exceed gamma_{k+2} (|H| v +
-    |sigma| v) in every entry, k the most stored entries in a row and
-    gamma_j = j eps / (1 - j eps) Higham's rounding bound of the double
-    matvec, so it holds for H itself, not only for the rounded H - sigma.  False on a non-Z matrix, a
-    NaN, or a shift with eigenvalues below it.
+    H = op.matrix is a symmetric Z-matrix (SparseSymOp), and a Z-matrix A
+    with A v > 0 for some v > 0 is a nonsingular M-matrix, hence positive
+    definite (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, Thm 6.2.3, condition I27).  The test takes v = lu.probe,
+    lu.solve(1) in double, from this or another certified factor: any v > 0
+    proves the M-matrix, so a single-precision factor, or that of a nearby
+    operator, serves.  The test asks that the computed H v - sigma v exceed
+    gamma_{k+2} (|H| v + |sigma| v) in every entry, k the most stored entries
+    in a row and gamma_j = j eps / (1 - j eps) Higham's rounding bound of the
+    double matvec, so it holds for H itself, not only for the rounded
+    H - sigma.  False on a NaN or a shift with eigenvalues below it.
     """
-    # more positive entries than rows: one lies off the diagonal.  Tested
-    # first because tocoo costs a 50 x 50 Feshbach matrix about 100 us.
-    if np.count_nonzero(matrix.data > 0.0) > matrix.shape[0]:
-        return False
-    a = matrix.tocoo()
-    if not np.all(a.data[a.row != a.col] <= 0.0):
-        return False
-    v = lu.probe
+    h, v = op.matrix, lu.probe
     if not np.all(v > 0.0):
         return False
-    k = np.bincount(a.row, minlength=a.shape[0]).max() + 2
+    k = np.diff(h.indptr).max() + 2
     gamma = k * np.finfo(float).eps / (1.0 - k * np.finfo(float).eps)
-    return bool(np.all(a @ v - sigma * v > gamma * (abs(a) @ v + abs(sigma) * v)))
+    return bool(np.all(h @ v - sigma * v > gamma * (abs(h) @ v + abs(sigma) * v)))
 
 
 class _Factor:
@@ -473,21 +475,17 @@ def shifted_factor(matrix, sigma: float):
     """Double factor of H - sigma and the number of eigenvalues of H below
     sigma, with which the Feshbach map certifies its block.
 
-    The factor is P (H - sigma) P^T = L D L^T with diag(U) = D only when the
-    row and column orders agree; otherwise InertiaError is raised.  The count
-    is 0 when H - sigma passes the M-matrix test (_m_matrix_certified).
-    Otherwise, by Sylvester's law of inertia, the negative entries of diag(U)
-    count the eigenvalues below sigma; reading lu.U makes SciPy build and
-    keep CSC copies of L and U for the life of the factor (about 12 bytes per
-    fill entry), which the M-matrix test avoids.
+    H is any symmetric matrix; the count is read from the pivots alone.  The
+    factor is P (H - sigma) P^T = L D L^T with diag(U) = D only when the
+    row and column orders agree; otherwise InertiaError is raised.  By
+    Sylvester's law of inertia the negative entries of diag(U) count the
+    eigenvalues below sigma.
     """
     factor = _factor(matrix, sigma, float)
     lu = factor.lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: "
                            "no inertia")
-    if _m_matrix_certified(matrix, sigma, factor):
-        return factor, 0
     return factor, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
@@ -499,19 +497,19 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     """Lowest eigenpair of a symmetric sparse Z-matrix by Davidson's method,
     preconditioned with a factor of H - sigma that the M-matrix test certifies.
 
-    Every off-diagonal of op.matrix must be <= 0, as in every hydrogen/plate
-    and 1D operator.  sigma is a first guess at a shift just below the
-    lowest eigenvalue.  factor, when given, is the certified factor of a
-    nearby operator (the plate operator's, lent to the free atom on the same
-    grid, whose H differs only by the diagonal image term); when the
-    M-matrix test (_m_matrix_certified) proves H - sigma positive definite
-    with it, the solve makes no factor of its own (factorizations == 0).
-    Otherwise H - sigma is factored in single precision: it only
-    preconditions, as well as a double factor would.  While the test
-    refuses the factor, sigma is lowered by max(1, |sigma|), at most to the
-    Gershgorin bound -||H||_inf - 1, and H - sigma is factored again in
-    single precision; no pivot is read.  A non-Z operator raises ValueError
-    at the first refusal.  The iteration (generalized
+    op.matrix is a Z-matrix, as SparseSymOp admits no other.  sigma is a
+    first guess at a shift just below the lowest eigenvalue.  factor, when
+    given, is the certified factor of a nearby operator (the plate
+    operator's, lent to the free atom on the same grid, whose H differs only
+    by the diagonal image term); when the M-matrix test
+    (_m_matrix_certified) proves H - sigma positive definite with it, the
+    solve makes no factor of its own (factorizations == 0).  Otherwise
+    H - sigma is factored in single precision: it only preconditions, as
+    well as a double factor would.  While the test refuses the factor, sigma
+    is lowered by max(1, |sigma|), at most to the Gershgorin bound
+    -||H||_inf - 1, and H - sigma is factored again in single precision.  No
+    pivot is read: reading lu.U would make SciPy build and keep CSC copies
+    of L and U for the life of the factor.  The iteration (generalized
     Davidson: Davidson, J. Comput. Phys. 17 (1975) 87; Morgan
     & Scott, SIAM J. Sci. Stat. Comput. 7 (1986) 817) projects H on an
     orthonormal basis V, takes the lowest Ritz pair (x, lam) of the dense
@@ -541,14 +539,11 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
         norm_est = op.norm_estimate()
         bound = 64.0 * np.finfo(float).eps * norm_est
         floor = -norm_est - 1.0     # H - floor is diagonally dominant: no eigenvalue below
-        if factor is not None and _m_matrix_certified(h, sigma, factor):
+        if factor is not None and _m_matrix_certified(op, sigma, factor):
             lu, factorizations = factor, 0
         else:
             lu, factorizations = _factor(h, sigma, np.float32), 1
-            while not _m_matrix_certified(h, sigma, lu):
-                if sp.triu(h, k=1).max() > 0.0:
-                    raise ValueError("lowest_eigenpair needs a Z-matrix, yet an "
-                                     "off-diagonal of H is positive")
+            while not _m_matrix_certified(op, sigma, lu):
                 if sigma <= floor:
                     raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
                 sigma = max(sigma - max(1.0, abs(sigma)), floor)

@@ -158,9 +158,9 @@ class TestLowestEigenpair:
         return name, mat, _band_spectrum(mat)
 
     def test_inertia_exact_on_z_matrices(self, z_matrix):
-        # every off-diagonal <= 0, so below the spectrum the M-matrix test
-        # certifies H - sigma without a pivot; above it the count must still
-        # match the full spectrum, so a wrong certificate shows here
+        # the pivots give the count on both sides of the lowest eigenvalue:
+        # below it (where the M-matrix test would also certify H - sigma)
+        # every count must be 0, and above it must match the full spectrum
         name, mat, vals = z_matrix
         assert sp.triu(mat, k=1).max() <= 0.0
         shifts = [vals[0] - 1.0, vals[0] - 1e-3, HYDROGEN_SHIFT]
@@ -176,21 +176,24 @@ class TestLowestEigenpair:
         mat = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         assert np.all(spla.spsolve((mat + sp.identity(2)).tocsc(), np.ones(2)) > 0.0)
         assert shifted_factor(mat, -1.0)[1] == 1
+        with pytest.raises(ValueError, match="Z-matrix"):
+            SparseSymOp(mat)
 
     def test_certified_factor_builds_no_lu_copies(self):
         # reading the pivots through lu.U makes SciPy build and keep CSC
-        # copies of L and U, 12 bytes per fill entry; the M-matrix test
-        # certifies this shift without them
+        # copies of L and U, about 12 bytes per fill entry; lowest_eigenpair
+        # certifies its shift by the M-matrix test without them
         grid = GridCyl.for_distance(16.0, GridCylSpec(0.2, 20.0, 20.0))
-        mat = assemble_hydrogen_plate(grid, (1.0,))[0].matrix
+        (op,) = assemble_hydrogen_plate(grid, (1.0,))
+        mat = op.matrix
         tracemalloc.start()
         try:
-            lu, below = shifted_factor(mat, HYDROGEN_SHIFT)
+            res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert below == 0
-        assert peak < 6 * lu.nnz
+        assert res.factorizations == 1 and res.shift == HYDROGEN_SHIFT
+        assert peak < 8 * res.factor_nnz
         # between the two lowest eigenvalues the count comes from the pivots
         assert shifted_factor(mat, -1.0)[1] == 0
         low = np.sort(spla.eigsh(mat.tocsc(), k=2, sigma=-1.0, which="LM")[0])
@@ -207,26 +210,20 @@ class TestLowestEigenpair:
         assert shifted_factor(op.matrix, res.shift)[1] == 0
 
     def test_uncertified_factor_raises(self, monkeypatch):
-        # the M-matrix test refuses every shift of a non-Z operator: one
-        # positive off-diagonal pair, or a zero diagonal at sigma = 0 that
-        # forces an off-diagonal pivot.  ValueError comes at the first
-        # refusal, after at most one factor, never a double one, also when
-        # a factor is lent
+        # the M-matrix test proves nothing for a non-Z operator: one positive
+        # off-diagonal pair, or a zero diagonal that would force an
+        # off-diagonal pivot.  Both are refused when the operator is built,
+        # before any factor is made
         n = 40
         chain = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                          [-1, 0, 1]).tolil()
         chain[10, 11] = chain[11, 10] = 0.5
         swap = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
-        cases = [(chain.tocsr(), -1.0), (swap, 0.0)]
-        lent = [shifted_factor(sp.identity(mat.shape[0], format="csr"), -1.0)[0]
-                for mat, _ in cases]
         factors = spy_factors(monkeypatch)
-        for (mat, sigma), factor in zip(cases, lent):
-            for borrowed in (None, factor):
-                factors.clear()
-                with pytest.raises(ValueError, match="Z-matrix"):
-                    lowest_eigenpair(SparseSymOp(mat), sigma=sigma, factor=borrowed)
-                assert [(f.sigma, f.precision) for f in factors] == [(sigma, np.float32)]
+        for mat in (chain.tocsr(), swap):
+            with pytest.raises(ValueError, match="Z-matrix"):
+                SparseSymOp(mat)
+        assert factors == []
 
     def test_determinism(self):
         g = Grid1D(512, 100.0)
@@ -527,7 +524,7 @@ class TestHydrogenPlateOperator:
         plate = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
         assert plate.factorizations == 1
         assert plate.factor.solve(np.ones(op.dim, np.float32)).dtype == np.float32
-        assert eigensolver._m_matrix_certified(op.matrix, plate.shift, plate.factor)
+        assert eigensolver._m_matrix_certified(op, plate.shift, plate.factor)
         double, below = shifted_factor(op.matrix, HYDROGEN_SHIFT)
         assert below == 0 and plate.factor_nnz == double.nnz
         ref = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT, factor=double)
@@ -831,6 +828,29 @@ class TestFeshbach:
             pvec /= np.linalg.norm(pvec)
             fp = feshbach_fixed_point(op.matrix, pvec, (-0.5, -0.1))
             assert fp == pytest.approx(direct.value, abs=1e-8)
+
+    def test_pivots_are_the_one_certificate(self, monkeypatch, rng):
+        # the Feshbach map certifies its block by pivot inertia alone and
+        # never runs the M-matrix test, on a dense H with off-diagonals of
+        # both signs or on a hydrogen/plate Z-matrix
+        h, psi, vals = self._near_ground_case(rng, 50, 0.1)
+        grid = GridCyl.for_distance(10.0, GridCylSpec(h_target=0.2, l_xi_plus=14.0,
+                                                      l_rho=14.0))
+        op = assemble_hydrogen_plate(grid, (1.0,))[0]
+        direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT).value
+        pvec = HydrogenOrbital(cutoff_r=10.0)(grid.points()) * np.sqrt(grid.volume_weights())
+        cases = [(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])), vals[0]),
+                 (op.matrix, pvec / np.linalg.norm(pvec), (-0.5, -0.1), direct)]
+
+        def refuse(*args):
+            raise AssertionError("the Feshbach map ran the M-matrix test")
+
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", refuse)
+        for mat, p, bracket, lowest in cases:
+            fp = feshbach_fixed_point(mat, p, bracket)
+            assert fp == pytest.approx(lowest, abs=1e-8)
+            assert np.linalg.eigvalsh(feshbach_matrix(mat, p, fp))[0] == pytest.approx(
+                fp, abs=1e-8)
 
 
 class TestIMSPartition:
