@@ -72,14 +72,16 @@ def solve_row(grid: GridCyl, m: float) -> tuple:
 
     One assembly builds the plate operator, solved from HYDROGEN_SHIFT, and
     the free one, which differs by the diagonal image term alone and borrows
-    the plate's certified factor and its probe.  At m = 0 the plate operator
-    is the free one: one operator, one solve.  Raises what lowest_eigenpair raises.
+    the plate's certified factor and its probe.  The free operator's values
+    are made only once the plate operator is let go, so the row holds one
+    operator through each solve.  At m = 0 the plate operator is the free
+    one: one operator, one solve.  Raises what lowest_eigenpair raises.
     """
     ops = assemble_hydrogen_plate(grid, (m, 0.0) if m != 0 else (0.0,))
-    plate = lowest_eigenpair(ops[0], sigma=HYDROGEN_SHIFT)
+    plate = lowest_eigenpair(next(ops), sigma=HYDROGEN_SHIFT)
     free, iterations = plate, plate.iterations
     if m != 0:
-        free = lowest_eigenpair(ops[1], sigma=plate.shift, factor=plate.factor)
+        free = lowest_eigenpair(next(ops), sigma=plate.shift, factor=plate.factor)
         iterations += free.iterations
     plate.factor = free.factor = None
     row = SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,

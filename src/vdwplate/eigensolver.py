@@ -171,6 +171,26 @@ class GridCyl:
 # Operators
 # ---------------------------------------------------------------------------
 
+def _asymmetric(m: sp.csr_matrix) -> bool:
+    """Whether max |m - m.T| exceeds SYMMETRY_TOL max(1, max |m|).
+
+    When m is canonical and m.T has its structure, the test compares m's
+    values with those of m.T (m.tocsc() holds m.T's CSR arrays), so the
+    transpose is the one whole-matrix temporary; it dies on return.
+    Otherwise, explicit zeros or duplicates included, the sparse
+    difference decides.
+    """
+    t = m.tocsc()
+    if (m.has_canonical_format and np.array_equal(t.indptr, m.indptr)
+            and np.array_equal(t.indices, m.indices)):
+        d = np.subtract(m.data, t.data, out=t.data)
+        asym = max(d.max(initial=0.0), -d.min(initial=0.0))
+        scale = max(m.data.max(initial=0.0), -m.data.min(initial=0.0))
+    else:
+        asym, scale = abs(m - m.T).max(), abs(m).max()
+    return asym > SYMMETRY_TOL * max(1.0, scale)
+
+
 @dataclass(frozen=True)
 class SparseSymOp:
     """Symmetric sparse Z-matrix in CSR form, the hypotheses of the M-matrix
@@ -194,20 +214,24 @@ class SparseSymOp:
             raise ValueError("operator must be square")
         if not np.all(np.isfinite(m.data)):
             raise ValueError("operator entries must be finite")
-        asym = abs(m - m.T)
-        if asym.nnz and asym.max() > SYMMETRY_TOL * max(1.0, abs(m).max()):
+        if _asymmetric(m):
             raise ValueError("operator is not symmetric")
         a = m.tocoo(copy=False)
-        if np.any(a.data[a.row != a.col] > 0.0):
+        if np.any((a.data > 0.0) & (a.row != a.col)):
             raise ValueError("operator must be a Z-matrix, yet an off-diagonal is positive")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def abs_matrix(self) -> sp.csr_matrix:
+        """|H| on H's own indptr and indices: only the values are new."""
+        h = self.matrix
+        return sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape)
+
     def norm_estimate(self) -> float:
         """Row-sum (infinity norm) bound on ||H||."""
-        return float(np.abs(self.matrix).sum(axis=1).max())
+        return float(self.abs_matrix().sum(axis=1).max())
 
 
 def assemble_1d_operator(grid: Grid1D, potential: np.ndarray | None = None) -> SparseSymOp:
@@ -259,8 +283,9 @@ def _cell_stencil(h: float, w_faces: np.ndarray, w_nodes: np.ndarray):
     return main, off
 
 
-def assemble_hydrogen_plate(grid: GridCyl, ms) -> list:
-    """Hydrogen/plate Hamiltonians on the axisymmetric grid, one per m in ms.
+def assemble_hydrogen_plate(grid: GridCyl, ms):
+    """Hydrogen/plate Hamiltonians on the axisymmetric grid, one per m in ms,
+    as an iterator.
 
     The Coulomb term is cell-averaged (point values converge below second
     order through the nuclear cusp); the smooth image term, half of
@@ -268,8 +293,14 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> list:
     is evaluated at the nodes, one electron configuration per node (m = 0
     drops it).  The kinetic part, one cell stencil (_cell_stencil) per axis
     with weight 1 and rho, makes each operator five-diagonal.  The stencil,
-    the Coulomb term and the 1s start vector of lowest_eigenpair, shared by
-    the operators, are made once per call; a W row asks for (m, 0.0).
+    the Coulomb term, the 1s start vector of lowest_eigenpair and each m's
+    diagonal, kinetic + v, are made on the call, and the CSR structure
+    (indptr, indices) by one sp.diags call: every operator shares it and
+    differs only in its data.  The first operator is built on the call too;
+    each later one only when the iterator reaches it, from a copy of the
+    previous one's data with its own diagonal written in (_operators).  So a
+    W row, which asks for (m, 0.0), holds the free diagonal, not the free
+    operator, through the plate solve.
     """
     if not all(0.0 <= m <= 1.0 for m in ms):
         raise ValueError("mirror strength m must lie in [0, 1]")
@@ -282,17 +313,29 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> list:
     pts = grid.points()
     coulomb = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
     guess = HydrogenOrbital()(pts) * np.sqrt(grid.volume_weights())
-    ops = []
+    diagonals = []
     for m in ms:
         v = coulomb
         if m != 0.0:
             plate = PlateConfig(np.array([1.0, 0.0, 0.0]), grid.r, m)
             v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
                                                       pts[:, None, :]).total
-        mat = sp.diags([xi_off, rho_off, kinetic + v, rho_off, xi_off],
-                       [-grid.n_rho, -1, 0, 1, grid.n_rho], format="csr")
-        ops.append(SparseSymOp(matrix=mat, guess=guess))
-    return ops
+        diagonals.append(kinetic + v)
+    mat = sp.diags([xi_off, rho_off, diagonals[0], rho_off, xi_off],
+                   [-grid.n_rho, -1, 0, 1, grid.n_rho], format="csr")
+    return _operators(SparseSymOp(matrix=mat, guess=guess), diagonals[1:])
+
+
+def _operators(op: SparseSymOp, diagonals):
+    """op, then one operator per diagonal on op's structure, each made when
+    reached; the iterator lets each go once it has made the next."""
+    yield op
+    for diagonal in diagonals:
+        mat = sp.csr_matrix((op.matrix.data.copy(), op.matrix.indices, op.matrix.indptr),
+                            shape=op.matrix.shape)
+        mat.setdiag(diagonal)
+        op = SparseSymOp(matrix=mat, guess=op.guess)
+        yield op
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +394,13 @@ def _malloc_trim():
     system.  A solve frees its factor, tens of MB on the production grid,
     into the heap, where the pages stay resident unless the next, larger
     grid's arrays happen to fit into the holes.  lowest_eigenpair trims
-    at the start of every solve, also one that borrows a factor.  A
-    production sweep (r = 10, 12, 14, 16) peaks at 146-148 MiB resident
-    with the trim and at 144-149 MiB without it (ru_maxrss, eight runs each,
-    2-core x86_64 host): since a row's free operator is assembled before the
-    plate factor, the trim no longer lowers that peak.  It still lowers
-    perfbench's dielectric_ladder peak, which is the benchmark process's
-    own and the pool workers' as well: 69.2-69.5 MB with it and 69.8-70.1 MB
-    without it (peak_rss_mb, five runs each); the workers' peak 68.0 against
-    68.5 MB.
+    at the start of every solve, before norm_estimate allocates, also in a
+    solve that borrows a factor: in a W row that is after the free
+    operator's values are made.  perfbench's peak_rss_mb, five runs each on
+    a 2-core x86_64 host: a production sweep (r = 10, 12, 14, 16) peaks at
+    142.80-143.55 MiB with the trim and 143.57-145.69 MiB without it, the
+    dielectric_ladder at 69.26-69.33 MiB with it and 69.70-69.95 MiB
+    without.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -435,7 +476,7 @@ def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
         return False
     k = np.diff(h.indptr).max() + 2
     gamma = k * np.finfo(float).eps / (1.0 - k * np.finfo(float).eps)
-    return bool(np.all(h @ v - sigma * v > gamma * (abs(h) @ v + abs(sigma) * v)))
+    return bool(np.all(h @ v - sigma * v > gamma * (op.abs_matrix() @ v + abs(sigma) * v)))
 
 
 class _Factor:
@@ -598,7 +639,7 @@ def hydrogen_plate_ground(r: float, m: float = 1.0,
                           spec: GridCylSpec = GridCylSpec()):
     """Assemble and solve E(r) on a fresh grid; returns (EigResult, GridCyl)."""
     grid = GridCyl.for_distance(r, spec)
-    res = lowest_eigenpair(assemble_hydrogen_plate(grid, (m,))[0], sigma=HYDROGEN_SHIFT)
+    res = lowest_eigenpair(next(assemble_hydrogen_plate(grid, (m,))), sigma=HYDROGEN_SHIFT)
     return res, grid
 
 

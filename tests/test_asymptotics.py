@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,29 @@ class TestSweep:
         row, _ = asymptotics.solve_row(GridCyl.for_distance(r, coarse_spec), 1.0)
         assert row.w < 0
         assert len(made) == factors and probes == made
+
+    def test_row_holds_one_operator_at_a_time(self):
+        # the free operator's values are made after the plate solve, so a
+        # row peaks less than one operator's values above a lone plate
+        # solve on the same grid (the ladder grid at r = 16).  Built before
+        # the plate solve, the free operator put the row 1,007,568 B above
+        # it, against 715,520 B of values
+        spec = GridCylSpec(0.2, 20.0, 20.0)
+        grid = GridCyl.for_distance(16.0, spec)
+        asymptotics.solve_row(grid, 1.0)      # warm every cache first
+
+        def traced_peak(solve):
+            tracemalloc.start()
+            try:
+                solve()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lone = traced_peak(lambda: eigensolver.hydrogen_plate_ground(16.0, 1.0, spec))
+        row = traced_peak(lambda: asymptotics.solve_row(grid, 1.0))
+        values = next(eigensolver.assemble_hydrogen_plate(grid, (0.0,))).matrix.data.nbytes
+        assert row < lone + values
 
     def test_overflowing_w_rejected(self):
         # both energies finite, but W = -1e308 - 1e308 is -inf

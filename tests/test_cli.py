@@ -139,7 +139,7 @@ class TestHydrogen:
         # is an input error, not a numerical one
         swap = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate",
-                            lambda grid, ms: [eigensolver.SparseSymOp(swap)] * len(ms))
+                            lambda grid, ms: iter([eigensolver.SparseSymOp(swap)] * len(ms)))
         code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                                  "--l-xi", "10", "--l-rho", "10")
         assert code == 3 and out == ""

@@ -12,7 +12,7 @@ from conftest import FactorCall, blas_threads, spy_factors
 from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
                                   DAVIDSON_BASIS, HYDROGEN_SHIFT,
-                                  NonConvergenceError,
+                                  NonConvergenceError, SYMMETRY_TOL,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
                                   assemble_hydrogen_plate, coulomb_cell_average,
@@ -103,6 +103,50 @@ class TestAssemble1D:
         assert abs(res.value - E_EP) / abs(E_EP) <= 5e-5
 
 
+class TestSparseSymOp:
+    @staticmethod
+    def _chain(delta=0.0, explicit_zero=False):
+        """The 6-node Dirichlet chain, max |H| = 2, with H[2, 3] moved by
+        delta off its mirror and, if asked, an explicit zero at (0, 4) that
+        (4, 0) lacks."""
+        n = 6
+        rows, cols = [*range(n), *range(n - 1), *range(1, n)], [*range(n), *range(1, n),
+                                                               *range(n - 1)]
+        vals = [2.0] * n + [-1.0] * (2 * (n - 1))
+        vals[n + 2] -= delta                          # the (2, 3) entry
+        if explicit_zero:
+            rows, cols, vals = rows + [0], cols + [4], vals + [0.0]
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        assert (mat.nnz == 3 * n - 1) == explicit_zero
+        return mat
+
+    @pytest.mark.parametrize("explicit_zero", [False, True])
+    @pytest.mark.parametrize("delta, symmetric", [
+        (0.0, True), (0.5 * SYMMETRY_TOL, True), (1.5 * SYMMETRY_TOL, True),
+        (3.0 * SYMMETRY_TOL, False)])
+    def test_symmetry_verdicts(self, delta, symmetric, explicit_zero):
+        # the tolerance is SYMMETRY_TOL max(1, max |H|) = 2 SYMMETRY_TOL; an
+        # explicit zero without its mirror takes the sparse-difference test,
+        # which reads it as the zero it is
+        mat = self._chain(delta, explicit_zero)
+        if symmetric:
+            SparseSymOp(mat)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                SparseSymOp(mat)
+
+    def test_abs_matrix_on_the_operators_structure(self, coarse_spec):
+        # |H| copies the values only, and gives the norm and the M-matrix
+        # bound to the bit of scipy's abs(H)
+        op = next(assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0,)))
+        a = op.abs_matrix()
+        for name in ("indptr", "indices"):
+            assert np.shares_memory(getattr(a, name), getattr(op.matrix, name))
+        v = np.random.default_rng(0).random(op.dim)
+        assert np.array_equal(a @ v, abs(op.matrix) @ v)
+        assert op.norm_estimate() == float(abs(op.matrix).sum(axis=1).max())
+
+
 class TestLowestEigenpair:
     def test_diagonal_matrix(self):
         op = SparseSymOp(sp.diags([3.0, 1.0, 2.0]).tocsr())
@@ -154,7 +198,7 @@ class TestLowestEigenpair:
         else:
             r, m = (float(x[1:]) for x in name.split("_")[1:])
             grid = GridCyl.for_distance(r, coarse_spec)
-            mat = assemble_hydrogen_plate(grid, (m,))[0].matrix
+            mat = next(assemble_hydrogen_plate(grid, (m,))).matrix
         return name, mat, _band_spectrum(mat)
 
     def test_inertia_exact_on_z_matrices(self, z_matrix):
@@ -424,7 +468,7 @@ class TestLowestEigenpair:
 
     def test_discrete_symmetry(self, rng, coarse_spec):
         grid = GridCyl.for_distance(6.0, coarse_spec)
-        op = assemble_hydrogen_plate(grid, (1.0,))[0]
+        op = next(assemble_hydrogen_plate(grid, (1.0,)))
         for _ in range(10):
             u = rng.standard_normal(op.dim)
             v = rng.standard_normal(op.dim)
@@ -456,7 +500,7 @@ class TestHydrogenPlateOperator:
             (HYDROGEN_SHIFT, np.float32), (HYDROGEN_SHIFT - 1.0, np.float32)]
         assert res.factorizations == 2 and res.iterations == 20
         assert res.shift == HYDROGEN_SHIFT - 1.0
-        ref = lowest_eigenpair(assemble_hydrogen_plate(grid, (1.0,))[0], sigma=-3.0)
+        ref = lowest_eigenpair(next(assemble_hydrogen_plate(grid, (1.0,))), sigma=-3.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
         assert res.shift < res.value < HYDROGEN_SHIFT
         (op,) = assemble_hydrogen_plate(grid, (1.0,))
@@ -464,7 +508,7 @@ class TestHydrogenPlateOperator:
 
     def test_shift_near_ground_saves_back_solves(self, coarse_spec):
         for m in (1.0, 0.0):
-            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
+            op = next(assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,)))
             near = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             far = lowest_eigenpair(op, sigma=-3.0)
             assert near.value == pytest.approx(far.value, abs=1e-12)
@@ -479,7 +523,7 @@ class TestHydrogenPlateOperator:
         # ground vector is positive, so the positive 1s start has a component
         # along it, and starting there costs no more back-solves than a
         # random start
-        op = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), (m,))[0]
+        op = next(assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), (m,)))
         off = sp.triu(op.matrix, k=1)
         assert off.max() <= 0.0
         assert sp.csgraph.connected_components(off, directed=False)[0] == 1
@@ -493,7 +537,7 @@ class TestHydrogenPlateOperator:
 
     def test_lanczos_stops_at_residual_contract(self, coarse_spec):
         for m in (1.0, 0.0):
-            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
+            op = next(assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,)))
             res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             assert res.iterations <= 12
             assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
@@ -578,6 +622,15 @@ class TestHydrogenPlateOperator:
                 got, want = getattr(op.matrix, name), getattr(ref, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, name)
             assert np.array_equal(op.guess, guess)
+
+    def test_row_operators_share_one_structure(self, coarse_spec):
+        # one sp.diags call per assembly: the operators share indptr and
+        # indices and differ only in their values
+        grid = GridCyl.for_distance(8.0, coarse_spec)
+        plate, free = assemble_hydrogen_plate(grid, (1.0, 0.0))
+        for name in ("indptr", "indices"):
+            assert np.shares_memory(getattr(plate.matrix, name), getattr(free.matrix, name))
+        assert not np.shares_memory(plate.matrix.data, free.matrix.data)
 
     def test_cell_average_against_midpoint_far_field(self):
         # away from the nucleus the cell average reduces to the midpoint value
@@ -822,7 +875,7 @@ class TestFeshbach:
         spec = GridCylSpec(h_target=0.2, l_xi_plus=14.0, l_rho=14.0)
         for r in (10.0, 14.0):
             grid = GridCyl.for_distance(r, spec)
-            op = assemble_hydrogen_plate(grid, (1.0,))[0]
+            op = next(assemble_hydrogen_plate(grid, (1.0,)))
             direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             pvec = HydrogenOrbital(cutoff_r=r)(grid.points()) * np.sqrt(grid.volume_weights())
             pvec /= np.linalg.norm(pvec)
@@ -836,7 +889,7 @@ class TestFeshbach:
         h, psi, vals = self._near_ground_case(rng, 50, 0.1)
         grid = GridCyl.for_distance(10.0, GridCylSpec(h_target=0.2, l_xi_plus=14.0,
                                                       l_rho=14.0))
-        op = assemble_hydrogen_plate(grid, (1.0,))[0]
+        op = next(assemble_hydrogen_plate(grid, (1.0,)))
         direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT).value
         pvec = HydrogenOrbital(cutoff_r=10.0)(grid.points()) * np.sqrt(grid.volume_weights())
         cases = [(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])), vals[0]),
@@ -896,7 +949,7 @@ class TestIMSPartition:
         for h in (0.25, 0.125):
             spec = GridCylSpec(h_target=h, l_xi_plus=18.0, l_rho=18.0)
             grid = GridCyl.for_distance(r, spec)
-            op = assemble_hydrogen_plate(grid, (1.0,))[0]
+            op = next(assemble_hydrogen_plate(grid, (1.0,)))
             part = PartitionOfUnity(r)
             pts = grid.points()
             j1 = part.j1(pts)
