@@ -71,19 +71,19 @@ def solve_row(grid: GridCyl, m: float) -> tuple:
     """(SweepRow, plate residual) of W on one grid.
 
     One assembly builds the plate operator, solved from HYDROGEN_SHIFT, and
-    the free one, which differs by the diagonal image term alone and borrows
-    the plate's certified factor and its probe.  The free operator's values
-    are made only once the plate operator is let go, so the row holds one
-    operator through each solve.  At m = 0 the plate operator is the free
-    one: one operator, one solve.  Raises what lowest_eigenpair raises.
+    the free diagonal.  The free operator differs by the diagonal image term
+    alone, so set_diagonal then turns the plate operator into it in place,
+    and its solve borrows the plate's certified factor and its probe: the
+    row holds one operator throughout.  At m = 0 the plate operator is the
+    free one: one operator, one solve.  Raises what lowest_eigenpair raises.
     """
-    ops = assemble_hydrogen_plate(grid, (m, 0.0) if m != 0 else (0.0,))
-    plate = lowest_eigenpair(next(ops), sigma=HYDROGEN_SHIFT)
+    op, diagonals = assemble_hydrogen_plate(grid, (m, 0.0) if m != 0 else (0.0,))
+    plate = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
     free, iterations = plate, plate.iterations
     if m != 0:
-        free = lowest_eigenpair(next(ops), sigma=plate.shift, factor=plate.factor)
+        op.set_diagonal(diagonals[0])
+        free = lowest_eigenpair(op, sigma=plate.shift, factor=plate.factor)
         iterations += free.iterations
-    plate.factor = free.factor = None
     row = SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                    e_plate=plate.value, e_free=free.value, iterations=iterations)
     return row, plate.residual
@@ -159,7 +159,8 @@ def fit_power_law(table, exponents) -> FitResult:
     """Weighted least squares of W(r) in the basis {r^-k}.
 
     Weights r^6 equalize the leading-term influence across the window.
-    Accepts a SweepTable or an (r, W) array pair.
+    Accepts a SweepTable or an (r, W) array pair.  Radii whose r^3 weights
+    or r^-k columns overflow or underflow raise ValueError.
     """
     r, w = _r_w(table)
     exponents = tuple(int(k) for k in exponents)
@@ -169,8 +170,12 @@ def fit_power_law(table, exponents) -> FitResult:
                          f"got {list(exponents)}")
     if r.size < len(exponents):
         raise ValueError("need at least as many rows as exponents")
-    design = np.column_stack([r ** (-float(k)) for k in exponents])
-    sqrt_w = r ** 3.0
+    with np.errstate(over="ignore", under="ignore"):
+        design = np.column_stack([r ** (-float(k)) for k in exponents])
+        sqrt_w = r ** 3.0
+    if not all(np.all((np.finfo(float).tiny <= x) & (x < np.inf)) for x in (design, sqrt_w)):
+        raise ValueError(f"r^3 weights or r^-k columns overflow or underflow on the "
+                         f"radii {float(r.min())!r} to {float(r.max())!r}")
     a = design * sqrt_w[:, None]
     rank = np.linalg.matrix_rank(a)
     if rank < len(exponents):

@@ -115,11 +115,14 @@ class GridCyl:
         if not spec.h_target / 2 <= r < np.inf:
             raise ValueError(f"plate distance must be finite and at least h/2 = "
                              f"{spec.h_target / 2}, got {r}; lower --h for a closer plate")
-        n_left = max(1, round(r / spec.h_target))
-        h_xi = r / n_left
-        n_xi = n_left + max(1, round(spec.l_xi_plus / h_xi))
         h_rho = spec.h_target
-        n_rho = max(1, round(spec.l_rho / h_rho))
+        try:
+            n_left = max(1, round(r / spec.h_target))
+            h_xi = r / n_left
+            n_xi = n_left + max(1, round(spec.l_xi_plus / h_xi))
+            n_rho = max(1, round(spec.l_rho / h_rho))
+        except OverflowError:       # round(inf): an extent over a step exceeds the floats
+            raise ValueError(f"grid node count overflows at r = {r}, {spec}") from None
         return cls(r=r, n_xi=n_xi, n_rho=n_rho, h_xi=h_xi, h_rho=h_rho)
 
     def __post_init__(self):
@@ -171,26 +174,6 @@ class GridCyl:
 # Operators
 # ---------------------------------------------------------------------------
 
-def _asymmetric(m: sp.csr_matrix) -> bool:
-    """Whether max |m - m.T| exceeds SYMMETRY_TOL max(1, max |m|).
-
-    When m is canonical and m.T has its structure, the test compares m's
-    values with those of m.T (m.tocsc() holds m.T's CSR arrays), so the
-    transpose is the one whole-matrix temporary; it dies on return.
-    Otherwise, explicit zeros or duplicates included, the sparse
-    difference decides.
-    """
-    t = m.tocsc()
-    if (m.has_canonical_format and np.array_equal(t.indptr, m.indptr)
-            and np.array_equal(t.indices, m.indices)):
-        d = np.subtract(m.data, t.data, out=t.data)
-        asym = max(d.max(initial=0.0), -d.min(initial=0.0))
-        scale = max(m.data.max(initial=0.0), -m.data.min(initial=0.0))
-    else:
-        asym, scale = abs(m - m.T).max(), abs(m).max()
-    return asym > SYMMETRY_TOL * max(1.0, scale)
-
-
 @dataclass(frozen=True)
 class SparseSymOp:
     """Symmetric sparse Z-matrix in CSR form, the hypotheses of the M-matrix
@@ -198,9 +181,10 @@ class SparseSymOp:
 
     The matrix must be square, finite, symmetric to SYMMETRY_TOL and have no
     positive off-diagonal, as every hydrogen/plate and 1D operator has by
-    construction; any other matrix raises ValueError here.  guess, when
-    given, is a start vector for lowest_eigenpair with a nonzero component
-    along the lowest eigenvector.
+    construction; any other matrix raises ValueError here, once per
+    operator.  set_diagonal rewrites the diagonal in place and keeps all
+    that.  guess, when given, is a start vector for lowest_eigenpair with a
+    nonzero component along the lowest eigenvector.
     """
 
     matrix: sp.csr_matrix
@@ -214,7 +198,7 @@ class SparseSymOp:
             raise ValueError("operator must be square")
         if not np.all(np.isfinite(m.data)):
             raise ValueError("operator entries must be finite")
-        if _asymmetric(m):
+        if abs(m - m.T).max() > SYMMETRY_TOL * max(1.0, abs(m).max()):
             raise ValueError("operator is not symmetric")
         a = m.tocoo(copy=False)
         if np.any((a.data > 0.0) & (a.row != a.col)):
@@ -223,6 +207,14 @@ class SparseSymOp:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def set_diagonal(self, d: np.ndarray) -> None:
+        """Write d over the matrix's diagonal in place, on its own indptr and
+        indices.  Symmetry and the Z sign pattern live in the off-diagonals,
+        which __post_init__ checked, so only d's finiteness is checked."""
+        if not np.all(np.isfinite(d)):
+            raise ValueError("operator entries must be finite")
+        self.matrix.setdiag(d)
 
     def abs_matrix(self) -> sp.csr_matrix:
         """|H| on H's own indptr and indices: only the values are new."""
@@ -283,9 +275,9 @@ def _cell_stencil(h: float, w_faces: np.ndarray, w_nodes: np.ndarray):
     return main, off
 
 
-def assemble_hydrogen_plate(grid: GridCyl, ms):
-    """Hydrogen/plate Hamiltonians on the axisymmetric grid, one per m in ms,
-    as an iterator.
+def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
+    """Hydrogen/plate Hamiltonian on the axisymmetric grid at ms[0], and the
+    diagonals of those at ms[1:].
 
     The Coulomb term is cell-averaged (point values converge below second
     order through the nuclear cusp); the smooth image term, half of
@@ -294,13 +286,11 @@ def assemble_hydrogen_plate(grid: GridCyl, ms):
     drops it).  The kinetic part, one cell stencil (_cell_stencil) per axis
     with weight 1 and rho, makes each operator five-diagonal.  The stencil,
     the Coulomb term, the 1s start vector of lowest_eigenpair and each m's
-    diagonal, kinetic + v, are made on the call, and the CSR structure
-    (indptr, indices) by one sp.diags call: every operator shares it and
-    differs only in its data.  The first operator is built on the call too;
-    each later one only when the iterator reaches it, from a copy of the
-    previous one's data with its own diagonal written in (_operators).  So a
-    W row, which asks for (m, 0.0), holds the free diagonal, not the free
-    operator, through the plate solve.
+    diagonal, kinetic + v, are made on the call, and the operator at ms[0]
+    by one sp.diags call.  The operators at ms[1:] differ from it only in
+    their diagonal: SparseSymOp.set_diagonal turns it into each in place.
+    So a W row, which asks for (m, 0.0), holds one operator and the free
+    diagonal.
     """
     if not all(0.0 <= m <= 1.0 for m in ms):
         raise ValueError("mirror strength m must lie in [0, 1]")
@@ -323,19 +313,7 @@ def assemble_hydrogen_plate(grid: GridCyl, ms):
         diagonals.append(kinetic + v)
     mat = sp.diags([xi_off, rho_off, diagonals[0], rho_off, xi_off],
                    [-grid.n_rho, -1, 0, 1, grid.n_rho], format="csr")
-    return _operators(SparseSymOp(matrix=mat, guess=guess), diagonals[1:])
-
-
-def _operators(op: SparseSymOp, diagonals):
-    """op, then one operator per diagonal on op's structure, each made when
-    reached; the iterator lets each go once it has made the next."""
-    yield op
-    for diagonal in diagonals:
-        mat = sp.csr_matrix((op.matrix.data.copy(), op.matrix.indices, op.matrix.indptr),
-                            shape=op.matrix.shape)
-        mat.setdiag(diagonal)
-        op = SparseSymOp(matrix=mat, guess=op.guess)
-        yield op
+    return SparseSymOp(matrix=mat, guess=guess), diagonals[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +330,9 @@ class EigResult:
     factor_nnz: int     # fill of the L and U factors of H - shift
     factorizations: int  # float32 factors of H - sigma made, refused ones included
     # the _Factor the solve preconditioned with, its own float32 one or a
-    # borrowed one, certified for H - shift; lent to the next solve of a
-    # nearby operator (lowest_eigenpair's factor), never serialized
+    # borrowed one, certified for H - shift and made from a copy of it, so it
+    # outlives a set_diagonal on H; lent to the next solve of a nearby
+    # operator (lowest_eigenpair's factor), never serialized
     factor: object = field(default=None, repr=False)
 
 
@@ -395,8 +374,8 @@ def _malloc_trim():
     into the heap, where the pages stay resident unless the next, larger
     grid's arrays happen to fit into the holes.  lowest_eigenpair trims
     at the start of every solve, before norm_estimate allocates, also in a
-    solve that borrows a factor: in a W row that is after the free
-    operator's values are made.  perfbench's peak_rss_mb, five runs each on
+    solve that borrows a factor: in a W row that is after set_diagonal
+    writes the free diagonal.  perfbench's peak_rss_mb, five runs each on
     a 2-core x86_64 host: a production sweep (r = 10, 12, 14, 16) peaks at
     142.80-143.55 MiB with the trim and 143.57-145.69 MiB without it, the
     dielectric_ladder at 69.26-69.33 MiB with it and 69.70-69.95 MiB
@@ -639,7 +618,7 @@ def hydrogen_plate_ground(r: float, m: float = 1.0,
                           spec: GridCylSpec = GridCylSpec()):
     """Assemble and solve E(r) on a fresh grid; returns (EigResult, GridCyl)."""
     grid = GridCyl.for_distance(r, spec)
-    res = lowest_eigenpair(next(assemble_hydrogen_plate(grid, (m,))), sigma=HYDROGEN_SHIFT)
+    res = lowest_eigenpair(assemble_hydrogen_plate(grid, (m,))[0], sigma=HYDROGEN_SHIFT)
     return res, grid
 
 

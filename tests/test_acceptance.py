@@ -212,7 +212,7 @@ def test_criterion_9_property_suites():
                                    + part.j2(pts_sample) ** 2 - 1.0)))
     spec = GridCylSpec(h_target=0.125, l_xi_plus=18.0, l_rho=18.0)
     gridcyl = GridCyl.for_distance(r, spec)
-    op = next(assemble_hydrogen_plate(gridcyl, (1.0,)))
+    op = assemble_hydrogen_plate(gridcyl, (1.0,))[0]
     pts = gridcyl.points()
     j1, j2, grad = part.j1(pts), part.j2(pts), part.gradient_sq(pts)
     ims_ok = True

@@ -66,6 +66,16 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="exponents"):
             fit_power_law((rs, ws), ())
 
+    @pytest.mark.parametrize("rs, exponents", [
+        ([1e200, 2e200, 3e200], (3, 5)), ([1e-200, 2e-200, 3e-200], (3, 5)),
+        ([1e-110, 1.0, 2.0], (3, 5)), ([1e62, 2e62], (5,))])
+    def test_radii_out_of_float_range_rejected(self, rs, exponents):
+        # r^3 or r^-k overflowed with a RuntimeWarning, and the SVD of the
+        # weighted design, full of inf and nan, did not converge; r^-5 of
+        # 1e62 is subnormal, and the fit lost its digits without a word
+        with pytest.raises(ValueError, match="overflow or underflow on the radii"):
+            fit_power_law((np.array(rs), -np.ones(len(rs))), exponents)
+
 
 class TestBracketReport:
     def test_constructed_sixth_order(self):
@@ -280,11 +290,11 @@ class TestSweep:
         assert len(made) == factors and probes == made
 
     def test_row_holds_one_operator_at_a_time(self):
-        # the free operator's values are made after the plate solve, so a
-        # row peaks less than one operator's values above a lone plate
-        # solve on the same grid (the ladder grid at r = 16).  Built before
-        # the plate solve, the free operator put the row 1,007,568 B above
-        # it, against 715,520 B of values
+        # the free solve runs on the plate operator with its diagonal
+        # rewritten, so a row peaks less than one operator's values above a
+        # lone plate solve on the same grid (the ladder grid at r = 16).
+        # Built before the plate solve, a second operator put the row
+        # 1,007,568 B above it, against 715,520 B of values
         spec = GridCylSpec(0.2, 20.0, 20.0)
         grid = GridCyl.for_distance(16.0, spec)
         asymptotics.solve_row(grid, 1.0)      # warm every cache first
@@ -299,8 +309,23 @@ class TestSweep:
 
         lone = traced_peak(lambda: eigensolver.hydrogen_plate_ground(16.0, 1.0, spec))
         row = traced_peak(lambda: asymptotics.solve_row(grid, 1.0))
-        values = next(eigensolver.assemble_hydrogen_plate(grid, (0.0,))).matrix.data.nbytes
+        values = eigensolver.assemble_hydrogen_plate(grid, (0.0,))[0].matrix.data.nbytes
         assert row < lone + values
+
+    @pytest.mark.parametrize("m", [1.0, 0.0])
+    def test_row_validates_one_operator(self, monkeypatch, coarse_spec, m):
+        # the free solve rewrites the plate operator's diagonal in place, so
+        # a row builds, and checks, a single SparseSymOp
+        built = []
+        post_init = eigensolver.SparseSymOp.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(eigensolver.SparseSymOp, "__post_init__", counting_post_init)
+        row, _ = asymptotics.solve_row(GridCyl.for_distance(8.0, coarse_spec), m)
+        assert row.w is not None and len(built) == 1
 
     def test_overflowing_w_rejected(self):
         # both energies finite, but W = -1e308 - 1e308 is -inf

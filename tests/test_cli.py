@@ -186,6 +186,18 @@ class TestHydrogen:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and word in err
 
+    @pytest.mark.parametrize("argv", [
+        ("hydrogen", "--r", "1e308"),
+        ("sweep", "--r-values", "1e308"),
+        ("hydrogen", "--r", "10", "--l-rho", "1e308"),
+        ("hydrogen", "--r", "10", "--l-xi", "1e308"),
+        ("hydrogen", "--r", "10", "--h", "1e-310")])
+    def test_grid_node_count_overflow_exits_3(self, capsys, argv):
+        # an extent over the step rounds to inf: round(inf) raised OverflowError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "node count overflows" in err
+
     def test_bad_m_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")
         assert code == 3
@@ -359,6 +371,17 @@ class TestSweepAndFit:
                                  "--exponents", exponents)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "integers" in err and "exponents" in err
+
+    def test_fit_radii_out_of_float_range_exit_3(self, capsys, tmp_path):
+        # r^3 overflowed: a RuntimeWarning, then "SVD did not converge"
+        rows = [SweepRow(r=r, n_xi=1, n_rho=1, e_plate=-1e-300, e_free=0.0)
+                for r in (1e200, 2e200, 3e200)]
+        path = tmp_path / "far.csv"
+        path.write_text(sweep_to_csv(SweepTable(rows=rows, m=1.0, grid={}, config={})))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: r^3 weights or r^-k columns overflow or "
+                                    "underflow on the radii 1e+200 to 3e+200"]
 
     @pytest.mark.parametrize("text", ["r,W\n10,-0.001\n12,-0.0005\n", "hello\n"],
                              ids=["r_W", "hello"])

@@ -126,8 +126,7 @@ class TestSparseSymOp:
         (3.0 * SYMMETRY_TOL, False)])
     def test_symmetry_verdicts(self, delta, symmetric, explicit_zero):
         # the tolerance is SYMMETRY_TOL max(1, max |H|) = 2 SYMMETRY_TOL; an
-        # explicit zero without its mirror takes the sparse-difference test,
-        # which reads it as the zero it is
+        # explicit zero without its mirror is read as the zero it is
         mat = self._chain(delta, explicit_zero)
         if symmetric:
             SparseSymOp(mat)
@@ -138,7 +137,7 @@ class TestSparseSymOp:
     def test_abs_matrix_on_the_operators_structure(self, coarse_spec):
         # |H| copies the values only, and gives the norm and the M-matrix
         # bound to the bit of scipy's abs(H)
-        op = next(assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0,)))
+        op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0,))[0]
         a = op.abs_matrix()
         for name in ("indptr", "indices"):
             assert np.shares_memory(getattr(a, name), getattr(op.matrix, name))
@@ -198,7 +197,7 @@ class TestLowestEigenpair:
         else:
             r, m = (float(x[1:]) for x in name.split("_")[1:])
             grid = GridCyl.for_distance(r, coarse_spec)
-            mat = next(assemble_hydrogen_plate(grid, (m,))).matrix
+            mat = assemble_hydrogen_plate(grid, (m,))[0].matrix
         return name, mat, _band_spectrum(mat)
 
     def test_inertia_exact_on_z_matrices(self, z_matrix):
@@ -228,7 +227,7 @@ class TestLowestEigenpair:
         # copies of L and U, about 12 bytes per fill entry; lowest_eigenpair
         # certifies its shift by the M-matrix test without them
         grid = GridCyl.for_distance(16.0, GridCylSpec(0.2, 20.0, 20.0))
-        (op,) = assemble_hydrogen_plate(grid, (1.0,))
+        op, _ = assemble_hydrogen_plate(grid, (1.0,))
         mat = op.matrix
         tracemalloc.start()
         try:
@@ -415,7 +414,8 @@ class TestLowestEigenpair:
         monkeypatch.setattr(eigensolver, "_malloc_trim",
                             lambda: lambda pad: events.append(("trim", pad)))
         grid = GridCyl.for_distance(8.0, coarse_spec)
-        op, free = assemble_hydrogen_plate(grid, (1.0, 0.0))
+        op, _ = assemble_hydrogen_plate(grid, (1.0,))
+        free, _ = assemble_hydrogen_plate(grid, (0.0,))
         assert names() == ["assemble"]
         res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
         assert names() == ["assemble", ("trim", 0), "factor"]
@@ -468,7 +468,7 @@ class TestLowestEigenpair:
 
     def test_discrete_symmetry(self, rng, coarse_spec):
         grid = GridCyl.for_distance(6.0, coarse_spec)
-        op = next(assemble_hydrogen_plate(grid, (1.0,)))
+        op = assemble_hydrogen_plate(grid, (1.0,))[0]
         for _ in range(10):
             u = rng.standard_normal(op.dim)
             v = rng.standard_normal(op.dim)
@@ -500,15 +500,15 @@ class TestHydrogenPlateOperator:
             (HYDROGEN_SHIFT, np.float32), (HYDROGEN_SHIFT - 1.0, np.float32)]
         assert res.factorizations == 2 and res.iterations == 20
         assert res.shift == HYDROGEN_SHIFT - 1.0
-        ref = lowest_eigenpair(next(assemble_hydrogen_plate(grid, (1.0,))), sigma=-3.0)
+        ref = lowest_eigenpair(assemble_hydrogen_plate(grid, (1.0,))[0], sigma=-3.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
         assert res.shift < res.value < HYDROGEN_SHIFT
-        (op,) = assemble_hydrogen_plate(grid, (1.0,))
+        op, _ = assemble_hydrogen_plate(grid, (1.0,))
         assert shifted_factor(op.matrix, res.shift)[1] == 0
 
     def test_shift_near_ground_saves_back_solves(self, coarse_spec):
         for m in (1.0, 0.0):
-            op = next(assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,)))
+            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
             near = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             far = lowest_eigenpair(op, sigma=-3.0)
             assert near.value == pytest.approx(far.value, abs=1e-12)
@@ -523,7 +523,7 @@ class TestHydrogenPlateOperator:
         # ground vector is positive, so the positive 1s start has a component
         # along it, and starting there costs no more back-solves than a
         # random start
-        op = next(assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), (m,)))
+        op = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), (m,))[0]
         off = sp.triu(op.matrix, k=1)
         assert off.max() <= 0.0
         assert sp.csgraph.connected_components(off, directed=False)[0] == 1
@@ -537,7 +537,7 @@ class TestHydrogenPlateOperator:
 
     def test_lanczos_stops_at_residual_contract(self, coarse_spec):
         for m in (1.0, 0.0):
-            op = next(assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,)))
+            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
             res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             assert res.iterations <= 12
             assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
@@ -551,7 +551,8 @@ class TestHydrogenPlateOperator:
         # term, so the plate's factor certifies its shift (no factor of its
         # own) and preconditions it to the own-factor value
         grid = GridCyl.for_distance(r, coarse_spec)
-        plate_op, free_op = assemble_hydrogen_plate(grid, (m, 0.0))
+        plate_op, _ = assemble_hydrogen_plate(grid, (m,))
+        free_op, _ = assemble_hydrogen_plate(grid, (0.0,))
         plate = lowest_eigenpair(plate_op, sigma=HYDROGEN_SHIFT)
         free = lowest_eigenpair(free_op, sigma=plate.shift, factor=plate.factor)
         own = lowest_eigenpair(free_op, sigma=plate.shift)
@@ -564,7 +565,8 @@ class TestHydrogenPlateOperator:
         # the M-matrix test, run in double, certifies the single factor; it
         # preconditions as well as the double factor and is lent as before
         grid = GridCyl.for_distance(8.0, coarse_spec)
-        op, free_op = assemble_hydrogen_plate(grid, (1.0, 0.0))
+        op, _ = assemble_hydrogen_plate(grid, (1.0,))
+        free_op, _ = assemble_hydrogen_plate(grid, (0.0,))
         plate = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
         assert plate.factorizations == 1
         assert plate.factor.solve(np.ones(op.dim, np.float32)).dtype == np.float32
@@ -580,7 +582,7 @@ class TestHydrogenPlateOperator:
     def test_restarted_solve_matches_arpack(self):
         # a shift far below E(r) at r = 0.5 needs more back-solves than the
         # basis holds, so the iteration restarts; ARPACK is the oracle
-        (op,) = assemble_hydrogen_plate(
+        op, _ = assemble_hydrogen_plate(
             GridCyl.for_distance(0.5, GridCylSpec(0.1, 10.0, 10.0)), (1.0,))
         res = lowest_eigenpair(op, sigma=-3.0)
         assert res.iterations > DAVIDSON_BASIS
@@ -596,8 +598,10 @@ class TestHydrogenPlateOperator:
 
     @pytest.mark.parametrize("r", [0.5, 8.0])
     def test_five_diagonal_assembly_matches_kron_oracle(self, coarse_spec, r):
-        # one call builds every requested operator; each equals, to the bit,
-        # the sum of the axial and radial Kronecker products and the potential
+        # one call builds the first requested operator and each later m's
+        # diagonal, which set_diagonal writes in; each operator so made
+        # equals, to the bit, the sum of the axial and radial Kronecker
+        # products and the potential
         grid = GridCyl.for_distance(r, coarse_spec)
 
         def stencil(*args):
@@ -610,7 +614,10 @@ class TestHydrogenPlateOperator:
         coulomb = coulomb_cell_average(pts[:, 0], pts[:, 1], grid.h_xi, grid.h_rho)
         guess = HydrogenOrbital()(pts) * np.sqrt(grid.volume_weights())
         ms = (0.0, 0.5, 1.0)
-        for m, op in zip(ms, assemble_hydrogen_plate(grid, ms), strict=True):
+        op, diagonals = assemble_hydrogen_plate(grid, ms)
+        for m, diagonal in zip(ms, [None, *diagonals], strict=True):
+            if diagonal is not None:
+                op.set_diagonal(diagonal)
             v = coulomb
             if m != 0.0:
                 plate = PlateConfig(np.array([1.0, 0.0, 0.0]), r, m)
@@ -623,14 +630,20 @@ class TestHydrogenPlateOperator:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, name)
             assert np.array_equal(op.guess, guess)
 
-    def test_row_operators_share_one_structure(self, coarse_spec):
-        # one sp.diags call per assembly: the operators share indptr and
-        # indices and differ only in their values
+    def test_set_diagonal_keeps_the_structure(self, coarse_spec):
+        # the free diagonal is written over the plate operator's values, on
+        # the same indptr and indices; a non-finite diagonal is refused
         grid = GridCyl.for_distance(8.0, coarse_spec)
-        plate, free = assemble_hydrogen_plate(grid, (1.0, 0.0))
-        for name in ("indptr", "indices"):
-            assert np.shares_memory(getattr(plate.matrix, name), getattr(free.matrix, name))
-        assert not np.shares_memory(plate.matrix.data, free.matrix.data)
+        op, (free,) = assemble_hydrogen_plate(grid, (1.0, 0.0))
+        before = {name: getattr(op.matrix, name) for name in ("indptr", "indices", "data")}
+        op.set_diagonal(free)
+        for name, array in before.items():
+            assert np.shares_memory(getattr(op.matrix, name), array), name
+        assert np.array_equal(op.matrix.diagonal(), free)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                op.set_diagonal(np.where(np.arange(op.dim) == 3, bad, free))
+            assert np.array_equal(op.matrix.diagonal(), free)
 
     def test_cell_average_against_midpoint_far_field(self):
         # away from the nucleus the cell average reduces to the midpoint value
@@ -875,7 +888,7 @@ class TestFeshbach:
         spec = GridCylSpec(h_target=0.2, l_xi_plus=14.0, l_rho=14.0)
         for r in (10.0, 14.0):
             grid = GridCyl.for_distance(r, spec)
-            op = next(assemble_hydrogen_plate(grid, (1.0,)))
+            op = assemble_hydrogen_plate(grid, (1.0,))[0]
             direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
             pvec = HydrogenOrbital(cutoff_r=r)(grid.points()) * np.sqrt(grid.volume_weights())
             pvec /= np.linalg.norm(pvec)
@@ -889,7 +902,7 @@ class TestFeshbach:
         h, psi, vals = self._near_ground_case(rng, 50, 0.1)
         grid = GridCyl.for_distance(10.0, GridCylSpec(h_target=0.2, l_xi_plus=14.0,
                                                       l_rho=14.0))
-        op = next(assemble_hydrogen_plate(grid, (1.0,)))
+        op = assemble_hydrogen_plate(grid, (1.0,))[0]
         direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT).value
         pvec = HydrogenOrbital(cutoff_r=10.0)(grid.points()) * np.sqrt(grid.volume_weights())
         cases = [(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])), vals[0]),
@@ -949,7 +962,7 @@ class TestIMSPartition:
         for h in (0.25, 0.125):
             spec = GridCylSpec(h_target=h, l_xi_plus=18.0, l_rho=18.0)
             grid = GridCyl.for_distance(r, spec)
-            op = next(assemble_hydrogen_plate(grid, (1.0,)))
+            op = assemble_hydrogen_plate(grid, (1.0,))[0]
             part = PartitionOfUnity(r)
             pts = grid.points()
             j1 = part.j1(pts)
