@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import Molecule, PlateConfig
+from .model import E_ELECTRON_PLATE, Molecule, PlateConfig
 from .multipole import HydrogenOrbital, smooth_step, smooth_step_derivative
 from .potential import molecule_mirror_interaction
 from .spectra import electron_plate_energy_deviation
@@ -328,11 +328,11 @@ class EigResult:
     residual: float
     shift: float        # sigma the M-matrix test certified below the spectrum
     factor_nnz: int     # fill of the L and U factors of H - shift
-    factorizations: int  # float32 factors of H - sigma made, refused ones included
-    # the _Factor the solve preconditioned with, its own float32 one or a
-    # borrowed one, certified for H - shift and made from a copy of it, so it
-    # outlives a set_diagonal on H; lent to the next solve of a nearby
-    # operator (lowest_eigenpair's factor), never serialized
+    factorizations: int  # factors of H - sigma made, refused ones included
+    # the certified factor of H - shift the solve used (1D: _TridiagonalFactor):
+    # lowest_eigenpair's own float32 _Factor or a borrowed one, made from a
+    # copy of H, so it outlives a set_diagonal on H; lent to the next solve of
+    # a nearby operator (lowest_eigenpair's factor), never serialized
     factor: object = field(default=None, repr=False)
 
 
@@ -443,12 +443,13 @@ def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
     definite (Berman & Plemmons, Nonnegative Matrices in the Mathematical
     Sciences, Thm 6.2.3, condition I27).  The test takes v = lu.probe,
     lu.solve(1) in double, from this or another certified factor: any v > 0
-    proves the M-matrix, so a single-precision factor, or that of a nearby
-    operator, serves.  The test asks that the computed H v - sigma v exceed
-    gamma_{k+2} (|H| v + |sigma| v) in every entry, k the most stored entries
-    in a row and gamma_j = j eps / (1 - j eps) Higham's rounding bound of the
-    double matvec, so it holds for H itself, not only for the rounded
-    H - sigma.  False on a NaN or a shift with eigenvalues below it.
+    proves the M-matrix, so a single-precision factor, that of a nearby
+    operator, or the 1D solve's double _TridiagonalFactor serves.  The test
+    asks that the computed H v - sigma v exceed gamma_{k+2} (|H| v + |sigma| v)
+    in every entry, k the most stored entries in a row and gamma_j =
+    j eps / (1 - j eps) Higham's rounding bound of the double matvec, so it
+    holds for H itself, not only for the rounded H - sigma.  False on a NaN
+    or a shift with eigenvalues below it.
     """
     h, v = op.matrix, lu.probe
     if not np.all(v > 0.0):
@@ -612,6 +613,8 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
 # Closer to the plate E(r) can lie lower (-0.4405 at r = 0.5, h = 0.1); the
 # M-matrix test then refuses the shift, and lowest_eigenpair lowers it.
 HYDROGEN_SHIFT = -0.26
+# First 1D shift, 1e-3 relative below -1/64: certified at once for n = 32 ... 2^20, L = 1 ... 400
+ELECTRON_PLATE_SHIFT = (1.0 + 1e-3) * E_ELECTRON_PLATE
 
 
 def hydrogen_plate_ground(r: float, m: float = 1.0,
@@ -633,41 +636,69 @@ class ElectronPlateResult:
     residual: float         # ||A x - value x|| of the unit fine-grid vector
 
 
-def _tridiagonal_ground(grid: Grid1D) -> tuple:
-    """Lowest eigenvalue of the 1D electron/plate operator and its residual.
+class _TridiagonalFactor:
+    """dpttrf's L D L^T factor of tridiagonal H - sigma; probe = solve(1) if no pivot fails."""
 
-    Bisection (LAPACK stebz) isolates the eigenvalue and inverse iteration
-    gives its vector; the value returned is the Rayleigh quotient of that
-    vector, accurate to rounding where the bisection value is not.  The
-    stemr driver is avoided because it allocates a dense n x n array.
+    def __init__(self, h, sigma: float):
+        self.d, self.e, self.info = dpttrf(h.diagonal() - sigma, h.diagonal(1))
+        self.probe = self.solve(np.ones(len(self.d))) if self.info == 0 else None
+
+    def solve(self, rhs):
+        return dpttrs(self.d, self.e, rhs)[0]
+
+
+def _tridiagonal_ground(grid: Grid1D) -> EigResult:
+    """Lowest eigenpair of the 1D electron/plate operator by inverse iteration
+    from the positive probe of a certified _TridiagonalFactor of H - sigma.
+
+    sigma = ELECTRON_PLATE_SHIFT doubles, down to -||H||_inf - 1 (then
+    InertiaError), while a pivot fails or _m_matrix_certified refuses it.  The
+    iteration stops at the rounding floor, a residual within 64 eps ||H||_inf
+    that the last back-solve did not halve, or raises NonConvergenceError
+    after DAVIDSON_MAX_SOLVES back-solves.  The value is the Rayleigh
+    quotient.  Runs on one BLAS thread (_solve_settings).
     """
-    a = assemble_1d_electron_plate(grid).matrix
-    _, vecs = eigh_tridiagonal(a.diagonal(), a.diagonal(1),
-                               select="i", select_range=(0, 0))
-    x = vecs[:, 0]                  # unit 2-norm, as LAPACK stein returns it
-    ax = a @ x
-    lam = float(x @ ax)
-    return lam, float(np.linalg.norm(ax - lam * x))
+    op = assemble_1d_electron_plate(grid)
+    h, sigma, factorizations = op.matrix, ELECTRON_PLATE_SHIFT, 1
+    norm_est = op.norm_estimate()
+    bound, floor = 64.0 * np.finfo(float).eps * norm_est, -norm_est - 1.0
+    with _solve_settings():
+        while (lu := _TridiagonalFactor(h, sigma)).info > 0 or not _m_matrix_certified(op, sigma, lu):
+            if sigma <= floor:
+                raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
+            sigma, factorizations = max(2.0 * sigma, floor), factorizations + 1
+        x, last = lu.probe / np.linalg.norm(lu.probe), np.inf
+        for solves in range(1, DAVIDSON_MAX_SOLVES + 1):
+            x = lu.solve(x)
+            x /= np.linalg.norm(x)
+            hx = h @ x
+            lam = float(x @ hx)
+            residual = float(np.linalg.norm(hx - lam * x))
+            if last / 2.0 < residual <= bound:
+                return EigResult(value=lam, vector=x, iterations=solves, residual=residual, shift=sigma,
+                                 factor_nnz=2 * grid.n - 1, factorizations=factorizations, factor=lu)
+            last = residual
+    raise NonConvergenceError(f"residual {residual:.3e} off the rounding floor after {solves} "
+                              "back-solves", value=lam, residual=residual, iterations=solves)
 
 
 def electron_plate_ground(n: int, L: float) -> ElectronPlateResult:
     """Ground energy of -d^2/dx^2 - 1/(4x), second order in h, Richardson-accelerated.
 
-    Each grid is solved directly as a symmetric tridiagonal eigenproblem.  The
-    scheme converges cleanly at O(h^2); extrapolating over the n and n//2
-    grids removes the leading term and is reported alongside both raw values.
-    n >= 32 keeps the coarse grid at Grid1D's 16 nodes or more.
+    Each grid is solved by _tridiagonal_ground.  The scheme converges cleanly
+    at O(h^2); extrapolating over the n and n//2 grids removes the leading
+    term and is reported alongside both raw values.  n >= 32 keeps the coarse
+    grid at Grid1D's 16 nodes or more.
     """
     if n < 32:
         raise ValueError(f"need n >= 32 for the n//2 grid, got {n}")
     fine_grid, coarse_grid = Grid1D(n, L), Grid1D(n // 2, L)
-    fine, residual = _tridiagonal_ground(fine_grid)
-    coarse, _ = _tridiagonal_ground(coarse_grid)
+    fine, coarse = (_tridiagonal_ground(g) for g in (fine_grid, coarse_grid))
     hf, hc = fine_grid.h, coarse_grid.h
-    value = fine + (fine - coarse) * hf ** 2 / (hc ** 2 - hf ** 2)
+    value = fine.value + (fine.value - coarse.value) * hf ** 2 / (hc ** 2 - hf ** 2)
     return ElectronPlateResult(
-        value=value, fine_value=fine, coarse_value=coarse,
-        deviation=electron_plate_energy_deviation(value), residual=residual,
+        value=value, fine_value=fine.value, coarse_value=coarse.value,
+        deviation=electron_plate_energy_deviation(value), residual=fine.residual,
     )
 
 

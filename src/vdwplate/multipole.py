@@ -99,8 +99,8 @@ class HydrogenOrbital:
     def __init__(self, z: float = 1.0, cutoff_r: float | None = None):
         if not z > 0:
             raise ValueError("orbital scale must be positive")
-        if cutoff_r is not None and not cutoff_r > 0:
-            raise ValueError("cutoff radius parameter must be positive")
+        if cutoff_r is not None and not 0 < cutoff_r < np.inf:
+            raise ValueError(f"cutoff radius parameter must be finite and positive, got {cutoff_r}")
         self.z = float(z)
         self.cutoff_r = cutoff_r
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
@@ -365,18 +365,23 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     between 4/5 and 4/3 there).
     The density is evaluated once per quadrature window, [0, inf), [0, r/4],
     [r/4, inf) and [2r, inf), each clipped to the support of a cut-off orbital;
-    the moments are dot products against the window's weights.  A cut-off
-    orbital has an empty [r/4, inf) window, so its tail_mass is exactly 0.
+    the moments are dot products against the window's weights.  A support
+    ending by r/4 (cutoff_r <= r) has an empty [r/4, inf) window, so its
+    tail_mass is exactly 0, and [0, inf) serves as its [0, r/4] window.
     Every piece is computed at RADIAL_NODES and twice that many nodes;
     quad_error is their largest relative move, and QuadratureError is raised
-    beyond QUAD_TOL.
+    beyond QUAD_TOL or on a NaN.  r must be positive, with r^-7 and r^7
+    normal floats (ValueError).
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    with np.errstate(all="ignore"):
+        extremes = np.float64(r) ** np.array([-7.0, 7.0])    # r^+-3, r^+-5 lie between
+    if not np.all((np.finfo(float).tiny <= extremes) & (extremes < np.inf)):
+        raise ValueError(f"r must be positive with r^-7 ... r^7 in the floats, got {r}")
+    inner_is_full = psi.cutoff_r is not None and psi.cutoff_r <= r
 
     def pieces(n):
         radius, weights = psi._density_rule(n)
-        inner, w_inner = psi._density_rule(n, hi=r / 4.0)
+        inner, w_inner = (radius, weights) if inner_is_full else psi._density_rule(n, hi=r / 4.0)
         w_tail = psi._density_rule(n, lo=r / 4.0)[1]
         outer, w_outer = psi._density_rule(n, lo=2.0 * r)
         m2 = weights @ radius ** 2 / 3.0
@@ -389,7 +394,7 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     base = pieces(RADIAL_NODES)
     refined = pieces(2 * RADIAL_NODES)
     quad_error = float(np.max(np.abs(refined - base) / np.maximum(np.abs(refined), 1.0)))
-    if quad_error > QUAD_TOL:
+    if not quad_error <= QUAD_TOL:
         raise QuadratureError(
             f"radial quadrature not converged: doubling nodes moved results by {quad_error:.3e}"
         )

@@ -85,6 +85,14 @@ class TestEplate:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "domain length" in err
 
+    def test_back_solve_cap_exits_2(self, capsys, monkeypatch):
+        # one back-solve cannot reach the rounding floor of the 1D solve
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 1)
+        code, out, err = run_cli(capsys, "eplate", "--n", "1024", "--L", "200")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: NonConvergenceError:")
+        assert len(err.splitlines()) == 1
+
 
 class TestHydrogen:
     def test_basic_run(self, capsys):

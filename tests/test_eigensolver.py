@@ -11,7 +11,7 @@ from conftest import FactorCall, blas_threads, spy_factors
 
 from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
-                                  DAVIDSON_BASIS, HYDROGEN_SHIFT,
+                                  DAVIDSON_BASIS, HYDROGEN_SHIFT, InertiaError,
                                   NonConvergenceError, SYMMETRY_TOL,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
@@ -101,6 +101,100 @@ class TestAssemble1D:
         g = Grid1D(4096, 400.0)
         res = lowest_eigenpair(assemble_1d_electron_plate(g), sigma=-1.0)
         assert abs(res.value - E_EP) / abs(E_EP) <= 5e-5
+
+
+class TestTridiagonalGround:
+    """The 1D solve: inverse iteration on one certified dpttrf factor."""
+
+    @staticmethod
+    def _oracle(grid):
+        """Rayleigh quotient of LAPACK's (stebz + stein) lowest eigenvector,
+        and its residual."""
+        h = assemble_1d_electron_plate(grid).matrix
+        _, vecs = scipy.linalg.eigh_tridiagonal(h.diagonal(), h.diagonal(1),
+                                                select="i", select_range=(0, 0))
+        x = vecs[:, 0]
+        hx = h @ x
+        lam = float(x @ hx)
+        return lam, float(np.linalg.norm(hx - lam * x))
+
+    @pytest.mark.parametrize("n, L", [(32, 40.0), (512, 120.0), (2048, 300.0),
+                                      (4096, 400.0), (65536, 400.0)])
+    def test_matches_eigh_tridiagonal(self, n, L):
+        grid = Grid1D(n, L)
+        oracle, oracle_residual = self._oracle(grid)
+        res = eigensolver._tridiagonal_ground(grid)
+        assert electron_plate_ground(n, L).fine_value == res.value
+        # each Rayleigh quotient lies within its residual of the eigenvalue
+        assert abs(res.value - oracle) <= res.residual + oracle_residual
+        if n <= 4096:
+            # at n = 65536, ||H||_inf = 1.1e5, both quotients carry rounding
+            # of a few 1e-12 relative (later iterates move by as much)
+            assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
+        assert np.all(res.vector > 0.0)
+        norm = assemble_1d_electron_plate(grid).norm_estimate()
+        assert res.residual <= 64.0 * np.finfo(float).eps * norm
+        assert res.shift == eigensolver.ELECTRON_PLATE_SHIFT < res.value
+        assert res.factorizations == 1 and 1 <= res.iterations <= 10
+        # the rounding floor: one more back-solve does not halve the residual
+        x = res.factor.solve(res.vector)
+        x /= np.linalg.norm(x)
+        hx = assemble_1d_electron_plate(grid).matrix @ x
+        assert np.linalg.norm(hx - (x @ hx) * x) > res.residual / 2.0
+
+    def test_every_factor_is_certified(self, monkeypatch):
+        # the M-matrix test runs on the probe of each factor that dpttrf
+        # completes; one that always refuses drives sigma to the Gershgorin
+        # bound and raises InertiaError
+        calls, certify = [], eigensolver._m_matrix_certified
+
+        def spy(op, sigma, lu):
+            calls.append((sigma, lu, certify(op, sigma, lu)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", spy)
+        res = eigensolver._tridiagonal_ground(Grid1D(512, 120.0))
+        assert calls == [(res.shift, res.factor, True)]
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, lu: False)
+        with pytest.raises(InertiaError, match="Gershgorin"):
+            eigensolver._tridiagonal_ground(Grid1D(512, 120.0))
+
+    def test_shift_above_ground_is_lowered(self, monkeypatch):
+        # -0.005 lies between the two lowest eigenvalues: the pivots or the
+        # M-matrix test refuse it and its doublings until one lies below
+        monkeypatch.setattr(eigensolver, "ELECTRON_PLATE_SHIFT", -0.005)
+        grid = Grid1D(2048, 300.0)
+        oracle = self._oracle(grid)[0]
+        res = eigensolver._tridiagonal_ground(grid)
+        assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
+        assert res.shift < oracle and res.factorizations > 1
+        assert res.shift == -0.005 * 2.0 ** (res.factorizations - 1)
+        assert np.all(res.vector > 0.0)
+
+    def test_back_solve_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 1)
+        with pytest.raises(NonConvergenceError) as exc:
+            electron_plate_ground(2048, 300.0)
+        assert exc.value.iterations == 1 and exc.value.residual > 0.0
+
+    def test_solves_inside_solve_settings(self, monkeypatch):
+        # like every solve, the 1D factor and its back-solves run on one
+        # BLAS thread (_solve_settings), so that results repeat to the bit
+        seen = []
+        for name in ("dpttrf", "dpttrs"):
+            def spy(*args, _lapack=getattr(eigensolver, name), _name=name):
+                seen.append((_name, eigensolver._settings_users, blas_threads()))
+                return _lapack(*args)
+
+            monkeypatch.setattr(eigensolver, name, spy)
+        electron_plate_ground(1024, 200.0)
+        ones = [1] * len(eigensolver._blas_thread_controls())
+        assert {name for name, _, _ in seen} == {"dpttrf", "dpttrs"}
+        assert all(users > 0 and threads == ones for _, users, threads in seen)
+        assert eigensolver._settings_users == 0
+
+    def test_no_bisection_import(self):
+        assert not hasattr(eigensolver, "eigh_tridiagonal")
 
 
 class TestSparseSymOp:

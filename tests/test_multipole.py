@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -195,6 +196,57 @@ class TestMirrorEnergyExpectation:
         rough = HydrogenOrbital(cutoff_r=20.0)
         with pytest.raises(QuadratureError):
             mirror_energy_expectation(rough, 20.0)
+
+    # every field at r = 13.7 as the code before the cut-off orbital's
+    # [0, r/4] window was reused computed it: the reuse moves no bit
+    PINNED = {
+        13.7: (-0.00012816575758692575, 0.072992700729927, -7.319595531912326e-08,
+               -4.391757319147395e-08, 0.0, 1.2953499757190905, 4.295782156598568,
+               19.890802636007326, 2.067559264698356e-16),
+        27.4: (-0.0003135902652202451, 0.07299270072992703, -9.78255587748591e-08,
+               -5.869533526491546e-08, 0.291830373777152, 3.062247906574757,
+               30.622969313264527, 26.583830675675156, 1.3364190143038036e-16),
+        None: (-0.00042619695486278085, 0.0729927007285752, -9.187014148794144e-08,
+               -5.512208489276486e-08, 0.3349422730281837, 3.9999999999999987,
+               71.99999999999991, 24.96546215582066, 1.1842378929335016e-15),
+    }
+
+    @pytest.mark.parametrize("cutoff_r", [13.7, 27.4, None], ids=["cut_r", "cut_2r", "plain"])
+    def test_bitwise_pinned(self, cutoff_r):
+        # cutoff_r = r reuses the [0, inf) window as [0, r/4]; cutoff_r = 2r
+        # ends past r/4 and integrates [0, r/4] on its own
+        e = mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), 13.7)
+        assert dataclasses.astuple(e) == self.PINNED[cutoff_r]
+
+    @pytest.mark.parametrize("r", [math.inf, 1e300, 1e-300])
+    def test_radius_out_of_range(self, r):
+        # inf returned -0.0 with NaN terms, 1e300 raised OverflowError,
+        # 1e-300 returned -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r must be positive"):
+                mirror_energy_expectation(HydrogenOrbital(), r)
+
+    def test_infinite_cutoff_rejected(self):
+        # its norm was NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                HydrogenOrbital(cutoff_r=math.inf)
+
+    def test_nan_quadrature_error_raises(self, monkeypatch):
+        # a NaN move passed "quad_error > QUAD_TOL"
+        rule = HydrogenOrbital._density_rule
+
+        def nan_rule(self, n, lo=0.0, hi=None):
+            radius, weights = rule(self, n, lo=lo, hi=hi)
+            return radius, np.full_like(weights, np.nan)
+
+        monkeypatch.setattr(HydrogenOrbital, "_density_rule", nan_rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="nan"):
+                mirror_energy_expectation(HydrogenOrbital(), 20.0)
 
 
 class TestOrientationCoefficient:
