@@ -29,8 +29,6 @@ from .multipole import HydrogenOrbital, smooth_step, smooth_step_derivative
 from .potential import molecule_mirror_interaction
 from .spectra import electron_plate_energy_deviation
 
-SYMMETRY_TOL = 1e-12
-
 
 class NonConvergenceError(RuntimeError):
     """Eigensolver failed to reach the requested tolerance."""
@@ -174,35 +172,28 @@ class GridCyl:
 # Operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SparseSymOp:
     """Symmetric sparse Z-matrix in CSR form, the hypotheses of the M-matrix
     test (_m_matrix_certified) that lowest_eigenpair certifies with.
 
-    The matrix must be square, finite, symmetric to SYMMETRY_TOL and have no
-    positive off-diagonal, as every hydrogen/plate and 1D operator has by
-    construction; any other matrix raises ValueError here, once per
-    operator.  set_diagonal rewrites the diagonal in place and keeps all
-    that.  guess, when given, is a start vector for lowest_eigenpair with a
-    nonzero component along the lowest eigenvector.
+    matrix is built by one sp.diags call from the diagonal and the upper
+    bands, bands[k] = H[i, i + k] for k > 0, each mirrored to -k, so it is
+    symmetric by construction; a non-finite entry, an offset <= 0 or a
+    positive band entry raises ValueError.  set_diagonal keeps all that.
+    guess, when given, is a start vector for lowest_eigenpair with a nonzero
+    component along the lowest eigenvector.
     """
 
-    matrix: sp.csr_matrix
-    guess: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = self.matrix
-        if not sp.issparse(m) or m.format != "csr":
-            raise ValueError("operator must be a CSR matrix")
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("operator must be square")
-        if not np.all(np.isfinite(m.data)):
+    def __init__(self, diagonal: np.ndarray, bands: dict, guess: np.ndarray | None = None):
+        if not all(np.all(np.isfinite(a)) for a in (diagonal, *bands.values())):
             raise ValueError("operator entries must be finite")
-        if abs(m - m.T).max() > SYMMETRY_TOL * max(1.0, abs(m).max()):
-            raise ValueError("operator is not symmetric")
-        a = m.tocoo(copy=False)
-        if np.any((a.data > 0.0) & (a.row != a.col)):
+        if min(bands, default=1) <= 0:
+            raise ValueError(f"band offsets must be positive, got {sorted(bands)}")
+        if any(np.any(np.asarray(b) > 0.0) for b in bands.values()):
             raise ValueError("operator must be a Z-matrix, yet an off-diagonal is positive")
+        ks = sorted([0, *bands, *(-k for k in bands)])
+        self.matrix = sp.diags([bands[abs(k)] if k else diagonal for k in ks], ks, format="csr")
+        self.guess = guess
 
     @property
     def dim(self) -> int:
@@ -210,8 +201,8 @@ class SparseSymOp:
 
     def set_diagonal(self, d: np.ndarray) -> None:
         """Write d over the matrix's diagonal in place, on its own indptr and
-        indices.  Symmetry and the Z sign pattern live in the off-diagonals,
-        which __post_init__ checked, so only d's finiteness is checked."""
+        indices.  Symmetry and the Z sign pattern live in the bands, checked
+        when built, so only d's finiteness is checked."""
         if not np.all(np.isfinite(d)):
             raise ValueError("operator entries must be finite")
         self.matrix.setdiag(d)
@@ -231,9 +222,7 @@ def assemble_1d_operator(grid: Grid1D, potential: np.ndarray | None = None) -> S
     n, h = grid.n, grid.h
     v = np.zeros(n) if potential is None else np.asarray(potential, dtype=float)
     main = np.full(n, 2.0) / h ** 2 + v
-    off = np.full(n - 1, -1.0) / h ** 2
-    mat = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    return SparseSymOp(matrix=mat)
+    return SparseSymOp(main, {1: np.full(n - 1, -1.0) / h ** 2})
 
 
 def assemble_1d_electron_plate(grid: Grid1D) -> SparseSymOp:
@@ -287,10 +276,10 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     with weight 1 and rho, makes each operator five-diagonal.  The stencil,
     the Coulomb term, the 1s start vector of lowest_eigenpair and each m's
     diagonal, kinetic + v, are made on the call, and the operator at ms[0]
-    by one sp.diags call.  The operators at ms[1:] differ from it only in
-    their diagonal: SparseSymOp.set_diagonal turns it into each in place.
-    So a W row, which asks for (m, 0.0), holds one operator and the free
-    diagonal.
+    from its diagonal and its upper bands at 1 and n_rho.  The operators at
+    ms[1:] differ from it only in their diagonal: SparseSymOp.set_diagonal
+    turns it into each in place.  So a W row, which asks for (m, 0.0), holds
+    one operator and the free diagonal.
     """
     if not all(0.0 <= m <= 1.0 for m in ms):
         raise ValueError("mirror strength m must lie in [0, 1]")
@@ -311,9 +300,7 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
             v = v + 0.5 * molecule_mirror_interaction(Molecule.hydrogen(), plate,
                                                       pts[:, None, :]).total
         diagonals.append(kinetic + v)
-    mat = sp.diags([xi_off, rho_off, diagonals[0], rho_off, xi_off],
-                   [-grid.n_rho, -1, 0, 1, grid.n_rho], format="csr")
-    return SparseSymOp(matrix=mat, guess=guess), diagonals[1:]
+    return SparseSymOp(diagonals[0], {1: rho_off, grid.n_rho: xi_off}, guess), diagonals[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +315,7 @@ class EigResult:
     residual: float
     shift: float        # sigma the M-matrix test certified below the spectrum
     factor_nnz: int     # fill of the L and U factors of H - shift
-    factorizations: int  # factors of H - sigma made, refused ones included
+    factorizations: int  # factors of H - sigma tried, refused and singular ones included
     # the certified factor of H - shift the solve used (1D: _TridiagonalFactor):
     # lowest_eigenpair's own float32 _Factor or a borrowed one, made from a
     # copy of H, so it outlives a set_diagonal on H; lent to the next solve of
@@ -438,10 +425,10 @@ SUPERLU_PANEL = 1
 def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
     """Whether H - sigma is proven positive definite without reading a pivot.
 
-    H = op.matrix is a symmetric Z-matrix (SparseSymOp), and a Z-matrix A
-    with A v > 0 for some v > 0 is a nonsingular M-matrix, hence positive
-    definite (Berman & Plemmons, Nonnegative Matrices in the Mathematical
-    Sciences, Thm 6.2.3, condition I27).  The test takes v = lu.probe,
+    H = op.matrix is a symmetric Z-matrix (SparseSymOp builds no other),
+    and a Z-matrix A with A v > 0 for some v > 0 is a nonsingular M-matrix,
+    hence positive definite (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, Thm 6.2.3, condition I27).  The test takes v = lu.probe,
     lu.solve(1) in double, from this or another certified factor: any v > 0
     proves the M-matrix, so a single-precision factor, that of a nearby
     operator, or the 1D solve's double _TridiagonalFactor serves.  The test
@@ -492,6 +479,14 @@ def _factor(matrix, sigma: float, precision) -> _Factor:
     return _Factor(lu, precision)
 
 
+def _single_factor(matrix, sigma: float) -> _Factor | None:
+    """float32 _factor of H - sigma, or None where SuperLU finds it exactly singular."""
+    try:
+        return _factor(matrix, sigma, np.float32)
+    except RuntimeError:
+        return None
+
+
 def shifted_factor(matrix, sigma: float):
     """Double factor of H - sigma and the number of eigenvalues of H below
     sigma, with which the Feshbach map certifies its block.
@@ -518,7 +513,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     """Lowest eigenpair of a symmetric sparse Z-matrix by Davidson's method,
     preconditioned with a factor of H - sigma that the M-matrix test certifies.
 
-    op.matrix is a Z-matrix, as SparseSymOp admits no other.  sigma is a
+    op.matrix is a Z-matrix, as SparseSymOp builds no other.  sigma is a
     first guess at a shift just below the lowest eigenvalue.  factor, when
     given, is the certified factor of a nearby operator (the plate
     operator's, lent to the free atom on the same grid, whose H differs only
@@ -526,9 +521,10 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     (_m_matrix_certified) proves H - sigma positive definite with it, the
     solve makes no factor of its own (factorizations == 0).  Otherwise
     H - sigma is factored in single precision: it only preconditions, as
-    well as a double factor would.  While the test refuses the factor, sigma
-    is lowered by max(1, |sigma|), at most to the Gershgorin bound
-    -||H||_inf - 1, and H - sigma is factored again in single precision.  No
+    well as a double factor would.  While the test refuses the factor, or
+    SuperLU finds it exactly singular (_single_factor), sigma is lowered by
+    max(1, |sigma|), at most to the Gershgorin bound -||H||_inf - 1, and
+    H - sigma is factored again in single precision.  No
     pivot is read: reading lu.U would make SciPy build and keep CSC copies
     of L and U for the life of the factor.  The iteration (generalized
     Davidson: Davidson, J. Comput. Phys. 17 (1975) 87; Morgan
@@ -547,7 +543,7 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     solve trims the malloc heap first (_malloc_trim) and runs on one BLAS
     thread (_solve_settings).  iterations counts the back-solves, and
     DAVIDSON_MAX_SOLVES bounds them as a safety stop; factorizations counts the
-    factors of H - sigma the solve made, refused ones included; the
+    factors of H - sigma the solve tried, refused and singular ones included; the
     eigenvector has unit 2-norm and factor is the certified factor used.
     Raises InertiaError when the test refuses the Gershgorin shift, and
     NonConvergenceError, carrying the back-solves made, when
@@ -563,12 +559,11 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
         if factor is not None and _m_matrix_certified(op, sigma, factor):
             lu, factorizations = factor, 0
         else:
-            lu, factorizations = _factor(h, sigma, np.float32), 1
-            while not _m_matrix_certified(op, sigma, lu):
+            factorizations = 1
+            while (lu := _single_factor(h, sigma)) is None or not _m_matrix_certified(op, sigma, lu):
                 if sigma <= floor:
                     raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
-                sigma = max(sigma - max(1.0, abs(sigma)), floor)
-                lu, factorizations = _factor(h, sigma, np.float32), factorizations + 1
+                sigma, factorizations = max(sigma - max(1.0, abs(sigma)), floor), factorizations + 1
         basis = np.empty((min(DAVIDSON_BASIS, n), n))
         proj = np.empty((len(basis), len(basis)))     # V^T H V
         t = (np.random.default_rng(0).standard_normal(n) if op.guess is None

@@ -106,7 +106,11 @@ class HydrogenOrbital:
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
         self._norm = 1.0
         if cutoff_r is not None:
-            self._norm /= self.norm()
+            with np.errstate(over="ignore", invalid="ignore"):     # R^2 overflows near 1e300
+                norm = self.norm()
+            if not 0 < norm < np.inf:   # 0 where no node sees e^{-R} > 0 (near 1e20)
+                raise ValueError(f"cutoff radius parameter {cutoff_r} gives the norm {norm}")
+            self._norm /= norm
 
     # radial profile ---------------------------------------------------------
 

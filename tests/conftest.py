@@ -2,6 +2,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vdwplate import eigensolver
 from vdwplate.eigensolver import GridCylSpec
@@ -33,6 +34,15 @@ def coarse_spec():
 def random_unit_vectors(rng, n):
     v = rng.standard_normal((n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def sym_op(mat):
+    """The SparseSymOp of a symmetric matrix, dense or sparse, built from its
+    diagonal and every upper band that stores an entry."""
+    mat = sp.csr_matrix(mat)
+    upper = sp.triu(mat, k=1).tocoo()
+    bands = {int(k): mat.diagonal(k) for k in np.unique(upper.col - upper.row)}
+    return eigensolver.SparseSymOp(mat.diagonal(), bands)
 
 
 def blas_threads():

@@ -317,13 +317,13 @@ class TestSweep:
         # the free solve rewrites the plate operator's diagonal in place, so
         # a row builds, and checks, a single SparseSymOp
         built = []
-        post_init = eigensolver.SparseSymOp.__post_init__
+        init = eigensolver.SparseSymOp.__init__
 
-        def counting_post_init(self):
+        def counting_init(self, diagonal, bands, guess=None):
             built.append(self)
-            post_init(self)
+            init(self, diagonal, bands, guess)
 
-        monkeypatch.setattr(eigensolver.SparseSymOp, "__post_init__", counting_post_init)
+        monkeypatch.setattr(eigensolver.SparseSymOp, "__init__", counting_init)
         row, _ = asymptotics.solve_row(GridCyl.for_distance(8.0, coarse_spec), m)
         assert row.w is not None and len(built) == 1
 

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from conftest import spy_factors
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -145,9 +144,8 @@ class TestHydrogen:
     def test_non_z_operator_exits_3(self, capsys, monkeypatch):
         # lowest_eigenpair takes Z-matrices only; a positive off-diagonal
         # is an input error, not a numerical one
-        swap = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate",
-                            lambda grid, ms: iter([eigensolver.SparseSymOp(swap)] * len(ms)))
+        monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate", lambda grid, ms: iter(
+            [eigensolver.SparseSymOp(np.full(2, 2.0), {1: np.ones(1)})] * len(ms)))
         code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                                  "--l-xi", "10", "--l-rho", "10")
         assert code == 3 and out == ""

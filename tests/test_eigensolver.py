@@ -7,12 +7,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import FactorCall, blas_threads, spy_factors
+from conftest import FactorCall, blas_threads, spy_factors, sym_op
 
 from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
                                   DAVIDSON_BASIS, HYDROGEN_SHIFT, InertiaError,
-                                  NonConvergenceError, SYMMETRY_TOL,
+                                  NonConvergenceError,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
                                   assemble_hydrogen_plate, coulomb_cell_average,
@@ -198,35 +198,36 @@ class TestTridiagonalGround:
 
 
 class TestSparseSymOp:
-    @staticmethod
-    def _chain(delta=0.0, explicit_zero=False):
-        """The 6-node Dirichlet chain, max |H| = 2, with H[2, 3] moved by
-        delta off its mirror and, if asked, an explicit zero at (0, 4) that
-        (4, 0) lacks."""
-        n = 6
-        rows, cols = [*range(n), *range(n - 1), *range(1, n)], [*range(n), *range(1, n),
-                                                               *range(n - 1)]
-        vals = [2.0] * n + [-1.0] * (2 * (n - 1))
-        vals[n + 2] -= delta                          # the (2, 3) entry
-        if explicit_zero:
-            rows, cols, vals = rows + [0], cols + [4], vals + [0.0]
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        assert (mat.nnz == 3 * n - 1) == explicit_zero
-        return mat
+    def test_mirrors_the_upper_bands(self, rng):
+        # H = D + U + U^T exactly, whatever the values: symmetric by construction
+        n = 30
+        diagonal = rng.standard_normal(n)
+        bands = {k: -rng.random(n - k) for k in (1, 4, 29)}
+        h = SparseSymOp(diagonal, bands).matrix
+        upper = sp.diags([bands[k] for k in bands], list(bands), shape=(n, n))
+        assert h.format == "csr" and h.shape == (n, n)
+        assert (h != h.T).nnz == 0
+        assert (h != sp.diags(diagonal) + upper + upper.T).nnz == 0
 
-    @pytest.mark.parametrize("explicit_zero", [False, True])
-    @pytest.mark.parametrize("delta, symmetric", [
-        (0.0, True), (0.5 * SYMMETRY_TOL, True), (1.5 * SYMMETRY_TOL, True),
-        (3.0 * SYMMETRY_TOL, False)])
-    def test_symmetry_verdicts(self, delta, symmetric, explicit_zero):
-        # the tolerance is SYMMETRY_TOL max(1, max |H|) = 2 SYMMETRY_TOL; an
-        # explicit zero without its mirror is read as the zero it is
-        mat = self._chain(delta, explicit_zero)
-        if symmetric:
-            SparseSymOp(mat)
-        else:
-            with pytest.raises(ValueError, match="not symmetric"):
-                SparseSymOp(mat)
+    @pytest.mark.parametrize("offset", [1, 3])
+    def test_positive_band_entry_rejected(self, offset):
+        bands = {1: -np.ones(5), 3: -np.ones(3)}
+        bands[offset][1] = 1e-300
+        with pytest.raises(ValueError, match="Z-matrix"):
+            SparseSymOp(np.ones(6), bands)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "band"])
+    def test_non_finite_entry_rejected(self, bad, where):
+        diagonal, band = np.ones(6), -np.ones(5)
+        (diagonal if where == "diagonal" else band)[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SparseSymOp(diagonal, {1: band})
+
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_offset_not_positive_rejected(self, offset):
+        with pytest.raises(ValueError, match="offsets must be positive"):
+            SparseSymOp(np.ones(6), {1: -np.ones(5), offset: -np.ones(6 - abs(offset))})
 
     def test_abs_matrix_on_the_operators_structure(self, coarse_spec):
         # |H| copies the values only, and gives the norm and the M-matrix
@@ -242,7 +243,7 @@ class TestSparseSymOp:
 
 class TestLowestEigenpair:
     def test_diagonal_matrix(self):
-        op = SparseSymOp(sp.diags([3.0, 1.0, 2.0]).tocsr())
+        op = sym_op(sp.diags([3.0, 1.0, 2.0]))
         res = lowest_eigenpair(op, sigma=0.0)
         assert res.value == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(np.abs(res.vector), [0.0, 1.0, 0.0], atol=1e-12)
@@ -264,7 +265,7 @@ class TestLowestEigenpair:
     def test_random_sparse_vs_dense_oracle(self, rng):
         n = 500
         dense = self._random_z(rng, n)
-        op = SparseSymOp(sp.csr_matrix(dense))
+        op = sym_op(dense)
         # Gershgorin: the row-sum norm bounds the spectrum from below
         res = lowest_eigenpair(op, sigma=-op.norm_estimate() - 1.0)
         oracle = np.linalg.eigvalsh(dense)[0]
@@ -314,7 +315,7 @@ class TestLowestEigenpair:
         assert np.all(spla.spsolve((mat + sp.identity(2)).tocsc(), np.ones(2)) > 0.0)
         assert shifted_factor(mat, -1.0)[1] == 1
         with pytest.raises(ValueError, match="Z-matrix"):
-            SparseSymOp(mat)
+            sym_op(mat)
 
     def test_certified_factor_builds_no_lu_copies(self):
         # reading the pivots through lu.U makes SciPy build and keep CSC
@@ -340,7 +341,7 @@ class TestLowestEigenpair:
     def test_shift_above_lowest_returns_lowest(self, rng):
         dense = self._random_z(rng, 300)
         vals = np.linalg.eigvalsh(dense)
-        op = SparseSymOp(sp.csr_matrix(dense))
+        op = sym_op(dense)
         res = lowest_eigenpair(op, sigma=0.5 * (vals[0] + vals[1]))
         assert res.value == pytest.approx(vals[0], abs=1e-10)
         assert res.shift < vals[0] and res.factorizations > 1
@@ -359,7 +360,7 @@ class TestLowestEigenpair:
         factors = spy_factors(monkeypatch)
         for mat in (chain.tocsr(), swap):
             with pytest.raises(ValueError, match="Z-matrix"):
-                SparseSymOp(mat)
+                sym_op(mat)
         assert factors == []
 
     def test_determinism(self):
@@ -530,7 +531,7 @@ class TestLowestEigenpair:
         factors = spy_factors(monkeypatch)
         monkeypatch.setattr(eigensolver._Factor, "solve", counting_solve)
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 300)
-        op = SparseSymOp(sp.diags(np.arange(1.0, 9.0)).tocsr())
+        op = sym_op(sp.diags(np.arange(1.0, 9.0)))
         res = lowest_eigenpair(op, sigma=-1000.0)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
@@ -544,12 +545,23 @@ class TestLowestEigenpair:
         # lowering the shift until the M-matrix test certifies it
         diag = sp.diags(np.arange(1.0, 13.0)).tocsr()
         lu, _ = shifted_factor(diag, -0.5)
-        op = SparseSymOp((diag - 3.0 * sp.identity(12)).tocsr())
+        op = sym_op(diag - 3.0 * sp.identity(12))
         res = lowest_eigenpair(op, sigma=-0.5, factor=lu)
         assert res.factorizations >= 1 and res.factor is not lu
         assert res.shift < res.value
         assert res.value == pytest.approx(np.linalg.eigvalsh(op.matrix.toarray())[0],
                                           abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [-1.0, -2.0])
+    def test_singular_factor_lowers_the_shift(self, monkeypatch, sigma):
+        # diag(1..12) - 3 has the eigenvalues -2, -1, 0, ...: H - sigma is
+        # exactly singular at sigma = -1 and at the lowered -2, so SuperLU
+        # refuses those factors, and the shift is lowered as for a refused one
+        factors = spy_factors(monkeypatch)
+        res = lowest_eigenpair(sym_op(sp.diags(np.arange(1.0, 13.0) - 3.0)), sigma=sigma)
+        assert res.value == pytest.approx(-2.0, abs=1e-12)
+        assert [f.sigma for f in factors] == {-1.0: [-1.0, -2.0, -4.0], -2.0: [-2.0, -4.0]}[sigma]
+        assert res.factorizations == len(factors) and res.shift == -4.0
 
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
@@ -625,7 +637,7 @@ class TestHydrogenPlateOperator:
         res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
         vec = res.vector * np.sign(res.vector.sum())
         assert np.all(vec > 0.0)
-        random_start = lowest_eigenpair(SparseSymOp(op.matrix), sigma=HYDROGEN_SHIFT)
+        random_start = lowest_eigenpair(sym_op(op.matrix), sigma=HYDROGEN_SHIFT)
         assert res.value == pytest.approx(random_start.value, abs=1e-12)
         assert res.iterations <= random_start.iterations
 

@@ -234,6 +234,15 @@ class TestMirrorEnergyExpectation:
             with pytest.raises(ValueError, match="finite and positive"):
                 HydrogenOrbital(cutoff_r=math.inf)
 
+    @pytest.mark.parametrize("cutoff_r", [1e20, 1e300])
+    def test_huge_cutoff_rejected(self, cutoff_r):
+        # at 1e20 no node of the rule saw e^{-R} > 0 and the norm was 0
+        # (ZeroDivisionError); at 1e300 R^2 overflowed and the norm was NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gives the norm"):
+                HydrogenOrbital(cutoff_r=cutoff_r)
+
     def test_nan_quadrature_error_raises(self, monkeypatch):
         # a NaN move passed "quad_error > QUAD_TOL"
         rule = HydrogenOrbital._density_rule
