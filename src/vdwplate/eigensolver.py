@@ -314,12 +314,11 @@ class EigResult:
     iterations: int
     residual: float
     shift: float        # sigma the M-matrix test certified below the spectrum
-    factor_nnz: int     # fill of the L and U factors of H - shift
+    factor_nnz: int     # factor.nnz, the fill of the factor of H - shift
     factorizations: int  # factors of H - sigma tried, refused and singular ones included
-    # the certified factor of H - shift the solve used (1D: _TridiagonalFactor):
-    # lowest_eigenpair's own float32 _Factor or a borrowed one, made from a
-    # copy of H, so it outlives a set_diagonal on H; lent to the next solve of
-    # a nearby operator (lowest_eigenpair's factor), never serialized
+    # the certified factor of H - shift used, own or borrowed, made from a copy
+    # of H, so it outlives a set_diagonal on H; lent to the next solve of a
+    # nearby operator (lowest_eigenpair's factor), never serialized
     factor: object = field(default=None, repr=False)
 
 
@@ -430,13 +429,12 @@ def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
     hence positive definite (Berman & Plemmons, Nonnegative Matrices in the
     Mathematical Sciences, Thm 6.2.3, condition I27).  The test takes v = lu.probe,
     lu.solve(1) in double, from this or another certified factor: any v > 0
-    proves the M-matrix, so a single-precision factor, that of a nearby
-    operator, or the 1D solve's double _TridiagonalFactor serves.  The test
-    asks that the computed H v - sigma v exceed gamma_{k+2} (|H| v + |sigma| v)
-    in every entry, k the most stored entries in a row and gamma_j =
-    j eps / (1 - j eps) Higham's rounding bound of the double matvec, so it
-    holds for H itself, not only for the rounded H - sigma.  False on a NaN
-    or a shift with eigenvalues below it.
+    proves the M-matrix, so a single-precision factor or that of a nearby
+    operator serves.  The test asks that the computed H v - sigma v exceed
+    gamma_{k+2} (|H| v + |sigma| v) in every entry, k the most stored
+    entries in a row and gamma_j = j eps / (1 - j eps) Higham's rounding
+    bound of the double matvec, so it holds for H itself, not only for the
+    rounded H - sigma.  False on a NaN or a shift with eigenvalues below it.
     """
     h, v = op.matrix, lu.probe
     if not np.all(v > 0.0):
@@ -487,6 +485,24 @@ def _single_factor(matrix, sigma: float) -> _Factor | None:
         return None
 
 
+def _certified_factor(op: SparseSymOp, sigma: float, factor_of, norm_est: float):
+    """(factor, shift, factors tried): the shift search of both certified solves.
+
+    factor_of(op.matrix, sigma) is a factor of H - sigma with a probe, or None
+    where H - sigma has none (_single_factor, _tridiagonal_factor).  While it
+    is None or _m_matrix_certified refuses it, sigma is lowered by a step that
+    starts at |sigma| (1 at sigma = 0) and doubles: a negative shift doubles.
+    The shift stops at the Gershgorin bound -norm_est - 1, norm_est =
+    ||H||_inf, with no eigenvalue below it; InertiaError if that is refused.
+    """
+    floor, step, tried = -norm_est - 1.0, abs(sigma) or 1.0, 1
+    while (lu := factor_of(op.matrix, sigma)) is None or not _m_matrix_certified(op, sigma, lu):
+        if sigma <= floor:
+            raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
+        sigma, step, tried = max(sigma - step, floor), 2.0 * step, tried + 1
+    return lu, sigma, tried
+
+
 def shifted_factor(matrix, sigma: float):
     """Double factor of H - sigma and the number of eigenvalues of H below
     sigma, with which the Feshbach map certifies its block.
@@ -509,67 +525,51 @@ DAVIDSON_BASIS = 20     # basis vectors kept per solve, as many as ARPACK's ncv
 DAVIDSON_MAX_SOLVES = 2000  # back-solves per solve before NonConvergenceError; a safety stop
 
 
+def _non_convergence(lam, residual, bound, solves) -> NonConvergenceError:
+    """A certified solve's residual still above bound = 64 eps ||H||_inf."""
+    return NonConvergenceError(f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
+                               f"after {solves} back-solves",
+                               value=lam, residual=residual, iterations=solves)
+
+
 def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
     """Lowest eigenpair of a symmetric sparse Z-matrix by Davidson's method,
     preconditioned with a factor of H - sigma that the M-matrix test certifies.
 
-    op.matrix is a Z-matrix, as SparseSymOp builds no other.  sigma is a
-    first guess at a shift just below the lowest eigenvalue.  factor, when
-    given, is the certified factor of a nearby operator (the plate
-    operator's, lent to the free atom on the same grid, whose H differs only
-    by the diagonal image term); when the M-matrix test
-    (_m_matrix_certified) proves H - sigma positive definite with it, the
-    solve makes no factor of its own (factorizations == 0).  Otherwise
-    H - sigma is factored in single precision: it only preconditions, as
-    well as a double factor would.  While the test refuses the factor, or
-    SuperLU finds it exactly singular (_single_factor), sigma is lowered by
-    max(1, |sigma|), at most to the Gershgorin bound -||H||_inf - 1, and
-    H - sigma is factored again in single precision.  No
-    pivot is read: reading lu.U would make SciPy build and keep CSC copies
-    of L and U for the life of the factor.  The iteration (generalized
-    Davidson: Davidson, J. Comput. Phys. 17 (1975) 87; Morgan
-    & Scott, SIAM J. Sci. Stat. Comput. 7 (1986) 817) projects H on an
-    orthonormal basis V, takes the lowest Ritz pair (x, lam) of the dense
-    V^T H V, lam the Rayleigh quotient of the unit x, and expands V by the
-    back-solve t = (H - sigma)^{-1} (H x - lam x), orthogonalized twice
-    against V; everything but that back-solve runs in double, and t is
-    taken back to double.  With the factor of H - sigma itself, V spans the
-    Krylov space of shift-invert Lanczos; a borrowed factor is a near-exact
-    preconditioner.  The start vector is op.guess when the operator carries
-    one (the 1s state of the hydrogen/plate operator) and is drawn from
-    default_rng(0) otherwise, so every result repeats to the bit.  The
-    solve stops as soon as ||H x - lam x|| <= 64 eps ||H||_inf.  At most
-    DAVIDSON_BASIS vectors are kept; a full basis restarts from x.  The
-    solve trims the malloc heap first (_malloc_trim) and runs on one BLAS
-    thread (_solve_settings).  iterations counts the back-solves, and
-    DAVIDSON_MAX_SOLVES bounds them as a safety stop; factorizations counts the
-    factors of H - sigma the solve tried, refused and singular ones included; the
-    eigenvector has unit 2-norm and factor is the certified factor used.
-    Raises InertiaError when the test refuses the Gershgorin shift, and
-    NonConvergenceError, carrying the back-solves made, when
-    DAVIDSON_MAX_SOLVES back-solves miss the residual bound.
+    sigma is a first guess at a shift just below the lowest eigenvalue.
+    factor, when given, is the certified factor of a nearby operator (the
+    plate operator's, lent to the free atom, whose H differs only by the
+    diagonal image term); when _m_matrix_certified proves H - sigma positive
+    definite with it, the solve makes no factor (factorizations == 0).
+    Otherwise _certified_factor searches the shift from sigma down with
+    float32 factors (_single_factor), which precondition as well as double
+    ones; no pivot is read, as lu.U would keep CSC copies of L and U.  The
+    iteration (Davidson, J. Comput. Phys. 17 (1975) 87; Morgan & Scott,
+    SIAM J. Sci. Stat. Comput. 7 (1986) 817) takes the lowest Ritz pair
+    (x, lam) of V^T H V, V orthonormal, and expands V by the back-solve
+    t = (H - sigma)^{-1} (H x - lam x), orthogonalized twice against V; all
+    but that back-solve runs in double.  With the factor of H - sigma itself,
+    V spans the Krylov space of shift-invert Lanczos.  The start vector is
+    op.guess (the hydrogen/plate 1s state) or default_rng(0)'s, so results
+    repeat to the bit.  The solve stops at the first ||H x - lam x|| <=
+    64 eps ||H||_inf, with unit x, and raises NonConvergenceError when
+    DAVIDSON_MAX_SOLVES back-solves (iterations) miss it.  At most
+    DAVIDSON_BASIS vectors are kept; a full basis restarts from x.  The heap
+    is trimmed first (_malloc_trim); one BLAS thread (_solve_settings).
     """
-    h = op.matrix
-    n = op.dim
+    h, n = op.matrix, op.dim
     with _solve_settings():
         _malloc_trim()(0)
         norm_est = op.norm_estimate()
         bound = 64.0 * np.finfo(float).eps * norm_est
-        floor = -norm_est - 1.0     # H - floor is diagonally dominant: no eigenvalue below
         if factor is not None and _m_matrix_certified(op, sigma, factor):
             lu, factorizations = factor, 0
         else:
-            factorizations = 1
-            while (lu := _single_factor(h, sigma)) is None or not _m_matrix_certified(op, sigma, lu):
-                if sigma <= floor:
-                    raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
-                sigma, factorizations = max(sigma - max(1.0, abs(sigma)), floor), factorizations + 1
+            lu, sigma, factorizations = _certified_factor(op, sigma, _single_factor, norm_est)
         basis = np.empty((min(DAVIDSON_BASIS, n), n))
         proj = np.empty((len(basis), len(basis)))     # V^T H V
-        t = (np.random.default_rng(0).standard_normal(n) if op.guess is None
-             else op.guess)
-        k = -1                      # index of the newest basis vector
-        solves = 0
+        t = np.random.default_rng(0).standard_normal(n) if op.guess is None else op.guess
+        k, solves = -1, 0           # k: index of the newest basis vector
         while True:
             q = basis[:k + 1]
             for _ in range(2):      # full reorthogonalization; twice is enough
@@ -585,16 +585,11 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
             r = hx - lam * x
             residual = float(np.linalg.norm(r))
             if residual <= bound:
-                return EigResult(value=lam, vector=x, iterations=solves,
-                                 residual=residual, shift=sigma,
-                                 factor_nnz=int(lu.nnz),
+                return EigResult(value=lam, vector=x, iterations=solves, residual=residual,
+                                 shift=sigma, factor_nnz=int(lu.nnz),
                                  factorizations=factorizations, factor=lu)
             if solves == DAVIDSON_MAX_SOLVES:
-                raise NonConvergenceError(
-                    f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
-                    f"after {solves} back-solves",
-                    value=lam, residual=residual, iterations=solves,
-                )
+                raise _non_convergence(lam, residual, bound, solves)
             t = np.asarray(lu.solve(r), dtype=float)
             solves += 1
             if k + 1 == len(basis):
@@ -605,8 +600,9 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
 # ground energy -1/4, which E(r) approaches from below as r grows.  For
 # r >= 2 on every grid of the tests and the benchmark, E(r) lies above
 # -0.2521 (its lowest, near r = 7), so the shift is certified at once.
-# Closer to the plate E(r) can lie lower (-0.4405 at r = 0.5, h = 0.1); the
-# M-matrix test then refuses the shift, and lowest_eigenpair lowers it.
+# Closer to the plate E(r) can lie lower; a refused shift costs a float32
+# factor per doubling (_certified_factor): at r = 0.5 on the production grid
+# (E = -0.5119) two, at -0.26 and -0.52, then 9 back-solves.
 HYDROGEN_SHIFT = -0.26
 # First 1D shift, 1e-3 relative below -1/64: certified at once for n = 32 ... 2^20, L = 1 ... 400
 ELECTRON_PLATE_SHIFT = (1.0 + 1e-3) * E_ELECTRON_PLATE
@@ -632,49 +628,52 @@ class ElectronPlateResult:
 
 
 class _TridiagonalFactor:
-    """dpttrf's L D L^T factor of tridiagonal H - sigma; probe = solve(1) if no pivot fails."""
+    """dpttrf's L D L^T factor (d, e) of tridiagonal H - sigma; probe = solve(1)."""
 
-    def __init__(self, h, sigma: float):
-        self.d, self.e, self.info = dpttrf(h.diagonal() - sigma, h.diagonal(1))
-        self.probe = self.solve(np.ones(len(self.d))) if self.info == 0 else None
+    def __init__(self, d, e):
+        self.d, self.e, self.nnz = d, e, 2 * len(d) - 1
+        self.probe = self.solve(np.ones(len(d)))
 
     def solve(self, rhs):
         return dpttrs(self.d, self.e, rhs)[0]
 
 
+def _tridiagonal_factor(matrix, sigma: float) -> _TridiagonalFactor | None:
+    """_TridiagonalFactor of H - sigma, or None where a dpttrf pivot fails."""
+    d, e, info = dpttrf(matrix.diagonal() - sigma, matrix.diagonal(1))
+    return _TridiagonalFactor(d, e) if info == 0 else None
+
+
 def _tridiagonal_ground(grid: Grid1D) -> EigResult:
     """Lowest eigenpair of the 1D electron/plate operator by inverse iteration
-    from the positive probe of a certified _TridiagonalFactor of H - sigma.
+    from the probe of the factor _certified_factor finds from
+    ELECTRON_PLATE_SHIFT down (_tridiagonal_factor).
 
-    sigma = ELECTRON_PLATE_SHIFT doubles, down to -||H||_inf - 1 (then
-    InertiaError), while a pivot fails or _m_matrix_certified refuses it.  The
-    iteration stops at the rounding floor, a residual within 64 eps ||H||_inf
-    that the last back-solve did not halve, or raises NonConvergenceError
-    after DAVIDSON_MAX_SOLVES back-solves.  The value is the Rayleigh
-    quotient.  Runs on one BLAS thread (_solve_settings).
+    It stops as lowest_eigenpair does, at the first Rayleigh quotient with
+    residual <= 64 eps ||H||_inf, or raises after DAVIDSON_MAX_SOLVES
+    back-solves.  Davidson is kept for the 2D solves only: at n = 65536,
+    L = 400 it takes 14.7 ms on the same dpttrf factor, inverse iteration
+    6.9 ms (median of 7, 2-core x86_64).  Runs on one BLAS thread.
     """
     op = assemble_1d_electron_plate(grid)
-    h, sigma, factorizations = op.matrix, ELECTRON_PLATE_SHIFT, 1
-    norm_est = op.norm_estimate()
-    bound, floor = 64.0 * np.finfo(float).eps * norm_est, -norm_est - 1.0
+    h, norm_est = op.matrix, op.norm_estimate()
+    bound = 64.0 * np.finfo(float).eps * norm_est
     with _solve_settings():
-        while (lu := _TridiagonalFactor(h, sigma)).info > 0 or not _m_matrix_certified(op, sigma, lu):
-            if sigma <= floor:
-                raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
-            sigma, factorizations = max(2.0 * sigma, floor), factorizations + 1
-        x, last = lu.probe / np.linalg.norm(lu.probe), np.inf
-        for solves in range(1, DAVIDSON_MAX_SOLVES + 1):
-            x = lu.solve(x)
-            x /= np.linalg.norm(x)
+        lu, sigma, tried = _certified_factor(op, ELECTRON_PLATE_SHIFT, _tridiagonal_factor, norm_est)
+        x, solves = lu.probe, 0
+        while True:
+            x = x / np.linalg.norm(x)
             hx = h @ x
             lam = float(x @ hx)
             residual = float(np.linalg.norm(hx - lam * x))
-            if last / 2.0 < residual <= bound:
-                return EigResult(value=lam, vector=x, iterations=solves, residual=residual, shift=sigma,
-                                 factor_nnz=2 * grid.n - 1, factorizations=factorizations, factor=lu)
-            last = residual
-    raise NonConvergenceError(f"residual {residual:.3e} off the rounding floor after {solves} "
-                              "back-solves", value=lam, residual=residual, iterations=solves)
+            if residual <= bound:
+                return EigResult(value=lam, vector=x, iterations=solves, residual=residual,
+                                 shift=sigma, factor_nnz=lu.nnz,
+                                 factorizations=tried, factor=lu)
+            if solves == DAVIDSON_MAX_SOLVES:
+                raise _non_convergence(lam, residual, bound, solves)
+            x = lu.solve(x)
+            solves += 1
 
 
 def electron_plate_ground(n: int, L: float) -> ElectronPlateResult:

@@ -85,7 +85,7 @@ class TestEplate:
         assert len(err.splitlines()) == 1 and "domain length" in err
 
     def test_back_solve_cap_exits_2(self, capsys, monkeypatch):
-        # one back-solve cannot reach the rounding floor of the 1D solve
+        # one back-solve cannot bring the 1D residual within 64 eps ||H||_inf
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 1)
         code, out, err = run_cli(capsys, "eplate", "--n", "1024", "--L", "200")
         assert code == 2 and out == ""
@@ -131,6 +131,16 @@ class TestHydrogen:
         assert code == 0
         assert (grab(out, "essential_bottom"), grab(out, "hvz_gap")) == (bottom, gap)
         assert grab(out, "E_free_same_grid") == free
+
+    def test_refused_gershgorin_shift_exits_2(self, capsys, monkeypatch):
+        # an M-matrix test that refuses every shift ends at the Gershgorin
+        # bound: a numerical failure, one stderr line
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, lu: False)
+        code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
+                                 "--l-xi", "10", "--l-rho", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: InertiaError:") and "Gershgorin" in err
+        assert len(err.splitlines()) == 1
 
     def test_one_factor(self, capsys, monkeypatch):
         # the free solve borrows the plate's certified factor

@@ -120,7 +120,7 @@ class TestTridiagonalGround:
 
     @pytest.mark.parametrize("n, L", [(32, 40.0), (512, 120.0), (2048, 300.0),
                                       (4096, 400.0), (65536, 400.0)])
-    def test_matches_eigh_tridiagonal(self, n, L):
+    def test_matches_eigh_tridiagonal(self, monkeypatch, n, L):
         grid = Grid1D(n, L)
         oracle, oracle_residual = self._oracle(grid)
         res = eigensolver._tridiagonal_ground(grid)
@@ -136,11 +136,14 @@ class TestTridiagonalGround:
         assert res.residual <= 64.0 * np.finfo(float).eps * norm
         assert res.shift == eigensolver.ELECTRON_PLATE_SHIFT < res.value
         assert res.factorizations == 1 and 1 <= res.iterations <= 10
-        # the rounding floor: one more back-solve does not halve the residual
-        x = res.factor.solve(res.vector)
-        x /= np.linalg.norm(x)
-        hx = assemble_1d_electron_plate(grid).matrix @ x
-        assert np.linalg.norm(hx - (x @ hx) * x) > res.residual / 2.0
+        assert res.factor_nnz == res.factor.nnz == 2 * n - 1
+        # Davidson's stop: the first residual within 64 eps ||H||_inf, so one
+        # back-solve fewer misses it
+        monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", res.iterations - 1)
+        with pytest.raises(NonConvergenceError, match="exceeds 64 eps") as exc:
+            eigensolver._tridiagonal_ground(grid)
+        assert exc.value.iterations == res.iterations - 1
+        assert exc.value.residual > 64.0 * np.finfo(float).eps * norm
 
     def test_every_factor_is_certified(self, monkeypatch):
         # the M-matrix test runs on the probe of each factor that dpttrf
@@ -563,6 +566,50 @@ class TestLowestEigenpair:
         assert [f.sigma for f in factors] == {-1.0: [-1.0, -2.0, -4.0], -2.0: [-2.0, -4.0]}[sigma]
         assert res.factorizations == len(factors) and res.shift == -4.0
 
+    @pytest.mark.parametrize("sigma, tried", [(0.5, [0.5, 0.0, -1.0, -3.0]),
+                                              (0.0, [0.0, -1.0, -3.0])])
+    def test_nonnegative_shift_lowered_by_doubling_step(self, monkeypatch, sigma, tried):
+        # the step starts at |sigma|, 1 at sigma = 0, and doubles.  For
+        # diag(1..12) - 3 the M-matrix test refuses 0.5, and H - sigma is
+        # exactly singular at 0 and at -1
+        factors = spy_factors(monkeypatch)
+        res = lowest_eigenpair(sym_op(sp.diags(np.arange(1.0, 13.0) - 3.0)), sigma=sigma)
+        assert [f.sigma for f in factors] == tried
+        assert res.factorizations == len(tried) and res.shift == -3.0
+        assert res.value == pytest.approx(-2.0, abs=1e-12)
+
+    def test_refused_gershgorin_shift_raises(self, monkeypatch, coarse_spec):
+        # a test that refuses every factor lowers the 2D shift to the
+        # Gershgorin bound, -||H||_inf - 1, and stops there
+        factors = spy_factors(monkeypatch)
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, lu: False)
+        op, _ = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0,))
+        with pytest.raises(InertiaError, match="Gershgorin"):
+            lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+        assert factors[-1].sigma == -op.norm_estimate() - 1.0
+        assert [f.sigma for f in factors[:3]] == [HYDROGEN_SHIFT * 2.0 ** k for k in range(3)]
+
+    def test_one_shift_search_and_one_norm_per_solve(self, monkeypatch):
+        # both certified solves search their shift in _certified_factor, each
+        # with its own factor maker, and compute ||H||_inf once
+        makers, norms = [], []
+        search, norm_estimate = eigensolver._certified_factor, SparseSymOp.norm_estimate
+
+        def spy_search(op, sigma, factor_of, norm_est):
+            makers.append(factor_of.__name__)
+            return search(op, sigma, factor_of, norm_est)
+
+        def spy_norm(op):
+            norms.append(op)
+            return norm_estimate(op)
+
+        monkeypatch.setattr(eigensolver, "_certified_factor", spy_search)
+        monkeypatch.setattr(SparseSymOp, "norm_estimate", spy_norm)
+        eigensolver._tridiagonal_ground(Grid1D(64, 40.0))
+        assert makers == ["_tridiagonal_factor"] and len(norms) == 1
+        lowest_eigenpair(assemble_1d_electron_plate(Grid1D(64, 40.0)), sigma=-1.0)
+        assert makers == ["_tridiagonal_factor", "_single_factor"] and len(norms) == 2
+
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
         op = assemble_1d_electron_plate(g)
@@ -601,11 +648,11 @@ class TestHydrogenPlateOperator:
         factors = spy_factors(monkeypatch)
         res, grid = hydrogen_plate_ground(0.5, 1.0, spec)
         # the single factor at HYDROGEN_SHIFT, refused by the M-matrix test,
-        # and one single factor at the lowered shift, which it certifies
+        # and one single factor at the doubled shift, which it certifies
         assert [(f.sigma, f.precision) for f in factors] == [
-            (HYDROGEN_SHIFT, np.float32), (HYDROGEN_SHIFT - 1.0, np.float32)]
-        assert res.factorizations == 2 and res.iterations == 20
-        assert res.shift == HYDROGEN_SHIFT - 1.0
+            (HYDROGEN_SHIFT, np.float32), (2.0 * HYDROGEN_SHIFT, np.float32)]
+        assert res.factorizations == 2 and res.iterations == 10
+        assert res.shift == 2.0 * HYDROGEN_SHIFT
         ref = lowest_eigenpair(assemble_hydrogen_plate(grid, (1.0,))[0], sigma=-3.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
         assert res.shift < res.value < HYDROGEN_SHIFT
