@@ -50,6 +50,8 @@ class SweepTable:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not 0.0 <= self.m <= 1.0:    # NaN included
+            raise ValueError(f"mirror strength must lie in [0, 1], got {self.m}")
         rs = [row.r for row in self.rows]
         if (any(not 0 < r < np.inf for r in rs)
                 or any(b <= a for a, b in zip(rs, rs[1:]))):
@@ -336,4 +338,4 @@ def table_to_json(table: SweepTable, fit: FitResult | None = None) -> str:
     }
     if fit is not None:
         doc["fit"] = fit_to_dict(fit)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

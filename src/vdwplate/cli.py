@@ -103,7 +103,7 @@ def cmd_eplate(args) -> int:
 def _plate_inputs(args) -> tuple:
     """(config, m, grid spec) of hydrogen and sweep: flags, else config, else defaults."""
     cfg = load_config(args.config) if args.config else {}
-    m = float(_pick(args, "m", cfg, 1.0))
+    m = float(_pick(args, "m", cfg, 1.0)) + 0.0     # -0.0 prints as 0
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"mirror strength must lie in [0, 1], got {m}")
     default = GridCylSpec()

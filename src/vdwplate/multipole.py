@@ -2,9 +2,9 @@
 orientation coefficient of the leading van der Waals term.
 
 Quadrature conventions: radial integrals against exponentially decaying
-densities use Gauss-Laguerre nodes (the weight matches the density); integrals
-restricted to finite windows use Gauss-Legendre on the window so masked
-integrands stay smooth.  Node counts are fixed so repeated runs are bitwise
+densities use Gauss-Laguerre nodes (the weight matches the density); the
+finite pieces of a rule split at bump edges or window cuts use Gauss-Legendre,
+so masked integrands stay smooth.  Node counts are fixed so repeated runs are bitwise
 reproducible; convergence is assessed by doubling.
 """
 
@@ -142,43 +142,31 @@ class HydrogenOrbital:
 
     # quadrature -------------------------------------------------------------
 
-    def _breakpoints(self, other: "HydrogenOrbital"):
-        """Cutoff-bump edges of the pair, and the end of the joint support."""
-        cuts = [orb.cutoff_r for orb in (self, other) if orb.cutoff_r is not None]
-        if not cuts:
-            return [], None
-        end = min(c / 4.0 for c in cuts)
-        return sorted({c / 5.0 for c in cuts if c / 5.0 < end}), end
-
-    def _pair_rule(self, other: "HydrogenOrbital", density, n: int,
-                   lo: float = 0.0, hi: float | None = None):
-        """Radii and weights for 4 pi int_lo^hi d(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2.
+    def _pair_rule(self, other: "HydrogenOrbital", density, n: int, cuts=()):
+        """Radii and weights for 4 pi int_0^inf d(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2.
 
         d(R) is the pair's density with the exponential stripped; the weights
         carry d, e^{-sR}, 4 pi R^2 and the rule's weights, so the integral is
-        sum(weights * f(radii)).  Uncut pairs on the unbounded range use the
-        global Gauss-Laguerre rule (exact for polynomial f); finite ranges and
-        cutoff pairs are clipped to the joint support, split at the bump edges
-        and handled by Gauss-Legendre per smooth segment.  An empty window has
-        no nodes.
+        sum(weights * f(radii)).  [0, end of the joint support) is split at
+        the cutoff-bump edges and at each cut inside it: Gauss-Legendre on
+        every finite piece, and on the unbounded last piece of an uncut pair
+        Gauss-Laguerre shifted to its start (exact for polynomial f).  The
+        radii ascend, and no node lies on a cut.
         """
         s = 0.5 * (self.z + other.z)
-        breaks, end = self._breakpoints(other)
-        if end is not None:
-            hi = end if hi is None else min(hi, end)
-        if hi is None:
-            # tail (or full range) of an uncut pair: shifted Gauss-Laguerre
+        cutoffs = [orb.cutoff_r for orb in (self, other) if orb.cutoff_r is not None]
+        end = min((c / 4.0 for c in cutoffs), default=np.inf)
+        splits = {c / 5.0 for c in cutoffs} | set(cuts)
+        edges = np.array([0.0, *sorted(b for b in splits if b < end), end])
+        finite = edges[np.isfinite(edges)]
+        half = 0.5 * np.diff(finite)[:, None]
+        c_nodes, c_weights = angular_legendre_rule(n)
+        radius = (half * c_nodes + 0.5 * (finite[1:] + finite[:-1])[:, None]).ravel()
+        weights = (half * c_weights).ravel() * 4.0 * np.pi * np.exp(-s * radius)
+        if end == np.inf:
             t, w = radial_laguerre_rule(n)
-            radius = lo + t / s
-            weights = w * (4.0 * np.pi * np.exp(-s * lo) / s)
-        elif hi <= lo:
-            return np.empty(0), np.empty(0)
-        else:
-            edges = np.array([lo] + [b for b in breaks if lo < b < hi] + [hi])
-            half = 0.5 * np.diff(edges)[:, None]
-            c_nodes, c_weights = angular_legendre_rule(n)
-            radius = (half * c_nodes + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
-            weights = (half * c_weights).ravel() * 4.0 * np.pi * np.exp(-s * radius)
+            radius = np.append(radius, finite[-1] + t / s)
+            weights = np.append(weights, w * (4.0 * np.pi * np.exp(-s * finite[-1]) / s))
         return radius, weights * density(radius) * radius ** 2
 
     def pair_integral(self, other: "HydrogenOrbital", fn) -> float:
@@ -186,10 +174,6 @@ class HydrogenOrbital:
         radius, weights = self._pair_rule(
             other, lambda R: self._envelope(R) * other._envelope(R), RADIAL_NODES)
         return float(np.sum(weights * np.asarray(fn(radius))))
-
-    def _density_rule(self, n: int, lo: float = 0.0, hi: float | None = None):
-        """Radii and weights of int_{lo <= |x| <= hi} |psi|^2 f(|x|) dx (hi = None: no limit)."""
-        return self._pair_rule(self, lambda R: self._envelope(R) ** 2, n, lo=lo, hi=hi)
 
     def density_expectation(self, fn) -> float:
         """Expectation of f(R) against |psi|^2."""
@@ -367,11 +351,12 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     odd powers integrate to zero against the spherical density.  The r^-7
     remainder is bracketed from the in-support sixth moment (1/(1 + t)
     between 4/5 and 4/3 there).
-    The density is evaluated once per quadrature window, [0, inf), [0, r/4],
-    [r/4, inf) and [2r, inf), each clipped to the support of a cut-off orbital;
-    the moments are dot products against the window's weights.  A support
-    ending by r/4 (cutoff_r <= r) has an empty [r/4, inf) window, so its
-    tail_mass is exactly 0, and [0, inf) serves as its [0, r/4] window.
+    The density is evaluated once per node count, on one rule split at r/4
+    and 2r (a cut beyond the support of a cut-off orbital is dropped, so a
+    support ending by r/4 has tail_mass exactly 0).  Its radii ascend, so
+    every window is a slice of it: the moments m2 and m4 take all nodes, m6
+    and the Newton mass those below r/4 and 2r, the tail mass and the outer
+    1/R sum those above.
     Every piece is computed at RADIAL_NODES and twice that many nodes;
     quad_error is their largest relative move, and QuadratureError is raised
     beyond QUAD_TOL or on a NaN.  r must be positive, with r^-7 and r^7
@@ -381,19 +366,16 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
         extremes = np.float64(r) ** np.array([-7.0, 7.0])    # r^+-3, r^+-5 lie between
     if not np.all((np.finfo(float).tiny <= extremes) & (extremes < np.inf)):
         raise ValueError(f"r must be positive with r^-7 ... r^7 in the floats, got {r}")
-    inner_is_full = psi.cutoff_r is not None and psi.cutoff_r <= r
 
     def pieces(n):
-        radius, weights = psi._density_rule(n)
-        inner, w_inner = (radius, weights) if inner_is_full else psi._density_rule(n, hi=r / 4.0)
-        w_tail = psi._density_rule(n, lo=r / 4.0)[1]
-        outer, w_outer = psi._density_rule(n, lo=2.0 * r)
+        radius, weights = psi._pair_rule(psi, lambda R: psi._envelope(R) ** 2, n,
+                                         cuts=(r / 4.0, 2.0 * r))
+        i, j = np.searchsorted(radius, (r / 4.0, 2.0 * r))
         m2 = weights @ radius ** 2 / 3.0
         m4 = weights @ radius ** 4 / 5.0
-        m6_in = w_inner @ inner ** 6 / 7.0
-        mass_in_2r = weights.sum() - w_outer.sum()
-        newton = mass_in_2r / r + 2.0 * (w_outer @ (1.0 / outer))
-        return np.array([m2, m4, m6_in, w_tail.sum(), newton])
+        m6_in = weights[:i] @ radius[:i] ** 6 / 7.0
+        newton = weights[:j].sum() / r + 2.0 * (weights[j:] @ (1.0 / radius[j:]))
+        return np.array([m2, m4, m6_in, weights[i:].sum(), newton])
 
     base = pieces(RADIAL_NODES)
     refined = pieces(2 * RADIAL_NODES)

@@ -218,6 +218,16 @@ class TestHydrogen:
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [("hydrogen", "--r", "3"),
+                                      ("sweep", "--r-values", "3"),
+                                      ("sweep", "--r-values", "3", "--format", "json")],
+                             ids=["hydrogen", "sweep_csv", "sweep_json"])
+    def test_negative_zero_m_prints_as_zero(self, capsys, argv):
+        # -0.0 printed as "-0.0", "-0" and -0.0 with the numbers of m = 0
+        flags = ("--h", "0.5", "--l-xi", "4", "--l-rho", "4")
+        outs = [run_cli(capsys, *argv, *flags, "--m", m) for m in ("-0.0", "0")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
     def test_node_count_flags_rejected(self, capsys):
         # the grid follows from h and the extents alone, as in sweep
         for flag in ("--n-xi", "--n-rho"):
@@ -398,6 +408,22 @@ class TestSweepAndFit:
         assert code == 3 and out == ""
         assert err.splitlines() == ["error: r^3 weights or r^-k columns overflow or "
                                     "underflow on the radii 1e+200 to 3e+200"]
+
+    @pytest.mark.parametrize("header", ["# m = nan", "# m = 2", "# grid.h_target = nan",
+                                        "# jobs = inf"],
+                             ids=["m_nan", "m_2", "h_nan", "jobs_inf"])
+    def test_fit_json_non_finite_or_bad_m_header_exits_3(self, capsys, tmp_path, header):
+        # all four exited 0; the JSON held NaN or Infinity, which is not JSON,
+        # and m = 2 was accepted though hydrogen and sweep refuse it
+        rs = np.arange(8.0, 41.0, 2.0)
+        rows = [SweepRow(r=float(r), n_xi=1, n_rho=1, e_plate=float(-1.0 / r ** 3),
+                         e_free=0.0) for r in rs]
+        path = tmp_path / "header.csv"
+        text = sweep_to_csv(SweepTable(rows=rows, m=1.0, grid={}, config={}))
+        path.write_text(text.replace("\nr,", f"\n{header}\nr,", 1))   # after "# m = 1"
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--format", "json")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("text", ["r,W\n10,-0.001\n12,-0.0005\n", "hello\n"],
                              ids=["r_W", "hello"])

@@ -145,6 +145,19 @@ class TestTridiagonalGround:
         assert exc.value.iterations == res.iterations - 1
         assert exc.value.residual > 64.0 * np.finfo(float).eps * norm
 
+    @pytest.mark.parametrize("n", [2 ** k for k in range(9, 17)])
+    def test_back_solves_bounded_on_lab_grids(self, n):
+        # the fine and coarse grids of electron_plate_ground(n, 400) for
+        # n = 1024 ... 65536 take 4, 4, 3, 3, 3, 2, 2, 2 back-solves
+        assert eigensolver._tridiagonal_ground(Grid1D(n, 400.0)).iterations <= 4
+
+    @pytest.mark.parametrize("n, solves", [(16, 67), (32, 31)])
+    def test_back_solves_on_coarsest_grids(self, n, solves):
+        # recorded, not bounded: the grids of electron_plate_ground(32, 400),
+        # whose lowest eigenvalues lie far above ELECTRON_PLATE_SHIFT, so each
+        # back-solve shrinks the error only by 0.63 (n = 16) or 0.37 (n = 32)
+        assert eigensolver._tridiagonal_ground(Grid1D(n, 400.0)).iterations == solves
+
     def test_every_factor_is_certified(self, monkeypatch):
         # the M-matrix test runs on the probe of each factor that dpttrf
         # completes; one that always refuses drives sigma to the Gershgorin

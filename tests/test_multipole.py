@@ -197,12 +197,21 @@ class TestMirrorEnergyExpectation:
         with pytest.raises(QuadratureError):
             mirror_energy_expectation(rough, 20.0)
 
-    # every field at r = 13.7 as the code before the cut-off orbital's
-    # [0, r/4] window was reused computed it: the reuse moves no bit
+    # every field at r = 13.7.  PINNED_WINDOWS is the oracle of a rule per
+    # window ([0, inf), [0, r/4], [r/4, inf), [2r, inf)) for the supports that
+    # pass r/4; cutoff_r = r drops both cuts and matches it to the bit
     PINNED = {
         13.7: (-0.00012816575758692575, 0.072992700729927, -7.319595531912326e-08,
                -4.391757319147395e-08, 0.0, 1.2953499757190905, 4.295782156598568,
                19.890802636007326, 2.067559264698356e-16),
+        27.4: (-0.00031359026522024516, 0.07299270072992703, -9.78255587748591e-08,
+               -5.869533526491546e-08, 0.291830373777152, 3.0622479065747576,
+               30.62296931326452, 26.583830675675156, 1.3364190143038036e-16),
+        None: (-0.00042619695486278134, 0.07299270072857518, -9.187014148794144e-08,
+               -5.512208489276486e-08, 0.3349422730281833, 4.000000000000003,
+               72.00000000000011, 24.96546215582066, 2.7755575615628914e-16),
+    }
+    PINNED_WINDOWS = {
         27.4: (-0.0003135902652202451, 0.07299270072992703, -9.78255587748591e-08,
                -5.869533526491546e-08, 0.291830373777152, 3.062247906574757,
                30.622969313264527, 26.583830675675156, 1.3364190143038036e-16),
@@ -213,10 +222,25 @@ class TestMirrorEnergyExpectation:
 
     @pytest.mark.parametrize("cutoff_r", [13.7, 27.4, None], ids=["cut_r", "cut_2r", "plain"])
     def test_bitwise_pinned(self, cutoff_r):
-        # cutoff_r = r reuses the [0, inf) window as [0, r/4]; cutoff_r = 2r
-        # ends past r/4 and integrates [0, r/4] on its own
         e = mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), 13.7)
         assert dataclasses.astuple(e) == self.PINNED[cutoff_r]
+        if cutoff_r in self.PINNED_WINDOWS:     # every field but quad_error
+            old = self.PINNED_WINDOWS[cutoff_r][:-1]
+            assert dataclasses.astuple(e)[:-1] == pytest.approx(old, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("cutoff_r", [13.7, 27.4, None], ids=["cut_r", "cut_2r", "plain"])
+    def test_one_density_evaluation_per_node_count(self, monkeypatch, cutoff_r):
+        calls = []
+        envelope = HydrogenOrbital._envelope
+
+        def spy(self, radius):
+            calls.append(len(radius))
+            return envelope(self, radius)
+
+        psi = HydrogenOrbital(cutoff_r=cutoff_r)
+        monkeypatch.setattr(HydrogenOrbital, "_envelope", spy)
+        mirror_energy_expectation(psi, 13.7)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("r", [math.inf, 1e300, 1e-300])
     def test_radius_out_of_range(self, r):
@@ -245,13 +269,13 @@ class TestMirrorEnergyExpectation:
 
     def test_nan_quadrature_error_raises(self, monkeypatch):
         # a NaN move passed "quad_error > QUAD_TOL"
-        rule = HydrogenOrbital._density_rule
+        rule = HydrogenOrbital._pair_rule
 
-        def nan_rule(self, n, lo=0.0, hi=None):
-            radius, weights = rule(self, n, lo=lo, hi=hi)
+        def nan_rule(self, other, density, n, cuts=()):
+            radius, weights = rule(self, other, density, n, cuts=cuts)
             return radius, np.full_like(weights, np.nan)
 
-        monkeypatch.setattr(HydrogenOrbital, "_density_rule", nan_rule)
+        monkeypatch.setattr(HydrogenOrbital, "_pair_rule", nan_rule)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError, match="nan"):
