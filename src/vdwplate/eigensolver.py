@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, dsytrf, dsytrs
 
 from .model import E_ELECTRON_PLATE, Molecule, PlateConfig
 from .multipole import HydrogenOrbital, smooth_step, smooth_step_derivative
@@ -505,12 +505,13 @@ def _certified_factor(op: SparseSymOp, sigma: float, factor_of, norm_est: float)
 
 def shifted_factor(matrix, sigma: float):
     """Double factor of H - sigma and the number of eigenvalues of H below
-    sigma, with which the Feshbach map certifies its block.
+    sigma, with which the Feshbach map certifies its block on a sparse H
+    (a dense H takes _dense_factor).
 
-    H is any symmetric matrix; the count is read from the pivots alone.  The
-    factor is P (H - sigma) P^T = L D L^T with diag(U) = D only when the
-    row and column orders agree; otherwise InertiaError is raised.  By
-    Sylvester's law of inertia the negative entries of diag(U) count the
+    H is any symmetric sparse matrix; the count is read from the pivots
+    alone.  The factor is P (H - sigma) P^T = L D L^T with diag(U) = D only
+    when the row and column orders agree; otherwise InertiaError is raised.
+    By Sylvester's law of inertia the negative entries of diag(U) count the
     eigenvalues below sigma.
     """
     factor = _factor(matrix, sigma, float)
@@ -718,7 +719,8 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     h is a symmetric matrix (dense or sparse); p an orthonormal basis of the
     projection range (n,) or (n, k).  By the
     block-inverse identity, (F - lam)^{-1} = S = B^T (H - lam)^{-1} B, so F
-    comes from k back-solves with the one factor of H - lam (shifted_factor):
+    comes from k back-solves with the one factor of H - lam (_dense_factor
+    for a dense H, shifted_factor for a sparse one):
     S = V diag(w) V^T gives F = lam + V diag(1/w) V^T.  Haynsworth's inertia
     additivity In(H - lam) = In(H_perp - lam) + In(S) certifies the block:
     H_perp - lam is positive exactly when S has as many negative eigenvalues
@@ -728,25 +730,60 @@ def feshbach_matrix(h, p, lam: float) -> np.ndarray:
     step.  Raises SingularBlockError when the count differs or no factor has
     an inertia.
     """
-    mat = sp.csc_matrix(h, dtype=float)
+    mat = _as_operator(h)
     w, v, _, lam = _feshbach(mat, _as_basis(p, mat.shape[0]), lam)
     f = lam * np.eye(len(w)) + (v / w) @ v.T
     return 0.5 * (f + f.T)
 
 
-def _feshbach(mat: sp.csc_matrix, b: np.ndarray, lam: float):
+def _as_operator(h):
+    """A sparse H as CSC, the form SuperLU factors; any other H as a dense array."""
+    return sp.csc_matrix(h, dtype=float) if sp.issparse(h) else np.asarray(h, dtype=float)
+
+
+class _DenseFactor:
+    """LAPACK Bunch-Kaufman factor P (H - sigma) P^T = L D L^T, lower storage."""
+
+    def __init__(self, ldu, ipiv):
+        self.ldu, self.ipiv = ldu, ipiv
+
+    def solve(self, rhs):
+        return dsytrs(self.ldu, self.ipiv, rhs, lower=1)[0]
+
+
+def _dense_factor(matrix: np.ndarray, sigma: float):
+    """Bunch-Kaufman factor of a dense symmetric H - sigma (LAPACK dsytrf)
+    and the number of eigenvalues of H below sigma, as shifted_factor.
+
+    D is block diagonal: ipiv > 0 marks a 1x1 block, and the two rows of a
+    2x2 block both carry ipiv < 0.  Bunch and Kaufman take a 2x2 pivot
+    [[a, b], [b, c]] only when |a c| < alpha^2 b^2 (alpha^2 < 1), so each
+    2x2 block has one negative eigenvalue, and Sylvester's law of inertia
+    gives the count.  An exactly zero pivot (info > 0) raises RuntimeError,
+    as SuperLU does on a singular factor.
+    """
+    ldu, ipiv, info = dsytrf(matrix - sigma * np.eye(matrix.shape[0]), lower=1)
+    if info > 0:
+        raise RuntimeError(f"zero pivot {info} in the factor of H - {sigma}")
+    one = ipiv > 0
+    below = np.count_nonzero(ldu.diagonal()[one] < 0.0) + np.count_nonzero(~one) // 2
+    return _DenseFactor(ldu, ipiv), int(below)
+
+
+def _feshbach(mat, b: np.ndarray, lam: float):
     """The certified eigenpairs (w, V) of S = B^T (H - lam)^{-1} B as in
     feshbach_matrix, the back-solves Y = (H - lam)^{-1} B, and the lam used,
-    which a zero pivot moves."""
+    which a zero pivot moves.  mat is a CSC or a dense array (_as_operator)."""
+    factor_of = shifted_factor if sp.issparse(mat) else _dense_factor
     try:
-        lu, below = shifted_factor(mat, lam)
-    except RuntimeError:            # InertiaError, or SuperLU's exactly singular factor
+        lu, below = factor_of(mat, lam)
+    except RuntimeError:            # InertiaError, or an exactly singular factor
         # a zero pivot.  F is smooth in lam below the complement spectrum, so
         # F(lam + step) is F(lam) to rounding, and a block certified positive
         # at lam + step is positive at lam.
         lam += 64.0 * np.finfo(float).eps * max(1.0, abs(lam), abs(mat).max())
         try:
-            lu, below = shifted_factor(mat, lam)
+            lu, below = factor_of(mat, lam)
         except RuntimeError as exc:
             raise SingularBlockError(f"no certified factor of H - {lam}: {exc}") from exc
     y = lu.solve(b)
@@ -774,7 +811,8 @@ def feshbach_fixed_point(h, p, bracket) -> float:
     f' = -(g - lambda)^2 ||Y u||^2, u the lowest eigenvector of F_P: from
     (F - lambda)^{-1} = S = B^T Y and S' = Y^T Y.  F_P is not formed: with
     S = V diag(w) V^T, g = lambda + min 1/w_i and u is the matching column
-    of V.  H is converted to CSC once per call.  After the two end
+    of V.  A sparse H is converted to CSC once per call, a dense H stays
+    dense (feshbach_matrix).  After the two end
     evaluations and the sign check, the first iterate is the fixed-point
     probe lo + f(lo), which lands exactly when P spans an eigenspace (g
     constant); each later iterate is the Newton step from the last one, or
@@ -791,7 +829,7 @@ def feshbach_fixed_point(h, p, bracket) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    mat = sp.csc_matrix(h, dtype=float)
+    mat = _as_operator(h)
     b = _as_basis(p, mat.shape[0])
 
     def f_and_slope(lam):

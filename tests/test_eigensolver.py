@@ -897,24 +897,32 @@ class TestFeshbach:
         psi = vecs[:, 0] + noise
         return h, psi / np.linalg.norm(psi), vals
 
+    @staticmethod
+    def _spy_evaluations(monkeypatch) -> list:
+        """The lambda of every evaluation of the map: _feshbach makes the one
+        certified factor of H - lambda on a dense or a sparse H."""
+        lams = []
+        real = eigensolver._feshbach
+
+        def spy(mat, b, lam):
+            lams.append(lam)
+            return real(mat, b, lam)
+
+        monkeypatch.setattr(eigensolver, "_feshbach", spy)
+        return lams
+
     def test_fixed_point_factorization_budget(self, monkeypatch):
         # each evaluation is one certified factor of H - lambda; Newton needs
-        # a handful per fixed point
-        sigmas = []
-        real = eigensolver.shifted_factor
-
-        def spy(matrix, sigma):
-            sigmas.append(sigma)
-            return real(matrix, sigma)
-
-        monkeypatch.setattr(eigensolver, "shifted_factor", spy)
+        # a handful per fixed point: the two bracket ends, the probe, and at
+        # most five more
+        lams = self._spy_evaluations(monkeypatch)
         rng = np.random.default_rng(20260810)
         for _ in range(100):
             h, psi, vals = self._near_ground_case(rng, 50, 0.1)
-            sigmas.clear()
+            lams.clear()
             fp = feshbach_fixed_point(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])))
             assert abs(fp - vals[0]) <= 1e-10
-            assert len(sigmas) <= 8
+            assert 3 <= len(lams) <= 8
 
     def test_fixed_point_stress(self):
         # larger noise moves the probe far from the answer: Newton, bisecting
@@ -951,20 +959,17 @@ class TestFeshbach:
         # lambda + 1/w_i of F: below the root S > 0 and the largest w_i gives
         # it, above the root the one negative w_i does.  Any other choice
         # still finds the root from above, but in up to 18 factors, not 5
-        sigmas = []
-        real = eigensolver.shifted_factor
-        monkeypatch.setattr(eigensolver, "shifted_factor",
-                            lambda matrix, sigma: (sigmas.append(sigma), real(matrix, sigma))[1])
+        lams = self._spy_evaluations(monkeypatch)
         rng = np.random.default_rng(29)
         for _ in range(60):
             n = int(rng.integers(20, 81))
             h, psi, vals = self._near_ground_case(rng, n, 0.1)
             q = np.linalg.qr(np.column_stack([psi, rng.standard_normal((n, n - 1))]))[0]
             bottom = np.linalg.eigvalsh(q[:, 2:].T @ h @ q[:, 2:])[0]
-            sigmas.clear()
+            lams.clear()
             fp = feshbach_fixed_point(h, q[:, :2], (vals[0] - 1.0, 0.5 * (vals[0] + bottom)))
             assert abs(fp - vals[0]) <= 1e-10
-            assert len(sigmas) <= 8
+            assert 3 <= len(lams) <= 8
 
     def test_exact_projector_shortcut(self, rng):
         n = 25
@@ -1047,6 +1052,88 @@ class TestFeshbach:
         h = np.diag([1.0, 3.0, 5.0])
         f = feshbach_matrix(sp.csr_matrix(h) if sparse else h, np.eye(3)[:, 0], 1.0)
         assert f[0, 0] == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_pivot_inside_the_factor(self, sparse):
+        # H - 1 = diag(1, 0, 2, 3): the second pivot is exactly zero (dsytrf's
+        # info = 2), so lam moves up a rounding-level step; H_perp - 1 =
+        # diag(1, 2, 3) > 0 and F(1) = 1
+        h = np.diag([2.0, 1.0, 3.0, 4.0])
+        if not sparse:
+            with pytest.raises(RuntimeError):
+                eigensolver._dense_factor(h, 1.0)
+        f = feshbach_matrix(sp.csr_matrix(h) if sparse else h, np.eye(4)[:, 1], 1.0)
+        assert f[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_pivot_on_the_complement_bottom_raises(self, sparse):
+        # H - 2 = diag(-1, 0, 1, 2) is singular too, but there the zero is in
+        # H_perp - 2 = diag(0, 1, 2): no step up certifies a singular block
+        h = np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(SingularBlockError):
+            feshbach_matrix(sp.csr_matrix(h) if sparse else h, np.eye(4)[:, 0], 2.0)
+
+    def test_dense_factor_inertia_and_solve(self, rng):
+        # Bunch-Kaufman's 2x2 blocks each hold one negative eigenvalue: the
+        # count matches the spectrum and SuperLU's pivots, with and without
+        # 2x2 pivots
+        two_by_two = 0
+        for trial in range(200):
+            n = int(rng.integers(2, 81))
+            a = rng.standard_normal((n, n))
+            h = 0.5 * (a + a.T)
+            if trial % 2:
+                h = np.diag(rng.uniform(-1.0, 1.0, n)) + 1e-2 * h
+            vals = np.linalg.eigvalsh(h)
+            sigma = rng.uniform(vals[0] - 0.5, vals[-1] + 0.5)
+            factor, below = eigensolver._dense_factor(h, sigma)
+            assert below == np.count_nonzero(vals < sigma)
+            assert below == shifted_factor(sp.csc_matrix(h), sigma)[1]
+            two_by_two += np.any(factor.ipiv < 0)
+            rhs = rng.standard_normal((n, 3))
+            x = factor.solve(rhs)
+            assert np.allclose(x, np.linalg.solve(h - sigma * np.eye(n), rhs),
+                               rtol=1e-8, atol=1e-8 * np.max(np.abs(x)))
+        assert 20 <= two_by_two < 200
+
+    def test_dense_and_sparse_paths_agree(self):
+        # the recipe of acceptance criterion 8: Bunch-Kaufman on a dense H and
+        # SuperLU on its CSR copy give the same map, fixed point and verdict
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            h, psi, vals = self._near_ground_case(rng, 50, 0.1)
+            hs = sp.csr_matrix(h)
+            for lam in (vals[0] - 1.0, vals[0] - 0.2):
+                dense, sparse = feshbach_matrix(h, psi, lam), feshbach_matrix(hs, psi, lam)
+                assert abs(dense[0, 0] - sparse[0, 0]) <= 1e-12 * abs(sparse[0, 0])
+            bracket = (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]))
+            assert abs(feshbach_fixed_point(h, psi, bracket)
+                       - feshbach_fixed_point(hs, psi, bracket)) <= 1e-12
+            for mat in (h, hs):
+                with pytest.raises(SingularBlockError):
+                    # lambda inside the complement spectrum
+                    feshbach_matrix(mat, psi, 0.5 * (vals[5] + vals[6]))
+
+    def test_accuracy_against_explicit_complement(self):
+        # F against the complement eigendecomposition Z^T H Z = U diag(mu) U^T,
+        # F = B^T H B - C^T diag(1/(mu - lam)) C with C = U^T Z^T H B, for P the
+        # projection on a vector near the ground state and lam at least 2e-2
+        # below mu_0 (closer, S^-1 loses digits: the map is not guarded there)
+        rng = np.random.default_rng(20261020)
+        worst = {"dense": 0.0, "sparse": 0.0}
+        for _ in range(600):
+            n = int(rng.integers(20, 61))
+            h, psi, vals = self._near_ground_case(rng, n, rng.uniform(0.0, 1.0))
+            q = np.linalg.qr(np.column_stack([psi, rng.standard_normal((n, n - 1))]))[0]
+            b, z = q[:, :1], q[:, 1:]
+            mu, u = np.linalg.eigh(z.T @ h @ z)
+            lam = mu[0] - rng.uniform(2e-2, mu[0] - vals[0] + 1.0)
+            c = u.T @ (z.T @ h @ b)
+            oracle = b.T @ h @ b - c.T @ (c / (mu - lam)[:, None])
+            for form, mat in (("dense", h), ("sparse", sp.csr_matrix(h))):
+                err = np.max(np.abs(feshbach_matrix(mat, b, lam) - oracle))
+                worst[form] = max(worst[form], err / np.max(np.abs(oracle)))
+        assert max(worst.values()) <= 1e-12, worst
 
     def test_grid_cross_oracle(self):
         # fixed point with the cutoff state as projection equals the direct
