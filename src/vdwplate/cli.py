@@ -85,7 +85,7 @@ def _report(resolved: dict, lines: list) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_eplate(args) -> int:
-    res = electron_plate_ground(args.n, args.L)     # ValueError for n < 32 or L not in (0, inf)
+    res = electron_plate_ground(args.n, args.L)     # ValueError for n < 32 or an L Grid1D refuses
     rel = res.deviation / -E_ELECTRON_PLATE
     lines = [f"eigenvalue = {FMT % res.value}",
              f"fine_value = {FMT % res.fine_value}",

@@ -56,7 +56,9 @@ class InertiaError(RuntimeError):
 class Grid1D:
     """Uniform grid on (0, L) with Dirichlet boundaries at 0 and L.
 
-    Interior nodes x_i = (i+1) h, i = 0..n-1, h = L/(n+1).
+    Interior nodes x_i = (i+1) h, i = 0..n-1, h = L/(n+1).  L must leave h^2
+    and 1/h^2 normal floats, so h, the nodes in [h, L) and the operator's
+    entries 2/h^2 are finite and normal too.
     """
 
     n: int
@@ -67,6 +69,12 @@ class Grid1D:
             raise ValueError("at least 16 interior nodes required")
         if not 0 < self.L < np.inf:
             raise ValueError(f"domain length must be finite and positive, got {self.L}")
+        with np.errstate(all="ignore"):
+            h2 = np.float64(self.h) ** 2
+            normal = np.finfo(float).tiny <= min(h2, 1.0 / h2)
+        if not normal:
+            raise ValueError(f"domain length {self.L} over {self.n + 1} cells gives the "
+                             f"spacing h = {self.h:.3g}; h^2 and 1/h^2 must be normal floats")
 
     @property
     def h(self) -> float:

@@ -1,17 +1,21 @@
 """Wavefunctions, expectations of the mirror interaction against them, and the
 orientation coefficient of the leading van der Waals term.
 
-Quadrature conventions: radial integrals against exponentially decaying
-densities use Gauss-Laguerre nodes (the weight matches the density); the
-finite pieces of a rule split at bump edges or window cuts use Gauss-Legendre,
-so masked integrands stay smooth.  Node counts are fixed so repeated runs are bitwise
-reproducible; convergence is assessed by doubling.
+Quadrature conventions: every radial integral takes its rule from
+HydrogenOrbital._pair_rule.  The unbounded tail of a density that decays
+exponentially uses Gauss-Laguerre nodes (the weight matches the density); the
+finite pieces of a rule, split at bump edges or window cuts, use
+Gauss-Legendre, so masked integrands stay smooth.  Node counts are fixed so
+repeated runs are bitwise reproducible.  Convergence is assessed by doubling:
+one call builds the rules of both counts together, with one evaluation of
+the density, and each equals the rule built for its count alone bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -142,8 +146,9 @@ class HydrogenOrbital:
 
     # quadrature -------------------------------------------------------------
 
-    def _pair_rule(self, other: "HydrogenOrbital", density, n: int, cuts=()):
-        """Radii and weights for 4 pi int_0^inf d(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2.
+    def _pair_rule(self, other: "HydrogenOrbital", density, counts, cuts=()):
+        """Radii and weights for 4 pi int_0^inf d(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2,
+        as one (radii, weights) pair per node count in the tuple counts.
 
         d(R) is the pair's density with the exponential stripped; the weights
         carry d, e^{-sR}, 4 pi R^2 and the rule's weights, so the integral is
@@ -152,27 +157,42 @@ class HydrogenOrbital:
         every finite piece, and on the unbounded last piece of an uncut pair
         Gauss-Laguerre shifted to its start (exact for polynomial f).  The
         radii ascend, and no node lies on a cut.
+        All counts are built in one pass.  Row p of one node matrix holds
+        piece p's nodes for every count side by side, and the last row of an
+        uncut pair holds the Laguerre tails, so np.exp and density are each
+        called once.  A count's pair is its column block, read row by row.
+        Each element takes the same arithmetic as in a rule built for its
+        count alone, so every pair is bit-identical to the call with that
+        count only.
         """
         s = 0.5 * (self.z + other.z)
         cutoffs = [orb.cutoff_r for orb in (self, other) if orb.cutoff_r is not None]
         end = min((c / 4.0 for c in cutoffs), default=np.inf)
         splits = {c / 5.0 for c in cutoffs} | set(cuts)
-        edges = np.array([0.0, *sorted(b for b in splits if b < end), end])
-        finite = edges[np.isfinite(edges)]
-        half = 0.5 * np.diff(finite)[:, None]
-        c_nodes, c_weights = angular_legendre_rule(n)
-        radius = (half * c_nodes + 0.5 * (finite[1:] + finite[:-1])[:, None]).ravel()
-        weights = (half * c_weights).ravel() * 4.0 * np.pi * np.exp(-s * radius)
+        edges = [0.0, *sorted(b for b in splits if b < end), end]
+        # half-width and midpoint of each piece.  The tail's row starts as a
+        # zero-width piece at the tail's start, so its e^{-sR} is e^{-s start}.
+        half, mid = np.array([(0.5 * (b - a), 0.5 * (b + a)) if b < np.inf else (0.0, a)
+                              for a, b in zip(edges, edges[1:])]).T[:, :, None]
+        legendre = [angular_legendre_rule(n) for n in counts]
+        radius = half * np.concatenate([c for c, _ in legendre]) + mid
+        decay = np.exp(-s * radius)
+        weights = half * np.concatenate([w for _, w in legendre]) * 4.0 * np.pi * decay
         if end == np.inf:
-            t, w = radial_laguerre_rule(n)
-            radius = np.append(radius, finite[-1] + t / s)
-            weights = np.append(weights, w * (4.0 * np.pi * np.exp(-s * finite[-1]) / s))
-        return radius, weights * density(radius) * radius ** 2
+            laguerre = [radial_laguerre_rule(n) for n in counts]
+            radius[-1] = edges[-2] + np.concatenate([t for t, _ in laguerre]) / s
+            weights[-1] = np.concatenate([w for _, w in laguerre]) * (4.0 * np.pi * decay[-1, 0] / s)
+        weights = weights * density(radius) * radius ** 2
+        return [(radius[:, b - n:b].ravel(), weights[:, b - n:b].ravel())
+                for n, b in zip(counts, accumulate(counts))]
 
     def pair_integral(self, other: "HydrogenOrbital", fn) -> float:
         """4 pi int_0^inf psi_a psi_b f(R) R^2 dR."""
-        radius, weights = self._pair_rule(
-            other, lambda R: self._envelope(R) * other._envelope(R), RADIAL_NODES)
+        def density(R):     # a self-overlap evaluates the envelope once
+            env = self._envelope(R)
+            return env ** 2 if other is self else env * other._envelope(R)
+
+        [(radius, weights)] = self._pair_rule(other, density, (RADIAL_NODES,))
         return float(np.sum(weights * np.asarray(fn(radius))))
 
     def density_expectation(self, fn) -> float:
@@ -193,8 +213,8 @@ class HydrogenOrbital:
 
     def kinetic_energy(self) -> float:
         """<psi | -Laplacian | psi> by radial quadrature (s-wave form)."""
-        _, weights = self._pair_rule(self, lambda R: self._envelope_derivative(R) ** 2,
-                                     RADIAL_NODES)
+        [(_, weights)] = self._pair_rule(
+            self, lambda R: self._envelope_derivative(R) ** 2, (RADIAL_NODES,))
         return float(np.sum(weights))
 
 
@@ -351,25 +371,23 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     odd powers integrate to zero against the spherical density.  The r^-7
     remainder is bracketed from the in-support sixth moment (1/(1 + t)
     between 4/5 and 4/3 there).
-    The density is evaluated once per node count, on one rule split at r/4
+    One _pair_rule call builds the rules at RADIAL_NODES and twice that many
+    nodes, with one density evaluation over both.  Each rule is split at r/4
     and 2r (a cut beyond the support of a cut-off orbital is dropped, so a
     support ending by r/4 has tail_mass exactly 0).  Its radii ascend, so
     every window is a slice of it: the moments m2 and m4 take all nodes, m6
     and the Newton mass those below r/4 and 2r, the tail mass and the outer
     1/R sum those above.
-    Every piece is computed at RADIAL_NODES and twice that many nodes;
-    quad_error is their largest relative move, and QuadratureError is raised
-    beyond QUAD_TOL or on a NaN.  r must be positive, with r^-7 and r^7
-    normal floats (ValueError).
+    Every piece is computed on both rules; quad_error is their largest
+    relative move, and QuadratureError is raised beyond QUAD_TOL or on a NaN.
+    r must be positive, with r^-7 and r^7 normal floats (ValueError).
     """
     with np.errstate(all="ignore"):
         extremes = np.float64(r) ** np.array([-7.0, 7.0])    # r^+-3, r^+-5 lie between
     if not np.all((np.finfo(float).tiny <= extremes) & (extremes < np.inf)):
         raise ValueError(f"r must be positive with r^-7 ... r^7 in the floats, got {r}")
 
-    def pieces(n):
-        radius, weights = psi._pair_rule(psi, lambda R: psi._envelope(R) ** 2, n,
-                                         cuts=(r / 4.0, 2.0 * r))
+    def pieces(radius, weights):
         i, j = np.searchsorted(radius, (r / 4.0, 2.0 * r))
         m2 = weights @ radius ** 2 / 3.0
         m4 = weights @ radius ** 4 / 5.0
@@ -377,8 +395,9 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
         newton = weights[:j].sum() / r + 2.0 * (weights[j:] @ (1.0 / radius[j:]))
         return np.array([m2, m4, m6_in, weights[i:].sum(), newton])
 
-    base = pieces(RADIAL_NODES)
-    refined = pieces(2 * RADIAL_NODES)
+    rules = psi._pair_rule(psi, lambda R: psi._envelope(R) ** 2,
+                           (RADIAL_NODES, 2 * RADIAL_NODES), cuts=(r / 4.0, 2.0 * r))
+    base, refined = (pieces(*rule) for rule in rules)
     quad_error = float(np.max(np.abs(refined - base) / np.maximum(np.abs(refined), 1.0)))
     if not quad_error <= QUAD_TOL:
         raise QuadratureError(

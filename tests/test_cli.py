@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,17 @@ class TestEplate:
         code, out, err = run_cli(capsys, "eplate", "--n", "64", "--L", "inf")
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "domain length" in err
+
+    @pytest.mark.parametrize("L", ["1e308", "1e-310"])
+    def test_length_out_of_float_range_exits_3(self, capsys, L):
+        # 1e308: h ** 2 overflowed, a bare OverflowError escaped main;
+        # 1e-310: h ** 2 was 0, a divide-by-zero RuntimeWarning came first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "eplate", "--n", "64", "--L", L)
+        assert code == 3 and out == "" and caught == []
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: domain length {float(L)} ") and "normal floats" in err
 
     def test_back_solve_cap_exits_2(self, capsys, monkeypatch):
         # one back-solve cannot bring the 1D residual within 64 eps ||H||_inf

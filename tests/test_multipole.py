@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from vdwplate.multipole import (GridWaveFn, GroundBasis, HydrogenOrbital,
                                 mirror_energy_expectation, orientation_coefficient,
                                 cutoff_profile_derivative, smooth_step,
                                 smooth_step_derivative)
+from vdwplate.spectra import helium_variational_energy
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,7 @@ class TestMirrorEnergyExpectation:
 
     @pytest.mark.parametrize("cutoff_r", [13.7, 27.4, None], ids=["cut_r", "cut_2r", "plain"])
     def test_one_density_evaluation_per_node_count(self, monkeypatch, cutoff_r):
+        # both node counts share one density evaluation
         calls = []
         envelope = HydrogenOrbital._envelope
 
@@ -240,7 +243,7 @@ class TestMirrorEnergyExpectation:
         psi = HydrogenOrbital(cutoff_r=cutoff_r)
         monkeypatch.setattr(HydrogenOrbital, "_envelope", spy)
         mirror_energy_expectation(psi, 13.7)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("r", [math.inf, 1e300, 1e-300])
     def test_radius_out_of_range(self, r):
@@ -271,15 +274,94 @@ class TestMirrorEnergyExpectation:
         # a NaN move passed "quad_error > QUAD_TOL"
         rule = HydrogenOrbital._pair_rule
 
-        def nan_rule(self, other, density, n, cuts=()):
-            radius, weights = rule(self, other, density, n, cuts=cuts)
-            return radius, np.full_like(weights, np.nan)
+        def nan_rule(self, other, density, counts, cuts=()):
+            return [(radius, np.full_like(weights, np.nan))
+                    for radius, weights in rule(self, other, density, counts, cuts=cuts)]
 
         monkeypatch.setattr(HydrogenOrbital, "_pair_rule", nan_rule)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError, match="nan"):
                 mirror_energy_expectation(HydrogenOrbital(), 20.0)
+
+
+class TestPairRule:
+    """One _pair_rule call over several node counts against one call per count."""
+
+    R = 13.7
+    ORBITALS = {"plain": HydrogenOrbital(), "cut_r": HydrogenOrbital(cutoff_r=R),
+                "cut_2r": HydrogenOrbital(cutoff_r=2 * R), "z2": HydrogenOrbital(z=2.0),
+                "z2_cut_2r": HydrogenOrbital(z=2.0, cutoff_r=2 * R)}
+    PAIRS = [("plain", "plain"), ("cut_r", "cut_r"), ("cut_2r", "cut_2r"),
+             ("plain", "z2"), ("cut_r", "z2_cut_2r")]
+    # (1.0, 2.0) lies inside every support; (60.0, 90.0) beyond every cut-off
+    # support; (r/4, 2r) are the mirror expectation's cuts
+    CUTS = [(), (1.0, 2.0), (R / 4.0, 2.0 * R), (60.0, 90.0)]
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=["-".join(p) for p in PAIRS])
+    @pytest.mark.parametrize("cuts", CUTS, ids=["none", "inside", "mirror", "beyond"])
+    def test_each_count_bit_identical(self, pair, cuts):
+        a, b = (self.ORBITALS[k] for k in pair)
+        def density(R):
+            return a._envelope(R) * b._envelope(R)
+
+        counts = (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES, 37)
+        together = a._pair_rule(b, density, counts, cuts=cuts)
+        assert len(together) == len(counts)
+        for n, (radius, weights) in zip(counts, together):
+            [(alone_r, alone_w)] = a._pair_rule(b, density, (n,), cuts=cuts)
+            assert radius.tobytes() == alone_r.tobytes()
+            assert weights.tobytes() == alone_w.tobytes()
+            assert np.all(np.diff(radius) > 0) and not np.isin(cuts, radius).any()
+
+    # the rules and values built one count per call, before the counts were
+    # fused: sha256 over radius and weights at 200 and 400 nodes for each cut set
+    PINNED_RULES = {("plain", "plain"): "920b8f9651cd6f3c", ("cut_r", "cut_r"): "3938078575bc7aef",
+                    ("cut_2r", "cut_2r"): "12665d01260a59c4", ("plain", "z2"): "ca8727c39481e5a4",
+                    ("cut_r", "z2_cut_2r"): "063eced0558fe7a9"}
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=["-".join(p) for p in PAIRS])
+    def test_rules_pinned(self, pair):
+        a, b = (self.ORBITALS[k] for k in pair)
+        digest = hashlib.sha256()
+        for cuts in self.CUTS:
+            for radius, weights in a._pair_rule(
+                    b, lambda R: a._envelope(R) * b._envelope(R), (200, 400), cuts=cuts):
+                digest.update(radius.tobytes())
+                digest.update(weights.tobytes())
+        assert digest.hexdigest()[:16] == self.PINNED_RULES[pair]
+
+    PINNED_NORM_KINETIC = {
+        "plain": (1.0000000000000002, 0.2500000000000001),
+        "cut_r": (0.9999999999999999, 1.338735167467672),
+        "cut_2r": (1.0, 0.32457137327936497),
+        "z2": (1.0000000000000004, 1.0000000000000009),
+        "z2_cut_2r": (0.9999999999999999, 1.0017156446841198),
+    }
+    PINNED_OVERLAP = {("plain", "z2"): 0.8380524814062791,
+                      ("cut_r", "z2_cut_2r"): 0.9231226481210852,
+                      ("plain", "z2_cut_2r"): 0.8338314857538832}
+
+    def test_integrals_pinned(self):
+        orb = self.ORBITALS
+        for name, (norm, kinetic) in self.PINNED_NORM_KINETIC.items():
+            assert (orb[name].norm(), orb[name].kinetic_energy()) == (norm, kinetic)
+        for (a, b), value in self.PINNED_OVERLAP.items():
+            assert orb[a].overlap(orb[b]) == value
+        assert dataclasses.astuple(helium_variational_energy()) == (
+            2.0000000000000018, -4.000000000000007, 0.6250000000000007)
+
+    def test_self_overlap_evaluates_the_bump_once(self, monkeypatch):
+        calls = []
+        envelope = HydrogenOrbital._envelope
+
+        def spy(self, radius):
+            calls.append(len(radius))
+            return envelope(self, radius)
+
+        monkeypatch.setattr(HydrogenOrbital, "_envelope", spy)
+        HydrogenOrbital(cutoff_r=self.R)
+        assert len(calls) == 1
 
 
 class TestOrientationCoefficient:
