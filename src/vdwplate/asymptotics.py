@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -111,8 +109,10 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     the count: in a forked child that restarts OpenBLAS's server threads,
     which spin for about 0.1 s each against the worker's factor.  So the
     pool forks wherever fork exists (Python 3.14 defaults to forkserver,
-    whose workers inherit no count).  A solve that fails to converge or to
-    factor marks its row as a gap instead of aborting the sweep.
+    whose workers inherit no count).  multiprocessing and the pool are
+    imported here, by the one path that uses them, not with the package.  A
+    solve that fails to converge or to factor marks its row as a gap
+    instead of aborting the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -123,6 +123,8 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     work = [(GridCyl.for_distance(r, spec), plate_m) for r in rs]
     workers = min(jobs, len(work))
     if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         context = (multiprocessing.get_context("fork")
                    if "fork" in multiprocessing.get_all_start_methods() else None)
         with _solve_settings(), ProcessPoolExecutor(workers, mp_context=context) as pool:

@@ -16,6 +16,7 @@ import contextlib
 import ctypes
 import functools
 import importlib
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -188,8 +189,12 @@ class SparseSymOp:
     bands, bands[k] = H[i, i + k] for k > 0, each mirrored to -k, so it is
     symmetric by construction; a non-finite entry, an offset <= 0 or a
     positive band entry raises ValueError.  set_diagonal keeps all that.
-    guess, when given, is a start vector for lowest_eigenpair with a nonzero
-    component along the lowest eigenvector.
+    The off-diagonal |row sums| are summed from the bands once, when built;
+    norm_estimate adds them to the diagonal's, and set_diagonal reuses them.
+    A tridiagonal operator (one band, at offset 1) keeps copies of its two
+    arrays as tridiagonal, the input of dpttrf (_tridiagonal_factor); other
+    operators keep None there.  guess, when given, is a start vector for
+    lowest_eigenpair with a nonzero component along the lowest eigenvector.
     """
 
     def __init__(self, diagonal: np.ndarray, bands: dict, guess: np.ndarray | None = None):
@@ -202,18 +207,34 @@ class SparseSymOp:
         ks = sorted([0, *bands, *(-k for k in bands)])
         self.matrix = sp.diags([bands[abs(k)] if k else diagonal for k in ks], ks, format="csr")
         self.guess = guess
+        n = self.dim
+        self._off_sums = np.zeros(n)
+        for k, band in bands.items():     # H[i, i + k] and its mirror H[i + k, i]
+            self._off_sums[:n - k] += np.abs(band)
+            self._off_sums[k:] += np.abs(band)
+        self.tridiagonal = None
+        if set(bands) == {1}:
+            self.tridiagonal = (np.array(diagonal, dtype=float), np.array(bands[1], dtype=float))
+        self._norm = self._row_sum_max(diagonal)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def _row_sum_max(self, d) -> float:
+        return float(np.max(np.abs(d) + self._off_sums))
+
     def set_diagonal(self, d: np.ndarray) -> None:
         """Write d over the matrix's diagonal in place, on its own indptr and
-        indices.  Symmetry and the Z sign pattern live in the bands, checked
-        when built, so only d's finiteness is checked."""
+        indices, and over tridiagonal's diagonal.  Symmetry and the Z sign
+        pattern live in the bands, checked when built, so only d's finiteness
+        is checked; the off-diagonal row sums are reused for the norm."""
         if not np.all(np.isfinite(d)):
             raise ValueError("operator entries must be finite")
         self.matrix.setdiag(d)
+        if self.tridiagonal is not None:
+            self.tridiagonal = (np.array(d, dtype=float), self.tridiagonal[1])
+        self._norm = self._row_sum_max(d)
 
     def abs_matrix(self) -> sp.csr_matrix:
         """|H| on H's own indptr and indices: only the values are new."""
@@ -221,8 +242,12 @@ class SparseSymOp:
         return sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape)
 
     def norm_estimate(self) -> float:
-        """Row-sum (infinity norm) bound on ||H||."""
-        return float(self.abs_matrix().sum(axis=1).max())
+        """Row-sum (infinity norm) bound on ||H||: max_i |H_ii| + the
+        off-diagonal |row sum| of row i, computed when the diagonal was last
+        written (when built, or by set_diagonal).  It sums in another order
+        than abs_matrix().sum(axis=1), so the two agree to a few ulp, not
+        always to the bit."""
+        return self._norm
 
 
 def assemble_1d_operator(grid: Grid1D, potential: np.ndarray | None = None) -> SparseSymOp:
@@ -485,10 +510,10 @@ def _factor(matrix, sigma: float, precision) -> _Factor:
     return _Factor(lu, precision)
 
 
-def _single_factor(matrix, sigma: float) -> _Factor | None:
+def _single_factor(op: SparseSymOp, sigma: float) -> _Factor | None:
     """float32 _factor of H - sigma, or None where SuperLU finds it exactly singular."""
     try:
-        return _factor(matrix, sigma, np.float32)
+        return _factor(op.matrix, sigma, np.float32)
     except RuntimeError:
         return None
 
@@ -496,7 +521,7 @@ def _single_factor(matrix, sigma: float) -> _Factor | None:
 def _certified_factor(op: SparseSymOp, sigma: float, factor_of, norm_est: float):
     """(factor, shift, factors tried): the shift search of both certified solves.
 
-    factor_of(op.matrix, sigma) is a factor of H - sigma with a probe, or None
+    factor_of(op, sigma) is a factor of H - sigma with a probe, or None
     where H - sigma has none (_single_factor, _tridiagonal_factor).  While it
     is None or _m_matrix_certified refuses it, sigma is lowered by a step that
     starts at |sigma| (1 at sigma = 0) and doubles: a negative shift doubles.
@@ -504,7 +529,7 @@ def _certified_factor(op: SparseSymOp, sigma: float, factor_of, norm_est: float)
     ||H||_inf, with no eigenvalue below it; InertiaError if that is refused.
     """
     floor, step, tried = -norm_est - 1.0, abs(sigma) or 1.0, 1
-    while (lu := factor_of(op.matrix, sigma)) is None or not _m_matrix_certified(op, sigma, lu):
+    while (lu := factor_of(op, sigma)) is None or not _m_matrix_certified(op, sigma, lu):
         if sigma <= floor:
             raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
         sigma, step, tried = max(sigma - step, floor), 2.0 * step, tried + 1
@@ -647,10 +672,29 @@ class _TridiagonalFactor:
         return dpttrs(self.d, self.e, rhs)[0]
 
 
-def _tridiagonal_factor(matrix, sigma: float) -> _TridiagonalFactor | None:
-    """_TridiagonalFactor of H - sigma, or None where a dpttrf pivot fails."""
-    d, e, info = dpttrf(matrix.diagonal() - sigma, matrix.diagonal(1))
+def _tridiagonal_factor(op: SparseSymOp, sigma: float) -> _TridiagonalFactor | None:
+    """_TridiagonalFactor of H - sigma, or None where a dpttrf pivot fails.
+    dpttrf takes op.tridiagonal, the arrays H was built from, not copies read
+    back out of the CSR matrix."""
+    diagonal, band = op.tridiagonal
+    d, e, info = dpttrf(diagonal - sigma, band)
     return _TridiagonalFactor(d, e) if info == 0 else None
+
+
+def _norm2(x: np.ndarray) -> float:
+    """||x||_2 as np.linalg.norm computes it, sqrt(x . x), where x . x is a
+    normal float.  Where it is not (an overflow to inf or an underflow to 0
+    or a subnormal), x is divided by max |x| first, so a vector of finite
+    entries keeps a finite norm with no RuntimeWarning; NaN stays NaN."""
+    with np.errstate(over="ignore", under="ignore"):
+        sq = float(x @ x)
+    if np.finfo(float).tiny <= sq < math.inf:
+        return math.sqrt(sq)
+    scale = float(np.max(np.abs(x)))
+    if not 0.0 < scale < math.inf:
+        return scale
+    y = x / scale
+    return scale * math.sqrt(float(y @ y))
 
 
 def _tridiagonal_ground(grid: Grid1D) -> EigResult:
@@ -662,7 +706,10 @@ def _tridiagonal_ground(grid: Grid1D) -> EigResult:
     residual <= 64 eps ||H||_inf, or raises after DAVIDSON_MAX_SOLVES
     back-solves.  Davidson is kept for the 2D solves only: at n = 65536,
     L = 400 it takes 14.7 ms on the same dpttrf factor, inverse iteration
-    6.9 ms (median of 7, 2-core x86_64).  Runs on one BLAS thread.
+    6.9 ms (median of 7, 2-core x86_64).  Runs on one BLAS thread.  Norms
+    are taken by _norm2: for L near Grid1D's lower limit the iterates hold
+    entries near h^2 and the residuals near 1/h^2, whose squares leave the
+    floats.
     """
     op = assemble_1d_electron_plate(grid)
     h, norm_est = op.matrix, op.norm_estimate()
@@ -671,10 +718,10 @@ def _tridiagonal_ground(grid: Grid1D) -> EigResult:
         lu, sigma, tried = _certified_factor(op, ELECTRON_PLATE_SHIFT, _tridiagonal_factor, norm_est)
         x, solves = lu.probe, 0
         while True:
-            x = x / np.linalg.norm(x)
+            x = x / _norm2(x)
             hx = h @ x
             lam = float(x @ hx)
-            residual = float(np.linalg.norm(hx - lam * x))
+            residual = _norm2(hx - lam * x)
             if residual <= bound:
                 return EigResult(value=lam, vector=x, iterations=solves, residual=residual,
                                  shift=sigma, factor_nnz=lu.nnz,

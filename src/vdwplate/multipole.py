@@ -14,7 +14,7 @@ the density, and each equals the rule built for its count alone bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -27,6 +27,9 @@ ANGULAR_NODES = 64
 NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
 QUAD_TOL = 1e-9     # largest relative move of a quadrature under node doubling
+# The radii r of mirror_energy_expectation: the r > 0 whose r^-7 and r^7 are
+# normal floats under float64 pow, tiny^(1/7) and tiny^(-1/7) rounded inward.
+R_MIN, R_MAX = 1.1210387714598537e-44, 8.92029807941225e+43
 
 # Both Gauss rules come from Golub-Welsch: the nodes are the eigenvalues of
 # the Jacobi matrix of the weight, the weights mu_0 times the squared first
@@ -50,16 +53,32 @@ def angular_legendre_rule(n: int = ANGULAR_NODES):
     return nodes, 2.0 * vecs[0, :] ** 2
 
 
+@lru_cache(maxsize=None)
+def _joined_rules(counts: tuple):
+    """The Legendre and the Laguerre rule of every count in counts, each
+    joined side by side in the order of counts: (Legendre nodes, Legendre
+    weights, Laguerre nodes, Laguerre weights), read-only.  Built once per
+    tuple, so a _pair_rule call joins nothing."""
+    tables = [np.concatenate(part) for rule in (angular_legendre_rule, radial_laguerre_rule)
+              for part in zip(*(rule(n) for n in counts))]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
 # ---------------------------------------------------------------------------
 # Smooth cutoffs
 # ---------------------------------------------------------------------------
 
 def smooth_step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, strictly monotone between."""
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, strictly monotone between.
+
+    f = e^{-1/t} with t raised to at least 1e-300 is exactly 0 for t <= 0,
+    as e^{-1e300} underflows to 0; g = e^{-1/(1-t)} likewise for t >= 1.
+    """
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = np.where(t > 0.0, np.exp(-1.0 / np.clip(t, 1e-300, None)), 0.0)
-        g = np.where(t < 1.0, np.exp(-1.0 / np.clip(1.0 - t, 1e-300, None)), 0.0)
+    f = np.exp(-1.0 / np.maximum(t, 1e-300))
+    g = np.exp(-1.0 / np.maximum(1.0 - t, 1e-300))
     return f / (f + g)
 
 
@@ -119,11 +138,16 @@ class HydrogenOrbital:
     # radial profile ---------------------------------------------------------
 
     def _envelope(self, radius):
-        """Profile with the exponential stripped: psi(R) * e^{+zR/2}."""
+        """Profile with the exponential stripped: psi(R) * e^{+zR/2}.
+
+        The bump is evaluated only at radii above cutoff_r/5: below, it is
+        exactly 1.0, so the product is the same to the bit.
+        """
         radius = np.asarray(radius, dtype=float)
-        env = np.full_like(radius, self._norm * self._amp)
+        env = np.full(radius.shape, self._norm * self._amp)
         if self.cutoff_r is not None:
-            env = env * cutoff_profile(radius, self.cutoff_r)
+            above = radius > self.cutoff_r / 5.0
+            env[above] *= cutoff_profile(radius[above], self.cutoff_r)
         return env
 
     def _envelope_derivative(self, radius):
@@ -161,6 +185,8 @@ class HydrogenOrbital:
         piece p's nodes for every count side by side, and the last row of an
         uncut pair holds the Laguerre tails, so np.exp and density are each
         called once.  A count's pair is its column block, read row by row.
+        The nodes and weights of all counts, joined side by side, come from
+        _joined_rules, built once per tuple of counts.
         Each element takes the same arithmetic as in a rule built for its
         count alone, so every pair is bit-identical to the call with that
         count only.
@@ -169,19 +195,19 @@ class HydrogenOrbital:
         cutoffs = [orb.cutoff_r for orb in (self, other) if orb.cutoff_r is not None]
         end = min((c / 4.0 for c in cutoffs), default=np.inf)
         splits = {c / 5.0 for c in cutoffs} | set(cuts)
-        edges = [0.0, *sorted(b for b in splits if b < end), end]
+        edges = np.array([0.0, *sorted(b for b in splits if b < end), end])
         # half-width and midpoint of each piece.  The tail's row starts as a
         # zero-width piece at the tail's start, so its e^{-sR} is e^{-s start}.
-        half, mid = np.array([(0.5 * (b - a), 0.5 * (b + a)) if b < np.inf else (0.0, a)
-                              for a, b in zip(edges, edges[1:])]).T[:, :, None]
-        legendre = [angular_legendre_rule(n) for n in counts]
-        radius = half * np.concatenate([c for c, _ in legendre]) + mid
-        decay = np.exp(-s * radius)
-        weights = half * np.concatenate([w for _, w in legendre]) * 4.0 * np.pi * decay
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
         if end == np.inf:
-            laguerre = [radial_laguerre_rule(n) for n in counts]
-            radius[-1] = edges[-2] + np.concatenate([t for t, _ in laguerre]) / s
-            weights[-1] = np.concatenate([w for _, w in laguerre]) * (4.0 * np.pi * decay[-1, 0] / s)
+            half[-1], mid[-1] = 0.0, edges[-2]
+        legendre_t, legendre_w, laguerre_t, laguerre_w = _joined_rules(counts)
+        radius = half[:, None] * legendre_t + mid[:, None]
+        decay = np.exp(-s * radius)
+        weights = half[:, None] * legendre_w * 4.0 * np.pi * decay
+        if end == np.inf:
+            radius[-1] = edges[-2] + laguerre_t / s
+            weights[-1] = laguerre_w * (4.0 * np.pi * decay[-1, 0] / s)
         weights = weights * density(radius) * radius ** 2
         return [(radius[:, b - n:b].ravel(), weights[:, b - n:b].ravel())
                 for n, b in zip(counts, accumulate(counts))]
@@ -310,7 +336,11 @@ class ProductState:
 
 @dataclass(frozen=True)
 class GroundBasis:
-    """Orthonormal wavefunctions spanning a ground-state eigenspace."""
+    """Orthonormal wavefunctions spanning a ground-state eigenspace.
+
+    second_moments is computed on first use and kept, as it does not depend
+    on the direction v of orientation_coefficient.
+    """
 
     functions: tuple
 
@@ -324,6 +354,19 @@ class GroundBasis:
         dev = float(np.max(np.abs(gram - np.eye(n))))
         if dev > ORTHONORMAL_TOL:
             raise ValueError(f"basis not orthonormal: max |G - I| = {dev:.3e}")
+
+    @cached_property
+    def second_moments(self) -> np.ndarray:
+        """T[a, b] = <psi_a | (sum x_i)(sum x_i)^T | psi_b> for a <= b, shape
+        (n, n, 3, 3) and read-only; the entries below the diagonal are 0."""
+        fns = self.functions
+        n = len(fns)
+        t = np.zeros((n, n, 3, 3))
+        for a in range(n):
+            for b in range(a, n):
+                t[a, b] = fns[a].moment2(fns[b])
+        t.flags.writeable = False
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +420,23 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     support ending by r/4 has tail_mass exactly 0).  Its radii ascend, so
     every window is a slice of it: the moments m2 and m4 take all nodes, m6
     and the Newton mass those below r/4 and 2r, the tail mass and the outer
-    1/R sum those above.
+    1/R sum those above.  R^4 and R^6 come from one R^2 ladder, R^2 R^2 and
+    R^4 R^2, not from pow.
     Every piece is computed on both rules; quad_error is their largest
     relative move, and QuadratureError is raised beyond QUAD_TOL or on a NaN.
-    r must be positive, with r^-7 and r^7 normal floats (ValueError).
+    r must be positive, with r^-7 and r^7 normal floats: R_MIN <= r <= R_MAX,
+    a scalar test (ValueError otherwise, NaN included).
     """
-    with np.errstate(all="ignore"):
-        extremes = np.float64(r) ** np.array([-7.0, 7.0])    # r^+-3, r^+-5 lie between
-    if not np.all((np.finfo(float).tiny <= extremes) & (extremes < np.inf)):
+    if not R_MIN <= r <= R_MAX:     # r^+-3, r^+-5 lie between r^-7 and r^7
         raise ValueError(f"r must be positive with r^-7 ... r^7 in the floats, got {r}")
 
     def pieces(radius, weights):
         i, j = np.searchsorted(radius, (r / 4.0, 2.0 * r))
-        m2 = weights @ radius ** 2 / 3.0
-        m4 = weights @ radius ** 4 / 5.0
-        m6_in = weights[:i] @ radius[:i] ** 6 / 7.0
+        r2 = radius * radius
+        r4 = r2 * r2
+        m2 = weights @ r2 / 3.0
+        m4 = weights @ r4 / 5.0
+        m6_in = weights[:i] @ (r4[:i] * r2[:i]) / 7.0
         newton = weights[:j].sum() / r + 2.0 * (weights[j:] @ (1.0 / radius[j:]))
         return np.array([m2, m4, m6_in, weights[i:].sum(), newton])
 
@@ -403,17 +448,16 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
         raise QuadratureError(
             f"radial quadrature not converged: doubling nodes moved results by {quad_error:.3e}"
         )
-    m2, m4, m6_in, tail, newton = refined
-    value = -m * (m2 / (4.0 * r ** 3) + m4 / (4.0 * r ** 5))
+    m2, m4, m6_in, tail, newton = refined.tolist()
     return MirrorEnergyExpectation(
-        value=float(value),
-        newton_term=float(newton),
+        value=float(-m * (m2 / (4.0 * r ** 3) + m4 / (4.0 * r ** 5))),
+        newton_term=newton,
         remainder_lo=float(-m * m6_in / (3.0 * r ** 7)),
         remainder_hi=float(-m * m6_in / (5.0 * r ** 7)),
-        tail_mass=float(tail),
-        moment_x1_sq=float(m2),
-        moment_x1_4=float(m4),
-        moment_x1_6=float(m6_in),
+        tail_mass=tail,
+        moment_x1_sq=m2,
+        moment_x1_4=m4,
+        moment_x1_6=m6_in,
         quad_error=quad_error,
     )
 
@@ -422,16 +466,17 @@ def orientation_coefficient(basis: GroundBasis, v) -> float:
     """Largest eigenvalue of O_v = ((sum x_i . v)^2 + |sum x_i|^2)/16 on the basis.
 
     Entry (a, b) is (v.T.v + tr T)/16 for the second-moment matrix
-    T = <psi_a | (sum x_i)(sum x_i)^T | psi_b>.  For the hydrogen ground
-    state the coefficient equals 1 for every direction.
+    T = <psi_a | (sum x_i)(sum x_i)^T | psi_b>, basis.second_moments[a, b],
+    whose quadratures run once per basis, not once per direction.  For the
+    hydrogen ground state the coefficient equals 1 for every direction.
     """
     v = unit_vector(v)
-    fns = basis.functions
-    n = len(fns)
+    moments = basis.second_moments
+    n = len(moments)
     mat = np.empty((n, n))
     for a in range(n):
         for b in range(a, n):
-            t = fns[a].moment2(fns[b])
+            t = moments[a, b]
             mat[a, b] = mat[b, a] = (float(v @ t @ v) + float(np.trace(t))) / 16.0
     top = float(np.linalg.eigvalsh(mat)[-1])
     if top <= 0:

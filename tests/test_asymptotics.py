@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -159,7 +160,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
     def test_pool_no_larger_than_rows(self, monkeypatch):
@@ -194,7 +195,7 @@ class TestSweep:
                 threads.append(blas_threads())
                 raise OSError(11, "Resource temporarily unavailable")
 
-            monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", refused)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
             with pytest.raises(OSError):
                 sweep_interaction_energy([5.0, 7.0], spec=spec, jobs=2)
             assert threads == [[1] * len(controls)] * 2

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -462,7 +463,7 @@ class TestSweepAndFit:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_r_below_half_h_exits_3_before_any_solve(self, capsys, monkeypatch, jobs):
         calls = []
-        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *args, **kwargs: calls.append("pool"))
         monkeypatch.setattr(asymptotics, "lowest_eigenpair",
                             lambda *args, **kwargs: calls.append("solve"))
@@ -484,9 +485,11 @@ class TestSweepAndFit:
 
 def test_cli_import_skips_special_and_optimize():
     # every CLI call pays the import; scipy.special and scipy.optimize are
-    # loaded only by the code that needs them
+    # loaded only by the code that needs them, multiprocessing and the
+    # process pool only by a sweep with jobs > 1
     probe = ("import sys, vdwplate.cli; "
-             "print(sorted({'scipy.special', 'scipy.optimize'} & set(sys.modules)))")
+             "print(sorted({'scipy.special', 'scipy.optimize', 'multiprocessing', "
+             "'concurrent.futures.process'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -585,7 +588,7 @@ class TestPlumbing:
         def refused(*args, **kwargs):
             raise OSError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: [Errno ")

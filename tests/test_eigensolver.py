@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,53 @@ class TestTridiagonalGround:
     def test_no_bisection_import(self):
         assert not hasattr(eigensolver, "eigh_tridiagonal")
 
+    def test_factor_from_construction_arrays(self, monkeypatch):
+        # dpttrf takes the arrays the operator was built from, not the
+        # diagonals read back out of the CSR matrix, and factors the same
+        op = assemble_1d_electron_plate(Grid1D(512, 120.0))
+        sigma = eigensolver.ELECTRON_PLATE_SHIFT
+        d, e, _ = eigensolver.dpttrf(op.matrix.diagonal() - sigma, op.matrix.diagonal(1))
+
+        def refused(*args):
+            raise AssertionError("a diagonal was read back out of the CSR matrix")
+
+        monkeypatch.setattr(op.matrix, "diagonal", refused)
+        lu = eigensolver._tridiagonal_factor(op, sigma)
+        assert lu.d.tobytes() == d.tobytes() and lu.e.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("n, L", [(32, 6e-153), (32, 1e-100), (64, 1e-120),
+                                      (4096, 1e-78), (32, 1e-77)])
+    def test_tiny_length_stays_in_the_floats(self, n, L):
+        # iterates near h^2 and residuals near 1/h^2 square out of the
+        # floats: the norms rescale instead of warning and dividing by 0.
+        # The kinetic term dominates, so E is the lowest eigenvalue of the
+        # discrete Laplacian to about L relative, up to the rounding of a
+        # Rayleigh quotient, eps ||H||_inf
+        grid = Grid1D(n, L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = eigensolver._tridiagonal_ground(grid)
+            electron_plate_ground(n, L)
+        laplacian = (2.0 - 2.0 * np.cos(np.pi / (n + 1))) / grid.h ** 2
+        norm = assemble_1d_electron_plate(grid).norm_estimate()
+        assert abs(res.value - laplacian) <= 64.0 * np.finfo(float).eps * norm
+        assert res.residual <= 64.0 * np.finfo(float).eps * norm
+        assert res.iterations < 100
+
+    def test_norm2(self, rng):
+        # np.linalg.norm's value to the bit where x . x is a normal float;
+        # otherwise finite and within a few ulp of the scaled norm
+        norm2 = eigensolver._norm2
+        for x in (rng.standard_normal(1000), rng.random(7), np.array([3.0, 4.0])):
+            assert norm2(x) == np.linalg.norm(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-200, 1e-310, 1e200, 1e307):
+                x = scale * np.array([3.0, 4.0, 0.0])
+                assert norm2(x) == pytest.approx(5.0 * scale, rel=4 * np.finfo(float).eps)
+            assert norm2(np.zeros(5)) == 0.0
+            assert np.isnan(norm2(np.array([1.0, np.nan])))
+
 
 class TestSparseSymOp:
     def test_mirrors_the_upper_bands(self, rng):
@@ -255,6 +303,57 @@ class TestSparseSymOp:
         v = np.random.default_rng(0).random(op.dim)
         assert np.array_equal(a @ v, abs(op.matrix) @ v)
         assert op.norm_estimate() == float(abs(op.matrix).sum(axis=1).max())
+
+    @staticmethod
+    def _operators():
+        """(name, operator, a second diagonal) on the 1D grids and on the
+        production and ladder grids at r = 10 and 24."""
+        for n, L in [(32, 40.0), (1024, 400.0), (65536, 400.0), (1000, 1e-3)]:
+            grid = Grid1D(n, L)
+            yield f"1d-{n}-{L}", assemble_1d_electron_plate(grid), \
+                assemble_1d_operator(grid).matrix.diagonal()
+        for name, spec in [("production", GridCylSpec()), ("ladder", GridCylSpec(0.2, 20.0, 20.0))]:
+            for r in (10.0, 24.0):
+                op, (free,) = assemble_hydrogen_plate(GridCyl.for_distance(r, spec), (1.0, 0.0))
+                yield f"{name}-{r}", op, free
+
+    def test_norm_estimate_within_two_ulp(self):
+        # max_i |H_ii| + off_i sums in another order than scipy's row sums
+        # of |H|; both before and after set_diagonal they agree to 2 ulp
+        for name, op, other in self._operators():
+            for diagonal in (None, other):
+                if diagonal is not None:
+                    op.set_diagonal(diagonal)
+                want = float(op.abs_matrix().sum(axis=1).max())
+                assert abs(op.norm_estimate() - want) <= 2.0 * np.spacing(want), name
+
+    def test_norm_estimate_builds_no_abs_matrix(self, monkeypatch, coarse_spec):
+        # the off-diagonal row sums are kept from the bands, so neither the
+        # norm nor a new diagonal copies |H|
+        def refused(self):
+            raise AssertionError("norm_estimate built |H|")
+
+        op, (free,) = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0, 0.0))
+        plate = float(abs(op.matrix).sum(axis=1).max())
+        monkeypatch.setattr(SparseSymOp, "abs_matrix", refused)
+        assert abs(op.norm_estimate() - plate) <= 2.0 * np.spacing(plate)
+        op.set_diagonal(free)
+        op.norm_estimate()
+
+    def test_tridiagonal_keeps_its_arrays(self):
+        # a one-band operator keeps copies of its two arrays, and set_diagonal
+        # writes there too; an operator with other bands keeps None
+        grid = Grid1D(64, 40.0)
+        diagonal, band = np.full(64, 2.0), np.full(63, -1.0)
+        op = SparseSymOp(diagonal, {1: band})
+        diagonal[0] = band[0] = 7.0
+        kept_d, kept_e = op.tridiagonal
+        assert np.array_equal(kept_d, np.full(64, 2.0)) and np.array_equal(kept_e, np.full(63, -1.0))
+        free = assemble_1d_operator(grid).matrix.diagonal()
+        op.set_diagonal(free)
+        assert op.tridiagonal[0].tobytes() == free.tobytes() and op.tridiagonal[1] is kept_e
+        assert SparseSymOp(np.ones(6), {1: -np.ones(5), 3: -np.ones(3)}).tridiagonal is None
+        assert SparseSymOp(np.ones(6), {2: -np.ones(4)}).tridiagonal is None
 
 
 class TestLowestEigenpair:

@@ -77,6 +77,28 @@ class TestSmoothStep:
             scalars = [smooth_step_derivative(x) for x in t]
         assert np.all(d == 0.0) and all(x == 0.0 for x in scalars)
 
+    def test_step_bit_identical_to_masked_form(self):
+        # e^{-1/max(t, 1e-300)} is exactly 0 for t <= 0, so the step needs no
+        # np.where masks: the values equal the masked form's to the bit, with
+        # no warning at the edges
+        def masked(t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                f = np.where(t > 0.0, np.exp(-1.0 / np.clip(t, 1e-300, None)), 0.0)
+                g = np.where(t < 1.0, np.exp(-1.0 / np.clip(1.0 - t, 1e-300, None)), 0.0)
+            return f / (f + g)
+
+        edges = [0.0, -0.0, 1.0, 1e-300, 1e-320, 5e-324, -5e-324, 1.0 - 1e-16, 1.0 + 1e-16,
+                 1.0 / 746.0, 1.0 / 745.0, np.inf, -np.inf, 1e300, -1e300]
+        t = np.concatenate([edges, np.linspace(-0.5, 1.5, 20001),
+                            np.linspace(-1e-3, 1e-3, 2001), np.linspace(1.0 - 1e-3, 1.0 + 1e-3, 2001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth_step(t)
+            scalars = [smooth_step(x) for x in edges]
+        assert got.tobytes() == masked(t).tobytes()
+        assert scalars == [masked(x) for x in edges]
+
     def test_cutoff_derivative(self):
         # the bump drops from 1 to 0 across [r/5, r/4] and is flat elsewhere
         r = 40.0
@@ -199,10 +221,23 @@ class TestMirrorEnergyExpectation:
         with pytest.raises(QuadratureError):
             mirror_energy_expectation(rough, 20.0)
 
-    # every field at r = 13.7.  PINNED_WINDOWS is the oracle of a rule per
-    # window ([0, inf), [0, r/4], [r/4, inf), [2r, inf)) for the supports that
-    # pass r/4; cutoff_r = r drops both cuts and matches it to the bit
+    # every field at r = 13.7, with R^4 and R^6 taken from one R^2 ladder.
+    # PINNED_POWERS holds the fields of R ** 4 and R ** 6, which the ladder
+    # moves by at most 6e-16 relative.  PINNED_WINDOWS is the oracle of a rule
+    # per window ([0, inf), [0, r/4], [r/4, inf), [2r, inf)) for the supports
+    # that pass r/4; cutoff_r = r drops both cuts and matches it to the bit
     PINNED = {
+        13.7: (-0.00012816575758692575, 0.072992700729927, -7.319595531912326e-08,
+               -4.391757319147395e-08, 0.0, 1.2953499757190905, 4.295782156598567,
+               19.890802636007326, 1.7141668976507078e-16),
+        27.4: (-0.00031359026522024516, 0.07299270072992703, -9.78255587748591e-08,
+               -5.869533526491546e-08, 0.291830373777152, 3.0622479065747576,
+               30.62296931326452, 26.583830675675156, 0.0),
+        None: (-0.00042619695486278134, 0.07299270072857518, -9.187014148794145e-08,
+               -5.512208489276487e-08, 0.3349422730281833, 4.000000000000003,
+               72.00000000000011, 24.965462155820664, 2.7755575615628914e-16),
+    }
+    PINNED_POWERS = {
         13.7: (-0.00012816575758692575, 0.072992700729927, -7.319595531912326e-08,
                -4.391757319147395e-08, 0.0, 1.2953499757190905, 4.295782156598568,
                19.890802636007326, 2.067559264698356e-16),
@@ -226,6 +261,8 @@ class TestMirrorEnergyExpectation:
     def test_bitwise_pinned(self, cutoff_r):
         e = mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), 13.7)
         assert dataclasses.astuple(e) == self.PINNED[cutoff_r]
+        powers = self.PINNED_POWERS[cutoff_r][:-1]  # every field but quad_error
+        assert dataclasses.astuple(e)[:-1] == pytest.approx(powers, rel=1e-15, abs=0.0)
         if cutoff_r in self.PINNED_WINDOWS:     # every field but quad_error
             old = self.PINNED_WINDOWS[cutoff_r][:-1]
             assert dataclasses.astuple(e)[:-1] == pytest.approx(old, rel=1e-13, abs=0.0)
@@ -253,6 +290,65 @@ class TestMirrorEnergyExpectation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="r must be positive"):
                 mirror_energy_expectation(HydrogenOrbital(), r)
+
+    def test_range_test_matches_the_power_test(self):
+        # the scalar test R_MIN <= r <= R_MAX accepts exactly the r whose
+        # r^-7 and r^7 float64 pow makes normal, the test it replaced
+        def power_test(r):
+            with np.errstate(all="ignore"):
+                extremes = np.float64(r) ** np.array([-7.0, 7.0])
+            return bool(np.all((np.finfo(float).tiny <= extremes) & (extremes < np.inf)))
+
+        def accepted(r):
+            try:
+                mirror_energy_expectation(psi, r)
+            except ValueError as exc:
+                assert "r must be positive" in str(exc)
+                return False
+            return True
+
+        psi = HydrogenOrbital()
+        ends = [multipole.R_MIN, multipole.R_MAX]
+        neighbours = [float(np.nextafter(end, side)) for end in ends for side in (0.0, np.inf)]
+        cases = [0.0, -0.0, -1.0, -multipole.R_MIN, -13.7, math.nan, math.inf, -math.inf,
+                 1.0, 13.7, *ends, *neighbours]
+        for r in cases:
+            assert accepted(r) == power_test(r), r
+        assert [power_test(r) for r in neighbours] == [False, True, True, False]
+
+    def test_bump_evaluated_above_its_inner_edge(self, monkeypatch):
+        # below cutoff_r/5 the bump is exactly 1, so no node there reaches it
+        seen = []
+        profile = multipole.cutoff_profile
+
+        def spy(radius, r):
+            seen.append((np.asarray(radius).copy(), r))
+            return profile(radius, r)
+
+        monkeypatch.setattr(multipole, "cutoff_profile", spy)
+        for r in (8.0, 13.7, 40.0):
+            mirror_energy_expectation(HydrogenOrbital(cutoff_r=r), r)
+            mirror_energy_expectation(HydrogenOrbital(cutoff_r=2.0 * r), r)
+        assert len(seen) == 12
+        assert all(radius.size and np.all(radius > cutoff_r / 5.0) for radius, cutoff_r in seen)
+
+    def test_joined_rules_built_once_per_count_tuple(self, monkeypatch):
+        # a call joins no table: each count tuple's joined Legendre and
+        # Laguerre rules are built once and kept read-only
+        counts = (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES)
+        mirror_energy_expectation(HydrogenOrbital(cutoff_r=20.0), 20.0)
+        tables = multipole._joined_rules(counts)
+        assert multipole._joined_rules(counts) is tables
+        for table, rule, part in zip(tables, [multipole.angular_legendre_rule] * 2
+                                     + [multipole.radial_laguerre_rule] * 2, [0, 1, 0, 1]):
+            assert not table.flags.writeable
+            assert table.tobytes() == np.concatenate([rule(n)[part] for n in counts]).tobytes()
+        joins = []
+        concatenate = np.concatenate
+        monkeypatch.setattr(np, "concatenate", lambda *a, **k: joins.append(1) or concatenate(*a, **k))
+        mirror_energy_expectation(HydrogenOrbital(cutoff_r=20.0), 20.0)
+        mirror_energy_expectation(HydrogenOrbital(), 20.0)
+        assert joins == []
 
     def test_infinite_cutoff_rejected(self):
         # its norm was NaN
@@ -404,6 +500,28 @@ class TestOrientationCoefficient:
             vals = (coeffs[0] + coeffs[1] * pts[:, 2] + coeffs[2] * pts[:, 0]) * np.exp(-radius)
             fn = GridWaveFn.from_samples(pts, wts, vals)
             assert orientation_coefficient(GroundBasis((fn,)), [0.0, 0.0, 1.0]) > 0.0
+
+    def test_moments_once_per_basis(self, monkeypatch, rng):
+        # T does not depend on v: 32 directions make one moment quadrature
+        # per basis, and each C(v) equals the one computed from a fresh T
+        calls = []
+        for cls in (HydrogenOrbital, ProductState):
+            def spy(self, other, moment2=cls.moment2):
+                calls.append(type(self).__name__)
+                return moment2(self, other)
+            monkeypatch.setattr(cls, "moment2", spy)
+        hydrogen = GroundBasis((HydrogenOrbital(),))
+        helium = GroundBasis((ProductState((HydrogenOrbital(z=2.0), HydrogenOrbital(z=2.0))),))
+        directions = random_unit_vectors(rng, 32)
+        for basis, made in ((hydrogen, ["HydrogenOrbital"]),
+                            (helium, ["ProductState", "HydrogenOrbital", "HydrogenOrbital"])):
+            calls.clear()
+            values = [orientation_coefficient(basis, v) for v in directions]
+            assert calls == made
+            fn = basis.functions[0]
+            t = fn.moment2(fn)
+            assert values == [(float(v @ t @ v) + float(np.trace(t))) / 16.0 for v in directions]
+            assert not basis.second_moments.flags.writeable
 
     def test_non_orthonormal_rejected(self):
         orb = HydrogenOrbital()
