@@ -6,16 +6,21 @@ HydrogenOrbital._pair_rule.  The unbounded tail of a density that decays
 exponentially uses Gauss-Laguerre nodes (the weight matches the density); the
 finite pieces of a rule, split at bump edges or window cuts, use
 Gauss-Legendre, so masked integrands stay smooth.  Node counts are fixed so
-repeated runs are bitwise reproducible.  Convergence is assessed by doubling:
-one call builds the rules of both counts together, with one evaluation of
-the density, and each equals the rule built for its count alone bit for bit.
+repeated runs are bitwise reproducible.  The finite pieces sit at fixed
+fractions of a length (r for the mirror expectation, cutoff_r for a lone
+cut-off orbital), so their nodes, weights, bumps and powers are tabulated in
+units of it, once per piece layout and tuple of counts; a call scales them.
+Convergence is assessed by doubling: one call builds the rules of both counts
+together, and each equals the rule built for its count alone bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -51,19 +56,6 @@ def angular_legendre_rule(n: int = ANGULAR_NODES):
     k = np.arange(1, n, dtype=float)
     nodes, vecs = eigh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k ** 2 - 1.0))
     return nodes, 2.0 * vecs[0, :] ** 2
-
-
-@lru_cache(maxsize=None)
-def _joined_rules(counts: tuple):
-    """The Legendre and the Laguerre rule of every count in counts, each
-    joined side by side in the order of counts: (Legendre nodes, Legendre
-    weights, Laguerre nodes, Laguerre weights), read-only.  Built once per
-    tuple, so a _pair_rule call joins nothing."""
-    tables = [np.concatenate(part) for rule in (angular_legendre_rule, radial_laguerre_rule)
-              for part in zip(*(rule(n) for n in counts))]
-    for table in tables:
-        table.flags.writeable = False
-    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +100,116 @@ def cutoff_profile_derivative(radius, r: float):
 
 
 # ---------------------------------------------------------------------------
+# Radial tables in units of a length
+# ---------------------------------------------------------------------------
+
+# The powers R^j of a rule's power sums: 1, R^2, R^4, R^6 and 1/R.
+_POWERS = np.array([0.0, 2.0, 4.0, 6.0, -1.0])
+
+
+class _PieceTable(NamedTuple):
+    """The rules of a piece layout for a tuple of node counts, in units of a
+    length L.  Row p holds the Gauss-Legendre nodes T of finite piece p for
+    every count side by side; laguerre holds the joined Gauss-Laguerre nodes
+    and weights of the tail, None when the support ends.  Read-only, shared
+    by every call with the same layout."""
+
+    edges: tuple            # piece p spans [edges[p], edges[p + 1]]; the tail starts at edges[-1]
+    ends: np.ndarray        # (pieces, 1) upper edges
+    nodes: np.ndarray       # (pieces, nodes) T
+    squares: np.ndarray     # T^2
+    base: np.ndarray        # half-width x Legendre weight x 4 pi
+    weights: np.ndarray     # base x the bumps of the pair's cut-off orbitals
+    powers: np.ndarray      # (pieces, nodes, 5 counts), see _piece_table
+    laguerre: tuple | None
+
+
+@lru_cache(maxsize=16)
+def _piece_table(edges: tuple, ratios: tuple, counts: tuple) -> _PieceTable:
+    """The table of a piece layout and a tuple of node counts.
+
+    ratios holds cutoff_r / L for each cut-off orbital of a pair, so a self
+    pair's bump enters squared; a pair with none has a tail.  A bump is
+    evaluated once per distinct ratio, and only above its inner edge
+    ratio/5: below, it is exactly 1.0.  powers[p, :, 5b:5b + 5] holds
+    (T/E)^j for j in _POWERS on the nodes of count b, 0 on the other nodes,
+    E = edges[p + 1] the piece's upper edge: the entries for j >= 0 lie in
+    [0, 1], and E/T is at most E over the piece's smallest node.  A call
+    scales piece p's power sums by (L E)^j, the powers of a radius, so a
+    power of T or of L alone never overflows (T^6 would beyond T = 2e51).
+    """
+    legendre_t, legendre_w = (np.concatenate(part) for part in
+                              zip(*(angular_legendre_rule(n) for n in counts)))
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes = half[:, None] * legendre_t + mid[:, None]
+    base = half[:, None] * legendre_w * (4.0 * np.pi)
+    bumps = np.ones_like(nodes)
+    for c in sorted(set(ratios)):
+        above = nodes > c / 5.0
+        bumps[above] *= cutoff_profile(nodes[above], c) ** ratios.count(c)
+    u = nodes / hi[:, None]
+    u2 = u * u
+    columns = np.stack([np.ones_like(u), u2, u2 * u2, u2 * u2 * u2, 1.0 / u], axis=-1)
+    powers = np.zeros((*nodes.shape, _POWERS.size * len(counts)))
+    for b, (n, stop) in enumerate(zip(counts, accumulate(counts))):
+        powers[:, stop - n:stop, _POWERS.size * b:_POWERS.size * (b + 1)] = \
+            columns[:, stop - n:stop]
+    laguerre = None if ratios else tuple(
+        np.concatenate(part) for part in zip(*(radial_laguerre_rule(n) for n in counts)))
+    table = _PieceTable(edges, hi[:, None], nodes, nodes * nodes, base, base * bumps, powers,
+                        laguerre)
+    for array in [*table[1:7], *(laguerre or ())]:
+        array.flags.writeable = False
+    return table
+
+
+class _RadialRule(NamedTuple):
+    """A pair's rule for every count of a _pair_rule call: the table's finite
+    pieces, in units of length, with this pair's weights, and the
+    Gauss-Laguerre tail of an uncut pair in radii."""
+
+    length: float
+    counts: tuple
+    table: _PieceTable
+    weights: np.ndarray             # weights of table.nodes
+    tail: tuple | None              # (radius, weights)
+
+    def parts(self):
+        """(radius, weights) of the finite pieces and of the tail, those present."""
+        if self.weights.size:
+            yield self.length * self.table.nodes, self.weights
+        if self.tail is not None:
+            yield self.tail
+
+    def integral(self, fn=None) -> float:
+        """sum(weights * fn(radius)) over the parts, or sum(weights) without
+        fn; for a call with one count."""
+        return float(sum(np.sum(weights if fn is None else weights * np.asarray(fn(radius)))
+                         for radius, weights in self.parts()))
+
+    def power_sums(self) -> np.ndarray:
+        """(counts, pieces, 5): for each count and piece, sum(weights * R^j)
+        for j in _POWERS; the tail, when present, is the last piece."""
+        table, k = self.table, len(self.counts)
+        scale = (self.length * table.ends) ** _POWERS
+        sums = (np.matmul(self.weights[:, None, :], table.powers).reshape(-1, k, _POWERS.size)
+                * scale[:, None, :]).swapaxes(0, 1)
+        if self.tail is None:
+            return sums
+        radius, weights = self.tail
+        rows = np.empty((_POWERS.size, radius.size))
+        rows[0] = weights
+        r2 = radius * radius
+        np.multiply(weights, r2, out=rows[1])
+        np.multiply(rows[1], r2, out=rows[2])
+        np.multiply(rows[2], r2, out=rows[3])
+        np.divide(weights, radius, out=rows[4])
+        tail = np.add.reduceat(rows, [*accumulate(self.counts[:-1], initial=0)], axis=1)
+        return np.concatenate([sums, tail.T[:, None, :]], axis=1)
+
+
+# ---------------------------------------------------------------------------
 # Wavefunctions
 # ---------------------------------------------------------------------------
 
@@ -115,6 +217,10 @@ class HydrogenOrbital:
     """Hydrogen-type s orbital: scale z gives z^{3/2} (8 pi)^{-1/2} e^{-z|x|/2},
     optionally multiplied by the smooth cutoff supported in |x| <= cutoff_r/4
     and renormalized.
+
+    The norm of a cut-off orbital takes its rule from the table of the pieces
+    [0, 1/5] and [1/5, 1/4] in units of cutoff_r, whose bump values are built
+    once for every cutoff_r; a call scales the table to its cutoff_r.
     """
 
     n_electrons = 1
@@ -129,11 +235,17 @@ class HydrogenOrbital:
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
         self._norm = 1.0
         if cutoff_r is not None:
-            with np.errstate(over="ignore", invalid="ignore"):     # R^2 overflows near 1e300
+            # cutoff_r^2 overflows above 1e154, times weights that are 0 there
+            with np.errstate(over="ignore", invalid="ignore"):
                 norm = self.norm()
-            if not 0 < norm < np.inf:   # 0 where no node sees e^{-R} > 0 (near 1e20)
+            if not 0 < norm < np.inf:   # 0 where no node sees e^{-R} > 0 (above 1e8)
                 raise ValueError(f"cutoff radius parameter {cutoff_r} gives the norm {norm}")
             self._norm /= norm
+
+    @property
+    def _scale(self) -> float:
+        """The envelope's constant factor, the value below cutoff_r/5."""
+        return self._norm * self._amp
 
     # radial profile ---------------------------------------------------------
 
@@ -144,7 +256,7 @@ class HydrogenOrbital:
         exactly 1.0, so the product is the same to the bit.
         """
         radius = np.asarray(radius, dtype=float)
-        env = np.full(radius.shape, self._norm * self._amp)
+        env = np.full(radius.shape, self._scale)
         if self.cutoff_r is not None:
             above = radius > self.cutoff_r / 5.0
             env[above] *= cutoff_profile(radius[above], self.cutoff_r)
@@ -153,7 +265,7 @@ class HydrogenOrbital:
     def _envelope_derivative(self, radius):
         """d/dR of psi(R) with the exponential stripped: (psi' e^{+zR/2})."""
         radius = np.asarray(radius, dtype=float)
-        base = np.full_like(radius, self._norm * self._amp)
+        base = np.full_like(radius, self._scale)
         if self.cutoff_r is None:
             return -0.5 * self.z * base
         h = cutoff_profile(radius, self.cutoff_r)
@@ -170,56 +282,56 @@ class HydrogenOrbital:
 
     # quadrature -------------------------------------------------------------
 
-    def _pair_rule(self, other: "HydrogenOrbital", density, counts, cuts=()):
-        """Radii and weights for 4 pi int_0^inf d(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2,
-        as one (radii, weights) pair per node count in the tuple counts.
+    def _pair_rule(self, other: "HydrogenOrbital", counts, length=None, cuts=(),
+                   density=None) -> _RadialRule:
+        """The rule of 4 pi int_0^inf d(R) e^{-sR} f(R) R^2 dR, s = (za+zb)/2,
+        for every node count in the tuple counts.
 
-        d(R) is the pair's density with the exponential stripped; the weights
-        carry d, e^{-sR}, 4 pi R^2 and the rule's weights, so the integral is
-        sum(weights * f(radii)).  [0, end of the joint support) is split at
-        the cutoff-bump edges and at each cut inside it: Gauss-Legendre on
-        every finite piece, and on the unbounded last piece of an uncut pair
-        Gauss-Laguerre shifted to its start (exact for polynomial f).  The
-        radii ascend, and no node lies on a cut.
-        All counts are built in one pass.  Row p of one node matrix holds
-        piece p's nodes for every count side by side, and the last row of an
-        uncut pair holds the Laguerre tails, so np.exp and density are each
-        called once.  A count's pair is its column block, read row by row.
-        The nodes and weights of all counts, joined side by side, come from
-        _joined_rules, built once per tuple of counts.
-        Each element takes the same arithmetic as in a rule built for its
-        count alone, so every pair is bit-identical to the call with that
-        count only.
+        d(R) is the pair's density with the exponential stripped: the product
+        of the two envelopes, or density(R) when given.  [0, end of the joint
+        support) is split at the cutoff-bump edges and at each cut inside it,
+        cuts given in units of length (by default the smaller cutoff_r of the
+        pair, 1.0 for an uncut pair).  Every finite piece takes Gauss-Legendre
+        from _piece_table, whose nodes T, weights and bumps are in units of
+        length, built once per layout (edge and cutoff ratios, exact for
+        cutoff_r == length) and tuple of counts.  A call scales them: length
+        x e^{-s length T} x the amplitudes x (length T)^2, in the order of the
+        product in radii.  The unbounded last piece of an uncut pair takes
+        Gauss-Laguerre shifted to its start (exact for polynomial f), in radii,
+        as s moves its nodes; an uncut pair without cuts keeps the arithmetic
+        of the rule in radii to the bit.  No node lies on a cut.  Each count's
+        nodes and weights are its column block, and equal those of a call with
+        that count alone bit for bit.
         """
         s = 0.5 * (self.z + other.z)
         cutoffs = [orb.cutoff_r for orb in (self, other) if orb.cutoff_r is not None]
-        end = min((c / 4.0 for c in cutoffs), default=np.inf)
-        splits = {c / 5.0 for c in cutoffs} | set(cuts)
-        edges = np.array([0.0, *sorted(b for b in splits if b < end), end])
-        # half-width and midpoint of each piece.  The tail's row starts as a
-        # zero-width piece at the tail's start, so its e^{-sR} is e^{-s start}.
-        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
-        if end == np.inf:
-            half[-1], mid[-1] = 0.0, edges[-2]
-        legendre_t, legendre_w, laguerre_t, laguerre_w = _joined_rules(counts)
-        radius = half[:, None] * legendre_t + mid[:, None]
-        decay = np.exp(-s * radius)
-        weights = half[:, None] * legendre_w * 4.0 * np.pi * decay
-        if end == np.inf:
-            radius[-1] = edges[-2] + laguerre_t / s
-            weights[-1] = laguerre_w * (4.0 * np.pi * decay[-1, 0] / s)
-        weights = weights * density(radius) * radius ** 2
-        return [(radius[:, b - n:b].ravel(), weights[:, b - n:b].ravel())
-                for n, b in zip(counts, accumulate(counts))]
+        if length is None:
+            length = min(cutoffs, default=1.0)
+        ratios = tuple(sorted(c / length for c in cutoffs))
+        end = min((c / 4.0 for c in ratios), default=np.inf)
+        splits = {c / 5.0 for c in ratios} | set(cuts)
+        edges = (0.0, *sorted(b for b in splits if b < end), *([end] if ratios else []))
+        table = _piece_table(edges, ratios, counts)
+        # the factors in the order of the radii's product, half-width x
+        # Legendre weight x 4 pi, e^{-sR}, d(R), R^2, so a weight underflows
+        # or overflows where that product does
+        weights = (table.weights if density is None else table.base) * length
+        weights *= np.exp(table.nodes * (-s * length))
+        weights *= self._scale * other._scale if density is None else density(length * table.nodes)
+        weights *= table.squares * (length * length)
+        tail = None
+        if table.laguerre is not None:
+            laguerre_t, laguerre_w = table.laguerre
+            start = length * edges[-1]
+            radius = start + laguerre_t / s
+            weights_t = laguerre_w * (4.0 * np.pi * np.exp(-s * start) / s)
+            d = self._scale * other._scale if density is None else density(radius)
+            tail = (radius, weights_t * d * radius ** 2)
+        return _RadialRule(length, counts, table, weights, tail)
 
     def pair_integral(self, other: "HydrogenOrbital", fn) -> float:
         """4 pi int_0^inf psi_a psi_b f(R) R^2 dR."""
-        def density(R):     # a self-overlap evaluates the envelope once
-            env = self._envelope(R)
-            return env ** 2 if other is self else env * other._envelope(R)
-
-        [(radius, weights)] = self._pair_rule(other, density, (RADIAL_NODES,))
-        return float(np.sum(weights * np.asarray(fn(radius))))
+        return self._pair_rule(other, (RADIAL_NODES,)).integral(fn)
 
     def density_expectation(self, fn) -> float:
         """Expectation of f(R) against |psi|^2."""
@@ -228,7 +340,7 @@ class HydrogenOrbital:
     # moments and overlaps ----------------------------------------------------
 
     def overlap(self, other: "HydrogenOrbital") -> float:
-        return self.pair_integral(other, lambda R: np.ones_like(R))
+        return self._pair_rule(other, (RADIAL_NODES,)).integral()
 
     def moment2(self, other: "HydrogenOrbital") -> np.ndarray:
         r2 = self.pair_integral(other, lambda R: R ** 2)
@@ -239,9 +351,8 @@ class HydrogenOrbital:
 
     def kinetic_energy(self) -> float:
         """<psi | -Laplacian | psi> by radial quadrature (s-wave form)."""
-        [(_, weights)] = self._pair_rule(
-            self, lambda R: self._envelope_derivative(R) ** 2, (RADIAL_NODES,))
-        return float(np.sum(weights))
+        return self._pair_rule(self, (RADIAL_NODES,),
+                               density=lambda R: self._envelope_derivative(R) ** 2).integral()
 
 
 class GridWaveFn:
@@ -414,14 +525,18 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     odd powers integrate to zero against the spherical density.  The r^-7
     remainder is bracketed from the in-support sixth moment (1/(1 + t)
     between 4/5 and 4/3 there).
-    One _pair_rule call builds the rules at RADIAL_NODES and twice that many
-    nodes, with one density evaluation over both.  Each rule is split at r/4
-    and 2r (a cut beyond the support of a cut-off orbital is dropped, so a
-    support ending by r/4 has tail_mass exactly 0).  Its radii ascend, so
-    every window is a slice of it: the moments m2 and m4 take all nodes, m6
-    and the Newton mass those below r/4 and 2r, the tail mass and the outer
-    1/R sum those above.  R^4 and R^6 come from one R^2 ladder, R^2 R^2 and
-    R^4 R^2, not from pow.
+    One _pair_rule call gives the rules at RADIAL_NODES and twice that many
+    nodes, from a table in units of r: the pieces [0, 1/4], [1/4, 2] and the
+    tail of the plain orbital, [0, 1/5], [1/5, 1/4] of one cut off at r, each
+    built once with its bump values and its powers 1, T^2, T^4, T^6, 1/T.  A
+    cut beyond the support of a cut-off orbital is dropped, so a support
+    ending by r/4 has tail_mass exactly 0.  A call takes e^{-s r T}, the
+    Laguerre tail's radii and one product of the weights with the powers per
+    piece and count, scaled by the powers of r: every window is a run of
+    pieces, so m2 and m4 take all of them, m6 and the Newton mass those below
+    r/4 and 2r, the tail mass and the outer 1/R sum those above.  The
+    remainder divides m6 by r^7 before 3 and 5, so it stays finite up to
+    R_MAX.
     Every piece is computed on both rules; quad_error is their largest
     relative move, and QuadratureError is raised beyond QUAD_TOL or on a NaN.
     r must be positive, with r^-7 and r^7 normal floats: R_MIN <= r <= R_MAX,
@@ -430,30 +545,27 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     if not R_MIN <= r <= R_MAX:     # r^+-3, r^+-5 lie between r^-7 and r^7
         raise ValueError(f"r must be positive with r^-7 ... r^7 in the floats, got {r}")
 
-    def pieces(radius, weights):
-        i, j = np.searchsorted(radius, (r / 4.0, 2.0 * r))
-        r2 = radius * radius
-        r4 = r2 * r2
-        m2 = weights @ r2 / 3.0
-        m4 = weights @ r4 / 5.0
-        m6_in = weights[:i] @ (r4[:i] * r2[:i]) / 7.0
-        newton = weights[:j].sum() / r + 2.0 * (weights[j:] @ (1.0 / radius[j:]))
-        return np.array([m2, m4, m6_in, weights[i:].sum(), newton])
-
-    rules = psi._pair_rule(psi, lambda R: psi._envelope(R) ** 2,
-                           (RADIAL_NODES, 2 * RADIAL_NODES), cuts=(r / 4.0, 2.0 * r))
-    base, refined = (pieces(*rule) for rule in rules)
+    rule = psi._pair_rule(psi, (RADIAL_NODES, 2 * RADIAL_NODES), length=r, cuts=(0.25, 2.0))
+    # pieces below r/4 and below 2r; the tail lies beyond both
+    i, j = (bisect_right(rule.table.edges, cut) - 1 for cut in (0.25, 2.0))
+    moves = []
+    for pieces in rule.power_sums().tolist():
+        mass, r2, r4, r6, inverse = zip(*pieces)
+        moves.append([sum(r2) / 3.0, sum(r4) / 5.0, sum(r6[:i], 0.0) / 7.0, sum(mass[i:], 0.0),
+                      sum(mass[:j], 0.0) / r + 2.0 * sum(inverse[j:], 0.0)])
+    base, refined = np.array(moves)
     quad_error = float(np.max(np.abs(refined - base) / np.maximum(np.abs(refined), 1.0)))
     if not quad_error <= QUAD_TOL:
         raise QuadratureError(
             f"radial quadrature not converged: doubling nodes moved results by {quad_error:.3e}"
         )
     m2, m4, m6_in, tail, newton = refined.tolist()
+    remainder = m6_in / r ** 7      # 3 r^7 and 5 r^7 overflow near R_MAX
     return MirrorEnergyExpectation(
         value=float(-m * (m2 / (4.0 * r ** 3) + m4 / (4.0 * r ** 5))),
         newton_term=newton,
-        remainder_lo=float(-m * m6_in / (3.0 * r ** 7)),
-        remainder_hi=float(-m * m6_in / (5.0 * r ** 7)),
+        remainder_lo=float(-m * remainder / 3.0),
+        remainder_hi=float(-m * remainder / 5.0),
         tail_mass=tail,
         moment_x1_sq=m2,
         moment_x1_4=m4,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,9 +95,18 @@ def _mirror_sum(q_a: np.ndarray, p_a: np.ndarray, q_b: np.ndarray, p_b: np.ndarr
     return np.sum(q_a[:, None] * q_b[None, :] / d, axis=(-2, -1))
 
 
+@lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple:
+    """The index arrays (i, j) of the pairs i < j of n charges, read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _coulomb_sum(q: np.ndarray, p: np.ndarray) -> float:
     """sum over unordered pairs i < j of q[i] q[j] / |p[i] - p[j]|."""
-    i, j = np.triu_indices(q.size, k=1)
+    i, j = _pair_indices(q.size)
     d = np.linalg.norm(p[i] - p[j], axis=-1)
     if np.any(d < COINCIDENCE_TOL):
         raise ValueError("coincident charge positions")

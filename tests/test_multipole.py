@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -58,6 +59,121 @@ def spherical_product_grid(r_max=30.0, n_r=120, n_theta=40, n_phi=16):
     wts = np.broadcast_to((w_rad[:, None, None] * wc[None, :, None]) * w_phi,
                           (n_r, n_theta, n_phi)).ravel()
     return pts, wts
+
+
+class RadiiOrbital:
+    """A HydrogenOrbital in the arithmetic that built every rule in radii, one
+    call at a time: the oracle of the tables in units of a length.  Its
+    _pair_rule joins each count's Legendre and Laguerre tables, scales them to
+    the pieces in radii, and evaluates the density at every node of the call.
+    valid is False where HydrogenOrbital(cutoff_r=...) raises."""
+
+    def __init__(self, z: float = 1.0, cutoff_r: float | None = None):
+        self.z, self.cutoff_r = float(z), cutoff_r
+        self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
+        self._norm = 1.0
+        self.valid = True
+        if cutoff_r is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = self.norm()
+            self.valid = 0 < norm < np.inf
+            if self.valid:
+                self._norm /= norm
+
+    def _envelope(self, radius):
+        radius = np.asarray(radius, dtype=float)
+        env = np.full(radius.shape, self._norm * self._amp)
+        if self.cutoff_r is not None:
+            above = radius > self.cutoff_r / 5.0
+            env[above] *= multipole.cutoff_profile(radius[above], self.cutoff_r)
+        return env
+
+    def _envelope_derivative(self, radius):
+        radius = np.asarray(radius, dtype=float)
+        base = np.full_like(radius, self._norm * self._amp)
+        if self.cutoff_r is None:
+            return -0.5 * self.z * base
+        h = multipole.cutoff_profile(radius, self.cutoff_r)
+        dh = cutoff_profile_derivative(radius, self.cutoff_r)
+        return base * (dh - 0.5 * self.z * h)
+
+    def _pair_rule(self, other, density, counts, cuts=()):
+        s = 0.5 * (self.z + other.z)
+        cutoffs = [orb.cutoff_r for orb in (self, other) if orb.cutoff_r is not None]
+        end = min((c / 4.0 for c in cutoffs), default=np.inf)
+        splits = {c / 5.0 for c in cutoffs} | set(cuts)
+        edges = np.array([0.0, *sorted(b for b in splits if b < end), end])
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+        if end == np.inf:
+            half[-1], mid[-1] = 0.0, edges[-2]
+        legendre_t, legendre_w, laguerre_t, laguerre_w = (
+            np.concatenate(part) for rule in (multipole.angular_legendre_rule,
+                                              multipole.radial_laguerre_rule)
+            for part in zip(*(rule(n) for n in counts)))
+        radius = half[:, None] * legendre_t + mid[:, None]
+        decay = np.exp(-s * radius)
+        weights = half[:, None] * legendre_w * 4.0 * np.pi * decay
+        if end == np.inf:
+            radius[-1] = edges[-2] + laguerre_t / s
+            weights[-1] = laguerre_w * (4.0 * np.pi * decay[-1, 0] / s)
+        weights = weights * density(radius) * radius ** 2
+        return [(radius[:, b - n:b].ravel(), weights[:, b - n:b].ravel())
+                for n, b in zip(counts, itertools.accumulate(counts))]
+
+    def pair_integral(self, other, fn) -> float:
+        def density(R):
+            env = self._envelope(R)
+            return env ** 2 if other is self else env * other._envelope(R)
+
+        [(radius, weights)] = self._pair_rule(other, density, (multipole.RADIAL_NODES,))
+        return float(np.sum(weights * np.asarray(fn(radius))))
+
+    def overlap(self, other) -> float:
+        return self.pair_integral(other, lambda R: np.ones_like(R))
+
+    def norm(self) -> float:
+        return float(np.sqrt(self.overlap(self)))
+
+    def moment2(self, other) -> float:
+        return self.pair_integral(other, lambda R: R ** 2) / 3.0
+
+    def kinetic_energy(self) -> float:
+        [(_, weights)] = self._pair_rule(
+            self, lambda R: self._envelope_derivative(R) ** 2, (multipole.RADIAL_NODES,))
+        return float(np.sum(weights))
+
+    def mirror_energy_expectation(self, r: float, m: float = 1.0) -> tuple:
+        """Every field of the expectation but quad_error, with its check."""
+        def pieces(radius, weights):
+            i, j = np.searchsorted(radius, (r / 4.0, 2.0 * r))
+            r2 = radius * radius
+            r4 = r2 * r2
+            m2 = weights @ r2 / 3.0
+            m4 = weights @ r4 / 5.0
+            m6_in = weights[:i] @ (r4[:i] * r2[:i]) / 7.0
+            newton = weights[:j].sum() / r + 2.0 * (weights[j:] @ (1.0 / radius[j:]))
+            return np.array([m2, m4, m6_in, weights[i:].sum(), newton])
+
+        rules = self._pair_rule(self, lambda R: self._envelope(R) ** 2,
+                                (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES),
+                                cuts=(r / 4.0, 2.0 * r))
+        base, refined = (pieces(*rule) for rule in rules)
+        quad_error = float(np.max(np.abs(refined - base) / np.maximum(np.abs(refined), 1.0)))
+        if not quad_error <= multipole.QUAD_TOL:
+            raise QuadratureError(f"doubling nodes moved results by {quad_error:.3e}")
+        m2, m4, m6_in, tail, newton = refined.tolist()
+        return (float(-m * (m2 / (4.0 * r ** 3) + m4 / (4.0 * r ** 5))), newton,
+                float(-m * m6_in / (3.0 * r ** 7)), float(-m * m6_in / (5.0 * r ** 7)),
+                tail, m2, m4, m6_in)
+
+
+def rounding_bound(r: float) -> float:
+    """Relative bound on two roundings of one radial quadrature at length r.
+
+    A node's radius on a piece of width ~r carries an absolute rounding of
+    about eps r, which moves e^{-R} by eps r relative; the bound is the larger
+    of 1e-14 and twice that (1e-14 up to r = 22)."""
+    return max(1e-14, 2.0 * np.finfo(float).eps * r)
 
 
 class TestSmoothStep:
@@ -216,17 +332,34 @@ class TestMirrorEnergyExpectation:
         assert abs(cut.newton_term - 1.0 / r) <= 1e-14
 
     def test_quadrature_error_flagged(self, monkeypatch):
+        # the RADIAL_NODES of the call reaches the tables
+        built = []
+        table = multipole._piece_table
+        monkeypatch.setattr(multipole, "_piece_table",
+                            lambda edges, ratios, counts: built.append(counts) or
+                            table(edges, ratios, counts))
         monkeypatch.setattr(multipole, "RADIAL_NODES", 8)
         rough = HydrogenOrbital(cutoff_r=20.0)
         with pytest.raises(QuadratureError):
             mirror_energy_expectation(rough, 20.0)
+        assert built == [(8,), (8, 16)]
 
-    # every field at r = 13.7, with R^4 and R^6 taken from one R^2 ladder.
-    # PINNED_POWERS holds the fields of R ** 4 and R ** 6, which the ladder
-    # moves by at most 6e-16 relative.  PINNED_WINDOWS is the oracle of a rule
-    # per window ([0, inf), [0, r/4], [r/4, inf), [2r, inf)) for the supports
-    # that pass r/4; cutoff_r = r drops both cuts and matches it to the bit
+    # every field at r = 13.7 from the tables in units of r.  IN_RADII holds the
+    # fields of the rules built in radii, PINNED_POWERS those of R ** 4 and
+    # R ** 6 before the R^2 ladder, and PINNED_WINDOWS, for the supports that
+    # pass r/4, a rule per window ([0, inf), [0, r/4], [r/4, inf), [2r, inf))
     PINNED = {
+        13.7: (-0.00012816575758692572, 0.07299270072992697, -7.319595531912323e-08,
+               -4.3917573191473945e-08, 0.0, 1.2953499757190903, 4.295782156598568,
+               19.890802636007322, 3.4283337953014165e-16),
+        27.4: (-0.00031359026522024516, 0.07299270072992703, -9.782555877485909e-08,
+               -5.869533526491545e-08, 0.29183037377715204, 3.0622479065747576,
+               30.62296931326452, 26.583830675675152, 3.480440099512122e-16),
+        None: (-0.00042619695486278123, 0.07299270072857518, -9.18701414879415e-08,
+               -5.51220848927649e-08, 0.33494227302818325, 4.000000000000002,
+               72.0000000000001, 24.965462155820678, 7.115257183356785e-16),
+    }
+    IN_RADII = {
         13.7: (-0.00012816575758692575, 0.072992700729927, -7.319595531912326e-08,
                -4.391757319147395e-08, 0.0, 1.2953499757190905, 4.295782156598567,
                19.890802636007326, 1.7141668976507078e-16),
@@ -261,26 +394,80 @@ class TestMirrorEnergyExpectation:
     def test_bitwise_pinned(self, cutoff_r):
         e = mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), 13.7)
         assert dataclasses.astuple(e) == self.PINNED[cutoff_r]
-        powers = self.PINNED_POWERS[cutoff_r][:-1]  # every field but quad_error
-        assert dataclasses.astuple(e)[:-1] == pytest.approx(powers, rel=1e-15, abs=0.0)
-        if cutoff_r in self.PINNED_WINDOWS:     # every field but quad_error
+        fields = dataclasses.astuple(e)[:-1]    # every field but quad_error
+        assert fields == pytest.approx(self.IN_RADII[cutoff_r][:-1], rel=1e-15, abs=0.0)
+        assert fields == pytest.approx(self.PINNED_POWERS[cutoff_r][:-1], rel=1e-15, abs=0.0)
+        if cutoff_r in self.PINNED_WINDOWS:
             old = self.PINNED_WINDOWS[cutoff_r][:-1]
-            assert dataclasses.astuple(e)[:-1] == pytest.approx(old, rel=1e-13, abs=0.0)
+            assert fields == pytest.approx(old, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("cutoff_r", [13.7, 27.4, None], ids=["cut_r", "cut_2r", "plain"])
     def test_one_density_evaluation_per_node_count(self, monkeypatch, cutoff_r):
-        # both node counts share one density evaluation
+        # both node counts share one bump evaluation, made when the layout's
+        # table is built: once for the orbital's norm and once for the
+        # mirror's rule, and never again for the same cutoff ratios; no rule
+        # evaluates the envelope
         calls = []
-        envelope = HydrogenOrbital._envelope
+        profile, envelope = multipole.cutoff_profile, HydrogenOrbital._envelope
+        monkeypatch.setattr(multipole, "cutoff_profile",
+                            lambda radius, r: calls.append(len(radius)) or profile(radius, r))
+        monkeypatch.setattr(HydrogenOrbital, "_envelope",
+                            lambda self, radius: calls.append("envelope") or envelope(self, radius))
+        multipole._piece_table.cache_clear()
+        ratio = None if cutoff_r is None else cutoff_r / 13.7
+        for r in (13.7, 13.7, 31.0):
+            psi = HydrogenOrbital(cutoff_r=None if ratio is None else ratio * r)
+            mirror_energy_expectation(psi, r)
+        assert calls == ([] if cutoff_r is None else
+                         [multipole.RADIAL_NODES, 3 * multipole.RADIAL_NODES])
 
-        def spy(self, radius):
-            calls.append(len(radius))
-            return envelope(self, radius)
+    @pytest.mark.parametrize("ratio", [None, 1.0, 2.0, 0.5], ids=["plain", "cut_r", "cut_2r",
+                                                                 "cut_half_r"])
+    def test_matches_the_rules_in_radii(self, ratio):
+        # every field but quad_error over log-spaced r from R_MIN to R_MAX,
+        # against the rules built in radii: within 1e-14 relative up to r = 22
+        # and the rounding bound of a piece of width r beyond; the floors
+        # cover subnormal moments (the tail mass beyond r = 2800, m6 of the
+        # plain orbital below r = 1e-35)
+        tiny = np.finfo(float).tiny
+        compared = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in np.geomspace(multipole.R_MIN, multipole.R_MAX, 121).tolist():
+                cutoff_r = None if ratio is None else ratio * r
+                radii = RadiiOrbital(cutoff_r=cutoff_r)
+                if not radii.valid:
+                    with pytest.raises(ValueError, match="gives the norm"):
+                        HydrogenOrbital(cutoff_r=cutoff_r)
+                    continue
+                psi = HydrogenOrbital(cutoff_r=cutoff_r)
+                try:
+                    old = radii.mirror_energy_expectation(r)
+                except QuadratureError:
+                    with pytest.raises(QuadratureError):
+                        mirror_energy_expectation(psi, r)
+                    continue
+                new = dataclasses.astuple(mirror_energy_expectation(psi, r))[:-1]
+                floors = (tiny / r ** 3 + tiny / r ** 5, tiny / r, tiny / r ** 7, tiny / r ** 7,
+                          tiny, tiny, tiny, tiny)
+                for field, (a, b, floor) in enumerate(zip(new, old, floors)):
+                    assert a == pytest.approx(b, rel=rounding_bound(r), abs=floor), (r, field)
+                compared += 1
+        # the rest either raise QuadratureError on both sides (the 5 radii
+        # from 2.5e4 to 2.1e7) or have a cutoff_r the orbital refuses
+        assert compared == (116 if ratio is None else 67 if ratio == 0.5 else 66)
 
-        psi = HydrogenOrbital(cutoff_r=cutoff_r)
-        monkeypatch.setattr(HydrogenOrbital, "_envelope", spy)
-        mirror_energy_expectation(psi, 13.7)
-        assert len(calls) == 1
+    def test_remainder_finite_up_to_r_max(self):
+        # 3 r^7 and 5 r^7 overflowed above r = 8.2e43: a RuntimeWarning for
+        # an np.float64 r, remainder_hi = -0.0 for a float
+        r = np.nextafter(multipole.R_MAX, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for radius in (r, float(r), multipole.R_MAX, 8.3e43):
+                e = mirror_energy_expectation(HydrogenOrbital(), radius)
+                assert e.remainder_lo == -e.moment_x1_6 / radius ** 7 / 3.0
+                assert e.remainder_hi == -e.moment_x1_6 / radius ** 7 / 5.0
+                assert all(math.isfinite(x) for x in dataclasses.astuple(e))
 
     @pytest.mark.parametrize("r", [math.inf, 1e300, 1e-300])
     def test_radius_out_of_range(self, r):
@@ -317,7 +504,8 @@ class TestMirrorEnergyExpectation:
         assert [power_test(r) for r in neighbours] == [False, True, True, False]
 
     def test_bump_evaluated_above_its_inner_edge(self, monkeypatch):
-        # below cutoff_r/5 the bump is exactly 1, so no node there reaches it
+        # below cutoff_r/5 the bump is exactly 1, so no node there reaches it;
+        # tables in units of the length are evaluated once per cutoff ratio
         seen = []
         profile = multipole.cutoff_profile
 
@@ -326,29 +514,43 @@ class TestMirrorEnergyExpectation:
             return profile(radius, r)
 
         monkeypatch.setattr(multipole, "cutoff_profile", spy)
+        multipole._piece_table.cache_clear()
         for r in (8.0, 13.7, 40.0):
             mirror_energy_expectation(HydrogenOrbital(cutoff_r=r), r)
             mirror_energy_expectation(HydrogenOrbital(cutoff_r=2.0 * r), r)
-        assert len(seen) == 12
-        assert all(radius.size and np.all(radius > cutoff_r / 5.0) for radius, cutoff_r in seen)
+        # the norm's table (ratio 1) and the mirror's at ratios 1 and 2
+        assert [ratio for _, ratio in seen] == [1.0, 1.0, 2.0]
+        assert all(radius.size and np.all(radius > ratio / 5.0) for radius, ratio in seen)
 
-    def test_joined_rules_built_once_per_count_tuple(self, monkeypatch):
-        # a call joins no table: each count tuple's joined Legendre and
-        # Laguerre rules are built once and kept read-only
+    def test_piece_tables_built_once_per_layout(self, monkeypatch):
+        # a call builds no table: each layout's nodes, weights, bumps and
+        # powers are built once, in units of r, and kept read-only
+        multipole._piece_table.cache_clear()
+        for r in (8.0, 13.7):
+            mirror_energy_expectation(HydrogenOrbital(cutoff_r=r), r)
+            mirror_energy_expectation(HydrogenOrbital(), r)
+        info = multipole._piece_table.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
         counts = (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES)
-        mirror_energy_expectation(HydrogenOrbital(cutoff_r=20.0), 20.0)
-        tables = multipole._joined_rules(counts)
-        assert multipole._joined_rules(counts) is tables
-        for table, rule, part in zip(tables, [multipole.angular_legendre_rule] * 2
-                                     + [multipole.radial_laguerre_rule] * 2, [0, 1, 0, 1]):
-            assert not table.flags.writeable
-            assert table.tobytes() == np.concatenate([rule(n)[part] for n in counts]).tobytes()
-        joins = []
-        concatenate = np.concatenate
-        monkeypatch.setattr(np, "concatenate", lambda *a, **k: joins.append(1) or concatenate(*a, **k))
-        mirror_energy_expectation(HydrogenOrbital(cutoff_r=20.0), 20.0)
-        mirror_energy_expectation(HydrogenOrbital(), 20.0)
-        assert joins == []
+        table = multipole._piece_table((0.0, 0.2, 0.25), (1.0, 1.0), counts)
+        assert multipole._piece_table((0.0, 0.2, 0.25), (1.0, 1.0), counts) is table
+        for array in (*table[1:7], *multipole._piece_table((0.0, 0.25, 2.0), (), counts).laguerre):
+            assert not array.flags.writeable
+        rules = []
+        for rule in (multipole.angular_legendre_rule, multipole.radial_laguerre_rule):
+            monkeypatch.setattr(multipole, rule.__name__, lambda n: rules.append(n) or rule(n))
+        for r in (9.0, 20.0, 33.3):
+            mirror_energy_expectation(HydrogenOrbital(cutoff_r=r), r)
+            mirror_energy_expectation(HydrogenOrbital(), r)
+        assert rules == []
+        assert multipole._piece_table.cache_info().misses == 3
+
+    def test_piece_table_cache_bounded(self):
+        multipole._piece_table.cache_clear()
+        for ratio in np.linspace(1.0, 3.0, 40):
+            mirror_energy_expectation(HydrogenOrbital(cutoff_r=ratio * 10.0), 10.0)
+        info = multipole._piece_table.cache_info()
+        assert info.currsize == info.maxsize == 16
 
     def test_infinite_cutoff_rejected(self):
         # its norm was NaN
@@ -370,9 +572,11 @@ class TestMirrorEnergyExpectation:
         # a NaN move passed "quad_error > QUAD_TOL"
         rule = HydrogenOrbital._pair_rule
 
-        def nan_rule(self, other, density, counts, cuts=()):
-            return [(radius, np.full_like(weights, np.nan))
-                    for radius, weights in rule(self, other, density, counts, cuts=cuts)]
+        def nan_rule(self, *args, **kwargs):
+            out = rule(self, *args, **kwargs)
+            radius, weights = out.tail
+            return out._replace(weights=np.full_like(out.weights, np.nan),
+                                tail=(radius, np.full_like(weights, np.nan)))
 
         monkeypatch.setattr(HydrogenOrbital, "_pair_rule", nan_rule)
         with warnings.catch_warnings():
@@ -382,37 +586,47 @@ class TestMirrorEnergyExpectation:
 
 
 class TestPairRule:
-    """One _pair_rule call over several node counts against one call per count."""
+    """One _pair_rule call over several node counts against one call per
+    count, and the tables in units of a length against the rules in radii."""
 
     R = 13.7
-    ORBITALS = {"plain": HydrogenOrbital(), "cut_r": HydrogenOrbital(cutoff_r=R),
-                "cut_2r": HydrogenOrbital(cutoff_r=2 * R), "z2": HydrogenOrbital(z=2.0),
-                "z2_cut_2r": HydrogenOrbital(z=2.0, cutoff_r=2 * R)}
+    SPECS = {"plain": {}, "cut_r": {"cutoff_r": R}, "cut_2r": {"cutoff_r": 2 * R},
+             "z2": {"z": 2.0}, "z2_cut_2r": {"z": 2.0, "cutoff_r": 2 * R}}
+    ORBITALS = {name: HydrogenOrbital(**spec) for name, spec in SPECS.items()}
+    IN_RADII_ORBITALS = {name: RadiiOrbital(**spec) for name, spec in SPECS.items()}
     PAIRS = [("plain", "plain"), ("cut_r", "cut_r"), ("cut_2r", "cut_2r"),
              ("plain", "z2"), ("cut_r", "z2_cut_2r")]
-    # (1.0, 2.0) lies inside every support; (60.0, 90.0) beyond every cut-off
-    # support; (r/4, 2r) are the mirror expectation's cuts
+    # in radii: (1.0, 2.0) lies inside every support; (60.0, 90.0) beyond
+    # every cut-off support; (r/4, 2r) are the mirror expectation's cuts
     CUTS = [(), (1.0, 2.0), (R / 4.0, 2.0 * R), (60.0, 90.0)]
 
     @pytest.mark.parametrize("pair", PAIRS, ids=["-".join(p) for p in PAIRS])
     @pytest.mark.parametrize("cuts", CUTS, ids=["none", "inside", "mirror", "beyond"])
     def test_each_count_bit_identical(self, pair, cuts):
         a, b = (self.ORBITALS[k] for k in pair)
-        def density(R):
-            return a._envelope(R) * b._envelope(R)
-
+        scaled = tuple(c / self.R for c in cuts)
         counts = (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES, 37)
-        together = a._pair_rule(b, density, counts, cuts=cuts)
-        assert len(together) == len(counts)
-        for n, (radius, weights) in zip(counts, together):
-            [(alone_r, alone_w)] = a._pair_rule(b, density, (n,), cuts=cuts)
-            assert radius.tobytes() == alone_r.tobytes()
-            assert weights.tobytes() == alone_w.tobytes()
+        together = a._pair_rule(b, counts, length=self.R, cuts=scaled)
+        for n, stop in zip(counts, itertools.accumulate(counts)):
+            alone = a._pair_rule(b, (n,), length=self.R, cuts=scaled)
+            block = slice(stop - n, stop)
+            assert together.table.nodes[:, block].tobytes() == alone.table.nodes.tobytes()
+            assert together.weights[:, block].tobytes() == alone.weights.tobytes()
+            assert (together.tail is None) == (alone.tail is None)
+            if alone.tail is not None:
+                for joined, single in zip(together.tail, alone.tail):
+                    assert joined[block].tobytes() == single.tobytes()
+            radius = np.concatenate([radius.ravel() for radius, _ in alone.parts()])
+            assert radius.size == n * (len(alone.table.edges) - 1 + (alone.tail is not None))
             assert np.all(np.diff(radius) > 0) and not np.isin(cuts, radius).any()
 
-    # the rules and values built one count per call, before the counts were
-    # fused: sha256 over radius and weights at 200 and 400 nodes for each cut set
-    PINNED_RULES = {("plain", "plain"): "920b8f9651cd6f3c", ("cut_r", "cut_r"): "3938078575bc7aef",
+    # sha256 over radius and weights at 200 and 400 nodes for each cut set:
+    # the tables in units of R, and the rules built in radii, which the
+    # oracle RadiiOrbital reproduces to the bit
+    PINNED_RULES = {("plain", "plain"): "708e8f503a2e239f", ("cut_r", "cut_r"): "fb2b2441d1228d69",
+                    ("cut_2r", "cut_2r"): "f62c93012abea1f3", ("plain", "z2"): "c20e966cf88dff62",
+                    ("cut_r", "z2_cut_2r"): "a80fe33339da40c6"}
+    RULES_IN_RADII = {("plain", "plain"): "920b8f9651cd6f3c", ("cut_r", "cut_r"): "3938078575bc7aef",
                     ("cut_2r", "cut_2r"): "12665d01260a59c4", ("plain", "z2"): "ca8727c39481e5a4",
                     ("cut_r", "z2_cut_2r"): "063eced0558fe7a9"}
 
@@ -421,43 +635,110 @@ class TestPairRule:
         a, b = (self.ORBITALS[k] for k in pair)
         digest = hashlib.sha256()
         for cuts in self.CUTS:
+            for n in (200, 400):
+                rule = a._pair_rule(b, (n,), length=self.R, cuts=tuple(c / self.R for c in cuts))
+                for radius, weights in rule.parts():
+                    digest.update(radius.tobytes())
+                    digest.update(weights.tobytes())
+        assert digest.hexdigest()[:16] == self.PINNED_RULES[pair]
+        a, b = (self.IN_RADII_ORBITALS[k] for k in pair)
+        digest = hashlib.sha256()
+        for cuts in self.CUTS:
             for radius, weights in a._pair_rule(
                     b, lambda R: a._envelope(R) * b._envelope(R), (200, 400), cuts=cuts):
                 digest.update(radius.tobytes())
                 digest.update(weights.tobytes())
-        assert digest.hexdigest()[:16] == self.PINNED_RULES[pair]
+        assert digest.hexdigest()[:16] == self.RULES_IN_RADII[pair]
 
     PINNED_NORM_KINETIC = {
         "plain": (1.0000000000000002, 0.2500000000000001),
-        "cut_r": (0.9999999999999999, 1.338735167467672),
-        "cut_2r": (1.0, 0.32457137327936497),
+        "cut_r": (0.9999999999999998, 1.3387351674676715),
+        "cut_2r": (1.0, 0.3245713732793649),
         "z2": (1.0000000000000004, 1.0000000000000009),
         "z2_cut_2r": (0.9999999999999999, 1.0017156446841198),
     }
     PINNED_OVERLAP = {("plain", "z2"): 0.8380524814062791,
-                      ("cut_r", "z2_cut_2r"): 0.9231226481210852,
+                      ("cut_r", "z2_cut_2r"): 0.9231226481210857,
                       ("plain", "z2_cut_2r"): 0.8338314857538832}
 
     def test_integrals_pinned(self):
-        orb = self.ORBITALS
+        # uncut pairs keep the arithmetic in radii to the bit; cut-off pairs
+        # meet it to rounding
+        orb, radii = self.ORBITALS, self.IN_RADII_ORBITALS
         for name, (norm, kinetic) in self.PINNED_NORM_KINETIC.items():
-            assert (orb[name].norm(), orb[name].kinetic_energy()) == (norm, kinetic)
+            values = (orb[name].norm(), orb[name].kinetic_energy())
+            assert values == (norm, kinetic)
+            old = (radii[name].norm(), radii[name].kinetic_energy())
+            assert values == (old if "cut" not in name else pytest.approx(old, rel=1e-15, abs=0.0))
         for (a, b), value in self.PINNED_OVERLAP.items():
             assert orb[a].overlap(orb[b]) == value
+            assert value == pytest.approx(radii[a].overlap(radii[b]), rel=1e-15, abs=0.0)
+        assert radii["plain"].overlap(radii["z2"]) == self.PINNED_OVERLAP[("plain", "z2")]
         assert dataclasses.astuple(helium_variational_energy()) == (
             2.0000000000000018, -4.000000000000007, 0.6250000000000007)
 
+    def test_uncut_pairs_keep_the_arithmetic_in_radii(self):
+        pairs = [("plain", "plain"), ("plain", "z2"), ("z2", "z2")]
+        fns = [lambda R: np.ones_like(R), lambda R: R ** 2, lambda R: 1.0 / R,
+               lambda R: 1.0 / R - np.exp(-2.0 * R) * (1.0 / R + 1.0)]
+        for a, b in pairs:
+            for fn in fns:
+                assert (self.ORBITALS[a].pair_integral(self.ORBITALS[b], fn)
+                        == self.IN_RADII_ORBITALS[a].pair_integral(self.IN_RADII_ORBITALS[b], fn))
+            assert self.ORBITALS[a].kinetic_energy() == self.IN_RADII_ORBITALS[a].kinetic_energy()
+
     def test_self_overlap_evaluates_the_bump_once(self, monkeypatch):
+        # the norm's table is built in units of cutoff_r: its bump is
+        # evaluated once, and never again for another cutoff_r
         calls = []
-        envelope = HydrogenOrbital._envelope
+        profile, envelope = multipole.cutoff_profile, HydrogenOrbital._envelope
+        monkeypatch.setattr(multipole, "cutoff_profile",
+                            lambda radius, r: calls.append(len(radius)) or profile(radius, r))
+        monkeypatch.setattr(HydrogenOrbital, "_envelope",
+                            lambda self, radius: calls.append("envelope") or envelope(self, radius))
+        multipole._piece_table.cache_clear()
+        for cutoff_r in (self.R, 2.0 * self.R, 1e-3, 1e6):
+            HydrogenOrbital(cutoff_r=cutoff_r)
+        assert calls == [multipole.RADIAL_NODES]
 
-        def spy(self, radius):
-            calls.append(len(radius))
-            return envelope(self, radius)
+    @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.5])
+    def test_cut_off_integrals_match_the_rules_in_radii(self, ratio):
+        # norm, overlap, moment2 and kinetic energy over cutoff radii from
+        # 1e-100 to 1e8, the range HydrogenOrbital accepts
+        compared = 0
+        for cutoff_r in np.geomspace(1e-100, 1e8, 55):
+            pa, pb = RadiiOrbital(cutoff_r=cutoff_r), RadiiOrbital(z=2.0, cutoff_r=ratio * cutoff_r)
+            if not pb.valid:
+                with pytest.raises(ValueError, match="gives the norm"):
+                    HydrogenOrbital(z=2.0, cutoff_r=ratio * cutoff_r)
+                continue
+            a = HydrogenOrbital(cutoff_r=cutoff_r)
+            b = HydrogenOrbital(z=2.0, cutoff_r=ratio * cutoff_r)
+            with np.errstate(over="ignore", invalid="ignore"):     # huge amplitudes below 1e-97
+                new = [a._norm, a.norm(), a.overlap(b), a.moment2(b)[0, 0], a.kinetic_energy()]
+                old = [pa._norm, pa.norm(), pa.overlap(pb), pa.moment2(pb), pa.kinetic_energy()]
+            finite = np.isfinite(old)
+            assert np.array_equal(finite, np.isfinite(new))
+            compared += finite.sum()
+            assert np.array(new)[finite] == pytest.approx(
+                np.array(old)[finite], rel=rounding_bound(cutoff_r), abs=np.finfo(float).tiny)
+        assert compared >= 200
 
-        monkeypatch.setattr(HydrogenOrbital, "_envelope", spy)
-        HydrogenOrbital(cutoff_r=self.R)
-        assert len(calls) == 1
+    def test_cutoff_scan_accepts_the_set_in_radii(self):
+        # every cutoff_r the rules in radii accepted, and no other, on a log scan,
+        # with no warning; the set is [5.34e-107, 1.04e8]
+        accepted = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cutoff_r in np.geomspace(1e-300, 1e300, 1201):
+                try:
+                    HydrogenOrbital(cutoff_r=float(cutoff_r))
+                    accepted.append(True)
+                except ValueError as exc:
+                    assert "gives the norm" in str(exc)
+                    accepted.append(False)
+                assert accepted[-1] == RadiiOrbital(cutoff_r=float(cutoff_r)).valid
+        assert sum(accepted) == 229
 
 
 class TestOrientationCoefficient:

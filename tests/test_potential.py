@@ -289,3 +289,24 @@ def test_mirror_interaction_matches_interaction_energy(rng):
     charges = ChargeSet(q, p, plate)
     assert total == pytest.approx(interaction_energy(charges, greens_coefficients(1.0)),
                                   rel=1e-13)
+
+
+def test_coulomb_sum_bit_identical_to_fresh_indices(rng):
+    # the cached i < j index pairs give the sum of np.triu_indices per call
+    # to the bit, and stay read-only
+    from vdwplate import potential
+
+    def fresh(q, p):
+        i, j = np.triu_indices(q.size, k=1)
+        d = np.linalg.norm(p[i] - p[j], axis=-1)
+        return float(np.sum(q[i] * q[j] / d))
+
+    potential._pair_indices.cache_clear()
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        q = rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], size=n)
+        p = rng.uniform(-3.0, 3.0, size=(n, 3))
+        assert potential._coulomb_sum(q, p) == fresh(q, p)
+    info = potential._pair_indices.cache_info()
+    assert info.misses == info.currsize == 8
+    assert not any(index.flags.writeable for index in potential._pair_indices(4))
