@@ -189,8 +189,10 @@ class SparseSymOp:
     bands, bands[k] = H[i, i + k] for k > 0, each mirrored to -k, so it is
     symmetric by construction; a non-finite entry, an offset <= 0 or a
     positive band entry raises ValueError.  set_diagonal keeps all that.
-    The off-diagonal |row sums| are summed from the bands once, when built;
+    row_entries = 2 x bands + 1 bounds the entries a row stores.  The
+    off-diagonal |row sums| are summed from the bands once, when built;
     norm_estimate adds them to the diagonal's, and set_diagonal reuses them.
+    No |H| is ever built: for a Z-matrix, |H| v = (|d| + d) v - H v.
     A tridiagonal operator (one band, at offset 1) keeps copies of its two
     arrays as tridiagonal, the input of dpttrf (_tridiagonal_factor); other
     operators keep None there.  guess, when given, is a start vector for
@@ -206,6 +208,7 @@ class SparseSymOp:
             raise ValueError("operator must be a Z-matrix, yet an off-diagonal is positive")
         ks = sorted([0, *bands, *(-k for k in bands)])
         self.matrix = sp.diags([bands[abs(k)] if k else diagonal for k in ks], ks, format="csr")
+        self.row_entries = len(ks)
         self.guess = guess
         n = self.dim
         self._off_sums = np.zeros(n)
@@ -236,16 +239,11 @@ class SparseSymOp:
             self.tridiagonal = (np.array(d, dtype=float), self.tridiagonal[1])
         self._norm = self._row_sum_max(d)
 
-    def abs_matrix(self) -> sp.csr_matrix:
-        """|H| on H's own indptr and indices: only the values are new."""
-        h = self.matrix
-        return sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape)
-
     def norm_estimate(self) -> float:
         """Row-sum (infinity norm) bound on ||H||: max_i |H_ii| + the
         off-diagonal |row sum| of row i, computed when the diagonal was last
         written (when built, or by set_diagonal).  It sums in another order
-        than abs_matrix().sum(axis=1), so the two agree to a few ulp, not
+        than abs(matrix).sum(axis=1), so the two agree to a few ulp, not
         always to the bit."""
         return self._norm
 
@@ -464,17 +462,28 @@ def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
     lu.solve(1) in double, from this or another certified factor: any v > 0
     proves the M-matrix, so a single-precision factor or that of a nearby
     operator serves.  The test asks that the computed H v - sigma v exceed
-    gamma_{k+2} (|H| v + |sigma| v) in every entry, k the most stored
-    entries in a row and gamma_j = j eps / (1 - j eps) Higham's rounding
-    bound of the double matvec, so it holds for H itself, not only for the
-    rounded H - sigma.  False on a NaN or a shift with eigenvalues below it.
+    gamma_{k+3} (|H| v + |sigma| v) in every entry, k = op.row_entries and
+    gamma_j = j eps / (1 - j eps) Higham's rounding bound, so it holds for H
+    itself, not only for the rounded H - sigma.  False on a NaN or a shift
+    with eigenvalues below it.
+
+    |H| v is (|d| + d) v - H v, d the diagonal, as H's off-diagonal is <= 0,
+    so the test reuses the matvec and copies no |H|.  Rounding, v > 0: the
+    computed left side is within gamma_{k+2} (|H| v + |sigma| v) of
+    (H - sigma) v.  H v is within gamma_k |H| v of its value and
+    (|d| + d) v <= 2 |H| v, so the computed |H| v is within gamma_{k+3} of
+    |H| v, relative, and with the last four roundings the computed right
+    side is at least gamma_{k+3} (1 - gamma_{k+8}) (|H| v + |sigma| v),
+    which exceeds gamma_{k+2} (|H| v + |sigma| v): a passed test leaves
+    (H - sigma) v > 0 in exact arithmetic.
     """
     h, v = op.matrix, lu.probe
     if not np.all(v > 0.0):
         return False
-    k = np.diff(h.indptr).max() + 2
-    gamma = k * np.finfo(float).eps / (1.0 - k * np.finfo(float).eps)
-    return bool(np.all(h @ v - sigma * v > gamma * (op.abs_matrix() @ v + abs(sigma) * v)))
+    j = op.row_entries + 3
+    gamma = j * np.finfo(float).eps / (1.0 - j * np.finfo(float).eps)
+    d, hv = h.diagonal(), h @ v
+    return bool(np.all(hv - sigma * v > gamma * ((np.abs(d) + d) * v - hv + abs(sigma) * v)))
 
 
 class _Factor:

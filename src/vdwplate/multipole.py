@@ -4,14 +4,14 @@ orientation coefficient of the leading van der Waals term.
 Quadrature conventions: every radial integral takes its rule from
 HydrogenOrbital._pair_rule.  The unbounded tail of a density that decays
 exponentially uses Gauss-Laguerre nodes (the weight matches the density); the
-finite pieces of a rule, split at bump edges or window cuts, use
-Gauss-Legendre, so masked integrands stay smooth.  Node counts are fixed so
-repeated runs are bitwise reproducible.  The finite pieces sit at fixed
-fractions of a length (r for the mirror expectation, cutoff_r for a lone
-cut-off orbital), so their nodes, weights, bumps and powers are tabulated in
-units of it, once per piece layout and tuple of counts; a call scales them.
-Convergence is assessed by doubling: one call builds the rules of both counts
-together, and each equals the rule built for its count alone bit for bit.
+finite pieces, split at bump edges or window cuts, use Gauss-Legendre, so
+masked integrands stay smooth.  The pieces sit at fixed fractions of a length
+(r for the mirror expectation, cutoff_r for a lone cut-off orbital), so they
+are tabulated in units of it once per layout and tuple of node counts.  A rule
+is one flat (radius, weights) pair in (part, count) runs, reduced by one sum
+or by one reduction per run.  Node counts are fixed, so runs are bitwise
+reproducible.  Convergence is assessed by doubling: one call builds the rules
+of both counts, each equal to the rule built for its count alone bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ QUAD_TOL = 1e-9     # largest relative move of a quadrature under node doubling
 # The radii r of mirror_energy_expectation: the r > 0 whose r^-7 and r^7 are
 # normal floats under float64 pow, tiny^(1/7) and tiny^(-1/7) rounded inward.
 R_MIN, R_MAX = 1.1210387714598537e-44, 8.92029807941225e+43
+# The smallest cutoff_r a HydrogenOrbital accepts, by bisection on bit patterns:
+# below it the kinetic density (~cutoff_r^-5) overflows, for z from 1e-6 to 1e20.
+CUTOFF_MIN = 1.817267264355245e-61
 
 # Both Gauss rules come from Golub-Welsch: the nodes are the eigenvalues of
 # the Jacobi matrix of the weight, the weights mu_0 times the squared first
@@ -103,25 +106,20 @@ def cutoff_profile_derivative(radius, r: float):
 # Radial tables in units of a length
 # ---------------------------------------------------------------------------
 
-# The powers R^j of a rule's power sums: 1, R^2, R^4, R^6 and 1/R.
-_POWERS = np.array([0.0, 2.0, 4.0, 6.0, -1.0])
-
-
 class _PieceTable(NamedTuple):
     """The rules of a piece layout for a tuple of node counts, in units of a
-    length L.  Row p holds the Gauss-Legendre nodes T of finite piece p for
-    every count side by side; laguerre holds the joined Gauss-Laguerre nodes
-    and weights of the tail, None when the support ends.  Read-only, shared
-    by every call with the same layout."""
+    length L, read-only and shared by every call with the layout.  Row p
+    holds the Gauss-Legendre nodes T of finite piece p for every count side
+    by side; laguerre holds the joined Gauss-Laguerre nodes and weights of
+    the tail, None when the support ends."""
 
     edges: tuple            # piece p spans [edges[p], edges[p + 1]]; the tail starts at edges[-1]
-    ends: np.ndarray        # (pieces, 1) upper edges
     nodes: np.ndarray       # (pieces, nodes) T
     squares: np.ndarray     # T^2
     base: np.ndarray        # half-width x Legendre weight x 4 pi
     weights: np.ndarray     # base x the bumps of the pair's cut-off orbitals
-    powers: np.ndarray      # (pieces, nodes, 5 counts), see _piece_table
     laguerre: tuple | None
+    runs: tuple             # nodes per (part, count) run: the pieces, then the tail
 
 
 @lru_cache(maxsize=16)
@@ -131,12 +129,7 @@ def _piece_table(edges: tuple, ratios: tuple, counts: tuple) -> _PieceTable:
     ratios holds cutoff_r / L for each cut-off orbital of a pair, so a self
     pair's bump enters squared; a pair with none has a tail.  A bump is
     evaluated once per distinct ratio, and only above its inner edge
-    ratio/5: below, it is exactly 1.0.  powers[p, :, 5b:5b + 5] holds
-    (T/E)^j for j in _POWERS on the nodes of count b, 0 on the other nodes,
-    E = edges[p + 1] the piece's upper edge: the entries for j >= 0 lie in
-    [0, 1], and E/T is at most E over the piece's smallest node.  A call
-    scales piece p's power sums by (L E)^j, the powers of a radius, so a
-    power of T or of L alone never overflows (T^6 would beyond T = 2e51).
+    ratio/5: below, it is exactly 1.0.
     """
     legendre_t, legendre_w = (np.concatenate(part) for part in
                               zip(*(angular_legendre_rule(n) for n in counts)))
@@ -148,65 +141,41 @@ def _piece_table(edges: tuple, ratios: tuple, counts: tuple) -> _PieceTable:
     for c in sorted(set(ratios)):
         above = nodes > c / 5.0
         bumps[above] *= cutoff_profile(nodes[above], c) ** ratios.count(c)
-    u = nodes / hi[:, None]
-    u2 = u * u
-    columns = np.stack([np.ones_like(u), u2, u2 * u2, u2 * u2 * u2, 1.0 / u], axis=-1)
-    powers = np.zeros((*nodes.shape, _POWERS.size * len(counts)))
-    for b, (n, stop) in enumerate(zip(counts, accumulate(counts))):
-        powers[:, stop - n:stop, _POWERS.size * b:_POWERS.size * (b + 1)] = \
-            columns[:, stop - n:stop]
     laguerre = None if ratios else tuple(
         np.concatenate(part) for part in zip(*(radial_laguerre_rule(n) for n in counts)))
-    table = _PieceTable(edges, hi[:, None], nodes, nodes * nodes, base, base * bumps, powers,
-                        laguerre)
-    for array in [*table[1:7], *(laguerre or ())]:
+    runs = counts * (len(edges) - 1 + (laguerre is not None))
+    table = _PieceTable(edges, nodes, nodes * nodes, base, base * bumps, laguerre, runs)
+    for array in [*table[1:5], *(laguerre or ())]:
         array.flags.writeable = False
     return table
 
 
 class _RadialRule(NamedTuple):
-    """A pair's rule for every count of a _pair_rule call: the table's finite
-    pieces, in units of length, with this pair's weights, and the
-    Gauss-Laguerre tail of an uncut pair in radii."""
+    """A pair's rule for every count of a _pair_rule call, flat and in radii:
+    the pieces' nodes row by row, then the tail's, in the runs of table.runs."""
 
-    length: float
+    radius: np.ndarray
+    squares: np.ndarray     # radius^2
+    weights: np.ndarray
     counts: tuple
     table: _PieceTable
-    weights: np.ndarray             # weights of table.nodes
-    tail: tuple | None              # (radius, weights)
-
-    def parts(self):
-        """(radius, weights) of the finite pieces and of the tail, those present."""
-        if self.weights.size:
-            yield self.length * self.table.nodes, self.weights
-        if self.tail is not None:
-            yield self.tail
 
     def integral(self, fn=None) -> float:
-        """sum(weights * fn(radius)) over the parts, or sum(weights) without
-        fn; for a call with one count."""
-        return float(sum(np.sum(weights if fn is None else weights * np.asarray(fn(radius)))
-                         for radius, weights in self.parts()))
+        """sum(weights * fn(radius)), or sum(weights), for a call with one count."""
+        return float(np.sum(self.weights if fn is None
+                            else self.weights * np.asarray(fn(self.radius))))
 
     def power_sums(self) -> np.ndarray:
-        """(counts, pieces, 5): for each count and piece, sum(weights * R^j)
-        for j in _POWERS; the tail, when present, is the last piece."""
-        table, k = self.table, len(self.counts)
-        scale = (self.length * table.ends) ** _POWERS
-        sums = (np.matmul(self.weights[:, None, :], table.powers).reshape(-1, k, _POWERS.size)
-                * scale[:, None, :]).swapaxes(0, 1)
-        if self.tail is None:
-            return sums
-        radius, weights = self.tail
-        rows = np.empty((_POWERS.size, radius.size))
-        rows[0] = weights
-        r2 = radius * radius
-        np.multiply(weights, r2, out=rows[1])
-        np.multiply(rows[1], r2, out=rows[2])
-        np.multiply(rows[2], r2, out=rows[3])
-        np.divide(weights, radius, out=rows[4])
-        tail = np.add.reduceat(rows, [*accumulate(self.counts[:-1], initial=0)], axis=1)
-        return np.concatenate([sums, tail.T[:, None, :]], axis=1)
+        """(counts, parts, 5): sum(weights * R^j), j = 0, 2, 4, 6, -1, per count
+        and part (the finite pieces, then the tail).  R^6 is finite for R <
+        1e51; the mirror's pieces end at 2 R_MAX = 1.8e44."""
+        rows = np.empty((5, self.weights.size))
+        rows[0] = self.weights
+        for j in (1, 2, 3):         # the R^2 ladder
+            np.multiply(rows[j - 1], self.squares, out=rows[j])
+        np.divide(self.weights, self.radius, out=rows[4])
+        sums = np.add.reduceat(rows, [*accumulate(self.table.runs[:-1], initial=0)], axis=1)
+        return sums.T.reshape(-1, len(self.counts), 5).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +187,8 @@ class HydrogenOrbital:
     optionally multiplied by the smooth cutoff supported in |x| <= cutoff_r/4
     and renormalized.
 
-    The norm of a cut-off orbital takes its rule from the table of the pieces
-    [0, 1/5] and [1/5, 1/4] in units of cutoff_r, whose bump values are built
-    once for every cutoff_r; a call scales the table to its cutoff_r.
+    cutoff_r must be at least CUTOFF_MIN and give a positive norm (up to about
+    1e8), or ValueError is raised.
     """
 
     n_electrons = 1
@@ -228,8 +196,9 @@ class HydrogenOrbital:
     def __init__(self, z: float = 1.0, cutoff_r: float | None = None):
         if not z > 0:
             raise ValueError("orbital scale must be positive")
-        if cutoff_r is not None and not 0 < cutoff_r < np.inf:
-            raise ValueError(f"cutoff radius parameter must be finite and positive, got {cutoff_r}")
+        if cutoff_r is not None and not CUTOFF_MIN <= cutoff_r < np.inf:
+            raise ValueError("cutoff radius parameter must be finite and positive, at least "
+                             f"CUTOFF_MIN = {CUTOFF_MIN}, got {cutoff_r}")
         self.z = float(z)
         self.cutoff_r = cutoff_r
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
@@ -290,18 +259,16 @@ class HydrogenOrbital:
         d(R) is the pair's density with the exponential stripped: the product
         of the two envelopes, or density(R) when given.  [0, end of the joint
         support) is split at the cutoff-bump edges and at each cut inside it,
-        cuts given in units of length (by default the smaller cutoff_r of the
-        pair, 1.0 for an uncut pair).  Every finite piece takes Gauss-Legendre
-        from _piece_table, whose nodes T, weights and bumps are in units of
-        length, built once per layout (edge and cutoff ratios, exact for
-        cutoff_r == length) and tuple of counts.  A call scales them: length
-        x e^{-s length T} x the amplitudes x (length T)^2, in the order of the
-        product in radii.  The unbounded last piece of an uncut pair takes
-        Gauss-Laguerre shifted to its start (exact for polynomial f), in radii,
-        as s moves its nodes; an uncut pair without cuts keeps the arithmetic
-        of the rule in radii to the bit.  No node lies on a cut.  Each count's
-        nodes and weights are its column block, and equal those of a call with
-        that count alone bit for bit.
+        cuts in units of length (by default the smaller cutoff_r, 1.0 for an
+        uncut pair).  The finite pieces take Gauss-Legendre from _piece_table
+        in units of length; a call scales each weight in the order of the
+        product in radii (length, e^{-sR}, d(R), R^2), so it under- or
+        overflows where that product does.  An uncut pair's tail takes
+        Gauss-Laguerre shifted to its start, in radii; without cuts it keeps
+        the arithmetic of the rule in radii to the bit.  No node lies on a cut.
+        The rule is flat, the pieces row by row and then the tail, in the
+        (part, count) runs of table.runs; each count's runs equal the rule of
+        a call with that count alone bit for bit.
         """
         s = 0.5 * (self.z + other.z)
         cutoffs = [orb.cutoff_r for orb in (self, other) if orb.cutoff_r is not None]
@@ -312,22 +279,23 @@ class HydrogenOrbital:
         splits = {c / 5.0 for c in ratios} | set(cuts)
         edges = (0.0, *sorted(b for b in splits if b < end), *([end] if ratios else []))
         table = _piece_table(edges, ratios, counts)
-        # the factors in the order of the radii's product, half-width x
-        # Legendre weight x 4 pi, e^{-sR}, d(R), R^2, so a weight underflows
-        # or overflows where that product does
+        radius = length * table.nodes
+        squares = table.squares * (length * length)
         weights = (table.weights if density is None else table.base) * length
         weights *= np.exp(table.nodes * (-s * length))
-        weights *= self._scale * other._scale if density is None else density(length * table.nodes)
-        weights *= table.squares * (length * length)
-        tail = None
+        weights *= self._scale * other._scale if density is None else density(radius)
+        weights *= squares
+        flat = (radius.ravel(), squares.ravel(), weights.ravel())
         if table.laguerre is not None:
             laguerre_t, laguerre_w = table.laguerre
             start = length * edges[-1]
-            radius = start + laguerre_t / s
+            tail = start + laguerre_t / s
+            tail_squares = tail ** 2
             weights_t = laguerre_w * (4.0 * np.pi * np.exp(-s * start) / s)
-            d = self._scale * other._scale if density is None else density(radius)
-            tail = (radius, weights_t * d * radius ** 2)
-        return _RadialRule(length, counts, table, weights, tail)
+            d = self._scale * other._scale if density is None else density(tail)
+            flat = [np.concatenate(pair) for pair in
+                    zip(flat, (tail, tail_squares, weights_t * d * tail_squares))]
+        return _RadialRule(*flat, counts, table)
 
     def pair_integral(self, other: "HydrogenOrbital", fn) -> float:
         """4 pi int_0^inf psi_a psi_b f(R) R^2 dR."""
@@ -485,7 +453,8 @@ class GroundBasis:
 # ---------------------------------------------------------------------------
 
 class QuadratureError(RuntimeError):
-    """Raised when doubling the node count moves a result beyond tolerance."""
+    """Raised when doubling the node count moves a result beyond tolerance, or
+    when a rule misses the mass of the density it integrates."""
 
 
 @dataclass(frozen=True)
@@ -524,33 +493,28 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     -(1/r)(-t)^k over k = 1..5 plus the exact remainder -(1/r) t^6/(1 + t);
     odd powers integrate to zero against the spherical density.  The r^-7
     remainder is bracketed from the in-support sixth moment (1/(1 + t)
-    between 4/5 and 4/3 there).
-    One _pair_rule call gives the rules at RADIAL_NODES and twice that many
-    nodes, from a table in units of r: the pieces [0, 1/4], [1/4, 2] and the
-    tail of the plain orbital, [0, 1/5], [1/5, 1/4] of one cut off at r, each
-    built once with its bump values and its powers 1, T^2, T^4, T^6, 1/T.  A
-    cut beyond the support of a cut-off orbital is dropped, so a support
-    ending by r/4 has tail_mass exactly 0.  A call takes e^{-s r T}, the
-    Laguerre tail's radii and one product of the weights with the powers per
-    piece and count, scaled by the powers of r: every window is a run of
-    pieces, so m2 and m4 take all of them, m6 and the Newton mass those below
-    r/4 and 2r, the tail mass and the outer 1/R sum those above.  The
-    remainder divides m6 by r^7 before 3 and 5, so it stays finite up to
-    R_MAX.
-    Every piece is computed on both rules; quad_error is their largest
-    relative move, and QuadratureError is raised beyond QUAD_TOL or on a NaN.
-    r must be positive, with r^-7 and r^7 normal floats: R_MIN <= r <= R_MAX,
+    between 4/5 and 4/3 there), divided by r^7 before 3 and 5 so that it
+    stays finite up to R_MAX.
+    One _pair_rule call in units of r, cut at r/4 and 2r (a cut beyond a
+    cut-off support is dropped, so its tail_mass is exactly 0), gives the
+    rules at RADIAL_NODES and twice that.  Every window is a run of parts of
+    power_sums: m2 and m4 take all, m6 and the Newton mass those below r/4
+    and 2r, the tail mass and the outer 1/R sum those above.  quad_error is
+    the largest relative move between the rules; QuadratureError is raised
+    where it exceeds QUAD_TOL or is NaN, and where the refined rule's mass
+    misses 1 by more than QUAD_TOL, as for a support the pieces do not
+    resolve (the plain orbital's from r = 3e7 on), which doubling hardly
+    moves.  r must satisfy R_MIN <= r <= R_MAX, r^-7 and r^7 normal floats,
     a scalar test (ValueError otherwise, NaN included).
     """
     if not R_MIN <= r <= R_MAX:     # r^+-3, r^+-5 lie between r^-7 and r^7
         raise ValueError(f"r must be positive with r^-7 ... r^7 in the floats, got {r}")
 
     rule = psi._pair_rule(psi, (RADIAL_NODES, 2 * RADIAL_NODES), length=r, cuts=(0.25, 2.0))
-    # pieces below r/4 and below 2r; the tail lies beyond both
     i, j = (bisect_right(rule.table.edges, cut) - 1 for cut in (0.25, 2.0))
     moves = []
-    for pieces in rule.power_sums().tolist():
-        mass, r2, r4, r6, inverse = zip(*pieces)
+    for parts in rule.power_sums().tolist():
+        mass, r2, r4, r6, inverse = zip(*parts)
         moves.append([sum(r2) / 3.0, sum(r4) / 5.0, sum(r6[:i], 0.0) / 7.0, sum(mass[i:], 0.0),
                       sum(mass[:j], 0.0) / r + 2.0 * sum(inverse[j:], 0.0)])
     base, refined = np.array(moves)
@@ -559,6 +523,9 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
         raise QuadratureError(
             f"radial quadrature not converged: doubling nodes moved results by {quad_error:.3e}"
         )
+    total = sum(mass)       # the refined rule's, the last of the loop
+    if not abs(total - 1.0) <= QUAD_TOL:
+        raise QuadratureError(f"radial quadrature not resolved: the rule's mass is {total!r}")
     m2, m4, m6_in, tail, newton = refined.tolist()
     remainder = m6_in / r ** 7      # 3 r^7 and 5 r^7 overflow near R_MAX
     return MirrorEnergyExpectation(

@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,17 +294,6 @@ class TestSparseSymOp:
         with pytest.raises(ValueError, match="offsets must be positive"):
             SparseSymOp(np.ones(6), {1: -np.ones(5), offset: -np.ones(6 - abs(offset))})
 
-    def test_abs_matrix_on_the_operators_structure(self, coarse_spec):
-        # |H| copies the values only, and gives the norm and the M-matrix
-        # bound to the bit of scipy's abs(H)
-        op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0,))[0]
-        a = op.abs_matrix()
-        for name in ("indptr", "indices"):
-            assert np.shares_memory(getattr(a, name), getattr(op.matrix, name))
-        v = np.random.default_rng(0).random(op.dim)
-        assert np.array_equal(a @ v, abs(op.matrix) @ v)
-        assert op.norm_estimate() == float(abs(op.matrix).sum(axis=1).max())
-
     @staticmethod
     def _operators():
         """(name, operator, a second diagonal) on the 1D grids and on the
@@ -319,24 +309,47 @@ class TestSparseSymOp:
 
     def test_norm_estimate_within_two_ulp(self):
         # max_i |H_ii| + off_i sums in another order than scipy's row sums
-        # of |H|; both before and after set_diagonal they agree to 2 ulp
+        # of |H|; both before and after set_diagonal they agree to 2 ulp.
+        # The |H| v of the M-matrix test, (|d| + d) v - H v, lies within
+        # gamma_{k+3} of scipy's, relative, k = row_entries
+        rng = np.random.default_rng(0)
         for name, op, other in self._operators():
+            assert op.row_entries == np.diff(op.matrix.indptr).max(), name
+            j = op.row_entries + 3
+            gamma = j * np.finfo(float).eps / (1.0 - j * np.finfo(float).eps)
             for diagonal in (None, other):
                 if diagonal is not None:
                     op.set_diagonal(diagonal)
-                want = float(op.abs_matrix().sum(axis=1).max())
+                want = float(abs(op.matrix).sum(axis=1).max())
                 assert abs(op.norm_estimate() - want) <= 2.0 * np.spacing(want), name
+                h, v = op.matrix, rng.random(op.dim) + 0.5
+                d = h.diagonal()
+                exact = abs(h) @ v
+                assert np.all(np.abs((np.abs(d) + d) * v - h @ v - exact) <= gamma * exact), name
+
+    @pytest.mark.parametrize("excess, certified", [(1e-15, False), (1e-13, True)])
+    def test_m_matrix_test_refuses_within_rounding(self, excess, certified):
+        # (H v)_1 = excess > 0 on tridiag(-1, 2, -1): a proof only above the
+        # rounding bound gamma_6 (|H| v)_1, about 2.7e-15 here
+        op = SparseSymOp(np.full(3, 2.0), {1: -np.ones(2)})
+        probe = np.array([1.0, 1.0 + excess / 2.0, 1.0])
+        assert (op.matrix @ probe)[1] > 0.0
+        factor = SimpleNamespace(probe=probe)
+        assert eigensolver._m_matrix_certified(op, 0.0, factor) is certified
 
     def test_norm_estimate_builds_no_abs_matrix(self, monkeypatch, coarse_spec):
-        # the off-diagonal row sums are kept from the bands, so neither the
-        # norm nor a new diagonal copies |H|
+        # the off-diagonal row sums are kept from the bands, and the M-matrix
+        # test takes |H| v from the diagonal and H v, so neither the norm, a
+        # new diagonal nor a certified factor copies |H|
         def refused(self):
-            raise AssertionError("norm_estimate built |H|")
+            raise AssertionError("|H| was built")
 
         op, (free,) = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0, 0.0))
         plate = float(abs(op.matrix).sum(axis=1).max())
-        monkeypatch.setattr(SparseSymOp, "abs_matrix", refused)
+        monkeypatch.setattr(type(op.matrix), "__abs__", refused)
+        assert not hasattr(SparseSymOp, "abs_matrix")
         assert abs(op.norm_estimate() - plate) <= 2.0 * np.spacing(plate)
+        assert lowest_eigenpair(op, sigma=HYDROGEN_SHIFT).factorizations == 1
         op.set_diagonal(free)
         op.norm_estimate()
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
@@ -143,7 +145,7 @@ class RadiiOrbital:
         return float(np.sum(weights))
 
     def mirror_energy_expectation(self, r: float, m: float = 1.0) -> tuple:
-        """Every field of the expectation but quad_error, with its check."""
+        """Every field of the expectation but quad_error, with its checks."""
         def pieces(radius, weights):
             i, j = np.searchsorted(radius, (r / 4.0, 2.0 * r))
             r2 = radius * radius
@@ -161,10 +163,22 @@ class RadiiOrbital:
         quad_error = float(np.max(np.abs(refined - base) / np.maximum(np.abs(refined), 1.0)))
         if not quad_error <= multipole.QUAD_TOL:
             raise QuadratureError(f"doubling nodes moved results by {quad_error:.3e}")
+        mass = float(rules[1][1].sum())
+        if not abs(mass - 1.0) <= multipole.QUAD_TOL:
+            raise QuadratureError(f"the rule's mass is {mass!r}")
         m2, m4, m6_in, tail, newton = refined.tolist()
         return (float(-m * (m2 / (4.0 * r ** 3) + m4 / (4.0 * r ** 5))), newton,
                 float(-m * m6_in / (3.0 * r ** 7)), float(-m * m6_in / (5.0 * r ** 7)),
                 tail, m2, m4, m6_in)
+
+
+def refusal(cutoff_r, z: float = 1.0) -> str | None:
+    """The text of the ValueError HydrogenOrbital(z, cutoff_r) raises, None
+    where it accepts: below CUTOFF_MIN, or where the norm in radii is not
+    finite and positive."""
+    if cutoff_r is not None and cutoff_r < multipole.CUTOFF_MIN:
+        return "at least CUTOFF_MIN"
+    return None if RadiiOrbital(z, cutoff_r).valid else "gives the norm"
 
 
 def rounding_bound(r: float) -> float:
@@ -344,11 +358,24 @@ class TestMirrorEnergyExpectation:
             mirror_energy_expectation(rough, 20.0)
         assert built == [(8,), (8, 16)]
 
-    # every field at r = 13.7 from the tables in units of r.  IN_RADII holds the
-    # fields of the rules built in radii, PINNED_POWERS those of R ** 4 and
-    # R ** 6 before the R^2 ladder, and PINNED_WINDOWS, for the supports that
-    # pass r/4, a rule per window ([0, inf), [0, r/4], [r/4, inf), [2r, inf))
+    # every field at r = 13.7 from the flat rule in units of r, one power-sum
+    # reduction for all parts.  PIECE_POWERS holds the fields of the per-piece
+    # power tensor scaled by (r E)^j, IN_RADII those of the rules built in
+    # radii, PINNED_POWERS those of R ** 4 and R ** 6 before the R^2 ladder,
+    # and PINNED_WINDOWS, for the supports that pass r/4, a rule per window
+    # ([0, inf), [0, r/4], [r/4, inf), [2r, inf))
     PINNED = {
+        13.7: (-0.0001281657575869257, 0.072992700729927, -7.319595531912323e-08,
+               -4.391757319147394e-08, 0.0, 1.29534997571909, 4.295782156598566,
+               19.89080263600732, 2.0675592646983566e-16),
+        27.4: (-0.00031359026522024516, 0.07299270072992703, -9.782555877485909e-08,
+               -5.869533526491545e-08, 0.291830373777152, 3.0622479065747576,
+               30.622969313264512, 26.583830675675156, 5.345676057215214e-16),
+        None: (-0.0004261969548627813, 0.07299270072857518, -9.187014148794144e-08,
+               -5.512208489276486e-08, 0.3349422730281834, 4.000000000000003,
+               72.00000000000009, 24.965462155820656, 2.7755575615628914e-16),
+    }
+    PIECE_POWERS = {
         13.7: (-0.00012816575758692572, 0.07299270072992697, -7.319595531912323e-08,
                -4.3917573191473945e-08, 0.0, 1.2953499757190903, 4.295782156598568,
                19.890802636007322, 3.4283337953014165e-16),
@@ -395,6 +422,7 @@ class TestMirrorEnergyExpectation:
         e = mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), 13.7)
         assert dataclasses.astuple(e) == self.PINNED[cutoff_r]
         fields = dataclasses.astuple(e)[:-1]    # every field but quad_error
+        assert fields == pytest.approx(self.PIECE_POWERS[cutoff_r][:-1], rel=1e-15, abs=0.0)
         assert fields == pytest.approx(self.IN_RADII[cutoff_r][:-1], rel=1e-15, abs=0.0)
         assert fields == pytest.approx(self.PINNED_POWERS[cutoff_r][:-1], rel=1e-15, abs=0.0)
         if cutoff_r in self.PINNED_WINDOWS:
@@ -435,11 +463,11 @@ class TestMirrorEnergyExpectation:
             warnings.simplefilter("error")
             for r in np.geomspace(multipole.R_MIN, multipole.R_MAX, 121).tolist():
                 cutoff_r = None if ratio is None else ratio * r
-                radii = RadiiOrbital(cutoff_r=cutoff_r)
-                if not radii.valid:
-                    with pytest.raises(ValueError, match="gives the norm"):
+                if (text := refusal(cutoff_r)) is not None:
+                    with pytest.raises(ValueError, match=text):
                         HydrogenOrbital(cutoff_r=cutoff_r)
                     continue
+                radii = RadiiOrbital(cutoff_r=cutoff_r)
                 psi = HydrogenOrbital(cutoff_r=cutoff_r)
                 try:
                     old = radii.mirror_energy_expectation(r)
@@ -453,21 +481,56 @@ class TestMirrorEnergyExpectation:
                 for field, (a, b, floor) in enumerate(zip(new, old, floors)):
                     assert a == pytest.approx(b, rel=rounding_bound(r), abs=floor), (r, field)
                 compared += 1
-        # the rest either raise QuadratureError on both sides (the 5 radii
-        # from 2.5e4 to 2.1e7) or have a cutoff_r the orbital refuses
-        assert compared == (116 if ratio is None else 67 if ratio == 0.5 else 66)
+        # the rest either raise QuadratureError on both sides (the plain
+        # orbital from r = 2.5e4 on: doubling moves it up to 2.1e7, the mass
+        # is lost beyond) or have a cutoff_r the orbital refuses
+        assert compared == (67 if ratio == 0.5 else 66)
 
     def test_remainder_finite_up_to_r_max(self):
         # 3 r^7 and 5 r^7 overflowed above r = 8.2e43: a RuntimeWarning for
-        # an np.float64 r, remainder_hi = -0.0 for a float
+        # an np.float64 r, remainder_hi = -0.0 for a float.  The plain
+        # orbital is refused there (its support is not resolved), so an
+        # orbital cut off at 20 carries the moments
         r = np.nextafter(multipole.R_MAX, 0.0)
+        psi = HydrogenOrbital(cutoff_r=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for radius in (r, float(r), multipole.R_MAX, 8.3e43):
-                e = mirror_energy_expectation(HydrogenOrbital(), radius)
+                e = mirror_energy_expectation(psi, radius)
+                assert e.moment_x1_6 > 0.0
                 assert e.remainder_lo == -e.moment_x1_6 / radius ** 7 / 3.0
                 assert e.remainder_hi == -e.moment_x1_6 / radius ** 7 / 5.0
                 assert all(math.isfinite(x) for x in dataclasses.astuple(e))
+
+    @pytest.mark.parametrize("r, cutoff_r", [(1.35e8, None), (1e10, None), (1.49e4, 2.98e4)])
+    def test_unresolved_support_refused(self, r, cutoff_r):
+        # the doubled rules agreed on a wrong mass, so quad_error passed:
+        # 3.1e-111 on a mass of 2.8e-125 (r = 1.35e8), 0 on a mass of 0
+        # (1e10), and 1.8e-10 on 1 + 1.07e-8 (a cutoff of 2r at 1.49e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="mass"):
+                mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), r)
+
+    @seed(1729)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(log_r=st.floats(math.log(multipole.R_MIN), math.log(multipole.R_MAX)),
+           ratio=st.sampled_from([None, 0.5, 1.0, 2.0]))
+    def test_finite_and_normalized_or_refused(self, log_r, ratio):
+        # log-uniform r over the accepted range: finite fields on a rule of
+        # mass 1 within QUAD_TOL, or QuadratureError, or an orbital the
+        # constructor refuses; never a RuntimeWarning
+        r = min(max(math.exp(log_r), multipole.R_MIN), multipole.R_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                psi = HydrogenOrbital(cutoff_r=None if ratio is None else ratio * r)
+                e = mirror_energy_expectation(psi, r)
+            except (QuadratureError, ValueError):
+                return
+            rule = psi._pair_rule(psi, (2 * multipole.RADIAL_NODES,), length=r, cuts=(0.25, 2.0))
+            assert abs(rule.integral() - 1.0) <= multipole.QUAD_TOL
+        assert all(math.isfinite(x) for x in dataclasses.astuple(e))
 
     @pytest.mark.parametrize("r", [math.inf, 1e300, 1e-300])
     def test_radius_out_of_range(self, r):
@@ -492,6 +555,8 @@ class TestMirrorEnergyExpectation:
             except ValueError as exc:
                 assert "r must be positive" in str(exc)
                 return False
+            except QuadratureError:     # past the range test
+                return True
             return True
 
         psi = HydrogenOrbital()
@@ -534,8 +599,10 @@ class TestMirrorEnergyExpectation:
         counts = (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES)
         table = multipole._piece_table((0.0, 0.2, 0.25), (1.0, 1.0), counts)
         assert multipole._piece_table((0.0, 0.2, 0.25), (1.0, 1.0), counts) is table
-        for array in (*table[1:7], *multipole._piece_table((0.0, 0.25, 2.0), (), counts).laguerre):
+        plain = multipole._piece_table((0.0, 0.25, 2.0), (), counts)
+        for array in (table.nodes, table.squares, table.base, table.weights, *plain.laguerre):
             assert not array.flags.writeable
+        assert (table.runs, plain.runs) == (2 * counts, 3 * counts)
         rules = []
         for rule in (multipole.angular_legendre_rule, multipole.radial_laguerre_rule):
             monkeypatch.setattr(multipole, rule.__name__, lambda n: rules.append(n) or rule(n))
@@ -551,6 +618,35 @@ class TestMirrorEnergyExpectation:
             mirror_energy_expectation(HydrogenOrbital(cutoff_r=ratio * 10.0), 10.0)
         info = multipole._piece_table.cache_info()
         assert info.currsize == info.maxsize == 16
+
+    def test_cutoff_below_minimum_rejected(self):
+        # below CUTOFF_MIN the kinetic density overflowed (RuntimeWarning),
+        # and below 2.7e-103 the norm's and moment2's did too
+        low = float(np.nextafter(multipole.CUTOFF_MIN, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cutoff_r in (low, 9.8e-62, 2.7e-103, 5.35e-107, 0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="at least CUTOFF_MIN"):
+                    HydrogenOrbital(cutoff_r=cutoff_r)
+            psi = HydrogenOrbital(cutoff_r=multipole.CUTOFF_MIN)
+            values = [psi.norm(), psi.overlap(psi), psi.moment2(psi)[0, 0], psi.kinetic_energy()]
+        assert all(math.isfinite(x) for x in values)
+
+    @seed(1729)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(log_c=st.floats(math.log(1e-120), math.log(1e12)),
+           log_z=st.floats(math.log(1e-3), math.log(1e3)))
+    def test_cutoff_integrals_finite_or_refused(self, log_c, log_z):
+        # log-uniform cutoff_r on both sides of the accepted range: finite
+        # integrals, or one ValueError; never a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                psi = HydrogenOrbital(z=math.exp(log_z), cutoff_r=math.exp(log_c))
+            except ValueError:
+                return
+            values = [psi.norm(), psi.overlap(psi), psi.moment2(psi)[0, 0], psi.kinetic_energy()]
+        assert all(math.isfinite(x) for x in values)
 
     def test_infinite_cutoff_rejected(self):
         # its norm was NaN
@@ -574,9 +670,7 @@ class TestMirrorEnergyExpectation:
 
         def nan_rule(self, *args, **kwargs):
             out = rule(self, *args, **kwargs)
-            radius, weights = out.tail
-            return out._replace(weights=np.full_like(out.weights, np.nan),
-                                tail=(radius, np.full_like(weights, np.nan)))
+            return out._replace(weights=np.full_like(out.weights, np.nan))
 
         monkeypatch.setattr(HydrogenOrbital, "_pair_rule", nan_rule)
         with warnings.catch_warnings():
@@ -607,22 +701,24 @@ class TestPairRule:
         scaled = tuple(c / self.R for c in cuts)
         counts = (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES, 37)
         together = a._pair_rule(b, counts, length=self.R, cuts=scaled)
-        for n, stop in zip(counts, itertools.accumulate(counts)):
+        runs = together.table.runs
+        assert runs == counts * (len(runs) // len(counts))
+        stops = list(itertools.accumulate(runs))
+        for k, n in enumerate(counts):
             alone = a._pair_rule(b, (n,), length=self.R, cuts=scaled)
-            block = slice(stop - n, stop)
-            assert together.table.nodes[:, block].tobytes() == alone.table.nodes.tobytes()
-            assert together.weights[:, block].tobytes() == alone.weights.tobytes()
-            assert (together.tail is None) == (alone.tail is None)
-            if alone.tail is not None:
-                for joined, single in zip(together.tail, alone.tail):
-                    assert joined[block].tobytes() == single.tobytes()
-            radius = np.concatenate([radius.ravel() for radius, _ in alone.parts()])
-            assert radius.size == n * (len(alone.table.edges) - 1 + (alone.tail is not None))
+            assert alone.table.runs == (n,) * (len(runs) // len(counts))
+            blocks = [slice(stop - n, stop) for stop in stops[k::len(counts)]]
+            for joined, single in zip(together[:3], alone[:3]):
+                assert np.concatenate([joined[block] for block in blocks]).tobytes() \
+                    == single.tobytes()
+            radius = alone.radius
+            assert radius.size == n * (len(alone.table.edges) - 1
+                                       + (alone.table.laguerre is not None))
             assert np.all(np.diff(radius) > 0) and not np.isin(cuts, radius).any()
 
-    # sha256 over radius and weights at 200 and 400 nodes for each cut set:
-    # the tables in units of R, and the rules built in radii, which the
-    # oracle RadiiOrbital reproduces to the bit
+    # sha256 over radius and weights at 200 and 400 nodes for each cut set,
+    # the finite pieces' before the tail's: the tables in units of R, and the
+    # rules built in radii, which the oracle RadiiOrbital reproduces to the bit
     PINNED_RULES = {("plain", "plain"): "708e8f503a2e239f", ("cut_r", "cut_r"): "fb2b2441d1228d69",
                     ("cut_2r", "cut_2r"): "f62c93012abea1f3", ("plain", "z2"): "c20e966cf88dff62",
                     ("cut_r", "z2_cut_2r"): "a80fe33339da40c6"}
@@ -637,9 +733,10 @@ class TestPairRule:
         for cuts in self.CUTS:
             for n in (200, 400):
                 rule = a._pair_rule(b, (n,), length=self.R, cuts=tuple(c / self.R for c in cuts))
-                for radius, weights in rule.parts():
-                    digest.update(radius.tobytes())
-                    digest.update(weights.tobytes())
+                finite = rule.table.nodes.size
+                for part in (slice(None, finite), slice(finite, None)):
+                    digest.update(rule.radius[part].tobytes())
+                    digest.update(rule.weights[part].tobytes())
         assert digest.hexdigest()[:16] == self.PINNED_RULES[pair]
         a, b = (self.IN_RADII_ORBITALS[k] for k in pair)
         digest = hashlib.sha256()
@@ -704,41 +801,44 @@ class TestPairRule:
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.5])
     def test_cut_off_integrals_match_the_rules_in_radii(self, ratio):
         # norm, overlap, moment2 and kinetic energy over cutoff radii from
-        # 1e-100 to 1e8, the range HydrogenOrbital accepts
+        # 1e-100 to 1e8, across the range HydrogenOrbital accepts; those it
+        # accepts give finite integrals with no warning
         compared = 0
         for cutoff_r in np.geomspace(1e-100, 1e8, 55):
-            pa, pb = RadiiOrbital(cutoff_r=cutoff_r), RadiiOrbital(z=2.0, cutoff_r=ratio * cutoff_r)
-            if not pb.valid:
-                with pytest.raises(ValueError, match="gives the norm"):
-                    HydrogenOrbital(z=2.0, cutoff_r=ratio * cutoff_r)
+            specs = [(1.0, cutoff_r), (2.0, ratio * cutoff_r)]
+            if refused := [(z, c, text) for z, c in specs if (text := refusal(c, z))]:
+                for z, c, text in refused:
+                    with pytest.raises(ValueError, match=text):
+                        HydrogenOrbital(z=z, cutoff_r=c)
                 continue
-            a = HydrogenOrbital(cutoff_r=cutoff_r)
-            b = HydrogenOrbital(z=2.0, cutoff_r=ratio * cutoff_r)
-            with np.errstate(over="ignore", invalid="ignore"):     # huge amplitudes below 1e-97
+            (a, pa), (b, pb) = ((HydrogenOrbital(z, c), RadiiOrbital(z, c)) for z, c in specs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 new = [a._norm, a.norm(), a.overlap(b), a.moment2(b)[0, 0], a.kinetic_energy()]
+            with np.errstate(over="ignore", invalid="ignore"):
                 old = [pa._norm, pa.norm(), pa.overlap(pb), pa.moment2(pb), pa.kinetic_energy()]
-            finite = np.isfinite(old)
-            assert np.array_equal(finite, np.isfinite(new))
-            compared += finite.sum()
-            assert np.array(new)[finite] == pytest.approx(
-                np.array(old)[finite], rel=rounding_bound(cutoff_r), abs=np.finfo(float).tiny)
-        assert compared >= 200
+            assert np.all(np.isfinite(new))
+            assert new == pytest.approx(old, rel=rounding_bound(cutoff_r), abs=np.finfo(float).tiny)
+            compared += 1
+        # the rest have an orbital below CUTOFF_MIN or, above 1e8, with norm 0
+        assert compared == (35 if ratio == 0.5 else 34)
 
     def test_cutoff_scan_accepts_the_set_in_radii(self):
-        # every cutoff_r the rules in radii accepted, and no other, on a log scan,
-        # with no warning; the set is [5.34e-107, 1.04e8]
+        # every cutoff_r at least CUTOFF_MIN the rules in radii accepted, and no
+        # other, on a log scan, with no warning; the set is [1.82e-61, 1.04e8]
+        # (the rules in radii accepted [5.34e-107, 1.04e8], 229 points)
         accepted = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for cutoff_r in np.geomspace(1e-300, 1e300, 1201):
+            for cutoff_r in np.geomspace(1e-300, 1e300, 1201).tolist():
                 try:
-                    HydrogenOrbital(cutoff_r=float(cutoff_r))
+                    HydrogenOrbital(cutoff_r=cutoff_r)
                     accepted.append(True)
                 except ValueError as exc:
-                    assert "gives the norm" in str(exc)
+                    assert refusal(cutoff_r) in str(exc)
                     accepted.append(False)
-                assert accepted[-1] == RadiiOrbital(cutoff_r=float(cutoff_r)).valid
-        assert sum(accepted) == 229
+                assert accepted[-1] == (refusal(cutoff_r) is None)
+        assert sum(accepted) == 138
 
 
 class TestOrientationCoefficient:
