@@ -192,11 +192,9 @@ class SparseSymOp:
     row_entries = 2 x bands + 1 bounds the entries a row stores.  The
     off-diagonal |row sums| are summed from the bands once, when built;
     norm_estimate adds them to the diagonal's, and set_diagonal reuses them.
-    No |H| is ever built: for a Z-matrix, |H| v = (|d| + d) v - H v.
-    A tridiagonal operator (one band, at offset 1) keeps copies of its two
-    arrays as tridiagonal, the input of dpttrf (_tridiagonal_factor); other
-    operators keep None there.  guess, when given, is a start vector for
-    lowest_eigenpair with a nonzero component along the lowest eigenvector.
+    No |H| is ever built: for a Z-matrix, |H| v = (|d| + d) v - H v.  guess,
+    when given, is a start vector for lowest_eigenpair with a nonzero
+    component along the lowest eigenvector.
     """
 
     def __init__(self, diagonal: np.ndarray, bands: dict, guess: np.ndarray | None = None):
@@ -215,9 +213,6 @@ class SparseSymOp:
         for k, band in bands.items():     # H[i, i + k] and its mirror H[i + k, i]
             self._off_sums[:n - k] += np.abs(band)
             self._off_sums[k:] += np.abs(band)
-        self.tridiagonal = None
-        if set(bands) == {1}:
-            self.tridiagonal = (np.array(diagonal, dtype=float), np.array(bands[1], dtype=float))
         self._norm = self._row_sum_max(diagonal)
 
     @property
@@ -229,14 +224,12 @@ class SparseSymOp:
 
     def set_diagonal(self, d: np.ndarray) -> None:
         """Write d over the matrix's diagonal in place, on its own indptr and
-        indices, and over tridiagonal's diagonal.  Symmetry and the Z sign
-        pattern live in the bands, checked when built, so only d's finiteness
-        is checked; the off-diagonal row sums are reused for the norm."""
+        indices.  Symmetry and the Z sign pattern live in the bands, checked
+        when built, so only d's finiteness is checked; the off-diagonal row
+        sums are reused for the norm."""
         if not np.all(np.isfinite(d)):
             raise ValueError("operator entries must be finite")
         self.matrix.setdiag(d)
-        if self.tridiagonal is not None:
-            self.tridiagonal = (np.array(d, dtype=float), self.tridiagonal[1])
         self._norm = self._row_sum_max(d)
 
     def norm_estimate(self) -> float:
@@ -390,13 +383,12 @@ def _malloc_trim():
     system.  A solve frees its factor, tens of MB on the production grid,
     into the heap, where the pages stay resident unless the next, larger
     grid's arrays happen to fit into the holes.  lowest_eigenpair trims
-    at the start of every solve, before norm_estimate allocates, also in a
-    solve that borrows a factor: in a W row that is after set_diagonal
-    writes the free diagonal.  perfbench's peak_rss_mb, five runs each on
-    a 2-core x86_64 host: a production sweep (r = 10, 12, 14, 16) peaks at
-    142.80-143.55 MiB with the trim and 143.57-145.69 MiB without it, the
-    dielectric_ladder at 69.26-69.33 MiB with it and 69.70-69.95 MiB
-    without.
+    at the start of every solve, also in a solve that borrows a factor: in
+    a W row that is after set_diagonal writes the free diagonal.
+    perfbench's peak_rss_mb, five runs each on a 2-core x86_64 host: a
+    production sweep (r = 10, 12, 14, 16) peaks at 142.80-143.55 MiB with
+    the trim and 143.57-145.69 MiB without it, the dielectric_ladder at
+    69.26-69.33 MiB with it and 69.70-69.95 MiB without.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -487,25 +479,26 @@ def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
 
 
 class _Factor:
-    """A SuperLU factor that rounds each right-hand side to its precision,
-    float32 or float64; its solutions stay in that precision."""
+    """A factor of an n x n H - sigma by SuperLU (_factor), dpttrf
+    (_tridiagonal_factor) or dsytrf (_dense_factor): solve maps a right-hand
+    side through it, nnz is its fill, lu is the back end's own factor."""
 
-    def __init__(self, lu, precision):
-        self.lu, self.nnz, self.precision = lu, lu.nnz, precision
+    def __init__(self, solve, n: int, nnz: int, lu):
+        self._solve, self.n, self.nnz, self.lu = solve, n, nnz, lu
 
     def solve(self, rhs):
-        return self.lu.solve(np.asarray(rhs, dtype=self.precision))
+        return self._solve(rhs)
 
     @functools.cached_property
     def probe(self) -> np.ndarray:
-        """solve(1) in double, the v of _m_matrix_certified: one back-solve
-        per factor, however many operators the factor is tested on."""
-        return np.asarray(self.solve(np.ones(self.lu.shape[0])), dtype=float)
+        """solve(1) in double, the v of _m_matrix_certified, solved once per factor."""
+        return np.asarray(self.solve(np.ones(self.n)), dtype=float)
 
 
 def _factor(matrix, sigma: float, precision) -> _Factor:
-    """SuperLU factor of H - sigma rounded to precision (float32: the same
-    order and fill as float64, faster to factor and to back-solve).
+    """SuperLU factor of H - sigma rounded to precision, float32 (the same
+    order and fill as float64, faster to factor and to back-solve) or
+    float64; its solve rounds each right-hand side to that precision.
 
     Symmetric mode takes diagonal pivots in a minimum-degree order of A^T + A
     and leaves the diagonal only where a diagonal pivot is zero.  Panels of
@@ -516,7 +509,7 @@ def _factor(matrix, sigma: float, precision) -> _Factor:
                    .astype(precision, copy=False).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    panel_size=SUPERLU_PANEL, options=dict(SymmetricMode=True))
-    return _Factor(lu, precision)
+    return _Factor(lambda rhs: lu.solve(np.asarray(rhs, dtype=precision)), n, lu.nnz, lu)
 
 
 def _single_factor(op: SparseSymOp, sigma: float) -> _Factor | None:
@@ -530,7 +523,7 @@ def _single_factor(op: SparseSymOp, sigma: float) -> _Factor | None:
 def _certified_factor(op: SparseSymOp, sigma: float, factor_of, norm_est: float):
     """(factor, shift, factors tried): the shift search of both certified solves.
 
-    factor_of(op, sigma) is a factor of H - sigma with a probe, or None
+    factor_of(op, sigma) is a _Factor of H - sigma, or None
     where H - sigma has none (_single_factor, _tridiagonal_factor).  While it
     is None or _m_matrix_certified refuses it, sigma is lowered by a step that
     starts at |sigma| (1 at sigma = 0) and doubles: a negative shift doubles.
@@ -670,24 +663,14 @@ class ElectronPlateResult:
     residual: float         # ||A x - value x|| of the unit fine-grid vector
 
 
-class _TridiagonalFactor:
-    """dpttrf's L D L^T factor (d, e) of tridiagonal H - sigma; probe = solve(1)."""
-
-    def __init__(self, d, e):
-        self.d, self.e, self.nnz = d, e, 2 * len(d) - 1
-        self.probe = self.solve(np.ones(len(d)))
-
-    def solve(self, rhs):
-        return dpttrs(self.d, self.e, rhs)[0]
-
-
-def _tridiagonal_factor(op: SparseSymOp, sigma: float) -> _TridiagonalFactor | None:
-    """_TridiagonalFactor of H - sigma, or None where a dpttrf pivot fails.
-    dpttrf takes op.tridiagonal, the arrays H was built from, not copies read
-    back out of the CSR matrix."""
-    diagonal, band = op.tridiagonal
-    d, e, info = dpttrf(diagonal - sigma, band)
-    return _TridiagonalFactor(d, e) if info == 0 else None
+def _tridiagonal_factor(op: SparseSymOp, sigma: float) -> _Factor | None:
+    """dpttrf's L D L^T factor of tridiagonal H - sigma, lu = (d, e), or None
+    where a pivot fails.  H's CSR diagonals hold the arrays it was built
+    from, to the bit, so dpttrf's input is theirs."""
+    d, e, info = dpttrf(op.matrix.diagonal() - sigma, op.matrix.diagonal(1))
+    if info:
+        return None
+    return _Factor(lambda rhs: dpttrs(d, e, rhs)[0], len(d), 2 * len(d) - 1, (d, e))
 
 
 def _norm2(x: np.ndarray) -> float:
@@ -805,19 +788,10 @@ def _as_operator(h):
     return sp.csc_matrix(h, dtype=float) if sp.issparse(h) else np.asarray(h, dtype=float)
 
 
-class _DenseFactor:
-    """LAPACK Bunch-Kaufman factor P (H - sigma) P^T = L D L^T, lower storage."""
-
-    def __init__(self, ldu, ipiv):
-        self.ldu, self.ipiv = ldu, ipiv
-
-    def solve(self, rhs):
-        return dsytrs(self.ldu, self.ipiv, rhs, lower=1)[0]
-
-
 def _dense_factor(matrix: np.ndarray, sigma: float):
-    """Bunch-Kaufman factor of a dense symmetric H - sigma (LAPACK dsytrf)
-    and the number of eigenvalues of H below sigma, as shifted_factor.
+    """Bunch-Kaufman factor P (H - sigma) P^T = L D L^T of a dense symmetric
+    H - sigma (LAPACK dsytrf, lower storage, lu = (ldu, ipiv)) and the
+    number of eigenvalues of H below sigma, as shifted_factor.
 
     D is block diagonal: ipiv > 0 marks a 1x1 block, and the two rows of a
     2x2 block both carry ipiv < 0.  Bunch and Kaufman take a 2x2 pivot
@@ -826,12 +800,15 @@ def _dense_factor(matrix: np.ndarray, sigma: float):
     gives the count.  An exactly zero pivot (info > 0) raises RuntimeError,
     as SuperLU does on a singular factor.
     """
-    ldu, ipiv, info = dsytrf(matrix - sigma * np.eye(matrix.shape[0]), lower=1)
+    n = matrix.shape[0]
+    ldu, ipiv, info = dsytrf(matrix - sigma * np.eye(n), lower=1)
     if info > 0:
         raise RuntimeError(f"zero pivot {info} in the factor of H - {sigma}")
     one = ipiv > 0
     below = np.count_nonzero(ldu.diagonal()[one] < 0.0) + np.count_nonzero(~one) // 2
-    return _DenseFactor(ldu, ipiv), int(below)
+    factor = _Factor(lambda rhs: dsytrs(ldu, ipiv, rhs, lower=1)[0], n, n * (n + 1) // 2,
+                     (ldu, ipiv))
+    return factor, int(below)
 
 
 def _feshbach(mat, b: np.ndarray, lam: float):

@@ -38,6 +38,13 @@ R_MIN, R_MAX = 1.1210387714598537e-44, 8.92029807941225e+43
 # The smallest cutoff_r a HydrogenOrbital accepts, by bisection on bit patterns:
 # below it the kinetic density (~cutoff_r^-5) overflows, for z from 1e-6 to 1e20.
 CUTOFF_MIN = 1.817267264355245e-61
+# The scales z a HydrogenOrbital accepts: the plain orbital's norm, overlap,
+# moment2 and kinetic energy are finite, raise no warning and match 1,
+# 4/z^2 per axis and z^2/4 to 1e-14 relative.  By bisection on bit patterns,
+# Z_MIN then raised past every refusal among 20000 log-uniform samples above
+# it: below, the kinetic weights (~z^2 times Gauss-Laguerre's) turn subnormal
+# and drift; above Z_MAX the kinetic density z^5 / (32 pi) overflows.
+Z_MIN, Z_MAX = 3.078060749899951e-62, 1.1256492392757958e+62
 
 # Both Gauss rules come from Golub-Welsch: the nodes are the eigenvalues of
 # the Jacobi matrix of the weight, the weights mu_0 times the squared first
@@ -187,15 +194,16 @@ class HydrogenOrbital:
     optionally multiplied by the smooth cutoff supported in |x| <= cutoff_r/4
     and renormalized.
 
-    cutoff_r must be at least CUTOFF_MIN and give a positive norm (up to about
-    1e8), or ValueError is raised.
+    z must lie in [Z_MIN, Z_MAX], and cutoff_r must be at least CUTOFF_MIN and
+    give a positive norm (up to about 1e8), or ValueError is raised.
     """
 
     n_electrons = 1
 
     def __init__(self, z: float = 1.0, cutoff_r: float | None = None):
-        if not z > 0:
-            raise ValueError("orbital scale must be positive")
+        if not Z_MIN <= z <= Z_MAX:
+            raise ValueError(f"orbital scale must lie in [Z_MIN, Z_MAX] = [{Z_MIN}, {Z_MAX}], "
+                             f"got {z}")
         if cutoff_r is not None and not CUTOFF_MIN <= cutoff_r < np.inf:
             raise ValueError("cutoff radius parameter must be finite and positive, at least "
                              f"CUTOFF_MIN = {CUTOFF_MIN}, got {cutoff_r}")

@@ -56,6 +56,28 @@ class FactorCall(NamedTuple):
     threads: list       # blas_threads() when the factor was made
 
 
+def count_probes(monkeypatch):
+    """Make every factor eigensolver builds a counting _Factor.
+
+    Returns (made, probes): the factors made, and the factor of each solve
+    of a right-hand side of ones (the M-matrix test's probe).
+    """
+    made, probes = [], []
+
+    class CountingFactor(eigensolver._Factor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def solve(self, rhs):
+            if np.all(np.asarray(rhs) == 1.0):
+                probes.append(self)
+            return super().solve(rhs)
+
+    monkeypatch.setattr(eigensolver, "_Factor", CountingFactor)
+    return made, probes
+
+
 def spy_factors(monkeypatch, calls=None):
     """Record each SuperLU factor of H - sigma that eigensolver makes.
 

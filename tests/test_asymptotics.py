@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import blas_threads, spy_factors
+from conftest import blas_threads, count_probes, spy_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -272,20 +272,9 @@ class TestSweep:
     @pytest.mark.parametrize("r, factors", [(8.0, 1), (0.5, 2)])
     def test_one_probe_solve_per_factor(self, monkeypatch, coarse_spec, r, factors):
         # the M-matrix test solves (H - sigma) v = 1 once per factor: the
-        # free solve reuses the probe of the plate factor it borrows
-        made, probes = [], []
-
-        class CountingFactor(eigensolver._Factor):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-            def solve(self, rhs):
-                if np.all(np.asarray(rhs) == 1.0):
-                    probes.append(self)
-                return super().solve(rhs)
-
-        monkeypatch.setattr(eigensolver, "_Factor", CountingFactor)
+        # free solve reuses the probe of the plate factor it borrows (the 1D
+        # and Feshbach factors: test_one_probe_solve_per_factor in test_eigensolver)
+        made, probes = count_probes(monkeypatch)
         row, _ = asymptotics.solve_row(GridCyl.for_distance(r, coarse_spec), 1.0)
         assert row.w < 0
         assert len(made) == factors and probes == made

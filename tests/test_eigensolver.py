@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import FactorCall, blas_threads, spy_factors, sym_op
+from conftest import FactorCall, blas_threads, count_probes, spy_factors, sym_op
 
 from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
@@ -214,19 +214,29 @@ class TestTridiagonalGround:
     def test_no_bisection_import(self):
         assert not hasattr(eigensolver, "eigh_tridiagonal")
 
-    def test_factor_from_construction_arrays(self, monkeypatch):
-        # dpttrf takes the arrays the operator was built from, not the
-        # diagonals read back out of the CSR matrix, and factors the same
-        op = assemble_1d_electron_plate(Grid1D(512, 120.0))
+    def test_factor_from_construction_arrays(self):
+        # dpttrf reads the CSR diagonals, which hold the arrays the operator
+        # was built from, and then set_diagonal's, to the bit: its factor is
+        # dpttrf's on those arrays, byte for byte
+        grid = Grid1D(512, 120.0)
         sigma = eigensolver.ELECTRON_PLATE_SHIFT
-        d, e, _ = eigensolver.dpttrf(op.matrix.diagonal() - sigma, op.matrix.diagonal(1))
+        band = np.full(grid.n - 1, -1.0) / grid.h ** 2
+        plate = np.full(grid.n, 2.0) / grid.h ** 2 - 1.0 / (4.0 * grid.nodes)
+        op = SparseSymOp(plate, {1: band})
+        for diagonal in (plate, plate + 1.0 / (3.0 * grid.nodes)):
+            op.set_diagonal(diagonal)
+            d, e, info = eigensolver.dpttrf(diagonal - sigma, band)
+            lu = eigensolver._tridiagonal_factor(op, sigma).lu
+            assert info == 0 and lu[0].tobytes() == d.tobytes() and lu[1].tobytes() == e.tobytes()
 
-        def refused(*args):
-            raise AssertionError("a diagonal was read back out of the CSR matrix")
-
-        monkeypatch.setattr(op.matrix, "diagonal", refused)
-        lu = eigensolver._tridiagonal_factor(op, sigma)
-        assert lu.d.tobytes() == d.tobytes() and lu.e.tobytes() == e.tobytes()
+    @pytest.mark.parametrize("n", [16, 32, 4096])
+    def test_one_probe_solve_per_factor(self, monkeypatch, n):
+        # the M-matrix test solves (H - sigma) v = 1 once per factor, and
+        # inverse iteration starts from that v without solving it again
+        made, probes = count_probes(monkeypatch)
+        res = eigensolver._tridiagonal_ground(Grid1D(n, 400.0))
+        assert res.factor is made[-1] and len(made) == res.factorizations
+        assert probes == made
 
     @pytest.mark.parametrize("n, L", [(32, 6e-153), (32, 1e-100), (64, 1e-120),
                                       (4096, 1e-78), (32, 1e-77)])
@@ -352,21 +362,6 @@ class TestSparseSymOp:
         assert lowest_eigenpair(op, sigma=HYDROGEN_SHIFT).factorizations == 1
         op.set_diagonal(free)
         op.norm_estimate()
-
-    def test_tridiagonal_keeps_its_arrays(self):
-        # a one-band operator keeps copies of its two arrays, and set_diagonal
-        # writes there too; an operator with other bands keeps None
-        grid = Grid1D(64, 40.0)
-        diagonal, band = np.full(64, 2.0), np.full(63, -1.0)
-        op = SparseSymOp(diagonal, {1: band})
-        diagonal[0] = band[0] = 7.0
-        kept_d, kept_e = op.tridiagonal
-        assert np.array_equal(kept_d, np.full(64, 2.0)) and np.array_equal(kept_e, np.full(63, -1.0))
-        free = assemble_1d_operator(grid).matrix.diagonal()
-        op.set_diagonal(free)
-        assert op.tridiagonal[0].tobytes() == free.tobytes() and op.tridiagonal[1] is kept_e
-        assert SparseSymOp(np.ones(6), {1: -np.ones(5), 3: -np.ones(3)}).tridiagonal is None
-        assert SparseSymOp(np.ones(6), {2: -np.ones(4)}).tridiagonal is None
 
 
 class TestLowestEigenpair:
@@ -714,6 +709,22 @@ class TestLowestEigenpair:
         assert factors[-1].sigma == -op.norm_estimate() - 1.0
         assert [f.sigma for f in factors[:3]] == [HYDROGEN_SHIFT * 2.0 ** k for k in range(3)]
 
+    def test_every_factor_maker_returns_a_factor(self):
+        # SuperLU in float32 and float64, dpttrf and dsytrf: one factor type,
+        # whose probe is solve(1) in double (to float32's rounding of H - sigma
+        # times its condition for the single factor)
+        op = assemble_1d_electron_plate(Grid1D(64, 40.0))
+        sigma = eigensolver.ELECTRON_PLATE_SHIFT
+        dense = op.matrix.toarray()
+        exact = np.linalg.solve(dense - sigma * np.eye(64), np.ones(64))
+        for factor, rtol in [(eigensolver._single_factor(op, sigma), 1e-3),
+                             (shifted_factor(op.matrix, sigma)[0], 1e-12),
+                             (eigensolver._tridiagonal_factor(op, sigma), 1e-12),
+                             (eigensolver._dense_factor(dense, sigma)[0], 1e-12)]:
+            assert type(factor) is eigensolver._Factor and factor.n == 64
+            assert factor.probe.dtype == np.float64
+            assert np.allclose(factor.probe, exact, rtol=rtol, atol=0.0)
+
     def test_one_shift_search_and_one_norm_per_solve(self, monkeypatch):
         # both certified solves search their shift in _certified_factor, each
         # with its own factor maker, and compute ||H||_inf once
@@ -1023,6 +1034,18 @@ class TestFeshbach:
         monkeypatch.setattr(eigensolver, "_feshbach", spy)
         return lams
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_one_probe_solve_per_factor(self, monkeypatch, sparse):
+        # dsytrf and SuperLU factors, one per evaluation of the map; none is
+        # tested by the M-matrix test, so no probe is solved
+        lams = self._spy_evaluations(monkeypatch)
+        made, probes = count_probes(monkeypatch)
+        h, psi, vals = self._near_ground_case(np.random.default_rng(7), 40, 0.1)
+        bracket = (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]))
+        fp = feshbach_fixed_point(sp.csr_matrix(h) if sparse else h, psi, bracket)
+        assert abs(fp - vals[0]) <= 1e-10
+        assert len(made) == len(lams) >= 3 and probes == []
+
     def test_fixed_point_factorization_budget(self, monkeypatch):
         # each evaluation is one certified factor of H - lambda; Newton needs
         # a handful per fixed point: the two bracket ends, the probe, and at
@@ -1199,9 +1222,10 @@ class TestFeshbach:
             vals = np.linalg.eigvalsh(h)
             sigma = rng.uniform(vals[0] - 0.5, vals[-1] + 0.5)
             factor, below = eigensolver._dense_factor(h, sigma)
+            _, ipiv = factor.lu
             assert below == np.count_nonzero(vals < sigma)
             assert below == shifted_factor(sp.csc_matrix(h), sigma)[1]
-            two_by_two += np.any(factor.ipiv < 0)
+            two_by_two += np.any(ipiv < 0)
             rhs = rng.standard_normal((n, 3))
             x = factor.solve(rhs)
             assert np.allclose(x, np.linalg.solve(h - sigma * np.eye(n), rhs),

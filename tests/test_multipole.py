@@ -269,6 +269,51 @@ class TestHydrogenOrbital:
         assert HydrogenOrbital().kinetic_energy() == pytest.approx(0.25, abs=1e-12)
         assert HydrogenOrbital(z=2.0).kinetic_energy() == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def _closed_form_errors(z: float) -> list:
+        """|value / closed form - 1| of norm, overlap, moment2 per axis and
+        kinetic_energy of the plain orbital, computed with warnings as errors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = HydrogenOrbital(z=z)
+            values = [psi.norm(), psi.overlap(psi), psi.moment2(psi), psi.kinetic_energy()]
+        assert np.array_equal(values[2], values[2][0, 0] * np.eye(3))
+        values[2] = values[2][0, 0]
+        assert all(math.isfinite(v) for v in values)
+        exact = (1.0, 1.0, 4.0 / z ** 2, z ** 2 / 4.0)
+        return [abs(v / e - 1.0) for v, e in zip(values, exact)]
+
+    def test_scale_range_on_a_log_scan(self):
+        # every z in [Z_MIN, Z_MAX] gives the closed forms to 1e-14 with no
+        # warning, and every other z one ValueError.  Unchecked, z = 1e-160
+        # overflowed, 1e-150 gave the norm 0, 1e-100 the kinetic energy 0
+        # (exact z^2/4 = 2.5e-201), 1e160 overflowed and 1e300 raised
+        # OverflowError
+        lo, hi = multipole.Z_MIN, multipole.Z_MAX
+        scan = [*np.geomspace(1e-300, 1e300, 601), 1e-160, 1e-150, 1e-100, 1e160, lo, hi,
+                np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 0.0, -1.0, math.inf, math.nan]
+        accepted = 0
+        for z in map(float, scan):
+            if lo <= z <= hi:
+                assert max(self._closed_form_errors(z)) <= 1e-14
+                accepted += 1
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="Z_MIN, Z_MAX"):
+                    HydrogenOrbital(z=z)
+        assert accepted == 124 + 2      # 124 scan points, 1e-61 ... 1e62, and both ends
+
+    def test_scale_range_ends(self):
+        # just inside either end, where the kinetic weights turn subnormal
+        # (below 3.08e-62 they drift past 1e-14) and where its density
+        # z^5 / (32 pi) nears the overflow
+        rng = np.random.default_rng(62)
+        lo, hi = multipole.Z_MIN, multipole.Z_MAX
+        for u in rng.uniform(-16.0, -1.0, 150):
+            for z in (lo * (1.0 + 10.0 ** u), hi * (1.0 - 10.0 ** u)):
+                assert max(self._closed_form_errors(z)) <= 1e-14
+
 
 class TestLeadingCoefficient:
     def test_matches_full_interaction_at_large_r(self, rng):
