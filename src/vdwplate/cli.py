@@ -118,7 +118,7 @@ def cmd_hydrogen(args) -> int:
     r = _pick(args, "r", cfg, None)
     if r is None:
         raise ValueError("hydrogen needs --r or r in the config")
-    grid = GridCyl.for_distance(r, spec)    # ValueError unless h/2 <= r < inf
+    grid = GridCyl.for_distance(r, spec)    # ValueError outside DISTANCE or below h/2
     resolved = {"command": "hydrogen", "r": r, "m": m,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
     row, residual = solve_row(grid, m)

@@ -16,7 +16,6 @@ import contextlib
 import ctypes
 import functools
 import importlib
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -25,7 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs, dsytrf, dsytrs
 
-from .model import E_ELECTRON_PLATE, Molecule, PlateConfig
+from .model import (DISTANCE, E_ELECTRON_PLATE, GRID_SPEC, LENGTH_1D, Molecule, PlateConfig,
+                    check_domain)
 from .multipole import HydrogenOrbital, smooth_step, smooth_step_derivative
 from .potential import molecule_mirror_interaction
 from .spectra import electron_plate_energy_deviation
@@ -57,9 +57,8 @@ class InertiaError(RuntimeError):
 class Grid1D:
     """Uniform grid on (0, L) with Dirichlet boundaries at 0 and L.
 
-    Interior nodes x_i = (i+1) h, i = 0..n-1, h = L/(n+1).  L must leave h^2
-    and 1/h^2 normal floats, so h, the nodes in [h, L) and the operator's
-    entries 2/h^2 are finite and normal too.
+    Interior nodes x_i = (i+1) h, i = 0..n-1, h = L/(n+1).  L must lie in
+    the domain LENGTH_1D.
     """
 
     n: int
@@ -68,14 +67,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("at least 16 interior nodes required")
-        if not 0 < self.L < np.inf:
-            raise ValueError(f"domain length must be finite and positive, got {self.L}")
-        with np.errstate(all="ignore"):
-            h2 = np.float64(self.h) ** 2
-            normal = np.finfo(float).tiny <= min(h2, 1.0 / h2)
-        if not normal:
-            raise ValueError(f"domain length {self.L} over {self.n + 1} cells gives the "
-                             f"spacing h = {self.h:.3g}; h^2 and 1/h^2 must be normal floats")
+        check_domain("domain length L", self.L, LENGTH_1D)
 
     @property
     def h(self) -> float:
@@ -88,7 +80,8 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class GridCylSpec:
-    """Resolution/extent parameters reused across a sweep (production defaults)."""
+    """Resolution/extent parameters reused across a sweep (production defaults),
+    each in the domain GRID_SPEC."""
 
     h_target: float = 0.1
     l_xi_plus: float = 28.0   # axial extent beyond the nucleus
@@ -96,8 +89,7 @@ class GridCylSpec:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not 0 < value < np.inf:
-                raise ValueError(f"grid {name} must be finite and positive, got {value}")
+            check_domain(f"grid {name}", value, GRID_SPEC)
 
 
 @dataclass(frozen=True)
@@ -118,18 +110,18 @@ class GridCyl:
 
     @classmethod
     def for_distance(cls, r: float, spec: GridCylSpec = GridCylSpec()) -> "GridCyl":
-        # below h/2 the axial step r / n_left shrinks with r, and the grid grows as 1/r
-        if not spec.h_target / 2 <= r < np.inf:
-            raise ValueError(f"plate distance must be finite and at least h/2 = "
-                             f"{spec.h_target / 2}, got {r}; lower --h for a closer plate")
+        """The grid of spec at r, which must lie in the domain DISTANCE and be
+        at least h/2: below, the axial step r / n_left shrinks with r, and the
+        grid grows as 1/r."""
+        check_domain("plate distance r", r, DISTANCE)
+        if r < spec.h_target / 2:
+            raise ValueError(f"plate distance must be at least h/2 = {spec.h_target / 2}, "
+                             f"got {r}; lower --h for a closer plate")
         h_rho = spec.h_target
-        try:
-            n_left = max(1, round(r / spec.h_target))
-            h_xi = r / n_left
-            n_xi = n_left + max(1, round(spec.l_xi_plus / h_xi))
-            n_rho = max(1, round(spec.l_rho / h_rho))
-        except OverflowError:       # round(inf): an extent over a step exceeds the floats
-            raise ValueError(f"grid node count overflows at r = {r}, {spec}") from None
+        n_left = max(1, round(r / spec.h_target))
+        h_xi = r / n_left
+        n_xi = n_left + max(1, round(spec.l_xi_plus / h_xi))
+        n_rho = max(1, round(spec.l_rho / h_rho))
         return cls(r=r, n_xi=n_xi, n_rho=n_rho, h_xi=h_xi, h_rho=h_rho)
 
     def __post_init__(self):
@@ -673,22 +665,6 @@ def _tridiagonal_factor(op: SparseSymOp, sigma: float) -> _Factor | None:
     return _Factor(lambda rhs: dpttrs(d, e, rhs)[0], len(d), 2 * len(d) - 1, (d, e))
 
 
-def _norm2(x: np.ndarray) -> float:
-    """||x||_2 as np.linalg.norm computes it, sqrt(x . x), where x . x is a
-    normal float.  Where it is not (an overflow to inf or an underflow to 0
-    or a subnormal), x is divided by max |x| first, so a vector of finite
-    entries keeps a finite norm with no RuntimeWarning; NaN stays NaN."""
-    with np.errstate(over="ignore", under="ignore"):
-        sq = float(x @ x)
-    if np.finfo(float).tiny <= sq < math.inf:
-        return math.sqrt(sq)
-    scale = float(np.max(np.abs(x)))
-    if not 0.0 < scale < math.inf:
-        return scale
-    y = x / scale
-    return scale * math.sqrt(float(y @ y))
-
-
 def _tridiagonal_ground(grid: Grid1D) -> EigResult:
     """Lowest eigenpair of the 1D electron/plate operator by inverse iteration
     from the probe of the factor _certified_factor finds from
@@ -698,10 +674,7 @@ def _tridiagonal_ground(grid: Grid1D) -> EigResult:
     residual <= 64 eps ||H||_inf, or raises after DAVIDSON_MAX_SOLVES
     back-solves.  Davidson is kept for the 2D solves only: at n = 65536,
     L = 400 it takes 14.7 ms on the same dpttrf factor, inverse iteration
-    6.9 ms (median of 7, 2-core x86_64).  Runs on one BLAS thread.  Norms
-    are taken by _norm2: for L near Grid1D's lower limit the iterates hold
-    entries near h^2 and the residuals near 1/h^2, whose squares leave the
-    floats.
+    6.9 ms (median of 7, 2-core x86_64).  Runs on one BLAS thread.
     """
     op = assemble_1d_electron_plate(grid)
     h, norm_est = op.matrix, op.norm_estimate()
@@ -710,10 +683,10 @@ def _tridiagonal_ground(grid: Grid1D) -> EigResult:
         lu, sigma, tried = _certified_factor(op, ELECTRON_PLATE_SHIFT, _tridiagonal_factor, norm_est)
         x, solves = lu.probe, 0
         while True:
-            x = x / _norm2(x)
+            x = x / np.linalg.norm(x)
             hx = h @ x
             lam = float(x @ hx)
-            residual = _norm2(hx - lam * x)
+            residual = float(np.linalg.norm(hx - lam * x))
             if residual <= bound:
                 return EigResult(value=lam, vector=x, iterations=solves, residual=residual,
                                  shift=sigma, factor_nnz=lu.nnz,
@@ -924,7 +897,7 @@ class PartitionOfUnity:
     [1/4, 2/7] and c2 falls from 1 to 0 over [2/7, 1/3], and J_i =
     c_i / sqrt(c1^2 + c2^2).  J1 vanishes for s <= 1/4 and is 1 for s >= 1/3,
     J2 is the complement, and J1^2 + J2^2 = 1 identically.  gradient_bound
-    holds sup_x (|grad J1|^2 + |grad J2|^2) * r^2.
+    holds sup_x (|grad J1|^2 + |grad J2|^2) * r^2, which does not depend on r.
     """
 
     r: float
@@ -933,14 +906,21 @@ class PartitionOfUnity:
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError("r must be positive")
-        # the largest of 24001 samples, refined between its two neighbours
-        # (imported here: scipy.optimize would add 0.2 s to the package import)
+        self.gradient_bound = self._peak()
+
+    @staticmethod
+    @functools.cache
+    def _peak() -> float:
+        """sup_s of the squared gradient of profiles, once per process: the
+        largest of 24001 samples, refined between its two neighbours."""
+        # imported here: scipy.optimize would add 0.2 s to the package import
         from scipy.optimize import minimize_scalar
+        profiles = PartitionOfUnity.profiles
         s = np.linspace(0.0, 0.6, 24001)
-        i = int(np.argmax(self.profiles(s)[2]))
-        peak = minimize_scalar(lambda t: -float(self.profiles(t)[2]), method="bounded",
+        i = int(np.argmax(profiles(s)[2]))
+        peak = minimize_scalar(lambda t: -float(profiles(t)[2]), method="bounded",
                                bounds=(s[i - 1], s[i + 1]), options={"xatol": 1e-12})
-        self.gradient_bound = float(-peak.fun)
+        return float(-peak.fun)
 
     @staticmethod
     def profiles(s) -> tuple:

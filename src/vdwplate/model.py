@@ -22,6 +22,23 @@ UNIT_TOL = 1e-12
 CENTERING_TOL = 1e-10
 COINCIDENCE_TOL = 1e-12
 
+# Declared input domains, closed intervals with round ends, each checked once
+# where its value enters.  Each holds every value the package or a benchmark
+# workload passes with at least a factor-10 margin; inside them no integral or
+# solve warns or leaves the floats.
+ORBITAL_SCALE = (1e-3, 1e3)     # z of a HydrogenOrbital
+CUTOFF_SCALE = (1e-4, 1e6)      # the dimensionless z * cutoff_r
+DISTANCE = (1e-2, 1e5)          # r of mirror_energy_expectation and GridCyl.for_distance
+LENGTH_1D = (1e-4, 1e4)         # L of a Grid1D
+GRID_SPEC = (1e-3, 1e3)         # the step and extents of a GridCylSpec
+
+
+def check_domain(name: str, value, domain: tuple) -> None:
+    """Raise ValueError naming the domain unless value lies in it (NaN does not)."""
+    lo, hi = domain
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in its domain [{lo:g}, {hi:g}], got {value}")
+
 
 def as_vec3(x) -> np.ndarray:
     """Coerce to a float array whose last axis has length 3; reject non-finite input."""

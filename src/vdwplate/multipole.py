@@ -25,26 +25,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .model import as_vec3, unit_vector
+from .model import CUTOFF_SCALE, DISTANCE, ORBITAL_SCALE, as_vec3, check_domain, unit_vector
 
 RADIAL_NODES = 200
 ANGULAR_NODES = 64
 NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
 QUAD_TOL = 1e-9     # largest relative move of a quadrature under node doubling
-# The radii r of mirror_energy_expectation: the r > 0 whose r^-7 and r^7 are
-# normal floats under float64 pow, tiny^(1/7) and tiny^(-1/7) rounded inward.
-R_MIN, R_MAX = 1.1210387714598537e-44, 8.92029807941225e+43
-# The smallest cutoff_r a HydrogenOrbital accepts, by bisection on bit patterns:
-# below it the kinetic density (~cutoff_r^-5) overflows, for z from 1e-6 to 1e20.
-CUTOFF_MIN = 1.817267264355245e-61
-# The scales z a HydrogenOrbital accepts: the plain orbital's norm, overlap,
-# moment2 and kinetic energy are finite, raise no warning and match 1,
-# 4/z^2 per axis and z^2/4 to 1e-14 relative.  By bisection on bit patterns,
-# Z_MIN then raised past every refusal among 20000 log-uniform samples above
-# it: below, the kinetic weights (~z^2 times Gauss-Laguerre's) turn subnormal
-# and drift; above Z_MAX the kinetic density z^5 / (32 pi) overflows.
-Z_MIN, Z_MAX = 3.078060749899951e-62, 1.1256492392757958e+62
 
 # Both Gauss rules come from Golub-Welsch: the nodes are the eigenvalues of
 # the Jacobi matrix of the weight, the weights mu_0 times the squared first
@@ -174,8 +161,7 @@ class _RadialRule(NamedTuple):
 
     def power_sums(self) -> np.ndarray:
         """(counts, parts, 5): sum(weights * R^j), j = 0, 2, 4, 6, -1, per count
-        and part (the finite pieces, then the tail).  R^6 is finite for R <
-        1e51; the mirror's pieces end at 2 R_MAX = 1.8e44."""
+        and part (the finite pieces, then the tail)."""
         rows = np.empty((5, self.weights.size))
         rows[0] = self.weights
         for j in (1, 2, 3):         # the R^2 ladder
@@ -194,28 +180,25 @@ class HydrogenOrbital:
     optionally multiplied by the smooth cutoff supported in |x| <= cutoff_r/4
     and renormalized.
 
-    z must lie in [Z_MIN, Z_MAX], and cutoff_r must be at least CUTOFF_MIN and
-    give a positive norm (up to about 1e8), or ValueError is raised.
+    z must lie in the domain ORBITAL_SCALE and z * cutoff_r in CUTOFF_SCALE,
+    and the cut-off orbital must have a finite positive norm, or ValueError is
+    raised.
     """
 
     n_electrons = 1
 
     def __init__(self, z: float = 1.0, cutoff_r: float | None = None):
-        if not Z_MIN <= z <= Z_MAX:
-            raise ValueError(f"orbital scale must lie in [Z_MIN, Z_MAX] = [{Z_MIN}, {Z_MAX}], "
-                             f"got {z}")
-        if cutoff_r is not None and not CUTOFF_MIN <= cutoff_r < np.inf:
-            raise ValueError("cutoff radius parameter must be finite and positive, at least "
-                             f"CUTOFF_MIN = {CUTOFF_MIN}, got {cutoff_r}")
+        check_domain("orbital scale z", z, ORBITAL_SCALE)
+        if cutoff_r is not None:
+            check_domain(f"cut-off scale z * cutoff_r ({z} * {cutoff_r})", z * cutoff_r,
+                         CUTOFF_SCALE)
         self.z = float(z)
         self.cutoff_r = cutoff_r
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
         self._norm = 1.0
         if cutoff_r is not None:
-            # cutoff_r^2 overflows above 1e154, times weights that are 0 there
-            with np.errstate(over="ignore", invalid="ignore"):
-                norm = self.norm()
-            if not 0 < norm < np.inf:   # 0 where no node sees e^{-R} > 0 (above 1e8)
+            norm = self.norm()
+            if not 0 < norm < np.inf:
                 raise ValueError(f"cutoff radius parameter {cutoff_r} gives the norm {norm}")
             self._norm /= norm
 
@@ -270,10 +253,10 @@ class HydrogenOrbital:
         cuts in units of length (by default the smaller cutoff_r, 1.0 for an
         uncut pair).  The finite pieces take Gauss-Legendre from _piece_table
         in units of length; a call scales each weight in the order of the
-        product in radii (length, e^{-sR}, d(R), R^2), so it under- or
-        overflows where that product does.  An uncut pair's tail takes
-        Gauss-Laguerre shifted to its start, in radii; without cuts it keeps
-        the arithmetic of the rule in radii to the bit.  No node lies on a cut.
+        product in radii (length, e^{-sR}, d(R), R^2).  An uncut pair's tail
+        takes Gauss-Laguerre shifted to its start, in radii; without cuts it
+        keeps the arithmetic of the rule in radii to the bit.  No node lies on
+        a cut.
         The rule is flat, the pieces row by row and then the tail, in the
         (part, count) runs of table.runs; each count's runs equal the rule of
         a call with that count alone bit for bit.
@@ -501,8 +484,7 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     -(1/r)(-t)^k over k = 1..5 plus the exact remainder -(1/r) t^6/(1 + t);
     odd powers integrate to zero against the spherical density.  The r^-7
     remainder is bracketed from the in-support sixth moment (1/(1 + t)
-    between 4/5 and 4/3 there), divided by r^7 before 3 and 5 so that it
-    stays finite up to R_MAX.
+    between 4/5 and 4/3 there).
     One _pair_rule call in units of r, cut at r/4 and 2r (a cut beyond a
     cut-off support is dropped, so its tail_mass is exactly 0), gives the
     rules at RADIAL_NODES and twice that.  Every window is a run of parts of
@@ -511,12 +493,10 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     the largest relative move between the rules; QuadratureError is raised
     where it exceeds QUAD_TOL or is NaN, and where the refined rule's mass
     misses 1 by more than QUAD_TOL, as for a support the pieces do not
-    resolve (the plain orbital's from r = 3e7 on), which doubling hardly
-    moves.  r must satisfy R_MIN <= r <= R_MAX, r^-7 and r^7 normal floats,
-    a scalar test (ValueError otherwise, NaN included).
+    resolve (an orbital cut off at 2r from r = 1.5e4 on), which doubling
+    hardly moves.  r must lie in the domain DISTANCE (ValueError otherwise).
     """
-    if not R_MIN <= r <= R_MAX:     # r^+-3, r^+-5 lie between r^-7 and r^7
-        raise ValueError(f"r must be positive with r^-7 ... r^7 in the floats, got {r}")
+    check_domain("plate distance r", r, DISTANCE)
 
     rule = psi._pair_rule(psi, (RADIAL_NODES, 2 * RADIAL_NODES), length=r, cuts=(0.25, 2.0))
     i, j = (bisect_right(rule.table.edges, cut) - 1 for cut in (0.25, 2.0))
@@ -535,7 +515,7 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     if not abs(total - 1.0) <= QUAD_TOL:
         raise QuadratureError(f"radial quadrature not resolved: the rule's mass is {total!r}")
     m2, m4, m6_in, tail, newton = refined.tolist()
-    remainder = m6_in / r ** 7      # 3 r^7 and 5 r^7 overflow near R_MAX
+    remainder = m6_in / r ** 7
     return MirrorEnergyExpectation(
         value=float(-m * (m2 / (4.0 * r ** 3) + m4 / (4.0 * r ** 5))),
         newton_term=newton,

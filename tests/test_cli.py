@@ -89,13 +89,14 @@ class TestEplate:
     @pytest.mark.parametrize("L", ["1e308", "1e-310"])
     def test_length_out_of_float_range_exits_3(self, capsys, L):
         # 1e308: h ** 2 overflowed, a bare OverflowError escaped main;
-        # 1e-310: h ** 2 was 0, a divide-by-zero RuntimeWarning came first
+        # 1e-310: h ** 2 was 0, a divide-by-zero RuntimeWarning came first.
+        # Both lie far outside LENGTH_1D
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "eplate", "--n", "64", "--L", L)
         assert code == 3 and out == "" and caught == []
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: domain length {float(L)} ") and "normal floats" in err
+        assert err == (f"error: domain length L must lie in its domain [0.0001, 10000], "
+                       f"got {float(L)}\n")
 
     def test_back_solve_cap_exits_2(self, capsys, monkeypatch):
         # one back-solve cannot bring the 1D residual within 64 eps ||H||_inf
@@ -222,10 +223,11 @@ class TestHydrogen:
         ("hydrogen", "--r", "10", "--l-xi", "1e308"),
         ("hydrogen", "--r", "10", "--h", "1e-310")])
     def test_grid_node_count_overflow_exits_3(self, capsys, argv):
-        # an extent over the step rounds to inf: round(inf) raised OverflowError
+        # an extent over the step rounds to inf: round(inf) raised
+        # OverflowError.  Each input now lies outside its domain
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "node count overflows" in err
+        assert len(err.splitlines()) == 1 and "must lie in its domain" in err
 
     def test_bad_m_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")

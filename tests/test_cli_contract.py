@@ -14,22 +14,27 @@ small grids and the ones whose allocation fails at once; --jobs forks at
 most as many workers as the <= 3 radii.  eplate's --n is small, or 10**16:
 its arrays cannot be allocated, and the MemoryError is a numerical failure,
 exit 2 with one line, as the contract documents for memory exhaustion.
-eplate's --L is also drawn from [5e-153, 1e-77], where the iterates and
-residuals of the 1D solve square out of the floats.
+eplate's --L is also drawn log-uniform from the declared domain LENGTH_1D,
+at each of its ends and one ulp outside each end.
 """
 
 import contextlib
 import io
+import math
 import random
 import warnings
 
 import pytest
 
 from vdwplate.cli import main
+from vdwplate.model import LENGTH_1D
 
 EDGE_FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e-310", "1e-320", "5e-324",
                "1e308", "1.8e308", "", "abc", "0x10"]
 EDGE_INTS = ["0", "-1", "", "abc", "1e3", "0x10", "1.5"]
+# the ends of LENGTH_1D and the floats one ulp outside them
+LENGTH_ENDS = [repr(x) for end, outward in zip(LENGTH_1D, (0.0, math.inf))
+               for x in (end, math.nextafter(end, outward))]
 
 
 class Case:
@@ -72,9 +77,13 @@ class Case:
         n = self.pick(["32", "33", "48", "64", "16", "31"], EDGE_INTS + [str(10 ** 16)])
         draw = self.rng.random()
         if draw < 0.35:
-            length = repr(10.0 ** self.rng.uniform(-152.3, -77.0))
+            lo, hi = LENGTH_1D
+            length = repr(min(max(10.0 ** self.rng.uniform(math.log10(lo), math.log10(hi)), lo),
+                              hi))
+        elif draw < 0.5:
+            length = self.rng.choice(LENGTH_ENDS)
         elif draw < 0.7:
-            length = self.rng.choice(["1", "10", "40", "400", "1e-100", "1e-150"])
+            length = self.rng.choice(["1", "10", "40", "400"])
         else:
             length = self.rng.choice(EDGE_FLOATS)
         return ["eplate", *self.maybe("--n", n), *self.maybe("--L", length, 0.95), *self.output()]

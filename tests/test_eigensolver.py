@@ -241,35 +241,13 @@ class TestTridiagonalGround:
     @pytest.mark.parametrize("n, L", [(32, 6e-153), (32, 1e-100), (64, 1e-120),
                                       (4096, 1e-78), (32, 1e-77)])
     def test_tiny_length_stays_in_the_floats(self, n, L):
-        # iterates near h^2 and residuals near 1/h^2 square out of the
-        # floats: the norms rescale instead of warning and dividing by 0.
-        # The kinetic term dominates, so E is the lowest eigenvalue of the
-        # discrete Laplacian to about L relative, up to the rounding of a
-        # Rayleigh quotient, eps ||H||_inf
-        grid = Grid1D(n, L)
+        # iterates near h^2 and residuals near 1/h^2 squared out of the
+        # floats; these lengths lie far below LENGTH_1D, so one ValueError
+        # refuses them before any arithmetic, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = eigensolver._tridiagonal_ground(grid)
-            electron_plate_ground(n, L)
-        laplacian = (2.0 - 2.0 * np.cos(np.pi / (n + 1))) / grid.h ** 2
-        norm = assemble_1d_electron_plate(grid).norm_estimate()
-        assert abs(res.value - laplacian) <= 64.0 * np.finfo(float).eps * norm
-        assert res.residual <= 64.0 * np.finfo(float).eps * norm
-        assert res.iterations < 100
-
-    def test_norm2(self, rng):
-        # np.linalg.norm's value to the bit where x . x is a normal float;
-        # otherwise finite and within a few ulp of the scaled norm
-        norm2 = eigensolver._norm2
-        for x in (rng.standard_normal(1000), rng.random(7), np.array([3.0, 4.0])):
-            assert norm2(x) == np.linalg.norm(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for scale in (1e-200, 1e-310, 1e200, 1e307):
-                x = scale * np.array([3.0, 4.0, 0.0])
-                assert norm2(x) == pytest.approx(5.0 * scale, rel=4 * np.finfo(float).eps)
-            assert norm2(np.zeros(5)) == 0.0
-            assert np.isnan(norm2(np.array([1.0, np.nan])))
+            with pytest.raises(ValueError, match="domain length L must lie in its domain"):
+                electron_plate_ground(n, L)
 
 
 class TestSparseSymOp:
@@ -1340,6 +1318,17 @@ class TestIMSPartition:
         grad = part.gradient_sq(pts)
         assert np.all(grad * part.r ** 2 <= part.gradient_bound * (1.0 + 1e-12))
         assert part.gradient_bound > 0
+
+    def test_gradient_bound_once_per_process(self, monkeypatch):
+        # the bound does not depend on r: one bounded search serves every
+        # instance, with the value each instance's own search gave
+        import scipy.optimize
+        calls, search = [], scipy.optimize.minimize_scalar
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar",
+                            lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
+        PartitionOfUnity._peak.cache_clear()
+        bounds = [PartitionOfUnity(r).gradient_bound for r in (10.0, 24.0, 1e-3, 1e5)]
+        assert bounds == [2390.7869428777717] * 4 and calls == [1]
 
     def test_ims_identity_on_grid_functions(self, rng):
         # <u, H u> = sum_i <J_i u, H J_i u> - <u, (|grad J1|^2 + |grad J2|^2) u>

@@ -1,12 +1,19 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit_vectors
-from vdwplate.model import (CONFIG_KEYS, E_ELECTRON_PLATE, E_HYDROGEN, Molecule, PlateConfig,
-                            parse_config, trapezoid_inequality,
-                            validate_molecule)
+from vdwplate.eigensolver import (Grid1D, GridCyl, GridCylSpec, NonConvergenceError,
+                                  electron_plate_ground)
+from vdwplate.model import (CONFIG_KEYS, CUTOFF_SCALE, DISTANCE, E_ELECTRON_PLATE, E_HYDROGEN,
+                            GRID_SPEC, LENGTH_1D, ORBITAL_SCALE, Molecule, PlateConfig,
+                            parse_config, trapezoid_inequality, validate_molecule)
+from vdwplate.multipole import HydrogenOrbital, QuadratureError, mirror_energy_expectation
 
 
 def test_units():
@@ -170,3 +177,89 @@ class TestConfigFile:
     def test_keys_outside_the_accepted_set_raise(self, key):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(f"r = 10\n{key} = 1\n")
+
+
+class TestDeclaredDomains:
+    """Each input is checked once, where it enters, against one declared
+    domain: inside, results are finite or a documented refusal, with no
+    RuntimeWarning; one ulp outside either end, one ValueError names it."""
+
+    def test_seeded_scan_finite_or_refused(self):
+        # z, z * cutoff_r and the mirror's r drawn log-uniform or at an end
+        # of their domains, the plain orbital in a third of the draws: every
+        # integral is finite, the mirror expectation finite or a
+        # QuadratureError, and the constructor refuses only a product z *
+        # cutoff_r that rounds outside CUTOFF_SCALE
+        rng = np.random.default_rng(41)
+
+        def draw(domain):
+            lo, hi = domain
+            if rng.random() >= 0.8:
+                return float(rng.choice(domain))
+            return min(max(math.exp(rng.uniform(math.log(lo), math.log(hi))), lo), hi)
+
+        counts = {"finite": 0, "quadrature": 0, "refused": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(600):
+                z, r = draw(ORBITAL_SCALE), draw(DISTANCE)
+                cutoff_r = None if k % 3 == 0 else draw(CUTOFF_SCALE) / z
+                if cutoff_r is not None and not CUTOFF_SCALE[0] <= z * cutoff_r <= CUTOFF_SCALE[1]:
+                    with pytest.raises(ValueError, match="cut-off scale"):
+                        HydrogenOrbital(z, cutoff_r)
+                    counts["refused"] += 1
+                    continue
+                psi = HydrogenOrbital(z, cutoff_r)
+                values = [psi.norm(), psi.overlap(psi), psi.moment2(psi)[0, 0],
+                          psi.kinetic_energy()]
+                try:
+                    values += dataclasses.astuple(mirror_energy_expectation(psi, r))
+                    counts["finite"] += 1
+                except QuadratureError:
+                    counts["quadrature"] += 1
+                assert all(math.isfinite(v) for v in values), (z, cutoff_r, r, values)
+        assert counts == {"finite": 453, "quadrature": 139, "refused": 8}
+
+    @pytest.mark.parametrize("L", LENGTH_1D)
+    def test_electron_plate_at_the_length_ends(self, L):
+        # finite values or NonConvergenceError: at L = 1e4 the n = 16 and 32
+        # grids lie so far below the coarse shift's reach that inverse
+        # iteration stalls
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in (32, 64, 4096):
+                try:
+                    res = electron_plate_ground(n, L)
+                except NonConvergenceError:
+                    outcomes.append("stalled")
+                    continue
+                assert all(math.isfinite(v) for v in dataclasses.astuple(res))
+                outcomes.append("finite")
+        stalled = [] if L == LENGTH_1D[0] else ["stalled"]
+        assert outcomes == stalled + ["finite"] * (3 - len(stalled))
+
+    # (message, domain, entry point) of each declared domain
+    ENTRIES = {
+        "z": ("orbital scale z", ORBITAL_SCALE, lambda v: HydrogenOrbital(z=v)),
+        "z_cutoff": ("cut-off scale", CUTOFF_SCALE, lambda v: HydrogenOrbital(cutoff_r=v)),
+        "mirror_r": ("plate distance r", DISTANCE, lambda v: mirror_energy_expectation(
+            HydrogenOrbital(cutoff_r=20.0), v)),
+        "grid_r": ("plate distance r", DISTANCE, lambda v: GridCyl.for_distance(
+            v, GridCylSpec(0.02, 1.0, 1.0) if v < 1.0 else GridCylSpec(100.0, 1e3, 1e3))),
+        "L": ("domain length L", LENGTH_1D, lambda v: Grid1D(32, v)),
+        "h": ("grid h_target", GRID_SPEC, lambda v: GridCylSpec(h_target=v)),
+        "l_xi": ("grid l_xi_plus", GRID_SPEC, lambda v: GridCylSpec(l_xi_plus=v)),
+        "l_rho": ("grid l_rho", GRID_SPEC, lambda v: GridCylSpec(l_rho=v)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_ends_accepted_and_one_ulp_outside_refused(self, entry):
+        text, domain, enter = self.ENTRIES[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for end, outward in zip(domain, (0.0, math.inf)):
+                enter(end)
+                for bad in (float(np.nextafter(end, outward)), -end, math.nan):
+                    with pytest.raises(ValueError, match=f"{text}.* must lie in its domain"):
+                        enter(bad)

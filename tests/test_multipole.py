@@ -13,7 +13,7 @@ from scipy.special import gammainc
 
 from conftest import random_unit_vectors
 from vdwplate import multipole
-from vdwplate.model import Molecule
+from vdwplate.model import CUTOFF_SCALE, DISTANCE, ORBITAL_SCALE, Molecule
 from vdwplate.multipole import (GridWaveFn, GroundBasis, HydrogenOrbital,
                                 ProductState, QuadratureError,
                                 mirror_energy_expectation, orientation_coefficient,
@@ -174,10 +174,11 @@ class RadiiOrbital:
 
 def refusal(cutoff_r, z: float = 1.0) -> str | None:
     """The text of the ValueError HydrogenOrbital(z, cutoff_r) raises, None
-    where it accepts: below CUTOFF_MIN, or where the norm in radii is not
-    finite and positive."""
-    if cutoff_r is not None and cutoff_r < multipole.CUTOFF_MIN:
-        return "at least CUTOFF_MIN"
+    where it accepts: z * cutoff_r outside CUTOFF_SCALE, or where the norm in
+    radii is not finite and positive."""
+    lo, hi = CUTOFF_SCALE
+    if cutoff_r is not None and not lo <= z * cutoff_r <= hi:
+        return "cut-off scale"
     return None if RadiiOrbital(z, cutoff_r).valid else "gives the norm"
 
 
@@ -284,12 +285,12 @@ class TestHydrogenOrbital:
         return [abs(v / e - 1.0) for v, e in zip(values, exact)]
 
     def test_scale_range_on_a_log_scan(self):
-        # every z in [Z_MIN, Z_MAX] gives the closed forms to 1e-14 with no
+        # every z in ORBITAL_SCALE gives the closed forms to 1e-14 with no
         # warning, and every other z one ValueError.  Unchecked, z = 1e-160
         # overflowed, 1e-150 gave the norm 0, 1e-100 the kinetic energy 0
         # (exact z^2/4 = 2.5e-201), 1e160 overflowed and 1e300 raised
         # OverflowError
-        lo, hi = multipole.Z_MIN, multipole.Z_MAX
+        lo, hi = ORBITAL_SCALE
         scan = [*np.geomspace(1e-300, 1e300, 601), 1e-160, 1e-150, 1e-100, 1e160, lo, hi,
                 np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 0.0, -1.0, math.inf, math.nan]
         accepted = 0
@@ -300,20 +301,34 @@ class TestHydrogenOrbital:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="Z_MIN, Z_MAX"):
+                with pytest.raises(ValueError, match="orbital scale z must lie in its domain"):
                     HydrogenOrbital(z=z)
-        assert accepted == 124 + 2      # 124 scan points, 1e-61 ... 1e62, and both ends
+        assert accepted == 7 + 2      # 7 scan points, 1e-3 ... 1e3, and both ends
 
     def test_scale_range_ends(self):
-        # just inside either end, where the kinetic weights turn subnormal
-        # (below 3.08e-62 they drift past 1e-14) and where its density
-        # z^5 / (32 pi) nears the overflow
+        # just inside either end of ORBITAL_SCALE
         rng = np.random.default_rng(62)
-        lo, hi = multipole.Z_MIN, multipole.Z_MAX
+        lo, hi = ORBITAL_SCALE
         for u in rng.uniform(-16.0, -1.0, 150):
             for z in (lo * (1.0 + 10.0 ** u), hi * (1.0 - 10.0 ** u)):
                 assert max(self._closed_form_errors(z)) <= 1e-14
 
+
+@pytest.mark.parametrize("call, domain", [
+    (lambda: HydrogenOrbital(z=100.0, cutoff_r=1e6).norm(), "cut-off scale"),
+    (lambda: mirror_energy_expectation(HydrogenOrbital(z=1e-55), 1.0), "orbital scale"),
+    (lambda: HydrogenOrbital(z=1e50, cutoff_r=1.817267264355245e-61).kinetic_energy(),
+     "orbital scale")], ids=["z100_cutoff1e6_norm", "z1e-55_mirror", "z1e50_cutoff_kinetic"])
+def test_float_extreme_defects_refused(call, domain):
+    # each overflowed under warnings as errors, and the first norm was NaN
+    # without (1.8e-61 was the smallest cutoff_r accepted before the domains):
+    # one ValueError naming the domain now refuses each, before any
+    # arithmetic.  The CLI passes no z or cutoff_r of its user's, so no exit
+    # code applies
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{domain} .* must lie in its domain"):
+            call()
 
 class TestLeadingCoefficient:
     def test_matches_full_interaction_at_large_r(self, rng):
@@ -497,16 +512,15 @@ class TestMirrorEnergyExpectation:
     @pytest.mark.parametrize("ratio", [None, 1.0, 2.0, 0.5], ids=["plain", "cut_r", "cut_2r",
                                                                  "cut_half_r"])
     def test_matches_the_rules_in_radii(self, ratio):
-        # every field but quad_error over log-spaced r from R_MIN to R_MAX,
+        # every field but quad_error over log-spaced r across DISTANCE,
         # against the rules built in radii: within 1e-14 relative up to r = 22
         # and the rounding bound of a piece of width r beyond; the floors
-        # cover subnormal moments (the tail mass beyond r = 2800, m6 of the
-        # plain orbital below r = 1e-35)
+        # cover subnormal moments (the tail mass beyond r = 2800)
         tiny = np.finfo(float).tiny
         compared = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for r in np.geomspace(multipole.R_MIN, multipole.R_MAX, 121).tolist():
+            for r in np.geomspace(*DISTANCE, 121).tolist():
                 cutoff_r = None if ratio is None else ratio * r
                 if (text := refusal(cutoff_r)) is not None:
                     with pytest.raises(ValueError, match=text):
@@ -526,21 +540,17 @@ class TestMirrorEnergyExpectation:
                 for field, (a, b, floor) in enumerate(zip(new, old, floors)):
                     assert a == pytest.approx(b, rel=rounding_bound(r), abs=floor), (r, field)
                 compared += 1
-        # the rest either raise QuadratureError on both sides (the plain
-        # orbital from r = 2.5e4 on: doubling moves it up to 2.1e7, the mass
-        # is lost beyond) or have a cutoff_r the orbital refuses
-        assert compared == (67 if ratio == 0.5 else 66)
+        # the rest raise QuadratureError on both sides
+        assert compared == {None: 107, 1.0: 108, 2.0: 106, 0.5: 114}[ratio]
 
     def test_remainder_finite_up_to_r_max(self):
-        # 3 r^7 and 5 r^7 overflowed above r = 8.2e43: a RuntimeWarning for
-        # an np.float64 r, remainder_hi = -0.0 for a float.  The plain
-        # orbital is refused there (its support is not resolved), so an
+        # at the upper end of DISTANCE, for an np.float64 r and a float, an
         # orbital cut off at 20 carries the moments
-        r = np.nextafter(multipole.R_MAX, 0.0)
+        r = np.nextafter(DISTANCE[1], 0.0)
         psi = HydrogenOrbital(cutoff_r=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for radius in (r, float(r), multipole.R_MAX, 8.3e43):
+            for radius in (r, float(r), DISTANCE[1]):
                 e = mirror_energy_expectation(psi, radius)
                 assert e.moment_x1_6 > 0.0
                 assert e.remainder_lo == -e.moment_x1_6 / radius ** 7 / 3.0
@@ -551,21 +561,23 @@ class TestMirrorEnergyExpectation:
     def test_unresolved_support_refused(self, r, cutoff_r):
         # the doubled rules agreed on a wrong mass, so quad_error passed:
         # 3.1e-111 on a mass of 2.8e-125 (r = 1.35e8), 0 on a mass of 0
-        # (1e10), and 1.8e-10 on 1 + 1.07e-8 (a cutoff of 2r at 1.49e4)
+        # (1e10), and 1.8e-10 on 1 + 1.07e-8 (a cutoff of 2r at 1.49e4).
+        # The first two now lie beyond DISTANCE and are refused before any rule
+        error, text = (QuadratureError, "mass") if r <= DISTANCE[1] else (ValueError, "domain")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QuadratureError, match="mass"):
+            with pytest.raises(error, match=text):
                 mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), r)
 
     @seed(1729)
     @settings(max_examples=300, deadline=None, database=None)
-    @given(log_r=st.floats(math.log(multipole.R_MIN), math.log(multipole.R_MAX)),
+    @given(log_r=st.floats(*map(math.log, DISTANCE)),
            ratio=st.sampled_from([None, 0.5, 1.0, 2.0]))
     def test_finite_and_normalized_or_refused(self, log_r, ratio):
-        # log-uniform r over the accepted range: finite fields on a rule of
-        # mass 1 within QUAD_TOL, or QuadratureError, or an orbital the
-        # constructor refuses; never a RuntimeWarning
-        r = min(max(math.exp(log_r), multipole.R_MIN), multipole.R_MAX)
+        # log-uniform r over DISTANCE: finite fields on a rule of mass 1
+        # within QUAD_TOL, or QuadratureError, or an orbital the constructor
+        # refuses; never a RuntimeWarning
+        r = min(max(math.exp(log_r), DISTANCE[0]), DISTANCE[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -583,35 +595,8 @@ class TestMirrorEnergyExpectation:
         # 1e-300 returned -inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="r must be positive"):
+            with pytest.raises(ValueError, match="plate distance r must lie in its domain"):
                 mirror_energy_expectation(HydrogenOrbital(), r)
-
-    def test_range_test_matches_the_power_test(self):
-        # the scalar test R_MIN <= r <= R_MAX accepts exactly the r whose
-        # r^-7 and r^7 float64 pow makes normal, the test it replaced
-        def power_test(r):
-            with np.errstate(all="ignore"):
-                extremes = np.float64(r) ** np.array([-7.0, 7.0])
-            return bool(np.all((np.finfo(float).tiny <= extremes) & (extremes < np.inf)))
-
-        def accepted(r):
-            try:
-                mirror_energy_expectation(psi, r)
-            except ValueError as exc:
-                assert "r must be positive" in str(exc)
-                return False
-            except QuadratureError:     # past the range test
-                return True
-            return True
-
-        psi = HydrogenOrbital()
-        ends = [multipole.R_MIN, multipole.R_MAX]
-        neighbours = [float(np.nextafter(end, side)) for end in ends for side in (0.0, np.inf)]
-        cases = [0.0, -0.0, -1.0, -multipole.R_MIN, -13.7, math.nan, math.inf, -math.inf,
-                 1.0, 13.7, *ends, *neighbours]
-        for r in cases:
-            assert accepted(r) == power_test(r), r
-        assert [power_test(r) for r in neighbours] == [False, True, True, False]
 
     def test_bump_evaluated_above_its_inner_edge(self, monkeypatch):
         # below cutoff_r/5 the bump is exactly 1, so no node there reaches it;
@@ -665,17 +650,20 @@ class TestMirrorEnergyExpectation:
         assert info.currsize == info.maxsize == 16
 
     def test_cutoff_below_minimum_rejected(self):
-        # below CUTOFF_MIN the kinetic density overflowed (RuntimeWarning),
-        # and below 2.7e-103 the norm's and moment2's did too
-        low = float(np.nextafter(multipole.CUTOFF_MIN, 0.0))
+        # below 1.8e-61 the kinetic density overflowed (RuntimeWarning), and
+        # below 2.7e-103 the norm's and moment2's did too; now every z *
+        # cutoff_r below CUTOFF_SCALE is refused, and its lower end accepted
+        low = float(np.nextafter(CUTOFF_SCALE[0], 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for cutoff_r in (low, 9.8e-62, 2.7e-103, 5.35e-107, 0.0, -1.0, math.nan):
-                with pytest.raises(ValueError, match="at least CUTOFF_MIN"):
+                with pytest.raises(ValueError, match="cut-off scale z \\* cutoff_r"):
                     HydrogenOrbital(cutoff_r=cutoff_r)
-            psi = HydrogenOrbital(cutoff_r=multipole.CUTOFF_MIN)
-            values = [psi.norm(), psi.overlap(psi), psi.moment2(psi)[0, 0], psi.kinetic_energy()]
-        assert all(math.isfinite(x) for x in values)
+            for z in ORBITAL_SCALE:
+                psi = HydrogenOrbital(z=z, cutoff_r=CUTOFF_SCALE[0] / z)
+                values = [psi.norm(), psi.overlap(psi), psi.moment2(psi)[0, 0],
+                          psi.kinetic_energy()]
+                assert all(math.isfinite(x) for x in values)
 
     @seed(1729)
     @settings(max_examples=200, deadline=None, database=None)
@@ -697,16 +685,17 @@ class TestMirrorEnergyExpectation:
         # its norm was NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite and positive"):
+            with pytest.raises(ValueError, match="cut-off scale"):
                 HydrogenOrbital(cutoff_r=math.inf)
 
     @pytest.mark.parametrize("cutoff_r", [1e20, 1e300])
     def test_huge_cutoff_rejected(self, cutoff_r):
         # at 1e20 no node of the rule saw e^{-R} > 0 and the norm was 0
-        # (ZeroDivisionError); at 1e300 R^2 overflowed and the norm was NaN
+        # (ZeroDivisionError); at 1e300 R^2 overflowed and the norm was NaN.
+        # Both lie far above CUTOFF_SCALE
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="gives the norm"):
+            with pytest.raises(ValueError, match="cut-off scale"):
                 HydrogenOrbital(cutoff_r=cutoff_r)
 
     def test_nan_quadrature_error_raises(self, monkeypatch):
@@ -846,10 +835,10 @@ class TestPairRule:
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.5])
     def test_cut_off_integrals_match_the_rules_in_radii(self, ratio):
         # norm, overlap, moment2 and kinetic energy over cutoff radii from
-        # 1e-100 to 1e8, across the range HydrogenOrbital accepts; those it
-        # accepts give finite integrals with no warning
+        # 1e-6 to 1e8, across CUTOFF_SCALE; those HydrogenOrbital accepts
+        # give finite integrals with no warning
         compared = 0
-        for cutoff_r in np.geomspace(1e-100, 1e8, 55):
+        for cutoff_r in np.geomspace(1e-6, 1e8, 57):
             specs = [(1.0, cutoff_r), (2.0, ratio * cutoff_r)]
             if refused := [(z, c, text) for z, c in specs if (text := refusal(c, z))]:
                 for z, c, text in refused:
@@ -865,13 +854,13 @@ class TestPairRule:
             assert np.all(np.isfinite(new))
             assert new == pytest.approx(old, rel=rounding_bound(cutoff_r), abs=np.finfo(float).tiny)
             compared += 1
-        # the rest have an orbital below CUTOFF_MIN or, above 1e8, with norm 0
-        assert compared == (35 if ratio == 0.5 else 34)
+        # the rest have an orbital outside CUTOFF_SCALE
+        assert compared == {1.0: 39, 2.0: 38, 0.5: 41}[ratio]
 
     def test_cutoff_scan_accepts_the_set_in_radii(self):
-        # every cutoff_r at least CUTOFF_MIN the rules in radii accepted, and no
-        # other, on a log scan, with no warning; the set is [1.82e-61, 1.04e8]
-        # (the rules in radii accepted [5.34e-107, 1.04e8], 229 points)
+        # every cutoff_r in CUTOFF_SCALE, and no other, on a log scan, with no
+        # warning; the rules in radii accepted all of them, and more
+        # ([5.34e-107, 1.04e8], 229 points)
         accepted = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -883,7 +872,8 @@ class TestPairRule:
                     assert refusal(cutoff_r) in str(exc)
                     accepted.append(False)
                 assert accepted[-1] == (refusal(cutoff_r) is None)
-        assert sum(accepted) == 138
+                assert RadiiOrbital(cutoff_r=cutoff_r).valid or not accepted[-1]
+        assert sum(accepted) == 21      # 1e-4, 10^-3.5, ..., 1e6
 
 
 class TestOrientationCoefficient:
