@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT, _solve_settings,
                           assemble_hydrogen_plate, lowest_eigenpair)
+from .model import MIRROR_STRENGTH
 
 FMT = "%.17g"
 CSV_COLUMNS = ("r", "n_xi", "n_rho", "E_plate", "E_free", "W", "iterations", "error")
@@ -40,6 +41,12 @@ class SweepRow:
         return self.e_plate - self.e_free
 
 
+def _check_mirror_strength(m: float) -> None:
+    lo, hi = MIRROR_STRENGTH
+    if not lo <= m <= hi:   # NaN included
+        raise ValueError(f"mirror strength m must lie in its domain [{lo:g}, {hi:g}], got {m}")
+
+
 @dataclass
 class SweepTable:
     rows: list
@@ -48,8 +55,7 @@ class SweepTable:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.m <= 1.0:    # NaN included
-            raise ValueError(f"mirror strength must lie in [0, 1], got {self.m}")
+        _check_mirror_strength(self.m)
         rs = [row.r for row in self.rows]
         if (any(not 0 < r < np.inf for r in rs)
                 or any(b <= a for a, b in zip(rs, rs[1:]))):
@@ -112,10 +118,12 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     whose workers inherit no count).  multiprocessing and the pool are
     imported here, by the one path that uses them, not with the package.  A
     solve that fails to converge or to factor marks its row as a gap
-    instead of aborting the sweep.
+    instead of aborting the sweep.  plate_m outside MIRROR_STRENGTH raises
+    ValueError before any grid or worker is made.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_mirror_strength(plate_m)
     rs = sorted(float(r) for r in r_values)
     if not rs or any(not 0 < r < np.inf for r in rs) or len(set(rs)) != len(rs):
         raise ValueError("sweep radii must be given, finite, positive and distinct")

@@ -104,8 +104,6 @@ def _plate_inputs(args) -> tuple:
     """(config, m, grid spec) of hydrogen and sweep: flags, else config, else defaults."""
     cfg = load_config(args.config) if args.config else {}
     m = float(_pick(args, "m", cfg, 1.0)) + 0.0     # -0.0 prints as 0
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"mirror strength must lie in [0, 1], got {m}")
     default = GridCylSpec()
     spec = GridCylSpec(h_target=float(_pick(args, "h", cfg, default.h_target)),
                        l_xi_plus=float(_pick(args, "l_xi", cfg, default.l_xi_plus, "L_xi")),

@@ -24,8 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs, dsytrf, dsytrs
 
-from .model import (DISTANCE, E_ELECTRON_PLATE, GRID_SPEC, LENGTH_1D, Molecule, PlateConfig,
-                    check_domain)
+from .model import (DISTANCE, E_ELECTRON_PLATE, GRID_SPEC, LENGTH_1D, MIRROR_STRENGTH, Molecule,
+                    PlateConfig, check_domain)
 from .multipole import HydrogenOrbital, smooth_step, smooth_step_derivative
 from .potential import molecule_mirror_interaction
 from .spectra import electron_plate_energy_deviation
@@ -295,10 +295,10 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     from its diagonal and its upper bands at 1 and n_rho.  The operators at
     ms[1:] differ from it only in their diagonal: SparseSymOp.set_diagonal
     turns it into each in place.  So a W row, which asks for (m, 0.0), holds
-    one operator and the free diagonal.
+    one operator and the free diagonal.  Each m must lie in MIRROR_STRENGTH.
     """
-    if not all(0.0 <= m <= 1.0 for m in ms):
-        raise ValueError("mirror strength m must lie in [0, 1]")
+    for m in ms:
+        check_domain("mirror strength m", m, MIRROR_STRENGTH)
     ax = _cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
     rad = _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
     kinetic = np.add.outer(ax[0], rad[0]).ravel()

@@ -27,8 +27,10 @@ COINCIDENCE_TOL = 1e-12
 # workload passes with at least a factor-10 margin; inside them no integral or
 # solve warns or leaves the floats.
 ORBITAL_SCALE = (1e-3, 1e3)     # z of a HydrogenOrbital
-CUTOFF_SCALE = (1e-4, 1e6)      # the dimensionless z * cutoff_r
+CUTOFF_SCALE = (1e-4, 1e4)      # the dimensionless z * cutoff_r
 DISTANCE = (1e-2, 1e5)          # r of mirror_energy_expectation and GridCyl.for_distance
+MIRROR_SCALE = (1e-5, 1e4)      # the dimensionless z * r of mirror_energy_expectation
+MIRROR_STRENGTH = (0.0, 1.0)    # m, no margin: 0 no plate, 1 a perfect conductor
 LENGTH_1D = (1e-4, 1e4)         # L of a Grid1D
 GRID_SPEC = (1e-3, 1e3)         # the step and extents of a GridCylSpec
 

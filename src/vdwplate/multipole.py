@@ -16,6 +16,7 @@ of both counts, each equal to the rule built for its count alone bit for bit.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .model import CUTOFF_SCALE, DISTANCE, ORBITAL_SCALE, as_vec3, check_domain, unit_vector
+from .model import (CUTOFF_SCALE, DISTANCE, MIRROR_SCALE, MIRROR_STRENGTH, ORBITAL_SCALE, as_vec3,
+                    check_domain, unit_vector)
 
 RADIAL_NODES = 200
 ANGULAR_NODES = 64
@@ -122,8 +124,7 @@ def _piece_table(edges: tuple, ratios: tuple, counts: tuple) -> _PieceTable:
 
     ratios holds cutoff_r / L for each cut-off orbital of a pair, so a self
     pair's bump enters squared; a pair with none has a tail.  A bump is
-    evaluated once per distinct ratio, and only above its inner edge
-    ratio/5: below, it is exactly 1.0.
+    evaluated once per distinct ratio, at every node (1.0 below ratio/5).
     """
     legendre_t, legendre_w = (np.concatenate(part) for part in
                               zip(*(angular_legendre_rule(n) for n in counts)))
@@ -131,10 +132,7 @@ def _piece_table(edges: tuple, ratios: tuple, counts: tuple) -> _PieceTable:
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     nodes = half[:, None] * legendre_t + mid[:, None]
     base = half[:, None] * legendre_w * (4.0 * np.pi)
-    bumps = np.ones_like(nodes)
-    for c in sorted(set(ratios)):
-        above = nodes > c / 5.0
-        bumps[above] *= cutoff_profile(nodes[above], c) ** ratios.count(c)
+    bumps = math.prod(cutoff_profile(nodes, c) ** ratios.count(c) for c in sorted(set(ratios)))
     laguerre = None if ratios else tuple(
         np.concatenate(part) for part in zip(*(radial_laguerre_rule(n) for n in counts)))
     runs = counts * (len(edges) - 1 + (laguerre is not None))
@@ -182,7 +180,7 @@ class HydrogenOrbital:
 
     z must lie in the domain ORBITAL_SCALE and z * cutoff_r in CUTOFF_SCALE,
     and the cut-off orbital must have a finite positive norm, or ValueError is
-    raised.
+    raised; beyond CUTOFF_SCALE the rule's fixed pieces miss the density.
     """
 
     n_electrons = 1
@@ -209,33 +207,19 @@ class HydrogenOrbital:
 
     # radial profile ---------------------------------------------------------
 
-    def _envelope(self, radius):
-        """Profile with the exponential stripped: psi(R) * e^{+zR/2}.
-
-        The bump is evaluated only at radii above cutoff_r/5: below, it is
-        exactly 1.0, so the product is the same to the bit.
-        """
-        radius = np.asarray(radius, dtype=float)
-        env = np.full(radius.shape, self._scale)
-        if self.cutoff_r is not None:
-            above = radius > self.cutoff_r / 5.0
-            env[above] *= cutoff_profile(radius[above], self.cutoff_r)
-        return env
-
     def _envelope_derivative(self, radius):
-        """d/dR of psi(R) with the exponential stripped: (psi' e^{+zR/2})."""
-        radius = np.asarray(radius, dtype=float)
-        base = np.full_like(radius, self._scale)
+        """psi'(R) e^{+zR/2}: the scalar -z/2 times _scale for the plain orbital."""
         if self.cutoff_r is None:
-            return -0.5 * self.z * base
+            return -0.5 * self.z * self._scale
         h = cutoff_profile(radius, self.cutoff_r)
         dh = cutoff_profile_derivative(radius, self.cutoff_r)
-        return base * (dh - 0.5 * self.z * h)
+        return self._scale * (dh - 0.5 * self.z * h)
 
     def radial_value(self, radius):
-        """Wavefunction value at |x| = radius."""
+        """Wavefunction value at |x| = radius; no quadrature rule calls it."""
         radius = np.asarray(radius, dtype=float)
-        return self._envelope(radius) * np.exp(-0.5 * self.z * radius)
+        bump = 1.0 if self.cutoff_r is None else cutoff_profile(radius, self.cutoff_r)
+        return self._scale * bump * np.exp(-0.5 * self.z * radius)
 
     def __call__(self, points):
         return self.radial_value(np.linalg.norm(as_vec3(points), axis=-1))
@@ -492,11 +476,13 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     and 2r, the tail mass and the outer 1/R sum those above.  quad_error is
     the largest relative move between the rules; QuadratureError is raised
     where it exceeds QUAD_TOL or is NaN, and where the refined rule's mass
-    misses 1 by more than QUAD_TOL, as for a support the pieces do not
-    resolve (an orbital cut off at 2r from r = 1.5e4 on), which doubling
-    hardly moves.  r must lie in the domain DISTANCE (ValueError otherwise).
+    misses 1 by more than QUAD_TOL, which doubling hardly moves.  r must lie
+    in DISTANCE, m in MIRROR_STRENGTH and z * r in MIRROR_SCALE (beyond it the
+    fixed pieces miss the density), or ValueError is raised.
     """
     check_domain("plate distance r", r, DISTANCE)
+    check_domain("mirror scale z * r", psi.z * r, MIRROR_SCALE)
+    check_domain("mirror strength m", m, MIRROR_STRENGTH)
 
     rule = psi._pair_rule(psi, (RADIAL_NODES, 2 * RADIAL_NODES), length=r, cuts=(0.25, 2.0))
     i, j = (bisect_right(rule.table.edges, cut) - 1 for cut in (0.25, 2.0))

@@ -233,6 +233,17 @@ class TestHydrogen:
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "5", "--m", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("command", [("hydrogen", "--r", "5"), ("sweep", "--r-values", "5,6")],
+                             ids=["hydrogen", "sweep"])
+    @pytest.mark.parametrize("m", ["nan", "-0.5", "1.5"])
+    def test_m_outside_its_domain_exits_3_before_any_solve(self, capsys, monkeypatch, command, m):
+        # the CLI has no check of its own: the one declared domain is checked
+        # where m enters the assembly or the sweep
+        calls = spy_row_calls(monkeypatch)
+        code, out, err = run_cli(capsys, *command, "--m", m)
+        assert code == 3 and out == "" and "lowest_eigenpair" not in calls
+        assert "mirror strength m must lie in its domain" in err
+
     @pytest.mark.parametrize("argv", [("hydrogen", "--r", "3"),
                                       ("sweep", "--r-values", "3"),
                                       ("sweep", "--r-values", "3", "--format", "json")],

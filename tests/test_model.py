@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import warnings
@@ -8,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit_vectors
+from vdwplate import asymptotics
+from vdwplate.asymptotics import SweepTable, sweep_interaction_energy
 from vdwplate.eigensolver import (Grid1D, GridCyl, GridCylSpec, NonConvergenceError,
-                                  electron_plate_ground)
+                                  assemble_hydrogen_plate, electron_plate_ground)
 from vdwplate.model import (CONFIG_KEYS, CUTOFF_SCALE, DISTANCE, E_ELECTRON_PLATE, E_HYDROGEN,
-                            GRID_SPEC, LENGTH_1D, ORBITAL_SCALE, Molecule, PlateConfig,
-                            parse_config, trapezoid_inequality, validate_molecule)
+                            GRID_SPEC, LENGTH_1D, MIRROR_SCALE, MIRROR_STRENGTH, ORBITAL_SCALE,
+                            Molecule, PlateConfig, parse_config, trapezoid_inequality,
+                            validate_molecule)
 from vdwplate.multipole import HydrogenOrbital, QuadratureError, mirror_energy_expectation
+from vdwplate.spectra import essential_spectrum_bottom, hvz_gap
 
 
 def test_units():
@@ -186,24 +191,25 @@ class TestDeclaredDomains:
 
     def test_seeded_scan_finite_or_refused(self):
         # z, z * cutoff_r and the mirror's r drawn log-uniform or at an end
-        # of their domains, the plain orbital in a third of the draws: every
-        # integral is finite, the mirror expectation finite or a
-        # QuadratureError, and the constructor refuses only a product z *
-        # cutoff_r that rounds outside CUTOFF_SCALE
+        # of their domains (r of DISTANCE with z * r in MIRROR_SCALE), the
+        # plain orbital in a third of the draws: every integral and every
+        # field of the mirror expectation is finite, with no QuadratureError,
+        # and only a product z * cutoff_r or z * r that rounds outside its
+        # domain is refused
         rng = np.random.default_rng(41)
 
-        def draw(domain):
-            lo, hi = domain
+        def draw(lo, hi):
             if rng.random() >= 0.8:
-                return float(rng.choice(domain))
+                return float(rng.choice((lo, hi)))
             return min(max(math.exp(rng.uniform(math.log(lo), math.log(hi))), lo), hi)
 
         counts = {"finite": 0, "quadrature": 0, "refused": 0}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for k in range(600):
-                z, r = draw(ORBITAL_SCALE), draw(DISTANCE)
-                cutoff_r = None if k % 3 == 0 else draw(CUTOFF_SCALE) / z
+                z = draw(*ORBITAL_SCALE)
+                r = draw(DISTANCE[0], min(DISTANCE[1], MIRROR_SCALE[1] / z))
+                cutoff_r = None if k % 3 == 0 else draw(*CUTOFF_SCALE) / z
                 if cutoff_r is not None and not CUTOFF_SCALE[0] <= z * cutoff_r <= CUTOFF_SCALE[1]:
                     with pytest.raises(ValueError, match="cut-off scale"):
                         HydrogenOrbital(z, cutoff_r)
@@ -212,13 +218,18 @@ class TestDeclaredDomains:
                 psi = HydrogenOrbital(z, cutoff_r)
                 values = [psi.norm(), psi.overlap(psi), psi.moment2(psi)[0, 0],
                           psi.kinetic_energy()]
+                if not MIRROR_SCALE[0] <= z * r <= MIRROR_SCALE[1]:
+                    with pytest.raises(ValueError, match="mirror scale"):
+                        mirror_energy_expectation(psi, r)
+                    counts["refused"] += 1
+                    continue
                 try:
                     values += dataclasses.astuple(mirror_energy_expectation(psi, r))
                     counts["finite"] += 1
                 except QuadratureError:
                     counts["quadrature"] += 1
                 assert all(math.isfinite(v) for v in values), (z, cutoff_r, r, values)
-        assert counts == {"finite": 453, "quadrature": 139, "refused": 8}
+        assert counts == {"finite": 594, "quadrature": 0, "refused": 6}
 
     @pytest.mark.parametrize("L", LENGTH_1D)
     def test_electron_plate_at_the_length_ends(self, L):
@@ -244,7 +255,7 @@ class TestDeclaredDomains:
         "z": ("orbital scale z", ORBITAL_SCALE, lambda v: HydrogenOrbital(z=v)),
         "z_cutoff": ("cut-off scale", CUTOFF_SCALE, lambda v: HydrogenOrbital(cutoff_r=v)),
         "mirror_r": ("plate distance r", DISTANCE, lambda v: mirror_energy_expectation(
-            HydrogenOrbital(cutoff_r=20.0), v)),
+            HydrogenOrbital(z=0.1, cutoff_r=20.0), v)),    # z * r inside MIRROR_SCALE
         "grid_r": ("plate distance r", DISTANCE, lambda v: GridCyl.for_distance(
             v, GridCylSpec(0.02, 1.0, 1.0) if v < 1.0 else GridCylSpec(100.0, 1e3, 1e3))),
         "L": ("domain length L", LENGTH_1D, lambda v: Grid1D(32, v)),
@@ -263,3 +274,68 @@ class TestDeclaredDomains:
                 for bad in (float(np.nextafter(end, outward)), -end, math.nan):
                     with pytest.raises(ValueError, match=f"{text}.* must lie in its domain"):
                         enter(bad)
+
+    def test_cutoff_scale_end_resolved(self):
+        # at the upper end of CUTOFF_SCALE, for z at both ends of
+        # ORBITAL_SCALE, the cut-off orbital's own integrals meet the plain
+        # orbital's closed forms, as the bump lies far outside the density;
+        # 1e6 gave moment2 off by 3.31 relative (C(v) = 4.31) and is refused
+        hi = CUTOFF_SCALE[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in ORBITAL_SCALE:
+                psi = HydrogenOrbital(z=z, cutoff_r=hi / z)
+                assert psi.moment2(psi)[0, 0] == pytest.approx(4.0 / z ** 2, rel=1e-12, abs=0.0)
+                assert psi.kinetic_energy() == pytest.approx(z * z / 4.0, rel=1e-12, abs=0.0)
+                with pytest.raises(ValueError, match="cut-off scale.* must lie in its domain"):
+                    HydrogenOrbital(z=z, cutoff_r=1e6 / z)
+
+    def test_mirror_scale_end_resolved(self):
+        # the plain orbital at z * r = 1e4 (the upper end of MIRROR_SCALE)
+        # meets <x1^2> = 4/z^2, <x1^4> = 72/z^4, <x1^6> = 2880/z^6, a Newton
+        # term of 1/r and a tail mass of 0; above the end, where the rules
+        # raised QuadratureError from z * r of about 1.6e4 on, ValueError
+        # names the domain
+        hi = MIRROR_SCALE[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (0.1, 1.0, ORBITAL_SCALE[1]):
+                r = hi / z
+                e = mirror_energy_expectation(HydrogenOrbital(z=z), r)
+                fields = (e.moment_x1_sq, e.moment_x1_4, e.moment_x1_6, e.newton_term)
+                closed = (4.0 / z ** 2, 72.0 / z ** 4, 2880.0 / z ** 6, 1.0 / r)
+                assert fields == pytest.approx(closed, rel=1e-12, abs=0.0)
+                assert e.tail_mass == 0.0
+            for z, r in ((1.0, float(np.nextafter(hi, math.inf))), (1.0, 1.6e4),
+                         (ORBITAL_SCALE[1], DISTANCE[1])):
+                with pytest.raises(ValueError, match="mirror scale.* must lie in its domain"):
+                    mirror_energy_expectation(HydrogenOrbital(z=z), r)
+
+    @pytest.mark.parametrize("entry", ["mirror", "bottom", "hvz", "table", "sweep", "assemble"])
+    def test_mirror_strength_refused_where_m_enters(self, monkeypatch, entry):
+        # m outside [0, 1] returned NaN fields (mirror, m = NaN), five times
+        # the conductor value (mirror, m = 5) and a "bound" verdict
+        # (hvz_gap, m = -2); each entry now refuses it, the sweep before it
+        # builds a grid or starts a pool, and accepts both ends
+        def refused(*args, **kwargs):
+            raise AssertionError("no grid or pool for a refused m")
+
+        enter = {
+            "mirror": lambda m: mirror_energy_expectation(HydrogenOrbital(), 10.0, m),
+            "bottom": lambda m: essential_spectrum_bottom(10.0, m),
+            "hvz": lambda m: hvz_gap(-0.3, 10.0, m=m),
+            "table": lambda m: SweepTable(rows=[], m=m, grid={}),
+            "sweep": lambda m: sweep_interaction_energy([3.0], m, GridCylSpec(0.5, 4.0, 4.0),
+                                                        jobs=2),
+            "assemble": lambda m: assemble_hydrogen_plate(
+                GridCyl.for_distance(3.0, GridCylSpec(0.5, 4.0, 4.0)), (1.0, m)),
+        }[entry]
+        for m in MIRROR_STRENGTH:
+            enter(m)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(asymptotics, "GridCyl", refused)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (math.nan, -0.5, 1.5):
+                with pytest.raises(ValueError, match="mirror strength m must lie in its domain"):
+                    enter(m)

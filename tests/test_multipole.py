@@ -13,7 +13,7 @@ from scipy.special import gammainc
 
 from conftest import random_unit_vectors
 from vdwplate import multipole
-from vdwplate.model import CUTOFF_SCALE, DISTANCE, ORBITAL_SCALE, Molecule
+from vdwplate.model import CUTOFF_SCALE, DISTANCE, MIRROR_SCALE, ORBITAL_SCALE, Molecule
 from vdwplate.multipole import (GridWaveFn, GroundBasis, HydrogenOrbital,
                                 ProductState, QuadratureError,
                                 mirror_energy_expectation, orientation_coefficient,
@@ -493,21 +493,23 @@ class TestMirrorEnergyExpectation:
     def test_one_density_evaluation_per_node_count(self, monkeypatch, cutoff_r):
         # both node counts share one bump evaluation, made when the layout's
         # table is built: once for the orbital's norm and once for the
-        # mirror's rule, and never again for the same cutoff ratios; no rule
-        # evaluates the envelope
+        # mirror's rule, at every node of the table, and never again for the
+        # same cutoff ratios; no rule evaluates the orbital pointwise
         calls = []
-        profile, envelope = multipole.cutoff_profile, HydrogenOrbital._envelope
+        profile, value = multipole.cutoff_profile, HydrogenOrbital.radial_value
         monkeypatch.setattr(multipole, "cutoff_profile",
-                            lambda radius, r: calls.append(len(radius)) or profile(radius, r))
-        monkeypatch.setattr(HydrogenOrbital, "_envelope",
-                            lambda self, radius: calls.append("envelope") or envelope(self, radius))
+                            lambda radius, r: calls.append(np.size(radius)) or profile(radius, r))
+        monkeypatch.setattr(HydrogenOrbital, "radial_value",
+                            lambda self, radius: calls.append("value") or value(self, radius))
         multipole._piece_table.cache_clear()
         ratio = None if cutoff_r is None else cutoff_r / 13.7
         for r in (13.7, 13.7, 31.0):
             psi = HydrogenOrbital(cutoff_r=None if ratio is None else ratio * r)
             mirror_energy_expectation(psi, r)
-        assert calls == ([] if cutoff_r is None else
-                         [multipole.RADIAL_NODES, 3 * multipole.RADIAL_NODES])
+        # the norm's two pieces at RADIAL_NODES; the mirror's two (cut at r)
+        # or three (cut at 2r) pieces at RADIAL_NODES and twice that
+        n = multipole.RADIAL_NODES
+        assert calls == {None: [], 13.7: [2 * n, 6 * n], 27.4: [2 * n, 9 * n]}[cutoff_r]
 
     @pytest.mark.parametrize("ratio", [None, 1.0, 2.0, 0.5], ids=["plain", "cut_r", "cut_2r",
                                                                  "cut_half_r"])
@@ -515,7 +517,9 @@ class TestMirrorEnergyExpectation:
         # every field but quad_error over log-spaced r across DISTANCE,
         # against the rules built in radii: within 1e-14 relative up to r = 22
         # and the rounding bound of a piece of width r beyond; the floors
-        # cover subnormal moments (the tail mass beyond r = 2800)
+        # cover subnormal moments (the tail mass beyond r = 2800).  Neither
+        # side raises QuadratureError for r in MIRROR_SCALE (z = 1), and
+        # every r beyond it is refused
         tiny = np.finfo(float).tiny
         compared = 0
         with warnings.catch_warnings():
@@ -526,28 +530,27 @@ class TestMirrorEnergyExpectation:
                     with pytest.raises(ValueError, match=text):
                         HydrogenOrbital(cutoff_r=cutoff_r)
                     continue
-                radii = RadiiOrbital(cutoff_r=cutoff_r)
                 psi = HydrogenOrbital(cutoff_r=cutoff_r)
-                try:
-                    old = radii.mirror_energy_expectation(r)
-                except QuadratureError:
-                    with pytest.raises(QuadratureError):
+                if r > MIRROR_SCALE[1]:
+                    with pytest.raises(ValueError, match="mirror scale z \\* r"):
                         mirror_energy_expectation(psi, r)
                     continue
+                old = RadiiOrbital(cutoff_r=cutoff_r).mirror_energy_expectation(r)
                 new = dataclasses.astuple(mirror_energy_expectation(psi, r))[:-1]
                 floors = (tiny / r ** 3 + tiny / r ** 5, tiny / r, tiny / r ** 7, tiny / r ** 7,
                           tiny, tiny, tiny, tiny)
                 for field, (a, b, floor) in enumerate(zip(new, old, floors)):
                     assert a == pytest.approx(b, rel=rounding_bound(r), abs=floor), (r, field)
                 compared += 1
-        # the rest raise QuadratureError on both sides
-        assert compared == {None: 107, 1.0: 108, 2.0: 106, 0.5: 114}[ratio]
+        # r up to 1e4 (a cut-off at 2r up to 5e3)
+        assert compared == {None: 103, 1.0: 103, 2.0: 98, 0.5: 103}[ratio]
 
     def test_remainder_finite_up_to_r_max(self):
         # at the upper end of DISTANCE, for an np.float64 r and a float, an
-        # orbital cut off at 20 carries the moments
+        # orbital cut off at 20 carries the moments; z = 0.1 puts z * r at
+        # the upper end of MIRROR_SCALE
         r = np.nextafter(DISTANCE[1], 0.0)
-        psi = HydrogenOrbital(cutoff_r=20.0)
+        psi = HydrogenOrbital(z=0.1, cutoff_r=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for radius in (r, float(r), DISTANCE[1]):
@@ -562,11 +565,12 @@ class TestMirrorEnergyExpectation:
         # the doubled rules agreed on a wrong mass, so quad_error passed:
         # 3.1e-111 on a mass of 2.8e-125 (r = 1.35e8), 0 on a mass of 0
         # (1e10), and 1.8e-10 on 1 + 1.07e-8 (a cutoff of 2r at 1.49e4).
-        # The first two now lie beyond DISTANCE and are refused before any rule
-        error, text = (QuadratureError, "mass") if r <= DISTANCE[1] else (ValueError, "domain")
+        # Each is now refused before any rule: the first two lie beyond
+        # DISTANCE, the third beyond CUTOFF_SCALE (and MIRROR_SCALE)
+        text = "plate distance r" if r > DISTANCE[1] else "cut-off scale"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match=text):
+            with pytest.raises(ValueError, match=f"{text}.* must lie in its domain"):
                 mirror_energy_expectation(HydrogenOrbital(cutoff_r=cutoff_r), r)
 
     @seed(1729)
@@ -599,14 +603,16 @@ class TestMirrorEnergyExpectation:
                 mirror_energy_expectation(HydrogenOrbital(), r)
 
     def test_bump_evaluated_above_its_inner_edge(self, monkeypatch):
-        # below cutoff_r/5 the bump is exactly 1, so no node there reaches it;
-        # tables in units of the length are evaluated once per cutoff ratio
+        # tables in units of the length evaluate the bump once per cutoff
+        # ratio, at every node of the table: exactly 1.0 up to its inner
+        # edge ratio/5, so there the table's weights are its base weights
         seen = []
         profile = multipole.cutoff_profile
 
         def spy(radius, r):
-            seen.append((np.asarray(radius).copy(), r))
-            return profile(radius, r)
+            out = profile(radius, r)
+            seen.append((np.array(radius), r, out))
+            return out
 
         monkeypatch.setattr(multipole, "cutoff_profile", spy)
         multipole._piece_table.cache_clear()
@@ -614,8 +620,16 @@ class TestMirrorEnergyExpectation:
             mirror_energy_expectation(HydrogenOrbital(cutoff_r=r), r)
             mirror_energy_expectation(HydrogenOrbital(cutoff_r=2.0 * r), r)
         # the norm's table (ratio 1) and the mirror's at ratios 1 and 2
-        assert [ratio for _, ratio in seen] == [1.0, 1.0, 2.0]
-        assert all(radius.size and np.all(radius > ratio / 5.0) for radius, ratio in seen)
+        assert [ratio for _, ratio, _ in seen] == [1.0, 1.0, 2.0]
+        counts = (multipole.RADIAL_NODES, 2 * multipole.RADIAL_NODES)
+        tables = [multipole._piece_table((0.0, 0.2, 0.25), (1.0, 1.0), counts[:1]),
+                  multipole._piece_table((0.0, 0.2, 0.25), (1.0, 1.0), counts),
+                  multipole._piece_table((0.0, 0.25, 0.4, 0.5), (2.0, 2.0), counts)]
+        for (radius, ratio, bump), table in zip(seen, tables):
+            assert np.array_equal(radius, table.nodes) and np.all(np.isfinite(radius))
+            inner = radius <= ratio / 5.0
+            assert inner.any() and np.all(bump[inner] == 1.0)
+            assert np.array_equal(table.weights[inner], table.base[inner])
 
     def test_piece_tables_built_once_per_layout(self, monkeypatch):
         # a call builds no table: each layout's nodes, weights, bumps and
@@ -820,17 +834,18 @@ class TestPairRule:
 
     def test_self_overlap_evaluates_the_bump_once(self, monkeypatch):
         # the norm's table is built in units of cutoff_r: its bump is
-        # evaluated once, and never again for another cutoff_r
+        # evaluated once, at the nodes of both pieces, and never again for
+        # another cutoff_r; no rule evaluates the orbital pointwise
         calls = []
-        profile, envelope = multipole.cutoff_profile, HydrogenOrbital._envelope
+        profile, value = multipole.cutoff_profile, HydrogenOrbital.radial_value
         monkeypatch.setattr(multipole, "cutoff_profile",
-                            lambda radius, r: calls.append(len(radius)) or profile(radius, r))
-        monkeypatch.setattr(HydrogenOrbital, "_envelope",
-                            lambda self, radius: calls.append("envelope") or envelope(self, radius))
+                            lambda radius, r: calls.append(np.size(radius)) or profile(radius, r))
+        monkeypatch.setattr(HydrogenOrbital, "radial_value",
+                            lambda self, radius: calls.append("value") or value(self, radius))
         multipole._piece_table.cache_clear()
-        for cutoff_r in (self.R, 2.0 * self.R, 1e-3, 1e6):
+        for cutoff_r in (self.R, 2.0 * self.R, 1e-3, 1e4):
             HydrogenOrbital(cutoff_r=cutoff_r)
-        assert calls == [multipole.RADIAL_NODES]
+        assert calls == [2 * multipole.RADIAL_NODES]
 
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.5])
     def test_cut_off_integrals_match_the_rules_in_radii(self, ratio):
@@ -855,7 +870,7 @@ class TestPairRule:
             assert new == pytest.approx(old, rel=rounding_bound(cutoff_r), abs=np.finfo(float).tiny)
             compared += 1
         # the rest have an orbital outside CUTOFF_SCALE
-        assert compared == {1.0: 39, 2.0: 38, 0.5: 41}[ratio]
+        assert compared == {1.0: 31, 2.0: 30, 0.5: 33}[ratio]
 
     def test_cutoff_scan_accepts_the_set_in_radii(self):
         # every cutoff_r in CUTOFF_SCALE, and no other, on a log scan, with no
@@ -873,7 +888,7 @@ class TestPairRule:
                     accepted.append(False)
                 assert accepted[-1] == (refusal(cutoff_r) is None)
                 assert RadiiOrbital(cutoff_r=cutoff_r).valid or not accepted[-1]
-        assert sum(accepted) == 21      # 1e-4, 10^-3.5, ..., 1e6
+        assert sum(accepted) == 17      # 1e-4, 10^-3.5, ..., 1e4
 
 
 class TestOrientationCoefficient:
