@@ -41,12 +41,6 @@ class SweepRow:
         return self.e_plate - self.e_free
 
 
-def _check_mirror_strength(m: float) -> None:
-    lo, hi = MIRROR_STRENGTH
-    if not lo <= m <= hi:   # NaN included
-        raise ValueError(f"mirror strength m must lie in its domain [{lo:g}, {hi:g}], got {m}")
-
-
 @dataclass
 class SweepTable:
     rows: list
@@ -55,7 +49,7 @@ class SweepTable:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_mirror_strength(self.m)
+        MIRROR_STRENGTH.check("mirror strength m", self.m)
         rs = [row.r for row in self.rows]
         if (any(not 0 < r < np.inf for r in rs)
                 or any(b <= a for a, b in zip(rs, rs[1:]))):
@@ -123,7 +117,7 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _check_mirror_strength(plate_m)
+    MIRROR_STRENGTH.check("mirror strength m", plate_m)
     rs = sorted(float(r) for r in r_values)
     if not rs or any(not 0 < r < np.inf for r in rs) or len(set(rs)) != len(rs):
         raise ValueError("sweep radii must be given, finite, positive and distinct")
@@ -171,15 +165,18 @@ def fit_power_law(table, exponents) -> FitResult:
     """Weighted least squares of W(r) in the basis {r^-k}.
 
     Weights r^6 equalize the leading-term influence across the window.
-    Accepts a SweepTable or an (r, W) array pair.  Radii whose r^3 weights
-    or r^-k columns overflow or underflow raise ValueError.
+    Accepts a SweepTable or an (r, W) array pair.  The exponents must be
+    distinct positive integers (3.0 counts as 3; 3.5, inf or NaN raise
+    ValueError).  Radii whose r^3 weights or r^-k columns overflow or
+    underflow raise ValueError.
     """
     r, w = _r_w(table)
-    exponents = tuple(int(k) for k in exponents)
+    exponents = tuple(exponents)
     if (not exponents or len(set(exponents)) != len(exponents)
-            or any(k <= 0 for k in exponents)):
+            or not all(float(k).is_integer() and k > 0 for k in exponents)):
         raise ValueError(f"exponents must be one or more distinct positive integers, "
                          f"got {list(exponents)}")
+    exponents = tuple(int(k) for k in exponents)
     if r.size < len(exponents):
         raise ValueError("need at least as many rows as exponents")
     with np.errstate(over="ignore", under="ignore"):

@@ -150,11 +150,7 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         table = sweep_from_csv(fh.read())
-    exponents = _parse_floats(args.exponents)
-    if not all(k.is_integer() for k in exponents):
-        raise ValueError(f"exponents must be integers, got {args.exponents!r}")
-    exponents = [int(k) for k in exponents]
-    fit = fit_power_law(table, exponents)
+    fit = fit_power_law(table, _parse_floats(args.exponents))
     if args.format == "json":
         text = table_to_json(table, fit)
     else:

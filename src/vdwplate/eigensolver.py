@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs, dsytrf, dsytrs
 
 from .model import (DISTANCE, E_ELECTRON_PLATE, GRID_SPEC, LENGTH_1D, MIRROR_STRENGTH, Molecule,
-                    PlateConfig, check_domain)
+                    PlateConfig)
 from .multipole import HydrogenOrbital, smooth_step, smooth_step_derivative
 from .potential import molecule_mirror_interaction
 from .spectra import electron_plate_energy_deviation
@@ -67,7 +67,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("at least 16 interior nodes required")
-        check_domain("domain length L", self.L, LENGTH_1D)
+        LENGTH_1D.check("domain length L", self.L)
 
     @property
     def h(self) -> float:
@@ -89,7 +89,7 @@ class GridCylSpec:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            check_domain(f"grid {name}", value, GRID_SPEC)
+            GRID_SPEC.check(f"grid {name}", value)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class GridCyl:
         """The grid of spec at r, which must lie in the domain DISTANCE and be
         at least h/2: below, the axial step r / n_left shrinks with r, and the
         grid grows as 1/r."""
-        check_domain("plate distance r", r, DISTANCE)
+        DISTANCE.check("plate distance r", r)
         if r < spec.h_target / 2:
             raise ValueError(f"plate distance must be at least h/2 = {spec.h_target / 2}, "
                              f"got {r}; lower --h for a closer plate")
@@ -287,10 +287,11 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     The Coulomb term is cell-averaged (point values converge below second
     order through the nuclear cusp); the smooth image term, half of
     molecule_mirror_interaction for hydrogen against the plate through -r e1,
-    is evaluated at the nodes, one electron configuration per node (m = 0
-    drops it).  The kinetic part, one cell stencil (_cell_stencil) per axis
-    with weight 1 and rho, makes each operator five-diagonal.  The stencil,
-    the Coulomb term, the 1s start vector of lowest_eigenpair and each m's
+    is evaluated at the nodes, one electron configuration per node; at
+    m = 0 it is zero, and it is skipped only to save that work.  The
+    kinetic part, one cell stencil (_cell_stencil) per axis with weight 1
+    and rho, makes each operator five-diagonal.  The stencil, the Coulomb
+    term, the 1s start vector of lowest_eigenpair and each m's
     diagonal, kinetic + v, are made on the call, and the operator at ms[0]
     from its diagonal and its upper bands at 1 and n_rho.  The operators at
     ms[1:] differ from it only in their diagonal: SparseSymOp.set_diagonal
@@ -298,7 +299,7 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     one operator and the free diagonal.  Each m must lie in MIRROR_STRENGTH.
     """
     for m in ms:
-        check_domain("mirror strength m", m, MIRROR_STRENGTH)
+        MIRROR_STRENGTH.check("mirror strength m", m)
     ax = _cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
     rad = _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
     kinetic = np.add.outer(ax[0], rad[0]).ravel()

@@ -9,6 +9,7 @@ in these units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,24 +23,31 @@ UNIT_TOL = 1e-12
 CENTERING_TOL = 1e-10
 COINCIDENCE_TOL = 1e-12
 
-# Declared input domains, closed intervals with round ends, each checked once
+class Domain(NamedTuple):
+    """A declared input domain, the closed interval [lo, hi]."""
+
+    lo: float
+    hi: float
+
+    def check(self, name: str, value) -> None:
+        """Raise ValueError naming the domain unless value lies in it (NaN does not)."""
+        if not self.lo <= value <= self.hi:
+            raise ValueError(f"{name} must lie in its domain [{self.lo:g}, {self.hi:g}], "
+                             f"got {value}")
+
+
+# Declared input domains with round ends, each checked once, by Domain.check,
 # where its value enters.  Each holds every value the package or a benchmark
 # workload passes with at least a factor-10 margin; inside them no integral or
 # solve warns or leaves the floats.
-ORBITAL_SCALE = (1e-3, 1e3)     # z of a HydrogenOrbital
-CUTOFF_SCALE = (1e-4, 1e4)      # the dimensionless z * cutoff_r
-DISTANCE = (1e-2, 1e5)          # r of mirror_energy_expectation and GridCyl.for_distance
-MIRROR_SCALE = (1e-5, 1e4)      # the dimensionless z * r of mirror_energy_expectation
-MIRROR_STRENGTH = (0.0, 1.0)    # m, no margin: 0 no plate, 1 a perfect conductor
-LENGTH_1D = (1e-4, 1e4)         # L of a Grid1D
-GRID_SPEC = (1e-3, 1e3)         # the step and extents of a GridCylSpec
-
-
-def check_domain(name: str, value, domain: tuple) -> None:
-    """Raise ValueError naming the domain unless value lies in it (NaN does not)."""
-    lo, hi = domain
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in its domain [{lo:g}, {hi:g}], got {value}")
+ORBITAL_SCALE = Domain(1e-3, 1e3)     # z of a HydrogenOrbital
+CUTOFF_SCALE = Domain(1e-4, 1e4)      # the dimensionless z * cutoff_r
+DISTANCE = Domain(1e-2, 1e5)          # r of PlateConfig, mirror_energy_expectation, GridCyl
+MIRROR_SCALE = Domain(1e-5, 1e4)      # the dimensionless z * r of mirror_energy_expectation
+MIRROR_STRENGTH = Domain(0.0, 1.0)    # m, no margin: 0 no plate, 1 a perfect conductor
+PERMITTIVITY = Domain(1e-2, 1e3)      # eps1 and a finite eps2 of greens_coefficients
+LENGTH_1D = Domain(1e-4, 1e4)         # L of a Grid1D
+GRID_SPEC = Domain(1e-3, 1e3)         # the step and extents of a GridCylSpec
 
 
 def as_vec3(x) -> np.ndarray:
@@ -67,7 +75,8 @@ class PlateConfig:
     """Half-space interface: unit normal v, distance r from the origin, mirror strength m.
 
     The plate occupies {x : x.v <= -r}; the physical region is x.v > -r.
-    m = 1 is a perfect conductor, 0 < m < 1 a dielectric.
+    r lies in DISTANCE and m in MIRROR_STRENGTH: m = 1 is a perfect
+    conductor, 0 < m < 1 a dielectric and m = 0 no plate.
     """
 
     v: np.ndarray
@@ -77,10 +86,8 @@ class PlateConfig:
     def __post_init__(self):
         object.__setattr__(self, "v", unit_vector(self.v))
         self.v.setflags(write=False)
-        if not self.r > 0:
-            raise ValueError(f"plate distance r must be positive, got {self.r}")
-        if not 0.0 < self.m <= 1.0:
-            raise ValueError(f"reflection coefficient m must be in (0, 1], got {self.m}")
+        DISTANCE.check("plate distance r", self.r)
+        MIRROR_STRENGTH.check("mirror strength m", self.m)
 
     def signed_distance(self, x) -> np.ndarray:
         """Distance of x from the plate plane, positive inside the physical half-space."""

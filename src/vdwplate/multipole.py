@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .model import (CUTOFF_SCALE, DISTANCE, MIRROR_SCALE, MIRROR_STRENGTH, ORBITAL_SCALE, as_vec3,
-                    check_domain, unit_vector)
+                    unit_vector)
 
 RADIAL_NODES = 200
 ANGULAR_NODES = 64
@@ -186,10 +186,9 @@ class HydrogenOrbital:
     n_electrons = 1
 
     def __init__(self, z: float = 1.0, cutoff_r: float | None = None):
-        check_domain("orbital scale z", z, ORBITAL_SCALE)
+        ORBITAL_SCALE.check("orbital scale z", z)
         if cutoff_r is not None:
-            check_domain(f"cut-off scale z * cutoff_r ({z} * {cutoff_r})", z * cutoff_r,
-                         CUTOFF_SCALE)
+            CUTOFF_SCALE.check(f"cut-off scale z * cutoff_r ({z} * {cutoff_r})", z * cutoff_r)
         self.z = float(z)
         self.cutoff_r = cutoff_r
         self._amp = self.z ** 1.5 / np.sqrt(8.0 * np.pi)
@@ -480,9 +479,9 @@ def mirror_energy_expectation(psi: HydrogenOrbital, r: float,
     in DISTANCE, m in MIRROR_STRENGTH and z * r in MIRROR_SCALE (beyond it the
     fixed pieces miss the density), or ValueError is raised.
     """
-    check_domain("plate distance r", r, DISTANCE)
-    check_domain("mirror scale z * r", psi.z * r, MIRROR_SCALE)
-    check_domain("mirror strength m", m, MIRROR_STRENGTH)
+    DISTANCE.check("plate distance r", r)
+    MIRROR_SCALE.check("mirror scale z * r", psi.z * r)
+    MIRROR_STRENGTH.check("mirror strength m", m)
 
     rule = psi._pair_rule(psi, (RADIAL_NODES, 2 * RADIAL_NODES), length=r, cuts=(0.25, 2.0))
     i, j = (bisect_right(rule.table.edges, cut) - 1 for cut in (0.25, 2.0))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import COINCIDENCE_TOL, Molecule, PlateConfig, as_vec3
+from .model import COINCIDENCE_TOL, PERMITTIVITY, Molecule, PlateConfig, as_vec3
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,13 @@ class GreensCoeffs:
 def greens_coefficients(eps1: float, eps2: float = math.inf) -> GreensCoeffs:
     """Coefficients A, B for a charge in medium 1 facing medium 2.
 
+    eps1 and eps2 lie in PERMITTIVITY, where A and B are finite, except that
     eps2 = inf gives the conductor limit A = -1, B = 2.
     """
-    if not eps1 > 0:
-        raise ValueError(f"eps1 must be positive, got {eps1}")
-    if math.isinf(eps2):
+    PERMITTIVITY.check("permittivity eps1", eps1)
+    if eps2 == math.inf:
         return GreensCoeffs(a=-1.0, b=2.0, eps1=eps1, eps2=math.inf)
-    if not eps2 > 0:
-        raise ValueError(f"eps2 must be positive, got {eps2}")
+    PERMITTIVITY.check("permittivity eps2", eps2)
     return GreensCoeffs(
         a=(eps1 - eps2) / (eps1 + eps2),
         b=2.0 * eps2 / (eps1 + eps2),

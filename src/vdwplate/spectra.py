@@ -17,13 +17,11 @@ def essential_spectrum_bottom(r: float, m: float = 1.0) -> float:
     At mirror strength m the electron can escape along the plate with energy
     m^2 (-1/64), the level of -d^2/dx^2 - m/(4x), while the nucleus keeps its
     image attraction -m/(4r).  Adding 0.0 makes the m = 0 bottom 0, not -0.
-    m must lie in MIRROR_STRENGTH (ValueError otherwise; hvz_gap calls this).
+    MIRROR_STRENGTH.check refuses an m outside [0, 1] (hvz_gap calls this).
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    lo, hi = MIRROR_STRENGTH
-    if not lo <= m <= hi:   # NaN included
-        raise ValueError(f"mirror strength m must lie in its domain [{lo:g}, {hi:g}], got {m}")
+    MIRROR_STRENGTH.check("mirror strength m", m)
     return m * m * E_ELECTRON_PLATE - m / (4.0 * r) + 0.0
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -66,6 +67,18 @@ class TestFitPowerLaw:
             fit_power_law((rs, ws), (3, -1))
         with pytest.raises(ValueError, match="exponents"):
             fit_power_law((rs, ws), ())
+
+    @pytest.mark.parametrize("exponents", [(3.5, 5), (math.inf, 5), (math.nan, 5), (3, 4.999)])
+    def test_non_integer_exponents_rejected(self, exponents):
+        # int() truncated 3.5 to 3 and fitted r^-3 without a word; integral
+        # floats are still the integers they equal
+        rs = np.arange(8.0, 41.0, 2.0)
+        ws = -rs ** -3.0 - 18.0 * rs ** -5.0
+        with pytest.raises(ValueError, match="exponents must be .*integers"):
+            fit_power_law((rs, ws), exponents)
+        fit = fit_power_law((rs, ws), (3.0, 5.0))
+        assert fit.exponents == (3, 5) and all(type(k) is int for k in fit.exponents)
+        assert fit.coefficient(3) == pytest.approx(-1.0, rel=1e-12)
 
     @pytest.mark.parametrize("rs, exponents", [
         ([1e200, 2e200, 3e200], (3, 5)), ([1e-200, 2e-200, 3e-200], (3, 5)),

@@ -78,6 +78,13 @@ class TestPlateConfig:
         with pytest.raises(ValueError):
             PlateConfig(np.array([1.0, 0.0, 0.0]), r=1.0, m=1.5)
 
+    @pytest.mark.parametrize("r", [math.inf, 1e308, 1e6, float(np.nextafter(DISTANCE.lo, 0.0)),
+                                   float(np.nextafter(DISTANCE.hi, math.inf))])
+    def test_distance_outside_its_domain_refused(self, r):
+        # r = inf and 1e308 gave NaN image energies; r > 0 was the only rule
+        with pytest.raises(ValueError, match="plate distance r must lie in its domain"):
+            PlateConfig(np.array([1.0, 0.0, 0.0]), r)
+
 
 class TestValidateMolecule:
     def test_hydrogen_valid(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit_vectors
-from vdwplate.model import Molecule, PlateConfig
+from vdwplate.model import DISTANCE, Molecule, PlateConfig
 from vdwplate.potential import (ChargeSet, MirrorInteraction, greens_coefficients,
                                 interaction_energy, molecule_mirror_interaction)
 
@@ -37,6 +37,12 @@ class TestGreensCoefficients:
             greens_coefficients(0.0, 1.0)
         with pytest.raises(ValueError):
             greens_coefficients(1.0, -2.0)
+
+    @pytest.mark.parametrize("eps1, eps2", [(math.inf, 2.0), (1e308, 1e308), (1.0, 1e308)])
+    def test_non_finite_coefficients_refused(self, eps1, eps2):
+        # a was NaN, b NaN and b inf, with no warning: Python float arithmetic
+        with pytest.raises(ValueError, match="permittivity eps.* must lie in its domain"):
+            greens_coefficients(eps1, eps2)
 
 
 def four_term_potential(x, r):
@@ -113,10 +119,17 @@ class TestMoleculeMirrorInteraction:
             assert terms.total == pytest.approx(closed_form_bracket(x, 10.0), rel=1e-13, abs=1e-15)
 
     def test_far_plate_vanishes(self):
-        plate = PlateConfig(E1, r=1e6)
+        plate = PlateConfig(E1, r=DISTANCE.hi)
         mol = Molecule.hydrogen()
         terms = molecule_mirror_interaction(mol, plate, [np.array([0.3, -0.2, 0.1])])
         assert abs(terms.total) <= 1e-5
+
+    def test_no_plate_at_zero_strength(self, rng):
+        # PlateConfig refused m = 0 (no plate), which every other entry of m accepts
+        plate = PlateConfig(E1, r=4.0, m=0.0)
+        for mol in (H, Molecule.helium()):
+            electrons = rng.standard_normal((3, mol.n_electrons, 3))
+            assert np.all(molecule_mirror_interaction(mol, plate, electrons).total == 0.0)
 
     def test_helium_against_appendix_enumeration(self, rng):
         # brute-force oracle: every charge/mirror pair with the interaction
