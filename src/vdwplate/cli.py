@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 numerical failure (non-convergence, a failed
 factorization or quadrature, memory exhaustion), 3 invalid input, 4 I/O or
 other operating-system failure (any OSError).  Commands raise; main alone
-maps an exception to its exit code and one stderr line.  Outputs embed the
-resolved configuration and the package version; repeated runs with the same
-flags are byte-identical.
+maps an exception to its exit code and one stderr line.  Flags are the only
+inputs; the parser holds their defaults, the grid's from one GridCylSpec().
+Outputs embed the resolved configuration and the package version; repeated
+runs with the same flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .eigensolver import (GridCyl, GridCylSpec, electron_plate_ground,
                           feshbach_fixed_point)
 # unused here; perfbench's test_tracer_wraps_every_import_site still asserts it
 from .eigensolver import lowest_eigenpair  # noqa: F401
-from .model import E_ELECTRON_PLATE, E_HYDROGEN, as_vec3, load_config
+from .model import E_ELECTRON_PLATE, E_HYDROGEN, as_vec3
 from .multipole import GroundBasis, HydrogenOrbital, ProductState, orientation_coefficient
 from .spectra import helium_variational_energy, hvz_gap
 
@@ -64,15 +65,6 @@ def _parse_floats(text: str, expected: int | None = None) -> list:
     return vals
 
 
-def _pick(args, name: str, cfg: dict, default, key: str | None = None):
-    """Flag value if given, else the config-file value under key (default
-    name), else default."""
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    return cfg.get(key or name, default)
-
-
 def _report(resolved: dict, lines: list) -> str:
     """The resolved configuration as '# key = value' lines, then the report lines."""
     head = [f"# vdwplate {__version__}"]
@@ -101,21 +93,16 @@ def cmd_eplate(args) -> int:
 
 
 def _plate_inputs(args) -> tuple:
-    """(config, m, grid spec) of hydrogen and sweep: flags, else config, else defaults."""
-    cfg = load_config(args.config) if args.config else {}
-    m = float(_pick(args, "m", cfg, 1.0)) + 0.0     # -0.0 prints as 0
-    default = GridCylSpec()
-    spec = GridCylSpec(h_target=float(_pick(args, "h", cfg, default.h_target)),
-                       l_xi_plus=float(_pick(args, "l_xi", cfg, default.l_xi_plus, "L_xi")),
-                       l_rho=float(_pick(args, "l_rho", cfg, default.l_rho, "L_rho")))
-    return cfg, m, spec
+    """(m, grid spec) of hydrogen and sweep from the flags --m, --h, --l-xi, --l-rho."""
+    return (args.m + 0.0,       # -0.0 prints as 0
+            GridCylSpec(h_target=args.h, l_xi_plus=args.l_xi, l_rho=args.l_rho))
 
 
 def cmd_hydrogen(args) -> int:
-    cfg, m, spec = _plate_inputs(args)
-    r = _pick(args, "r", cfg, None)
+    m, spec = _plate_inputs(args)
+    r = args.r
     if r is None:
-        raise ValueError("hydrogen needs --r or r in the config")
+        raise ValueError("hydrogen needs --r")
     grid = GridCyl.for_distance(r, spec)    # ValueError outside DISTANCE or below h/2
     resolved = {"command": "hydrogen", "r": r, "m": m,
                 **{f"grid.{k}": v for k, v in grid.metadata().items()}}
@@ -134,9 +121,7 @@ def cmd_hydrogen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, m, spec = _plate_inputs(args)
-    if "r" in cfg:
-        raise ValueError("sweep radii come only from --r-values; remove r from the config")
+    m, spec = _plate_inputs(args)
     table = sweep_interaction_energy(_parse_floats(args.r_values), plate_m=m, spec=spec,
                                      jobs=args.jobs)
     text = table_to_json(table) if args.format == "json" else sweep_to_csv(table)
@@ -235,12 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", help="write the report here (VDWPLATE_OUTDIR joins relative paths)")
 
+    grid = GridCylSpec()
+
     def plate_inputs(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--m", type=float, default=None)
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--l-xi", dest="l_xi", type=float, default=None)
-        p.add_argument("--l-rho", dest="l_rho", type=float, default=None)
+        p.add_argument("--m", type=float, default=1.0)
+        p.add_argument("--h", type=float, default=grid.h_target)
+        p.add_argument("--l-xi", dest="l_xi", type=float, default=grid.l_xi_plus)
+        p.add_argument("--l-rho", dest="l_rho", type=float, default=grid.l_rho)
 
     p = sub.add_parser("eplate", help="1D electron/plate ground energy")
     common(p)
@@ -297,7 +283,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:      # unreadable input or config, unwritable output, a refused fork
+    except OSError as exc:      # unreadable input, unwritable output, a refused fork
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (RuntimeError, MemoryError) as exc:   # NonConvergenceError, InertiaError included

@@ -729,7 +729,7 @@ def _as_basis(p, n: int) -> np.ndarray:
     if b.shape[0] != n:
         raise ValueError("projection basis does not match the operator dimension")
     gram = b.T @ b
-    if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-8:
+    if not np.max(np.abs(gram - np.eye(b.shape[1]))) <= 1e-8:     # NaN fails too
         raise ValueError("projection basis must be orthonormal")
     return b
 

@@ -1,4 +1,4 @@
-"""Geometry, units, and validity checks for the molecule/plate configuration.
+"""Geometry, units, input domains and validity checks of a molecule before a plate.
 
 Model units fix the kinetic prefactor and the Coulomb prefactor to 1, so the
 free-hydrogen ground energy is exactly E_H = -1/4 and the electron/plate
@@ -188,7 +188,7 @@ def trapezoid_inequality(a: float, c: float, b: float) -> TrapezoidCheck:
     with leg (a+c)/2); equality in the inequality occurs exactly in the
     degenerate collinear case a = b = c.
     """
-    if min(a, c, b) <= 0:
+    if not (a > 0 and c > 0 and b > 0):     # NaN fails, wherever it sits
         raise ValueError("side and diagonal lengths must be positive")
     if b < (a + c) / 2.0 * (1.0 - 1e-12):
         raise ValueError(f"no isosceles trapezoid has diagonal {b} < (a+c)/2 = {(a + c) / 2}")
@@ -196,37 +196,3 @@ def trapezoid_inequality(a: float, c: float, b: float) -> TrapezoidCheck:
     rhs = 1.0 / a + 1.0 / c
     return TrapezoidCheck(lhs, rhs, lhs <= rhs)
 
-
-# ---------------------------------------------------------------------------
-# Plain-text configuration files: `key = value` lines and `#` comments.
-# ---------------------------------------------------------------------------
-
-CONFIG_KEYS = {
-    "r": float,
-    "m": float,
-    "h": float,
-    "L_xi": float,
-    "L_rho": float,
-}
-
-
-def parse_config(text: str) -> dict:
-    """Typed values of the accepted keys; any other key raises ValueError."""
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, rhs = line.partition("=")
-        key, rhs = key.strip(), rhs.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = CONFIG_KEYS[key](rhs)
-    return values
-
-
-def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -309,7 +309,7 @@ class GridWaveFn:
         if self.points.ndim != 2 or self.weights.shape != (self.points.shape[0],) \
                 or self.values.shape != self.weights.shape:
             raise ValueError("points (n,3), weights (n,), values (n,) must align")
-        if abs(self.norm() - 1.0) > NORM_TOL:
+        if not abs(self.norm() - 1.0) <= NORM_TOL:     # NaN fails too
             raise ValueError(f"grid wavefunction norm {self.norm()!r} is not 1; "
                              "use from_samples to normalize")
 
@@ -405,7 +405,7 @@ class GroundBasis:
             raise ValueError("empty basis")
         gram = np.array([[fns[a].overlap(fns[b]) for b in range(n)] for a in range(n)])
         dev = float(np.max(np.abs(gram - np.eye(n))))
-        if dev > ORTHONORMAL_TOL:
+        if not dev <= ORTHONORMAL_TOL:
             raise ValueError(f"basis not orthonormal: max |G - I| = {dev:.3e}")
 
     @cached_property

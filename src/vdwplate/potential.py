@@ -142,7 +142,11 @@ def molecule_mirror_interaction(mol: Molecule, plate: PlateConfig, electrons) ->
 
 @dataclass(frozen=True)
 class ChargeSet:
-    """Point charges on the medium-1 side of a plate."""
+    """Point charges on the medium-1 side of a plate.
+
+    The plate gives the geometry only, its normal v and distance r; its
+    mirror strength m is not read (interaction_energy takes A from coeffs).
+    """
 
     charges: np.ndarray
     positions: np.ndarray
@@ -167,6 +171,8 @@ def interaction_energy(charges: ChargeSet, coeffs: GreensCoeffs) -> float:
     Direct Coulomb terms over unordered pairs, plus the mirror terms: cross
     pairs at full weight and self-image terms at half weight, every mirror
     term carrying the coefficient A of the interface Green's function.
+    The plate of charges places the mirror plane only: A comes from coeffs,
+    never from the plate's m.
     """
     q, p = charges.charges, charges.positions
     # ordered pairs: each cross pair twice, each self-image once, all halved

@@ -10,14 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import spy_factors
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import vdwplate
 from vdwplate import asymptotics, cli, eigensolver
 from vdwplate.asymptotics import SweepRow, SweepTable, sweep_to_csv
 from vdwplate.cli import main
-from vdwplate.model import CONFIG_KEYS
+from vdwplate.eigensolver import GridCylSpec
 from vdwplate.multipole import QuadratureError
 
 
@@ -301,26 +299,6 @@ class TestHydrogen:
         assert run_cli(capsys, "sweep", "--r-values", "8,6", *flags)[0] == 0
         assert radii == [6.0, 6.0, 8.0]
 
-    @pytest.mark.parametrize("line", ["n_xi = 35", "n_rho = 20", "nucleus = 1 0 0 0",
-                                      "v = 0 0 1", "n_electrons = 1",
-                                      "tol = 1e-30", "max_iter = 1", "seed = 7"])
-    def test_unread_config_keys_exit_3(self, capsys, tmp_path, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"r = 6\nh = 0.4\nL_xi = 8\nL_rho = 8\n{line}\n")
-        code, out, err = run_cli(capsys, "hydrogen", "--config", str(cfg))
-        assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "unknown key" in err
-
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(key=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,12}", fullmatch=True)
-           .filter(lambda k: k not in CONFIG_KEYS))
-    def test_random_config_keys_exit_3(self, capsys, tmp_path, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"r = 6\n{key} = 1\n")
-        code, out, err = run_cli(capsys, "hydrogen", "--config", str(cfg))
-        assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "unknown key" in err
 
 
 class TestSweepAndFit:
@@ -353,37 +331,6 @@ class TestSweepAndFit:
         c5 = float(grab(out.replace("# ", ""), "c5"))
         assert c3 == pytest.approx(-1.0, abs=1e-12)
         assert c5 == pytest.approx(-18.0, abs=1e-12)
-
-    def test_sweep_config_extents(self, capsys, tmp_path):
-        # h, L_xi and L_rho from a config file build the same grid as the flags
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("h = 0.4\nL_xi = 6\nL_rho = 6\n")
-        code, from_cfg, _ = run_cli(capsys, "sweep", "--r-values", "8",
-                                    "--config", str(cfg))
-        assert code == 0
-        code, from_flags, _ = run_cli(capsys, "sweep", "--r-values", "8", "--h", "0.4",
-                                      "--l-xi", "6", "--l-rho", "6")
-        assert code == 0
-        assert from_cfg == from_flags
-        assert "\n8,35,15," in from_cfg
-
-    @pytest.mark.parametrize("line", ["tol = 1e-30", "max_iter = 1", "seed = 7"])
-    def test_sweep_solver_config_keys_exit_3(self, capsys, tmp_path, line):
-        # the solve has one residual contract and one start vector; a sweep
-        # config with max_iter = 1 used to run and ignore the key
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"h = 0.4\nL_xi = 8\nL_rho = 8\n{line}\n")
-        code, out, err = run_cli(capsys, "sweep", "--r-values", "6", "--config", str(cfg))
-        assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "unknown key" in err
-
-    def test_sweep_config_r_exits_3(self, capsys, tmp_path):
-        # sweep radii come from --r-values alone
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("r = 6\nh = 0.4\nL_xi = 6\nL_rho = 6\n")
-        code, out, err = run_cli(capsys, "sweep", "--r-values", "8", "--config", str(cfg))
-        assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "--r-values" in err
 
     @pytest.mark.parametrize("radii", ["-1", "6,6", ",", "inf", "10,inf", "nan"])
     def test_sweep_bad_radii_exit_3(self, capsys, radii):
@@ -590,11 +537,10 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ("helium", "--output", "{tmp}/missing/he.txt"),
-        ("hydrogen", "--config", "{tmp}/missing.cfg", "--r", "8"),
         ("fit", "--input", "{tmp}/missing.csv"),
         ("sweep", "--r-values", "8,10", "--h", "0.4", "--l-xi", "10", "--l-rho", "10",
          "--jobs", "2"),
-    ], ids=["output", "config", "input", "pool"])
+    ], ids=["output", "input", "pool"])
     def test_os_error_returns_4(self, capsys, tmp_path, monkeypatch, argv):
         # main returns the code itself: no SystemExit, no traceback; a
         # refused fork at pool start escaped main as BlockingIOError
@@ -616,9 +562,10 @@ class TestPlumbing:
         ["hydrogen", "--r", "6", "--tol", "0"], ["hydrogen", "--r", "6", "--seed", "1"],
         ["sweep", "--r-values", "6", "--tol", "0"], ["sweep", "--r-values", "6", "--seed", "1"],
         ["fit", "--input", "x", "--weight-power", "6"], ["eplate", "--no-extrapolate"],
+        ["hydrogen", "--r", "6", "--config", "x"], ["sweep", "--r-values", "6", "--config", "x"],
     ])
     def test_unread_flags_exit_3(self, capsys, argv):
-        # --config exists only where a command reads it, --seed only for
+        # no command reads a config file, --seed exists only for
         # feshbach-demo, and the solve takes no tolerance
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -644,23 +591,12 @@ class TestPlumbing:
         assert code == 0
         assert (tmp_path / "he.txt").exists()
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("r = 6\nm = 1\nh = 0.4\nL_xi = 8\nL_rho = 8\n")
-        code, out, _ = run_cli(capsys, "hydrogen", "--config", str(cfg))
-        assert code == 0
-        assert float(grab(out, "E")) < -0.2
-        # flag overrides the config-file m
-        code, out2, _ = run_cli(capsys, "hydrogen", "--config", str(cfg), "--m", "0")
-        assert code == 0
-        assert float(grab(out2, "W")) == 0.0
-
     # every flag of every subcommand; a new input needs an edit here
     SURFACE = {
         "eplate": {"--output", "--n", "--L"},
-        "hydrogen": {"--output", "--config", "--r", "--m", "--h", "--l-xi", "--l-rho"},
-        "sweep": {"--output", "--config", "--r-values", "--m", "--h", "--l-xi",
-                  "--l-rho", "--jobs", "--format"},
+        "hydrogen": {"--output", "--r", "--m", "--h", "--l-xi", "--l-rho"},
+        "sweep": {"--output", "--r-values", "--m", "--h", "--l-xi", "--l-rho", "--jobs",
+                  "--format"},
         "fit": {"--output", "--input", "--exponents", "--format"},
         "cv": {"--output", "--molecule", "--v"},
         "helium": {"--output"},
@@ -683,5 +619,13 @@ class TestPlumbing:
         found = {c: set(re.findall(flag, self._help(capsys, c))) - {"--help"}
                  for c in commands}
         assert found == self.SURFACE
-        assert sum(len(flags) for flags in found.values()) == 31
-        assert set(CONFIG_KEYS) == {"r", "m", "h", "L_xi", "L_rho"}
+        assert sum(len(flags) for flags in found.values()) == 29
+
+    @pytest.mark.parametrize("argv", [["hydrogen"], ["sweep", "--r-values", "8"]])
+    def test_grid_defaults_are_one_spec(self, argv):
+        # the default grid has one definition, GridCylSpec's fields
+        args = cli.build_parser().parse_args(argv)
+        default = GridCylSpec()
+        assert (args.h, args.l_xi, args.l_rho) == (default.h_target, default.l_xi_plus,
+                                                   default.l_rho)
+        assert args.m == 1.0

@@ -1159,6 +1159,15 @@ class TestFeshbach:
         with pytest.raises(SingularBlockError):
             feshbach_matrix(np.array(h), np.array(b), 0.0)
 
+    def test_nan_basis_rejected(self):
+        # NaN passed the orthonormality test: F came back [[nan]], and the
+        # fixed point raised a misleading SingularBlockError
+        h, p = np.diag(np.arange(5.0)), np.full(5, np.nan)
+        with pytest.raises(ValueError, match="orthonormal"):
+            feshbach_matrix(h, p, -1.0)
+        with pytest.raises(ValueError, match="orthonormal"):
+            feshbach_fixed_point(h, p, (-1.0, 0.5))
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_lambda_on_an_eigenvalue_of_h(self, sparse):
         # H - 1 has an exactly zero pivot, yet H_perp - 1 = diag(2, 4) > 0 and F(1) = 1

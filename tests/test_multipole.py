@@ -959,6 +959,14 @@ class TestOrientationCoefficient:
         with pytest.raises(ValueError):
             GroundBasis((orb, orb))
 
+    def test_nan_function_rejected(self):
+        # a NaN Gram matrix passed the orthonormality test, and C(v) came back NaN
+        pts, wts = spherical_product_grid(r_max=10.0, n_r=30, n_theta=10, n_phi=8)
+        fn = GridWaveFn.from_samples(pts, wts, np.exp(-np.linalg.norm(pts, axis=1)))
+        fn.values = np.full_like(fn.values, np.nan)
+        with pytest.raises(ValueError, match="orthonormal"):
+            GroundBasis((fn,))
+
     def test_helium_product_state(self):
         # two electrons in the z=2 orbital: <R^2> = 3 each, independent,
         # so C(v) = (2*1 + 2*3)/16 = 0.5
@@ -982,6 +990,16 @@ class TestGridWaveFn:
         pts, wts = spherical_product_grid(r_max=10.0, n_r=30, n_theta=10, n_phi=8)
         with pytest.raises(ValueError):
             GridWaveFn(pts, wts, np.ones(len(wts)))
+
+    def test_nan_values_rejected(self):
+        # NaN passed the norm test and the function was kept with norm NaN
+        pts, wts = spherical_product_grid(r_max=10.0, n_r=30, n_theta=10, n_phi=8)
+        vals = np.exp(-np.linalg.norm(pts, axis=1))
+        vals[0] = np.nan
+        with pytest.raises(ValueError, match="norm nan"):
+            GridWaveFn(pts, wts, vals)
+        with pytest.raises(ValueError, match="norm nan"):
+            GridWaveFn.from_samples(pts, wts, vals)
 
     def test_mismatched_grids_rejected(self):
         pts, wts = spherical_product_grid(r_max=10.0, n_r=30, n_theta=10, n_phi=8)
