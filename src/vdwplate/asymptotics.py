@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .eigensolver import (GridCyl, GridCylSpec, HYDROGEN_SHIFT, _solve_settings,
-                          assemble_hydrogen_plate, lowest_eigenpair)
+from .eigensolver import (GridCyl, GridCylSpec, _solve_settings, assemble_hydrogen_plate,
+                          kinetic_preconditioner, lowest_eigenpair)
 from .model import MIRROR_STRENGTH
 
 FMT = "%.17g"
@@ -70,19 +70,21 @@ class SweepTable:
 def solve_row(grid: GridCyl, m: float) -> tuple:
     """(SweepRow, plate residual) of W on one grid.
 
-    One assembly builds the plate operator, solved from HYDROGEN_SHIFT, and
-    the free diagonal.  The free operator differs by the diagonal image term
-    alone, so set_diagonal then turns the plate operator into it in place,
-    and its solve borrows the plate's certified factor and its probe: the
-    row holds one operator throughout.  At m = 0 the plate operator is the
-    free one: one operator, one solve.  Raises what lowest_eigenpair raises.
+    One assembly builds the plate operator and the free diagonal, which
+    set_diagonal writes in after the plate solve: the row holds one operator
+    throughout.  Both solves take the grid's kinetic_preconditioner, and the
+    free one starts from the plate's Ritz vector; iterations sums their
+    applications.  At m = 0 the plate operator is the free one: one solve.
+    Raises what lowest_eigenpair raises.
     """
     op, diagonals = assemble_hydrogen_plate(grid, (m, 0.0) if m != 0 else (0.0,))
-    plate = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+    precondition = kinetic_preconditioner(grid)
+    plate = lowest_eigenpair(op, precondition)
     free, iterations = plate, plate.iterations
     if m != 0:
         op.set_diagonal(diagonals[0])
-        free = lowest_eigenpair(op, sigma=plate.shift, factor=plate.factor)
+        op.guess = plate.vector
+        free = lowest_eigenpair(op, precondition)
         iterations += free.iterations
     row = SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                    e_plate=plate.value, e_free=free.value, iterations=iterations)
@@ -93,7 +95,7 @@ def _solve_sweep_row(args) -> SweepRow:
     grid, m = args
     try:
         return solve_row(grid, m)[0]
-    except RuntimeError as exc:     # NonConvergenceError or a failed factorization
+    except RuntimeError as exc:     # NonConvergenceError or InertiaError
         return SweepRow(r=grid.r, n_xi=grid.n_xi, n_rho=grid.n_rho,
                         e_plate=None, e_free=None, error=str(exc))
 
@@ -107,11 +109,11 @@ def sweep_interaction_energy(r_values, plate_m: float = 1.0,
     processes and merges in r order.  The workers are forked inside
     _solve_settings, so each inherits one OpenBLAS thread and never sets
     the count: in a forked child that restarts OpenBLAS's server threads,
-    which spin for about 0.1 s each against the worker's factor.  So the
+    which spin for about 0.1 s each against the worker's solves.  So the
     pool forks wherever fork exists (Python 3.14 defaults to forkserver,
     whose workers inherit no count).  multiprocessing and the pool are
     imported here, by the one path that uses them, not with the package.  A
-    solve that fails to converge or to factor marks its row as a gap
+    solve that fails to converge or to certify its shift marks its row as a gap
     instead of aborting the sweep.  plate_m outside MIRROR_STRENGTH raises
     ValueError before any grid or worker is made.
     """

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs, dsytrf, dsytrs
 
 from .model import (DISTANCE, E_ELECTRON_PLATE, GRID_SPEC, LENGTH_1D, MIRROR_STRENGTH, Molecule,
@@ -46,7 +47,8 @@ class SingularBlockError(RuntimeError):
 
 
 class InertiaError(RuntimeError):
-    """The factorization of H - sigma certifies no shift below the spectrum."""
+    """No shift below the spectrum is certified: the 1D search ends at the
+    Gershgorin bound, or a Ritz vector is not positive or refused."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ class GridCyl:
 
 class SparseSymOp:
     """Symmetric sparse Z-matrix in CSR form, the hypotheses of the M-matrix
-    test (_m_matrix_certified) that lowest_eigenpair certifies with.
+    test (_m_matrix_certified) that every certified solve rests on.
 
     matrix is built by one sp.diags call from the diagonal and the upper
     bands, bands[k] = H[i, i + k] for k > 0, each mirrored to -k, so it is
@@ -185,8 +187,8 @@ class SparseSymOp:
     off-diagonal |row sums| are summed from the bands once, when built;
     norm_estimate adds them to the diagonal's, and set_diagonal reuses them.
     No |H| is ever built: for a Z-matrix, |H| v = (|d| + d) v - H v.  guess,
-    when given, is a start vector for lowest_eigenpair with a nonzero
-    component along the lowest eigenvector.
+    when given, is lowest_eigenpair's start vector (the 1s state, then the
+    plate's Ritz vector in a W row), not orthogonal to the lowest eigenvector.
     """
 
     def __init__(self, diagonal: np.ndarray, bands: dict, guess: np.ndarray | None = None):
@@ -280,6 +282,13 @@ def _cell_stencil(h: float, w_faces: np.ndarray, w_nodes: np.ndarray):
     return main, off
 
 
+def _axis_stencils(grid: GridCyl) -> tuple:
+    """(main, off) of the axial and of the radial cell stencil of grid, weights
+    1 and rho: the kinetic operator is their Kronecker sum."""
+    return (_cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi)),
+            _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho))
+
+
 def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     """Hydrogen/plate Hamiltonian on the axisymmetric grid at ms[0], and the
     diagonals of those at ms[1:].
@@ -289,19 +298,18 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     molecule_mirror_interaction for hydrogen against the plate through -r e1,
     is evaluated at the nodes, one electron configuration per node; at
     m = 0 it is zero, and it is skipped only to save that work.  The
-    kinetic part, one cell stencil (_cell_stencil) per axis with weight 1
-    and rho, makes each operator five-diagonal.  The stencil, the Coulomb
-    term, the 1s start vector of lowest_eigenpair and each m's
-    diagonal, kinetic + v, are made on the call, and the operator at ms[0]
-    from its diagonal and its upper bands at 1 and n_rho.  The operators at
+    kinetic part, one cell stencil per axis (_axis_stencils), makes each
+    operator five-diagonal.  The stencil, the Coulomb term, the 1s start
+    vector of lowest_eigenpair and each m's diagonal, kinetic + v, are made
+    on the call, and the operator at ms[0] from its diagonal and its upper
+    bands at 1 and n_rho.  The operators at
     ms[1:] differ from it only in their diagonal: SparseSymOp.set_diagonal
     turns it into each in place.  So a W row, which asks for (m, 0.0), holds
     one operator and the free diagonal.  Each m must lie in MIRROR_STRENGTH.
     """
     for m in ms:
         MIRROR_STRENGTH.check("mirror strength m", m)
-    ax = _cell_stencil(grid.h_xi, np.ones(grid.n_xi + 1), np.ones(grid.n_xi))
-    rad = _cell_stencil(grid.h_rho, np.arange(grid.n_rho + 1) * grid.h_rho, grid.rho)
+    ax, rad = _axis_stencils(grid)
     kinetic = np.add.outer(ax[0], rad[0]).ravel()
     xi_off = np.repeat(ax[1], grid.n_rho)
     rho_off = np.tile(np.append(rad[1], 0.0), grid.n_xi)[:-1]  # 0 between xi rows
@@ -320,23 +328,43 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     return SparseSymOp(diagonals[0], {1: rho_off, grid.n_rho: xi_off}, guess), diagonals[1:]
 
 
+# c of the preconditioner (K + c)^-1, which stands in for (H - E)^-1: where
+# the ground state's tail lies V is small and -E near 1/4.  On the production
+# grid at r = 16, c = 0.1, 0.15, 0.2, 0.25 and 0.3 took 13, 11, 10, 11 and 12
+# applications for the plate solve.
+KINETIC_SHIFT = 0.2
+
+
+def kinetic_preconditioner(grid: GridCyl):
+    """r -> (K + KINETIC_SHIFT)^-1 r, lowest_eigenpair's preconditioner for
+    every operator on grid, K = A_xi (x) I + I (x) A_rho the Kronecker sum of
+    its axis stencils (_axis_stencils), which holds no m.  Each A = Q diag(l)
+    Q^T (eigh_tridiagonal), so r, as an n_xi x n_rho array, goes through two
+    dense products each way: the fast diagonalization method (Lynch, Rice &
+    Thomas, Numer. Math. 6 (1964) 185)."""
+    (l_xi, q_xi), (l_rho, q_rho) = (eigh_tridiagonal(*axis) for axis in _axis_stencils(grid))
+    scale = 1.0 / (np.add.outer(l_xi, l_rho) + KINETIC_SHIFT)
+
+    def precondition(r):
+        t = (q_xi.T @ r.reshape(scale.shape) @ q_rho) * scale
+        return (q_xi @ t @ q_rho.T).ravel()
+
+    return precondition
+
+
 # ---------------------------------------------------------------------------
 # Lowest eigenpair
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EigResult:
-    value: float
-    vector: np.ndarray
-    iterations: int
-    residual: float
+    """A certified lowest eigenpair: the lowest eigenvalue lies in [shift, value]."""
+
+    value: float        # Rayleigh quotient of vector
+    vector: np.ndarray  # unit, positive in every entry
+    iterations: int     # preconditioner applications (2D) or back-solves (1D)
+    residual: float     # ||H vector - value vector||
     shift: float        # sigma the M-matrix test certified below the spectrum
-    factor_nnz: int     # factor.nnz, the fill of the factor of H - shift
-    factorizations: int  # factors of H - sigma tried, refused and singular ones included
-    # the certified factor of H - shift used, own or borrowed, made from a copy
-    # of H, so it outlives a set_diagonal on H; lent to the next solve of a
-    # nearby operator (lowest_eigenpair's factor), never serialized
-    factor: object = field(default=None, repr=False)
 
 
 # The OpenBLAS copies of the numpy and scipy wheels, each reached through an
@@ -373,15 +401,14 @@ def _malloc_trim():
     """glibc's malloc_trim, or a no-op on other C libraries.
 
     malloc_trim(0) hands the free pages of the malloc heap back to the
-    system.  A solve frees its factor, tens of MB on the production grid,
-    into the heap, where the pages stay resident unless the next, larger
-    grid's arrays happen to fit into the holes.  lowest_eigenpair trims
-    at the start of every solve, also in a solve that borrows a factor: in
-    a W row that is after set_diagonal writes the free diagonal.
-    perfbench's peak_rss_mb, five runs each on a 2-core x86_64 host: a
-    production sweep (r = 10, 12, 14, 16) peaks at 142.80-143.55 MiB with
-    the trim and 143.57-145.69 MiB without it, the dielectric_ladder at
-    69.26-69.33 MiB with it and 69.70-69.95 MiB without.
+    system.  A W row's assembly frees its temporaries (node points, Coulomb
+    and image terms, MBs each on the production grid) into the heap, where
+    the pages stay resident unless the next, larger grid's arrays fit into
+    the holes.  lowest_eigenpair trims at the start of every solve.
+    perfbench's peak_rss_mb, four runs each on a 2-core x86_64 host: a
+    production sweep (r = 10, 12, 14, 16) peaks at 103.7-105.1 MB with the
+    trim and 106.3-107.3 MB without, the dielectric_ladder at 68.2-68.8 MB
+    and 68.9-69.2 MB; the trims take 6.7 and 3.4 ms of a sweep of each.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -403,14 +430,13 @@ def _solve_settings():
     Sweeps get their parallelism from worker processes, so BLAS threads on
     top of them only compete for the same cores.  Serial solves run on one
     thread too, so that results repeat to the bit: on OpenBLAS's default 2
-    threads the production sweep moved W at r = 12-16 in the 11th to 13th
-    digit and was no faster (2-core x86_64 host).  The counts are process wide, and
-    SuperLU releases the GIL, so solves may overlap in threads: the first to
-    enter saves the counts, the last to leave restores them.  A sweep forks
-    its workers inside this block: each inherits the count 1 and a nonzero
-    _settings_users, so its solves never set a count.  Setting one in a
-    forked child restarts OpenBLAS's server threads, which spin for about
-    0.1 s each before they sleep, against the worker's own factor.
+    threads the production rows at r = 10-16 moved W by up to 1.1e-15 and
+    were no faster (2-core x86_64 host).  The counts are process wide, and
+    solves may overlap in threads (numpy's products release the GIL): the
+    first to enter saves the counts, the last to leave restores them.  Workers
+    forked inside this block inherit the count 1 and a nonzero
+    _settings_users, so they never set a count, which in a forked child
+    restarts OpenBLAS's server threads (each spins about 0.1 s).
     """
     global _settings_users, _settings_saved
     controls = _blas_thread_controls()
@@ -430,27 +456,20 @@ def _solve_settings():
                     set_threads(count)
 
 
-# Columns per SuperLU panel.  Factoring H - sigma in single precision at
-# r = 10 on the production grid takes 0.34 s with 1, 0.36 s with 2 and 0.48 s
-# with SuperLU's default, and at r = 16 0.40, 0.42 and 0.55 s (medians of 7
-# on a 2-core x86_64 host, one BLAS thread; the fill is the same).
-SUPERLU_PANEL = 1
-
-
-def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
-    """Whether H - sigma is proven positive definite without reading a pivot.
+def _m_matrix_certified(op: SparseSymOp, sigma: float, v: np.ndarray) -> bool:
+    """Whether H - sigma is proven positive definite by the positive vector v.
 
     H = op.matrix is a symmetric Z-matrix (SparseSymOp builds no other),
     and a Z-matrix A with A v > 0 for some v > 0 is a nonsingular M-matrix,
     hence positive definite (Berman & Plemmons, Nonnegative Matrices in the
-    Mathematical Sciences, Thm 6.2.3, condition I27).  The test takes v = lu.probe,
-    lu.solve(1) in double, from this or another certified factor: any v > 0
-    proves the M-matrix, so a single-precision factor or that of a nearby
-    operator serves.  The test asks that the computed H v - sigma v exceed
-    gamma_{k+3} (|H| v + |sigma| v) in every entry, k = op.row_entries and
-    gamma_j = j eps / (1 - j eps) Higham's rounding bound, so it holds for H
-    itself, not only for the rounded H - sigma.  False on a NaN or a shift
-    with eigenvalues below it.
+    Mathematical Sciences, Thm 6.2.3, condition I27).  Any v > 0 serves:
+    the 1D solve passes its factor's probe (H - sigma)^-1 1, a 2D solve its
+    own Ritz vector (_ritz_shift).  The test asks that the computed
+    H v - sigma v exceed gamma_{k+3} (|H| v + |sigma| v) in every entry,
+    k = op.row_entries and gamma_j = j eps / (1 - j eps) Higham's rounding
+    bound, so it holds for H itself, not only for the rounded H - sigma.
+    False on a v with an entry <= 0 or NaN, or on a shift with eigenvalues
+    below it.
 
     |H| v is (|d| + d) v - H v, d the diagonal, as H's off-diagonal is <= 0,
     so the test reuses the matvec and copies no |H|.  Rounding, v > 0: the
@@ -462,7 +481,7 @@ def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
     which exceeds gamma_{k+2} (|H| v + |sigma| v): a passed test leaves
     (H - sigma) v > 0 in exact arithmetic.
     """
-    h, v = op.matrix, lu.probe
+    h = op.matrix
     if not np.all(v > 0.0):
         return False
     j = op.row_entries + 3
@@ -471,8 +490,30 @@ def _m_matrix_certified(op: SparseSymOp, sigma: float, lu) -> bool:
     return bool(np.all(hv - sigma * v > gamma * ((np.abs(d) + d) * v - hv + abs(sigma) * v)))
 
 
+def _ritz_shift(op: SparseSymOp, x: np.ndarray) -> float:
+    """The shift the Ritz vector x > 0 certifies: Collatz's bound min_i
+    (H x)_i / x_i (Math. Z. 48 (1942) 221) less _m_matrix_certified's rounding.
+
+    Its test with v = x holds at sigma when q = (H x - gamma |H| x) / x
+    exceeds sigma (1 + gamma) for sigma >= 0, sigma (1 - gamma) for sigma <
+    0, so the largest shift is min q over the divisor of its own sign; with
+    gamma_{k+7}, four roundings stricter than the test's, which confirms it.
+    InertiaError for an entry of x <= 0 (a reducible H) or a refused shift.
+    """
+    if not np.all(x > 0.0):
+        raise InertiaError("the Ritz vector has entries that are not positive: no shift")
+    h, j = op.matrix, op.row_entries + 7
+    gamma = float(j * np.finfo(float).eps / (1.0 - j * np.finfo(float).eps))
+    d, hx = h.diagonal(), h @ x
+    low = float(np.min((hx - gamma * ((np.abs(d) + d) * x - hx)) / x))
+    sigma = low / (1.0 + gamma) if low > 0.0 else low / (1.0 - gamma)
+    if not _m_matrix_certified(op, sigma, x):
+        raise InertiaError(f"the M-matrix test refuses the Ritz vector's shift {sigma!r}")
+    return sigma
+
+
 class _Factor:
-    """A factor of an n x n H - sigma by SuperLU (_factor), dpttrf
+    """A factor of an n x n H - sigma by SuperLU (shifted_factor), dpttrf
     (_tridiagonal_factor) or dsytrf (_dense_factor): solve maps a right-hand
     side through it, nnz is its fill, lu is the back end's own factor."""
 
@@ -488,117 +529,78 @@ class _Factor:
         return np.asarray(self.solve(np.ones(self.n)), dtype=float)
 
 
-def _factor(matrix, sigma: float, precision) -> _Factor:
-    """SuperLU factor of H - sigma rounded to precision, float32 (the same
-    order and fill as float64, faster to factor and to back-solve) or
-    float64; its solve rounds each right-hand side to that precision.
-
-    Symmetric mode takes diagonal pivots in a minimum-degree order of A^T + A
-    and leaves the diagonal only where a diagonal pivot is zero.  Panels of
-    SUPERLU_PANEL columns suit the narrow supernodes of a 5-point stencil.
-    """
-    n = matrix.shape[0]
-    lu = spla.splu((matrix - sigma * sp.identity(n, format="csc"))
-                   .astype(precision, copy=False).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   panel_size=SUPERLU_PANEL, options=dict(SymmetricMode=True))
-    return _Factor(lambda rhs: lu.solve(np.asarray(rhs, dtype=precision)), n, lu.nnz, lu)
-
-
-def _single_factor(op: SparseSymOp, sigma: float) -> _Factor | None:
-    """float32 _factor of H - sigma, or None where SuperLU finds it exactly singular."""
-    try:
-        return _factor(op.matrix, sigma, np.float32)
-    except RuntimeError:
-        return None
-
-
-def _certified_factor(op: SparseSymOp, sigma: float, factor_of, norm_est: float):
-    """(factor, shift, factors tried): the shift search of both certified solves.
-
-    factor_of(op, sigma) is a _Factor of H - sigma, or None
-    where H - sigma has none (_single_factor, _tridiagonal_factor).  While it
-    is None or _m_matrix_certified refuses it, sigma is lowered by a step that
-    starts at |sigma| (1 at sigma = 0) and doubles: a negative shift doubles.
-    The shift stops at the Gershgorin bound -norm_est - 1, norm_est =
-    ||H||_inf, with no eigenvalue below it; InertiaError if that is refused.
-    """
-    floor, step, tried = -norm_est - 1.0, abs(sigma) or 1.0, 1
-    while (lu := factor_of(op, sigma)) is None or not _m_matrix_certified(op, sigma, lu):
+def _certified_factor(op: SparseSymOp, sigma: float, norm_est: float):
+    """(factor, shift), the 1D solve's shift search: while _tridiagonal_factor
+    finds no factor of H - sigma or _m_matrix_certified refuses its probe,
+    sigma is lowered by a step that starts at |sigma| (1 at sigma = 0) and
+    doubles, down to the Gershgorin bound -norm_est - 1, norm_est =
+    ||H||_inf; InertiaError if that is refused."""
+    floor, step = -norm_est - 1.0, abs(sigma) or 1.0
+    while (lu := _tridiagonal_factor(op, sigma)) is None or not _m_matrix_certified(
+            op, sigma, lu.probe):
         if sigma <= floor:
             raise InertiaError(f"the M-matrix test refuses the Gershgorin shift {sigma}")
-        sigma, step, tried = max(sigma - step, floor), 2.0 * step, tried + 1
-    return lu, sigma, tried
+        sigma, step = max(sigma - step, floor), 2.0 * step
+    return lu, sigma
 
 
 def shifted_factor(matrix, sigma: float):
     """Double factor of H - sigma and the number of eigenvalues of H below
-    sigma, with which the Feshbach map certifies its block on a sparse H
-    (a dense H takes _dense_factor).
+    sigma, the Feshbach map's certificate on a sparse H (dense: _dense_factor).
 
     H is any symmetric sparse matrix; the count is read from the pivots
-    alone.  The factor is P (H - sigma) P^T = L D L^T with diag(U) = D only
-    when the row and column orders agree; otherwise InertiaError is raised.
-    By Sylvester's law of inertia the negative entries of diag(U) count the
-    eigenvalues below sigma.
+    alone.  SuperLU's symmetric mode pivots on the diagonal in a
+    minimum-degree order of A^T + A, so P (H - sigma) P^T = L D L^T with
+    diag(U) = D unless a zero diagonal pivot made the row and column orders
+    differ (then InertiaError).  By Sylvester's law of inertia the negative
+    entries of diag(U) count the eigenvalues below sigma.
     """
-    factor = _factor(matrix, sigma, float)
-    lu = factor.lu
+    n = matrix.shape[0]
+    lu = spla.splu((matrix - sigma * sp.identity(n, format="csc")).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: "
-                           "no inertia")
-    return factor, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        raise InertiaError(f"off-diagonal pivots in the factor of H - {sigma}: no inertia")
+    return _Factor(lu.solve, n, lu.nnz, lu), int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 DAVIDSON_BASIS = 20     # basis vectors kept per solve, as many as ARPACK's ncv
-DAVIDSON_MAX_SOLVES = 2000  # back-solves per solve before NonConvergenceError; a safety stop
+DAVIDSON_MAX_SOLVES = 2000  # applications (2D) or back-solves (1D) before NonConvergenceError
 
 
 def _non_convergence(lam, residual, bound, solves) -> NonConvergenceError:
     """A certified solve's residual still above bound = 64 eps ||H||_inf."""
     return NonConvergenceError(f"residual {residual:.3e} exceeds 64 eps ||H|| = {bound:.3e} "
-                               f"after {solves} back-solves",
+                               f"after {solves} iterations",
                                value=lam, residual=residual, iterations=solves)
 
 
-def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
+def lowest_eigenpair(op: SparseSymOp, precondition) -> EigResult:
     """Lowest eigenpair of a symmetric sparse Z-matrix by Davidson's method,
-    preconditioned with a factor of H - sigma that the M-matrix test certifies.
+    certified by its own Ritz vector.
 
-    sigma is a first guess at a shift just below the lowest eigenvalue.
-    factor, when given, is the certified factor of a nearby operator (the
-    plate operator's, lent to the free atom, whose H differs only by the
-    diagonal image term); when _m_matrix_certified proves H - sigma positive
-    definite with it, the solve makes no factor (factorizations == 0).
-    Otherwise _certified_factor searches the shift from sigma down with
-    float32 factors (_single_factor), which precondition as well as double
-    ones; no pivot is read, as lu.U would keep CSC copies of L and U.  The
-    iteration (Davidson, J. Comput. Phys. 17 (1975) 87; Morgan & Scott,
-    SIAM J. Sci. Stat. Comput. 7 (1986) 817) takes the lowest Ritz pair
-    (x, lam) of V^T H V, V orthonormal, and expands V by the back-solve
-    t = (H - sigma)^{-1} (H x - lam x), orthogonalized twice against V; all
-    but that back-solve runs in double.  With the factor of H - sigma itself,
-    V spans the Krylov space of shift-invert Lanczos.  The start vector is
-    op.guess (the hydrogen/plate 1s state) or default_rng(0)'s, so results
-    repeat to the bit.  The solve stops at the first ||H x - lam x|| <=
-    64 eps ||H||_inf, with unit x, and raises NonConvergenceError when
-    DAVIDSON_MAX_SOLVES back-solves (iterations) miss it.  At most
-    DAVIDSON_BASIS vectors are kept; a full basis restarts from x.  The heap
-    is trimmed first (_malloc_trim); one BLAS thread (_solve_settings).
+    precondition maps a residual r to an approximation of (H - lam)^-1 r
+    (kinetic_preconditioner on a hydrogen/plate grid).  The iteration
+    (Davidson, J. Comput. Phys. 17 (1975) 87; Morgan & Scott, SIAM J. Sci.
+    Stat. Comput. 7 (1986) 817) takes the lowest Ritz pair (x, lam) of
+    V^T H V, V orthonormal, and expands V by precondition(H x - lam x),
+    orthogonalized twice against V.  It starts from op.guess or
+    default_rng(0)'s vector, so results repeat to the bit, and stops at the
+    first ||H x - lam x|| <= 64 eps ||H||_inf, unit x, or raises
+    NonConvergenceError after DAVIDSON_MAX_SOLVES applications (iterations).
+    At most DAVIDSON_BASIS vectors are kept; a full basis restarts from x.
+    x, flipped to a positive sum, certifies the shift (_ritz_shift) whatever
+    precondition does.  The heap is trimmed first (_malloc_trim); one BLAS
+    thread (_solve_settings).
     """
     h, n = op.matrix, op.dim
     with _solve_settings():
         _malloc_trim()(0)
-        norm_est = op.norm_estimate()
-        bound = 64.0 * np.finfo(float).eps * norm_est
-        if factor is not None and _m_matrix_certified(op, sigma, factor):
-            lu, factorizations = factor, 0
-        else:
-            lu, sigma, factorizations = _certified_factor(op, sigma, _single_factor, norm_est)
+        bound = 64.0 * np.finfo(float).eps * op.norm_estimate()
         basis = np.empty((min(DAVIDSON_BASIS, n), n))
         proj = np.empty((len(basis), len(basis)))     # V^T H V
         t = np.random.default_rng(0).standard_normal(n) if op.guess is None else op.guess
-        k, solves = -1, 0           # k: index of the newest basis vector
+        k, applied = -1, 0          # k: index of the newest basis vector
         while True:
             q = basis[:k + 1]
             for _ in range(2):      # full reorthogonalization; twice is enough
@@ -614,35 +616,26 @@ def lowest_eigenpair(op: SparseSymOp, sigma: float, factor=None) -> EigResult:
             r = hx - lam * x
             residual = float(np.linalg.norm(r))
             if residual <= bound:
-                return EigResult(value=lam, vector=x, iterations=solves, residual=residual,
-                                 shift=sigma, factor_nnz=int(lu.nnz),
-                                 factorizations=factorizations, factor=lu)
-            if solves == DAVIDSON_MAX_SOLVES:
-                raise _non_convergence(lam, residual, bound, solves)
-            t = np.asarray(lu.solve(r), dtype=float)
-            solves += 1
+                x = x if x.sum() > 0.0 else -x
+                return EigResult(value=lam, vector=x, iterations=applied, residual=residual,
+                                 shift=_ritz_shift(op, x))
+            if applied == DAVIDSON_MAX_SOLVES:
+                raise _non_convergence(lam, residual, bound, applied)
+            t = precondition(r)
+            applied += 1
             if k + 1 == len(basis):
                 basis[0], proj[0, 0], k = x, lam, 0
 
 
-# First shift for hydrogen/plate solves: -1/4 - 1/100, just below the free
-# ground energy -1/4, which E(r) approaches from below as r grows.  For
-# r >= 2 on every grid of the tests and the benchmark, E(r) lies above
-# -0.2521 (its lowest, near r = 7), so the shift is certified at once.
-# Closer to the plate E(r) can lie lower; a refused shift costs a float32
-# factor per doubling (_certified_factor): at r = 0.5 on the production grid
-# (E = -0.5119) two, at -0.26 and -0.52, then 9 back-solves.
-HYDROGEN_SHIFT = -0.26
 # First 1D shift, 1e-3 relative below -1/64: certified at once for n = 32 ... 2^20, L = 1 ... 400
 ELECTRON_PLATE_SHIFT = (1.0 + 1e-3) * E_ELECTRON_PLATE
 
 
-def hydrogen_plate_ground(r: float, m: float = 1.0,
-                          spec: GridCylSpec = GridCylSpec()):
+def hydrogen_plate_ground(r: float, m: float = 1.0, spec: GridCylSpec = GridCylSpec()):
     """Assemble and solve E(r) on a fresh grid; returns (EigResult, GridCyl)."""
     grid = GridCyl.for_distance(r, spec)
-    res = lowest_eigenpair(assemble_hydrogen_plate(grid, (m,))[0], sigma=HYDROGEN_SHIFT)
-    return res, grid
+    op = assemble_hydrogen_plate(grid, (m,))[0]
+    return lowest_eigenpair(op, kinetic_preconditioner(grid)), grid
 
 
 @dataclass
@@ -681,7 +674,7 @@ def _tridiagonal_ground(grid: Grid1D) -> EigResult:
     h, norm_est = op.matrix, op.norm_estimate()
     bound = 64.0 * np.finfo(float).eps * norm_est
     with _solve_settings():
-        lu, sigma, tried = _certified_factor(op, ELECTRON_PLATE_SHIFT, _tridiagonal_factor, norm_est)
+        lu, sigma = _certified_factor(op, ELECTRON_PLATE_SHIFT, norm_est)
         x, solves = lu.probe, 0
         while True:
             x = x / np.linalg.norm(x)
@@ -690,8 +683,7 @@ def _tridiagonal_ground(grid: Grid1D) -> EigResult:
             residual = float(np.linalg.norm(hx - lam * x))
             if residual <= bound:
                 return EigResult(value=lam, vector=x, iterations=solves, residual=residual,
-                                 shift=sigma, factor_nnz=lu.nnz,
-                                 factorizations=tried, factor=lu)
+                                 shift=sigma)
             if solves == DAVIDSON_MAX_SOLVES:
                 raise _non_convergence(lam, residual, bound, solves)
             x = lu.solve(x)

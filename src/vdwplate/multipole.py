@@ -315,11 +315,16 @@ class GridWaveFn:
 
     @classmethod
     def from_samples(cls, points, weights, values) -> "GridWaveFn":
+        """The samples at unit norm, divided by their largest |value| first so
+        that no square overflows; ValueError if one is not finite or all are 0."""
         values = np.asarray(values, dtype=float)
-        nrm = np.sqrt(np.sum(np.asarray(weights) * values ** 2))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid wavefunction samples must be finite")
+        peak = np.max(np.abs(values), initial=0.0)
+        nrm = np.sqrt(np.sum(np.asarray(weights) * (values / peak) ** 2)) if peak > 0 else 0.0
         if nrm == 0:
             raise ValueError("cannot normalize the zero function")
-        return cls(points, weights, values / nrm)
+        return cls(points, weights, values / peak / nrm)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.weights * self.values ** 2)))

@@ -1,5 +1,3 @@
-from typing import NamedTuple
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -50,12 +48,6 @@ def blas_threads():
     return [get() for get, _ in eigensolver._blas_thread_controls()]
 
 
-class FactorCall(NamedTuple):
-    sigma: float
-    precision: np.dtype
-    threads: list       # blas_threads() when the factor was made
-
-
 def count_probes(monkeypatch):
     """Make every factor eigensolver builds a counting _Factor.
 
@@ -78,18 +70,15 @@ def count_probes(monkeypatch):
     return made, probes
 
 
-def spy_factors(monkeypatch, calls=None):
-    """Record each SuperLU factor of H - sigma that eigensolver makes.
+def spy_superlu(monkeypatch):
+    """Record the shape of each matrix SuperLU factors (scipy's splu, as
+    eigensolver reaches it); the factor itself is made as before."""
+    calls = []
+    splu = eigensolver.spla.splu
 
-    A FactorCall is appended to calls (a new list when None), which is
-    returned; the factor itself is made as before.
-    """
-    calls = [] if calls is None else calls
-    factor = eigensolver._factor
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
 
-    def spy(matrix, sigma, precision):
-        calls.append(FactorCall(sigma, np.dtype(precision), blas_threads()))
-        return factor(matrix, sigma, precision)
-
-    monkeypatch.setattr(eigensolver, "_factor", spy)
+    monkeypatch.setattr(eigensolver.spla, "splu", spy)
     return calls

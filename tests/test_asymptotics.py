@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import blas_threads, count_probes, spy_factors
+from conftest import blas_threads, spy_superlu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,7 @@ from vdwplate.asymptotics import (SweepRow, SweepTable,
                                   fit_power_law, fit_to_csv,
                                   sweep_from_csv, sweep_interaction_energy,
                                   sweep_to_csv, table_to_json)
-from vdwplate.eigensolver import HYDROGEN_SHIFT, GridCyl, GridCylSpec
+from vdwplate.eigensolver import GridCyl, GridCylSpec
 
 
 def synthetic_table(rs, ws, m=1.0):
@@ -275,22 +275,32 @@ class TestSweep:
             sweep_interaction_energy(radii, spec=GridCylSpec(0.4, 8.0, 6.0))
         assert calls == []
 
-    def test_one_factor_per_row(self, monkeypatch, coarse_spec):
-        # the free solve of each row borrows the plate's certified factor
-        factors = spy_factors(monkeypatch)
-        table = sweep_interaction_energy([8.0, 10.0], spec=coarse_spec)
+    def test_no_sparse_factor_per_row(self, monkeypatch, coarse_spec):
+        # both solves of a row take the grid's kinetic preconditioner and
+        # certify by their Ritz vectors: SuperLU factors nothing
+        factors = spy_superlu(monkeypatch)
+        table = sweep_interaction_energy([0.5, 8.0, 10.0], spec=coarse_spec)
         assert all(row.w < 0 for row in table.rows)
-        assert [(f.sigma, f.precision) for f in factors] == [(HYDROGEN_SHIFT, np.float32)] * 2
+        assert factors == []
 
-    @pytest.mark.parametrize("r, factors", [(8.0, 1), (0.5, 2)])
-    def test_one_probe_solve_per_factor(self, monkeypatch, coarse_spec, r, factors):
-        # the M-matrix test solves (H - sigma) v = 1 once per factor: the
-        # free solve reuses the probe of the plate factor it borrows (the 1D
-        # and Feshbach factors: test_one_probe_solve_per_factor in test_eigensolver)
-        made, probes = count_probes(monkeypatch)
-        row, _ = asymptotics.solve_row(GridCyl.for_distance(r, coarse_spec), 1.0)
-        assert row.w < 0
-        assert len(made) == factors and probes == made
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_positive_energy_row_certified(self, monkeypatch, r):
+        # on the warm-up grid of perfbench (h = 0.25, extents 4) E and E_free
+        # are positive near the plate: the Ritz shift is derived for its own
+        # sign, and both solves certify it
+        results, solve = [], asymptotics.lowest_eigenpair
+
+        def spy(op, precondition):
+            results.append(solve(op, precondition))
+            return results[-1]
+
+        monkeypatch.setattr(asymptotics, "lowest_eigenpair", spy)
+        row, _ = asymptotics.solve_row(GridCyl.for_distance(r, GridCylSpec(0.25, 4.0, 4.0)), 1.0)
+        assert row.e_free > 0.0 and len(results) == 2
+        assert [res.value for res in results] == [row.e_plate, row.e_free]
+        for res in results:
+            assert res.shift <= res.value and np.all(res.vector > 0.0)
+        assert results[1].shift > 0.0
 
     def test_row_holds_one_operator_at_a_time(self):
         # the free solve runs on the plate operator with its diagonal

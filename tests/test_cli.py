@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import spy_factors
+from conftest import spy_superlu
 
 import vdwplate
 from vdwplate import asymptotics, cli, eigensolver
@@ -132,36 +132,49 @@ class TestHydrogen:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("m, bottom, gap, free", [
-        ("0.5", "-0.01953125", "-0.22974843702962047", "-0.24809459588647617"),
-        ("0", "0", "-0.24809459588647609", "-0.24809459588647609")], ids=["m0.5", "m0"])
+        ("0.5", "-0.01953125", "-0.22974843702962053", "-0.24809459588647606"),
+        ("0", "0", "-0.24809459588647589", "-0.24809459588647589")], ids=["m0.5", "m0"])
     def test_threshold_follows_m(self, capsys, m, bottom, gap, free):
         # the electron escapes along the plate at m^2 (-1/64); E and W do not
-        # move.  E_free is solved with the plate's factor of this m, so its
-        # last bits follow m; at m = 0 it is the plate solve itself
+        # move.  E_free is solved from the plate's Ritz vector of this m, so
+        # its last bits follow m; at m = 0 it is the plate solve itself
         flags = ("--r", "8", "--h", "0.4", "--l-xi", "10", "--l-rho", "10")
         code, out, _ = run_cli(capsys, "hydrogen", *flags, "--m", m)
         assert code == 0
         assert (grab(out, "essential_bottom"), grab(out, "hvz_gap")) == (bottom, gap)
         assert grab(out, "E_free_same_grid") == free
 
-    def test_refused_gershgorin_shift_exits_2(self, capsys, monkeypatch):
-        # an M-matrix test that refuses every shift ends at the Gershgorin
-        # bound: a numerical failure, one stderr line
-        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, lu: False)
+    def test_refused_ritz_shift_exits_2(self, capsys, monkeypatch):
+        # an M-matrix test that refuses the Ritz vector's shift: a numerical
+        # failure, one stderr line
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, v: False)
         code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                                  "--l-xi", "10", "--l-rho", "10")
         assert code == 2 and out == ""
-        assert err.startswith("numerical failure: InertiaError:") and "Gershgorin" in err
+        assert err.startswith("numerical failure: InertiaError:")
+        assert "refuses the Ritz vector's shift" in err
         assert len(err.splitlines()) == 1
 
-    def test_one_factor(self, capsys, monkeypatch):
-        # the free solve borrows the plate's certified factor
-        factors = spy_factors(monkeypatch)
+    def test_non_positive_ritz_vector_exits_2(self, capsys, monkeypatch):
+        # a reducible operator's ground vector has zero entries, so it
+        # certifies no shift: a numerical failure, one stderr line
+        diagonal = np.array([3.0, 1.0, 2.0])
+        monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate",
+                            lambda grid, ms: (eigensolver.SparseSymOp(diagonal, {}), [diagonal]))
+        monkeypatch.setattr(asymptotics, "kinetic_preconditioner", lambda grid: lambda r: r)
+        code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
+                                 "--l-xi", "10", "--l-rho", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: InertiaError:") and "not positive" in err
+        assert len(err.splitlines()) == 1
+
+    def test_no_sparse_factor(self, capsys, monkeypatch):
+        # both solves take the grid's kinetic preconditioner and certify by
+        # their Ritz vectors: SuperLU factors nothing
+        factors = spy_superlu(monkeypatch)
         code, _, _ = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                              "--l-xi", "10", "--l-rho", "10")
-        assert code == 0
-        assert [(f.sigma, f.precision) for f in factors] == [
-            (eigensolver.HYDROGEN_SHIFT, np.float32)]
+        assert code == 0 and factors == []
 
     def test_non_z_operator_exits_3(self, capsys, monkeypatch):
         # lowest_eigenpair takes Z-matrices only; a positive off-diagonal

@@ -2,25 +2,23 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import FactorCall, blas_threads, count_probes, spy_factors, sym_op
+from conftest import blas_threads, count_probes, spy_superlu, sym_op
 
 from vdwplate import eigensolver
 from vdwplate.eigensolver import (ElectronPlateResult, Grid1D, GridCyl, GridCylSpec,
-                                  DAVIDSON_BASIS, HYDROGEN_SHIFT, InertiaError,
-                                  NonConvergenceError,
+                                  DAVIDSON_BASIS, InertiaError, NonConvergenceError,
                                   PartitionOfUnity, SingularBlockError, SparseSymOp,
                                   assemble_1d_electron_plate, assemble_1d_operator,
                                   assemble_hydrogen_plate, coulomb_cell_average,
                                   electron_plate_ground, feshbach_fixed_point,
                                   feshbach_matrix, hardy_check, hydrogen_plate_ground,
-                                  lowest_eigenpair, shifted_factor)
+                                  kinetic_preconditioner, lowest_eigenpair, shifted_factor)
 from vdwplate.model import E_ELECTRON_PLATE, E_HYDROGEN, Molecule, PlateConfig
 from vdwplate.multipole import HydrogenOrbital
 from vdwplate.potential import molecule_mirror_interaction
@@ -35,6 +33,32 @@ def _numpy_reports_openblas() -> bool:
     except (TypeError, KeyError):
         return False
     return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _shift_invert(mat, sigma):
+    """t = (H - sigma)^-1 r by SuperLU in double: a preconditioner for
+    lowest_eigenpair on an operator without a grid (1D, random)."""
+    return shifted_factor(sp.csc_matrix(mat), sigma)[0].solve
+
+
+def _grid_op(r, spec, m=1.0):
+    """The hydrogen/plate operator at m on the grid of spec at r, and its
+    preconditioner."""
+    grid = GridCyl.for_distance(r, spec)
+    return assemble_hydrogen_plate(grid, (m,))[0], kinetic_preconditioner(grid)
+
+
+def _spy_shift_search(monkeypatch):
+    """The shifts at which the 1D shift search (_certified_factor) asks
+    dpttrf for a factor, in order, whether or not one is found."""
+    tried, factor = [], eigensolver._tridiagonal_factor
+
+    def spy(op, sigma):
+        tried.append(sigma)
+        return factor(op, sigma)
+
+    monkeypatch.setattr(eigensolver, "_tridiagonal_factor", spy)
+    return tried
 
 
 def _band_spectrum(mat):
@@ -60,13 +84,14 @@ class TestGrid1D:
 class TestAssemble1D:
     def test_free_laplacian_dirichlet(self):
         g = Grid1D(400, 1.0)
-        res = lowest_eigenpair(assemble_1d_operator(g), sigma=0.5)
+        op = assemble_1d_operator(g)
+        res = lowest_eigenpair(op, _shift_invert(op.matrix, 0.5))
         exact = np.pi ** 2
         assert abs(res.value - exact) <= 5.0 * exact * g.h ** 2
 
     def test_electron_plate_ground_pair(self):
         g = Grid1D(2048, 300.0)
-        res = lowest_eigenpair(assemble_1d_electron_plate(g), sigma=-1.0)
+        res = eigensolver._tridiagonal_ground(g)
         assert res.value == pytest.approx(E_EP, rel=3e-4)
         exact = g.nodes * np.exp(-g.nodes / 8.0)
         exact /= np.linalg.norm(exact)
@@ -77,8 +102,7 @@ class TestAssemble1D:
         # Richardson self-convergence: halving h shrinks the error by ~4
         errs = []
         for n in (512, 1024, 2048):
-            g = Grid1D(n, 300.0)
-            res = lowest_eigenpair(assemble_1d_electron_plate(g), sigma=-1.0)
+            res = eigensolver._tridiagonal_ground(Grid1D(n, 300.0))
             errs.append(res.value - E_EP)
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
@@ -91,17 +115,17 @@ class TestAssemble1D:
         assert res.deviation <= 1e-7
 
     def test_tridiagonal_matches_shift_invert(self):
-        # the direct tridiagonal solve against the certified sparse solve on one grid
-        ref = lowest_eigenpair(assemble_1d_electron_plate(Grid1D(2048, 300.0)), sigma=-1.0)
+        # the direct tridiagonal solve against ARPACK's shift-invert solve on one grid
+        h = assemble_1d_electron_plate(Grid1D(2048, 300.0)).matrix.tocsc()
+        ref = spla.eigsh(h, k=1, sigma=-1.0, which="LM", tol=0.0, v0=np.ones(h.shape[0]))[0][0]
         res = electron_plate_ground(2048, 300.0)
-        assert abs(res.fine_value - ref.value) <= 1e-13
+        assert abs(res.fine_value - ref) <= 1e-13
         assert res.residual <= 1e-12
 
     def test_reference_grid_raw_value(self):
         # raw n=4096, L=400 operator: second-order scheme lands at 3.7e-5
         # relative; the 1e-5 figure is reached by the Richardson driver
-        g = Grid1D(4096, 400.0)
-        res = lowest_eigenpair(assemble_1d_electron_plate(g), sigma=-1.0)
+        res = eigensolver._tridiagonal_ground(Grid1D(4096, 400.0))
         assert abs(res.value - E_EP) / abs(E_EP) <= 5e-5
 
 
@@ -125,7 +149,9 @@ class TestTridiagonalGround:
     def test_matches_eigh_tridiagonal(self, monkeypatch, n, L):
         grid = Grid1D(n, L)
         oracle, oracle_residual = self._oracle(grid)
+        made, _ = count_probes(monkeypatch)
         res = eigensolver._tridiagonal_ground(grid)
+        assert len(made) == 1 and made[0].nnz == 2 * n - 1
         assert electron_plate_ground(n, L).fine_value == res.value
         # each Rayleigh quotient lies within its residual of the eigenvalue
         assert abs(res.value - oracle) <= res.residual + oracle_residual
@@ -137,8 +163,7 @@ class TestTridiagonalGround:
         norm = assemble_1d_electron_plate(grid).norm_estimate()
         assert res.residual <= 64.0 * np.finfo(float).eps * norm
         assert res.shift == eigensolver.ELECTRON_PLATE_SHIFT < res.value
-        assert res.factorizations == 1 and 1 <= res.iterations <= 10
-        assert res.factor_nnz == res.factor.nnz == 2 * n - 1
+        assert 1 <= res.iterations <= 10
         # Davidson's stop: the first residual within 64 eps ||H||_inf, so one
         # back-solve fewer misses it
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", res.iterations - 1)
@@ -165,15 +190,16 @@ class TestTridiagonalGround:
         # completes; one that always refuses drives sigma to the Gershgorin
         # bound and raises InertiaError
         calls, certify = [], eigensolver._m_matrix_certified
+        made, _ = count_probes(monkeypatch)
 
-        def spy(op, sigma, lu):
-            calls.append((sigma, lu, certify(op, sigma, lu)))
+        def spy(op, sigma, v):
+            calls.append((sigma, v, certify(op, sigma, v)))
             return calls[-1][2]
 
         monkeypatch.setattr(eigensolver, "_m_matrix_certified", spy)
         res = eigensolver._tridiagonal_ground(Grid1D(512, 120.0))
-        assert calls == [(res.shift, res.factor, True)]
-        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, lu: False)
+        assert len(made) == 1 and calls == [(res.shift, made[0].probe, True)]
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, v: False)
         with pytest.raises(InertiaError, match="Gershgorin"):
             eigensolver._tridiagonal_ground(Grid1D(512, 120.0))
 
@@ -181,12 +207,13 @@ class TestTridiagonalGround:
         # -0.005 lies between the two lowest eigenvalues: the pivots or the
         # M-matrix test refuse it and its doublings until one lies below
         monkeypatch.setattr(eigensolver, "ELECTRON_PLATE_SHIFT", -0.005)
+        tried = _spy_shift_search(monkeypatch)
         grid = Grid1D(2048, 300.0)
         oracle = self._oracle(grid)[0]
         res = eigensolver._tridiagonal_ground(grid)
         assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
-        assert res.shift < oracle and res.factorizations > 1
-        assert res.shift == -0.005 * 2.0 ** (res.factorizations - 1)
+        assert res.shift < oracle and len(tried) > 1
+        assert res.shift == -0.005 * 2.0 ** (len(tried) - 1)
         assert np.all(res.vector > 0.0)
 
     def test_back_solve_cap_raises(self, monkeypatch):
@@ -211,8 +238,14 @@ class TestTridiagonalGround:
         assert all(users > 0 and threads == ones for _, users, threads in seen)
         assert eigensolver._settings_users == 0
 
-    def test_no_bisection_import(self):
-        assert not hasattr(eigensolver, "eigh_tridiagonal")
+    def test_no_bisection_import(self, monkeypatch):
+        # eigh_tridiagonal diagonalizes the 2D preconditioner's axes; the 1D
+        # solve never calls it
+        def refused(*args, **kwargs):
+            raise AssertionError("the 1D solve called eigh_tridiagonal")
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", refused)
+        assert electron_plate_ground(1024, 200.0).residual > 0.0
 
     def test_factor_from_construction_arrays(self):
         # dpttrf reads the CSR diagonals, which hold the arrays the operator
@@ -234,9 +267,8 @@ class TestTridiagonalGround:
         # the M-matrix test solves (H - sigma) v = 1 once per factor, and
         # inverse iteration starts from that v without solving it again
         made, probes = count_probes(monkeypatch)
-        res = eigensolver._tridiagonal_ground(Grid1D(n, 400.0))
-        assert res.factor is made[-1] and len(made) == res.factorizations
-        assert probes == made
+        eigensolver._tridiagonal_ground(Grid1D(n, 400.0))
+        assert made and probes == made
 
     @pytest.mark.parametrize("n, L", [(32, 6e-153), (32, 1e-100), (64, 1e-120),
                                       (4096, 1e-78), (32, 1e-77)])
@@ -322,32 +354,34 @@ class TestSparseSymOp:
         op = SparseSymOp(np.full(3, 2.0), {1: -np.ones(2)})
         probe = np.array([1.0, 1.0 + excess / 2.0, 1.0])
         assert (op.matrix @ probe)[1] > 0.0
-        factor = SimpleNamespace(probe=probe)
-        assert eigensolver._m_matrix_certified(op, 0.0, factor) is certified
+        assert eigensolver._m_matrix_certified(op, 0.0, probe) is certified
 
     def test_norm_estimate_builds_no_abs_matrix(self, monkeypatch, coarse_spec):
         # the off-diagonal row sums are kept from the bands, and the M-matrix
         # test takes |H| v from the diagonal and H v, so neither the norm, a
-        # new diagonal nor a certified factor copies |H|
+        # new diagonal nor a certified solve copies |H|
         def refused(self):
             raise AssertionError("|H| was built")
 
-        op, (free,) = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0, 0.0))
+        grid = GridCyl.for_distance(8.0, coarse_spec)
+        op, (free,) = assemble_hydrogen_plate(grid, (1.0, 0.0))
         plate = float(abs(op.matrix).sum(axis=1).max())
         monkeypatch.setattr(type(op.matrix), "__abs__", refused)
         assert not hasattr(SparseSymOp, "abs_matrix")
         assert abs(op.norm_estimate() - plate) <= 2.0 * np.spacing(plate)
-        assert lowest_eigenpair(op, sigma=HYDROGEN_SHIFT).factorizations == 1
+        res = lowest_eigenpair(op, kinetic_preconditioner(grid))
+        assert res.shift < res.value
         op.set_diagonal(free)
         op.norm_estimate()
 
 
 class TestLowestEigenpair:
     def test_diagonal_matrix(self):
+        # a diagonal matrix is reducible: its lowest eigenvector (0, 1, 0)
+        # has zero entries, so the Ritz vector certifies no shift
         op = sym_op(sp.diags([3.0, 1.0, 2.0]))
-        res = lowest_eigenpair(op, sigma=0.0)
-        assert res.value == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(np.abs(res.vector), [0.0, 1.0, 0.0], atol=1e-12)
+        with pytest.raises(InertiaError, match="not positive"):
+            lowest_eigenpair(op, _shift_invert(op.matrix, 0.0))
 
     @staticmethod
     def _random_sparse_symmetric(rng, n):
@@ -368,9 +402,10 @@ class TestLowestEigenpair:
         dense = self._random_z(rng, n)
         op = sym_op(dense)
         # Gershgorin: the row-sum norm bounds the spectrum from below
-        res = lowest_eigenpair(op, sigma=-op.norm_estimate() - 1.0)
+        res = lowest_eigenpair(op, _shift_invert(dense, -op.norm_estimate() - 1.0))
         oracle = np.linalg.eigvalsh(dense)[0]
         assert res.value == pytest.approx(oracle, abs=1e-10)
+        assert res.shift <= oracle
 
     def test_inertia_matches_dense_count(self, rng):
         dense = self._random_sparse_symmetric(rng, 200)
@@ -384,30 +419,44 @@ class TestLowestEigenpair:
         "electron_plate_1d", "hydrogen_r0.5_m1", "hydrogen_r0.5_m0",
         "hydrogen_r8_m1", "hydrogen_r8_m0", "random_z"])
     def z_matrix(self, request, coarse_spec):
-        """(name, Z-matrix, its full spectrum), one band eigensolve per operator."""
+        """(name, operator, its preconditioner, its full spectrum), one band
+        eigensolve per operator; a 2D operator takes its grid's
+        kinetic_preconditioner, any other a factor far below its spectrum."""
         name = request.param
         if name == "electron_plate_1d":
-            mat = assemble_1d_electron_plate(Grid1D(400, 100.0)).matrix
+            op = assemble_1d_electron_plate(Grid1D(400, 100.0))
         elif name == "random_z":
-            mat = sp.csr_matrix(self._random_z(np.random.default_rng(20261018), 200))
+            op = sym_op(self._random_z(np.random.default_rng(20261018), 200))
         else:
             r, m = (float(x[1:]) for x in name.split("_")[1:])
-            grid = GridCyl.for_distance(r, coarse_spec)
-            mat = assemble_hydrogen_plate(grid, (m,))[0].matrix
-        return name, mat, _band_spectrum(mat)
+            op, precondition = _grid_op(r, coarse_spec, m)
+        if "hydrogen" not in name:
+            precondition = _shift_invert(op.matrix, -op.norm_estimate() - 1.0)
+        return name, op, precondition, _band_spectrum(op.matrix)
 
     def test_inertia_exact_on_z_matrices(self, z_matrix):
         # the pivots give the count on both sides of the lowest eigenvalue:
         # below it (where the M-matrix test would also certify H - sigma)
         # every count must be 0, and above it must match the full spectrum
-        name, mat, vals = z_matrix
+        name, op, _, vals = z_matrix
+        mat = op.matrix
         assert sp.triu(mat, k=1).max() <= 0.0
-        shifts = [vals[0] - 1.0, vals[0] - 1e-3, HYDROGEN_SHIFT]
+        shifts = [vals[0] - 1.0, vals[0] - 1e-3]
         shifts += [0.5 * (vals[k - 1] + vals[k]) for k in (1, 2, 5)]
         for sigma in shifts:
             assert shifted_factor(mat, sigma)[1] == np.count_nonzero(vals < sigma)
-        if name == "hydrogen_r0.5_m1":     # HYDROGEN_SHIFT is not certified here
-            assert vals[0] < HYDROGEN_SHIFT
+
+    def test_ritz_certificate_encloses_lowest(self, z_matrix):
+        # the solve's positive Ritz vector certifies its own shift, so the
+        # band solver's lowest eigenvalue lies in [shift, value], value up to
+        # rounding: the band solver's lambda_0 exceeds the Rayleigh quotient
+        # by up to 7.8e-13 on these operators
+        name, op, precondition, vals = z_matrix
+        res = lowest_eigenpair(op, precondition)
+        slack = 64.0 * np.finfo(float).eps * op.norm_estimate()
+        assert res.shift <= vals[0] <= res.value + slack, name
+        assert np.all(res.vector > 0.0), name
+        assert eigensolver._m_matrix_certified(op, res.shift, res.vector)
 
     def test_positive_vector_needs_a_z_matrix(self):
         # (H + 1) v = 1 with v = (1/3, 1/3) > 0, yet H + 1 is indefinite:
@@ -418,75 +467,73 @@ class TestLowestEigenpair:
         with pytest.raises(ValueError, match="Z-matrix"):
             sym_op(mat)
 
-    def test_certified_factor_builds_no_lu_copies(self):
-        # reading the pivots through lu.U makes SciPy build and keep CSC
-        # copies of L and U, about 12 bytes per fill entry; lowest_eigenpair
-        # certifies its shift by the M-matrix test without them
+    def test_solve_peak_is_the_basis(self):
+        # a certified solve holds its basis, the kinetic preconditioner's two
+        # axis eigenvector matrices and a few vectors, and no factor: on the
+        # ladder grid at r = 16 it peaks at 5.1 MB, below twice its basis
         grid = GridCyl.for_distance(16.0, GridCylSpec(0.2, 20.0, 20.0))
         op, _ = assemble_hydrogen_plate(grid, (1.0,))
-        mat = op.matrix
         tracemalloc.start()
         try:
-            res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+            res = lowest_eigenpair(op, kinetic_preconditioner(grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.factorizations == 1 and res.shift == HYDROGEN_SHIFT
-        assert peak < 8 * res.factor_nnz
-        # between the two lowest eigenvalues the count comes from the pivots
-        assert shifted_factor(mat, -1.0)[1] == 0
-        low = np.sort(spla.eigsh(mat.tocsc(), k=2, sigma=-1.0, which="LM")[0])
-        assert low[0] < -0.1 < low[1]
-        assert shifted_factor(mat, -0.1)[1] == 1
+        assert res.shift < res.value
+        assert peak < 2 * DAVIDSON_BASIS * 8 * op.dim
 
     def test_shift_above_lowest_returns_lowest(self, rng):
+        # a shift-invert preconditioner between the two lowest eigenvalues
+        # is indefinite, yet the Ritz pair is the lowest, and its vector
+        # certifies a shift below it
         dense = self._random_z(rng, 300)
         vals = np.linalg.eigvalsh(dense)
         op = sym_op(dense)
-        res = lowest_eigenpair(op, sigma=0.5 * (vals[0] + vals[1]))
+        res = lowest_eigenpair(op, _shift_invert(dense, 0.5 * (vals[0] + vals[1])))
         assert res.value == pytest.approx(vals[0], abs=1e-10)
-        assert res.shift < vals[0] and res.factorizations > 1
+        assert res.shift < vals[0]
         assert shifted_factor(op.matrix, res.shift)[1] == 0
 
     def test_uncertified_factor_raises(self, monkeypatch):
         # the M-matrix test proves nothing for a non-Z operator: one positive
         # off-diagonal pair, or a zero diagonal that would force an
         # off-diagonal pivot.  Both are refused when the operator is built,
-        # before any factor is made
+        # before anything is factored
         n = 40
         chain = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                          [-1, 0, 1]).tolil()
         chain[10, 11] = chain[11, 10] = 0.5
         swap = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
-        factors = spy_factors(monkeypatch)
+        factors = spy_superlu(monkeypatch)
         for mat in (chain.tocsr(), swap):
             with pytest.raises(ValueError, match="Z-matrix"):
                 sym_op(mat)
         assert factors == []
 
-    def test_determinism(self):
-        g = Grid1D(512, 100.0)
-        op = assemble_1d_electron_plate(g)
-        a = lowest_eigenpair(op, sigma=-1.0)
-        b = lowest_eigenpair(op, sigma=-1.0)
-        assert a.value == b.value and a.iterations == b.iterations
+    def test_determinism(self, coarse_spec):
+        op, precondition = _grid_op(8.0, coarse_spec)
+        a = lowest_eigenpair(op, precondition)
+        b = lowest_eigenpair(op, precondition)
+        assert a.value == b.value and a.iterations == b.iterations and a.shift == b.shift
         assert np.array_equal(a.vector, b.vector)
 
     def test_unreachable_tolerance(self, monkeypatch):
-        # at sigma = -1 this operator needs far more than 50 back-solves
+        # without a preconditioner this operator needs far more than 50
+        # iterations
         g = Grid1D(256, 100.0)
         op = assemble_1d_electron_plate(g)
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 50)
         with pytest.raises(NonConvergenceError) as err:
-            lowest_eigenpair(op, sigma=-1.0)
+            lowest_eigenpair(op, lambda r: r)
         assert err.value.residual is None or err.value.residual > 0
 
     def test_max_iter_counts_back_solves(self, monkeypatch):
         op = assemble_1d_electron_plate(Grid1D(256, 100.0))
-        lowest = lowest_eigenpair(op, sigma=-1.0).value
+        back_solve = _shift_invert(op.matrix, -1.0)
+        lowest = lowest_eigenpair(op, back_solve).value
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 7)
         with pytest.raises(NonConvergenceError) as err:
-            lowest_eigenpair(op, sigma=-1.0)
+            lowest_eigenpair(op, back_solve)
         # the error carries the last Rayleigh quotient, an upper bound
         assert err.value.iterations == 7 and err.value.residual > 0
         assert err.value.value > lowest
@@ -502,23 +549,28 @@ class TestLowestEigenpair:
         # counts before it come back afterwards, also when it raises
         controls = eigensolver._blas_thread_controls()
         original = blas_threads()
-        factors = spy_factors(monkeypatch)
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", max_iter)
         op = assemble_1d_electron_plate(Grid1D(256, 100.0))
+        back_solve, seen = _shift_invert(op.matrix, -1.0), []
+
+        def precondition(r):
+            seen.append(blas_threads())
+            return back_solve(r)
+
         try:
             for _, set_threads in controls:
                 set_threads(2)
             before = blas_threads()
             if raises is None:
-                lowest_eigenpair(op, sigma=-1.0)
+                lowest_eigenpair(op, precondition)
             else:
                 with pytest.raises(raises):
-                    lowest_eigenpair(op, sigma=-1.0)
+                    lowest_eigenpair(op, precondition)
             assert blas_threads() == before
         finally:
             for (_, set_threads), count in zip(controls, original):
                 set_threads(count)
-        assert [f.threads for f in factors] == [[1] * len(controls)]
+        assert seen and all(threads == [1] * len(controls) for threads in seen)
 
     @pytest.mark.skipif(not eigensolver._blas_thread_controls(),
                         reason="no OpenBLAS thread controls")
@@ -561,18 +613,22 @@ class TestLowestEigenpair:
 
     @pytest.mark.skipif(not eigensolver._blas_thread_controls(),
                         reason="no OpenBLAS thread controls")
-    def test_concurrent_solves_keep_one_blas_thread(self, monkeypatch):
-        # more solving threads than cores, switched often: every factor runs
-        # on one BLAS thread, and the counts from before come back at the end
+    def test_concurrent_solves_keep_one_blas_thread(self, coarse_spec):
+        # more solving threads than cores, switched often: every
+        # preconditioner application runs on one BLAS thread, and the counts
+        # from before come back at the end
         controls = eigensolver._blas_thread_controls()
         original = blas_threads()
-        factors = spy_factors(monkeypatch)
-        op = assemble_1d_electron_plate(Grid1D(256, 100.0))
-        values = []
+        op, kinetic = _grid_op(8.0, coarse_spec)
+        values, seen = [], []
+
+        def precondition(r):
+            seen.append(blas_threads())
+            return kinetic(r)
 
         def solve():
             for _ in range(3):
-                values.append(lowest_eigenpair(op, sigma=-0.1).value)
+                values.append(lowest_eigenpair(op, precondition).value)
 
         interval = sys.getswitchinterval()
         try:
@@ -591,127 +647,125 @@ class TestLowestEigenpair:
             for (_, set_threads), count in zip(controls, original):
                 set_threads(count)
         assert len(values) == 18 and len(set(values)) == 1
-        assert [f.threads for f in factors] == [[1] * len(controls)] * 18
+        assert seen and all(threads == [1] * len(controls) for threads in seen)
 
-    def test_heap_trimmed_before_first_factor(self, monkeypatch, coarse_spec):
+    def test_heap_trimmed_before_each_solve(self, monkeypatch, coarse_spec):
         # the malloc heap is trimmed once per solve, after the row's one
-        # assembly and before the factor of H - sigma
-        events = spy_factors(monkeypatch)
+        # assembly and before the first preconditioner application
+        events = []
         image = eigensolver.molecule_mirror_interaction
 
         def recording_image(mol, plate, electrons):
             events.append("assemble")
             return image(mol, plate, electrons)
 
-        def names():
-            return ["factor" if isinstance(e, FactorCall) else e for e in events]
-
         monkeypatch.setattr(eigensolver, "molecule_mirror_interaction", recording_image)
         monkeypatch.setattr(eigensolver, "_malloc_trim",
                             lambda: lambda pad: events.append(("trim", pad)))
         grid = GridCyl.for_distance(8.0, coarse_spec)
-        op, _ = assemble_hydrogen_plate(grid, (1.0,))
-        free, _ = assemble_hydrogen_plate(grid, (0.0,))
-        assert names() == ["assemble"]
-        res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-        assert names() == ["assemble", ("trim", 0), "factor"]
-        # a solve with a borrowed factor trims as well, and factors nothing
-        lowest_eigenpair(free, sigma=res.shift, factor=res.factor)
-        assert names() == ["assemble", ("trim", 0), "factor", ("trim", 0)]
+        op, (free,) = assemble_hydrogen_plate(grid, (1.0, 0.0))
+        kinetic = kinetic_preconditioner(grid)
+
+        def precondition(r):
+            events.append("apply")
+            return kinetic(r)
+
+        assert events == ["assemble"]
+        res = lowest_eigenpair(op, precondition)
+        assert events == ["assemble", ("trim", 0)] + ["apply"] * res.iterations
+        # the free solve on the rewritten diagonal trims as well
+        events.clear()
+        op.set_diagonal(free)
+        res = lowest_eigenpair(op, precondition)
+        assert events == [("trim", 0)] + ["apply"] * res.iterations
 
     def test_full_basis_is_exact(self, monkeypatch):
-        # far below a clustered spectrum each back-solve adds little, yet a
-        # basis that spans the whole space makes the Rayleigh-Ritz pair exact
-        solves = []
-        solve = eigensolver._Factor.solve
+        # a preconditioner that adds little per application, yet a basis that
+        # spans the whole space makes the Rayleigh-Ritz pair exact
+        applied = []
 
-        def counting_solve(self, rhs):
-            solves.append(1)
-            return solve(self, rhs)
+        def weak(r):
+            applied.append(1)
+            return r / 1000.0
 
-        factors = spy_factors(monkeypatch)
-        monkeypatch.setattr(eigensolver._Factor, "solve", counting_solve)
         monkeypatch.setattr(eigensolver, "DAVIDSON_MAX_SOLVES", 300)
-        op = sym_op(sp.diags(np.arange(1.0, 9.0)))
-        res = lowest_eigenpair(op, sigma=-1000.0)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
+        coupling = -0.5 * np.ones(7)
+        op = sym_op(sp.diags([coupling, np.arange(1.0, 9.0), coupling], [-1, 0, 1]))
+        res = lowest_eigenpair(op, weak)
+        assert res.value == pytest.approx(np.linalg.eigvalsh(op.matrix.toarray())[0], abs=1e-12)
         assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
-        # one solve per factor is the M-matrix test's probe, the rest Davidson's
-        assert len(factors) == 1
-        assert res.iterations == len(solves) - len(factors) <= 8
-
-    def test_borrowed_factor_that_cannot_certify_falls_back(self):
-        # the factor of diag(1..12) proves nothing for diag(1..12) - 3, which
-        # has two eigenvalues below -0.5: the solve factors its own operator,
-        # lowering the shift until the M-matrix test certifies it
-        diag = sp.diags(np.arange(1.0, 13.0)).tocsr()
-        lu, _ = shifted_factor(diag, -0.5)
-        op = sym_op(diag - 3.0 * sp.identity(12))
-        res = lowest_eigenpair(op, sigma=-0.5, factor=lu)
-        assert res.factorizations >= 1 and res.factor is not lu
-        assert res.shift < res.value
-        assert res.value == pytest.approx(np.linalg.eigvalsh(op.matrix.toarray())[0],
-                                          abs=1e-12)
+        assert res.iterations == len(applied) <= 8
 
     @pytest.mark.parametrize("sigma", [-1.0, -2.0])
     def test_singular_factor_lowers_the_shift(self, monkeypatch, sigma):
         # diag(1..12) - 3 has the eigenvalues -2, -1, 0, ...: H - sigma is
-        # exactly singular at sigma = -1 and at the lowered -2, so SuperLU
-        # refuses those factors, and the shift is lowered as for a refused one
-        factors = spy_factors(monkeypatch)
-        res = lowest_eigenpair(sym_op(sp.diags(np.arange(1.0, 13.0) - 3.0)), sigma=sigma)
-        assert res.value == pytest.approx(-2.0, abs=1e-12)
-        assert [f.sigma for f in factors] == {-1.0: [-1.0, -2.0, -4.0], -2.0: [-2.0, -4.0]}[sigma]
-        assert res.factorizations == len(factors) and res.shift == -4.0
+        # singular or indefinite at sigma = -1 and at the lowered -2, so
+        # dpttrf finds no factor, and the 1D shift search lowers the shift
+        # as for a refused one
+        tried = _spy_shift_search(monkeypatch)
+        op = sym_op(sp.diags(np.arange(1.0, 13.0) - 3.0))
+        lu, shift = eigensolver._certified_factor(op, sigma, op.norm_estimate())
+        assert tried == {-1.0: [-1.0, -2.0, -4.0], -2.0: [-2.0, -4.0]}[sigma]
+        assert shift == -4.0 and np.all(lu.probe > 0.0)
 
     @pytest.mark.parametrize("sigma, tried", [(0.5, [0.5, 0.0, -1.0, -3.0]),
                                               (0.0, [0.0, -1.0, -3.0])])
     def test_nonnegative_shift_lowered_by_doubling_step(self, monkeypatch, sigma, tried):
         # the step starts at |sigma|, 1 at sigma = 0, and doubles.  For
-        # diag(1..12) - 3 the M-matrix test refuses 0.5, and H - sigma is
-        # exactly singular at 0 and at -1
-        factors = spy_factors(monkeypatch)
-        res = lowest_eigenpair(sym_op(sp.diags(np.arange(1.0, 13.0) - 3.0)), sigma=sigma)
-        assert [f.sigma for f in factors] == tried
-        assert res.factorizations == len(tried) and res.shift == -3.0
-        assert res.value == pytest.approx(-2.0, abs=1e-12)
+        # diag(1..12) - 3, H - sigma is indefinite at 0.5 and singular at 0
+        # and at -1
+        seen = _spy_shift_search(monkeypatch)
+        op = sym_op(sp.diags(np.arange(1.0, 13.0) - 3.0))
+        lu, shift = eigensolver._certified_factor(op, sigma, op.norm_estimate())
+        assert seen == tried and shift == -3.0
+        assert np.allclose(lu.probe, 1.0 / (np.arange(1.0, 13.0) - 3.0 - shift), rtol=1e-15)
 
-    def test_refused_gershgorin_shift_raises(self, monkeypatch, coarse_spec):
-        # a test that refuses every factor lowers the 2D shift to the
+    def test_refused_gershgorin_shift_raises(self, monkeypatch):
+        # a test that refuses every factor lowers the 1D shift to the
         # Gershgorin bound, -||H||_inf - 1, and stops there
-        factors = spy_factors(monkeypatch)
-        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, lu: False)
-        op, _ = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (1.0,))
+        tried = _spy_shift_search(monkeypatch)
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", lambda op, sigma, v: False)
+        grid = Grid1D(512, 120.0)
         with pytest.raises(InertiaError, match="Gershgorin"):
-            lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-        assert factors[-1].sigma == -op.norm_estimate() - 1.0
-        assert [f.sigma for f in factors[:3]] == [HYDROGEN_SHIFT * 2.0 ** k for k in range(3)]
+            eigensolver._tridiagonal_ground(grid)
+        assert tried[-1] == -assemble_1d_electron_plate(grid).norm_estimate() - 1.0
+        shift = eigensolver.ELECTRON_PLATE_SHIFT
+        assert tried[:3] == [shift * 2.0 ** k for k in range(3)]
+
+    def test_refused_ritz_shift_raises(self, monkeypatch, coarse_spec):
+        # a 2D solve certifies the one shift its Ritz vector gives and
+        # searches no other: a refused shift raises
+        calls = []
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified",
+                            lambda op, sigma, v: calls.append(sigma) or False)
+        op, precondition = _grid_op(8.0, coarse_spec)
+        with pytest.raises(InertiaError, match="refuses the Ritz vector's shift"):
+            lowest_eigenpair(op, precondition)
+        assert len(calls) == 1
 
     def test_every_factor_maker_returns_a_factor(self):
-        # SuperLU in float32 and float64, dpttrf and dsytrf: one factor type,
-        # whose probe is solve(1) in double (to float32's rounding of H - sigma
-        # times its condition for the single factor)
+        # SuperLU, dpttrf and dsytrf: one factor type, whose probe is
+        # solve(1) in double
         op = assemble_1d_electron_plate(Grid1D(64, 40.0))
         sigma = eigensolver.ELECTRON_PLATE_SHIFT
         dense = op.matrix.toarray()
         exact = np.linalg.solve(dense - sigma * np.eye(64), np.ones(64))
-        for factor, rtol in [(eigensolver._single_factor(op, sigma), 1e-3),
-                             (shifted_factor(op.matrix, sigma)[0], 1e-12),
-                             (eigensolver._tridiagonal_factor(op, sigma), 1e-12),
-                             (eigensolver._dense_factor(dense, sigma)[0], 1e-12)]:
+        for factor in [shifted_factor(op.matrix, sigma)[0],
+                       eigensolver._tridiagonal_factor(op, sigma),
+                       eigensolver._dense_factor(dense, sigma)[0]]:
             assert type(factor) is eigensolver._Factor and factor.n == 64
             assert factor.probe.dtype == np.float64
-            assert np.allclose(factor.probe, exact, rtol=rtol, atol=0.0)
+            assert np.allclose(factor.probe, exact, rtol=1e-12, atol=0.0)
 
-    def test_one_shift_search_and_one_norm_per_solve(self, monkeypatch):
-        # both certified solves search their shift in _certified_factor, each
-        # with its own factor maker, and compute ||H||_inf once
-        makers, norms = [], []
+    def test_one_shift_search_and_one_norm_per_solve(self, monkeypatch, coarse_spec):
+        # the 1D solve searches its shift in _certified_factor, a 2D solve
+        # searches none, and each computes ||H||_inf once
+        searches, norms = [], []
         search, norm_estimate = eigensolver._certified_factor, SparseSymOp.norm_estimate
 
-        def spy_search(op, sigma, factor_of, norm_est):
-            makers.append(factor_of.__name__)
-            return search(op, sigma, factor_of, norm_est)
+        def spy_search(op, sigma, norm_est):
+            searches.append(sigma)
+            return search(op, sigma, norm_est)
 
         def spy_norm(op):
             norms.append(op)
@@ -720,14 +774,14 @@ class TestLowestEigenpair:
         monkeypatch.setattr(eigensolver, "_certified_factor", spy_search)
         monkeypatch.setattr(SparseSymOp, "norm_estimate", spy_norm)
         eigensolver._tridiagonal_ground(Grid1D(64, 40.0))
-        assert makers == ["_tridiagonal_factor"] and len(norms) == 1
-        lowest_eigenpair(assemble_1d_electron_plate(Grid1D(64, 40.0)), sigma=-1.0)
-        assert makers == ["_tridiagonal_factor", "_single_factor"] and len(norms) == 2
+        assert searches == [eigensolver.ELECTRON_PLATE_SHIFT] and len(norms) == 1
+        lowest_eigenpair(*_grid_op(8.0, coarse_spec))
+        assert len(searches) == 1 and len(norms) == 2
 
     def test_variational_upper_bound(self, rng):
         g = Grid1D(512, 120.0)
         op = assemble_1d_electron_plate(g)
-        res = lowest_eigenpair(op, sigma=-1.0)
+        res = lowest_eigenpair(op, _shift_invert(op.matrix, -1.0))
         for _ in range(20):
             u = rng.standard_normal(g.n)
             quad_form = (u @ (op.matrix @ u)) / (u @ u)
@@ -753,35 +807,34 @@ class TestHydrogenPlateOperator:
         res, _ = hydrogen_plate_ground(10.0, m=1.0, spec=coarse_spec)
         assert res.value < E_HYDROGEN
         assert res.value < essential_spectrum_bottom(10.0)
-        assert res.factorizations == 1
+        assert res.shift <= res.value and np.all(res.vector > 0.0)
 
-    def test_shift_lowered_near_plate(self, monkeypatch):
-        # at r = 0.5 E(r) = -0.4405 lies below HYDROGEN_SHIFT; an unchecked
-        # shift-invert solve there converges to -0.205
+    def test_shift_lowered_near_plate(self):
+        # at r = 0.5 E(r) = -0.4405 lies far below the free atom's -1/4; the
+        # shift the Ritz vector certifies follows it down with no search,
+        # and the pivots count no eigenvalue below it
         spec = GridCylSpec(0.1, 10.0, 10.0)
-        factors = spy_factors(monkeypatch)
         res, grid = hydrogen_plate_ground(0.5, 1.0, spec)
-        # the single factor at HYDROGEN_SHIFT, refused by the M-matrix test,
-        # and one single factor at the doubled shift, which it certifies
-        assert [(f.sigma, f.precision) for f in factors] == [
-            (HYDROGEN_SHIFT, np.float32), (2.0 * HYDROGEN_SHIFT, np.float32)]
-        assert res.factorizations == 2 and res.iterations == 10
-        assert res.shift == 2.0 * HYDROGEN_SHIFT
-        ref = lowest_eigenpair(assemble_hydrogen_plate(grid, (1.0,))[0], sigma=-3.0)
-        assert res.value == pytest.approx(ref.value, abs=1e-12)
-        assert res.shift < res.value < HYDROGEN_SHIFT
         op, _ = assemble_hydrogen_plate(grid, (1.0,))
+        ref = spla.eigsh(op.matrix.tocsc(), k=1, sigma=-3.0, which="LM", tol=0.0,
+                         v0=np.ones(op.dim))[0][0]
+        assert res.value == pytest.approx(ref, abs=1e-12)
+        assert res.shift < res.value < -0.26
         assert shifted_factor(op.matrix, res.shift)[1] == 0
 
-    def test_shift_near_ground_saves_back_solves(self, coarse_spec):
+    def test_shift_near_ground_saves_back_solves(self, monkeypatch, coarse_spec):
+        # the preconditioner (K + c)^-1 is a back-solve through the kinetic
+        # operator; its shift KINETIC_SHIFT near -E(r) saves applications
+        # against one far above, for the same eigenpair
+        grid = GridCyl.for_distance(8.0, coarse_spec)
         for m in (1.0, 0.0):
-            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
-            near = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-            far = lowest_eigenpair(op, sigma=-3.0)
+            op = assemble_hydrogen_plate(grid, (m,))[0]
+            near = lowest_eigenpair(op, kinetic_preconditioner(grid))
+            with monkeypatch.context() as patch:
+                patch.setattr(eigensolver, "KINETIC_SHIFT", 3.0)
+                far = lowest_eigenpair(op, kinetic_preconditioner(grid))
             assert near.value == pytest.approx(far.value, abs=1e-12)
-            assert near.shift == HYDROGEN_SHIFT and far.shift == -3.0
             assert near.iterations < far.iterations
-            assert 0 < near.factor_nnz
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 10.0])
     @pytest.mark.parametrize("m", [1.0, 0.0])
@@ -790,22 +843,21 @@ class TestHydrogenPlateOperator:
         # ground vector is positive, so the positive 1s start has a component
         # along it, and starting there costs no more back-solves than a
         # random start
-        op = assemble_hydrogen_plate(GridCyl.for_distance(r, coarse_spec), (m,))[0]
+        op, precondition = _grid_op(r, coarse_spec, m)
         off = sp.triu(op.matrix, k=1)
         assert off.max() <= 0.0
         assert sp.csgraph.connected_components(off, directed=False)[0] == 1
         assert np.all(op.guess > 0.0)
-        res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-        vec = res.vector * np.sign(res.vector.sum())
-        assert np.all(vec > 0.0)
-        random_start = lowest_eigenpair(sym_op(op.matrix), sigma=HYDROGEN_SHIFT)
+        res = lowest_eigenpair(op, precondition)
+        assert np.all(res.vector > 0.0)
+        random_start = lowest_eigenpair(sym_op(op.matrix), precondition)
         assert res.value == pytest.approx(random_start.value, abs=1e-12)
         assert res.iterations <= random_start.iterations
 
     def test_lanczos_stops_at_residual_contract(self, coarse_spec):
         for m in (1.0, 0.0):
-            op = assemble_hydrogen_plate(GridCyl.for_distance(8.0, coarse_spec), (m,))[0]
-            res = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+            op, precondition = _grid_op(8.0, coarse_spec, m)
+            res = lowest_eigenpair(op, precondition)
             assert res.iterations <= 12
             assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
             assert res.residual == pytest.approx(
@@ -813,45 +865,36 @@ class TestHydrogenPlateOperator:
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 8.0])
     @pytest.mark.parametrize("m", [1.0, 0.5])
-    def test_free_solve_borrows_the_plate_factor(self, coarse_spec, r, m):
-        # the free operator differs from the plate's by the diagonal image
-        # term, so the plate's factor certifies its shift (no factor of its
-        # own) and preconditions it to the own-factor value
+    def test_free_solve_borrows_the_plate_factor(self, monkeypatch, coarse_spec, r, m):
+        # the factor a W row makes is the grid's: kinetic_preconditioner's
+        # eigendecomposition of K + c, one eigh_tridiagonal per axis.  The
+        # free operator differs from the plate's by the diagonal image term
+        # alone, so it borrows that factor and the plate's Ritz vector as
+        # its start, and matches a solve from the 1s state with its own
         grid = GridCyl.for_distance(r, coarse_spec)
-        plate_op, _ = assemble_hydrogen_plate(grid, (m,))
-        free_op, _ = assemble_hydrogen_plate(grid, (0.0,))
-        plate = lowest_eigenpair(plate_op, sigma=HYDROGEN_SHIFT)
-        free = lowest_eigenpair(free_op, sigma=plate.shift, factor=plate.factor)
-        own = lowest_eigenpair(free_op, sigma=plate.shift)
-        assert free.factorizations == 0 and free.factor is plate.factor
-        assert own.factorizations == 1
+        own_op, _ = assemble_hydrogen_plate(grid, (0.0,))
+        own = lowest_eigenpair(own_op, kinetic_preconditioner(grid))
+        calls, eigh = [], eigensolver.eigh_tridiagonal
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal",
+                            lambda *args: calls.append(args) or eigh(*args))
+        op, (free_diagonal,) = assemble_hydrogen_plate(grid, (m, 0.0))
+        precondition = kinetic_preconditioner(grid)
+        plate = lowest_eigenpair(op, precondition)
+        op.set_diagonal(free_diagonal)
+        op.guess = plate.vector
+        free = lowest_eigenpair(op, precondition)
+        assert len(calls) == 2
         assert free.value == pytest.approx(own.value, abs=1e-13)
-        assert free.residual <= 64.0 * np.finfo(float).eps * free_op.norm_estimate()
-
-    def test_own_factor_is_single_precision(self, coarse_spec):
-        # the M-matrix test, run in double, certifies the single factor; it
-        # preconditions as well as the double factor and is lent as before
-        grid = GridCyl.for_distance(8.0, coarse_spec)
-        op, _ = assemble_hydrogen_plate(grid, (1.0,))
-        free_op, _ = assemble_hydrogen_plate(grid, (0.0,))
-        plate = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
-        assert plate.factorizations == 1
-        assert plate.factor.solve(np.ones(op.dim, np.float32)).dtype == np.float32
-        assert eigensolver._m_matrix_certified(op, plate.shift, plate.factor)
-        double, below = shifted_factor(op.matrix, HYDROGEN_SHIFT)
-        assert below == 0 and plate.factor_nnz == double.nnz
-        ref = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT, factor=double)
-        assert plate.value == pytest.approx(ref.value, abs=1e-13)
-        assert plate.iterations == ref.iterations
-        free = lowest_eigenpair(free_op, sigma=plate.shift, factor=plate.factor)
-        assert free.factorizations == 0 and free.factor is plate.factor
+        assert free.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
+        assert free.shift <= free.value and np.all(free.vector > 0.0)
 
     def test_restarted_solve_matches_arpack(self):
-        # a shift far below E(r) at r = 0.5 needs more back-solves than the
-        # basis holds, so the iteration restarts; ARPACK is the oracle
+        # a shift-invert preconditioner far below E(r) at r = 0.5 needs more
+        # back-solves than the basis holds, so the iteration restarts; ARPACK
+        # is the oracle
         op, _ = assemble_hydrogen_plate(
             GridCyl.for_distance(0.5, GridCylSpec(0.1, 10.0, 10.0)), (1.0,))
-        res = lowest_eigenpair(op, sigma=-3.0)
+        res = lowest_eigenpair(op, _shift_invert(op.matrix, -3.0))
         assert res.iterations > DAVIDSON_BASIS
         ref = spla.eigsh(op.matrix.tocsc(), k=1, sigma=-3.0, which="LM", tol=0.0,
                          v0=np.ones(op.dim))[0][0]
@@ -1265,7 +1308,7 @@ class TestFeshbach:
         for r in (10.0, 14.0):
             grid = GridCyl.for_distance(r, spec)
             op = assemble_hydrogen_plate(grid, (1.0,))[0]
-            direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT)
+            direct = lowest_eigenpair(op, kinetic_preconditioner(grid))
             pvec = HydrogenOrbital(cutoff_r=r)(grid.points()) * np.sqrt(grid.volume_weights())
             pvec /= np.linalg.norm(pvec)
             fp = feshbach_fixed_point(op.matrix, pvec, (-0.5, -0.1))
@@ -1279,7 +1322,7 @@ class TestFeshbach:
         grid = GridCyl.for_distance(10.0, GridCylSpec(h_target=0.2, l_xi_plus=14.0,
                                                       l_rho=14.0))
         op = assemble_hydrogen_plate(grid, (1.0,))[0]
-        direct = lowest_eigenpair(op, sigma=HYDROGEN_SHIFT).value
+        direct = lowest_eigenpair(op, kinetic_preconditioner(grid)).value
         pvec = HydrogenOrbital(cutoff_r=10.0)(grid.points()) * np.sqrt(grid.volume_weights())
         cases = [(h, psi, (vals[0] - 1.0, 0.5 * (vals[0] + vals[1])), vals[0]),
                  (op.matrix, pvec / np.linalg.norm(pvec), (-0.5, -0.1), direct)]

@@ -998,8 +998,34 @@ class TestGridWaveFn:
         vals[0] = np.nan
         with pytest.raises(ValueError, match="norm nan"):
             GridWaveFn(pts, wts, vals)
-        with pytest.raises(ValueError, match="norm nan"):
+        with pytest.raises(ValueError, match="samples must be finite"):
             GridWaveFn.from_samples(pts, wts, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_samples_refuses_non_finite_samples(self, bad):
+        # refused by from_samples itself, not by __init__'s norm test,
+        # whose message would send the caller back to from_samples
+        pts, wts = spherical_product_grid(r_max=10.0, n_r=30, n_theta=10, n_phi=8)
+        vals = np.exp(-np.linalg.norm(pts, axis=1))
+        vals[3] = bad
+        with pytest.raises(ValueError, match="samples must be finite") as err:
+            GridWaveFn.from_samples(pts, wts, vals)
+        assert "use from_samples" not in str(err.value)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_from_samples_scales_before_the_norm(self, scale):
+        # squares of 1e200 overflow and of 1e-200 underflow; scaled by the
+        # largest |value| first, the samples normalize with no warning
+        pts, wts = np.eye(3), np.ones(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn = GridWaveFn.from_samples(pts, wts, [scale, scale, 0.0])
+        assert fn.norm() == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(fn.values, [np.sqrt(0.5), np.sqrt(0.5), 0.0], rtol=1e-15, atol=0.0)
+
+    def test_from_samples_refuses_the_zero_function(self):
+        with pytest.raises(ValueError, match="zero function"):
+            GridWaveFn.from_samples(np.eye(3), np.ones(3), np.zeros(3))
 
     def test_mismatched_grids_rejected(self):
         pts, wts = spherical_product_grid(r_max=10.0, n_r=30, n_theta=10, n_phi=8)
