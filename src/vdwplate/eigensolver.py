@@ -48,7 +48,7 @@ class SingularBlockError(RuntimeError):
 
 class InertiaError(RuntimeError):
     """No shift below the spectrum is certified: the 1D search ends at the
-    Gershgorin bound, or a Ritz vector is not positive or refused."""
+    Gershgorin bound, or _ritz_shift finds no positive v or is refused."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +164,7 @@ class GridCyl:
         return np.stack([xi, rho, np.zeros_like(xi)], axis=-1).reshape(-1, 3)
 
     def metadata(self) -> dict:
-        return {
-            "n_xi": self.n_xi, "n_rho": self.n_rho,
-            "h_xi": self.h_xi, "h_rho": self.h_rho,
-            "l_xi": self.l_xi, "l_rho": self.l_rho,
-        }
+        return {k: getattr(self, k) for k in ("n_xi", "n_rho", "h_xi", "h_rho", "l_xi", "l_rho")}
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +182,8 @@ class SparseSymOp:
     row_entries = 2 x bands + 1 bounds the entries a row stores.  The
     off-diagonal |row sums| are summed from the bands once, when built;
     norm_estimate adds them to the diagonal's, and set_diagonal reuses them.
-    No |H| is ever built: for a Z-matrix, |H| v = (|d| + d) v - H v.  guess,
-    when given, is lowest_eigenpair's start vector (the 1s state, then the
-    plate's Ritz vector in a W row), not orthogonal to the lowest eigenvector.
+    guess, when given, is lowest_eigenpair's start vector (the 1s state, then
+    the plate's Ritz vector in a W row), not orthogonal to the lowest one.
     """
 
     def __init__(self, diagonal: np.ndarray, bands: dict, guess: np.ndarray | None = None):
@@ -291,21 +286,17 @@ def _axis_stencils(grid: GridCyl) -> tuple:
 
 def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     """Hydrogen/plate Hamiltonian on the axisymmetric grid at ms[0], and the
-    diagonals of those at ms[1:].
+    diagonals of those at ms[1:], each m in MIRROR_STRENGTH.
 
     The Coulomb term is cell-averaged (point values converge below second
     order through the nuclear cusp); the smooth image term, half of
     molecule_mirror_interaction for hydrogen against the plate through -r e1,
-    is evaluated at the nodes, one electron configuration per node; at
-    m = 0 it is zero, and it is skipped only to save that work.  The
-    kinetic part, one cell stencil per axis (_axis_stencils), makes each
-    operator five-diagonal.  The stencil, the Coulomb term, the 1s start
-    vector of lowest_eigenpair and each m's diagonal, kinetic + v, are made
-    on the call, and the operator at ms[0] from its diagonal and its upper
-    bands at 1 and n_rho.  The operators at
-    ms[1:] differ from it only in their diagonal: SparseSymOp.set_diagonal
-    turns it into each in place.  So a W row, which asks for (m, 0.0), holds
-    one operator and the free diagonal.  Each m must lie in MIRROR_STRENGTH.
+    is evaluated at the nodes, one electron configuration per node, and
+    skipped at m = 0, where it is zero.  The kinetic part, one cell stencil
+    per axis (_axis_stencils), makes each operator five-diagonal, with upper
+    bands at 1 and n_rho; the operator carries the 1s start vector.  Those
+    at ms[1:] differ only in their diagonal (SparseSymOp.set_diagonal), so a
+    W row, which asks for (m, 0.0), holds one operator and the free diagonal.
     """
     for m in ms:
         MIRROR_STRENGTH.check("mirror strength m", m)
@@ -328,20 +319,18 @@ def assemble_hydrogen_plate(grid: GridCyl, ms) -> tuple:
     return SparseSymOp(diagonals[0], {1: rho_off, grid.n_rho: xi_off}, guess), diagonals[1:]
 
 
-# c of the preconditioner (K + c)^-1, which stands in for (H - E)^-1: where
-# the ground state's tail lies V is small and -E near 1/4.  On the production
-# grid at r = 16, c = 0.1, 0.15, 0.2, 0.25 and 0.3 took 13, 11, 10, 11 and 12
-# applications for the plate solve.
+# c of (K + c)^-1, which stands in for (H - E)^-1: in the ground state's tail
+# V is small and -E near 1/4.  At r = 16 on the production grid, c = 0.1,
+# 0.15, 0.2, 0.25, 0.3 took 13, 11, 10, 11, 12 applications (plate solve).
 KINETIC_SHIFT = 0.2
 
 
 def kinetic_preconditioner(grid: GridCyl):
-    """r -> (K + KINETIC_SHIFT)^-1 r, lowest_eigenpair's preconditioner for
-    every operator on grid, K = A_xi (x) I + I (x) A_rho the Kronecker sum of
-    its axis stencils (_axis_stencils), which holds no m.  Each A = Q diag(l)
-    Q^T (eigh_tridiagonal), so r, as an n_xi x n_rho array, goes through two
-    dense products each way: the fast diagonalization method (Lynch, Rice &
-    Thomas, Numer. Math. 6 (1964) 185)."""
+    """r -> (K + KINETIC_SHIFT)^-1 r for every operator on grid, K = A_xi (x)
+    I + I (x) A_rho the Kronecker sum of its axis stencils, which holds no m.
+    Each A = Q diag(l) Q^T (eigh_tridiagonal), so r, an n_xi x n_rho array,
+    goes through two dense products each way: the fast diagonalization
+    method (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185)."""
     (l_xi, q_xi), (l_rho, q_rho) = (eigh_tridiagonal(*axis) for axis in _axis_stencils(grid))
     scale = 1.0 / (np.add.outer(l_xi, l_rho) + KINETIC_SHIFT)
 
@@ -361,8 +350,8 @@ class EigResult:
     """A certified lowest eigenpair: the lowest eigenvalue lies in [shift, value]."""
 
     value: float        # Rayleigh quotient of vector
-    vector: np.ndarray  # unit, positive in every entry
-    iterations: int     # preconditioner applications (2D) or back-solves (1D)
+    vector: np.ndarray  # unit; an entry <= 0 lies below its rounding (_ritz_shift)
+    iterations: int     # Davidson's preconditioner applications (2D) or back-solves (1D)
     residual: float     # ||H vector - value vector||
     shift: float        # sigma the M-matrix test certified below the spectrum
 
@@ -400,15 +389,14 @@ def _blas_thread_controls() -> tuple:
 def _malloc_trim():
     """glibc's malloc_trim, or a no-op on other C libraries.
 
-    malloc_trim(0) hands the free pages of the malloc heap back to the
-    system.  A W row's assembly frees its temporaries (node points, Coulomb
-    and image terms, MBs each on the production grid) into the heap, where
-    the pages stay resident unless the next, larger grid's arrays fit into
-    the holes.  lowest_eigenpair trims at the start of every solve.
-    perfbench's peak_rss_mb, four runs each on a 2-core x86_64 host: a
-    production sweep (r = 10, 12, 14, 16) peaks at 103.7-105.1 MB with the
-    trim and 106.3-107.3 MB without, the dielectric_ladder at 68.2-68.8 MB
-    and 68.9-69.2 MB; the trims take 6.7 and 3.4 ms of a sweep of each.
+    malloc_trim(0) hands the malloc heap's free pages back to the system.
+    A W row's assembly frees its temporaries (node points, Coulomb and image
+    terms, MBs each on the production grid) into the heap, where they stay
+    resident unless the next grid's arrays fit the holes; lowest_eigenpair
+    trims at the start of every solve.  perfbench's peak_rss_mb, four runs
+    each (2-core x86_64): production sweep (r = 10-16) 103.7-105.1 MB with
+    the trim, 106.3-107.3 MB without; dielectric_ladder 68.2-68.8 and
+    68.9-69.2 MB.  The trims take 6.7 and 3.4 ms of a sweep of each.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -456,58 +444,71 @@ def _solve_settings():
                     set_threads(count)
 
 
+def _rounding(op: SparseSymOp, v: np.ndarray, j: int) -> tuple:
+    """(H v, |H| v, gamma_j = j eps / (1 - j eps)) of the M-matrix test.  No
+    |H| is copied: |H| v = (|d| + d) v - H v, d the diagonal, as H's
+    off-diagonal is <= 0."""
+    eps, d, hv = np.finfo(float).eps, op.matrix.diagonal(), op.matrix @ v
+    return hv, (np.abs(d) + d) * v - hv, j * eps / (1.0 - j * eps)
+
+
 def _m_matrix_certified(op: SparseSymOp, sigma: float, v: np.ndarray) -> bool:
     """Whether H - sigma is proven positive definite by the positive vector v.
 
     H = op.matrix is a symmetric Z-matrix (SparseSymOp builds no other),
     and a Z-matrix A with A v > 0 for some v > 0 is a nonsingular M-matrix,
     hence positive definite (Berman & Plemmons, Nonnegative Matrices in the
-    Mathematical Sciences, Thm 6.2.3, condition I27).  Any v > 0 serves:
-    the 1D solve passes its factor's probe (H - sigma)^-1 1, a 2D solve its
-    own Ritz vector (_ritz_shift).  The test asks that the computed
-    H v - sigma v exceed gamma_{k+3} (|H| v + |sigma| v) in every entry,
-    k = op.row_entries and gamma_j = j eps / (1 - j eps) Higham's rounding
-    bound, so it holds for H itself, not only for the rounded H - sigma.
-    False on a v with an entry <= 0 or NaN, or on a shift with eigenvalues
-    below it.
+    Mathematical Sciences, Thm 6.2.3, condition I27).  The 1D solve passes
+    its factor's probe (H - sigma)^-1 1, a 2D solve the v of _ritz_shift.
+    The test asks that the computed H v - sigma v exceed gamma_{k+3} (|H| v
+    + |sigma| v) in every entry, k = op.row_entries (_rounding), so it holds
+    for H itself, not only for the rounded H - sigma.  False on a v with an
+    entry <= 0 or NaN, or on a shift with eigenvalues below it.
 
-    |H| v is (|d| + d) v - H v, d the diagonal, as H's off-diagonal is <= 0,
-    so the test reuses the matvec and copies no |H|.  Rounding, v > 0: the
-    computed left side is within gamma_{k+2} (|H| v + |sigma| v) of
-    (H - sigma) v.  H v is within gamma_k |H| v of its value and
-    (|d| + d) v <= 2 |H| v, so the computed |H| v is within gamma_{k+3} of
-    |H| v, relative, and with the last four roundings the computed right
+    Rounding, v > 0: the computed left side is within gamma_{k+2} (|H| v +
+    |sigma| v) of (H - sigma) v.  H v is within gamma_k |H| v of its value
+    and (|d| + d) v <= 2 |H| v, so the computed |H| v is within gamma_{k+3}
+    of |H| v, relative, and with the last four roundings the computed right
     side is at least gamma_{k+3} (1 - gamma_{k+8}) (|H| v + |sigma| v),
     which exceeds gamma_{k+2} (|H| v + |sigma| v): a passed test leaves
     (H - sigma) v > 0 in exact arithmetic.
     """
-    h = op.matrix
     if not np.all(v > 0.0):
         return False
-    j = op.row_entries + 3
-    gamma = j * np.finfo(float).eps / (1.0 - j * np.finfo(float).eps)
-    d, hv = h.diagonal(), h @ v
-    return bool(np.all(hv - sigma * v > gamma * ((np.abs(d) + d) * v - hv + abs(sigma) * v)))
+    hv, abs_hv, gamma = _rounding(op, v, op.row_entries + 3)
+    return bool(np.all(hv - sigma * v > gamma * (abs_hv + abs(sigma) * v)))
 
 
-def _ritz_shift(op: SparseSymOp, x: np.ndarray) -> float:
-    """The shift the Ritz vector x > 0 certifies: Collatz's bound min_i
-    (H x)_i / x_i (Math. Z. 48 (1942) 221) less _m_matrix_certified's rounding.
+def _admitted_shift(op: SparseSymOp, v: np.ndarray) -> float:
+    """The largest sigma _m_matrix_certified admits with v, four roundings
+    stricter, or -inf for a v not > 0: min q / (1 +- gamma) by its sign, q =
+    (H v - gamma_{k+7} |H| v) / v, Collatz's bound (Math. Z. 48 (1942) 221)."""
+    if not np.all(v > 0.0):
+        return -np.inf
+    hv, abs_hv, gamma = _rounding(op, v, op.row_entries + 7)
+    low = float(np.min((hv - gamma * abs_hv) / v))
+    return low / (1.0 + gamma) if low > 0.0 else low / (1.0 - gamma)
 
-    Its test with v = x holds at sigma when q = (H x - gamma |H| x) / x
-    exceeds sigma (1 + gamma) for sigma >= 0, sigma (1 - gamma) for sigma <
-    0, so the largest shift is min q over the divisor of its own sign; with
-    gamma_{k+7}, four roundings stricter than the test's, which confirms it.
-    InertiaError for an entry of x <= 0 (a reducible H) or a refused shift.
-    """
-    if not np.all(x > 0.0):
-        raise InertiaError("the Ritz vector has entries that are not positive: no shift")
-    h, j = op.matrix, op.row_entries + 7
-    gamma = float(j * np.finfo(float).eps / (1.0 - j * np.finfo(float).eps))
-    d, hx = h.diagonal(), h @ x
-    low = float(np.min((hx - gamma * ((np.abs(d) + d) * x - hx)) / x))
-    sigma = low / (1.0 + gamma) if low > 0.0 else low / (1.0 - gamma)
-    if not _m_matrix_certified(op, sigma, x):
+
+def _ritz_shift(op: SparseSymOp, x: np.ndarray, error: float, w: np.ndarray) -> float:
+    """The best _admitted_shift of v = x + delta w, confirmed by
+    _m_matrix_certified: x the Ritz vector, error that of its H x - lam x.
+
+    Where the ground state's tail falls below the rounding of x, x is noise
+    of either sign; w > 0 with (H - sigma) w > 0 there lifts it, at a cost
+    of delta (H w)_i / x_i near the peak of x.  delta climbs by 10 from
+    error / ||w||_inf, at most 8 rungs, to the first fall (each (H v)_i / v_i
+    is monotone in delta, so their minimum rises, then falls).  InertiaError
+    if no v is positive (x is not the ground state's) or the test refuses."""
+    delta, sigma, v = error / np.max(w), -np.inf, x
+    for k in range(8):
+        trial = x + delta * 10.0 ** k * w
+        if (shift := _admitted_shift(op, trial)) < sigma:
+            break
+        sigma, v = shift, trial
+    if sigma == -np.inf:
+        raise InertiaError("no x + delta w is positive: the Ritz vector certifies no shift")
+    if not _m_matrix_certified(op, sigma, v):
         raise InertiaError(f"the M-matrix test refuses the Ritz vector's shift {sigma!r}")
     return sigma
 
@@ -579,19 +580,18 @@ def lowest_eigenpair(op: SparseSymOp, precondition) -> EigResult:
     """Lowest eigenpair of a symmetric sparse Z-matrix by Davidson's method,
     certified by its own Ritz vector.
 
-    precondition maps a residual r to an approximation of (H - lam)^-1 r
-    (kinetic_preconditioner on a hydrogen/plate grid).  The iteration
-    (Davidson, J. Comput. Phys. 17 (1975) 87; Morgan & Scott, SIAM J. Sci.
-    Stat. Comput. 7 (1986) 817) takes the lowest Ritz pair (x, lam) of
-    V^T H V, V orthonormal, and expands V by precondition(H x - lam x),
-    orthogonalized twice against V.  It starts from op.guess or
-    default_rng(0)'s vector, so results repeat to the bit, and stops at the
-    first ||H x - lam x|| <= 64 eps ||H||_inf, unit x, or raises
-    NonConvergenceError after DAVIDSON_MAX_SOLVES applications (iterations).
-    At most DAVIDSON_BASIS vectors are kept; a full basis restarts from x.
-    x, flipped to a positive sum, certifies the shift (_ritz_shift) whatever
-    precondition does.  The heap is trimmed first (_malloc_trim); one BLAS
-    thread (_solve_settings).
+    precondition maps a residual r to about (H - lam)^-1 r; on a grid it is
+    kinetic_preconditioner's.  The iteration (Davidson, J. Comput. Phys. 17
+    (1975) 87; Morgan & Scott, SIAM J. Sci. Stat. Comput. 7 (1986) 817)
+    takes the lowest Ritz pair (x, lam) of V^T H V, V orthonormal, and
+    expands V by precondition(H x - lam x), orthogonalized twice.  It starts
+    from op.guess or default_rng(0)'s vector, so results repeat to the bit,
+    and stops at the first ||H x - lam x|| <= 64 eps ||H||_inf, unit x, or
+    raises NonConvergenceError after DAVIDSON_MAX_SOLVES applications
+    (iterations).  At most DAVIDSON_BASIS vectors are kept; a full basis
+    restarts from x.  x, flipped to a positive sum, certifies the shift with
+    w = precondition(1) > 0 (_ritz_shift; (K + c)^-1 of an M-matrix is
+    positive), soundly whatever precondition does.  Trims the heap first.
     """
     h, n = op.matrix, op.dim
     with _solve_settings():
@@ -617,8 +617,9 @@ def lowest_eigenpair(op: SparseSymOp, precondition) -> EigResult:
             residual = float(np.linalg.norm(r))
             if residual <= bound:
                 x = x if x.sum() > 0.0 else -x
+                error = np.max(np.abs(r)) + bound / 64.0 * np.max(np.abs(x))  # + H x's rounding
                 return EigResult(value=lam, vector=x, iterations=applied, residual=residual,
-                                 shift=_ritz_shift(op, x))
+                                 shift=_ritz_shift(op, x, error, precondition(np.ones(n))))
             if applied == DAVIDSON_MAX_SOLVES:
                 raise _non_convergence(lam, residual, bound, applied)
             t = precondition(r)
@@ -831,8 +832,7 @@ def feshbach_fixed_point(h, p, bracket) -> float:
     NonConvergenceError, carrying the last iterate (inside the bracket), when
     FIXED_POINT_MAX_ITER evaluations do not stop.
     """
-    tol = FIXED_POINT_TOL
-    max_iter = FIXED_POINT_MAX_ITER
+    tol, max_iter = FIXED_POINT_TOL, FIXED_POINT_MAX_ITER
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")

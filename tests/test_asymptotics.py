@@ -283,6 +283,15 @@ class TestSweep:
         assert all(row.w < 0 for row in table.rows)
         assert factors == []
 
+    def test_far_plate_row_certified(self):
+        # at r = 200 the plate side of the grid is 200 long, and the ground
+        # state's tail there falls below the rounding of the Ritz vectors;
+        # both solves still certify, and W is -1/r^3 to 2e-3
+        table = sweep_interaction_energy([200.0], spec=GridCylSpec(0.5, 20.0, 20.0))
+        (row,) = table.rows
+        assert row.error is None
+        assert row.w == pytest.approx(-1.0 / 200.0 ** 3, rel=2e-3)
+
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_positive_energy_row_certified(self, monkeypatch, r):
         # on the warm-up grid of perfbench (h = 0.25, extents 4) E and E_free

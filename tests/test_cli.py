@@ -155,18 +155,29 @@ class TestHydrogen:
         assert "refuses the Ritz vector's shift" in err
         assert len(err.splitlines()) == 1
 
-    def test_non_positive_ritz_vector_exits_2(self, capsys, monkeypatch):
-        # a reducible operator's ground vector has zero entries, so it
-        # certifies no shift: a numerical failure, one stderr line
-        diagonal = np.array([3.0, 1.0, 2.0])
+    def test_excited_ritz_vector_exits_2(self, capsys, monkeypatch):
+        # started on the exact second eigenvector (1, 0, -1) of an irreducible
+        # tridiagonal, the solve stops at once on a Ritz vector with an entry
+        # far below zero, beyond its rounding: no x + delta w is positive, a
+        # numerical failure, one stderr line
+        diagonal = np.full(3, 2.0)
+        op = eigensolver.SparseSymOp(diagonal, {1: -np.ones(2)}, np.array([1.0, 0.0, -1.0]))
         monkeypatch.setattr(asymptotics, "assemble_hydrogen_plate",
-                            lambda grid, ms: (eigensolver.SparseSymOp(diagonal, {}), [diagonal]))
+                            lambda grid, ms: (op, [diagonal]))
         monkeypatch.setattr(asymptotics, "kinetic_preconditioner", lambda grid: lambda r: r)
         code, out, err = run_cli(capsys, "hydrogen", "--r", "8", "--h", "0.4",
                                  "--l-xi", "10", "--l-rho", "10")
         assert code == 2 and out == ""
-        assert err.startswith("numerical failure: InertiaError:") and "not positive" in err
+        assert err.startswith("numerical failure: InertiaError:") and "is positive" in err
         assert len(err.splitlines()) == 1
+
+    def test_wide_extents_certify(self, capsys):
+        # at extents 80 the ground state's tail falls below the rounding of
+        # the Ritz vector; x + delta w still certifies both solves
+        code, out, _ = run_cli(capsys, "hydrogen", "--r", "10", "--h", "0.4",
+                               "--l-xi", "80", "--l-rho", "80")
+        assert code == 0
+        assert float(grab(out, "W")) == pytest.approx(-1.2559e-3, rel=1e-4)
 
     def test_no_sparse_factor(self, capsys, monkeypatch):
         # both solves take the grid's kinetic preconditioner and certify by

@@ -91,7 +91,8 @@ class TestAssemble1D:
 
     def test_electron_plate_ground_pair(self):
         g = Grid1D(2048, 300.0)
-        res = eigensolver._tridiagonal_ground(g)
+        op = assemble_1d_electron_plate(g)
+        res = lowest_eigenpair(op, _shift_invert(op.matrix, -1.0))
         assert res.value == pytest.approx(E_EP, rel=3e-4)
         exact = g.nodes * np.exp(-g.nodes / 8.0)
         exact /= np.linalg.norm(exact)
@@ -102,7 +103,8 @@ class TestAssemble1D:
         # Richardson self-convergence: halving h shrinks the error by ~4
         errs = []
         for n in (512, 1024, 2048):
-            res = eigensolver._tridiagonal_ground(Grid1D(n, 300.0))
+            op = assemble_1d_electron_plate(Grid1D(n, 300.0))
+            res = lowest_eigenpair(op, _shift_invert(op.matrix, -1.0))
             errs.append(res.value - E_EP)
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
@@ -115,17 +117,19 @@ class TestAssemble1D:
         assert res.deviation <= 1e-7
 
     def test_tridiagonal_matches_shift_invert(self):
-        # the direct tridiagonal solve against ARPACK's shift-invert solve on one grid
-        h = assemble_1d_electron_plate(Grid1D(2048, 300.0)).matrix.tocsc()
-        ref = spla.eigsh(h, k=1, sigma=-1.0, which="LM", tol=0.0, v0=np.ones(h.shape[0]))[0][0]
+        # the direct tridiagonal solve against the certified sparse solve on one grid
+        op = assemble_1d_electron_plate(Grid1D(2048, 300.0))
+        ref = lowest_eigenpair(op, _shift_invert(op.matrix, -1.0))
         res = electron_plate_ground(2048, 300.0)
-        assert abs(res.fine_value - ref) <= 1e-13
+        assert ref.shift <= ref.value
+        assert abs(res.fine_value - ref.value) <= 1e-13
         assert res.residual <= 1e-12
 
     def test_reference_grid_raw_value(self):
         # raw n=4096, L=400 operator: second-order scheme lands at 3.7e-5
         # relative; the 1e-5 figure is reached by the Richardson driver
-        res = eigensolver._tridiagonal_ground(Grid1D(4096, 400.0))
+        op = assemble_1d_electron_plate(Grid1D(4096, 400.0))
+        res = lowest_eigenpair(op, _shift_invert(op.matrix, -1.0))
         assert abs(res.value - E_EP) / abs(E_EP) <= 5e-5
 
 
@@ -378,10 +382,19 @@ class TestSparseSymOp:
 class TestLowestEigenpair:
     def test_diagonal_matrix(self):
         # a diagonal matrix is reducible: its lowest eigenvector (0, 1, 0)
-        # has zero entries, so the Ritz vector certifies no shift
+        # has zero entries, which x + delta w lifts, and the shift stays below 1
         op = sym_op(sp.diags([3.0, 1.0, 2.0]))
-        with pytest.raises(InertiaError, match="not positive"):
-            lowest_eigenpair(op, _shift_invert(op.matrix, 0.0))
+        res = lowest_eigenpair(op, _shift_invert(op.matrix, 0.0))
+        assert res.value == pytest.approx(1.0, abs=1e-14)
+        assert res.shift <= 1.0 <= res.value + 1e-14
+
+    def test_excited_ritz_vector_raises(self):
+        # started on the exact second eigenvector (1, 0, -1) of an irreducible
+        # tridiagonal, the solve stops at once; the Ritz vector's entry
+        # -1/sqrt(2) lies far below zero, so no x + delta w is positive
+        op = SparseSymOp(np.full(3, 2.0), {1: -np.ones(2)}, np.array([1.0, 0.0, -1.0]))
+        with pytest.raises(InertiaError, match="no x \\+ delta w is positive"):
+            lowest_eigenpair(op, lambda r: r)
 
     @staticmethod
     def _random_sparse_symmetric(rng, n):
@@ -446,17 +459,45 @@ class TestLowestEigenpair:
         for sigma in shifts:
             assert shifted_factor(mat, sigma)[1] == np.count_nonzero(vals < sigma)
 
-    def test_ritz_certificate_encloses_lowest(self, z_matrix):
-        # the solve's positive Ritz vector certifies its own shift, so the
-        # band solver's lowest eigenvalue lies in [shift, value], value up to
-        # rounding: the band solver's lambda_0 exceeds the Rayleigh quotient
-        # by up to 7.8e-13 on these operators
+    def test_ritz_certificate_encloses_lowest(self, z_matrix, monkeypatch):
+        # the solve's Ritz vector x, lifted to v = x + delta w, certifies its
+        # own shift, so the band solver's lowest eigenvalue lies in [shift,
+        # value], value up to rounding: the band solver's lambda_0 exceeds
+        # the Rayleigh quotient by up to 7.8e-13 on these operators
         name, op, precondition, vals = z_matrix
+        tests, certify = [], eigensolver._m_matrix_certified
+
+        def spy(op, sigma, v):
+            tests.append((sigma, v, certify(op, sigma, v)))
+            return tests[-1][2]
+
+        monkeypatch.setattr(eigensolver, "_m_matrix_certified", spy)
         res = lowest_eigenpair(op, precondition)
         slack = 64.0 * np.finfo(float).eps * op.norm_estimate()
         assert res.shift <= vals[0] <= res.value + slack, name
         assert np.all(res.vector > 0.0), name
-        assert eigensolver._m_matrix_certified(op, res.shift, res.vector)
+        (sigma, v, certified), = tests
+        assert sigma == res.shift and certified and np.all(v > 0.0)
+        # v is x to nine digits: delta w is of the order of the residual
+        assert np.max(np.abs(v - res.vector)) <= 1e-9 * np.max(res.vector), name
+
+    def test_ritz_climb_stops_at_first_fall(self, monkeypatch):
+        # the 1D ground state's tail at L = 300 lies below the rounding of x:
+        # the first rung's v is not positive, and the shift rises rung by
+        # rung to a peak 1e-11 below the value, where the climb stops
+        shifts, admitted = [], eigensolver._admitted_shift
+
+        def spy(op, v):
+            shifts.append(admitted(op, v))
+            return shifts[-1]
+
+        monkeypatch.setattr(eigensolver, "_admitted_shift", spy)
+        op = assemble_1d_electron_plate(Grid1D(2048, 300.0))
+        res = lowest_eigenpair(op, _shift_invert(op.matrix, -1.0))
+        assert np.any(res.vector <= 0.0) and shifts[0] == -np.inf
+        assert shifts[-1] < shifts[-2] == res.shift == max(shifts)
+        assert np.all(np.diff(shifts[:-1]) >= 0.0)
+        assert 0.0 < res.value - res.shift <= 1e-10
 
     def test_positive_vector_needs_a_z_matrix(self):
         # (H + 1) v = 1 with v = (1/3, 1/3) > 0, yet H + 1 is indefinite:
@@ -671,13 +712,14 @@ class TestLowestEigenpair:
             return kinetic(r)
 
         assert events == ["assemble"]
+        # the certificate's w = precondition(1) is one more application
         res = lowest_eigenpair(op, precondition)
-        assert events == ["assemble", ("trim", 0)] + ["apply"] * res.iterations
+        assert events == ["assemble", ("trim", 0)] + ["apply"] * (res.iterations + 1)
         # the free solve on the rewritten diagonal trims as well
         events.clear()
         op.set_diagonal(free)
         res = lowest_eigenpair(op, precondition)
-        assert events == [("trim", 0)] + ["apply"] * res.iterations
+        assert events == [("trim", 0)] + ["apply"] * (res.iterations + 1)
 
     def test_full_basis_is_exact(self, monkeypatch):
         # a preconditioner that adds little per application, yet a basis that
@@ -694,7 +736,7 @@ class TestLowestEigenpair:
         res = lowest_eigenpair(op, weak)
         assert res.value == pytest.approx(np.linalg.eigvalsh(op.matrix.toarray())[0], abs=1e-12)
         assert res.residual <= 64.0 * np.finfo(float).eps * op.norm_estimate()
-        assert res.iterations == len(applied) <= 8
+        assert res.iterations + 1 == len(applied) <= 9    # + 1: the certificate's w
 
     @pytest.mark.parametrize("sigma", [-1.0, -2.0])
     def test_singular_factor_lowers_the_shift(self, monkeypatch, sigma):
@@ -853,6 +895,21 @@ class TestHydrogenPlateOperator:
         random_start = lowest_eigenpair(sym_op(op.matrix), precondition)
         assert res.value == pytest.approx(random_start.value, abs=1e-12)
         assert res.iterations <= random_start.iterations
+
+    @pytest.mark.parametrize("r, spec, m", [
+        (10.0, GridCylSpec(0.4, 100.0, 100.0), 0.0),
+        (200.0, GridCylSpec(0.5, 20.0, 20.0), 1.0)], ids=["extents100", "r200"])
+    def test_tail_below_rounding_certifies(self, r, spec, m):
+        # at extents 100, and on the plate side of the grid at r = 200, the
+        # ground state's tail falls below the rounding of x: entries <= 0,
+        # so x alone admits no shift; x + delta w certifies one within 1e-10
+        # of the value, with no eigenvalue below it (the pivot count)
+        op, precondition = _grid_op(r, spec, m)
+        res = lowest_eigenpair(op, precondition)
+        assert np.any(res.vector <= 0.0)
+        assert eigensolver._admitted_shift(op, res.vector) == -np.inf
+        assert 0.0 < res.value - res.shift <= 1e-10
+        assert shifted_factor(op.matrix, res.shift)[1] == 0
 
     def test_lanczos_stops_at_residual_contract(self, coarse_spec):
         for m in (1.0, 0.0):
